@@ -17,62 +17,33 @@ import time
 
 import numpy as np
 
-from abstain import baselines, density, hybrid, mc, rejection
+from abstain import rejection
+from abstain.cli import FITTERS, resolve_methods, score_split
 from abstain.synth import SynthSpec, generate
 
-HYBRID_PAIRS = (("MD", "huq"), ("RDE", "huq"), ("DDU", "huq"),
-                ("MD", "huq2"), ("RDE", "huq2"), ("DDU", "huq2"))
+
+def fit_models(data, task):
+    """Every model the task can use, fitted as ``abstain fit`` does."""
+    return {key: fitter.fit(data.splits[fitter.split], 0)
+            for key, fitter in FITTERS.items() if task in fitter.tasks}
 
 
-def per_row(fn, X, *args):
-    return np.array([fn(row, *args) for row in X])
-
-
-def multiclass_scores(data):
-    """Method name -> test score vector, plus what hybrids calibrate on."""
-    train = data.splits["train"]
-    val = data.splits["validation"]
-    test = data.splits["test"]
-    models = {
-        "MD": (density.score_md, density.fit_md(train)),
-        "RDE": (density.score_rde, density.fit_rde(train)),
-        "DDU": (density.score_ddu, density.fit_ddu(train)),
-        "NUQ": (density.score_nuq, density.fit_nuq(train)),
-    }
-    beta = baselines.fit_beta(val)
-    out = {
-        "SR": per_row(baselines.score_sr, test.probs),
-        "Entropy": per_row(baselines.score_entropy, test.probs),
-        "Delta": per_row(baselines.score_delta, test.probs),
-        "Beta": per_row(lambda p: baselines.score_beta(p, beta), test.probs),
-        "SMP": per_row(mc.score_smp, test.mc),
-        "PV": per_row(mc.score_pv, test.mc),
-        "BALD": per_row(mc.score_bald, test.mc),
-    }
-    density_val = {}
-    for name, (fn, model) in models.items():
-        out[name] = per_row(fn, test.embeddings, model)
-        density_val[name] = per_row(fn, val.embeddings, model)
-    sr_val = per_row(baselines.score_sr, val.probs)
-    for density_name, variant in HYBRID_PAIRS:
-        config = hybrid.fit_hybrid(val, sr_val, density_val[density_name], variant, "rc_auc")
-        label = f"{'HUQ2' if variant == 'huq2' else 'HUQ'}-{density_name}"
-        out[label] = hybrid.score_hybrid_batch(out["SR"], out[density_name], config)
-    return out, test
+def add_entry(table, name, scores, data, mode):
+    entry = table.setdefault(name, {"full": [], "first_50": []})
+    for span in ("full", "first_50"):
+        entry[span].append(rejection.normalized_auc(scores, data, mode, span).normalized)
 
 
 def run_multiclass(spec_kwargs, seeds):
     table = {}
     for seed in seeds:
         data = generate(SynthSpec(seed=seed, **spec_kwargs))
-        scores, test = multiclass_scores(data)
+        test, val = data.splits["test"], data.splits["validation"]
+        scores = score_split(resolve_methods("all", "multiclass"), test, fit_models(data, "multiclass"),
+                             val, "rc_auc")
         losses = rejection.multiclass_losses(test.probs, test.labels)
         for name, vec in scores.items():
-            entry = table.setdefault(name, {"full": [], "first_50": []})
-            for span in ("full", "first_50"):
-                entry[span].append(
-                    rejection.normalized_auc(vec, losses, "risk", span).normalized
-                )
+            add_entry(table, name, vec, losses, "risk")
     return table
 
 
@@ -80,40 +51,15 @@ def run_multilabel(spec_kwargs, seeds):
     table = {}
     for seed in seeds:
         data = generate(SynthSpec(seed=seed, task="multilabel", **spec_kwargs))
-        train, test = data.splits["train"], data.splits["test"]
-        models = {
-            "MD": (density.score_md, density.fit_md(train)),
-            "RDE": (density.score_rde, density.fit_rde(train)),
-            "DDU": (density.score_ddu, density.fit_ddu(train)),
-            "NUQ": (density.score_nuq, density.fit_nuq(train)),
-        }
-        per_label = 1.0 - np.maximum(test.probs, 1.0 - test.probs)
-        scores = {
-            "MP-mean": per_label.mean(axis=1),
-            "MP-max": per_label.max(axis=1),
-        }
-        for name, (fn, model) in models.items():
-            scores[name] = per_row(fn, test.embeddings, model)
-        pred = (test.probs >= 0.5).astype(int)
-        tp = ((pred == 1) & (test.labels == 1)).sum(axis=1).astype(float)
-        fp = ((pred == 1) & (test.labels == 0)).sum(axis=1).astype(float)
-        fn_ = ((pred == 0) & (test.labels == 1)).sum(axis=1).astype(float)
+        test = data.splits["test"]
+        scores = score_split(resolve_methods("all", "multilabel"), test, fit_models(data, "multilabel"))
+        counts = rejection.instance_f1_counts(test.probs, test.labels)
         for name, vec in scores.items():
-            entry = table.setdefault(name, {"full": [], "first_50": []})
-            for span in ("full", "first_50"):
-                entry[span].append(
-                    rejection.normalized_auc(vec, (tp, fp, fn_), "f1_micro", span).normalized
-                )
+            if vec.ndim == 1:
+                add_entry(table, name, vec, counts, "f1_micro")
         # pooled label-pair rejection, the finer-grained alternative
-        pair_scores = rejection.labelwise_uncertainty(test.probs)
-        pair_pred, pair_truth = rejection.multilabel_pair_arrays(test.probs, test.labels)
-        entry = table.setdefault("MP (label-wise)", {"full": [], "first_50": []})
-        for span in ("full", "first_50"):
-            entry[span].append(
-                rejection.normalized_auc(
-                    pair_scores, (pair_pred, pair_truth), "f1_micro", span
-                ).normalized
-            )
+        pairs = rejection.multilabel_pair_arrays(test.probs, test.labels)
+        add_entry(table, "MP (label-wise)", scores["MP"].reshape(-1), pairs, "f1_micro")
     return table
 
 

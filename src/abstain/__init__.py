@@ -31,7 +31,7 @@ from .density import (
     score_nuq,
     score_rde,
 )
-from .hybrid import HybridConfig, fit_hybrid, score_huq, score_huq2, score_hybrid_batch
+from .hybrid import HybridConfig, fit_hybrid, score_hybrid_batch
 from .mc import score_bald, score_pv, score_smp
 from .rejection import (
     NormalizedAuc,
@@ -56,7 +56,7 @@ __all__ = [
     "fit_beta", "fit_ddu", "fit_hybrid", "fit_md", "fit_nuq", "fit_rde",
     "generate", "multiclass_losses", "normalized_auc", "rank", "rank_all",
     "score_bald", "score_beta", "score_ddu", "score_delta", "score_entropy",
-    "score_huq", "score_huq2", "score_hybrid_batch", "score_md",
+    "score_hybrid_batch", "score_md",
     "score_mp_labelwise", "score_nuq", "score_pv", "score_rde", "score_smp",
     "score_sr", "seeded_rng",
 ]

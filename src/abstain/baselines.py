@@ -1,6 +1,9 @@
 """Output-probability scorers: softmax response, per-label ambiguity,
 top-two margin, predictive entropy, and a Beta-mixture posterior over
 the maximum class probability.
+
+Scorers take an ``(n, C)`` batch of probability rows and return ``(n,)``
+scores; a single ``(C,)`` row gives a float.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import LabeledSplit, validate_probs
+from .core import LabeledSplit, batched, validate_probs
 
 PROB_CLAMP = 1e-6      # keeps Beta densities and their logs finite
 SHAPE_CAP = 1e4        # Beta shape bound when a group has no spread
@@ -18,10 +21,11 @@ MLE_TOL = 1e-8
 MLE_MAX_ITER = 200
 
 
-def score_sr(p) -> float:
+@batched(1)
+def score_sr(p) -> np.ndarray:
     """1 - max class probability."""
     p = validate_probs(p, normalized=True)
-    return float(1.0 - p.max())
+    return 1.0 - p.max(axis=1)
 
 
 def score_mp_labelwise(p, i: int) -> float:
@@ -37,25 +41,25 @@ def score_mp_labelwise(p, i: int) -> float:
     return 1.0 - max(pi, 1.0 - pi)
 
 
-def score_delta(p) -> float:
+@batched(1)
+def score_delta(p) -> np.ndarray:
     """1 - (top probability - second probability); 0 iff a hard one-hot."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
+    if p.ndim != 2 or p.shape[1] < 2:
         raise ValueError("margin needs at least two classes")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probability entry outside [0, 1]")
-    top2 = np.partition(p, -2)[-2:]
-    return float(1.0 - (top2[1] - top2[0]))
+    top2 = np.partition(p, -2, axis=1)[:, -2:]
+    return 1.0 - (top2[:, 1] - top2[:, 0])
 
 
-def score_entropy(p) -> float:
+@batched(1)
+def score_entropy(p) -> np.ndarray:
     """Shannon entropy in nats, with 0 * log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
+    if p.ndim != 2 or p.shape[1] < 2:
         raise ValueError("entropy needs at least two classes")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
         raise ValueError("negative or non-finite probability entry")
-    return float(-special.xlogy(p, p).sum())
+    return -special.xlogy(p, p).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,6 @@ class BetaModel:
             raise ValueError("priors must sum to 1")
         if self.prior_correct < 0.0 or self.prior_incorrect < 0.0:
             raise ValueError("negative prior")
-
-
-def _beta_loglik(a: float, g: float, m1: float, m2: float) -> float:
-    return (a - 1.0) * m1 + (g - 1.0) * m2 - special.betaln(a, g)
 
 
 def _grid_mle(m1: float, m2: float) -> tuple[float, float]:
@@ -186,10 +186,11 @@ def fit_beta(validation: LabeledSplit) -> BetaModel:
     return BetaModel(a_c, g_c, a_i, g_i, n_c / n, n_i / n, cap_c or cap_i)
 
 
-def score_beta(p, model: BetaModel) -> float:
+@batched(1)
+def score_beta(p, model: BetaModel) -> np.ndarray:
     """1 - posterior probability of correctness given the max probability."""
     p = validate_probs(p, normalized=True)
-    x = float(np.clip(p.max(), PROB_CLAMP, 1.0 - PROB_CLAMP))
+    x = np.clip(p.max(axis=1), PROB_CLAMP, 1.0 - PROB_CLAMP)
     lx, l1x = np.log(x), np.log1p(-x)
     log_c = (model.alpha_correct - 1.0) * lx + (model.gamma_correct - 1.0) * l1x - special.betaln(
         model.alpha_correct, model.gamma_correct
@@ -197,12 +198,10 @@ def score_beta(p, model: BetaModel) -> float:
     log_i = (model.alpha_incorrect - 1.0) * lx + (model.gamma_incorrect - 1.0) * l1x - special.betaln(
         model.alpha_incorrect, model.gamma_incorrect
     )
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         num = np.log(model.prior_correct) + log_c
         other = np.log(model.prior_incorrect) + log_i
-    if np.isneginf(num):
-        return 1.0
-    if np.isneginf(other):
-        return 0.0
-    posterior = float(np.exp(num - np.logaddexp(num, other)))
-    return 1.0 - posterior
+        out = 1.0 - np.exp(num - np.logaddexp(num, other))
+    out[np.isneginf(other)] = 0.0
+    out[np.isneginf(num)] = 1.0
+    return out

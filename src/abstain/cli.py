@@ -1,20 +1,23 @@
 """Command-line pipeline: generate a benchmark, fit scorers, score a
 split, evaluate rejection curves, and render a report.
 
-Exit codes: 0 success, 1 usage errors, 2 data errors.  ABSTAIN_THREADS
-caps the worker threads used for per-instance scoring; output order is
-independent of it.
+``fit`` and ``score`` dispatch through one method registry, FITTERS and
+METHODS, which ``scripts/run_benchmark.py`` uses too.  ``score`` computes
+each base score once per split, as one batch, and reuses it for every
+hybrid.  Registry entries call their scorer or fitter through its module
+at call time (``density.score_md``), so a wrapper installed on the module
+attribute sees every call.  Exit codes: 0 success, 1 usage errors,
+2 data errors.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,15 +35,6 @@ from .dataio import (
     write_scores_csv,
 )
 
-MULTICLASS_METHODS = (
-    "SR", "Entropy", "Delta", "Beta", "SMP", "PV", "BALD",
-    "MD", "RDE", "DDU", "NUQ",
-    "HUQ-MD", "HUQ-RDE", "HUQ-DDU", "HUQ2-MD", "HUQ2-RDE", "HUQ2-DDU",
-)
-MULTILABEL_METHODS = ("MP", "MP-mean", "MP-max", "MD", "RDE", "DDU", "NUQ")
-FIT_METHODS = ("md", "rde", "ddu", "nuq", "beta")
-_CHUNK = 256
-
 
 class UsageError(Exception):
     pass
@@ -51,36 +45,115 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _threads() -> int:
-    raw = os.environ.get("ABSTAIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"ABSTAIN_THREADS must be an integer, got {raw!r}")
+MULTICLASS = ("multiclass",)
+MULTILABEL = ("multilabel",)
+BOTH = MULTICLASS + MULTILABEL
 
 
-def _chunked_map(fn, items) -> np.ndarray:
-    """Apply fn per item with fixed chunking; order never depends on the
-    worker count, so results are reproducible for any thread setting."""
-    n = len(items)
-    chunks = [range(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
-
-    def run(idx_range):
-        return [fn(items[i]) for i in idx_range]
-
-    workers = _threads()
-    if workers == 1 or len(chunks) <= 1:
-        parts = [run(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-    return np.array([v for part in parts for v in part], dtype=float)
+@dataclass(frozen=True)
+class Fitter:
+    fit: Callable[[LabeledSplit, int], object]   # (split, seed) -> fitted model
+    split: str                                   # role of the split it fits on
+    tasks: Tuple[str, ...]
 
 
-def _resolve_methods(raw: str, task: str) -> List[str]:
-    available = MULTICLASS_METHODS if task == "multiclass" else MULTILABEL_METHODS
+FITTERS: Dict[str, Fitter] = {
+    "md": Fitter(lambda split, seed: density.fit_md(split), "train", BOTH),
+    "rde": Fitter(lambda split, seed: density.fit_rde(split, seed=seed), "train", BOTH),
+    "ddu": Fitter(lambda split, seed: density.fit_ddu(split), "train", BOTH),
+    "nuq": Fitter(lambda split, seed: density.fit_nuq(split), "train", BOTH),
+    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), "validation", MULTICLASS),
+}
+
+
+@dataclass(frozen=True)
+class Method:
+    """A base method scores a batch of one split field with an optional
+    fitted model; a hybrid pairs SR with a novelty method and is fitted
+    on a calibration split."""
+
+    tasks: Tuple[str, ...]
+    score: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
+    input: str = "probs"                      # LabeledSplit field holding the batch
+    model: Optional[str] = None               # FITTERS key of the model it needs
+    hybrid: Optional[Tuple[str, str]] = None  # (variant, novelty method)
+
+
+# Order is the order of "--methods all" and of the score table.
+METHODS: Dict[str, Method] = {
+    "SR": Method(MULTICLASS, lambda x, m: baselines.score_sr(x)),
+    "Entropy": Method(MULTICLASS, lambda x, m: baselines.score_entropy(x)),
+    "Delta": Method(MULTICLASS, lambda x, m: baselines.score_delta(x)),
+    "Beta": Method(MULTICLASS, lambda x, m: baselines.score_beta(x, m), model="beta"),
+    "SMP": Method(MULTICLASS, lambda x, m: mc.score_smp(x), "mc"),
+    "PV": Method(MULTICLASS, lambda x, m: mc.score_pv(x), "mc"),
+    "BALD": Method(MULTICLASS, lambda x, m: mc.score_bald(x), "mc"),
+    # one score per (instance, label) pair: an (n, L) table
+    "MP": Method(MULTILABEL, lambda x, m: rejection.label_ambiguity(x)),
+    "MP-mean": Method(MULTILABEL, lambda x, m: rejection.label_ambiguity(x).mean(axis=1)),
+    "MP-max": Method(MULTILABEL, lambda x, m: rejection.label_ambiguity(x).max(axis=1)),
+    "MD": Method(BOTH, lambda x, m: density.score_md(x, m), "embeddings", "md"),
+    "RDE": Method(BOTH, lambda x, m: density.score_rde(x, m), "embeddings", "rde"),
+    "DDU": Method(BOTH, lambda x, m: density.score_ddu(x, m), "embeddings", "ddu"),
+    "NUQ": Method(BOTH, lambda x, m: density.score_nuq(x, m), "embeddings", "nuq"),
+}
+METHODS.update({f"{prefix}-{novelty}": Method(MULTICLASS, hybrid=(variant, novelty))
+                for prefix, variant in (("HUQ", "huq"), ("HUQ2", "huq2"))
+                for novelty in ("MD", "RDE", "DDU")})
+
+
+def score_split(
+    names: Sequence[str],
+    target: LabeledSplit,
+    models: Dict[str, object],
+    calib: Optional[LabeledSplit] = None,
+    objective: str = "rc_auc",
+) -> Dict[str, np.ndarray]:
+    """Scores of ``target`` for each named method, in the given order.
+
+    Each base score is computed at most once per split: hybrids reuse SR
+    and their novelty score on both ``target`` and ``calib``, the split
+    their combinator is fitted on.
+    """
+    cache: Dict[tuple, np.ndarray] = {}
+
+    def base(name: str, split: LabeledSplit) -> np.ndarray:
+        key = (name, id(split))
+        if key not in cache:
+            method = METHODS[name]
+            batch = getattr(split, method.input)
+            if batch is None:
+                raise DataError("split has no embeddings" if method.input == "embeddings"
+                                else "split has no stochastic-pass tensor; SMP/PV/BALD unavailable")
+            model = None
+            if method.model is not None:
+                model = models.get(method.model)
+                if model is None:
+                    raise UsageError(f"method {name} needs a fitted {method.model!r} model; "
+                                     f"rerun fit with --methods {method.model}")
+            cache[key] = method.score(batch, model)
+        return cache[key]
+
+    out = {}
+    for name in names:
+        pair = METHODS[name].hybrid
+        if pair is None:
+            out[name] = base(name, target)
+            continue
+        if calib is None:
+            raise UsageError("hybrid methods need --calibrate <split> (typically validation)")
+        variant, novelty = pair
+        config = hybrid.fit_hybrid(calib, base("SR", calib), base(novelty, calib), variant, objective)
+        out[name] = hybrid.score_hybrid_batch(base("SR", target), base(novelty, target), config)
+    return out
+
+
+def resolve_methods(raw: str, task: str) -> List[str]:
+    """Registry names from a comma list, or all that serve ``task`` for
+    "all", in registry order."""
+    available = [name for name, method in METHODS.items() if task in method.tasks]
     if raw.strip().lower() == "all":
-        return list(available)
+        return available
     lookup = {name.lower(): name for name in available}
     out = []
     for token in raw.split(","):
@@ -99,54 +172,6 @@ def _resolve_methods(raw: str, task: str) -> List[str]:
     return out
 
 
-def _need_model(models: Dict[str, object], key: str, method: str):
-    model = models.get(key)
-    if model is None:
-        raise UsageError(f"method {method} needs a fitted {key!r} model; rerun fit with --methods {key}")
-    return model
-
-
-def _density_scores(method: str, split: LabeledSplit, models: Dict[str, object]) -> np.ndarray:
-    X = split.embeddings
-    if X is None:
-        raise DataError("split has no embeddings")
-    if method == "MD":
-        model = _need_model(models, "md", method)
-        return _chunked_map(lambda e: density.score_md(e, model), X)
-    if method == "RDE":
-        model = _need_model(models, "rde", method)
-        return _chunked_map(lambda e: density.score_rde(e, model), X)
-    if method == "DDU":
-        model = _need_model(models, "ddu", method)
-        return _chunked_map(lambda e: density.score_ddu(e, model), X)
-    model = _need_model(models, "nuq", method)
-    return _chunked_map(lambda e: density.score_nuq(e, model), X)
-
-
-def _instance_scores(method: str, split: LabeledSplit, models: Dict[str, object]) -> np.ndarray:
-    probs = split.probs
-    if method == "SR":
-        return _chunked_map(baselines.score_sr, probs)
-    if method == "Entropy":
-        return _chunked_map(baselines.score_entropy, probs)
-    if method == "Delta":
-        return _chunked_map(baselines.score_delta, probs)
-    if method == "Beta":
-        model = _need_model(models, "beta", method)
-        return _chunked_map(lambda p: baselines.score_beta(p, model), probs)
-    if method in ("SMP", "PV", "BALD"):
-        if split.mc is None:
-            raise DataError("split has no stochastic-pass tensor; SMP/PV/BALD unavailable")
-        fn = {"SMP": mc.score_smp, "PV": mc.score_pv, "BALD": mc.score_bald}[method]
-        return _chunked_map(fn, split.mc)
-    if method in ("MD", "RDE", "DDU", "NUQ"):
-        return _density_scores(method, split, models)
-    if method in ("MP-mean", "MP-max"):
-        per_label = 1.0 - np.maximum(probs, 1.0 - probs)
-        return per_label.mean(axis=1) if method == "MP-mean" else per_label.max(axis=1)
-    raise UsageError(f"method {method} is not an instance-level scorer")
-
-
 def _cmd_gen_synth(args) -> int:
     if args.spec:
         spec = synth.SynthSpec.from_json(Path(args.spec).read_text())
@@ -163,74 +188,44 @@ def _cmd_gen_synth(args) -> int:
 def _cmd_fit(args) -> int:
     manifest = validate_manifest(args.manifest)
     base = Path(args.manifest).parent
-    train = load_split(manifest, base, "train")
     if args.methods is None:
-        args.methods = "md,rde,ddu,nuq,beta" if manifest.task == "multiclass" else "md,rde,ddu,nuq"
-    requested = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
+        requested = [key for key, fitter in FITTERS.items() if manifest.task in fitter.tasks]
+    else:
+        requested = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
     for m in requested:
-        if m not in FIT_METHODS:
-            raise UsageError(f"unknown fit method {m!r}; available: {', '.join(FIT_METHODS)}")
+        if m not in FITTERS:
+            raise UsageError(f"unknown fit method {m!r}; available: {', '.join(FITTERS)}")
     if not requested:
         raise UsageError("no methods requested")
+    splits: Dict[str, object] = {}
     models: Dict[str, object] = {}
     for m in requested:
-        if m == "md":
-            models["md"] = density.fit_md(train)
-        elif m == "rde":
-            models["rde"] = density.fit_rde(train, seed=args.seed)
-        elif m == "ddu":
-            models["ddu"] = density.fit_ddu(train)
-        elif m == "nuq":
-            models["nuq"] = density.fit_nuq(train)
-        else:
-            if manifest.task != "multiclass":
-                raise UsageError("beta fitting needs a multiclass manifest")
-            validation = load_split(manifest, base, "validation")
-            models["beta"] = baselines.fit_beta(validation)
+        fitter = FITTERS[m]
+        if manifest.task not in fitter.tasks:
+            raise UsageError(f"{m} fitting needs a {' or '.join(fitter.tasks)} manifest")
+        if fitter.split not in splits:
+            splits[fitter.split] = load_split(manifest, base, fitter.split)
+        models[m] = fitter.fit(splits[fitter.split], args.seed)
     save_models(args.out, models)
     print(args.out)
     return 0
-
-
-def _hybrid_scores(method: str, target: LabeledSplit, calib: LabeledSplit,
-                   models: Dict[str, object], objective: str) -> np.ndarray:
-    prefix, density_name = method.split("-", 1)
-    variant = "huq2" if prefix.upper() == "HUQ2" else "huq"
-    u_a_cal = _instance_scores("SR", calib, models)
-    u_e_cal = _density_scores(density_name, calib, models)
-    config = hybrid.fit_hybrid(calib, u_a_cal, u_e_cal, variant, objective)
-    u_a = _instance_scores("SR", target, models)
-    u_e = _density_scores(density_name, target, models)
-    return hybrid.score_hybrid_batch(u_a, u_e, config)
 
 
 def _cmd_score(args) -> int:
     manifest = validate_manifest(args.manifest)
     base = Path(args.manifest).parent
     target = load_split(manifest, base, args.split)
-    methods = _resolve_methods(args.methods, manifest.task)
-    models: Dict[str, object] = {}
-    if args.models:
-        models = load_models(args.models)
-    hybrids = [m for m in methods if m.startswith(("HUQ-", "HUQ2-"))]
-    calib: Optional[LabeledSplit] = None
-    if hybrids:
-        if not args.calibrate:
-            raise UsageError("hybrid methods need --calibrate <split> (typically validation)")
+    names = resolve_methods(args.methods, manifest.task)
+    models = load_models(args.models) if args.models else {}
+    calib = None
+    if args.calibrate and any(METHODS[name].hybrid for name in names):
         calib = load_split(manifest, base, args.calibrate)
     rows: List[ScoreRow] = []
-    for method in methods:
-        if method == "MP":
-            per_label = 1.0 - np.maximum(target.probs, 1.0 - target.probs)
-            for i in range(per_label.shape[0]):
-                for j in range(per_label.shape[1]):
-                    rows.append(ScoreRow(i, j, "MP", float(per_label[i, j])))
-            continue
-        if method in hybrids:
-            scores = _hybrid_scores(method, target, calib, models, args.objective)
+    for name, scores in score_split(names, target, models, calib, args.objective).items():
+        if scores.ndim == 2:  # one row per (instance, label) pair, instance-major
+            rows.extend(ScoreRow(i, j, name, float(s)) for (i, j), s in np.ndenumerate(scores))
         else:
-            scores = _instance_scores(method, target, models)
-        rows.extend(ScoreRow(i, None, method, float(s)) for i, s in enumerate(scores))
+            rows.extend(ScoreRow(i, None, name, float(s)) for i, s in enumerate(scores))
     write_scores_csv(args.out, rows)
     print(args.out)
     return 0
@@ -280,6 +275,16 @@ def _cmd_evaluate(args) -> int:
         raise DataError(f"score table holds no {args.mode}-level rows")
 
     n = len(split)
+    # (curve mode, per-unit data) pairs every method is evaluated on
+    if args.mode == "label":
+        pred, truth = rejection.multilabel_pair_arrays(split.probs, split.labels)
+        evaluations = (("accuracy", (pred != truth).astype(float)), ("f1_micro", (pred, truth)))
+    elif manifest.task == "multiclass":
+        evaluations = (("risk", rejection.multiclass_losses(split.probs, split.labels)),)
+    else:
+        tp, fp, fn = rejection.instance_f1_counts(split.probs, split.labels)
+        totals = np.full(n, split.probs.shape[1], dtype=float)
+        evaluations = (("accuracy", (fp + fn, totals)), ("f1_micro", (tp, fp, fn)))
     methods_payload: Dict[str, dict] = {}
     plots: Dict[str, Dict[str, tuple]] = {}
     for method in sorted(by_method):
@@ -293,14 +298,6 @@ def _cmd_evaluate(args) -> int:
                 scores[r.instance * L + r.label] = r.score
             if np.any(np.isnan(scores)):
                 raise DataError(f"method {method}: score table misses some label pairs")
-            pred, truth = rejection.multilabel_pair_arrays(split.probs, split.labels)
-            entry = {}
-            curves = {}
-            losses = (pred != truth).astype(float)
-            for mode_name, data in (("accuracy", losses), ("f1_micro", (pred, truth))):
-                curve = rejection.build_curve(scores, data, mode_name)
-                entry[mode_name] = _auc_payload(rejection.normalized_auc(scores, data, mode_name, span))
-                curves[mode_name] = curve
         else:
             if len(rows) != n:
                 raise DataError(f"method {method}: {len(rows)} rows for {n} instances")
@@ -311,25 +308,10 @@ def _cmd_evaluate(args) -> int:
                 scores[r.instance] = r.score
             if np.any(np.isnan(scores)):
                 raise DataError(f"method {method}: missing instances in score table")
-            entry = {}
-            curves = {}
-            if manifest.task == "multiclass":
-                losses = rejection.multiclass_losses(split.probs, split.labels)
-                curve = rejection.build_curve(scores, losses, "risk")
-                entry["risk"] = _auc_payload(rejection.normalized_auc(scores, losses, "risk", span))
-                curves["risk"] = curve
-            else:
-                pred = (split.probs >= 0.5).astype(int)
-                truth = split.labels
-                wrong = (pred != truth).sum(axis=1).astype(float)
-                totals = np.full(n, split.probs.shape[1], dtype=float)
-                tp = ((pred == 1) & (truth == 1)).sum(axis=1).astype(float)
-                fp = ((pred == 1) & (truth == 0)).sum(axis=1).astype(float)
-                fn = ((pred == 0) & (truth == 1)).sum(axis=1).astype(float)
-                for mode_name, data in (("accuracy", (wrong, totals)), ("f1_micro", (tp, fp, fn))):
-                    curve = rejection.build_curve(scores, data, mode_name)
-                    entry[mode_name] = _auc_payload(rejection.normalized_auc(scores, data, mode_name, span))
-                    curves[mode_name] = curve
+        entry, curves = {}, {}
+        for mode_name, data in evaluations:
+            curves[mode_name] = rejection.build_curve(scores, data, mode_name)
+            entry[mode_name] = _auc_payload(rejection.normalized_auc(scores, data, mode_name, span))
         methods_payload[method] = entry
         for mode_name, curve in curves.items():
             suffix = "" if len(curves) == 1 else f".{mode_name}"
@@ -377,7 +359,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit density/beta models on the train split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--methods", default=None,
-                   help="comma list from md,rde,ddu,nuq,beta; default all that fit the task")
+                   help=f"comma list from {','.join(FITTERS)}; default all that fit the task")
     p.add_argument("--out", required=True, help="models container path")
     p.add_argument("--seed", type=int, default=0, help="subsampling seed for robust fits")
     p.set_defaults(func=_cmd_fit)
@@ -390,7 +372,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="score table CSV path")
     p.add_argument("--calibrate", default=None, help="split used to fit hybrid combinators")
     p.add_argument("--objective", default="rc_auc", choices=("rc_auc", "fr_auc"))
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="rejection curves and normalized areas from a score table")
@@ -401,14 +382,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--span", default="full", choices=("full", "first50"))
     p.add_argument("--out", required=True, nargs="+",
                    help="metrics JSON path, optionally followed by a curves directory")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="render an HTML comparison from metrics JSON")
     p.add_argument("--metrics", required=True)
     p.add_argument("--curves", default=None, help="curves directory (defaults next to metrics)")
     p.add_argument("--out", required=True, help="report HTML path")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity")
     p.set_defaults(func=_cmd_report)
     return parser
 

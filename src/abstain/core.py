@@ -1,18 +1,21 @@
-"""Shared primitives: dataset container, rank function, seeded RNG.
+"""Shared primitives: dataset container, rank function, seeded RNG,
+and the batch convention of the scorers.
 
-Every scorer in this package emits a plain float under one convention:
-higher = more uncertain.  Scorers whose natural output is a confidence
-are complemented or negated at the module boundary, so curves and
-hybrid combinators never need per-method sign handling.
+Every scorer in this package follows one convention: higher = more
+uncertain.  Scorers whose natural output is a confidence are
+complemented or negated at the module boundary, so curves and hybrid
+combinators never need per-method sign handling.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 PROB_SUM_TOL = 1e-6
+BLOCK_ROWS = 1024   # rows per scorer call: bounds temporaries such as RDE's kernel rows
 
 TASKS = ("multiclass", "multilabel")
 
@@ -49,19 +52,49 @@ def rank_all(u: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.searchsorted(table, u, side="left") + 1
 
 
+def batched(row_ndim: int):
+    """Turn a block scorer into the public scorer.
+
+    The decorated function scores a batch whose rows have ``row_ndim``
+    dimensions and returns an ``(n,)`` array.  Larger batches reach it in
+    blocks of BLOCK_ROWS rows; a single row is scored as a 1-row batch
+    through the same code and returned as a float.  Inputs of any other
+    rank go to it unchanged, so its own checks reject them.
+    """
+
+    def wrap(score_batch):
+        @functools.wraps(score_batch)
+        def scorer(x, *args):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == row_ndim:
+                return float(score_batch(x[None], *args)[0])
+            if x.ndim != row_ndim + 1 or len(x) <= BLOCK_ROWS:
+                return score_batch(x, *args)
+            blocks = range(0, len(x), BLOCK_ROWS)
+            return np.concatenate([score_batch(x[i:i + BLOCK_ROWS], *args) for i in blocks])
+
+        return scorer
+
+    return wrap
+
+
 def validate_probs(p, normalized: bool = True) -> np.ndarray:
-    """Check one probability vector; returns it as a float array."""
+    """Check one probability vector, or a batch of them as rows; returns
+    it as a float array."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
+    if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ValueError("probability vector needs at least two entries")
     if not np.all(np.isfinite(p)):
         raise ValueError("non-finite probability entry")
     if np.any(p < 0.0) or np.any(p > 1.0 + PROB_SUM_TOL):
         raise ValueError("probability entry outside [0, 1]")
-    if normalized and abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-        raise ValueError(
-            f"probabilities sum to {float(p.sum()):.8f}, expected 1 within {PROB_SUM_TOL}"
-        )
+    if normalized:
+        sums = np.ravel(p.sum(axis=-1))
+        bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)
+        if bad.size:
+            raise ValueError(
+                f"probabilities sum to {float(sums[bad[0]]):.8f}, expected 1 within {PROB_SUM_TOL}"
+            )
     return p
 
 

@@ -2,8 +2,11 @@
 variant, a per-class Gaussian mixture density, and a nonparametric
 kernel estimator of the label-noise rate.
 
-Fitters consume the train split only.  Scoring takes one embedding and
-returns a float, higher = more uncertain.
+Fitters consume the train split only.  Scorers take an ``(n, d)`` batch
+of embeddings and return ``(n,)`` scores, higher = more uncertain; a
+single ``(d,)`` embedding gives a float.  They see at most
+``core.BLOCK_ROWS`` rows at a time, so RDE's and NUQ's kernel rows
+against the train sample stay bounded.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from .core import LabeledSplit, seeded_rng
+from .core import LabeledSplit, batched, seeded_rng
 
 RIDGE_SCALE = 1e-6        # ridge = RIDGE_SCALE * trace/d, floor below
 RIDGE_FLOOR = 1e-12
@@ -45,9 +48,9 @@ def _regularized_precision(cov: np.ndarray) -> tuple[np.ndarray, float]:
     return (prec + prec.T) / 2.0, lam
 
 
-def _quadforms(e: np.ndarray, centroids: np.ndarray, precision: np.ndarray) -> np.ndarray:
-    diffs = centroids - e[None, :]
-    return np.einsum("cd,de,ce->c", diffs, precision, diffs)
+def _check_batch(E: np.ndarray, d: int) -> None:
+    if E.ndim != 2 or E.shape[1] != d:
+        raise ValueError("embedding dimension mismatch with fitted model")
 
 
 def _require_embeddings(split: LabeledSplit) -> np.ndarray:
@@ -108,12 +111,12 @@ def fit_md(train: LabeledSplit) -> MdModel:
     return MdModel(centroids, pooled, precision, lam)
 
 
-def score_md(e, model: MdModel) -> float:
+@batched(1)
+def score_md(E, model: MdModel) -> np.ndarray:
     """Smallest squared Mahalanobis distance to any class centroid."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (model.centroids.shape[1],):
-        raise ValueError("embedding dimension mismatch with fitted model")
-    return float(_quadforms(e, model.centroids, model.precision).min())
+    _check_batch(E, model.centroids.shape[1])
+    diffs = model.centroids[None] - E[:, None]
+    return np.einsum("ncd,de,nce->nc", diffs, model.precision, diffs).min(axis=1)
 
 
 # ------------------------------------------------------------ robust variant
@@ -277,15 +280,12 @@ def fit_rde(
     return RdeModel(basis, centroids, precisions, k, mcd_fraction, seed)
 
 
-def score_rde(e, model: RdeModel) -> float:
+@batched(1)
+def score_rde(E, model: RdeModel) -> np.ndarray:
     """Smallest robust Mahalanobis distance in kernel component space."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (model.basis.support.shape[1],):
-        raise ValueError("embedding dimension mismatch with fitted model")
-    z = model.basis.transform(e[None, :])[0]
-    diffs = model.centroids - z[None, :]
-    quad = np.einsum("ck,ckj,cj->c", diffs, model.precisions, diffs)
-    return float(quad.min())
+    _check_batch(E, model.basis.support.shape[1])
+    diffs = model.centroids[None] - model.basis.transform(E)[:, None]
+    return np.einsum("nck,ckj,ncj->nc", diffs, model.precisions, diffs).min(axis=1)
 
 
 # ----------------------------------------------------------- density mixture
@@ -323,17 +323,15 @@ def fit_ddu(train: LabeledSplit) -> DduModel:
     return DduModel(centroids, precisions, log_dets, log_priors)
 
 
-def score_ddu(e, model: DduModel) -> float:
+@batched(1)
+def score_ddu(E, model: DduModel) -> np.ndarray:
     """Negative log of the prior-weighted Gaussian mixture density."""
-    e = np.asarray(e, dtype=float)
     d = model.centroids.shape[1]
-    if e.shape != (d,):
-        raise ValueError("embedding dimension mismatch with fitted model")
-    quad = np.einsum(
-        "cd,cde,ce->c", model.centroids - e[None, :], model.precisions, model.centroids - e[None, :]
-    )
+    _check_batch(E, d)
+    diffs = model.centroids[None] - E[:, None]
+    quad = np.einsum("ncd,cde,nce->nc", diffs, model.precisions, diffs)
     log_comp = model.log_priors - 0.5 * (d * np.log(2.0 * np.pi) + model.log_dets + quad)
-    return float(-logsumexp(log_comp))
+    return -logsumexp(log_comp, axis=1)
 
 
 # ------------------------------------------------------- kernel noise scorer
@@ -374,7 +372,8 @@ def fit_nuq(train: LabeledSplit, bandwidth="auto") -> NuqModel:
     return NuqModel(X, Y, h, h**d / (2.0 * np.sqrt(np.pi)))
 
 
-def score_nuq(e, model: NuqModel) -> float:
+@batched(1)
+def score_nuq(E, model: NuqModel) -> np.ndarray:
     """Kernel estimate of the pointwise label-noise rate, scaled.
 
     Kernel-weighted class frequencies give per-class Bernoulli variances
@@ -384,19 +383,19 @@ def score_nuq(e, model: NuqModel) -> float:
     spread.  Where the density estimate underflows the score is +inf
     with a warning, keeping far-away points maximally uncertain.
     """
-    e = np.asarray(e, dtype=float)
     n, d = model.embeddings.shape
-    if e.shape != (d,):
-        raise ValueError("embedding dimension mismatch with fitted model")
+    _check_batch(E, d)
     h2 = model.bandwidth * model.bandwidth
-    sq = ((model.embeddings - e[None, :]) ** 2).sum(axis=1)
-    w = np.exp(-sq / (2.0 * h2))
-    wsum = float(w.sum())
+    w = np.exp(-cdist(E, model.embeddings, "sqeuclidean") / (2.0 * h2))
+    wsum = w.sum(axis=1)
     density = wsum / (n * (2.0 * np.pi) ** (d / 2.0) * model.bandwidth**d)
-    if density < DENSITY_UNDERFLOW:
+    underflow = density < DENSITY_UNDERFLOW
+    if np.any(underflow):
         warnings.warn("density underflow: embedding far outside the train support", RuntimeWarning)
-        return float("inf")
-    p_class = (w @ model.label_matrix) / wsum
-    sig2_max = float((p_class * (1.0 - p_class)).max())
-    tau2 = model.kernel_constant / n * sig2_max / density
-    return float(2.0 * np.sqrt(2.0 / np.pi) * np.sqrt(tau2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_class = (w @ model.label_matrix) / wsum[:, None]
+        sig2_max = (p_class * (1.0 - p_class)).max(axis=1)
+        tau2 = model.kernel_constant / n * sig2_max / density
+        out = 2.0 * np.sqrt(2.0 / np.pi) * np.sqrt(tau2)
+    out[underflow] = np.inf
+    return out

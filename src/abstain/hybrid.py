@@ -10,14 +10,16 @@ whose squared ranks are damped by the complementary rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .core import LabeledSplit, rank, rank_all
+from .core import LabeledSplit, rank_all
 from .rejection import (
     build_curve,
     curve_auc,
+    instance_f1_counts,
     multiclass_losses,
 )
 
@@ -67,62 +69,28 @@ class HybridConfig:
         return self.n_validation + 2
 
 
-def score_huq(u_ambiguity: float, u_novelty: float, config: HybridConfig) -> float:
-    """Three-region rule on the novelty threshold.
+def _huq_mix(r_a, r_e, r_id, in_dist, above_dmax, alpha: float, base: int) -> np.ndarray:
+    """Three-region rule on the novelty threshold, from ranks.
 
-    Low novelty and low ambiguity: rank the ambiguity score inside the
-    low-novelty table.  Low novelty but high ambiguity: rank it over the
-    whole table.  High novelty: mix both ranks with weight alpha.  Each
-    region is offset above the previous one.
+    Low novelty (``in_dist``) and low ambiguity: the rank ``r_id`` inside
+    the low-novelty table.  Low novelty but high ambiguity: the rank over
+    the whole table.  High novelty: both ranks mixed with weight alpha.
+    Each region is offset by ``base`` above the previous one.
     """
-    base = config.case_offset
-    if u_novelty <= config.delta_min:
-        if u_ambiguity <= config.delta_max:
-            return float(rank(u_ambiguity, config.table_ambiguity_id))
-        return float(rank(u_ambiguity, config.table_ambiguity) + base)
-    mixed = (1.0 - config.alpha) * rank(u_novelty, config.table_novelty) + config.alpha * rank(
-        u_ambiguity, config.table_ambiguity
-    )
-    return float(mixed + 2 * base)
-
-
-def score_huq2(u_ambiguity: float, u_novelty: float, config: HybridConfig) -> float:
-    """Smooth product form over squared ranks.
-
-    Each squared rank is damped by a linear leverage term in the other
-    score's rank: l(u) = 1 - R(u)/(c * N).
-    """
-    n = config.n_validation
-    r_a = rank(u_ambiguity, config.table_ambiguity)
-    r_e = rank(u_novelty, config.table_novelty)
-    lever_a = 1.0 - r_a / (config.c * n)
-    lever_e = 1.0 - r_e / (config.c * n)
-    return float(
-        (1.0 - config.alpha) * r_e * r_e * lever_a + config.alpha * r_a * r_a * lever_e
-    )
-
-
-def _huq_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
-    base = config.case_offset
-    r_a = rank_all(u_a, config.table_ambiguity).astype(float)
-    r_e = rank_all(u_e, config.table_novelty).astype(float)
-    in_dist = u_e <= config.delta_min
-    ambiguous = in_dist & (u_a > config.delta_max)
+    ambiguous = in_dist & above_dmax
     plain = in_dist & ~ambiguous
-    out = (1.0 - config.alpha) * r_e + config.alpha * r_a + 2 * base
+    out = (1.0 - alpha) * r_e + alpha * r_a + 2 * base
     out[ambiguous] = r_a[ambiguous] + base
-    if np.any(plain):
-        out[plain] = rank_all(u_a[plain], config.table_ambiguity_id).astype(float)
+    out[plain] = r_id[plain]
     return out
 
 
-def _huq2_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
-    n = config.n_validation
-    r_a = rank_all(u_a, config.table_ambiguity).astype(float)
-    r_e = rank_all(u_e, config.table_novelty).astype(float)
-    lever_a = 1.0 - r_a / (config.c * n)
-    lever_e = 1.0 - r_e / (config.c * n)
-    return (1.0 - config.alpha) * r_e * r_e * lever_a + config.alpha * r_a * r_a * lever_e
+def _huq2_mix(r_a, r_e, alpha: float, c: int, n: int) -> np.ndarray:
+    """Smooth product form over squared ranks, each damped by a linear
+    leverage term in the other score's rank: l(u) = 1 - R(u)/(c * N)."""
+    lever_a = 1.0 - r_a / (c * n)
+    lever_e = 1.0 - r_e / (c * n)
+    return (1.0 - alpha) * r_e * r_e * lever_a + alpha * r_a * r_a * lever_e
 
 
 def score_hybrid_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
@@ -133,9 +101,17 @@ def score_hybrid_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
         raise ValueError("score arrays must be matching 1-D")
     if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_e))):
         raise ValueError("hybrid inputs must be finite")
-    if config.variant == "huq":
-        return _huq_batch(u_a, u_e, config)
-    return _huq2_batch(u_a, u_e, config)
+    r_a = rank_all(u_a, config.table_ambiguity).astype(float)
+    r_e = rank_all(u_e, config.table_novelty).astype(float)
+    if config.variant == "huq2":
+        return _huq2_mix(r_a, r_e, config.alpha, config.c, config.n_validation)
+    in_dist = u_e <= config.delta_min
+    above_dmax = u_a > config.delta_max
+    plain = in_dist & ~above_dmax
+    r_id = np.zeros_like(r_a)
+    if np.any(plain):
+        r_id[plain] = rank_all(u_a[plain], config.table_ambiguity_id)
+    return _huq_mix(r_a, r_e, r_id, in_dist, above_dmax, config.alpha, config.case_offset)
 
 
 def _rc_objective(validation: LabeledSplit) -> Callable[[np.ndarray], float]:
@@ -152,11 +128,7 @@ def _rc_objective(validation: LabeledSplit) -> Callable[[np.ndarray], float]:
 def _fr_objective(validation: LabeledSplit) -> Callable[[np.ndarray], float]:
     if validation.task != "multilabel":
         raise ValueError("fr_auc calibration needs a multilabel split")
-    pred = (validation.probs >= 0.5).astype(int)
-    truth = validation.labels
-    tp = ((pred == 1) & (truth == 1)).sum(axis=1).astype(float)
-    fp = ((pred == 1) & (truth == 0)).sum(axis=1).astype(float)
-    fn = ((pred == 0) & (truth == 1)).sum(axis=1).astype(float)
+    tp, fp, fn = instance_f1_counts(validation.probs, validation.labels)
 
     def objective(scores: np.ndarray) -> float:
         # negated so the caller always minimises
@@ -179,7 +151,12 @@ def fit_hybrid(
     quantiles of the ambiguity scores; c over {1, 2, 3} for the smooth
     variant.  Quantiles are order statistics (actual held-out values),
     which keeps every decision a pure rank comparison.  Ties prefer the
-    smallest alpha, then the smallest quantile positions.
+    smallest alpha, then the smallest quantile positions (then the
+    smallest c).
+
+    Every rank the search needs is computed once up front; each grid
+    point only mixes them, so its scores equal those of
+    :func:`score_hybrid_batch` under that point's config.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -198,28 +175,30 @@ def fit_hybrid(
     objective_fn = _rc_objective(validation) if objective == "rc_auc" else _fr_objective(validation)
     table_a = np.sort(u_a)
     table_e = np.sort(u_e)
-
-    def make(alpha, dmin, dmax, c, table_id):
-        return HybridConfig(variant, alpha, dmin, dmax, c, n, table_a, table_id, table_e)
+    r_a = rank_all(u_a, table_a).astype(float)
+    r_e = rank_all(u_e, table_e).astype(float)
 
     best = None
     if variant == "huq":
         dmin_values = [float(np.quantile(u_e, q, method="lower")) for q in DELTA_MIN_QUANTILES]
         dmax_values = [float(np.quantile(u_a, q, method="lower")) for q in DELTA_MAX_QUANTILES]
-        id_tables = [np.sort(u_a[u_e <= dmin]) for dmin in dmin_values]
-        for alpha in ALPHA_GRID:
-            for dmin, table_id in zip(dmin_values, id_tables):
-                for dmax in dmax_values:
-                    cfg = make(alpha, dmin, dmax, 1, table_id)
-                    val = objective_fn(score_hybrid_batch(u_a, u_e, cfg))
-                    if best is None or val < best[0]:
-                        best = (val, cfg)
-    else:
-        table_id = table_a  # thresholds unused by the smooth variant
-        for alpha in ALPHA_GRID:
-            for c in C_GRID:
-                cfg = make(alpha, float(table_e[-1]), float(table_a[-1]), c, table_id)
-                val = objective_fn(score_hybrid_batch(u_a, u_e, cfg))
-                if best is None or val < best[0]:
-                    best = (val, cfg)
-    return best[1]
+        in_dist = [u_e <= dmin for dmin in dmin_values]
+        id_tables = [np.sort(u_a[mask]) for mask in in_dist]
+        id_ranks = [rank_all(u_a, table).astype(float) for table in id_tables]
+        above_dmax = [u_a > dmax for dmax in dmax_values]
+        base = n + 2  # HybridConfig.case_offset
+        for alpha, i, j in product(ALPHA_GRID, range(len(dmin_values)), range(len(dmax_values))):
+            val = objective_fn(_huq_mix(r_a, r_e, id_ranks[i], in_dist[i], above_dmax[j], alpha, base))
+            if best is None or val < best[0]:
+                best = (val, alpha, i, j)
+        _, alpha, i, j = best
+        return HybridConfig(variant, alpha, dmin_values[i], dmax_values[j], 1, n,
+                            table_a, id_tables[i], table_e)
+    for alpha, c in product(ALPHA_GRID, C_GRID):
+        val = objective_fn(_huq2_mix(r_a, r_e, alpha, c, n))
+        if best is None or val < best[0]:
+            best = (val, alpha, c)
+    _, alpha, c = best
+    # thresholds and the low-novelty table are unused by the smooth variant
+    return HybridConfig(variant, alpha, float(table_e[-1]), float(table_a[-1]), c, n,
+                        table_a, table_a, table_e)

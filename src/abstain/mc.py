@@ -1,46 +1,57 @@
 """Aggregators for stochastic forward-pass tensors (T passes x C classes).
 
 Rows are per-pass probability vectors from dropout-style resampling.
-All three scorers are invariant to the order of the passes.
+All three scorers are invariant to the order of the passes.  They take
+an ``(n, T, C)`` batch and return ``(n,)`` scores; a single ``(T, C)``
+tensor gives a float.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import special
 
+from .core import batched
+
 BALD_CLAMP = 1e-12
 
 
-def _as_tensor(t, min_passes: int = 1) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.dtype == object or t.ndim != 2:
+def _as_tensor(t: np.ndarray, min_passes: int = 1) -> np.ndarray:
+    if t.dtype == object or t.ndim != 3:
         raise ValueError("MC tensor must be a rectangular (T, C) array")
-    if t.shape[1] < 2:
+    if t.shape[2] < 2:
         raise ValueError("MC tensor needs at least two classes")
-    if t.shape[0] < min_passes:
+    if t.shape[1] < min_passes:
         raise ValueError(f"MC tensor needs at least {min_passes} passes")
     if not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("MC tensor entries must lie in [0, 1]")
     return t
 
 
-def score_smp(t) -> float:
+def _identical_passes(t: np.ndarray) -> np.ndarray:
+    """Rows whose passes all equal the first one."""
+    return (t == t[:, :1]).all(axis=(1, 2))
+
+
+@batched(2)
+def score_smp(t) -> np.ndarray:
     """1 - max entry of the mean probability row."""
     t = _as_tensor(t)
-    return float(1.0 - t.mean(axis=0).max())
+    return 1.0 - t.mean(axis=1).max(axis=1)
 
 
-def score_pv(t) -> float:
+@batched(2)
+def score_pv(t) -> np.ndarray:
     """Mean over classes of the unbiased across-pass variance."""
     t = _as_tensor(t, min_passes=2)
-    if np.array_equiv(t, t[0]):
-        # identical passes carry zero disagreement; skip the variance
-        # path so its 1-ulp mean round-off cannot leak through
-        return 0.0
-    return float(t.var(axis=0, ddof=1).mean())
+    out = t.var(axis=1, ddof=1).mean(axis=1)
+    # identical passes carry zero disagreement; bypass the variance
+    # path so its 1-ulp mean round-off cannot leak through
+    out[_identical_passes(t)] = 0.0
+    return out
 
 
-def score_bald(t) -> float:
+@batched(2)
+def score_bald(t) -> np.ndarray:
     """Entropy of the mean row minus the mean per-pass entropy.
 
     Probabilities are clamped to [1e-12, 1] before the logs; the
@@ -48,10 +59,10 @@ def score_bald(t) -> float:
     clipped to zero.
     """
     t = _as_tensor(t)
-    if np.array_equiv(t, t[0]):
-        return 0.0
     tc = np.clip(t, BALD_CLAMP, 1.0)
-    mean_row = np.clip(t.mean(axis=0), BALD_CLAMP, 1.0)
-    h_mean = -special.xlogy(mean_row, mean_row).sum()
-    mean_h = -special.xlogy(tc, tc).sum(axis=1).mean()
-    return float(max(h_mean - mean_h, 0.0))
+    mean_row = np.clip(t.mean(axis=1), BALD_CLAMP, 1.0)
+    h_mean = -special.xlogy(mean_row, mean_row).sum(axis=1)
+    mean_h = -special.xlogy(tc, tc).sum(axis=2).mean(axis=1)
+    out = np.maximum(h_mean - mean_h, 0.0)
+    out[_identical_passes(t)] = 0.0
+    return out

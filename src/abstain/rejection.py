@@ -94,6 +94,36 @@ def _f1_values(order, tp, fp, fn):
     return np.where(denom > 0.0, 2.0 * tp_left / np.where(denom > 0.0, denom, 1.0), 1.0)
 
 
+def _f1_masks(pred, truth):
+    """True-positive, false-positive and false-negative masks of
+    predicted against true 0/1 bits."""
+    return (pred == 1) & (truth == 1), (pred == 1) & (truth == 0), (pred == 0) & (truth == 1)
+
+
+def _unit_arrays(data, mode: str):
+    """Checked per-unit float arrays of ``data`` (see :func:`build_curve`):
+    (errors, totals) for risk and accuracy, (tp, fp, fn) for f1_micro."""
+    if mode in ("risk", "accuracy"):
+        errors, totals = data if isinstance(data, tuple) else (data, np.ones(len(data)))
+        errors = np.asarray(errors, dtype=float)
+        totals = np.asarray(totals, dtype=float)
+        if errors.shape != totals.shape or errors.ndim != 1:
+            raise ValueError("errors/totals must be matching 1-D arrays")
+        return errors, totals
+    if not (isinstance(data, tuple) and len(data) in (2, 3)):
+        raise ValueError("f1_micro needs (pred, truth) or (tp, fp, fn)")
+    if len(data) == 2:
+        pred = np.asarray(data[0], dtype=int)
+        truth = np.asarray(data[1], dtype=int)
+        if pred.shape != truth.shape or pred.ndim != 1:
+            raise ValueError("pred/truth must be matching 1-D arrays")
+        return tuple(mask.astype(float) for mask in _f1_masks(pred, truth))
+    tp, fp, fn = (np.asarray(x, dtype=float) for x in data)
+    if not (tp.shape == fp.shape == fn.shape) or tp.ndim != 1:
+        raise ValueError("tp/fp/fn must be matching 1-D arrays")
+    return tp, fp, fn
+
+
 def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
     """Build the rejection curve for one score vector.
 
@@ -105,38 +135,15 @@ def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode in ("risk", "accuracy"):
-        if isinstance(data, tuple):
-            errors, totals = data
-        else:
-            errors, totals = data, np.ones(len(data))
-        errors = np.asarray(errors, dtype=float)
-        totals = np.asarray(totals, dtype=float)
-        if errors.shape != totals.shape or errors.ndim != 1:
-            raise ValueError("errors/totals must be matching 1-D arrays")
-        scores = _check_scores(scores, errors.size)
-        order = rejection_order(scores)
-        values = _risk_values(order, errors, totals)
+    arrays = _unit_arrays(data, mode)
+    scores = _check_scores(scores, arrays[0].size)
+    order = rejection_order(scores)
+    if mode == "f1_micro":
+        values = _f1_values(order, *arrays)
+    else:
+        values = _risk_values(order, *arrays)
         if mode == "accuracy":
             values = 1.0 - values
-    else:
-        if not (isinstance(data, tuple) and len(data) in (2, 3)):
-            raise ValueError("f1_micro needs (pred, truth) or (tp, fp, fn)")
-        if len(data) == 2:
-            pred = np.asarray(data[0], dtype=int)
-            truth = np.asarray(data[1], dtype=int)
-            if pred.shape != truth.shape or pred.ndim != 1:
-                raise ValueError("pred/truth must be matching 1-D arrays")
-            tp = ((pred == 1) & (truth == 1)).astype(float)
-            fp = ((pred == 1) & (truth == 0)).astype(float)
-            fn = ((pred == 0) & (truth == 1)).astype(float)
-        else:
-            tp, fp, fn = (np.asarray(x, dtype=float) for x in data)
-            if not (tp.shape == fp.shape == fn.shape) or tp.ndim != 1:
-                raise ValueError("tp/fp/fn must be matching 1-D arrays")
-        scores = _check_scores(scores, tp.size)
-        order = rejection_order(scores)
-        values = _f1_values(order, tp, fp, fn)
     n = scores.size
     coverages = (n - np.arange(n)) / n
     return RejectionCurve(coverages, values, mode)
@@ -176,21 +183,11 @@ def curve_auc(curve: RejectionCurve, span: str = "full") -> float:
 
 
 def _full_set_metric(data, mode: str) -> float:
+    arrays = _unit_arrays(data, mode)
     if mode in ("risk", "accuracy"):
-        if isinstance(data, tuple):
-            errors, totals = data
-        else:
-            errors, totals = data, np.ones(len(data))
-        risk = float(np.sum(errors) / np.sum(totals))
+        risk = float(np.sum(arrays[0]) / np.sum(arrays[1]))
         return risk if mode == "risk" else 1.0 - risk
-    if len(data) == 2:
-        pred = np.asarray(data[0], dtype=int)
-        truth = np.asarray(data[1], dtype=int)
-        tp = float(((pred == 1) & (truth == 1)).sum())
-        fp = float(((pred == 1) & (truth == 0)).sum())
-        fn = float(((pred == 0) & (truth == 1)).sum())
-    else:
-        tp, fp, fn = (float(np.sum(x)) for x in data)
+    tp, fp, fn = (float(np.sum(x)) for x in arrays)
     denom = 2.0 * tp + fp + fn
     return 2.0 * tp / denom if denom > 0.0 else 1.0
 
@@ -203,19 +200,10 @@ def oracle_scores(data, mode: str) -> np.ndarray:
     order is pinned for determinism); remaining ties fall back to the
     shared original-index rule.
     """
+    arrays = _unit_arrays(data, mode)
     if mode in ("risk", "accuracy"):
-        if isinstance(data, tuple):
-            errors = np.asarray(data[0], dtype=float)
-        else:
-            errors = np.asarray(data, dtype=float)
-        return errors.copy()
-    if len(data) == 2:
-        pred = np.asarray(data[0], dtype=int)
-        truth = np.asarray(data[1], dtype=int)
-        fp = ((pred == 1) & (truth == 0)).astype(float)
-        fn = ((pred == 0) & (truth == 1)).astype(float)
-    else:
-        _, fp, fn = (np.asarray(x, dtype=float) for x in data)
+        return arrays[0].copy()
+    _, fp, fn = arrays
     return 2.0 * fp + fn
 
 
@@ -252,10 +240,22 @@ def multilabel_pair_arrays(probs: np.ndarray, truth: np.ndarray, threshold: floa
     return pred.reshape(-1), truth.reshape(-1)
 
 
+def instance_f1_counts(probs: np.ndarray, truth: np.ndarray, threshold: float = 0.5):
+    """Per-instance (tp, fp, fn) label counts of thresholded (n, L)
+    sigmoid outputs against 0/1 truth bits, as float arrays."""
+    pred = (np.asarray(probs, dtype=float) >= threshold).astype(int)
+    return tuple(mask.sum(axis=1).astype(float) for mask in _f1_masks(pred, np.asarray(truth)))
+
+
+def label_ambiguity(probs: np.ndarray) -> np.ndarray:
+    """Per-pair ambiguity 1 - max(p, 1-p) of sigmoid outputs, same shape."""
+    probs = np.asarray(probs, dtype=float)
+    return 1.0 - np.maximum(probs, 1.0 - probs)
+
+
 def labelwise_uncertainty(probs: np.ndarray) -> np.ndarray:
     """Per-pair ambiguity 1 - max(p, 1-p), flattened instance-major."""
-    probs = np.asarray(probs, dtype=float)
-    return (1.0 - np.maximum(probs, 1.0 - probs)).reshape(-1)
+    return label_ambiguity(probs).reshape(-1)
 
 
 def evaluate_labelwise(probs: np.ndarray, truth: np.ndarray) -> Tuple[RejectionCurve, RejectionCurve]:
@@ -284,19 +284,15 @@ def evaluate_instancewise_multilabel(
     truth = np.asarray(truth, dtype=int)
     if probs.shape != truth.shape or probs.ndim != 2:
         raise ValueError("probs/labels must be matching (n, L) arrays")
-    per_label = 1.0 - np.maximum(probs, 1.0 - probs)
+    per_label = label_ambiguity(probs)
     if aggregate == "mean":
         scores = per_label.mean(axis=1)
     elif aggregate == "max":
         scores = per_label.max(axis=1)
     else:
         raise ValueError(f"unknown aggregate {aggregate!r}; expected 'mean' or 'max'")
-    pred = (probs >= 0.5).astype(int)
-    wrong = (pred != truth).sum(axis=1).astype(float)
+    tp, fp, fn = instance_f1_counts(probs, truth)
     totals = np.full(len(probs), probs.shape[1], dtype=float)
-    tp = ((pred == 1) & (truth == 1)).sum(axis=1).astype(float)
-    fp = ((pred == 1) & (truth == 0)).sum(axis=1).astype(float)
-    fn = ((pred == 0) & (truth == 1)).sum(axis=1).astype(float)
-    acc = build_curve(scores, (wrong, totals), "accuracy")
+    acc = build_curve(scores, (fp + fn, totals), "accuracy")
     f1 = build_curve(scores, (tp, fp, fn), "f1_micro")
     return acc, f1

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from abstain import density
 from abstain.cli import main
 from abstain.dataio import load_models, read_scores_csv
 from abstain.synth import SynthSpec
@@ -112,24 +113,15 @@ class TestScore:
         assert {r.method for r in rows} == {"SR", "Entropy", "MD"}
         assert all(r.label is None for r in rows)
 
-    def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path, monkeypatch):
+    def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path):
         args = ("score", "--manifest", mc_dir / "ds" / "manifest.json",
                 "--models", mc_dir / "models.bin", "--methods", "SR,MD,NUQ,BALD")
         assert run(*args, "--out", tmp_path / "a.csv") == 0
         assert run(*args, "--out", tmp_path / "b.csv") == 0
-        monkeypatch.setenv("ABSTAIN_THREADS", "3")
         assert run(*args, "--out", tmp_path / "c.csv") == 0
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a == (tmp_path / "c.csv").read_bytes()
-
-    def test_bad_thread_env_is_usage_error(self, mc_dir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ABSTAIN_THREADS", "plenty")
-        code = run("score", "--manifest", mc_dir / "ds" / "manifest.json",
-                   "--models", mc_dir / "models.bin", "--methods", "SR",
-                   "--out", tmp_path / "s.csv")
-        assert code == 1
-        assert "ABSTAIN_THREADS" in capsys.readouterr().err
 
     def test_all_methods_with_hybrids(self, mc_dir, tmp_path):
         out = tmp_path / "all.csv"
@@ -140,6 +132,19 @@ class TestScore:
         methods = {r.method for r in rows}
         assert "HUQ2-MD" in methods and "HUQ-DDU" in methods and "Beta" in methods
         assert len(rows) == len(methods) * 60
+
+    def test_each_density_score_computed_once_per_split(self, mc_dir, tmp_path, monkeypatch):
+        calls = {}
+        for name in ("score_md", "score_rde", "score_ddu"):
+            def counted(*args, _fn=getattr(density, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(density, name, counted)
+        assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--models", mc_dir / "models.bin", "--methods", "all",
+                   "--calibrate", "validation", "--out", tmp_path / "all.csv") == 0
+        # once on the target split, once on the calibration split
+        assert calls == {"score_md": 2, "score_rde": 2, "score_ddu": 2}
 
     def test_hybrid_without_calibrate_is_usage_error(self, mc_dir, tmp_path, capsys):
         code = run("score", "--manifest", mc_dir / "ds" / "manifest.json",

@@ -76,7 +76,5 @@ def test_hybrid_scorers():
             n_validation=40, table_ambiguity=table_a,
             table_ambiguity_id=table_a[:30], table_novelty=table_e,
         )
-        fn = hybrid.score_huq if variant == "huq" else hybrid.score_huq2
-        calm = fn(0.15, 2.0, config)
-        shaky = fn(0.85, 8.5, config)
+        calm, shaky = hybrid.score_hybrid_batch([0.15, 0.85], [2.0, 8.5], config)
         assert shaky > calm, variant

@@ -9,10 +9,9 @@ from abstain.hybrid import (
     C_GRID,
     HybridConfig,
     fit_hybrid,
-    score_huq,
-    score_huq2,
     score_hybrid_batch,
 )
+from oracles import brute_force_fit_hybrid, score_huq, score_huq2
 
 TA = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
 TE = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -182,6 +181,36 @@ def test_fit_hybrid_matches_brute_force_search():
                 best = (val, alpha, c)
     assert fitted.alpha == best[1]
     assert fitted.c == best[2]
+
+
+def assert_same_config(got, want):
+    for field in ("variant", "alpha", "delta_min", "delta_max", "c", "n_validation"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("table_ambiguity", "table_ambiguity_id", "table_novelty"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_hybrid_equals_brute_force_reference(seed):
+    split = _calibration_split(seed=seed)
+    rng = seeded_rng(100 + seed)
+    u_a = 1 - split.probs.max(axis=1)
+    u_e = rng.random(60) * 4 + u_a
+    for variant in ("huq", "huq2"):
+        assert_same_config(fit_hybrid(split, u_a, u_e, variant=variant),
+                           brute_force_fit_hybrid(split, u_a, u_e, variant))
+
+
+def test_fit_hybrid_ties_resolve_like_brute_force_reference():
+    # few distinct score values: many thresholds coincide and many grid
+    # points give the same objective, so only the grid order can decide
+    split = _calibration_split(seed=4)
+    rng = seeded_rng(7)
+    u_a = np.round(1 - split.probs.max(axis=1), 1)
+    u_e = rng.integers(0, 2, 60).astype(float)
+    for variant in ("huq", "huq2"):
+        assert_same_config(fit_hybrid(split, u_a, u_e, variant=variant),
+                           brute_force_fit_hybrid(split, u_a, u_e, variant))
 
 
 def test_fit_hybrid_tie_prefers_first_grid_point():
