@@ -28,10 +28,16 @@ def fit_models(data, task):
             for key, fitter in FITTERS.items() if task in fitter.tasks}
 
 
-def add_entry(table, name, scores, data, mode):
-    entry = table.setdefault(name, {"full": [], "first_50": []})
-    for span in ("full", "first_50"):
-        entry[span].append(rejection.normalized_auc(scores, data, mode, span).normalized)
+def add_entries(table, scores, split, level):
+    """Append the normalized areas over both spans of each named score
+    vector, judged on ``split`` by risk (multiclass) or micro-F1."""
+    mode, data = rejection.unit_data(split.probs, split.labels, split.task, level)[-1]
+    oracle = rejection.build_curve(rejection.oracle_scores(data, mode), data, mode)
+    for name, vec in scores.items():
+        curve = rejection.build_curve(vec, data, mode)
+        entry = table.setdefault(name, {"full": [], "first_50": []})
+        for span in ("full", "first_50"):
+            entry[span].append(rejection.normalize_auc(curve, oracle, span).normalized)
 
 
 def run_multiclass(spec_kwargs, seeds):
@@ -41,9 +47,7 @@ def run_multiclass(spec_kwargs, seeds):
         test, val = data.splits["test"], data.splits["validation"]
         scores = score_split(resolve_methods("all", "multiclass"), test, fit_models(data, "multiclass"),
                              val, "rc_auc")
-        losses = rejection.multiclass_losses(test.probs, test.labels)
-        for name, vec in scores.items():
-            add_entry(table, name, vec, losses, "risk")
+        add_entries(table, scores, test, "instance")
     return table
 
 
@@ -53,13 +57,9 @@ def run_multilabel(spec_kwargs, seeds):
         data = generate(SynthSpec(seed=seed, task="multilabel", **spec_kwargs))
         test = data.splits["test"]
         scores = score_split(resolve_methods("all", "multilabel"), test, fit_models(data, "multilabel"))
-        counts = rejection.instance_f1_counts(test.probs, test.labels)
-        for name, vec in scores.items():
-            if vec.ndim == 1:
-                add_entry(table, name, vec, counts, "f1_micro")
+        add_entries(table, {name: vec for name, vec in scores.items() if vec.ndim == 1}, test, "instance")
         # pooled label-pair rejection, the finer-grained alternative
-        pairs = rejection.multilabel_pair_arrays(test.probs, test.labels)
-        add_entry(table, "MP (label-wise)", scores["MP"].reshape(-1), pairs, "f1_micro")
+        add_entries(table, {"MP (label-wise)": scores["MP"].reshape(-1)}, test, "label")
     return table
 
 

@@ -12,7 +12,7 @@ from .baselines import (
     score_beta,
     score_delta,
     score_entropy,
-    score_mp_labelwise,
+    score_mp,
     score_sr,
 )
 from .core import LabeledSplit, rank, rank_all, seeded_rng
@@ -57,6 +57,6 @@ __all__ = [
     "generate", "multiclass_losses", "normalized_auc", "rank", "rank_all",
     "score_bald", "score_beta", "score_ddu", "score_delta", "score_entropy",
     "score_hybrid_batch", "score_md",
-    "score_mp_labelwise", "score_nuq", "score_pv", "score_rde", "score_smp",
+    "score_mp", "score_nuq", "score_pv", "score_rde", "score_smp",
     "score_sr", "seeded_rng",
 ]

@@ -3,7 +3,8 @@ top-two margin, predictive entropy, and a Beta-mixture posterior over
 the maximum class probability.
 
 Scorers take an ``(n, C)`` batch of probability rows and return ``(n,)``
-scores; a single ``(C,)`` row gives a float.
+scores; a single ``(C,)`` row gives a float.  The per-label ambiguity
+keeps one score per sigmoid output, ``(n, L)`` in and out.
 """
 from __future__ import annotations
 
@@ -28,17 +29,11 @@ def score_sr(p) -> np.ndarray:
     return 1.0 - p.max(axis=1)
 
 
-def score_mp_labelwise(p, i: int) -> float:
-    """Ambiguity of one sigmoid output: 1 - max(p_i, 1 - p_i)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("expected a 1-D probability vector")
-    if not 0 <= i < p.shape[0]:
-        raise IndexError(f"label index {i} out of range for {p.shape[0]} labels")
-    pi = float(p[i])
-    if not np.isfinite(pi) or pi < 0.0 or pi > 1.0:
-        raise ValueError("probability entry outside [0, 1]")
-    return 1.0 - max(pi, 1.0 - pi)
+def score_mp(p) -> np.ndarray:
+    """Per-label ambiguity 1 - max(p, 1 - p) of independent sigmoid
+    outputs, in their shape: ``(n, L)`` gives ``(n, L)``."""
+    p = validate_probs(p, normalized=False)
+    return 1.0 - np.maximum(p, 1.0 - p)
 
 
 @batched(1)

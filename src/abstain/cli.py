@@ -24,8 +24,8 @@ import numpy as np
 from . import baselines, density, hybrid, mc, rejection, report, synth
 from .core import LabeledSplit
 from .dataio import (
+    NO_LABEL,
     DataError,
-    ScoreRow,
     load_models,
     load_split,
     read_scores_csv,
@@ -89,9 +89,9 @@ METHODS: Dict[str, Method] = {
     "PV": Method(MULTICLASS, lambda x, m: mc.score_pv(x), "mc"),
     "BALD": Method(MULTICLASS, lambda x, m: mc.score_bald(x), "mc"),
     # one score per (instance, label) pair: an (n, L) table
-    "MP": Method(MULTILABEL, lambda x, m: rejection.label_ambiguity(x)),
-    "MP-mean": Method(MULTILABEL, lambda x, m: rejection.label_ambiguity(x).mean(axis=1)),
-    "MP-max": Method(MULTILABEL, lambda x, m: rejection.label_ambiguity(x).max(axis=1)),
+    "MP": Method(MULTILABEL, lambda x, m: baselines.score_mp(x)),
+    "MP-mean": Method(MULTILABEL, lambda x, m: baselines.score_mp(x).mean(axis=1)),
+    "MP-max": Method(MULTILABEL, lambda x, m: baselines.score_mp(x).max(axis=1)),
     "MD": Method(BOTH, lambda x, m: density.score_md(x, m), "embeddings", "md"),
     "RDE": Method(BOTH, lambda x, m: density.score_rde(x, m), "embeddings", "rde"),
     "DDU": Method(BOTH, lambda x, m: density.score_ddu(x, m), "embeddings", "ddu"),
@@ -220,13 +220,7 @@ def _cmd_score(args) -> int:
     calib = None
     if args.calibrate and any(METHODS[name].hybrid for name in names):
         calib = load_split(manifest, base, args.calibrate)
-    rows: List[ScoreRow] = []
-    for name, scores in score_split(names, target, models, calib, args.objective).items():
-        if scores.ndim == 2:  # one row per (instance, label) pair, instance-major
-            rows.extend(ScoreRow(i, j, name, float(s)) for (i, j), s in np.ndenumerate(scores))
-        else:
-            rows.extend(ScoreRow(i, None, name, float(s)) for i, s in enumerate(scores))
-    write_scores_csv(args.out, rows)
+    write_scores_csv(args.out, score_split(names, target, models, calib, args.objective))
     print(args.out)
     return 0
 
@@ -236,13 +230,8 @@ def _clean(value: float) -> Optional[float]:
 
 
 def _auc_payload(res: rejection.NormalizedAuc) -> dict:
-    return {
-        "raw_auc": _clean(res.raw_auc),
-        "rand_auc": _clean(res.rand_auc),
-        "oracle_auc": _clean(res.oracle_auc),
-        "normalized": _clean(res.normalized),
-        "flag": res.flag,
-    }
+    return {key: _clean(getattr(res, key))
+            for key in ("raw_auc", "rand_auc", "oracle_auc", "normalized", "flag")}
 
 
 def _write_curve_csv(path: Path, curve: rejection.RejectionCurve) -> None:
@@ -251,13 +240,51 @@ def _write_curve_csv(path: Path, curve: rejection.RejectionCurve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.ndarray]:
+    """Sorted method names of the ``level`` rows of a score table and their
+    scores, one matrix row per method and one column per unit: an
+    instance, or at level "label" an (instance, label) pair,
+    instance-major.  Every unit needs exactly one row per method."""
+    instance, label, method, score = table
+    pairs = level == "label"
+    keep = (label != NO_LABEL) == pairs
+    instance, label, method, score = instance[keep], label[keep], method[keep], score[keep]
+    names, which = np.unique(method, return_inverse=True)
+    if not names.size:
+        raise DataError(f"score table holds no {level}-level rows")
+    counts = np.bincount(which, minlength=names.size)
+    if not pairs and np.any(counts != n):
+        k = int(np.flatnonzero(counts != n)[0])
+        raise DataError(f"method {names[k]}: {counts[k]} rows for {n} instances")
+    in_range = (0 <= instance) & (instance < n)
+    units = n
+    if pairs:
+        in_range &= (0 <= label) & (label < width)
+        units = n * width
+    if not np.all(in_range):
+        r = int(np.flatnonzero(~in_range)[0])
+        at = f"instance {instance[r]}" + (f", label {label[r]}" if pairs else "")
+        raise DataError(f"score row out of range: method {method[r]}, {at}")
+    slot = which * units + (instance * width + label if pairs else instance)
+    hits = np.bincount(slot, minlength=names.size * units).reshape(names.size, units)
+    if np.any(hits > 1):
+        k, u = np.argwhere(hits > 1)[0]
+        at = f"instance {u // width}, label {u % width}" if pairs else f"instance {u}"
+        raise DataError(f"method {names[k]}: {hits[k, u]} score rows for {at}")
+    if np.any(hits == 0):
+        k = int(np.flatnonzero((hits == 0).any(axis=1))[0])
+        raise DataError(f"method {names[k]}: score table misses some label pairs" if pairs
+                        else f"method {names[k]}: missing instances in score table")
+    matrix = np.empty(names.size * units)
+    matrix[slot] = score
+    return names.tolist(), matrix.reshape(names.size, units)
+
+
 def _cmd_evaluate(args) -> int:
     manifest = validate_manifest(args.manifest)
     base = Path(args.manifest).parent
     split = load_split(manifest, base, args.split)
-    span = {"full": "full", "first50": "first_50"}.get(args.span)
-    if span is None:
-        raise UsageError("span must be full or first50")
+    span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
         raise UsageError("label mode needs a multilabel manifest")
     out_paths = list(args.out)
@@ -265,58 +292,19 @@ def _cmd_evaluate(args) -> int:
     curves_dir = Path(out_paths[1]) if len(out_paths) > 1 else metrics_path.parent / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
-    table = read_scores_csv(args.scores)
-    by_method: Dict[str, list] = {}
-    for row in table:
-        want_pairs = args.mode == "label"
-        if (row.label is not None) == want_pairs:
-            by_method.setdefault(row.method, []).append(row)
-    if not by_method:
-        raise DataError(f"score table holds no {args.mode}-level rows")
-
-    n = len(split)
-    # (curve mode, per-unit data) pairs every method is evaluated on
-    if args.mode == "label":
-        pred, truth = rejection.multilabel_pair_arrays(split.probs, split.labels)
-        evaluations = (("accuracy", (pred != truth).astype(float)), ("f1_micro", (pred, truth)))
-    elif manifest.task == "multiclass":
-        evaluations = (("risk", rejection.multiclass_losses(split.probs, split.labels)),)
-    else:
-        tp, fp, fn = rejection.instance_f1_counts(split.probs, split.labels)
-        totals = np.full(n, split.probs.shape[1], dtype=float)
-        evaluations = (("accuracy", (fp + fn, totals)), ("f1_micro", (tp, fp, fn)))
-    methods_payload: Dict[str, dict] = {}
+    names, matrix = _unit_scores(read_scores_csv(args.scores), args.mode, len(split),
+                                 split.probs.shape[1])
+    evaluations = rejection.unit_data(split.probs, split.labels, manifest.task, args.mode)
+    methods_payload: Dict[str, dict] = {name: {} for name in names}
     plots: Dict[str, Dict[str, tuple]] = {}
-    for method in sorted(by_method):
-        rows = by_method[method]
-        if args.mode == "label":
-            L = split.probs.shape[1]
-            scores = np.full(n * L, np.nan)
-            for r in rows:
-                if not (0 <= r.instance < n and 0 <= r.label < L):
-                    raise DataError(f"score row out of range: {r}")
-                scores[r.instance * L + r.label] = r.score
-            if np.any(np.isnan(scores)):
-                raise DataError(f"method {method}: score table misses some label pairs")
-        else:
-            if len(rows) != n:
-                raise DataError(f"method {method}: {len(rows)} rows for {n} instances")
-            scores = np.full(n, np.nan)
-            for r in rows:
-                if not 0 <= r.instance < n:
-                    raise DataError(f"score row out of range: {r}")
-                scores[r.instance] = r.score
-            if np.any(np.isnan(scores)):
-                raise DataError(f"method {method}: missing instances in score table")
-        entry, curves = {}, {}
-        for mode_name, data in evaluations:
-            curves[mode_name] = rejection.build_curve(scores, data, mode_name)
-            entry[mode_name] = _auc_payload(rejection.normalized_auc(scores, data, mode_name, span))
-        methods_payload[method] = entry
-        for mode_name, curve in curves.items():
-            suffix = "" if len(curves) == 1 else f".{mode_name}"
-            _write_curve_csv(curves_dir / f"{method}{suffix}.csv", curve)
-            plots.setdefault(mode_name, {})[method] = (curve.coverages.tolist(), curve.values.tolist())
+    for mode_name, data in evaluations:
+        oracle = rejection.build_curve(rejection.oracle_scores(data, mode_name), data, mode_name)
+        suffix = "" if len(evaluations) == 1 else f".{mode_name}"
+        for name, scores in zip(names, matrix):
+            curve = rejection.build_curve(scores, data, mode_name)
+            methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
+            _write_curve_csv(curves_dir / f"{name}{suffix}.csv", curve)
+            plots.setdefault(mode_name, {})[name] = (curve.coverages.tolist(), curve.values.tolist())
 
     for mode_name, curve_map in sorted(plots.items()):
         svg = report.plot_curves_svg(curve_map, f"{mode_name} vs coverage", mode_name)

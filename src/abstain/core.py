@@ -80,10 +80,12 @@ def batched(row_ndim: int):
 
 def validate_probs(p, normalized: bool = True) -> np.ndarray:
     """Check one probability vector, or a batch of them as rows; returns
-    it as a float array."""
+    it as a float array.  A softmax row (``normalized``) needs two
+    classes; independent sigmoid outputs may be a single label."""
     p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] < 2:
-        raise ValueError("probability vector needs at least two entries")
+    if p.ndim not in (1, 2) or p.shape[-1] < (2 if normalized else 1):
+        raise ValueError("probability vector needs at least two entries" if normalized
+                         else "expected a non-empty probability vector or batch")
     if not np.all(np.isfinite(p)):
         raise ValueError("non-finite probability entry")
     if np.any(p < 0.0) or np.any(p > 1.0 + PROB_SUM_TOL):

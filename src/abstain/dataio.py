@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
-
+import itertools
 import json
 import pickle
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -145,34 +146,51 @@ def read_labels_csv(path, task: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    instance: int
-    label: Optional[int]      # None for instance-level units
-    method: str
-    score: float
+SCORE_HEADER = ["instance", "label", "method", "score"]
+NO_LABEL = -1   # label column of instance-level score rows
 
 
-def write_scores_csv(path, rows: List[ScoreRow]) -> None:
+def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
+    """Write the score table of ``{method: scores}``, methods in dict order.
+
+    An ``(n,)`` array gives one row per instance with an empty label
+    field; an ``(n, L)`` array gives one row per (instance, label) pair,
+    instance-major.  Scores are written as ``repr`` floats, so they read
+    back exactly.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["instance", "label", "method", "score"])
-        for r in rows:
-            w.writerow([r.instance, "" if r.label is None else r.label, r.method, repr(float(r.score))])
+        w.writerow(SCORE_HEADER)
+        for method, values in scores.items():
+            values = np.asarray(values, dtype=float)
+            if values.ndim == 2:
+                instances, labels = np.indices(values.shape).reshape(2, -1).tolist()
+            else:
+                instances, labels = range(len(values)), itertools.repeat("")
+            w.writerows(zip(instances, labels, itertools.repeat(method),
+                            map(repr, values.ravel().tolist())))
 
 
-def read_scores_csv(path) -> List[ScoreRow]:
+def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The score table as column arrays (instance, label, method, score);
+    instance-level rows carry NO_LABEL in the label column."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["instance", "label", "method", "score"]:
-        raise FormatError(f"{path}: missing score-table header")
-    out = []
-    for r in rows[1:]:
-        if len(r) != 4:
-            raise FormatError(f"{path}: malformed row {r!r}")
-        label = None if r[1] == "" else int(r[1])
-        out.append(ScoreRow(int(r[0]), label, r[2], float(r[3])))
-    return out
+        reader = csv.reader(fh)
+        if next(reader, None) != SCORE_HEADER:
+            raise FormatError(f"{path}: missing score-table header")
+        body = list(reader)
+    malformed = np.fromiter(map(len, body), dtype=int, count=len(body)) != len(SCORE_HEADER)
+    if np.any(malformed):
+        raise FormatError(f"{path}: malformed row {body[int(np.argmax(malformed))]!r}")
+    instance, label, method, score = (list(map(itemgetter(k), body)) for k in range(4))
+    del body
+    has_label = np.array(label, dtype=str) != ""
+    labels = np.full(len(label), NO_LABEL)
+    labels[has_label] = np.fromiter(map(int, itertools.compress(label, has_label)), dtype=int)
+    if np.any(labels[has_label] < 0):
+        raise FormatError(f"{path}: negative label index")
+    return (np.fromiter(map(int, instance), dtype=int), labels, np.array(method, dtype=str),
+            np.fromiter(map(float, score), dtype=float))
 
 
 def sha256_file(path) -> str:

@@ -16,12 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import LabeledSplit, rank_all
-from .rejection import (
-    build_curve,
-    curve_auc,
-    instance_f1_counts,
-    multiclass_losses,
-)
+from .rejection import build_curve, curve_auc, unit_data
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 DELTA_MIN_QUANTILES = (0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99, 1.00)
@@ -114,27 +109,16 @@ def score_hybrid_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
     return _huq_mix(r_a, r_e, r_id, in_dist, above_dmax, config.alpha, config.case_offset)
 
 
-def _rc_objective(validation: LabeledSplit) -> Callable[[np.ndarray], float]:
-    if validation.task != "multiclass":
-        raise ValueError("rc_auc calibration needs a multiclass split")
-    losses = multiclass_losses(validation.probs, validation.labels)
-
-    def objective(scores: np.ndarray) -> float:
-        return curve_auc(build_curve(scores, losses, "risk"), "full")
-
-    return objective
-
-
-def _fr_objective(validation: LabeledSplit) -> Callable[[np.ndarray], float]:
-    if validation.task != "multilabel":
-        raise ValueError("fr_auc calibration needs a multilabel split")
-    tp, fp, fn = instance_f1_counts(validation.probs, validation.labels)
-
-    def objective(scores: np.ndarray) -> float:
-        # negated so the caller always minimises
-        return -curve_auc(build_curve(scores, (tp, fp, fn), "f1_micro"), "full")
-
-    return objective
+def _objective(validation: LabeledSplit, objective: str) -> Callable[[np.ndarray], float]:
+    """Full-span curve area of scores on ``validation``, signed so that
+    the caller always minimises: risk for rc_auc, micro-F1 negated for
+    fr_auc."""
+    task = "multiclass" if objective == "rc_auc" else "multilabel"
+    if validation.task != task:
+        raise ValueError(f"{objective} calibration needs a {task} split")
+    mode, data = unit_data(validation.probs, validation.labels, task, "instance")[-1]
+    sign = 1.0 if mode == "risk" else -1.0
+    return lambda scores: sign * curve_auc(build_curve(scores, data, mode), "full")
 
 
 def fit_hybrid(
@@ -172,7 +156,7 @@ def fit_hybrid(
     if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_e))):
         raise ValueError("hybrid inputs must be finite")
 
-    objective_fn = _rc_objective(validation) if objective == "rc_auc" else _fr_objective(validation)
+    objective_fn = _objective(validation, objective)
     table_a = np.sort(u_a)
     table_e = np.sort(u_e)
     r_a = rank_all(u_a, table_a).astype(float)

@@ -13,6 +13,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import baselines
+
 MODES = ("risk", "accuracy", "f1_micro")
 SPANS = ("full", "first_50")
 
@@ -182,16 +184,6 @@ def curve_auc(curve: RejectionCurve, span: str = "full") -> float:
     return float(np.trapezoid(val, cov) / width)
 
 
-def _full_set_metric(data, mode: str) -> float:
-    arrays = _unit_arrays(data, mode)
-    if mode in ("risk", "accuracy"):
-        risk = float(np.sum(arrays[0]) / np.sum(arrays[1]))
-        return risk if mode == "risk" else 1.0 - risk
-    tp, fp, fn = (float(np.sum(x)) for x in arrays)
-    denom = 2.0 * tp + fp + fn
-    return 2.0 * tp / denom if denom > 0.0 else 1.0
-
-
 def oracle_scores(data, mode: str) -> np.ndarray:
     """Scores realising the best possible rejection order.
 
@@ -207,20 +199,29 @@ def oracle_scores(data, mode: str) -> np.ndarray:
     return 2.0 * fp + fn
 
 
-def normalized_auc(scores, data, mode: str = "risk", span: str = "full") -> NormalizedAuc:
-    """Area under the rejection curve rescaled between references.
+def normalize_auc(curve: RejectionCurve, oracle: RejectionCurve, span: str) -> NormalizedAuc:
+    """Area under ``curve`` rescaled between references.
 
-    0 means no better than the constant curve at the full-set metric
-    (the expectation under random rejection); 1 means the oracle order.
-    When the data holds no errors the references coincide and the result
-    is flagged degenerate with NaN normalized value.
+    ``oracle`` is the curve of the same data in :func:`oracle_scores`
+    order.  0 means no better than the constant curve at the full-set
+    metric (every curve's value at full coverage, and the expectation
+    under random rejection); 1 means the oracle order.  When the data
+    holds no errors the references coincide and the result is flagged
+    degenerate with NaN normalized value.
     """
-    raw = curve_auc(build_curve(scores, data, mode), span)
-    oracle = curve_auc(build_curve(oracle_scores(data, mode), data, mode), span)
-    rand = _full_set_metric(data, mode)
-    if abs(oracle - rand) < _DEGENERATE_TOL:
-        return NormalizedAuc(raw, rand, oracle, float("nan"), span, "degenerate: no errors")
-    return NormalizedAuc(raw, rand, oracle, (raw - rand) / (oracle - rand), span, None)
+    raw = curve_auc(curve, span)
+    best = curve_auc(oracle, span)
+    rand = float(oracle.values[0])
+    if abs(best - rand) < _DEGENERATE_TOL:
+        return NormalizedAuc(raw, rand, best, float("nan"), span, "degenerate: no errors")
+    return NormalizedAuc(raw, rand, best, (raw - rand) / (best - rand), span, None)
+
+
+def normalized_auc(scores, data, mode: str = "risk", span: str = "full") -> NormalizedAuc:
+    """:func:`normalize_auc` of the rejection curve of ``scores`` on
+    ``data`` (see :func:`build_curve`)."""
+    oracle = build_curve(oracle_scores(data, mode), data, mode)
+    return normalize_auc(build_curve(scores, data, mode), oracle, span)
 
 
 def multiclass_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -240,22 +241,33 @@ def multilabel_pair_arrays(probs: np.ndarray, truth: np.ndarray, threshold: floa
     return pred.reshape(-1), truth.reshape(-1)
 
 
-def instance_f1_counts(probs: np.ndarray, truth: np.ndarray, threshold: float = 0.5):
-    """Per-instance (tp, fp, fn) label counts of thresholded (n, L)
-    sigmoid outputs against 0/1 truth bits, as float arrays."""
-    pred = (np.asarray(probs, dtype=float) >= threshold).astype(int)
-    return tuple(mask.sum(axis=1).astype(float) for mask in _f1_masks(pred, np.asarray(truth)))
+def unit_data(probs: np.ndarray, labels: np.ndarray, task: str, level: str):
+    """(curve mode, per-unit data) pairs that judge rejection on one split.
 
-
-def label_ambiguity(probs: np.ndarray) -> np.ndarray:
-    """Per-pair ambiguity 1 - max(p, 1-p) of sigmoid outputs, same shape."""
+    A multiclass split is judged by risk on 0/1 losses of its ``(n,)``
+    class labels.  A multilabel split, ``(n, L)`` truth bits against
+    sigmoid outputs thresholded at 0.5, is judged by accuracy and
+    micro-F1 over label decisions; ``level`` "instance" rejects whole
+    instances and "label" single (instance, label) pairs, instance-major.
+    The last pair is the headline one: risk, or micro-F1.
+    """
+    if task == "multiclass":
+        if level != "instance":
+            raise ValueError("multiclass splits are evaluated per instance")
+        return (("risk", multiclass_losses(probs, labels)),)
+    if level == "label":
+        pred, truth = multilabel_pair_arrays(probs, labels)
+        return (("accuracy", (pred != truth).astype(float)), ("f1_micro", (pred, truth)))
+    if level != "instance":
+        raise ValueError(f"unknown level {level!r}; expected 'instance' or 'label'")
     probs = np.asarray(probs, dtype=float)
-    return 1.0 - np.maximum(probs, 1.0 - probs)
-
-
-def labelwise_uncertainty(probs: np.ndarray) -> np.ndarray:
-    """Per-pair ambiguity 1 - max(p, 1-p), flattened instance-major."""
-    return label_ambiguity(probs).reshape(-1)
+    labels = np.asarray(labels)
+    if probs.shape != labels.shape or probs.ndim != 2:
+        raise ValueError("probs/labels must be matching (n, L) arrays")
+    pred = (probs >= 0.5).astype(int)
+    tp, fp, fn = (mask.sum(axis=1).astype(float) for mask in _f1_masks(pred, labels))
+    totals = np.full(len(probs), probs.shape[1], dtype=float)
+    return (("accuracy", (fp + fn, totals)), ("f1_micro", (tp, fp, fn)))
 
 
 def evaluate_labelwise(probs: np.ndarray, truth: np.ndarray) -> Tuple[RejectionCurve, RejectionCurve]:
@@ -264,10 +276,9 @@ def evaluate_labelwise(probs: np.ndarray, truth: np.ndarray) -> Tuple[RejectionC
     Returns the accuracy-mode and f1-mode curves over the pooled pairs,
     scored by per-pair ambiguity.
     """
-    scores = labelwise_uncertainty(probs)
-    pred, true = multilabel_pair_arrays(probs, truth)
-    acc = build_curve(scores, (pred != true).astype(float), "accuracy")
-    f1 = build_curve(scores, (pred, true), "f1_micro")
+    evaluations = unit_data(probs, truth, "multilabel", "label")
+    scores = baselines.score_mp(probs).reshape(-1)
+    acc, f1 = (build_curve(scores, data, mode) for mode, data in evaluations)
     return acc, f1
 
 
@@ -280,19 +291,13 @@ def evaluate_instancewise_multilabel(
     directly comparable with :func:`evaluate_labelwise` at any shared
     coverage.  ``aggregate`` is "mean" (default) or "max".
     """
-    probs = np.asarray(probs, dtype=float)
-    truth = np.asarray(truth, dtype=int)
-    if probs.shape != truth.shape or probs.ndim != 2:
-        raise ValueError("probs/labels must be matching (n, L) arrays")
-    per_label = label_ambiguity(probs)
+    evaluations = unit_data(probs, truth, "multilabel", "instance")
+    per_label = baselines.score_mp(probs)
     if aggregate == "mean":
         scores = per_label.mean(axis=1)
     elif aggregate == "max":
         scores = per_label.max(axis=1)
     else:
         raise ValueError(f"unknown aggregate {aggregate!r}; expected 'mean' or 'max'")
-    tp, fp, fn = instance_f1_counts(probs, truth)
-    totals = np.full(len(probs), probs.shape[1], dtype=float)
-    acc = build_curve(scores, (fp + fn, totals), "accuracy")
-    f1 = build_curve(scores, (tp, fp, fn), "f1_micro")
+    acc, f1 = (build_curve(scores, data, mode) for mode, data in evaluations)
     return acc, f1

@@ -11,7 +11,7 @@ from abstain.baselines import (
     score_beta,
     score_delta,
     score_entropy,
-    score_mp_labelwise,
+    score_mp,
     score_sr,
 )
 from abstain.core import LabeledSplit, seeded_rng
@@ -38,11 +38,17 @@ def test_entropy_hand_value():
 
 
 def test_mp_labelwise_hand_values():
-    assert score_mp_labelwise([0.9, 0.45], 0) == pytest.approx(0.1, abs=1e-15)
-    assert score_mp_labelwise([0.9, 0.45], 1) == pytest.approx(0.45, abs=1e-15)
-    assert score_mp_labelwise([0.5, 0.2], 0) == 0.5
-    with pytest.raises(IndexError):
-        score_mp_labelwise([0.9, 0.45], 2)
+    got = score_mp(np.array([[0.9, 0.45], [0.5, 0.2]]))
+    assert np.allclose(got, [[0.1, 0.45], [0.5, 0.2]], rtol=0, atol=1e-15)
+    assert score_mp([[0.5, 0.2]])[0, 0] == 0.5
+    assert score_mp([0.9, 0.45]).shape == (2,)
+    assert score_mp([[0.3]]).shape == (1, 1)   # a single sigmoid output is a valid row
+
+
+@pytest.mark.parametrize("bad", [1.2, -0.1, np.nan, np.inf])
+def test_mp_rejects_entries_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError):
+        score_mp([[0.9, bad], [0.5, 0.5]])
 
 
 probs_vectors = st.integers(2, 6).flatmap(

@@ -135,3 +135,11 @@ def test_batch_checks_keep_their_messages():
         mc.score_pv(np.full((3, 1, 2), 0.5))
     with pytest.raises(ValueError, match="rectangular"):
         mc.score_smp(np.full((2, 3, 4, 5), 0.2))
+
+
+@pytest.mark.parametrize("bad", [1.2, np.nan])
+def test_mp_methods_reject_invalid_sigmoid_outputs(bad):
+    probs = np.array([[0.9, 0.3], [bad, 0.5]])
+    for name in ("MP", "MP-mean", "MP-max"):
+        with pytest.raises(ValueError, match="outside|non-finite"):
+            METHODS[name].score(probs, None)

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from abstain import density
+from abstain import density, rejection
 from abstain.cli import main
-from abstain.dataio import load_models, read_scores_csv
+from abstain.dataio import NO_LABEL, load_models, read_scores_csv
 from abstain.synth import SynthSpec
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
@@ -108,10 +108,10 @@ class TestScore:
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--models", mc_dir / "models.bin", "--methods", "SR,Entropy,MD",
                    "--split", "test", "--out", out) == 0
-        rows = read_scores_csv(out)
-        assert len(rows) == 3 * 60
-        assert {r.method for r in rows} == {"SR", "Entropy", "MD"}
-        assert all(r.label is None for r in rows)
+        instance, label, method, _ = read_scores_csv(out)
+        assert len(instance) == 3 * 60
+        assert set(method) == {"SR", "Entropy", "MD"}
+        assert (label == NO_LABEL).all()
 
     def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path):
         args = ("score", "--manifest", mc_dir / "ds" / "manifest.json",
@@ -128,10 +128,10 @@ class TestScore:
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--models", mc_dir / "models.bin", "--methods", "all",
                    "--calibrate", "validation", "--out", out) == 0
-        rows = read_scores_csv(out)
-        methods = {r.method for r in rows}
+        _, _, method, _ = read_scores_csv(out)
+        methods = set(method)
         assert "HUQ2-MD" in methods and "HUQ-DDU" in methods and "Beta" in methods
-        assert len(rows) == len(methods) * 60
+        assert len(method) == len(methods) * 60
 
     def test_each_density_score_computed_once_per_split(self, mc_dir, tmp_path, monkeypatch):
         calls = {}
@@ -170,11 +170,13 @@ class TestScore:
         assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
                    "--models", ml_dir / "models.bin", "--methods", "MP,MP-mean",
                    "--out", out) == 0
-        rows = read_scores_csv(out)
-        pairs = [r for r in rows if r.method == "MP"]
-        inst = [r for r in rows if r.method == "MP-mean"]
-        assert len(pairs) == 60 * 5 and all(r.label is not None for r in pairs)
-        assert len(inst) == 60 and all(r.label is None for r in inst)
+        instance, label, method, _ = read_scores_csv(out)
+        pairs, inst = method == "MP", method == "MP-mean"
+        assert pairs.sum() == 60 * 5 and (label[pairs] != NO_LABEL).all()
+        assert inst.sum() == 60 and (label[inst] == NO_LABEL).all()
+        # pair rows are instance-major
+        assert instance[pairs].tolist() == [i for i in range(60) for _ in range(5)]
+        assert label[pairs].tolist() == list(range(5)) * 60
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +243,16 @@ class TestEvaluateAndReport:
                    "--out", tmp_path / "m.json")
         assert code == 2
 
+    def test_one_curve_per_method_and_one_oracle(self, evaluated, mc_dir, tmp_path, monkeypatch):
+        _, scores, _ = evaluated
+        calls = []
+        build = rejection.build_curve
+        monkeypatch.setattr(rejection, "build_curve", lambda *a: calls.append(a[2]) or build(*a))
+        assert run("evaluate", "--scores", scores,
+                   "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--out", tmp_path / "m.json", tmp_path / "curves") == 0
+        assert calls == ["risk"] * (3 + 1)
+
     def test_bad_metrics_json_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         bad.write_text("{oops")
@@ -285,3 +297,21 @@ class TestMultilabelEvaluate:
                    "--mode", "label", "--out", tmp_path / "m.json")
         assert code == 2
         assert "misses some label pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, duplicate", [("label", "0,0,MP,0.999"), ("instance", "0,,MD,0.999")])
+    def test_duplicate_score_row_is_data_error(self, ml_dir, tmp_path, capsys, mode, duplicate):
+        scores = tmp_path / "scores.csv"
+        assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
+                   "--models", ml_dir / "models.bin", "--methods", "MP,MD",
+                   "--out", scores) == 0
+        lines = scores.read_text().splitlines()
+        original = next(i for i, line in enumerate(lines) if line.startswith(duplicate[:-5]))
+        if mode == "instance":  # keep the row count: the duplicate replaces instance 1's row
+            del lines[original + 1]
+        lines.insert(original + 1, duplicate)
+        scores.write_text("\n".join(lines) + "\n")
+        code = run("evaluate", "--scores", scores,
+                   "--manifest", ml_dir / "ds" / "manifest.json",
+                   "--mode", mode, "--out", tmp_path / "m.json")
+        assert code == 2
+        assert "2 score rows for instance 0" in capsys.readouterr().err

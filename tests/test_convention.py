@@ -42,8 +42,8 @@ def test_probability_scorers(train):
 
 
 def test_labelwise_ambiguity():
-    assert baselines.score_mp_labelwise(np.array([0.5, 0.9]), 0) > \
-        baselines.score_mp_labelwise(np.array([0.5, 0.9]), 1)
+    shaky, crisp = baselines.score_mp(np.array([[0.5, 0.9]]))[0]
+    assert shaky > crisp
 
 
 def test_stochastic_pass_scorers():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from abstain.dataio import (
+    NO_LABEL,
     ChecksumError,
     FormatError,
     MagicError,
     RowCountError,
-    ScoreRow,
     VersionError,
     load_manifest,
     load_models,
@@ -141,20 +141,27 @@ class TestLabelCsv:
 
 
 class TestScoreCsv:
-    def test_roundtrip_with_and_without_label_column(self, tmp_path):
-        rows = [
-            ScoreRow(0, None, "SR", 0.25),
-            ScoreRow(0, 1, "MP", 0.4),
-            ScoreRow(1, None, "MD", 3.75e-2),
-        ]
-        write_scores_csv(tmp_path / "s.csv", rows)
-        back = read_scores_csv(tmp_path / "s.csv")
-        assert back == rows
-
-    def test_float_repr_roundtrips_exactly(self, tmp_path):
-        val = 0.1 + 0.2  # not representable as a short decimal
-        write_scores_csv(tmp_path / "s.csv", [ScoreRow(0, None, "SR", val)])
-        assert read_scores_csv(tmp_path / "s.csv")[0].score == val
+    def test_mixed_table_bytes_are_pinned_and_read_back_exactly(self, tmp_path):
+        # an instance-level method, then a pair-level one; the floats need
+        # repr's shortest round trip: inf, 0.1 + 0.2 and a subnormal
+        sr = np.array([0.25, np.inf])
+        mp = np.array([[0.1 + 0.2, 5e-324], [0.0, 1.0]])
+        path = tmp_path / "s.csv"
+        write_scores_csv(path, {"SR": sr, "MP": mp})
+        assert path.read_bytes() == (
+            b"instance,label,method,score\r\n"
+            b"0,,SR,0.25\r\n"
+            b"1,,SR,inf\r\n"
+            b"0,0,MP,0.30000000000000004\r\n"
+            b"0,1,MP,5e-324\r\n"
+            b"1,0,MP,0.0\r\n"
+            b"1,1,MP,1.0\r\n"
+        )
+        instance, label, method, score = read_scores_csv(path)
+        assert instance.tolist() == [0, 1, 0, 0, 1, 1]
+        assert label.tolist() == [NO_LABEL, NO_LABEL, 0, 1, 0, 1]
+        assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP"]
+        assert np.array_equal(score.view(np.int64), np.concatenate([sr, mp.ravel()]).view(np.int64))
 
     def test_header_and_row_shape_enforced(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -163,6 +170,9 @@ class TestScoreCsv:
             read_scores_csv(p)
         p.write_text("instance,label,method,score\n0,,SR\n")
         with pytest.raises(FormatError, match="malformed row"):
+            read_scores_csv(p)
+        p.write_text("instance,label,method,score\n0,-1,MP,0.5\n")
+        with pytest.raises(FormatError, match="negative label"):
             read_scores_csv(p)
 
 

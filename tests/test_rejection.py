@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abstain.baselines import score_mp
 from abstain.rejection import (
     NormalizedAuc,
     RejectionCurve,
@@ -14,7 +15,6 @@ from abstain.rejection import (
     curve_value_at,
     evaluate_instancewise_multilabel,
     evaluate_labelwise,
-    labelwise_uncertainty,
     multiclass_losses,
     multilabel_pair_arrays,
     normalized_auc,
@@ -351,7 +351,7 @@ class TestLabelwise:
     def test_two_pair_hand_fixture(self):
         probs = np.array([[0.9, 0.45]])
         truth = np.array([[1, 0]])
-        scores = labelwise_uncertainty(probs)
+        scores = score_mp(probs).reshape(-1)
         assert scores == pytest.approx([0.1, 0.45], abs=1e-12)
         # the second pair is the shakier one and goes first
         assert rejection_order(scores).tolist() == [1, 0]
@@ -371,7 +371,7 @@ class TestLabelwise:
         probs = rng.random((12, 4))
         truth = rng.integers(0, 2, (12, 4))
         acc, f1 = evaluate_labelwise(probs, truth)
-        scores = labelwise_uncertainty(probs)
+        scores = score_mp(probs).reshape(-1)
         pred, true = multilabel_pair_arrays(probs, truth)
         assert np.allclose(f1.values, naive_f1_curve(scores, pred, true), atol=1e-12)
         assert np.allclose(
