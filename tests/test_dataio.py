@@ -141,6 +141,23 @@ class TestLabelCsv:
 
 
 class TestScoreCsv:
+    def test_roundtrip_with_and_without_label_column(self, tmp_path):
+        # instance-level SR and MD around a pair-level MP
+        sr = np.array([0.25, 0.5])
+        mp = np.array([[0.1, 0.4], [0.7, 0.2]])
+        md = np.array([3.75e-2, 1.5])
+        write_scores_csv(tmp_path / "s.csv", {"SR": sr, "MP": mp, "MD": md})
+        instance, label, method, score = read_scores_csv(tmp_path / "s.csv")
+        assert instance.tolist() == [0, 1, 0, 0, 1, 1, 0, 1]
+        assert label.tolist() == [NO_LABEL, NO_LABEL, 0, 1, 0, 1, NO_LABEL, NO_LABEL]
+        assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP", "MD", "MD"]
+        assert score.tolist() == [0.25, 0.5, 0.1, 0.4, 0.7, 0.2, 3.75e-2, 1.5]
+
+    def test_float_repr_roundtrips_exactly(self, tmp_path):
+        val = 0.1 + 0.2  # not representable as a short decimal
+        write_scores_csv(tmp_path / "s.csv", {"SR": np.array([val])})
+        assert read_scores_csv(tmp_path / "s.csv")[3][0] == val
+
     def test_mixed_table_bytes_are_pinned_and_read_back_exactly(self, tmp_path):
         # an instance-level method, then a pair-level one; the floats need
         # repr's shortest round trip: inf, 0.1 + 0.2 and a subnormal
