@@ -132,18 +132,17 @@ def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
 def read_labels_csv(path, task: str) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "index":
+    if not rows or not rows[0] or rows[0][0] != "index":
         raise FormatError(f"{path}: missing header row")
-    body = rows[1:]
+    header, body = rows[0], rows[1:]
+    if task == "multiclass" and header != ["index", "label"]:
+        raise FormatError(f"{path}: expected header index,label")
+    ragged = [r for r in body if len(r) != len(header)]
+    if ragged:
+        raise FormatError(f"{path}: ragged label rows: {ragged[0]!r} under {len(header)} header fields")
     if task == "multiclass":
-        if rows[0] != ["index", "label"]:
-            raise FormatError(f"{path}: expected header index,label")
         return np.array([int(r[1]) for r in body], dtype=np.int64)
-    width = len(rows[0]) - 1
-    out = np.array([[int(v) for v in r[1:]] for r in body], dtype=np.int8)
-    if body and out.shape[1] != width:
-        raise FormatError(f"{path}: ragged label rows")
-    return out
+    return np.array([[int(v) for v in r[1:]] for r in body], dtype=np.int8)
 
 
 SCORE_HEADER = ["instance", "label", "method", "score"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
@@ -28,6 +28,11 @@ MCD_DET_TOL = 1e-9
 MCD_MAX_CSTEPS = 100
 MCD_RESTARTS = 20
 DENSITY_UNDERFLOW = 1e-300
+
+
+def _median_pairwise_distance(X: np.ndarray) -> float:
+    dists = pdist(X)   # freed before any n x n kernel exists
+    return float(np.median(dists, overwrite_input=True)) if dists.size else 0.0
 
 
 def _ridge_lambda(cov: np.ndarray) -> float:
@@ -233,8 +238,7 @@ def fit_rde(
     for c, idx in enumerate(groups):
         comp[idx] = c
     order = np.lexsort(X.T[::-1])
-    X = X[order]
-    comp = comp[order]
+    X, comp = X[order], comp[order]
     n = X.shape[0]
     min_class = min(len(g) for g in groups)
     if n_components is None:
@@ -247,36 +251,44 @@ def fit_rde(
     if k > n - 1:
         raise ValueError(f"{k} components infeasible with {n} train rows")
 
-    dists = pdist(X)
-    med = float(np.median(dists)) if dists.size else 0.0
+    med = _median_pairwise_distance(X)
     if med <= 0.0:
         warnings.warn("median pairwise distance is zero; unit kernel width used", RuntimeWarning)
         med = 1.0
     gamma = 1.0 / (2.0 * med * med)
 
-    K = np.exp(-gamma * cdist(X, X, "sqeuclidean"))
-    col = K.mean(axis=0)
-    grand = float(K.mean())
-    Kc = K - col[None, :] - col[:, None] + grand
-    evals, evecs = eigh(Kc, subset_by_index=(n - k, n - 1))
-    evals, evecs = evals[::-1], evecs[:, ::-1]
+    # one n x n array: the kernel, double-centred in place
+    Kc = cdist(X, X, "sqeuclidean")
+    np.exp(np.multiply(Kc, -gamma, out=Kc), out=Kc)
+    col = Kc.mean(axis=0)
+    grand = float(Kc.mean())
+    Kc -= col[None, :]
+    Kc -= col[:, None]
+    Kc += grand
+    # Lanczos top-k from a seeded start (Kc maps the ones vector to zero)
+    solver_rng = seeded_rng(0)
+    try:
+        evals, evecs = eigsh(Kc, k, which="LA", v0=solver_rng.uniform(-1.0, 1.0, n), rng=solver_rng)
+    except ArpackError as exc:
+        raise ValueError(f"RDE kernel eigensolve failed: {exc}") from exc
+    evals, evecs = evals[::-1], evecs[:, ::-1]   # ARPACK returns ascending order
+    # the solver's signs are arbitrary: make each largest-magnitude entry positive
+    evecs *= np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
     keep = evals > max(1e-12, 1e-10 * float(evals.max()))
     if not np.all(keep):
         warnings.warn(f"kernel spectrum collapsed; using {int(keep.sum())} components", RuntimeWarning)
         evals, evecs = evals[keep], evecs[:, keep]
         k = int(evals.size)
     basis = KernelPcaBasis(X, gamma, evecs / np.sqrt(evals)[None, :], col, grand)
-    Z = basis.transform(X)
+    Z = Kc @ basis.dual_vectors
 
     rng = seeded_rng(seed)
     C = len(groups)
     centroids = np.empty((C, k))
     precisions = np.empty((C, k, k))
     for c in range(C):
-        mu, cov = fast_mcd(Z[comp == c], mcd_fraction, rng)
-        prec, _ = _regularized_precision(cov)
-        centroids[c] = mu
-        precisions[c] = prec
+        centroids[c], cov = fast_mcd(Z[comp == c], mcd_fraction, rng)
+        precisions[c], _ = _regularized_precision(cov)
     return RdeModel(basis, centroids, precisions, k, mcd_fraction, seed)
 
 
@@ -354,8 +366,7 @@ def fit_nuq(train: LabeledSplit, bandwidth="auto") -> NuqModel:
     if n < 2:
         raise ValueError("kernel fit needs at least two train embeddings")
     if bandwidth == "auto":
-        dists = pdist(X)
-        med = float(np.median(dists))
+        med = _median_pairwise_distance(X)
         if med <= 0.0:
             raise ValueError("degenerate train sample: median pairwise distance is zero")
         h = med / np.sqrt(2.0)

@@ -3,9 +3,11 @@
 The scalar hybrid rules score one (ambiguity, novelty) pair with scalar
 ranks, written from the definitions rather than from the vectorised
 code.  The brute-force hybrid search builds every grid config and scores
-it with ``score_hybrid_batch`` in the documented grid order.
+it with ``score_hybrid_batch`` in the documented grid order.  The dense
+eigensolver stands in for RDE's Lanczos top-k solve.
 """
 import numpy as np
+from scipy.linalg import eigh
 
 from abstain.core import rank
 from abstain.hybrid import (
@@ -71,3 +73,10 @@ def brute_force_fit_hybrid(validation, u_a, u_e, variant):
         if best is None or val < best[0]:
             best = (val, cfg)
     return best[1]
+
+
+def dense_top_eigenpairs(A, k, **_):
+    """The k largest eigenpairs of a symmetric matrix from a full dense
+    LAPACK solve, ascending like ``eigsh``; solver options are ignored."""
+    n = A.shape[0]
+    return eigh(A, subset_by_index=(n - k, n - 1))

@@ -1,11 +1,13 @@
 """End-to-end command-line pipeline tests, run in-process via main()."""
 import json
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from abstain import density, rejection
 from abstain.cli import main
-from abstain.dataio import NO_LABEL, load_models, read_scores_csv
+from abstain.dataio import NO_LABEL, load_models, read_scores_csv, sha256_file
 from abstain.synth import SynthSpec
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
@@ -100,6 +102,37 @@ class TestFit:
                    "--out", tmp_path / "m.bin")
         assert code == 2
         assert "checksum-mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, edit", [
+        (MC_SPEC, lambda lines: lines[:2] + ["0"] + lines[3:]),       # short multiclass row
+        (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]),  # ragged
+        (MC_SPEC, lambda lines: [""] + lines),                       # empty first line
+    ], ids=["short-multiclass-row", "ragged-multilabel-rows", "empty-first-line"])
+    def test_malformed_label_rows_are_format_errors(self, spec, edit, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json())
+        assert run("gen-synth", "--spec", spec_path, "--out", tmp_path / "ds") == 0
+        victim = tmp_path / "ds" / "train_labels.csv"
+        victim.write_text("\r\n".join(edit(victim.read_text().split("\n"))), newline="")
+        manifest = tmp_path / "ds" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        payload["checksums"][victim.name] = sha256_file(victim)
+        manifest.write_text(json.dumps(payload))
+        code = run("fit", "--manifest", manifest, "--out", tmp_path / "m.bin")
+        assert code == 2
+        assert "data error [bad-format]" in capsys.readouterr().err
+
+    def test_rde_solver_failure_is_data_error(self, mc_dir, tmp_path, capsys, monkeypatch):
+        def no_convergence(A, k, **kw):
+            raise ArpackNoConvergence("No convergence (1200 iterations, 3/8 eigenvectors converged)",
+                                      np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        monkeypatch.setattr(density, "eigsh", no_convergence)
+        code = run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--methods", "rde", "--out", tmp_path / "m.bin")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: RDE kernel eigensolve failed") and "No convergence" in err
 
 
 class TestScore:

@@ -1,11 +1,14 @@
 import itertools
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abstain import density
 from abstain.core import LabeledSplit, seeded_rng
 from abstain.density import (
     DduModel,
@@ -20,6 +23,7 @@ from abstain.density import (
     score_nuq,
     score_rde,
 )
+from oracles import dense_top_eigenpairs
 
 # 2-class symmetric fixture used by several MD/DDU checks
 CLASS0 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -259,6 +263,71 @@ def test_rde_dimension_mismatch():
     model = fit_rde(random_split(30, 2, 2, seed=1), seed=0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         score_rde(np.zeros(5), model)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+def test_rde_lanczos_matches_dense_eigh(monkeypatch):
+    split = random_split(300, 3, 8, seed=21)
+    solves = []
+    real = density.eigsh
+
+    def spy(A, k, **kw):
+        solves.append((A.copy(), real(A, k, **kw)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(density, "eigsh", spy)
+    fit_rde(split, seed=0)
+    ((A, (evals, evecs)),) = solves
+    ref_vals, ref_vecs = dense_top_eigenpairs(A, evals.size)
+    order = np.argsort(evals)
+    assert evals.size == 64
+    # both solvers are backward stable, so they agree to a fraction of the
+    # largest eigenvalue; on the smallest kept ones (3e-5 of the largest)
+    # LAPACK's own error is about 3e-12 of the eigenvalue
+    assert np.abs(evals[order] - ref_vals).max() <= 1e-12 * ref_vals.max()
+    cos = np.abs(np.einsum("ik,ik->k", evecs[:, order], ref_vecs))
+    assert np.all(cos >= 1 - 1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+def test_rde_scores_match_model_from_dense_pairs(monkeypatch):
+    split = random_split(300, 3, 8, seed=21)
+    queries = np.vstack([split.embeddings, seeded_rng(22).normal(size=(50, 8)) * 4])
+    lanczos = score_rde(queries, fit_rde(split, seed=0))
+    monkeypatch.setattr(density, "eigsh", dense_top_eigenpairs)
+    dense = score_rde(queries, fit_rde(split, seed=0))
+    # the per-class precisions in 64 components amplify the solvers'
+    # 1e-16 eigenvector differences to a few 1e-10
+    np.testing.assert_allclose(lanczos, dense, rtol=1e-9, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+def test_rde_model_ignores_solver_eigenvector_signs(monkeypatch):
+    # fast_mcd sorts rows by component 0 first, so a flipped sign would
+    # reorder its rows and change which subsets the restarts draw
+    split = random_split(240, 3, 8, seed=23)
+    model = fit_rde(split, seed=0)
+    real = density.eigsh
+
+    def negated(A, k, **kw):
+        evals, evecs = real(A, k, **kw)
+        return evals, -evecs
+
+    monkeypatch.setattr(density, "eigsh", negated)
+    assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+def test_rde_fit_holds_one_kernel_matrix():
+    n = 1200
+    split = random_split(n, 4, 8, seed=3)
+    tracemalloc.start()
+    try:
+        fit_rde(split, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 # ------------------------------------------------------------------ DDU
