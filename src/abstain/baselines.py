@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .core import LabeledSplit, batched, validate_probs
 
@@ -54,7 +54,7 @@ def score_entropy(p) -> np.ndarray:
         raise ValueError("entropy needs at least two classes")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
         raise ValueError("negative or non-finite probability entry")
-    return -special.xlogy(p, p).sum(axis=1)
+    return -scipy.special.xlogy(p, p).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _grid_mle(m1: float, m2: float) -> tuple[float, float]:
     for _ in range(3):
         ll = (
             np.add.outer((grid - 1.0) * m1, (grid - 1.0) * m2)
-            - special.betaln(grid[:, None], grid[None, :])
+            - scipy.special.betaln(grid[:, None], grid[None, :])
         )
         ia, ig = np.unravel_index(np.argmax(ll), ll.shape)
         best = (float(grid[ia]), float(grid[ig]))
@@ -96,7 +96,7 @@ def _grid_mle(m1: float, m2: float) -> tuple[float, float]:
         grid_g = np.geomspace(max(best[1] / span, 1e-3), min(best[1] * span, SHAPE_CAP), 60)
         ll = (
             np.add.outer((grid_a - 1.0) * m1, (grid_g - 1.0) * m2)
-            - special.betaln(grid_a[:, None], grid_g[None, :])
+            - scipy.special.betaln(grid_a[:, None], grid_g[None, :])
         )
         ia, ig = np.unravel_index(np.argmax(ll), ll.shape)
         best = (float(grid_a[ia]), float(grid_g[ig]))
@@ -125,11 +125,11 @@ def _fit_beta_group(x: np.ndarray) -> tuple[float, float, bool]:
     g = max((1.0 - mean) * common, 1e-3)
     converged = False
     for _ in range(MLE_MAX_ITER):
-        tri_ab = special.polygamma(1, a + g)
-        f1 = special.digamma(a) - special.digamma(a + g) - m1
-        f2 = special.digamma(g) - special.digamma(a + g) - m2
-        j11 = special.polygamma(1, a) - tri_ab
-        j22 = special.polygamma(1, g) - tri_ab
+        tri_ab = scipy.special.polygamma(1, a + g)
+        f1 = scipy.special.digamma(a) - scipy.special.digamma(a + g) - m1
+        f2 = scipy.special.digamma(g) - scipy.special.digamma(a + g) - m2
+        j11 = scipy.special.polygamma(1, a) - tri_ab
+        j22 = scipy.special.polygamma(1, g) - tri_ab
         det = j11 * j22 - tri_ab * tri_ab
         if not np.isfinite(det) or abs(det) < 1e-300:
             break
@@ -187,10 +187,10 @@ def score_beta(p, model: BetaModel) -> np.ndarray:
     p = validate_probs(p, normalized=True)
     x = np.clip(p.max(axis=1), PROB_CLAMP, 1.0 - PROB_CLAMP)
     lx, l1x = np.log(x), np.log1p(-x)
-    log_c = (model.alpha_correct - 1.0) * lx + (model.gamma_correct - 1.0) * l1x - special.betaln(
+    log_c = (model.alpha_correct - 1.0) * lx + (model.gamma_correct - 1.0) * l1x - scipy.special.betaln(
         model.alpha_correct, model.gamma_correct
     )
-    log_i = (model.alpha_incorrect - 1.0) * lx + (model.gamma_incorrect - 1.0) * l1x - special.betaln(
+    log_i = (model.alpha_incorrect - 1.0) * lx + (model.gamma_incorrect - 1.0) * l1x - scipy.special.betaln(
         model.alpha_incorrect, model.gamma_incorrect
     )
     with np.errstate(divide="ignore", invalid="ignore"):

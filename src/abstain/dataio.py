@@ -116,17 +116,12 @@ def read_mc_tensor(path) -> np.ndarray:
 
 
 def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
-    labels = np.asarray(labels)
+    labels = np.asarray(labels, dtype=np.int64)
+    header = ["label"] if task == "multiclass" else [f"y{j}" for j in range(labels.shape[1])]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if task == "multiclass":
-            w.writerow(["index", "label"])
-            for i, y in enumerate(labels):
-                w.writerow([i, int(y)])
-        else:
-            w.writerow(["index"] + [f"y{j}" for j in range(labels.shape[1])])
-            for i, row in enumerate(labels):
-                w.writerow([i] + [int(v) for v in row])
+        w.writerow(["index"] + header)
+        w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
 
 
 def read_labels_csv(path, task: str) -> np.ndarray:
@@ -140,9 +135,13 @@ def read_labels_csv(path, task: str) -> np.ndarray:
     ragged = [r for r in body if len(r) != len(header)]
     if ragged:
         raise FormatError(f"{path}: ragged label rows: {ragged[0]!r} under {len(header)} header fields")
-    if task == "multiclass":
-        return np.array([int(r[1]) for r in body], dtype=np.int64)
-    return np.array([[int(v) for v in r[1:]] for r in body], dtype=np.int8)
+    try:
+        labels = np.array([[int(v) for v in r[1:]] for r in body], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: label value is not an int64 integer: {exc}") from exc
+    if task == "multilabel" and not np.isin(labels, (0, 1)).all():
+        raise FormatError(f"{path}: multilabel values must be 0 or 1")
+    return labels.reshape(-1) if task == "multiclass" else labels.astype(np.int8)
 
 
 SCORE_HEADER = ["instance", "label", "method", "score"]

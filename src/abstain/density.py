@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
-from scipy.spatial.distance import cdist, pdist
-from scipy.special import logsumexp
+import scipy
 
 from .core import LabeledSplit, batched, seeded_rng
 
@@ -31,7 +29,7 @@ DENSITY_UNDERFLOW = 1e-300
 
 
 def _median_pairwise_distance(X: np.ndarray) -> float:
-    dists = pdist(X)   # freed before any n x n kernel exists
+    dists = scipy.spatial.distance.pdist(X)   # freed before any n x n kernel exists
     return float(np.median(dists, overwrite_input=True)) if dists.size else 0.0
 
 
@@ -138,7 +136,7 @@ class KernelPcaBasis:
 
     def transform(self, E: np.ndarray) -> np.ndarray:
         E = np.atleast_2d(np.asarray(E, dtype=float))
-        K = np.exp(-self.gamma * cdist(E, self.support, "sqeuclidean"))
+        K = np.exp(-self.gamma * scipy.spatial.distance.cdist(E, self.support, "sqeuclidean"))
         Kc = K - self.col_means[None, :] - K.mean(axis=1, keepdims=True) + self.grand_mean
         return Kc @ self.dual_vectors
 
@@ -258,7 +256,7 @@ def fit_rde(
     gamma = 1.0 / (2.0 * med * med)
 
     # one n x n array: the kernel, double-centred in place
-    Kc = cdist(X, X, "sqeuclidean")
+    Kc = scipy.spatial.distance.cdist(X, X, "sqeuclidean")
     np.exp(np.multiply(Kc, -gamma, out=Kc), out=Kc)
     col = Kc.mean(axis=0)
     grand = float(Kc.mean())
@@ -267,9 +265,10 @@ def fit_rde(
     Kc += grand
     # Lanczos top-k from a seeded start (Kc maps the ones vector to zero)
     solver_rng = seeded_rng(0)
+    v0 = solver_rng.uniform(-1.0, 1.0, n)
     try:
-        evals, evecs = eigsh(Kc, k, which="LA", v0=solver_rng.uniform(-1.0, 1.0, n), rng=solver_rng)
-    except ArpackError as exc:
+        evals, evecs = scipy.sparse.linalg.eigsh(Kc, k, which="LA", v0=v0, rng=solver_rng)
+    except scipy.sparse.linalg.ArpackError as exc:
         raise ValueError(f"RDE kernel eigensolve failed: {exc}") from exc
     evals, evecs = evals[::-1], evecs[:, ::-1]   # ARPACK returns ascending order
     # the solver's signs are arbitrary: make each largest-magnitude entry positive
@@ -343,7 +342,7 @@ def score_ddu(E, model: DduModel) -> np.ndarray:
     diffs = model.centroids[None] - E[:, None]
     quad = np.einsum("ncd,cde,nce->nc", diffs, model.precisions, diffs)
     log_comp = model.log_priors - 0.5 * (d * np.log(2.0 * np.pi) + model.log_dets + quad)
-    return -logsumexp(log_comp, axis=1)
+    return -scipy.special.logsumexp(log_comp, axis=1)
 
 
 # ------------------------------------------------------- kernel noise scorer
@@ -397,7 +396,7 @@ def score_nuq(E, model: NuqModel) -> np.ndarray:
     n, d = model.embeddings.shape
     _check_batch(E, d)
     h2 = model.bandwidth * model.bandwidth
-    w = np.exp(-cdist(E, model.embeddings, "sqeuclidean") / (2.0 * h2))
+    w = np.exp(-scipy.spatial.distance.cdist(E, model.embeddings, "sqeuclidean") / (2.0 * h2))
     wsum = w.sum(axis=1)
     density = wsum / (n * (2.0 * np.pi) ** (d / 2.0) * model.bandwidth**d)
     underflow = density < DENSITY_UNDERFLOW

@@ -8,7 +8,7 @@ tensor gives a float.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .core import batched
 
@@ -61,8 +61,8 @@ def score_bald(t) -> np.ndarray:
     t = _as_tensor(t)
     tc = np.clip(t, BALD_CLAMP, 1.0)
     mean_row = np.clip(t.mean(axis=1), BALD_CLAMP, 1.0)
-    h_mean = -special.xlogy(mean_row, mean_row).sum(axis=1)
-    mean_h = -special.xlogy(tc, tc).sum(axis=2).mean(axis=1)
+    h_mean = -scipy.special.xlogy(mean_row, mean_row).sum(axis=1)
+    mean_h = -scipy.special.xlogy(tc, tc).sum(axis=2).mean(axis=1)
     out = np.maximum(h_mean - mean_h, 0.0)
     out[_identical_passes(t)] = 0.0
     return out

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.optimize import minimize
+import scipy
 
 from .core import LabeledSplit
 
@@ -117,7 +117,7 @@ def _fit_softmax_probe(X: np.ndarray, y: np.ndarray, C: int, l2: float = 1e-3):
         gb = G.sum(axis=0)
         return loss, np.concatenate([gw.ravel(), gb])
 
-    res = minimize(
+    res = scipy.optimize.minimize(
         loss_grad,
         np.zeros(d * C + C),
         jac=True,
@@ -147,7 +147,7 @@ def _fit_sigmoid_probes(X: np.ndarray, Y: np.ndarray, l2: float = 1e-3):
         gb = G.sum(axis=0)
         return loss, np.concatenate([gw.ravel(), gb])
 
-    res = minimize(
+    res = scipy.optimize.minimize(
         loss_grad,
         np.zeros(d * L + L),
         jac=True,

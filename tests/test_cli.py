@@ -1,10 +1,15 @@
 """End-to-end command-line pipeline tests, run in-process via main()."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import abstain
 from abstain import density, rejection
 from abstain.cli import main
 from abstain.dataio import NO_LABEL, load_models, read_scores_csv, sha256_file
@@ -107,7 +112,11 @@ class TestFit:
         (MC_SPEC, lambda lines: lines[:2] + ["0"] + lines[3:]),       # short multiclass row
         (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]),  # ragged
         (MC_SPEC, lambda lines: [""] + lines),                       # empty first line
-    ], ids=["short-multiclass-row", "ragged-multilabel-rows", "empty-first-line"])
+        (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",300"] + lines[3:]),
+        (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + f",{2 ** 63}"] + lines[3:]),
+        (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + ",one"] + lines[3:]),
+    ], ids=["short-multiclass-row", "ragged-multilabel-rows", "empty-first-line",
+            "multilabel-value-300", "multiclass-value-beyond-int64", "multiclass-value-not-integer"])
     def test_malformed_label_rows_are_format_errors(self, spec, edit, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
@@ -127,7 +136,7 @@ class TestFit:
             raise ArpackNoConvergence("No convergence (1200 iterations, 3/8 eigenvectors converged)",
                                       np.zeros(0), np.zeros((A.shape[0], 0)))
 
-        monkeypatch.setattr(density, "eigsh", no_convergence)
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
         code = run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--methods", "rde", "--out", tmp_path / "m.bin")
         assert code == 2
@@ -348,3 +357,44 @@ class TestMultilabelEvaluate:
                    "--mode", mode, "--out", tmp_path / "m.json")
         assert code == 2
         assert "2 score rows for instance 0" in capsys.readouterr().err
+
+
+SCIPY_SUBPACKAGES = ("scipy.special", "scipy.spatial", "scipy.sparse",
+                     "scipy.optimize", "scipy.linalg", "scipy.stats")
+# every layer module must be loaded by `import abstain.cli`: perfbench/traced.py
+# looks each of them up in sys.modules
+LAYERS = ("synth", "dataio", "baselines", "mc", "density", "hybrid", "rejection", "report", "core")
+IMPORT_PROBE = """
+import json, sys
+watch, layers, commands = json.loads(sys.argv[1])
+import abstain.cli as cli
+def state(stage):
+    return [stage, [m for m in watch if m in sys.modules],
+            [layer for layer in layers if "abstain." + layer not in sys.modules]]
+states = [state("import")]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+    states.append(state(argv[0]))
+print(json.dumps(states))
+"""
+
+
+class TestImportHygiene:
+    def test_commands_that_call_no_scipy_load_no_scipy_subpackage(self, mc_dir, evaluated, tmp_path):
+        # a fresh interpreter: this test process has loaded scipy subpackages already
+        root, scores, metrics = evaluated
+        manifest = str(mc_dir / "ds" / "manifest.json")
+        commands = [
+            ["fit", "--manifest", manifest, "--methods", "md", "--out", str(tmp_path / "m.bin")],
+            ["evaluate", "--scores", str(scores), "--manifest", manifest,
+             "--out", str(tmp_path / "metrics.json"), str(tmp_path / "curves")],
+            ["report", "--metrics", str(metrics), "--curves", str(root / "curves"),
+             "--out", str(tmp_path / "report.html")],
+        ]
+        src = str(Path(abstain.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                                json.dumps([SCIPY_SUBPACKAGES, LAYERS, commands])],
+                               env=env, capture_output=True, text=True, check=True)
+        states = json.loads(probe.stdout.splitlines()[-1])
+        assert states == [[stage, [], []] for stage in ("import", "fit", "evaluate", "report")]

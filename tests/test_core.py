@@ -91,6 +91,13 @@ def test_labeled_split_multilabel_bits():
         LabeledSplit(probs, [[1, 0, 1], [0, 1, 0]], task="multilabel")
 
 
+def test_labeled_split_multilabel_bits_checked_before_int8_cast():
+    # 256 and 257 wrap to 0 and 1 in int8, so the 0/1 check must see the input values
+    probs = np.array([[0.9, 0.2], [0.4, 0.7]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        LabeledSplit(probs, [[256, 1], [0, 257]], task="multilabel")
+
+
 def test_labeled_split_mc_shape_guard():
     probs = np.array([[0.6, 0.4], [0.2, 0.8]])
     LabeledSplit(probs, [0, 1], mc=np.full((2, 3, 2), 0.5))

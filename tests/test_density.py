@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -269,13 +270,13 @@ def test_rde_dimension_mismatch():
 def test_rde_lanczos_matches_dense_eigh(monkeypatch):
     split = random_split(300, 3, 8, seed=21)
     solves = []
-    real = density.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def spy(A, k, **kw):
         solves.append((A.copy(), real(A, k, **kw)))
         return solves[-1][1]
 
-    monkeypatch.setattr(density, "eigsh", spy)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", spy)
     fit_rde(split, seed=0)
     ((A, (evals, evecs)),) = solves
     ref_vals, ref_vecs = dense_top_eigenpairs(A, evals.size)
@@ -294,7 +295,7 @@ def test_rde_scores_match_model_from_dense_pairs(monkeypatch):
     split = random_split(300, 3, 8, seed=21)
     queries = np.vstack([split.embeddings, seeded_rng(22).normal(size=(50, 8)) * 4])
     lanczos = score_rde(queries, fit_rde(split, seed=0))
-    monkeypatch.setattr(density, "eigsh", dense_top_eigenpairs)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", dense_top_eigenpairs)
     dense = score_rde(queries, fit_rde(split, seed=0))
     # the per-class precisions in 64 components amplify the solvers'
     # 1e-16 eigenvector differences to a few 1e-10
@@ -307,13 +308,13 @@ def test_rde_model_ignores_solver_eigenvector_signs(monkeypatch):
     # reorder its rows and change which subsets the restarts draw
     split = random_split(240, 3, 8, seed=23)
     model = fit_rde(split, seed=0)
-    real = density.eigsh
+    real = scipy.sparse.linalg.eigsh
 
     def negated(A, k, **kw):
         evals, evecs = real(A, k, **kw)
         return evals, -evecs
 
-    monkeypatch.setattr(density, "eigsh", negated)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", negated)
     assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
 
 
