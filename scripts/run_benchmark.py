@@ -45,8 +45,7 @@ def run_multiclass(spec_kwargs, seeds):
     for seed in seeds:
         data = generate(SynthSpec(seed=seed, **spec_kwargs))
         test, val = data.splits["test"], data.splits["validation"]
-        scores = score_split(resolve_methods("all", "multiclass"), test, fit_models(data, "multiclass"),
-                             val, "rc_auc")
+        scores = score_split(resolve_methods("all", "multiclass"), test, fit_models(data, "multiclass"), val)
         add_entries(table, scores, test, "instance")
     return table
 

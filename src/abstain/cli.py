@@ -107,7 +107,6 @@ def score_split(
     target: LabeledSplit,
     models: Dict[str, object],
     calib: Optional[LabeledSplit] = None,
-    objective: str = "rc_auc",
 ) -> Dict[str, np.ndarray]:
     """Scores of ``target`` for each named method, in the given order.
 
@@ -143,7 +142,7 @@ def score_split(
         if calib is None:
             raise UsageError("hybrid methods need --calibrate <split> (typically validation)")
         variant, novelty = pair
-        config = hybrid.fit_hybrid(calib, base("SR", calib), base(novelty, calib), variant, objective)
+        config = hybrid.fit_hybrid(calib, base("SR", calib), base(novelty, calib), variant)
         out[name] = hybrid.score_hybrid_batch(base("SR", target), base(novelty, target), config)
     return out
 
@@ -220,7 +219,7 @@ def _cmd_score(args) -> int:
     calib = None
     if args.calibrate and any(METHODS[name].hybrid for name in names):
         calib = load_split(manifest, base, args.calibrate)
-    write_scores_csv(args.out, score_split(names, target, models, calib, args.objective))
+    write_scores_csv(args.out, score_split(names, target, models, calib))
     print(args.out)
     return 0
 
@@ -235,9 +234,8 @@ def _auc_payload(res: rejection.NormalizedAuc) -> dict:
 
 
 def _write_curve_csv(path: Path, curve: rejection.RejectionCurve) -> None:
-    lines = ["coverage,value"]
-    lines += [f"{float(c)!r},{float(v)!r}" for c, v in zip(curve.coverages, curve.values)]
-    path.write_text("\n".join(lines) + "\n")
+    points = zip(curve.coverages.tolist(), curve.values.tolist())
+    path.write_text("coverage,value\n" + "".join([f"{c!r},{v!r}\n" for c, v in points]))
 
 
 def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.ndarray]:
@@ -359,7 +357,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--methods", default="all")
     p.add_argument("--out", required=True, help="score table CSV path")
     p.add_argument("--calibrate", default=None, help="split used to fit hybrid combinators")
-    p.add_argument("--objective", default="rc_auc", choices=("rc_auc", "fr_auc"))
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="rejection curves and normalized areas from a score table")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
 from .core import LabeledSplit, rank_all
-from .rejection import build_curve, curve_auc, unit_data
+from .rejection import _risk_values, multiclass_losses
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 DELTA_MIN_QUANTILES = (0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99, 1.00)
@@ -25,7 +24,6 @@ C_GRID = (1, 2, 3)
 MIN_CALIBRATION = 20
 
 VARIANTS = ("huq", "huq2")
-OBJECTIVES = ("rc_auc", "fr_auc")
 
 
 @dataclass(frozen=True)
@@ -109,45 +107,22 @@ def score_hybrid_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
     return _huq_mix(r_a, r_e, r_id, in_dist, above_dmax, config.alpha, config.case_offset)
 
 
-def _objective(validation: LabeledSplit, objective: str) -> Callable[[np.ndarray], float]:
-    """Full-span curve area of scores on ``validation``, signed so that
-    the caller always minimises: risk for rc_auc, micro-F1 negated for
-    fr_auc."""
-    task = "multiclass" if objective == "rc_auc" else "multilabel"
-    if validation.task != task:
-        raise ValueError(f"{objective} calibration needs a {task} split")
-    mode, data = unit_data(validation.probs, validation.labels, task, "instance")[-1]
-    sign = 1.0 if mode == "risk" else -1.0
-    return lambda scores: sign * curve_auc(build_curve(scores, data, mode), "full")
+def _risk_aucs(loss_rows: np.ndarray) -> np.ndarray:
+    """Full-span risk-curve areas of (rows, n) 0/1 losses in removal order,
+    by the operations of ``curve_auc(build_curve(...), "full")``, bitwise."""
+    n = loss_rows.shape[1]
+    cov = ((n - np.arange(n)) / n)[::-1]
+    values = _risk_values(loss_rows, np.ones(n))[:, ::-1]
+    return np.trapezoid(values, cov, axis=1) / (cov[-1] - cov[0])
 
 
-def fit_hybrid(
-    validation: LabeledSplit,
-    u_a_scores,
-    u_e_scores,
-    variant: str = "huq2",
-    objective: str = "rc_auc",
-) -> HybridConfig:
-    """Grid-search the combinator hyperparameters on held-out scores.
-
-    alpha runs over {0, 0.05, ..., 1}; the novelty threshold over upper
-    quantiles of the novelty scores; the ambiguity threshold over
-    quantiles of the ambiguity scores; c over {1, 2, 3} for the smooth
-    variant.  Quantiles are order statistics (actual held-out values),
-    which keeps every decision a pure rank comparison.  Ties prefer the
-    smallest alpha, then the smallest quantile positions (then the
-    smallest c).
-
-    Every rank the search needs is computed once up front; each grid
-    point only mixes them, so its scores equal those of
-    :func:`score_hybrid_batch` under that point's config.
-    """
+def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str):
+    """The objective of every grid point of ``variant`` in grid order, and
+    a function from a grid index to that point's config.  Every rank is
+    computed once up front."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    u_a = np.asarray(u_a_scores, dtype=float)
-    u_e = np.asarray(u_e_scores, dtype=float)
+    u_a, u_e = (np.asarray(u, dtype=float) for u in (u_a_scores, u_e_scores))
     n = len(validation)
     if n < MIN_CALIBRATION:
         raise ValueError(f"insufficient calibration data: {n} < {MIN_CALIBRATION}")
@@ -155,34 +130,64 @@ def fit_hybrid(
         raise ValueError("score arrays must match the validation split")
     if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_e))):
         raise ValueError("hybrid inputs must be finite")
+    if validation.task != "multiclass":
+        raise ValueError("hybrid calibration needs a multiclass split")
 
-    objective_fn = _objective(validation, objective)
-    table_a = np.sort(u_a)
-    table_e = np.sort(u_e)
-    r_a = rank_all(u_a, table_a).astype(float)
-    r_e = rank_all(u_e, table_e).astype(float)
-
-    best = None
-    if variant == "huq":
+    losses = multiclass_losses(validation.probs, validation.labels)
+    table_a, table_e = np.sort(u_a), np.sort(u_e)
+    r_a, r_e = rank_all(u_a, table_a).astype(float), rank_all(u_e, table_e).astype(float)
+    if variant == "huq2":
+        # thresholds and the low-novelty table are unused by the smooth variant
+        grid = [(alpha, float(table_e[-1]), float(table_a[-1]), c, table_a)
+                for alpha, c in product(ALPHA_GRID, C_GRID)]
+        mixes = np.stack([_huq2_mix(r_a, r_e, alpha, c, n) for alpha, _, _, c, _ in grid])
+        objectives = _risk_aucs(losses[np.argsort(-mixes, axis=1, kind="stable")])
+    else:
         dmin_values = [float(np.quantile(u_e, q, method="lower")) for q in DELTA_MIN_QUANTILES]
         dmax_values = [float(np.quantile(u_a, q, method="lower")) for q in DELTA_MAX_QUANTILES]
         in_dist = [u_e <= dmin for dmin in dmin_values]
         id_tables = [np.sort(u_a[mask]) for mask in in_dist]
         id_ranks = [rank_all(u_a, table).astype(float) for table in id_tables]
         above_dmax = [u_a > dmax for dmax in dmax_values]
-        base = n + 2  # HybridConfig.case_offset
-        for alpha, i, j in product(ALPHA_GRID, range(len(dmin_values)), range(len(dmax_values))):
-            val = objective_fn(_huq_mix(r_a, r_e, id_ranks[i], in_dist[i], above_dmax[j], alpha, base))
-            if best is None or val < best[0]:
-                best = (val, alpha, i, j)
-        _, alpha, i, j = best
-        return HybridConfig(variant, alpha, dmin_values[i], dmax_values[j], 1, n,
-                            table_a, id_tables[i], table_e)
-    for alpha, c in product(ALPHA_GRID, C_GRID):
-        val = objective_fn(_huq2_mix(r_a, r_e, alpha, c, n))
-        if best is None or val < best[0]:
-            best = (val, alpha, c)
-    _, alpha, c = best
-    # thresholds and the low-novelty table are unused by the smooth variant
-    return HybridConfig(variant, alpha, float(table_e[-1]), float(table_a[-1]), c, n,
-                        table_a, table_a, table_e)
+        grid = [(alpha, dmin_values[i], dmax_values[j], 1, id_tables[i]) for alpha, i, j
+                in product(ALPHA_GRID, range(len(dmin_values)), range(len(dmax_values)))]
+
+        def order(alpha, i, j):
+            mix = _huq_mix(r_a, r_e, id_ranks[i], in_dist[i], above_dmax[j], alpha, n + 2)
+            return np.argsort(-mix, kind="stable")
+
+        # The regions are offset by case_offset = n + 2, so a removal order starts with the
+        # high-novelty units, ordered by (alpha, delta_min), then the rest, by (delta_min, delta_max).
+        n_novel = [n - int(np.count_nonzero(mask)) for mask in in_dist]
+        rows = np.empty((len(dmin_values), len(dmax_values), n))
+        for i, j in product(range(len(dmin_values)), range(len(dmax_values))):
+            rows[i, j, n_novel[i]:] = losses[order(0.0, i, j)[n_novel[i]:]]
+        objectives = []
+        for alpha in ALPHA_GRID:  # one block of rows per alpha bounds the memory
+            for i, m in enumerate(n_novel):
+                rows[i, :, :m] = losses[order(alpha, i, 0)[:m]]
+            objectives.append(_risk_aucs(rows.reshape(-1, n)))
+        objectives = np.concatenate(objectives)
+
+    def config(k: int) -> HybridConfig:
+        alpha, delta_min, delta_max, c, table_id = grid[k]
+        return HybridConfig(variant, alpha, delta_min, delta_max, c, n, table_a, table_id, table_e)
+
+    return objectives, config
+
+
+def fit_hybrid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str = "huq2") -> HybridConfig:
+    """Grid-search the combinator hyperparameters on held-out scores.
+
+    alpha runs over {0, 0.05, ..., 1}; the novelty threshold over upper
+    quantiles of the novelty scores; the ambiguity threshold over
+    quantiles of the ambiguity scores; c over {1, 2, 3} for the smooth
+    variant.  Quantiles are order statistics (actual held-out values),
+    which keeps every decision a pure rank comparison.  The objective is
+    the full-span risk-curve area on the multiclass ``validation`` split
+    of the scores :func:`score_hybrid_batch` gives under each config.
+    Ties prefer the smallest alpha, then the smallest quantile positions
+    (then the smallest c).
+    """
+    objectives, config = _calibration_grid(validation, u_a_scores, u_e_scores, variant)
+    return config(int(np.argmin(objectives)))

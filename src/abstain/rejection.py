@@ -76,21 +76,19 @@ def _check_scores(scores, n_expected: int) -> np.ndarray:
     return scores
 
 
-def _risk_values(order, errors, totals):
-    err = np.asarray(errors, dtype=float)[order]
-    tot = np.asarray(totals, dtype=float)[order]
-    # suffix sums: index k holds the remainder after removing k units
-    err_left = err.sum() - np.concatenate(([0.0], np.cumsum(err)[:-1]))
-    tot_left = tot.sum() - np.concatenate(([0.0], np.cumsum(tot)[:-1]))
-    return err_left / tot_left
+def _suffix_sums(x):
+    # along the last axis, index k holds the remainder after removing k units
+    return x.sum(axis=-1, keepdims=True) - np.concatenate(
+        (np.zeros_like(x[..., :1]), np.cumsum(x, axis=-1)[..., :-1]), axis=-1)
 
 
-def _f1_values(order, tp, fp, fn):
-    def _suffix(x):
-        x = np.asarray(x, dtype=float)[order]
-        return x.sum() - np.concatenate(([0.0], np.cumsum(x)[:-1]))
+def _risk_values(errors, totals):
+    """Risk left after each removal; errors and totals in removal order."""
+    return _suffix_sums(errors) / _suffix_sums(totals)
 
-    tp_left, fp_left, fn_left = _suffix(tp), _suffix(fp), _suffix(fn)
+
+def _f1_values(tp, fp, fn):
+    tp_left, fp_left, fn_left = _suffix_sums(tp), _suffix_sums(fp), _suffix_sums(fn)
     denom = 2.0 * tp_left + fp_left + fn_left
     # nothing predicted or true positive and no mistakes: vacuously perfect
     return np.where(denom > 0.0, 2.0 * tp_left / np.where(denom > 0.0, denom, 1.0), 1.0)
@@ -140,10 +138,11 @@ def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
     arrays = _unit_arrays(data, mode)
     scores = _check_scores(scores, arrays[0].size)
     order = rejection_order(scores)
+    arrays = [x[order] for x in arrays]
     if mode == "f1_micro":
-        values = _f1_values(order, *arrays)
+        values = _f1_values(*arrays)
     else:
-        values = _risk_values(order, *arrays)
+        values = _risk_values(*arrays)
         if mode == "accuracy":
             values = 1.0 - values
     n = scores.size

@@ -99,12 +99,11 @@ def plot_curves_svg(
     return "\n".join(parts)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "-"
-    if isinstance(x, float) and x != x:  # NaN
-        return "degenerate"
-    return f"{x:.4f}"
+def _fmt(entry: dict) -> str:
+    # evaluate writes a null normalized area, flagged, when a split holds no errors
+    if entry["normalized"] is None:
+        return "degenerate" if entry.get("flag") else "-"
+    return f"{entry['normalized']:.4f}"
 
 
 def render_report(metrics: dict, curves_dir, out_path) -> None:
@@ -118,7 +117,7 @@ def render_report(metrics: dict, curves_dir, out_path) -> None:
         vals = [
             (name, entry[metric]["normalized"])
             for name, entry in methods.items()
-            if metric in entry and entry[metric]["normalized"] == entry[metric]["normalized"]
+            if metric in entry and isinstance(entry[metric]["normalized"], (int, float))
         ]
         vals.sort(key=lambda kv: (-kv[1], kv[0]))
         ranking[metric] = [name for name, _ in vals]
@@ -131,7 +130,7 @@ def render_report(metrics: dict, curves_dir, out_path) -> None:
             if entry is None:
                 cells.append("<td>-</td>")
                 continue
-            text = _fmt(entry["normalized"])
+            text = _fmt(entry)
             order = ranking[metric]
             if order and order[0] == name:
                 text = f"<b>{text}</b>"

@@ -191,10 +191,10 @@ def test_criterion_5_rank_invariance():
     ua_t, ue_t = rows(score_sr, te.probs), rows(score_md, te.embeddings, md)
     taus = []
     for variant in ("huq", "huq2"):
-        cfg = fit_hybrid(va, ua_v, ue_v, variant, "rc_auc")
+        cfg = fit_hybrid(va, ua_v, ue_v, variant)
         base = score_hybrid_batch(ua_t, ue_t, cfg)
         for f in (np.exp, lambda z: 10.0 * z + 3.0):
-            cfg2 = fit_hybrid(va, f(ua_v), f(ue_v), variant, "rc_auc")
+            cfg2 = fit_hybrid(va, f(ua_v), f(ue_v), variant)
             again = score_hybrid_batch(f(ua_t), f(ue_t), cfg2)
             assert np.array_equal(base, again)
             tau = kendalltau(base, again).statistic
@@ -214,7 +214,7 @@ def test_criterion_6_hybrid_benefit():
         md = fit_md(tr)
         ua_v, ue_v = rows(score_sr, va.probs), rows(score_md, va.embeddings, md)
         ua_t, ue_t = rows(score_sr, te.probs), rows(score_md, te.embeddings, md)
-        cfg = fit_hybrid(va, ua_v, ue_v, "huq2", "rc_auc")
+        cfg = fit_hybrid(va, ua_v, ue_v, "huq2")
         hy = score_hybrid_batch(ua_t, ue_t, cfg)
         losses = multiclass_losses(te.probs, te.labels)
         for name, sc in (("SR", ua_t), ("MD", ue_t), ("HUQ2", hy)):

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests, run in-process via main()."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
 from abstain import density, rejection
-from abstain.cli import main
-from abstain.dataio import NO_LABEL, load_models, read_scores_csv, sha256_file
+from abstain.cli import _write_curve_csv, main
+from abstain.dataio import (NO_LABEL, load_models, load_split, read_scores_csv, sha256_file,
+                            validate_manifest, write_labels_csv)
 from abstain.synth import SynthSpec
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
@@ -294,6 +296,36 @@ class TestEvaluateAndReport:
                    "--manifest", mc_dir / "ds" / "manifest.json",
                    "--out", tmp_path / "m.json", tmp_path / "curves") == 0
         assert calls == ["risk"] * (3 + 1)
+
+    def test_curve_csv_bytes(self, tmp_path):
+        curve = rejection.RejectionCurve(np.array([1.0, 2 / 3, 1 / 3]),
+                                         np.array([1 / 3, 5e-324, 0.0]), "risk")
+        _write_curve_csv(tmp_path / "c.csv", curve)
+        assert (tmp_path / "c.csv").read_bytes() == (
+            b"coverage,value\n1.0,0.3333333333333333\n"
+            b"0.6666666666666666,5e-324\n0.3333333333333333,0.0\n")
+
+    def test_report_on_split_without_errors(self, mc_dir, tmp_path):
+        # labels set to the argmax predictions: no errors, so every
+        # normalized area is null and flagged degenerate
+        ds = tmp_path / "ds"
+        shutil.copytree(mc_dir / "ds", ds)
+        manifest = ds / "manifest.json"
+        split = load_split(validate_manifest(manifest), ds, "test")
+        victim = ds / "test_labels.csv"
+        write_labels_csv(victim, split.probs.argmax(axis=1), "multiclass")
+        payload = json.loads(manifest.read_text())
+        payload["checksums"][victim.name] = sha256_file(victim)
+        manifest.write_text(json.dumps(payload))
+        assert run("score", "--manifest", manifest, "--methods", "SR,Entropy",
+                   "--out", tmp_path / "s.csv") == 0
+        assert run("evaluate", "--scores", tmp_path / "s.csv", "--manifest", manifest,
+                   "--out", tmp_path / "m.json", tmp_path / "curves") == 0
+        risk = json.loads((tmp_path / "m.json").read_text())["methods"]["SR"]["risk"]
+        assert risk["normalized"] is None and risk["flag"].startswith("degenerate")
+        assert run("report", "--metrics", tmp_path / "m.json", "--curves", tmp_path / "curves",
+                   "--out", tmp_path / "r.html") == 0
+        assert "<td>SR</td><td>degenerate</td>" in (tmp_path / "r.html").read_text()
 
     def test_bad_metrics_json_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "m.json"

@@ -7,10 +7,14 @@ from abstain.core import LabeledSplit, seeded_rng
 from abstain.hybrid import (
     ALPHA_GRID,
     C_GRID,
+    DELTA_MAX_QUANTILES,
+    DELTA_MIN_QUANTILES,
     HybridConfig,
+    _calibration_grid,
     fit_hybrid,
     score_hybrid_batch,
 )
+from abstain.rejection import build_curve, curve_auc, multiclass_losses
 from oracles import brute_force_fit_hybrid, score_huq, score_huq2
 
 TA = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
@@ -139,8 +143,9 @@ def test_fit_hybrid_argument_validation():
     u = np.zeros(60)
     with pytest.raises(ValueError, match="unknown variant"):
         fit_hybrid(split, u, u, variant="nope")
-    with pytest.raises(ValueError, match="unknown objective"):
-        fit_hybrid(split, u, u, objective="nope")
+    multilabel = LabeledSplit(split.probs, np.zeros((60, 2), dtype=int), "multilabel", "validation")
+    with pytest.raises(ValueError, match="needs a multiclass split"):
+        fit_hybrid(multilabel, u, u)
     with pytest.raises(ValueError, match="match the validation"):
         fit_hybrid(split, np.zeros(59), u)
     with pytest.raises(ValueError, match="finite"):
@@ -243,6 +248,42 @@ def test_fit_hybrid_rank_invariance_small():
             cfg2 = fit_hybrid(split, f(u_a), f(u_e), variant=variant)
             again = score_hybrid_batch(f(test_a), f(test_e), cfg2)
             assert np.array_equal(base, again)
+
+
+def assert_grid_objectives_are_curve_areas(split, u_a, u_e):
+    """Each grid point's batched objective is bitwise the area of the one
+    full rejection curve of that point's scores."""
+    losses = multiclass_losses(split.probs, split.labels)
+    sizes = {"huq": len(ALPHA_GRID) * len(DELTA_MIN_QUANTILES) * len(DELTA_MAX_QUANTILES),
+             "huq2": len(ALPHA_GRID) * len(C_GRID)}
+    for variant, size in sizes.items():
+        objectives, config = _calibration_grid(split, u_a, u_e, variant)
+        assert objectives.shape == (size,)
+        want = [curve_auc(build_curve(score_hybrid_batch(u_a, u_e, config(k)), losses, "risk"), "full")
+                for k in range(size)]
+        assert objectives.tolist() == want, variant
+
+
+def test_grid_objectives_match_full_curves_at_validation_size():
+    split = _calibration_split(n=800, seed=11)
+    rng = seeded_rng(12)
+    u_a = 1 - split.probs.max(axis=1)
+    u_e = rng.random(800) * 4 + u_a
+    # the fixture must reach the case where the HUQ region offset 2 * (n + 2)
+    # rounds distinct high-novelty mixes to one double, so that the index
+    # tie-break orders them
+    r_a, r_e = (np.searchsorted(np.sort(u), u) + 1.0 for u in (u_a, u_e))
+    mixes = [(1 - alpha) * r_e + alpha * r_a for alpha in ALPHA_GRID]
+    assert any(np.unique(m).size > np.unique(m + 2 * 802).size for m in mixes)
+    assert_grid_objectives_are_curve_areas(split, u_a, u_e)
+
+
+def test_grid_objectives_match_full_curves_under_heavy_ties():
+    split = _calibration_split(n=200, seed=13)
+    rng = seeded_rng(14)
+    u_a = np.round(1 - split.probs.max(axis=1), 1)
+    u_e = rng.integers(0, 3, 200).astype(float)
+    assert_grid_objectives_are_curve_areas(split, u_a, u_e)
 
 
 @given(st.integers(0, 500))
