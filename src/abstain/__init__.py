@@ -39,8 +39,6 @@ from .rejection import (
     build_curve,
     curve_auc,
     curve_value_at,
-    evaluate_instancewise_multilabel,
-    evaluate_labelwise,
     multiclass_losses,
     normalized_auc,
 )
@@ -51,8 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BetaModel", "DduModel", "HybridConfig", "LabeledSplit", "MdModel",
     "NormalizedAuc", "NuqModel", "RdeModel", "RejectionCurve", "SynthDataset",
-    "SynthSpec", "build_curve", "curve_auc", "curve_value_at",
-    "evaluate_instancewise_multilabel", "evaluate_labelwise", "fast_mcd",
+    "SynthSpec", "build_curve", "curve_auc", "curve_value_at", "fast_mcd",
     "fit_beta", "fit_ddu", "fit_hybrid", "fit_md", "fit_nuq", "fit_rde",
     "generate", "multiclass_losses", "normalized_auc", "rank", "rank_all",
     "score_bald", "score_beta", "score_ddu", "score_delta", "score_entropy",

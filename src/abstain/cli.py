@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -177,7 +177,7 @@ def _cmd_gen_synth(args) -> int:
     else:
         spec = synth.SynthSpec()
     if args.seed is not None:
-        spec = synth.SynthSpec(**{**json.loads(spec.to_json()), "seed": args.seed})
+        spec = replace(spec, seed=args.seed)
     dataset = synth.generate(spec)
     manifest_path = save_dataset(dataset, args.out)
     print(manifest_path)
@@ -190,7 +190,8 @@ def _cmd_fit(args) -> int:
     if args.methods is None:
         requested = [key for key, fitter in FITTERS.items() if manifest.task in fitter.tasks]
     else:
-        requested = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
+        tokens = (m.strip().lower() for m in args.methods.split(","))
+        requested = list(dict.fromkeys(m for m in tokens if m))
     for m in requested:
         if m not in FITTERS:
             raise UsageError(f"unknown fit method {m!r}; available: {', '.join(FITTERS)}")
@@ -285,9 +286,10 @@ def _cmd_evaluate(args) -> int:
     span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
         raise UsageError("label mode needs a multilabel manifest")
-    out_paths = list(args.out)
-    metrics_path = Path(out_paths[0])
-    curves_dir = Path(out_paths[1]) if len(out_paths) > 1 else metrics_path.parent / "curves"
+    if len(args.out) > 2:
+        raise UsageError("--out takes a metrics path and at most one curves directory")
+    metrics_path = Path(args.out[0])
+    curves_dir = Path(args.out[1]) if len(args.out) > 1 else metrics_path.parent / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
     names, matrix = _unit_scores(read_scores_csv(args.scores), args.mode, len(split),

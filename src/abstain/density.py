@@ -322,14 +322,9 @@ def fit_ddu(train: LabeledSplit) -> DduModel:
         pts = X[idx]
         centroids[c] = pts.mean(axis=0)
         cov = np.cov(pts, rowvar=False, ddof=1).reshape(d, d)
-        lam = _ridge_lambda(cov)
-        reg = cov + lam * np.eye(d)
-        sign, logdet = np.linalg.slogdet(reg)
-        if sign <= 0:
-            raise ValueError("covariance not positive definite after regularization")
-        prec, _ = _regularized_precision(cov)
-        precisions[c] = prec
-        log_dets[c] = logdet
+        # the Cholesky check in _regularized_precision makes the sign positive
+        precisions[c], lam = _regularized_precision(cov)
+        log_dets[c] = np.linalg.slogdet(cov + lam * np.eye(d))[1]
         log_priors[c] = np.log(idx.size / n)
     return DduModel(centroids, precisions, log_dets, log_priors)
 

@@ -9,11 +9,9 @@ so curves are reproducible no matter where the scores came from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-
-from . import baselines
 
 MODES = ("risk", "accuracy", "f1_micro")
 SPANS = ("full", "first_50")
@@ -94,12 +92,6 @@ def _f1_values(tp, fp, fn):
     return np.where(denom > 0.0, 2.0 * tp_left / np.where(denom > 0.0, denom, 1.0), 1.0)
 
 
-def _f1_masks(pred, truth):
-    """True-positive, false-positive and false-negative masks of
-    predicted against true 0/1 bits."""
-    return (pred == 1) & (truth == 1), (pred == 1) & (truth == 0), (pred == 0) & (truth == 1)
-
-
 def _unit_arrays(data, mode: str):
     """Checked per-unit float arrays of ``data`` (see :func:`build_curve`):
     (errors, totals) for risk and accuracy, (tp, fp, fn) for f1_micro."""
@@ -110,14 +102,8 @@ def _unit_arrays(data, mode: str):
         if errors.shape != totals.shape or errors.ndim != 1:
             raise ValueError("errors/totals must be matching 1-D arrays")
         return errors, totals
-    if not (isinstance(data, tuple) and len(data) in (2, 3)):
-        raise ValueError("f1_micro needs (pred, truth) or (tp, fp, fn)")
-    if len(data) == 2:
-        pred = np.asarray(data[0], dtype=int)
-        truth = np.asarray(data[1], dtype=int)
-        if pred.shape != truth.shape or pred.ndim != 1:
-            raise ValueError("pred/truth must be matching 1-D arrays")
-        return tuple(mask.astype(float) for mask in _f1_masks(pred, truth))
+    if not (isinstance(data, tuple) and len(data) == 3):
+        raise ValueError("f1_micro needs a (tp, fp, fn) count triple")
     tp, fp, fn = (np.asarray(x, dtype=float) for x in data)
     if not (tp.shape == fp.shape == fn.shape) or tp.ndim != 1:
         raise ValueError("tp/fp/fn must be matching 1-D arrays")
@@ -128,10 +114,10 @@ def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
     """Build the rejection curve for one score vector.
 
     mode "risk" / "accuracy": ``data`` is a 0/1 loss per unit, or an
-    ``(errors, totals)`` pair when each unit bundles several label
-    decisions (whole multilabel instances).
-    mode "f1_micro": ``data`` is ``(predicted_bits, true_bits)`` per
-    unit, or a ``(tp, fp, fn)`` count triple.
+    ``(errors, totals)`` pair of label-decision counts per unit.
+    mode "f1_micro": ``data`` is a ``(tp, fp, fn)`` count triple per
+    unit.  :func:`unit_data` builds both count forms for a multilabel
+    split.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -230,73 +216,33 @@ def multiclass_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (probs.argmax(axis=1) != labels).astype(float)
 
 
-def multilabel_pair_arrays(probs: np.ndarray, truth: np.ndarray, threshold: float = 0.5):
-    """Flattened (instance-major) predicted and true bits per label pair."""
-    probs = np.asarray(probs, dtype=float)
-    truth = np.asarray(truth, dtype=int)
-    if probs.shape != truth.shape:
-        raise ValueError("probs/labels shape mismatch")
-    pred = (probs >= threshold).astype(int)
-    return pred.reshape(-1), truth.reshape(-1)
-
-
 def unit_data(probs: np.ndarray, labels: np.ndarray, task: str, level: str):
     """(curve mode, per-unit data) pairs that judge rejection on one split.
 
     A multiclass split is judged by risk on 0/1 losses of its ``(n,)``
     class labels.  A multilabel split, ``(n, L)`` truth bits against
-    sigmoid outputs thresholded at 0.5, is judged by accuracy and
-    micro-F1 over label decisions; ``level`` "instance" rejects whole
-    instances and "label" single (instance, label) pairs, instance-major.
+    sigmoid outputs thresholded at 0.5, is judged by accuracy, as
+    ``(fp + fn, totals)``, and micro-F1, as ``(tp, fp, fn)``, over label
+    decisions counted per unit: per (instance, label) pair, instance-major,
+    at ``level`` "label", per whole instance at level "instance".
     The last pair is the headline one: risk, or micro-F1.
     """
     if task == "multiclass":
         if level != "instance":
             raise ValueError("multiclass splits are evaluated per instance")
         return (("risk", multiclass_losses(probs, labels)),)
-    if level == "label":
-        pred, truth = multilabel_pair_arrays(probs, labels)
-        return (("accuracy", (pred != truth).astype(float)), ("f1_micro", (pred, truth)))
-    if level != "instance":
+    if level not in ("instance", "label"):
         raise ValueError(f"unknown level {level!r}; expected 'instance' or 'label'")
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
     if probs.shape != labels.shape or probs.ndim != 2:
         raise ValueError("probs/labels must be matching (n, L) arrays")
-    pred = (probs >= 0.5).astype(int)
-    tp, fp, fn = (mask.sum(axis=1).astype(float) for mask in _f1_masks(pred, labels))
-    totals = np.full(len(probs), probs.shape[1], dtype=float)
-    return (("accuracy", (fp + fn, totals)), ("f1_micro", (tp, fp, fn)))
-
-
-def evaluate_labelwise(probs: np.ndarray, truth: np.ndarray) -> Tuple[RejectionCurve, RejectionCurve]:
-    """Pool all (instance, label) pairs and reject them individually.
-
-    Returns the accuracy-mode and f1-mode curves over the pooled pairs,
-    scored by per-pair ambiguity.
-    """
-    evaluations = unit_data(probs, truth, "multilabel", "label")
-    scores = baselines.score_mp(probs).reshape(-1)
-    acc, f1 = (build_curve(scores, data, mode) for mode, data in evaluations)
-    return acc, f1
-
-
-def evaluate_instancewise_multilabel(
-    probs: np.ndarray, truth: np.ndarray, aggregate: str = "mean"
-) -> Tuple[RejectionCurve, RejectionCurve]:
-    """Reject whole instances scored by aggregated per-label ambiguity.
-
-    The metric is still computed over label pairs, so the curves are
-    directly comparable with :func:`evaluate_labelwise` at any shared
-    coverage.  ``aggregate`` is "mean" (default) or "max".
-    """
-    evaluations = unit_data(probs, truth, "multilabel", "instance")
-    per_label = baselines.score_mp(probs)
-    if aggregate == "mean":
-        scores = per_label.mean(axis=1)
-    elif aggregate == "max":
-        scores = per_label.max(axis=1)
+    pred = probs >= 0.5
+    masks = (pred & (labels == 1), pred & (labels == 0), ~pred & (labels == 1))
+    if level == "label":
+        tp, fp, fn = (mask.reshape(-1).astype(float) for mask in masks)
+        totals = np.ones(tp.size)
     else:
-        raise ValueError(f"unknown aggregate {aggregate!r}; expected 'mean' or 'max'")
-    acc, f1 = (build_curve(scores, data, mode) for mode, data in evaluations)
-    return acc, f1
+        tp, fp, fn = (mask.sum(axis=1).astype(float) for mask in masks)
+        totals = np.full(len(probs), probs.shape[1], dtype=float)
+    return (("accuracy", (fp + fn, totals)), ("f1_micro", (tp, fp, fn)))

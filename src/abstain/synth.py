@@ -13,7 +13,7 @@ The same spec and seed always produce byte-identical arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict
 
 import numpy as np
@@ -23,6 +23,8 @@ from .core import LabeledSplit
 
 TASKS = ("multiclass", "multilabel")
 _SPLITS = ("train", "validation", "test")
+# JSON value types a spec field accepts, by annotation; errors name the first
+_JSON_KINDS = {"int": (int,), "float": (float, int), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,18 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        return cls(**json.loads(text))
+        """Spec from a JSON object; a ValueError names any unknown or ill-typed field."""
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("spec must be a JSON object of SynthSpec fields")
+        kinds = {f.name: _JSON_KINDS[f.type] for f in fields(cls)}
+        for name, value in raw.items():
+            if name not in kinds:
+                raise ValueError(f"unknown spec field {name!r}; fields: {', '.join(kinds)}")
+            if isinstance(value, bool) or not isinstance(value, kinds[name]):
+                raise ValueError(f"spec field {name!r} must be {kinds[name][0].__name__}, "
+                                 f"not {type(value).__name__}")
+        return cls(**raw)
 
 
 @dataclass

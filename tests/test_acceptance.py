@@ -14,7 +14,7 @@ import pytest
 from scipy.special import betaln, xlogy
 from scipy.stats import kendalltau
 
-from abstain.baselines import _fit_beta_group, score_delta, score_entropy, score_sr
+from abstain.baselines import _fit_beta_group, score_delta, score_entropy, score_mp, score_sr
 from abstain.cli import main as cli_main
 from abstain.core import seeded_rng
 from abstain.density import fast_mcd, fit_md, fit_nuq, score_md, score_nuq
@@ -23,11 +23,10 @@ from abstain.mc import score_bald, score_pv
 from abstain.rejection import (
     build_curve,
     curve_value_at,
-    evaluate_instancewise_multilabel,
-    evaluate_labelwise,
     multiclass_losses,
     normalized_auc,
     oracle_scores,
+    unit_data,
 )
 from abstain.synth import SynthSpec, generate
 
@@ -239,8 +238,12 @@ def test_criterion_7_labelwise_boost():
     n_seeds = 5
     for seed in range(n_seeds):
         test = generate(SynthSpec(seed=seed, task="multilabel", n_labels=10)).splits["test"]
-        la, lf = evaluate_labelwise(test.probs, test.labels)
-        ia, if_ = evaluate_instancewise_multilabel(test.probs, test.labels)
+        mp = score_mp(test.probs)
+        # MP rejects single (instance, label) pairs, MP-mean whole instances
+        la, lf = (build_curve(mp.reshape(-1), data, mode)
+                  for mode, data in unit_data(test.probs, test.labels, "multilabel", "label"))
+        ia, if_ = (build_curve(mp.mean(axis=1), data, mode)
+                   for mode, data in unit_data(test.probs, test.labels, "multilabel", "instance"))
         acc_label += [curve_value_at(la, c) for c in coverages]
         acc_inst += [curve_value_at(ia, c) for c in coverages]
         f1_label += curve_value_at(lf, 0.9)

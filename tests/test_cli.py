@@ -73,6 +73,19 @@ class TestGenSynth:
         assert a["checksums"] == b["checksums"]
         assert a["seed"] == 9
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"n_trian": 300}', "'n_trian'"),
+        ("[1, 2]", "JSON object"),
+        ('{"dim": "8"}', "'dim'"),
+        ('{"seed": true}', "'seed'"),
+    ])
+    def test_bad_spec_is_data_error_naming_the_field(self, tmp_path, capsys, text, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert run("gen-synth", "--spec", spec, "--out", tmp_path / "ds") == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
 
 class TestFit:
     def test_default_methods_follow_task(self, mc_dir, ml_dir):
@@ -84,6 +97,16 @@ class TestFit:
         assert run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--methods", "md,ddu", "--out", out) == 0
         assert set(load_models(out)) == {"md", "ddu"}
+
+    def test_repeated_method_is_fitted_once(self, mc_dir, tmp_path, monkeypatch):
+        calls = []
+        fit_md = density.fit_md
+        monkeypatch.setattr(density, "fit_md", lambda split: calls.append(1) or fit_md(split))
+        out = tmp_path / "m.bin"
+        assert run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--methods", "md,MD, md", "--out", out) == 0
+        assert len(calls) == 1
+        assert set(load_models(out)) == {"md"}
 
     def test_unknown_method_is_usage_error(self, mc_dir, tmp_path, capsys):
         code = run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
@@ -280,6 +303,15 @@ class TestEvaluateAndReport:
                    "--mode", "label", "--out", tmp_path / "m.json")
         assert code == 1
         assert "multilabel manifest" in capsys.readouterr().err
+
+    def test_more_than_two_out_paths_is_usage_error(self, evaluated, mc_dir, tmp_path, capsys):
+        _, scores, _ = evaluated
+        code = run("evaluate", "--scores", scores,
+                   "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--out", tmp_path / "m.json", tmp_path / "curves", tmp_path / "extra")
+        assert code == 1
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_scores_file_is_data_error(self, mc_dir, tmp_path):
         code = run("evaluate", "--scores", tmp_path / "nope.csv",

@@ -1,4 +1,4 @@
-"""Rejection curves, area metrics, and the label-pair evaluators."""
+"""Rejection curves, area metrics, and multilabel per-unit data."""
 import itertools
 
 import numpy as np
@@ -13,13 +13,11 @@ from abstain.rejection import (
     build_curve,
     curve_auc,
     curve_value_at,
-    evaluate_instancewise_multilabel,
-    evaluate_labelwise,
     multiclass_losses,
-    multilabel_pair_arrays,
     normalized_auc,
     oracle_scores,
     rejection_order,
+    unit_data,
 )
 from abstain.synth import SynthSpec, generate
 
@@ -41,6 +39,29 @@ def naive_risk_curve(scores, losses):
         left = [losses[i] for i in order[k:]]
         vals.append(sum(left) / len(left))
     return np.array(vals)
+
+
+def pair_counts(pred, truth):
+    """(tp, fp, fn) of single (instance, label) units with predicted bits ``pred``."""
+    probs = np.asarray(pred)[:, None].astype(float)
+    return unit_data(probs, np.asarray(truth)[:, None], "multilabel", "label")[1][1]
+
+
+def multilabel_curves(probs, truth, level, scores):
+    """Accuracy and micro-F1 rejection curves of ``scores`` at ``level``."""
+    return tuple(build_curve(scores, data, mode)
+                 for mode, data in unit_data(probs, truth, "multilabel", level))
+
+
+def labelwise_curves(probs, truth):
+    """Curves of the MP method: (instance, label) pairs scored by ambiguity."""
+    return multilabel_curves(probs, truth, "label", score_mp(probs).reshape(-1))
+
+
+def instancewise_curves(probs, truth, aggregate=np.mean):
+    """Curves of MP-mean (or MP-max): whole instances scored by aggregated
+    per-label ambiguity."""
+    return multilabel_curves(probs, truth, "instance", aggregate(score_mp(probs), axis=1))
 
 
 def naive_f1_curve(scores, pred, truth):
@@ -218,7 +239,7 @@ class TestOracleScores:
     def test_pair_oracle_ranks_fp_over_fn_over_rest(self):
         pred = np.array([1, 1, 0, 0])
         truth = np.array([1, 0, 1, 0])  # TP, FP, FN, TN
-        assert oracle_scores((pred, truth), "f1_micro").tolist() == [0.0, 2.0, 1.0, 0.0]
+        assert oracle_scores(pair_counts(pred, truth), "f1_micro").tolist() == [0.0, 2.0, 1.0, 0.0]
 
     @pytest.mark.parametrize(
         "counts",
@@ -238,7 +259,8 @@ class TestOracleScores:
         rng = np.random.default_rng(sum(counts))
         perm = rng.permutation(pred.size)
         pred, truth = pred[perm], truth[perm]
-        curve = build_curve(oracle_scores((pred, truth), "f1_micro"), (pred, truth), "f1_micro")
+        triple = pair_counts(pred, truth)
+        curve = build_curve(oracle_scores(triple, "f1_micro"), triple, "f1_micro")
         units = list(range(pred.size))
         for k in range(pred.size):
             best = max(
@@ -256,9 +278,8 @@ class TestOracleScores:
             rng = np.random.default_rng(seed)
             pred = rng.integers(0, 2, 9)
             truth = rng.integers(0, 2, 9)
-            curve = build_curve(
-                oracle_scores((pred, truth), "f1_micro"), (pred, truth), "f1_micro"
-            )
+            triple = pair_counts(pred, truth)
+            curve = build_curve(oracle_scores(triple, "f1_micro"), triple, "f1_micro")
             units = list(range(9))
             for k in range(9):
                 best = max(
@@ -284,7 +305,7 @@ class TestF1Curves:
     def test_vacuous_f1_after_removing_last_error(self):
         pred = np.array([1, 0])  # FP then TN
         truth = np.array([0, 0])
-        curve = build_curve([5.0, 1.0], (pred, truth), "f1_micro")
+        curve = build_curve([5.0, 1.0], pair_counts(pred, truth), "f1_micro")
         assert curve.values.tolist() == [0.0, 1.0]
 
     def test_matches_naive_recompute(self):
@@ -292,26 +313,14 @@ class TestF1Curves:
         pred = rng.integers(0, 2, 30)
         truth = rng.integers(0, 2, 30)
         scores = rng.random(30)
-        curve = build_curve(scores, (pred, truth), "f1_micro")
+        curve = build_curve(scores, pair_counts(pred, truth), "f1_micro")
         assert np.allclose(curve.values, naive_f1_curve(scores, pred, truth), atol=1e-12)
-
-    def test_count_form_agrees_with_bit_form(self):
-        rng = np.random.default_rng(22)
-        pred = rng.integers(0, 2, 40)
-        truth = rng.integers(0, 2, 40)
-        scores = rng.random(40)
-        tp = ((pred == 1) & (truth == 1)).astype(float)
-        fp = ((pred == 1) & (truth == 0)).astype(float)
-        fn = ((pred == 0) & (truth == 1)).astype(float)
-        a = build_curve(scores, (pred, truth), "f1_micro")
-        b = build_curve(scores, (tp, fp, fn), "f1_micro")
-        assert np.array_equal(a.values, b.values)
 
     def test_bad_data_forms_rejected(self):
         with pytest.raises(ValueError, match="f1_micro needs"):
             build_curve(SCORES3, LOSSES3, "f1_micro")
-        with pytest.raises(ValueError, match="matching 1-D"):
-            build_curve([1.0, 2.0], (np.ones(2), np.ones(3)), "f1_micro")
+        with pytest.raises(ValueError, match="f1_micro needs"):
+            build_curve([1.0, 2.0], (np.ones(2), np.ones(2)), "f1_micro")
         with pytest.raises(ValueError, match="matching 1-D"):
             build_curve([1.0, 2.0], (np.ones(2), np.ones(2), np.ones(3)), "f1_micro")
 
@@ -320,11 +329,12 @@ class TestF1Curves:
         rng = np.random.default_rng(5)
         pred = rng.integers(0, 2, 300)
         truth = (rng.random(300) < 0.45).astype(int)
-        res = normalized_auc(rng.random(300), (pred, truth), "f1_micro")
+        triple = pair_counts(pred, truth)
+        res = normalized_auc(rng.random(300), triple, "f1_micro")
         mc = np.mean(
             [
                 curve_auc(
-                    build_curve(np.random.default_rng(s).random(300), (pred, truth), "f1_micro")
+                    build_curve(np.random.default_rng(s).random(300), triple, "f1_micro")
                 )
                 for s in range(200)
             ]
@@ -338,16 +348,52 @@ class TestMulticlassLosses:
         assert multiclass_losses(probs, [0, 0, 1]).tolist() == [0.0, 1.0, 1.0]
 
 
-class TestLabelwise:
-    def test_pair_arrays_flatten_instance_major(self):
+class TestUnitData:
+    def test_label_level_is_instance_major_with_hand_counts(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.3]])
         truth = np.array([[1, 0], [0, 1], [1, 1]])
-        pred, true = multilabel_pair_arrays(probs, truth)
-        assert pred.tolist() == [1, 0, 0, 1, 1, 0]
-        assert true.tolist() == [1, 0, 0, 1, 1, 1]
-        with pytest.raises(ValueError, match="shape mismatch"):
-            multilabel_pair_arrays(probs, truth[:2])
+        (acc_mode, (errors, totals)), (f1_mode, (tp, fp, fn)) = unit_data(
+            probs, truth, "multilabel", "label")
+        assert (acc_mode, f1_mode) == ("accuracy", "f1_micro")
+        # pairs (0,0) (0,1) (1,0) (1,1) (2,0) (2,1): TP TN TN TP TP FN
+        assert tp.tolist() == [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
+        assert fp.tolist() == [0.0] * 6
+        assert fn.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        assert errors.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+        assert totals.tolist() == [1.0] * 6
 
+    def test_instance_level_counts_rows(self):
+        probs = np.array([[0.9, 0.7, 0.2], [0.5, 0.1, 0.4]])
+        truth = np.array([[1, 0, 1], [0, 0, 0]])
+        (_, (errors, totals)), (_, (tp, fp, fn)) = unit_data(
+            probs, truth, "multilabel", "instance")
+        # row 0: TP FP FN; row 1: FP (0.5 is predicted positive) TN TN
+        assert tp.tolist() == [1.0, 0.0]
+        assert fp.tolist() == [1.0, 1.0]
+        assert fn.tolist() == [1.0, 0.0]
+        assert errors.tolist() == [2.0, 1.0]
+        assert totals.tolist() == [3.0, 3.0]
+
+    def test_both_levels_give_the_same_total_counts(self):
+        rng = np.random.default_rng(19)
+        probs = rng.random((15, 6))
+        truth = rng.integers(0, 2, (15, 6))
+        label = unit_data(probs, truth, "multilabel", "label")
+        inst = unit_data(probs, truth, "multilabel", "instance")
+        for (_, a), (_, b) in zip(label, inst):
+            assert [x.sum() for x in a] == [x.sum() for x in b]
+
+    def test_shape_mismatch_rejected_at_both_levels(self):
+        probs = np.ones((3, 2)) * 0.7
+        truth = np.ones((3, 2), dtype=int)
+        for level in ("label", "instance"):
+            with pytest.raises(ValueError, match="matching"):
+                unit_data(probs, truth[:2], "multilabel", level)
+        with pytest.raises(ValueError, match="unknown level"):
+            unit_data(probs, truth, "multilabel", "pair")
+
+
+class TestLabelwise:
     def test_two_pair_hand_fixture(self):
         probs = np.array([[0.9, 0.45]])
         truth = np.array([[1, 0]])
@@ -355,7 +401,7 @@ class TestLabelwise:
         assert scores == pytest.approx([0.1, 0.45], abs=1e-12)
         # the second pair is the shakier one and goes first
         assert rejection_order(scores).tolist() == [1, 0]
-        acc, f1 = evaluate_labelwise(probs, truth)
+        acc, f1 = labelwise_curves(probs, truth)
         assert np.allclose(acc.coverages, [1.0, 0.5])
         assert np.all(acc.values == 1.0)
         assert np.all(f1.values == 1.0)
@@ -363,16 +409,16 @@ class TestLabelwise:
     def test_all_correct_curves_constant_one(self):
         probs = np.array([[0.9, 0.2], [0.1, 0.8]])
         truth = (probs >= 0.5).astype(int)
-        acc, f1 = evaluate_labelwise(probs, truth)
+        acc, f1 = labelwise_curves(probs, truth)
         assert np.all(acc.values == 1.0) and np.all(f1.values == 1.0)
 
     def test_labelwise_matches_naive_recompute(self):
         rng = np.random.default_rng(13)
         probs = rng.random((12, 4))
         truth = rng.integers(0, 2, (12, 4))
-        acc, f1 = evaluate_labelwise(probs, truth)
+        acc, f1 = labelwise_curves(probs, truth)
         scores = score_mp(probs).reshape(-1)
-        pred, true = multilabel_pair_arrays(probs, truth)
+        pred, true = (probs >= 0.5).astype(int).reshape(-1), truth.reshape(-1)
         assert np.allclose(f1.values, naive_f1_curve(scores, pred, true), atol=1e-12)
         assert np.allclose(
             acc.values, 1.0 - naive_risk_curve(scores, (pred != true).astype(float)), atol=1e-12
@@ -382,8 +428,8 @@ class TestLabelwise:
         data = generate(SynthSpec(seed=7, task="multilabel", n_train=200,
                                   n_validation=200, n_test=300, n_labels=8, dim=6))
         split = data.splits["test"]
-        label_acc, _ = evaluate_labelwise(split.probs, split.labels)
-        inst_acc, _ = evaluate_instancewise_multilabel(split.probs, split.labels)
+        label_acc, _ = labelwise_curves(split.probs, split.labels)
+        inst_acc, _ = instancewise_curves(split.probs, split.labels)
         n = split.probs.shape[0]
         for cov in [(n - j) / n for j in range(0, n // 2, 7)]:
             assert curve_value_at(label_acc, cov) >= curve_value_at(inst_acc, cov) - 1e-12
@@ -398,8 +444,8 @@ class TestInstancewise:
     def test_ambiguous_instance_rejected_first_under_both_aggregations(self):
         probs = np.array([[0.5, 0.5, 0.5], [0.9, 0.1, 0.8]])
         truth = np.array([[1, 0, 1], [1, 0, 1]])
-        for agg in ("mean", "max"):
-            acc, _ = evaluate_instancewise_multilabel(probs, truth, aggregate=agg)
+        for agg in (np.mean, np.max):
+            acc, _ = instancewise_curves(probs, truth, agg)
             # after one removal only the sharp, fully correct instance is left
             assert acc.values[1] == 1.0
 
@@ -407,7 +453,7 @@ class TestInstancewise:
         rng = np.random.default_rng(31)
         probs = rng.random((9, 5))
         truth = rng.integers(0, 2, (9, 5))
-        acc, f1 = evaluate_instancewise_multilabel(probs, truth)
+        acc, f1 = instancewise_curves(probs, truth)
         scores = (1.0 - np.maximum(probs, 1.0 - probs)).mean(axis=1)
         order = sorted(range(9), key=lambda i: (-scores[i], i))
         pred = (probs >= 0.5).astype(int)
@@ -430,18 +476,10 @@ class TestInstancewise:
         rng = np.random.default_rng(17)
         probs = rng.random((20, 1))
         truth = rng.integers(0, 2, (20, 1))
-        la, lf = evaluate_labelwise(probs, truth)
-        ia, if_ = evaluate_instancewise_multilabel(probs, truth)
+        la, lf = labelwise_curves(probs, truth)
+        ia, if_ = instancewise_curves(probs, truth)
         assert np.array_equal(la.values, ia.values)
         assert np.array_equal(lf.values, if_.values)
-
-    def test_unknown_aggregate_rejected(self):
-        probs = np.ones((3, 2)) * 0.7
-        truth = np.ones((3, 2), dtype=int)
-        with pytest.raises(ValueError, match="unknown aggregate"):
-            evaluate_instancewise_multilabel(probs, truth, aggregate="median")
-        with pytest.raises(ValueError, match="matching"):
-            evaluate_instancewise_multilabel(probs, truth[:2])
 
 
 class TestScoreInvariance:
