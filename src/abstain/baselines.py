@@ -39,10 +39,7 @@ def score_mp(p) -> np.ndarray:
 @batched(1)
 def score_delta(p) -> np.ndarray:
     """1 - (top probability - second probability); 0 iff a hard one-hot."""
-    if p.ndim != 2 or p.shape[1] < 2:
-        raise ValueError("margin needs at least two classes")
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probability entry outside [0, 1]")
+    p = validate_probs(p, normalized=True)
     top2 = np.partition(p, -2, axis=1)[:, -2:]
     return 1.0 - (top2[:, 1] - top2[:, 0])
 
@@ -50,10 +47,7 @@ def score_delta(p) -> np.ndarray:
 @batched(1)
 def score_entropy(p) -> np.ndarray:
     """Shannon entropy in nats, with 0 * log 0 = 0."""
-    if p.ndim != 2 or p.shape[1] < 2:
-        raise ValueError("entropy needs at least two classes")
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-        raise ValueError("negative or non-finite probability entry")
+    p = validate_probs(p, normalized=True)
     return -scipy.special.xlogy(p, p).sum(axis=1)
 
 

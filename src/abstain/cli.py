@@ -322,12 +322,27 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _check_metrics(metrics, path: Path) -> None:
+    """Raise a DataError unless ``metrics`` has the shape render_report reads:
+    {"methods": {method: {metric: {"normalized": number or null, ...}}}}."""
+    methods = metrics.get("methods", {}) if isinstance(metrics, dict) else None
+    if not isinstance(methods, dict):
+        raise DataError(f"{path}: metrics must be an object whose 'methods' is an object")
+    for name, entry in methods.items():
+        areas = entry.values() if isinstance(entry, dict) else [None]
+        values = [area.get("normalized", "") if isinstance(area, dict) else "" for area in areas]
+        if any(v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))) for v in values):
+            raise DataError(f"{path}: method {name!r} must map each metric to an object "
+                            "whose 'normalized' is a number or null")
+
+
 def _cmd_report(args) -> int:
     metrics_path = Path(args.metrics)
     try:
         metrics = json.loads(metrics_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{metrics_path}: not valid JSON: {exc}")
+    _check_metrics(metrics, metrics_path)
     curves_dir = Path(args.curves) if args.curves else metrics_path.parent / "curves"
     report.render_report(metrics, curves_dir, args.out)
     print(args.out)

@@ -1,5 +1,5 @@
 """Shared primitives: dataset container, rank function, seeded RNG,
-and the batch convention of the scorers.
+the batch convention of the scorers, and the checked JSON record loader.
 
 Every scorer in this package follows one convention: higher = more
 uncertain.  Scorers whose natural output is a confidence are
@@ -9,7 +9,8 @@ combinators never need per-method sign handling.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,6 +51,42 @@ def rank_all(u: np.ndarray, table: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("rank input must be finite")
     return np.searchsorted(table, u, side="left") + 1
+
+
+def record_from_json(cls, raw, what: str):
+    """The dataclass ``cls`` built from ``raw``, a parsed JSON object of its
+    fields; a ValueError names the first unknown, missing or ill-typed field.
+    A float field takes an int, no number field takes a bool, and a
+    ``Dict[str, T]`` field takes an object of T values (a dataclass T is a
+    nested record)."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object of {cls.__name__} fields, "
+                         f"not {type(raw).__name__}")
+    kinds = typing.get_type_hints(cls)
+    values = {}
+    for name, value in raw.items():
+        if name not in kinds:
+            raise ValueError(f"unknown {what} field {name!r}; fields: {', '.join(kinds)}")
+        values[name] = _json_value(kinds[name], value, f"{what} field {name!r}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in raw and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} field {missing[0]!r}")
+    return cls(**values)
+
+
+def _json_value(kind, value, label: str):
+    """``value`` checked against the field type ``kind``."""
+    if is_dataclass(kind):
+        return record_from_json(kind, value, label)
+    if typing.get_origin(kind) is dict:
+        _json_value(dict, value, label)
+        return {key: _json_value(typing.get_args(kind)[1], v, f"{label}[{key!r}]")
+                for key, v in value.items()}
+    accepted = (float, int) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{label} must be {kind.__name__}, not {type(value).__name__}")
+    return value
 
 
 def batched(row_ndim: int):

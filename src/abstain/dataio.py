@@ -15,14 +15,14 @@ import itertools
 import json
 import pickle
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .core import LabeledSplit
+from .core import LabeledSplit, record_from_json
 
 MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MC = b"UQMCTENS"
@@ -69,21 +69,36 @@ def write_matrix(path, arr: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def read_matrix(path) -> np.ndarray:
+def _read_header(fh, header: struct.Struct, magic: bytes) -> list:
+    """Check the magic and version of the binary file open as ``fh``; returns
+    the header fields after them."""
+    head = fh.read(header.size)
+    if len(head) < header.size:
+        raise FormatError(f"{fh.name}: truncated header")
+    found, version, *rest = header.unpack(head)
+    if found != magic:
+        raise MagicError(f"{fh.name}: bad magic {found!r}")
+    if version != FORMAT_VERSION:
+        raise VersionError(f"{fh.name}: unsupported version {version}")
+    return rest
+
+
+def _read_float32(path, header: struct.Struct, magic: bytes) -> np.ndarray:
+    """Payload of a matrix file as (rows, cols), or of a stochastic-pass file,
+    whose header adds T and C, as (rows, T, C)."""
     with open(path, "rb") as fh:
-        head = fh.read(_HDR_MATRIX.size)
-        if len(head) < _HDR_MATRIX.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, rows, cols = _HDR_MATRIX.unpack(head)
-        if magic != MAGIC_MATRIX:
-            raise MagicError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise VersionError(f"{path}: unsupported version {version}")
+        rows, cols, *tc = _read_header(fh, header, magic)
+        if tc and tc[0] * tc[1] != cols:
+            raise FormatError(f"{path}: header T*C {tc[0]}*{tc[1]} != cols {cols}")
         payload = fh.read()
     expected = rows * cols * 4
     if len(payload) != expected:
         raise RowCountError(f"{path}: payload holds {len(payload)} bytes, header implies {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, *(tc or [cols]))
+
+
+def read_matrix(path) -> np.ndarray:
+    return _read_float32(path, _HDR_MATRIX, MAGIC_MATRIX)
 
 
 def write_mc_tensor(path, arr: np.ndarray) -> None:
@@ -97,22 +112,7 @@ def write_mc_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_mc_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(_HDR_MC.size)
-        if len(head) < _HDR_MC.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, rows, cols, t, c = _HDR_MC.unpack(head)
-        if magic != MAGIC_MC:
-            raise MagicError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise VersionError(f"{path}: unsupported version {version}")
-        if t * c != cols:
-            raise FormatError(f"{path}: header T*C {t}*{c} != cols {cols}")
-        payload = fh.read()
-    expected = rows * cols * 4
-    if len(payload) != expected:
-        raise RowCountError(f"{path}: payload holds {len(payload)} bytes, header implies {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, t, c)
+    return _read_float32(path, _HDR_MC, MAGIC_MC)
 
 
 def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
@@ -200,15 +200,32 @@ def sha256_file(path) -> str:
 
 
 @dataclass
+class SplitFiles:
+    """Manifest entry of one split: its row count and its four file names."""
+
+    n: int
+    embeddings: str
+    probs: str
+    mc: str
+    labels: str
+
+    def names(self) -> Tuple[str, ...]:
+        return self.embeddings, self.probs, self.mc, self.labels
+
+
+@dataclass
 class DatasetManifest:
+    """manifest.json: every field is required, and every split file must be
+    listed in ``checksums``."""
+
+    format_version: int
     task: str
     n_classes: int
     dim: int
     n_passes: int
     seed: int
-    splits: Dict[str, Dict[str, object]]   # role -> {n, embeddings, probs, mc, labels}
+    splits: Dict[str, SplitFiles]
     checksums: Dict[str, str]
-    format_version: int = FORMAT_VERSION
 
 
 def save_dataset(dataset, out_dir) -> Path:
@@ -216,68 +233,39 @@ def save_dataset(dataset, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = dataset.spec
-    files: Dict[str, str] = {}
-    split_entries: Dict[str, Dict[str, object]] = {}
+    splits: Dict[str, SplitFiles] = {}
     for role, split in dataset.splits.items():
-        names = {
-            "embeddings": f"{role}_embeddings.bin",
-            "probs": f"{role}_probs.bin",
-            "mc": f"{role}_mc.bin",
-            "labels": f"{role}_labels.csv",
-        }
-        write_matrix(out / names["embeddings"], split.embeddings)
-        write_matrix(out / names["probs"], split.probs)
-        write_mc_tensor(out / names["mc"], split.mc)
-        write_labels_csv(out / names["labels"], split.labels, split.task)
-        for f in names.values():
-            files[f] = sha256_file(out / f)
-        split_entries[role] = {"n": len(split), **names}
-    manifest = DatasetManifest(
-        task=spec.task,
-        n_classes=spec.n_classes if spec.task == "multiclass" else spec.n_labels,
-        dim=spec.dim,
-        n_passes=spec.mc_passes,
-        seed=spec.seed,
-        splits=split_entries,
-        checksums=files,
-    )
+        files = splits[role] = SplitFiles(len(split), f"{role}_embeddings.bin", f"{role}_probs.bin",
+                                          f"{role}_mc.bin", f"{role}_labels.csv")
+        write_matrix(out / files.embeddings, split.embeddings)
+        write_matrix(out / files.probs, split.probs)
+        write_mc_tensor(out / files.mc, split.mc)
+        write_labels_csv(out / files.labels, split.labels, split.task)
+    checksums = {f: sha256_file(out / f) for files in splits.values() for f in files.names()}
+    n_classes = spec.n_classes if spec.task == "multiclass" else spec.n_labels
+    manifest = DatasetManifest(FORMAT_VERSION, spec.task, n_classes, spec.dim, spec.mc_passes,
+                               spec.seed, splits, checksums)
     (out / "spec.json").write_text(spec.to_json())
     path = out / "manifest.json"
-    payload = {
-        "format_version": manifest.format_version,
-        "task": manifest.task,
-        "n_classes": manifest.n_classes,
-        "dim": manifest.dim,
-        "n_passes": manifest.n_passes,
-        "seed": manifest.seed,
-        "splits": manifest.splits,
-        "checksums": manifest.checksums,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     return path
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Parse and structurally check manifest.json; checksums are not verified."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        manifest = record_from_json(DatasetManifest, json.loads(path.read_text()), "manifest")
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        manifest = DatasetManifest(
-            task=payload["task"],
-            n_classes=int(payload["n_classes"]),
-            dim=int(payload["dim"]),
-            n_passes=int(payload["n_passes"]),
-            seed=int(payload["seed"]),
-            splits=payload["splits"],
-            checksums=payload["checksums"],
-            format_version=int(payload["format_version"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing manifest field {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if manifest.format_version != FORMAT_VERSION:
         raise VersionError(f"{path}: unsupported manifest version {manifest.format_version}")
+    for role, files in manifest.splits.items():
+        unlisted = [f for f in files.names() if f not in manifest.checksums]
+        if unlisted:
+            raise FormatError(f"{path}: {role} split file {unlisted[0]!r} is not listed in checksums")
     return manifest
 
 
@@ -299,16 +287,15 @@ def validate_manifest(path) -> DatasetManifest:
 def load_split(manifest: DatasetManifest, base_dir, role: str) -> LabeledSplit:
     if role not in manifest.splits:
         raise FormatError(f"manifest has no split {role!r}")
-    entry = manifest.splits[role]
+    files = manifest.splits[role]
     base = Path(base_dir)
-    emb = read_matrix(base / entry["embeddings"]).astype(float)
-    probs = read_matrix(base / entry["probs"]).astype(float)
-    mc = read_mc_tensor(base / entry["mc"]).astype(float)
-    labels = read_labels_csv(base / entry["labels"], manifest.task)
-    n = int(entry["n"])
+    emb = read_matrix(base / files.embeddings).astype(float)
+    probs = read_matrix(base / files.probs).astype(float)
+    mc = read_mc_tensor(base / files.mc).astype(float)
+    labels = read_labels_csv(base / files.labels, manifest.task)
     for name, rows in (("embeddings", len(emb)), ("probs", len(probs)), ("mc", len(mc)), ("labels", len(labels))):
-        if rows != n:
-            raise RowCountError(f"{role} {name}: {rows} rows, manifest says {n}")
+        if rows != files.n:
+            raise RowCountError(f"{role} {name}: {rows} rows, manifest says {files.n}")
     return LabeledSplit(probs, labels, manifest.task, role, emb, mc)
 
 
@@ -322,12 +309,5 @@ def save_models(path, models: Dict[str, object]) -> None:
 
 def load_models(path) -> Dict[str, object]:
     with open(path, "rb") as fh:
-        head = fh.read(_HDR_MODELS.size)
-        if len(head) < _HDR_MODELS.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version = _HDR_MODELS.unpack(head)
-        if magic != MAGIC_MODELS:
-            raise MagicError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise VersionError(f"{path}: unsupported version {version}")
+        _read_header(fh, _HDR_MODELS, MAGIC_MODELS)
         return pickle.load(fh)

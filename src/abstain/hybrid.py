@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .core import LabeledSplit, rank_all
-from .rejection import _risk_values, multiclass_losses
+from .rejection import multiclass_losses, risk_aucs
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 DELTA_MIN_QUANTILES = (0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99, 1.00)
@@ -107,15 +107,6 @@ def score_hybrid_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
     return _huq_mix(r_a, r_e, r_id, in_dist, above_dmax, config.alpha, config.case_offset)
 
 
-def _risk_aucs(loss_rows: np.ndarray) -> np.ndarray:
-    """Full-span risk-curve areas of (rows, n) 0/1 losses in removal order,
-    by the operations of ``curve_auc(build_curve(...), "full")``, bitwise."""
-    n = loss_rows.shape[1]
-    cov = ((n - np.arange(n)) / n)[::-1]
-    values = _risk_values(loss_rows, np.ones(n))[:, ::-1]
-    return np.trapezoid(values, cov, axis=1) / (cov[-1] - cov[0])
-
-
 def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str):
     """The objective of every grid point of ``variant`` in grid order, and
     a function from a grid index to that point's config.  Every rank is
@@ -141,7 +132,7 @@ def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant:
         grid = [(alpha, float(table_e[-1]), float(table_a[-1]), c, table_a)
                 for alpha, c in product(ALPHA_GRID, C_GRID)]
         mixes = np.stack([_huq2_mix(r_a, r_e, alpha, c, n) for alpha, _, _, c, _ in grid])
-        objectives = _risk_aucs(losses[np.argsort(-mixes, axis=1, kind="stable")])
+        objectives = risk_aucs(losses[np.argsort(-mixes, axis=1, kind="stable")])
     else:
         dmin_values = [float(np.quantile(u_e, q, method="lower")) for q in DELTA_MIN_QUANTILES]
         dmax_values = [float(np.quantile(u_a, q, method="lower")) for q in DELTA_MAX_QUANTILES]
@@ -166,7 +157,7 @@ def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant:
         for alpha in ALPHA_GRID:  # one block of rows per alpha bounds the memory
             for i, m in enumerate(n_novel):
                 rows[i, :, :m] = losses[order(alpha, i, 0)[:m]]
-            objectives.append(_risk_aucs(rows.reshape(-1, n)))
+            objectives.append(risk_aucs(rows.reshape(-1, n)))
         objectives = np.concatenate(objectives)
 
     def config(k: int) -> HybridConfig:

@@ -169,6 +169,15 @@ def curve_auc(curve: RejectionCurve, span: str = "full") -> float:
     return float(np.trapezoid(val, cov) / width)
 
 
+def risk_aucs(loss_rows: np.ndarray) -> np.ndarray:
+    """Full-span risk-curve areas of (rows, n) 0/1 losses in removal order,
+    by the operations of ``curve_auc(build_curve(...), "full")``, bitwise."""
+    n = loss_rows.shape[1]
+    cov = ((n - np.arange(n)) / n)[::-1]
+    values = _risk_values(loss_rows, np.ones(n))[:, ::-1]
+    return np.trapezoid(values, cov, axis=1) / (cov[-1] - cov[0])
+
+
 def oracle_scores(data, mode: str) -> np.ndarray:
     """Scores realising the best possible rejection order.
 

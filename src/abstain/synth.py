@@ -13,18 +13,15 @@ The same spec and seed always produce byte-identical arrays.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Dict
 
 import numpy as np
 import scipy
 
-from .core import LabeledSplit
+from .core import TASKS, LabeledSplit, record_from_json
 
-TASKS = ("multiclass", "multilabel")
 _SPLITS = ("train", "validation", "test")
-# JSON value types a spec field accepts, by annotation; errors name the first
-_JSON_KINDS = {"int": (int,), "float": (float, int), "str": (str,)}
 
 
 @dataclass(frozen=True)
@@ -73,18 +70,9 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        """Spec from a JSON object; a ValueError names any unknown or ill-typed field."""
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("spec must be a JSON object of SynthSpec fields")
-        kinds = {f.name: _JSON_KINDS[f.type] for f in fields(cls)}
-        for name, value in raw.items():
-            if name not in kinds:
-                raise ValueError(f"unknown spec field {name!r}; fields: {', '.join(kinds)}")
-            if isinstance(value, bool) or not isinstance(value, kinds[name]):
-                raise ValueError(f"spec field {name!r} must be {kinds[name][0].__name__}, "
-                                 f"not {type(value).__name__}")
-        return cls(**raw)
+        """Spec from a JSON object; a ValueError names any unknown or ill-typed
+        field.  Omitted fields keep their defaults."""
+        return record_from_json(cls, json.loads(text), "spec")
 
 
 @dataclass
@@ -114,65 +102,32 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_softmax_probe(X: np.ndarray, y: np.ndarray, C: int, l2: float = 1e-3):
-    n, d = X.shape
-    onehot = np.zeros((n, C))
-    onehot[np.arange(n), y] = 1.0
+def _softmax_nll(P: np.ndarray, T: np.ndarray) -> float:
+    """Summed negative log-likelihood of one-hot rows ``T``: one term per row."""
+    return -np.log(np.clip(P[T == 1.0], 1e-300, None)).sum()
+
+
+def _sigmoid_nll(P: np.ndarray, T: np.ndarray) -> float:
+    """Summed binary cross-entropy of 0/1 entries ``T``: one term per entry."""
+    eps = 1e-12
+    return -(T * np.log(P + eps) + (1.0 - T) * np.log(1.0 - P + eps)).sum()
+
+
+def _fit_probe(X: np.ndarray, targets: np.ndarray, link, nll, scale: int, l2: float = 1e-3):
+    """Linear probe ``link(X @ W + b)`` for 0/1 ``targets``, fit by L-BFGS on
+    ``nll / scale`` (``scale`` terms) plus an L2 penalty on W."""
+    d, k = X.shape[1], targets.shape[1]
 
     def loss_grad(w):
-        W = w[: d * C].reshape(d, C)
-        b = w[d * C :]
-        P = _softmax(X @ W + b)
-        nll = -np.log(np.clip(P[np.arange(n), y], 1e-300, None)).mean()
-        loss = nll + 0.5 * l2 * float((W * W).sum())
-        G = (P - onehot) / n
-        gw = X.T @ G + l2 * W
-        gb = G.sum(axis=0)
-        return loss, np.concatenate([gw.ravel(), gb])
+        W = w[: d * k].reshape(d, k)
+        P = link(X @ W + w[d * k:])
+        loss = nll(P, targets) / scale + 0.5 * l2 * float((W * W).sum())
+        G = (P - targets) / scale
+        return loss, np.concatenate([(X.T @ G + l2 * W).ravel(), G.sum(axis=0)])
 
-    res = scipy.optimize.minimize(
-        loss_grad,
-        np.zeros(d * C + C),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-10},
-    )
-    w = res.x
-    return w[: d * C].reshape(d, C), w[d * C :]
-
-
-def _fit_sigmoid_probes(X: np.ndarray, Y: np.ndarray, l2: float = 1e-3):
-    """Independent logistic probes for every label, optimised jointly."""
-    n, d = X.shape
-    L = Y.shape[1]
-    Yf = Y.astype(float)
-
-    def loss_grad(w):
-        W = w[: d * L].reshape(d, L)
-        b = w[d * L :]
-        Z = X @ W + b
-        P = _sigmoid(Z)
-        eps = 1e-12
-        nll = -(Yf * np.log(P + eps) + (1.0 - Yf) * np.log(1.0 - P + eps)).mean()
-        loss = nll + 0.5 * l2 * float((W * W).sum())
-        G = (P - Yf) / (n * L)
-        gw = X.T @ G + l2 * W
-        gb = G.sum(axis=0)
-        return loss, np.concatenate([gw.ravel(), gb])
-
-    res = scipy.optimize.minimize(
-        loss_grad,
-        np.zeros(d * L + L),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-10},
-    )
-    w = res.x
-    return w[: d * L].reshape(d, L), w[d * L :]
-
-
-def _balanced_labels(n: int, C: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(np.arange(n) % C)
+    res = scipy.optimize.minimize(loss_grad, np.zeros(d * k + k), jac=True, method="L-BFGS-B",
+                                  options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-10})
+    return res.x[: d * k].reshape(d, k), res.x[d * k:]
 
 
 def _sample_split(spec: SynthSpec, n: int, with_ood: bool, centroids, ood_center, rng):
@@ -180,7 +135,7 @@ def _sample_split(spec: SynthSpec, n: int, with_ood: bool, centroids, ood_center
     C, d = centroids.shape
     n_ood = int(np.floor(spec.ood_fraction * n)) if with_ood else 0
     n_id = n - n_ood
-    y = _balanced_labels(n_id, C, rng)
+    y = rng.permutation(np.arange(n_id) % C)   # balanced classes
     X = centroids[y] + rng.standard_normal((n_id, d))
     dists = np.linalg.norm(X[:, None, :] - centroids[None, :, :], axis=2)
     order = np.argsort(dists, axis=1)
@@ -201,11 +156,21 @@ def _sample_split(spec: SynthSpec, n: int, with_ood: bool, centroids, ood_center
     return X[perm], y[perm], ood[perm], flip[perm]
 
 
+def _label_bits(X, ood, w_true, b_true, overlap: float, rng):
+    """Multilabel truth bits drawn from a true sigmoid model, flipped at rate
+    ``overlap`` near p = 0.5, and the rows holding a flipped bit."""
+    p_true = _sigmoid(X @ w_true + b_true)
+    p_true[ood] = 0.5   # displaced rows draw their bits blind: coin flips
+    y_bits = (rng.random(p_true.shape) < p_true).astype(np.int8)
+    band = np.abs(p_true - 0.5) < 0.15
+    flip_bits = band & (rng.random(p_true.shape) < overlap)
+    return np.where(flip_bits, 1 - y_bits, y_bits).astype(np.int8), flip_bits.any(axis=1)
+
+
 def generate(spec: SynthSpec) -> SynthDataset:
     """Build the three splits plus ground-truth contamination flags."""
-    root = np.random.SeedSequence(spec.seed)
-    ss_global, ss_train, ss_val, ss_test = root.spawn(4)
-    g = np.random.Generator(np.random.PCG64(ss_global))
+    g, *split_rngs = (np.random.Generator(np.random.PCG64(ss))
+                      for ss in np.random.SeedSequence(spec.seed).spawn(4))
     C, d = spec.n_classes, spec.dim
     centroids = spec.spacing / np.sqrt(2.0) * _unit_rows(g.standard_normal((C, d)))
     ood_center = spec.ood_displacement * _unit_rows(g.standard_normal((1, d)))[0]
@@ -213,57 +178,24 @@ def generate(spec: SynthSpec) -> SynthDataset:
         w_true = g.standard_normal((d, spec.n_labels)) * (2.0 / np.sqrt(d))
         b_true = g.standard_normal(spec.n_labels) * 0.5
 
-    raw = {}
-    seeds = {"train": ss_train, "validation": ss_val, "test": ss_test}
-    sizes = {"train": spec.n_train, "validation": spec.n_validation, "test": spec.n_test}
-    rngs = {}
-    for role in _SPLITS:
-        rng = np.random.Generator(np.random.PCG64(seeds[role]))
-        rngs[role] = rng
-        X, y, ood, flip = _sample_split(
-            spec, sizes[role], with_ood=(role != "train"), centroids=centroids,
-            ood_center=ood_center, rng=rng,
-        )
-        raw[role] = (X, y, ood, flip)
+    drawn = {}
+    for role, rng in zip(_SPLITS, split_rngs):
+        X, y, ood, flip = _sample_split(spec, getattr(spec, f"n_{role}"), role != "train",
+                                        centroids, ood_center, rng)
+        if spec.task == "multilabel":
+            y, flip = _label_bits(X, ood, w_true, b_true, spec.overlap, rng)
+        drawn[role] = (rng, X, y, ood, flip)
 
-    splits: Dict[str, LabeledSplit] = {}
-    ood_flags: Dict[str, np.ndarray] = {}
-    flipped: Dict[str, np.ndarray] = {}
+    X, y = drawn["train"][1:3]
     if spec.task == "multiclass":
-        Xtr, ytr = raw["train"][0], raw["train"][1]
-        W, b = _fit_softmax_probe(Xtr, ytr, C)
-        for role in _SPLITS:
-            X, y, ood, flip = raw[role]
-            logits = X @ W + b
-            probs = _softmax(logits)
-            noise = rngs[role].standard_normal((len(X), spec.mc_passes, C)) * spec.mc_noise
-            mc = _softmax(logits[:, None, :] + noise)
-            splits[role] = LabeledSplit(probs, y, "multiclass", role, X, mc)
-            ood_flags[role] = ood
-            flipped[role] = flip
+        targets, link, nll, scale = np.eye(C)[y], _softmax, _softmax_nll, len(y)
     else:
-        bits = {}
-        for role in _SPLITS:
-            X, _, ood, _ = raw[role]
-            rng = rngs[role]
-            p_true = _sigmoid(X @ w_true + b_true)
-            if ood.any():
-                # displaced rows draw their bits blind: coin flips
-                p_true[ood] = 0.5
-            y_bits = (rng.random(p_true.shape) < p_true).astype(np.int8)
-            band = np.abs(p_true - 0.5) < 0.15
-            flip_bits = band & (rng.random(p_true.shape) < spec.overlap)
-            y_bits = np.where(flip_bits, 1 - y_bits, y_bits).astype(np.int8)
-            bits[role] = (X, y_bits, ood, flip_bits.any(axis=1))
-        Xtr, Ytr = bits["train"][0], bits["train"][1]
-        W, b = _fit_sigmoid_probes(Xtr, Ytr)
-        for role in _SPLITS:
-            X, Y, ood, flip = bits[role]
-            logits = X @ W + b
-            probs = _sigmoid(logits)
-            noise = rngs[role].standard_normal((len(X), spec.mc_passes, spec.n_labels)) * spec.mc_noise
-            mc = _sigmoid(logits[:, None, :] + noise)
-            splits[role] = LabeledSplit(probs, Y, "multilabel", role, X, mc)
-            ood_flags[role] = ood
-            flipped[role] = flip
+        targets, link, nll, scale = y.astype(float), _sigmoid, _sigmoid_nll, y.size
+    W, b = _fit_probe(X, targets, link, nll, scale)
+    splits, ood_flags, flipped = {}, {}, {}
+    for role, (rng, X, y, ood, flip) in drawn.items():
+        logits = X @ W + b
+        noise = rng.standard_normal((len(X), spec.mc_passes, W.shape[1])) * spec.mc_noise
+        splits[role] = LabeledSplit(link(logits), y, spec.task, role, X, link(logits[:, None, :] + noise))
+        ood_flags[role], flipped[role] = ood, flip
     return SynthDataset(spec, splits, ood_flags, flipped)

@@ -37,6 +37,18 @@ def test_entropy_hand_value():
     assert score_entropy([1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [[1.5, 0.2], [0.3, 0.3], [[0.5, 0.5], [0.6, 0.6]], [0.5, np.nan]],
+                         ids=["entry-above-one", "row-sum-below-one", "batch-row-sum", "nan-entry"])
+@pytest.mark.parametrize("scorer", [score_entropy, score_delta], ids=["Entropy", "Delta"])
+def test_entropy_and_delta_check_rows_as_sr_does(scorer, bad):
+    # [1.5, 0.2] once gave Entropy -0.286, a negative entropy
+    with pytest.raises(ValueError) as want:
+        score_sr(bad)
+    with pytest.raises(ValueError) as got:
+        scorer(bad)
+    assert str(got.value) == str(want.value)
+
+
 def test_mp_labelwise_hand_values():
     got = score_mp(np.array([[0.9, 0.45], [0.5, 0.2]]))
     assert np.allclose(got, [[0.1, 0.45], [0.5, 0.2]], rtol=0, atol=1e-15)

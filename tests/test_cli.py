@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests, run in-process via main()."""
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,8 +14,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import abstain
 from abstain import density, rejection
 from abstain.cli import _write_curve_csv, main
-from abstain.dataio import (NO_LABEL, load_models, load_split, read_scores_csv, sha256_file,
-                            validate_manifest, write_labels_csv)
+from abstain.dataio import (NO_LABEL, FormatError, load_manifest, load_models, load_split,
+                            read_scores_csv, sha256_file, validate_manifest, write_labels_csv)
 from abstain.synth import SynthSpec
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
@@ -167,6 +168,85 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: RDE kernel eigensolve failed") and "No convergence" in err
+
+
+# (case, edit of the parsed JSON object, message with {what} = spec or manifest)
+RECORD_CASES = [
+    ("non-object", lambda raw: [1, 2], "{what} must be a JSON object of {cls} fields, not list"),
+    ("unknown-field", lambda raw: {**raw, "extra": 1}, "unknown {what} field 'extra'"),
+    ("ill-typed-field", lambda raw: {**raw, "dim": "4"}, "{what} field 'dim' must be int, not str"),
+    ("true-for-int", lambda raw: {**raw, "seed": True}, "{what} field 'seed' must be int, not bool"),
+    ("missing-field", lambda raw: {k: v for k, v in raw.items() if k != "task"},
+     "missing {what} field 'task'"),
+]
+
+
+@pytest.mark.parametrize("case, edit, message", RECORD_CASES, ids=[c[0] for c in RECORD_CASES])
+@pytest.mark.parametrize("what", ["spec", "manifest"])
+def test_json_record_loader_names_the_bad_field(what, case, edit, message, mc_dir, tmp_path, capsys):
+    """spec.json and manifest.json go through one field-checked loader: a
+    ValueError names the field, and the manifest's is a bad-format data error."""
+    path = tmp_path / f"{what}.json"
+    if what == "spec":
+        path.write_text(json.dumps(edit(json.loads(MC_SPEC.to_json()))))
+        if case == "missing-field":   # every spec field has a default
+            assert SynthSpec.from_json(path.read_text()).task == SynthSpec.task
+            return
+        expected = message.format(what=what, cls="SynthSpec")
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            SynthSpec.from_json(path.read_text())
+        code = run("gen-synth", "--spec", path, "--out", tmp_path / "ds")
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("data error: ") and expected in err
+        return
+    path.write_text(json.dumps(edit(json.loads((mc_dir / "ds" / "manifest.json").read_text()))))
+    expected = message.format(what=what, cls="DatasetManifest")
+    with pytest.raises(FormatError, match=re.escape(expected)):
+        load_manifest(path)
+    code = run("score", "--manifest", path, "--methods", "SR", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]") and expected in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda entry: 3, "manifest field 'splits'['test'] must be a JSON object of SplitFiles fields"),
+    (lambda entry: {**entry, "n": "60"}, "manifest field 'splits'['test'] field 'n' must be int"),
+    (lambda entry: {**entry, "probs": 7}, "manifest field 'splits'['test'] field 'probs' must be str"),
+    (lambda entry: {k: v for k, v in entry.items() if k != "mc"},
+     "missing manifest field 'splits'['test'] field 'mc'"),
+], ids=["not-an-object", "n-not-int", "file-name-not-str", "file-name-missing"])
+def test_malformed_split_entry_is_format_error(edit, message, mc_dir, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(mc_dir / "ds", ds)
+    manifest = ds / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["splits"]["test"] = edit(payload["splits"]["test"])
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_split(validate_manifest(manifest), ds, "test")
+    code = run("score", "--manifest", manifest, "--methods", "SR", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]") and message in err
+
+
+def test_split_file_missing_from_checksums_is_refused(mc_dir, tmp_path, capsys):
+    """A split file the manifest does not checksum is never read: dropping
+    test_probs.bin from the checksums and editing it is a bad-format error."""
+    ds = tmp_path / "ds"
+    shutil.copytree(mc_dir / "ds", ds)
+    manifest = ds / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    del payload["checksums"]["test_probs.bin"]
+    manifest.write_text(json.dumps(payload))
+    victim = ds / "test_probs.bin"
+    raw = bytearray(victim.read_bytes())
+    raw[-4:] = bytes(4)   # last probability of the last row set to 0.0
+    victim.write_bytes(bytes(raw))
+    code = run("score", "--manifest", manifest, "--methods", "SR", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]")
+    assert "test split file 'test_probs.bin' is not listed in checksums" in err
+    assert not (tmp_path / "s.csv").exists()
 
 
 class TestScore:
@@ -358,6 +438,19 @@ class TestEvaluateAndReport:
         assert run("report", "--metrics", tmp_path / "m.json", "--curves", tmp_path / "curves",
                    "--out", tmp_path / "r.html") == 0
         assert "<td>SR</td><td>degenerate</td>" in (tmp_path / "r.html").read_text()
+
+    @pytest.mark.parametrize("payload", [
+        {"methods": 3}, [1, 2], {"methods": {"SR": 5}}, {"methods": {"SR": {"risk": 3}}},
+        {"methods": {"SR": {"risk": {"normalized": "0.5"}}}},
+    ], ids=["methods-not-object", "not-object", "method-not-object", "metric-not-object",
+            "normalized-not-number"])
+    def test_wrong_shape_metrics_is_data_error(self, payload, tmp_path, capsys):
+        metrics = tmp_path / "m.json"
+        metrics.write_text(json.dumps(payload))
+        code = run("report", "--metrics", metrics, "--out", tmp_path / "r.html")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error [data-error]: {metrics}: ")
+        assert not (tmp_path / "r.html").exists()
 
     def test_bad_metrics_json_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
