@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ class Fitter:
     fit: Callable[[LabeledSplit, int], object]   # (split, seed) -> fitted model
     split: str                                   # role of the split it fits on
     tasks: Tuple[str, ...]
+    input: str = "embeddings"                    # LabeledSplit field it fits, beside the labels
 
 
 FITTERS: Dict[str, Fitter] = {
@@ -62,7 +63,7 @@ FITTERS: Dict[str, Fitter] = {
     "rde": Fitter(lambda split, seed: density.fit_rde(split, seed=seed), "train", BOTH),
     "ddu": Fitter(lambda split, seed: density.fit_ddu(split), "train", BOTH),
     "nuq": Fitter(lambda split, seed: density.fit_nuq(split), "train", BOTH),
-    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), "validation", MULTICLASS),
+    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), "validation", MULTICLASS, "probs"),
 }
 
 
@@ -147,6 +148,16 @@ def score_split(
     return out
 
 
+def method_inputs(names: Iterable[str]) -> Set[str]:
+    """LabeledSplit fields the named methods score: a hybrid scores SR and
+    its novelty method."""
+    inputs = set()
+    for name in names:
+        pair = METHODS[name].hybrid
+        inputs.update(METHODS[base].input for base in (("SR", pair[1]) if pair else (name,)))
+    return inputs
+
+
 def resolve_methods(raw: str, task: str) -> List[str]:
     """Registry names from a comma list, or all that serve ``task`` for
     "all", in registry order."""
@@ -197,15 +208,14 @@ def _cmd_fit(args) -> int:
             raise UsageError(f"unknown fit method {m!r}; available: {', '.join(FITTERS)}")
     if not requested:
         raise UsageError("no methods requested")
-    splits: Dict[str, object] = {}
-    models: Dict[str, object] = {}
+    inputs: Dict[str, Set[str]] = {}   # split role -> fields its fitters read
     for m in requested:
         fitter = FITTERS[m]
         if manifest.task not in fitter.tasks:
             raise UsageError(f"{m} fitting needs a {' or '.join(fitter.tasks)} manifest")
-        if fitter.split not in splits:
-            splits[fitter.split] = load_split(manifest, base, fitter.split)
-        models[m] = fitter.fit(splits[fitter.split], args.seed)
+        inputs.setdefault(fitter.split, set()).add(fitter.input)
+    splits = {role: load_split(manifest, base, role, fields) for role, fields in inputs.items()}
+    models = {m: FITTERS[m].fit(splits[FITTERS[m].split], args.seed) for m in requested}
     save_models(args.out, models)
     print(args.out)
     return 0
@@ -214,12 +224,13 @@ def _cmd_fit(args) -> int:
 def _cmd_score(args) -> int:
     manifest = validate_manifest(args.manifest)
     base = Path(args.manifest).parent
-    target = load_split(manifest, base, args.split)
     names = resolve_methods(args.methods, manifest.task)
+    target = load_split(manifest, base, args.split, method_inputs(names))
     models = load_models(args.models) if args.models else {}
     calib = None
-    if args.calibrate and any(METHODS[name].hybrid for name in names):
-        calib = load_split(manifest, base, args.calibrate)
+    hybrids = [name for name in names if METHODS[name].hybrid]
+    if args.calibrate and hybrids:
+        calib = load_split(manifest, base, args.calibrate, method_inputs(hybrids))
     write_scores_csv(args.out, score_split(names, target, models, calib))
     print(args.out)
     return 0
@@ -235,8 +246,12 @@ def _auc_payload(res: rejection.NormalizedAuc) -> dict:
 
 
 def _write_curve_csv(path: Path, curve: rejection.RejectionCurve) -> None:
-    points = zip(curve.coverages.tolist(), curve.values.tolist())
-    path.write_text("coverage,value\n" + "".join([f"{c!r},{v!r}\n" for c, v in points]))
+    coverages, values = curve.coverages.tolist(), curve.values.tolist()
+    step = 1 << 16   # rows per write: bounds the text held at once
+    with open(path, "w") as fh:
+        fh.write("coverage,value\n")
+        for i in range(0, len(values), step):
+            fh.write("".join([f"{c!r},{v!r}\n" for c, v in zip(coverages[i:i + step], values[i:i + step])]))
 
 
 def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.ndarray]:
@@ -282,7 +297,7 @@ def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.n
 def _cmd_evaluate(args) -> int:
     manifest = validate_manifest(args.manifest)
     base = Path(args.manifest).parent
-    split = load_split(manifest, base, args.split)
+    split = load_split(manifest, base, args.split, inputs=())
     span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
         raise UsageError("label mode needs a multilabel manifest")
@@ -304,7 +319,7 @@ def _cmd_evaluate(args) -> int:
             curve = rejection.build_curve(scores, data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
             _write_curve_csv(curves_dir / f"{name}{suffix}.csv", curve)
-            plots.setdefault(mode_name, {})[name] = (curve.coverages.tolist(), curve.values.tolist())
+            plots.setdefault(mode_name, {})[name] = (curve.coverages, curve.values)
 
     for mode_name, curve_map in sorted(plots.items()):
         svg = report.plot_curves_svg(curve_map, f"{mode_name} vs coverage", mode_name)

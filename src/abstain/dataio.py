@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import pickle
+import re
 import struct
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Collection, Dict, List, Tuple
 
 import numpy as np
 
@@ -124,21 +125,63 @@ def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
         w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
 
 
-def read_labels_csv(path, task: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or rows[0][0] != "index":
-        raise FormatError(f"{path}: missing header row")
-    header, body = rows[0], rows[1:]
-    if task == "multiclass" and header != ["index", "label"]:
-        raise FormatError(f"{path}: expected header index,label")
-    ragged = [r for r in body if len(r) != len(header)]
-    if ragged:
-        raise FormatError(f"{path}: ragged label rows: {ragged[0]!r} under {len(header)} header fields")
+def _read_csv(path, row_dtype) -> Tuple[List[str], np.ndarray]:
+    """Header fields and body rows of a CSV table, the rows parsed in one
+    ``np.loadtxt`` pass into the structured dtype ``row_dtype(header,
+    longest)``; ``longest`` is the longest body line in bytes, so a string
+    field of that size never truncates.  Bytes reach string fields as they
+    are in the file.
+
+    The rules are the csv module's, one row per line: a line ends at LF,
+    CRLF or CR, a double-quoted field may hold commas and doubled quotes,
+    and '#' is an ordinary character.  A blank line, a line break inside
+    quotes, a row of the wrong width and a field its column cannot parse
+    are FormatErrors that name the line.
+    """
+    raw = Path(path).read_bytes()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    header = next(csv.reader([raw[:ends[0]].decode(errors="replace")]), [])
+    lengths = np.diff(ends) - 1
+    if np.any(lengths == 0):
+        raise FormatError(f"{path}: line {int(np.argmin(lengths)) + 2} is blank")
+    dtype = np.dtype(row_dtype(header, int(lengths.max(initial=1))))
+    if not lengths.size:
+        return header, np.empty(0, dtype)
     try:
-        labels = np.array([[int(v) for v in r[1:]] for r in body], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: label value is not an int64 integer: {exc}") from exc
+        rows = np.loadtxt(io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          skiprows=1, encoding="latin1", ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed row{_failed_line(raw, ends, exc)}") from exc
+    if len(rows) != lengths.size:
+        raise FormatError(f"{path}: a quoted field holds a line break")
+    return header, rows
+
+
+def _failed_line(raw: bytes, ends: np.ndarray, exc: ValueError) -> str:
+    """" on line K: 'text'" for the row ``np.loadtxt(skiprows=1)`` reports in
+    ``exc``.  Its field-count errors number the lines from the header as
+    row 0; its conversion errors number the body rows from 0."""
+    found = re.search(r"at row (\d+)(, column)?", str(exc))
+    line = int(found.group(1)) + bool(found.group(2)) if found else 0   # from 0, header included
+    if not 0 < line < len(ends):
+        return f": {exc}"
+    return f" on line {line + 1}: {raw[ends[line - 1] + 1:ends[line]].decode(errors='replace')!r}"
+
+
+def read_labels_csv(path, task: str) -> np.ndarray:
+    def row_dtype(header, longest):
+        if not header or header[0] != "index":
+            raise FormatError(f"{path}: missing header row")
+        if task == "multiclass" and header != ["index", "label"]:
+            raise FormatError(f"{path}: expected header index,label")
+        return [(f"f{j}", "<i8") for j in range(len(header))]
+
+    header, rows = _read_csv(path, row_dtype)
+    labels = rows.view("<i8").reshape(len(rows), len(header))[:, 1:]
     if task == "multilabel" and not np.isin(labels, (0, 1)).all():
         raise FormatError(f"{path}: multilabel values must be 0 or 1")
     return labels.reshape(-1) if task == "multiclass" else labels.astype(np.int8)
@@ -171,24 +214,40 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
 
 def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The score table as column arrays (instance, label, method, score);
-    instance-level rows carry NO_LABEL in the label column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != SCORE_HEADER:
+    instance-level rows carry NO_LABEL in the label column.  Instance and
+    label fields are int64 integers and scores floats, or the table is a
+    FormatError (see :func:`_read_csv` for the line rules)."""
+    def row_dtype(header, longest):
+        if header != SCORE_HEADER:
             raise FormatError(f"{path}: missing score-table header")
-        body = list(reader)
-    malformed = np.fromiter(map(len, body), dtype=int, count=len(body)) != len(SCORE_HEADER)
-    if np.any(malformed):
-        raise FormatError(f"{path}: malformed row {body[int(np.argmax(malformed))]!r}")
-    instance, label, method, score = (list(map(itemgetter(k), body)) for k in range(4))
-    del body
-    has_label = np.array(label, dtype=str) != ""
-    labels = np.full(len(label), NO_LABEL)
-    labels[has_label] = np.fromiter(map(int, itertools.compress(label, has_label)), dtype=int)
+        return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
+                ("score", "<f8")]
+
+    _, rows = _read_csv(path, row_dtype)
+    label = rows["label"]
+    has_label = label != b""
+    labels = np.full(len(rows), NO_LABEL)
+    try:
+        labels[has_label] = label[has_label].astype(np.int64)
+    except (ValueError, OverflowError):
+        for r in np.flatnonzero(has_label):
+            try:
+                np.int64(int(label[r]))
+            except (ValueError, OverflowError):
+                raise FormatError(f"{path}: line {r + 2}: label {label[r].decode(errors='replace')!r} "
+                                  "is not an int64 integer") from None
     if np.any(labels[has_label] < 0):
         raise FormatError(f"{path}: negative label index")
-    return (np.fromiter(map(int, instance), dtype=int), labels, np.array(method, dtype=str),
-            np.fromiter(map(float, score), dtype=float))
+    # method names come in runs: decode each distinct one once
+    method = rows["method"]
+    starts = np.flatnonzero(np.r_[True, method[1:] != method[:-1]][:len(rows)])
+    names, which = np.unique(method[starts], return_inverse=True)
+    try:
+        names = np.array([name.decode() for name in names.tolist()], dtype=str)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
+    methods = np.repeat(names[which], np.diff(np.r_[starts, len(rows)]))
+    return np.ascontiguousarray(rows["instance"]), labels, methods, np.ascontiguousarray(rows["score"])
 
 
 def sha256_file(path) -> str:
@@ -284,19 +343,36 @@ def validate_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def load_split(manifest: DatasetManifest, base_dir, role: str) -> LabeledSplit:
+def load_split(manifest: DatasetManifest, base_dir, role: str,
+               inputs: Collection[str] = ("embeddings", "mc")) -> LabeledSplit:
+    """The ``role`` split: its probs and labels, and of its embeddings and
+    stochastic-pass tensor those named in ``inputs``.  Every file read
+    must hold the split's ``n`` rows (RowCountError), each of the shape
+    the manifest gives (FormatError): probs and multilabel labels
+    ``n_classes`` wide, embeddings ``dim`` wide, and (``n_passes``,
+    ``n_classes``) stochastic passes."""
     if role not in manifest.splits:
         raise FormatError(f"manifest has no split {role!r}")
     files = manifest.splits[role]
     base = Path(base_dir)
-    emb = read_matrix(base / files.embeddings).astype(float)
-    probs = read_matrix(base / files.probs).astype(float)
-    mc = read_mc_tensor(base / files.mc).astype(float)
-    labels = read_labels_csv(base / files.labels, manifest.task)
-    for name, rows in (("embeddings", len(emb)), ("probs", len(probs)), ("mc", len(mc)), ("labels", len(labels))):
-        if rows != files.n:
-            raise RowCountError(f"{role} {name}: {rows} rows, manifest says {files.n}")
-    return LabeledSplit(probs, labels, manifest.task, role, emb, mc)
+    width = (manifest.n_classes,)
+    fields = {  # field: (array, row shape the manifest gives, the manifest fields giving it)
+        "probs": (read_matrix(base / files.probs), width, "n_classes"),
+        "labels": (read_labels_csv(base / files.labels, manifest.task),
+                   width if manifest.task == "multilabel" else (), "n_classes"),
+    }
+    if "embeddings" in inputs:
+        fields["embeddings"] = (read_matrix(base / files.embeddings), (manifest.dim,), "dim")
+    if "mc" in inputs:
+        fields["mc"] = (read_mc_tensor(base / files.mc), (manifest.n_passes,) + width,
+                        "(n_passes, n_classes)")
+    for name, (array, row_shape, given_by) in fields.items():
+        if len(array) != files.n:
+            raise RowCountError(f"{role} {name}: {len(array)} rows, manifest says {files.n}")
+        if array.shape[1:] != row_shape:
+            raise FormatError(f"{role} {name}: rows of shape {array.shape[1:]}, "
+                              f"manifest {given_by} gives {row_shape}")
+    return LabeledSplit(task=manifest.task, role=role, **{name: f[0] for name, f in fields.items()})
 
 
 def save_models(path, models: Dict[str, object]) -> None:

@@ -8,7 +8,9 @@ from __future__ import annotations
 import html
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 PALETTE = (
     "#4363d8", "#e6194b", "#3cb44b", "#f58231", "#911eb4",
@@ -28,16 +30,32 @@ def _ticks(lo: float, hi: float, n: int = 5) -> List[float]:
     return [lo + i * step for i in range(n)]
 
 
+def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first, last, lowest and highest point of
+    every run of consecutive points in one pixel column.  This is M4
+    aggregation (Jugel et al., VLDB 2014): the polyline through these
+    points draws the same pixels as the one through every point."""
+    starts = np.flatnonzero(np.r_[True, columns[1:] != columns[:-1]])
+    ends = np.r_[starts[1:], columns.size] - 1
+    run = np.repeat(np.arange(starts.size), ends - starts + 1)
+    order = np.lexsort((values, run))   # by run, then value; ties keep index order
+    return np.unique(np.concatenate((starts, ends, order[starts], order[ends])))
+
+
 def plot_curves_svg(
-    curves: Dict[str, Tuple[Sequence[float], Sequence[float]]],
+    curves: Dict[str, Tuple[np.ndarray, np.ndarray]],
     title: str,
     ylabel: str,
 ) -> str:
     """Line plot of metric-vs-coverage curves; coverage axis reversed
-    so reading left to right follows increasing rejection."""
-    ys = [v for _, (xs, vs) in sorted(curves.items()) for v in vs]
-    y_lo = min(ys) if ys else 0.0
-    y_hi = max(ys) if ys else 1.0
+    so reading left to right follows increasing rejection.  A curve with
+    more points than the plot has pixel columns is drawn through the
+    points :func:`_m4` keeps."""
+    curves = {name: (np.asarray(xs, dtype=float), np.asarray(vs, dtype=float))
+              for name, (xs, vs) in sorted(curves.items())}
+    ys = np.concatenate([vs for _, vs in curves.values()] or [np.empty(0)])
+    y_lo = float(ys.min()) if ys.size else 0.0
+    y_hi = float(ys.max()) if ys.size else 1.0
     if y_hi - y_lo < 1e-9:
         y_lo, y_hi = y_lo - 0.05, y_hi + 0.05
     pad = 0.04 * (y_hi - y_lo)
@@ -46,10 +64,10 @@ def plot_curves_svg(
     iw = _W - _ML - _MR
     ih = _H - _MT - _MB
 
-    def px(x: float) -> float:
+    def px(x):
         return _ML + (x_hi - x) / (x_hi - x_lo) * iw
 
-    def py(y: float) -> float:
+    def py(y):
         return _MT + (y_hi - y) / (y_hi - y_lo) * ih
 
     parts = [
@@ -85,9 +103,13 @@ def plot_curves_svg(
         f'transform="rotate(-90 14 {_MT + ih / 2:.1f})">{html.escape(ylabel)}</text>'
     )
     legend_y = _MT + 10
-    for i, (name, (xs, vs)) in enumerate(sorted(curves.items())):
+    for i, (name, (xs, vs)) in enumerate(curves.items()):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(float(x)):.2f},{py(float(v)):.2f}" for x, v in zip(xs, vs))
+        xp, yp = px(xs), py(vs)
+        if xs.size > iw:
+            keep = _m4(np.clip(np.floor(xp - _ML), 0, iw - 1), vs)
+            xp, yp = xp[keep], yp[keep]
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xp.tolist(), yp.tolist())])
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         parts.append(
             f'<line x1="{_ML + 8}" y1="{legend_y:.1f}" x2="{_ML + 28}" y2="{legend_y:.1f}" '

@@ -4,8 +4,12 @@ The scalar hybrid rules score one (ambiguity, novelty) pair with scalar
 ranks, written from the definitions rather than from the vectorised
 code.  The brute-force hybrid search builds every grid config and scores
 it with ``score_hybrid_batch`` in the documented grid order.  The dense
-eigensolver stands in for RDE's Lanczos top-k solve.
+eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
+score-table reader parses row by row in Python, as ``read_scores_csv``
+did before it parsed in one numpy pass.
 """
+import csv
+
 import numpy as np
 from scipy.linalg import eigh
 
@@ -80,3 +84,19 @@ def dense_top_eigenpairs(A, k, **_):
     LAPACK solve, ascending like ``eigsh``; solver options are ignored."""
     n = A.shape[0]
     return eigh(A, subset_by_index=(n - k, n - 1))
+
+
+def csv_read_scores(path):
+    """(instance, label, method, score) arrays of a score table read with
+    the csv module; a blank or wrong-width row is a ValueError."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["instance", "label", "method", "score"]:
+            raise ValueError("missing score-table header")
+        body = list(reader)
+    if any(len(row) != 4 for row in body):
+        raise ValueError("malformed row")
+    instance, label, method, score = (list(column) for column in zip(*body)) if body else ([],) * 4
+    labels = np.array([int(v) if v != "" else -1 for v in label], dtype=int)
+    return (np.array([int(v) for v in instance], dtype=int), labels, np.array(method, dtype=str),
+            np.array([float(v) for v in score], dtype=float))

@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
-from abstain import density, rejection
+from abstain import dataio, density, rejection
 from abstain.cli import _write_curve_csv, main
 from abstain.dataio import (NO_LABEL, FormatError, load_manifest, load_models, load_split,
                             read_scores_csv, sha256_file, validate_manifest, write_labels_csv)
@@ -247,6 +247,62 @@ def test_split_file_missing_from_checksums_is_refused(mc_dir, tmp_path, capsys):
     assert code == 2 and err.startswith("data error [bad-format]")
     assert "test split file 'test_probs.bin' is not listed in checksums" in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def _copy_with_manifest_fields(src, tmp_path, **fields):
+    """A copy of the dataset ``src`` whose manifest sets ``fields``."""
+    ds = tmp_path / "ds"
+    shutil.copytree(src, ds)
+    manifest = ds / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **fields}))
+    return manifest
+
+
+@pytest.mark.parametrize("fields, methods, named", [
+    ({"n_classes": 99}, "SR", "test probs: rows of shape (3,), manifest n_classes gives (99,)"),
+    ({"dim": 1}, "MD", "test embeddings: rows of shape (4,), manifest dim gives (1,)"),
+    ({"n_passes": 2}, "SMP", "test mc: rows of shape (4, 3), manifest (n_passes, n_classes) gives (2, 3)"),
+], ids=["n_classes", "dim", "n_passes"])
+def test_manifest_fields_must_match_the_files(fields, methods, named, mc_dir, tmp_path, capsys):
+    manifest = _copy_with_manifest_fields(mc_dir / "ds", tmp_path, **fields)
+    code = run("score", "--manifest", manifest, "--models", mc_dir / "models.bin",
+               "--methods", methods, "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]") and named in err
+
+
+def test_multilabel_label_width_must_match_n_classes(ml_dir, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    manifest = _copy_with_manifest_fields(ml_dir / "ds", tmp_path)
+    victim = ds / "test_labels.csv"
+    write_labels_csv(victim, np.zeros((60, 4), dtype=np.int8), "multilabel")
+    payload = json.loads(manifest.read_text())
+    payload["checksums"][victim.name] = sha256_file(victim)
+    manifest.write_text(json.dumps(payload))
+    code = run("score", "--manifest", manifest, "--methods", "MP", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and "test labels: rows of shape (4,), manifest n_classes gives (5,)" in err
+
+
+@pytest.mark.parametrize("argv, read", [
+    ("score --models MODELS --methods SR", {"test_probs.bin"}),
+    ("score --models MODELS --methods SR,SMP", {"test_probs.bin", "test_mc.bin"}),
+    ("score --models MODELS --methods MD,HUQ-DDU --calibrate validation",
+     {"test_probs.bin", "test_embeddings.bin", "validation_probs.bin", "validation_embeddings.bin"}),
+    ("fit --methods md,beta", {"train_probs.bin", "train_embeddings.bin", "validation_probs.bin"}),
+    ("evaluate --scores SCORES", {"test_probs.bin"}),
+], ids=["score-SR", "score-SMP", "score-hybrid", "fit", "evaluate"])
+def test_commands_read_only_the_split_files_they_use(argv, read, mc_dir, evaluated, tmp_path, monkeypatch):
+    opened = set()
+    for reader in ("read_matrix", "read_mc_tensor"):
+        def traced(path, _read=getattr(dataio, reader)):
+            opened.add(Path(path).name)
+            return _read(path)
+        monkeypatch.setattr(dataio, reader, traced)
+    paths = {"MODELS": mc_dir / "models.bin", "SCORES": evaluated[1]}
+    assert run(*[paths.get(a, a) for a in argv.split()], "--manifest", mc_dir / "ds" / "manifest.json",
+               "--out", tmp_path / "out") == 0
+    assert opened == read
 
 
 class TestScore:
@@ -496,6 +552,22 @@ class TestMultilabelEvaluate:
                    "--mode", "label", "--out", tmp_path / "m.json")
         assert code == 2
         assert "misses some label pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, named", [
+        ("0,99999999999999999999999,MP,0.5", "label '99999999999999999999999' is not an int64 integer"),
+        ("0,1.0,MP,0.5", "label '1.0' is not an int64 integer"),
+        ("99999999999999999999999,0,MP,0.5", "malformed row on line 2: '99999999999999999999999,0,MP,0.5'"),
+    ], ids=["label-beyond-int64", "label-not-integer", "instance-beyond-int64"])
+    def test_unparsable_index_is_format_error(self, ml_dir, tmp_path, capsys, row, named):
+        scores = tmp_path / "scores.csv"
+        assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
+                   "--methods", "MP", "--out", scores) == 0
+        lines = scores.read_text().splitlines()
+        scores.write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+        code = run("evaluate", "--scores", scores, "--manifest", ml_dir / "ds" / "manifest.json",
+                   "--mode", "label", "--out", tmp_path / "m.json")
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("data error [bad-format]") and named in err
 
     @pytest.mark.parametrize("mode, duplicate", [("label", "0,0,MP,0.999"), ("instance", "0,,MD,0.999")])
     def test_duplicate_score_row_is_data_error(self, ml_dir, tmp_path, capsys, mode, duplicate):

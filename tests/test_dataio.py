@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from abstain.dataio import (
     NO_LABEL,
@@ -31,6 +34,7 @@ from abstain.dataio import (
 from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
+from oracles import csv_read_scores
 
 
 @pytest.fixture()
@@ -191,6 +195,92 @@ class TestScoreCsv:
         p.write_text("instance,label,method,score\n0,-1,MP,0.5\n")
         with pytest.raises(FormatError, match="negative label"):
             read_scores_csv(p)
+
+
+SCORE_TABLE_HEADER = "instance,label,method,score\n"
+
+
+@pytest.mark.parametrize("body", [
+    "0,,SR,0.5\n\n1,,SR,0.25\n",
+    "0,,SR,0.5\n\n",
+    "#0,,SR,0.5\n",
+    "0,,#SR,0.5\n1,2,#,0.25\n",
+    '0,,"SR",0.5\n1,,"S""R",0.25\n',
+    '0,,"SR,MD",0.5\n1,0,"a,b,c",0.25\n',
+    "0,,S,0.5\n1,,S,0.25\n",
+    f"0,,{'M' * 200},0.5\n1,3,{'m' * 200},0.25\n",
+    "0,,Ünïcødé-∑σ,0.5\n1,,日本,0.25\n",
+    "0,0,MP,0.5\r\n0,1,MP,0.25\r\n",
+    "0,0,MP,0.5\r0,1,MP,0.25\r",
+    "",
+    "0,,SR\n",
+    "0,,SR,0.5,1\n",
+    "0,,SR,inf\n1,,SR,5e-324\n2,,SR,-0.0\n3,,SR,-inf\n",
+], ids=["blank-line", "blank-last-line", "row-starts-with-hash", "hash-in-method",
+        "quoted-method", "quoted-comma", "one-char-method", "200-char-method", "non-ascii-method",
+        "crlf", "cr", "header-only", "three-fields", "five-fields", "inf-subnormal-negative-zero"])
+def test_score_reader_matches_the_csv_module(body, tmp_path):
+    """Each table reads as the csv-module reader reads it, floats bit for
+    bit and dtypes included, or is a FormatError where that reader fails."""
+    path = tmp_path / "s.csv"
+    path.write_bytes((SCORE_TABLE_HEADER + body).encode())
+    try:
+        expected = csv_read_scores(path)
+    except ValueError:
+        with pytest.raises(FormatError):
+            read_scores_csv(path)
+        return
+    got = read_scores_csv(path)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.shape == e.shape
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+    assert got[2].tolist() == expected[2].tolist()
+    assert np.array_equal(got[3].view(np.int64), expected[3].view(np.int64))
+
+
+def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
+    path = tmp_path / "s.csv"
+    for body, named in [
+        ("0,,SR,0.5\n0,,SR\n", "line 3: '0,,SR'"),
+        ("0,,SR,0.5\n1,,SR,0.5,1\n", "line 3: '1,,SR,0.5,1'"),
+        ("0,,SR,0.5\n99999999999999999999999,,SR,0.5\n", "line 3: '99999999999999999999999,,SR,0.5'"),
+        ("0,,SR,zero\n", "line 2: '0,,SR,zero'"),
+        ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n", "line 3: label '99999999999999999999999'"),
+        ("0,1.0,MP,0.5\n", "line 2: label '1.0'"),
+        ("0,,SR,0.5\n\n", "line 3 is blank"),
+        ('0,,"S\nR",0.5\n', "line break"),
+    ]:
+        path.write_text(SCORE_TABLE_HEADER + body)
+        with pytest.raises(FormatError, match=named.replace(".", r"\.")):
+            read_scores_csv(path)
+
+
+finite_or_infinite = st.floats(allow_nan=False, allow_subnormal=True)
+score_arrays = hnp.arrays(np.float64, st.one_of(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+                          elements=finite_or_infinite)
+method_names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r\n"),
+                       max_size=12)
+
+
+@given(st.dictionaries(method_names, score_arrays, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_score_table_round_trip(tmp_path_factory, scores):
+    """Whatever write_scores_csv writes, read_scores_csv reads back: rows
+    in method order, pairs instance-major, scores bit for bit."""
+    path = tmp_path_factory.mktemp("rt") / "s.csv"
+    write_scores_csv(path, scores)
+    instance, label, method, score = read_scores_csv(path)
+    expected = [[], [], [], []]
+    for name, values in scores.items():
+        if values.ndim == 2:
+            i, j = np.indices(values.shape).reshape(2, -1)
+        else:
+            i, j = np.arange(values.size), np.full(values.size, NO_LABEL)
+        for column, part in zip(expected, (i, j, [name] * values.size, values.ravel())):
+            column.extend(part)
+    assert instance.tolist() == expected[0] and label.tolist() == expected[1]
+    assert method.tolist() == expected[2]
+    assert np.array_equal(score.view(np.int64), np.array(expected[3], dtype=float).view(np.int64))
 
 
 class TestManifest:
