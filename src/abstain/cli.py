@@ -55,7 +55,6 @@ class Fitter:
     fit: Callable[[LabeledSplit, int], object]   # (split, seed) -> fitted model
     split: str                                   # role of the split it fits on
     tasks: Tuple[str, ...]
-    input: str = "embeddings"                    # LabeledSplit field it fits, beside the labels
 
 
 FITTERS: Dict[str, Fitter] = {
@@ -63,7 +62,7 @@ FITTERS: Dict[str, Fitter] = {
     "rde": Fitter(lambda split, seed: density.fit_rde(split, seed=seed), "train", BOTH),
     "ddu": Fitter(lambda split, seed: density.fit_ddu(split), "train", BOTH),
     "nuq": Fitter(lambda split, seed: density.fit_nuq(split), "train", BOTH),
-    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), "validation", MULTICLASS, "probs"),
+    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), "validation", MULTICLASS),
 }
 
 
@@ -208,14 +207,15 @@ def _cmd_fit(args) -> int:
             raise UsageError(f"unknown fit method {m!r}; available: {', '.join(FITTERS)}")
     if not requested:
         raise UsageError("no methods requested")
-    inputs: Dict[str, Set[str]] = {}   # split role -> fields its fitters read
+    splits: Dict[str, object] = {}
+    models: Dict[str, object] = {}
     for m in requested:
         fitter = FITTERS[m]
         if manifest.task not in fitter.tasks:
             raise UsageError(f"{m} fitting needs a {' or '.join(fitter.tasks)} manifest")
-        inputs.setdefault(fitter.split, set()).add(fitter.input)
-    splits = {role: load_split(manifest, base, role, fields) for role, fields in inputs.items()}
-    models = {m: FITTERS[m].fit(splits[FITTERS[m].split], args.seed) for m in requested}
+        if fitter.split not in splits:   # no fitter reads the stochastic passes
+            splits[fitter.split] = load_split(manifest, base, fitter.split, ("embeddings",))
+        models[m] = fitter.fit(splits[fitter.split], args.seed)
     save_models(args.out, models)
     print(args.out)
     return 0
@@ -297,7 +297,7 @@ def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.n
 def _cmd_evaluate(args) -> int:
     manifest = validate_manifest(args.manifest)
     base = Path(args.manifest).parent
-    split = load_split(manifest, base, args.split, inputs=())
+    split = load_split(manifest, base, args.split, ())
     span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
         raise UsageError("label mode needs a multilabel manifest")

@@ -15,8 +15,8 @@ import io
 import itertools
 import json
 import pickle
-import re
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Collection, Dict, List, Tuple
@@ -152,24 +152,39 @@ def _read_csv(path, row_dtype) -> Tuple[List[str], np.ndarray]:
     if not lengths.size:
         return header, np.empty(0, dtype)
     try:
-        rows = np.loadtxt(io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                          skiprows=1, encoding="latin1", ndmin=1)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed row{_failed_line(raw, ends, exc)}") from exc
+        rows = _parse_rows(raw, dtype, skiprows=1)
+    except (ValueError, DeprecationWarning) as exc:
+        line = _first_bad_line(raw, ends, dtype)
+        text = raw[ends[line - 1] + 1:ends[line]].decode(errors="replace")
+        raise FormatError(f"{path}: malformed row on line {line + 1}: {text!r}") from exc
     if len(rows) != lengths.size:
         raise FormatError(f"{path}: a quoted field holds a line break")
     return header, rows
 
 
-def _failed_line(raw: bytes, ends: np.ndarray, exc: ValueError) -> str:
-    """" on line K: 'text'" for the row ``np.loadtxt(skiprows=1)`` reports in
-    ``exc``.  Its field-count errors number the lines from the header as
-    row 0; its conversion errors number the body rows from 0."""
-    found = re.search(r"at row (\d+)(, column)?", str(exc))
-    line = int(found.group(1)) + bool(found.group(2)) if found else 0   # from 0, header included
-    if not 0 < line < len(ends):
-        return f": {exc}"
-    return f" on line {line + 1}: {raw[ends[line - 1] + 1:ends[line]].decode(errors='replace')!r}"
+def _parse_rows(text: bytes, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+    """``np.loadtxt`` of CSV ``text``.  numpy versions that parse an int
+    field through float ('2.7' as 2) warn with a DeprecationWarning, which
+    is raised here so that such a field fails as it fails int()."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          skiprows=skiprows, encoding="latin1", ndmin=1)
+
+
+def _first_bad_line(raw: bytes, ends: np.ndarray, dtype: np.dtype) -> int:
+    """Index (the header is line 0) of the first body line of ``raw`` that
+    ``_parse_rows`` fails on, found by parsing halves of the failing span."""
+    starts = np.r_[0, ends[:-1] + 1]
+    lo, hi = 1, len(ends)   # the first bad line is one of lines lo .. hi - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows(raw[starts[lo]:ends[mid - 1]], dtype)
+            lo = mid
+        except (ValueError, DeprecationWarning):
+            hi = mid
+    return lo
 
 
 def read_labels_csv(path, task: str) -> np.ndarray:
@@ -343,8 +358,7 @@ def validate_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def load_split(manifest: DatasetManifest, base_dir, role: str,
-               inputs: Collection[str] = ("embeddings", "mc")) -> LabeledSplit:
+def load_split(manifest: DatasetManifest, base_dir, role: str, inputs: Collection[str]) -> LabeledSplit:
     """The ``role`` split: its probs and labels, and of its embeddings and
     stochastic-pass tensor those named in ``inputs``.  Every file read
     must hold the split's ``n`` rows (RowCountError), each of the shape

@@ -141,8 +141,11 @@ class TestFit:
         (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",300"] + lines[3:]),
         (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + f",{2 ** 63}"] + lines[3:]),
         (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + ",one"] + lines[3:]),
+        (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + ",2.7"] + lines[3:]),
+        (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",1.0"] + lines[3:]),
     ], ids=["short-multiclass-row", "ragged-multilabel-rows", "empty-first-line",
-            "multilabel-value-300", "multiclass-value-beyond-int64", "multiclass-value-not-integer"])
+            "multilabel-value-300", "multiclass-value-beyond-int64", "multiclass-value-not-integer",
+            "multiclass-value-float", "multilabel-value-float"])
     def test_malformed_label_rows_are_format_errors(self, spec, edit, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
@@ -223,7 +226,7 @@ def test_malformed_split_entry_is_format_error(edit, message, mc_dir, tmp_path, 
     payload["splits"]["test"] = edit(payload["splits"]["test"])
     manifest.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=re.escape(message)):
-        load_split(validate_manifest(manifest), ds, "test")
+        load_split(validate_manifest(manifest), ds, "test", ("embeddings", "mc"))
     code = run("score", "--manifest", manifest, "--methods", "SR", "--out", tmp_path / "s.csv")
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("data error [bad-format]") and message in err
@@ -289,7 +292,8 @@ def test_multilabel_label_width_must_match_n_classes(ml_dir, tmp_path, capsys):
     ("score --models MODELS --methods SR,SMP", {"test_probs.bin", "test_mc.bin"}),
     ("score --models MODELS --methods MD,HUQ-DDU --calibrate validation",
      {"test_probs.bin", "test_embeddings.bin", "validation_probs.bin", "validation_embeddings.bin"}),
-    ("fit --methods md,beta", {"train_probs.bin", "train_embeddings.bin", "validation_probs.bin"}),
+    ("fit --methods md,beta",
+     {"train_probs.bin", "train_embeddings.bin", "validation_probs.bin", "validation_embeddings.bin"}),
     ("evaluate --scores SCORES", {"test_probs.bin"}),
 ], ids=["score-SR", "score-SMP", "score-hybrid", "fit", "evaluate"])
 def test_commands_read_only_the_split_files_they_use(argv, read, mc_dir, evaluated, tmp_path, monkeypatch):
@@ -479,7 +483,7 @@ class TestEvaluateAndReport:
         ds = tmp_path / "ds"
         shutil.copytree(mc_dir / "ds", ds)
         manifest = ds / "manifest.json"
-        split = load_split(validate_manifest(manifest), ds, "test")
+        split = load_split(validate_manifest(manifest), ds, "test", ("embeddings", "mc"))
         victim = ds / "test_labels.csv"
         write_labels_csv(victim, split.probs.argmax(axis=1), "multiclass")
         payload = json.loads(manifest.read_text())
@@ -557,7 +561,8 @@ class TestMultilabelEvaluate:
         ("0,99999999999999999999999,MP,0.5", "label '99999999999999999999999' is not an int64 integer"),
         ("0,1.0,MP,0.5", "label '1.0' is not an int64 integer"),
         ("99999999999999999999999,0,MP,0.5", "malformed row on line 2: '99999999999999999999999,0,MP,0.5'"),
-    ], ids=["label-beyond-int64", "label-not-integer", "instance-beyond-int64"])
+        ("1.0,0,MP,0.5", "malformed row on line 2: '1.0,0,MP,0.5'"),
+    ], ids=["label-beyond-int64", "label-not-integer", "instance-beyond-int64", "instance-not-integer"])
     def test_unparsable_index_is_format_error(self, ml_dir, tmp_path, capsys, row, named):
         scores = tmp_path / "scores.csv"
         assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",

@@ -1,6 +1,7 @@
 """Binary matrix format, CSV tables, manifest integrity, model container."""
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -216,9 +217,13 @@ SCORE_TABLE_HEADER = "instance,label,method,score\n"
     "0,,SR\n",
     "0,,SR,0.5,1\n",
     "0,,SR,inf\n1,,SR,5e-324\n2,,SR,-0.0\n3,,SR,-inf\n",
+    "0,,SR,0.5\n1.0,,SR,0.25\n",
+    "0,1,MP,0.5\n0,2.7,MP,0.25\n",
+    " 1,+2,MP,0.5\n-0,0,MP,0.25\n",
 ], ids=["blank-line", "blank-last-line", "row-starts-with-hash", "hash-in-method",
         "quoted-method", "quoted-comma", "one-char-method", "200-char-method", "non-ascii-method",
-        "crlf", "cr", "header-only", "three-fields", "five-fields", "inf-subnormal-negative-zero"])
+        "crlf", "cr", "header-only", "three-fields", "five-fields", "inf-subnormal-negative-zero",
+        "float-instance", "float-label", "int-spelling"])
 def test_score_reader_matches_the_csv_module(body, tmp_path):
     """Each table reads as the csv-module reader reads it, floats bit for
     bit and dtypes included, or is a FormatError where that reader fails."""
@@ -244,6 +249,8 @@ def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
         ("0,,SR,0.5\n0,,SR\n", "line 3: '0,,SR'"),
         ("0,,SR,0.5\n1,,SR,0.5,1\n", "line 3: '1,,SR,0.5,1'"),
         ("0,,SR,0.5\n99999999999999999999999,,SR,0.5\n", "line 3: '99999999999999999999999,,SR,0.5'"),
+        ("0,,SR,0.5\n3.9,,SR,0.5\n", "line 3: '3.9,,SR,0.5'"),
+        ("0,,SR,0.5\n" * 1500 + "1,,SR,x\n" + "0,,SR,0.5\n" * 700 + "2,,SR\n", "line 1502: '1,,SR,x'"),
         ("0,,SR,zero\n", "line 2: '0,,SR,zero'"),
         ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n", "line 3: label '99999999999999999999999'"),
         ("0,1.0,MP,0.5\n", "line 2: label '1.0'"),
@@ -253,6 +260,22 @@ def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
         path.write_text(SCORE_TABLE_HEADER + body)
         with pytest.raises(FormatError, match=named.replace(".", r"\.")):
             read_scores_csv(path)
+
+
+def test_int_field_parsed_through_float_is_refused(tmp_path, monkeypatch):
+    # numpy versions that parse an int field such as '2.7' through float
+    # only warn with a DeprecationWarning; the read must fail on it
+    parse = np.loadtxt
+
+    def lenient(*args, **kwargs):
+        warnings.warn("loadtxt(): parsing an integer via a float is deprecated", DeprecationWarning)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    path = tmp_path / "s.csv"
+    path.write_text(SCORE_TABLE_HEADER + "0,,SR,0.5\n")
+    with pytest.raises(FormatError, match="line 2: '0,,SR,0.5'"):
+        read_scores_csv(path)
 
 
 finite_or_infinite = st.floats(allow_nan=False, allow_subnormal=True)
@@ -296,7 +319,7 @@ class TestManifest:
     def test_load_split_roundtrip(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")
         manifest = validate_manifest(path)
-        split = load_split(manifest, path.parent, "test")
+        split = load_split(manifest, path.parent, "test", ("embeddings", "mc"))
         orig = dataset.splits["test"]
         assert np.array_equal(split.labels, orig.labels)
         # float32 storage: values match after the same narrowing
@@ -327,13 +350,13 @@ class TestManifest:
         path.write_text(json.dumps(payload))
         manifest = load_manifest(path)
         with pytest.raises(RowCountError, match="999"):
-            load_split(manifest, path.parent, "test")
+            load_split(manifest, path.parent, "test", ("embeddings", "mc"))
 
     def test_unknown_split_and_bad_manifest(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")
         manifest = load_manifest(path)
         with pytest.raises(FormatError, match="no split"):
-            load_split(manifest, path.parent, "extra")
+            load_split(manifest, path.parent, "extra", ("embeddings", "mc"))
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(FormatError, match="not valid JSON"):
