@@ -212,19 +212,29 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
     An ``(n,)`` array gives one row per instance with an empty label
     field; an ``(n, L)`` array gives one row per (instance, label) pair,
     instance-major.  Scores are written as ``repr`` floats, so they read
-    back exactly.
+    back exactly.  The bytes are those of ``csv.writer``: each method
+    name is quoted by it once, the numeric fields never need quoting.
     """
+    step = 1 << 16   # rows per write: bounds the text held at once
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SCORE_HEADER)
+        fh.write(",".join(SCORE_HEADER) + "\r\n")
         for method, values in scores.items():
+            quoted = io.StringIO()
+            csv.writer(quoted).writerow(["", method])
+            field = quoted.getvalue()[1:-2]   # strip the leading "," and the "\r\n"
             values = np.asarray(values, dtype=float)
             if values.ndim == 2:
-                instances, labels = np.indices(values.shape).reshape(2, -1).tolist()
+                instances, labels = np.indices(values.shape).reshape(2, -1)
             else:
-                instances, labels = range(len(values)), itertools.repeat("")
-            w.writerows(zip(instances, labels, itertools.repeat(method),
-                            map(repr, values.ravel().tolist())))
+                instances, labels = np.arange(len(values)), None
+            flat = values.ravel()
+            for i in range(0, len(instances), step):
+                span = slice(i, i + step)
+                fh.write("".join([
+                    f"{n},{label},{field},{score!r}\r\n" for n, label, score in zip(
+                        instances[span].tolist(),
+                        itertools.repeat("") if labels is None else labels[span].tolist(),
+                        flat[span].tolist())]))
 
 
 def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

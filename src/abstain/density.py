@@ -136,9 +136,13 @@ class KernelPcaBasis:
 
     def transform(self, E: np.ndarray) -> np.ndarray:
         E = np.atleast_2d(np.asarray(E, dtype=float))
-        K = np.exp(-self.gamma * scipy.spatial.distance.cdist(E, self.support, "sqeuclidean"))
-        Kc = K - self.col_means[None, :] - K.mean(axis=1, keepdims=True) + self.grand_mean
-        return Kc @ self.dual_vectors
+        K = scipy.spatial.distance.cdist(E, self.support, "sqeuclidean")
+        np.exp(np.multiply(K, -self.gamma, out=K), out=K)
+        row = K.mean(axis=1, keepdims=True)
+        K -= self.col_means[None, :]
+        K -= row
+        K += self.grand_mean
+        return K @ self.dual_vectors
 
 
 def fast_mcd(
@@ -263,11 +267,14 @@ def fit_rde(
     Kc -= col[None, :]
     Kc -= col[:, None]
     Kc += grand
-    # Lanczos top-k from a seeded start (Kc maps the ones vector to zero)
+    # Lanczos top-k from a seeded start (Kc maps the ones vector to zero);
+    # Kc.T is Kc as a Fortran array, so BLAS dsymv reads one triangle, no copy
     solver_rng = seeded_rng(0)
     v0 = solver_rng.uniform(-1.0, 1.0, n)
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda v: scipy.linalg.blas.dsymv(1.0, Kc.T, v.ravel()), dtype=Kc.dtype)
     try:
-        evals, evecs = scipy.sparse.linalg.eigsh(Kc, k, which="LA", v0=v0, rng=solver_rng)
+        evals, evecs = scipy.sparse.linalg.eigsh(op, k, which="LA", v0=v0, rng=solver_rng)
     except scipy.sparse.linalg.ArpackError as exc:
         raise ValueError(f"RDE kernel eigensolve failed: {exc}") from exc
     evals, evecs = evals[::-1], evecs[:, ::-1]   # ARPACK returns ascending order

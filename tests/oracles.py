@@ -5,13 +5,17 @@ ranks, written from the definitions rather than from the vectorised
 code.  The brute-force hybrid search builds every grid config and scores
 it with ``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
-score-table reader parses row by row in Python, as ``read_scores_csv``
-did before it parsed in one numpy pass.
+score-table reader and writer go row by row in Python, as
+``read_scores_csv`` and ``write_scores_csv`` did before they worked on
+whole columns.  The kernel-PCA projection is the out-of-place expression
+``KernelPcaBasis.transform`` evaluated before it centred in place.
 """
 import csv
+import itertools
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.spatial.distance import cdist
 
 from abstain.core import rank
 from abstain.hybrid import (
@@ -80,10 +84,11 @@ def brute_force_fit_hybrid(validation, u_a, u_e, variant):
 
 
 def dense_top_eigenpairs(A, k, **_):
-    """The k largest eigenpairs of a symmetric matrix from a full dense
-    LAPACK solve, ascending like ``eigsh``; solver options are ignored."""
+    """The k largest eigenpairs of a symmetric matrix or linear operator
+    from a full dense LAPACK solve, ascending like ``eigsh``; solver
+    options are ignored.  An operator is expanded column by column."""
     n = A.shape[0]
-    return eigh(A, subset_by_index=(n - k, n - 1))
+    return eigh(A @ np.eye(n), subset_by_index=(n - k, n - 1))
 
 
 def csv_read_scores(path):
@@ -100,3 +105,29 @@ def csv_read_scores(path):
     labels = np.array([int(v) if v != "" else -1 for v in label], dtype=int)
     return (np.array([int(v) for v in instance], dtype=int), labels, np.array(method, dtype=str),
             np.array([float(v) for v in score], dtype=float))
+
+
+def csv_write_scores(path, scores):
+    """The score table of ``{method: scores}`` written row by row with the
+    csv module: ``(n,)`` arrays get an empty label field, ``(n, L)``
+    arrays one row per pair, instance-major, scores as ``repr``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["instance", "label", "method", "score"])
+        for method, values in scores.items():
+            values = np.asarray(values, dtype=float)
+            if values.ndim == 2:
+                instances, labels = np.indices(values.shape).reshape(2, -1).tolist()
+            else:
+                instances, labels = range(len(values)), itertools.repeat("")
+            w.writerows(zip(instances, labels, itertools.repeat(method),
+                            map(repr, values.ravel().tolist())))
+
+
+def kernel_pca_transform(basis, E):
+    """Centred RBF kernel rows of ``E`` against the basis support,
+    projected on the dual vectors, in one out-of-place expression."""
+    E = np.atleast_2d(np.asarray(E, dtype=float))
+    K = np.exp(-basis.gamma * cdist(E, basis.support, "sqeuclidean"))
+    Kc = K - basis.col_means[None, :] - K.mean(axis=1, keepdims=True) + basis.grand_mean
+    return Kc @ basis.dual_vectors

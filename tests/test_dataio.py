@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,7 +35,7 @@ from abstain.dataio import (
 from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
-from oracles import csv_read_scores
+from oracles import csv_read_scores, csv_write_scores
 
 
 @pytest.fixture()
@@ -304,6 +304,33 @@ def test_score_table_round_trip(tmp_path_factory, scores):
     assert instance.tolist() == expected[0] and label.tolist() == expected[1]
     assert method.tolist() == expected[2]
     assert np.array_equal(score.view(np.int64), np.array(expected[3], dtype=float).view(np.int64))
+
+
+any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+any_score_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+                              elements=st.floats(allow_subnormal=True))
+
+
+@given(st.dictionaries(any_text, any_score_arrays, max_size=4))
+@example({"a,b": np.array([np.inf, -0.0, 5e-324, 1e16]), 'say "hi"': np.array([[np.nan, -np.inf]]),
+          "naïve\r\n": np.array([0.1]), "": np.zeros(1)})
+@settings(max_examples=100, deadline=None)
+def test_score_table_bytes_match_csv_writer(tmp_path_factory, scores):
+    """write_scores_csv writes the bytes csv.writer writes row by row,
+    whatever the method names and scores."""
+    root = tmp_path_factory.mktemp("bytes")
+    write_scores_csv(root / "fast.csv", scores)
+    csv_write_scores(root / "ref.csv", scores)
+    assert (root / "fast.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+
+def test_score_table_bytes_match_csv_writer_across_write_chunks(tmp_path):
+    # more rows per method than one write holds, for both table shapes
+    rng = np.random.default_rng(5)
+    scores = {"MP": rng.normal(size=(40_000, 3)), "SR": rng.normal(size=70_000)}
+    write_scores_csv(tmp_path / "fast.csv", scores)
+    csv_write_scores(tmp_path / "ref.csv", scores)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestManifest:

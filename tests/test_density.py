@@ -24,7 +24,7 @@ from abstain.density import (
     score_nuq,
     score_rde,
 )
-from oracles import dense_top_eigenpairs
+from oracles import dense_top_eigenpairs, kernel_pca_transform
 
 # 2-class symmetric fixture used by several MD/DDU checks
 CLASS0 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -267,13 +267,15 @@ def test_rde_dimension_mismatch():
 
 
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
-def test_rde_lanczos_matches_dense_eigh(monkeypatch):
-    split = random_split(300, 3, 8, seed=21)
+@pytest.mark.parametrize("d", [8, 256, 768])
+def test_rde_lanczos_matches_dense_eigh(monkeypatch, d):
+    split = random_split(300, 3, d, seed=21)
     solves = []
     real = scipy.sparse.linalg.eigsh
 
     def spy(A, k, **kw):
-        solves.append((A.copy(), real(A, k, **kw)))
+        # the matrix the solver sees: the kernel operator applied to I
+        solves.append((A @ np.eye(A.shape[0]), real(A, k, **kw)))
         return solves[-1][1]
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", spy)
@@ -288,6 +290,17 @@ def test_rde_lanczos_matches_dense_eigh(monkeypatch):
     assert np.abs(evals[order] - ref_vals).max() <= 1e-12 * ref_vals.max()
     cos = np.abs(np.einsum("ik,ik->k", evecs[:, order], ref_vecs))
     assert np.all(cos >= 1 - 1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+def test_kernel_pca_transform_matches_out_of_place_expression():
+    split = random_split(300, 3, 8, seed=21)
+    basis = fit_rde(split, seed=0).basis
+    queries = np.vstack([split.embeddings[:40], seeded_rng(24).normal(size=(60, 8)) * 4])
+    for E in (queries, queries[0]):
+        got, want = basis.transform(E), kernel_pca_transform(basis, E)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
