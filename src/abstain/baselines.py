@@ -74,28 +74,25 @@ class BetaModel:
 
 
 def _grid_mle(m1: float, m2: float) -> tuple[float, float]:
-    """Coarse-to-fine likelihood grid; the crash pad when Newton stalls."""
-    lo, hi = 1e-2, SHAPE_CAP
-    grid = np.geomspace(lo, hi, 200)
-    best = (1.0, 1.0)
+    """Coarse-to-fine likelihood grid; the crash pad when Newton stalls.
+    Each pass refines one step around the grid's best pair, then spans a
+    factor of two around each shape on its own grid."""
+
+    def best_on(grid_a, grid_g):
+        ll = (np.add.outer((grid_a - 1.0) * m1, (grid_g - 1.0) * m2)
+              - scipy.special.betaln(grid_a[:, None], grid_g[None, :]))
+        ia, ig = np.unravel_index(np.argmax(ll), ll.shape)
+        return float(grid_a[ia]), float(grid_g[ig])
+
+    def around(x, factor, num):
+        return np.geomspace(max(x / factor, 1e-3), min(x * factor, SHAPE_CAP), num)
+
+    grid_a = grid_g = np.geomspace(1e-2, SHAPE_CAP, 200)
     for _ in range(3):
-        ll = (
-            np.add.outer((grid - 1.0) * m1, (grid - 1.0) * m2)
-            - scipy.special.betaln(grid[:, None], grid[None, :])
-        )
-        ia, ig = np.unravel_index(np.argmax(ll), ll.shape)
-        best = (float(grid[ia]), float(grid[ig]))
-        span = grid[1] / grid[0]
-        grid_a = np.geomspace(max(best[0] / span, 1e-3), min(best[0] * span, SHAPE_CAP), 60)
-        grid_g = np.geomspace(max(best[1] / span, 1e-3), min(best[1] * span, SHAPE_CAP), 60)
-        ll = (
-            np.add.outer((grid_a - 1.0) * m1, (grid_g - 1.0) * m2)
-            - scipy.special.betaln(grid_a[:, None], grid_g[None, :])
-        )
-        ia, ig = np.unravel_index(np.argmax(ll), ll.shape)
-        best = (float(grid_a[ia]), float(grid_g[ig]))
-        grid = np.geomspace(max(best[0] / 2, 1e-3), min(best[0] * 2, SHAPE_CAP), 200)
-    return best
+        a, g = best_on(grid_a, grid_g)
+        a, g = best_on(around(a, grid_a[1] / grid_a[0], 60), around(g, grid_g[1] / grid_g[0], 60))
+        grid_a, grid_g = around(a, 2, 200), around(g, 2, 200)
+    return a, g
 
 
 def _fit_beta_group(x: np.ndarray) -> tuple[float, float, bool]:

@@ -29,6 +29,7 @@ MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MC = b"UQMCTENS"
 MAGIC_MODELS = b"UQMODELS"
 FORMAT_VERSION = 1
+MODELS_VERSION = 2   # 2: density models hold Cholesky whiteners, not precisions
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_MC = struct.Struct("<8sIQQII")
@@ -70,16 +71,16 @@ def write_matrix(path, arr: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def _read_header(fh, header: struct.Struct, magic: bytes) -> list:
-    """Check the magic and version of the binary file open as ``fh``; returns
-    the header fields after them."""
+def _read_header(fh, header: struct.Struct, magic: bytes, expected: int = FORMAT_VERSION) -> list:
+    """Check the magic and the ``expected`` version of the binary file open
+    as ``fh``; returns the header fields after them."""
     head = fh.read(header.size)
     if len(head) < header.size:
         raise FormatError(f"{fh.name}: truncated header")
     found, version, *rest = header.unpack(head)
     if found != magic:
         raise MagicError(f"{fh.name}: bad magic {found!r}")
-    if version != FORMAT_VERSION:
+    if version != expected:
         raise VersionError(f"{fh.name}: unsupported version {version}")
     return rest
 
@@ -403,11 +404,11 @@ def save_models(path, models: Dict[str, object]) -> None:
     """Versioned container for fitted scorer models (pickle payload)."""
     blob = pickle.dumps(models, protocol=4)
     with open(path, "wb") as fh:
-        fh.write(_HDR_MODELS.pack(MAGIC_MODELS, FORMAT_VERSION))
+        fh.write(_HDR_MODELS.pack(MAGIC_MODELS, MODELS_VERSION))
         fh.write(blob)
 
 
 def load_models(path) -> Dict[str, object]:
     with open(path, "rb") as fh:
-        _read_header(fh, _HDR_MODELS, MAGIC_MODELS)
+        _read_header(fh, _HDR_MODELS, MAGIC_MODELS, MODELS_VERSION)
         return pickle.load(fh)

@@ -39,16 +39,26 @@ def _ridge_lambda(cov: np.ndarray) -> float:
     return max(lam, RIDGE_FLOOR)
 
 
-def _regularized_precision(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse of cov + lambda*I with the scale-aware ridge; symmetrised."""
-    lam = _ridge_lambda(cov)
-    reg = cov + lam * np.eye(cov.shape[0])
+def _whitener(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse Cholesky factor W of cov + lambda*I with the scale-aware
+    ridge, so |W x|^2 = x^T (cov + lambda*I)^-1 x, and the log-determinant
+    of cov + lambda*I from the same factor."""
+    reg = cov + _ridge_lambda(cov) * np.eye(cov.shape[0])
     try:
-        np.linalg.cholesky(reg)
+        L = np.linalg.cholesky(reg)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance not positive definite after regularization") from exc
-    prec = np.linalg.inv(reg)
-    return (prec + prec.T) / 2.0, lam
+    return np.linalg.inv(L), 2.0 * float(np.log(np.diag(L)).sum())
+
+
+def _sq_dists(X: np.ndarray, centroids: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(n, C) squared Mahalanobis distances |W (x - mu)|^2 of each row x of
+    X to each centroid mu, under one (d, d) whitener or one per centroid.
+    einsum sums each row on its own, with no BLAS, so a row scores the
+    same bits alone as inside any batch."""
+    diffs = X[:, None] - centroids[None]
+    white = np.einsum("ncd,ed->nce" if W.ndim == 2 else "ncd,ced->nce", diffs, W)
+    return np.square(white, out=white).sum(axis=2)
 
 
 def _check_batch(E: np.ndarray, d: int) -> None:
@@ -93,8 +103,7 @@ def _class_partition(split: LabeledSplit, min_per_class: int):
 class MdModel:
     centroids: np.ndarray     # (C, d)
     covariance: np.ndarray    # (d, d) pooled within-class, denominator n - C
-    precision: np.ndarray     # inverse of the ridged covariance
-    ridge: float
+    whitener: np.ndarray      # (d, d) inverse Cholesky factor of the ridged covariance
 
 
 def fit_md(train: LabeledSplit) -> MdModel:
@@ -110,16 +119,14 @@ def fit_md(train: LabeledSplit) -> MdModel:
         diff = pts - centroids[c]
         scatter += diff.T @ diff
     pooled = scatter / (n - C)
-    precision, lam = _regularized_precision(pooled)
-    return MdModel(centroids, pooled, precision, lam)
+    return MdModel(centroids, pooled, _whitener(pooled)[0])
 
 
 @batched(1)
 def score_md(E, model: MdModel) -> np.ndarray:
     """Smallest squared Mahalanobis distance to any class centroid."""
     _check_batch(E, model.centroids.shape[1])
-    diffs = model.centroids[None] - E[:, None]
-    return np.einsum("ncd,de,nce->nc", diffs, model.precision, diffs).min(axis=1)
+    return _sq_dists(E, model.centroids, model.whitener).min(axis=1)
 
 
 # ------------------------------------------------------------ robust variant
@@ -180,13 +187,7 @@ def fast_mcd(
         mu, cov = _stats(idx)
         det = float(np.linalg.det(cov))
         for _ in range(MCD_MAX_CSTEPS):
-            lam = _ridge_lambda(cov)
-            try:
-                prec = np.linalg.inv(cov + lam * np.eye(p))
-            except np.linalg.LinAlgError:
-                prec = np.linalg.pinv(cov + lam * np.eye(p))
-            diffs = Z - mu
-            dist = np.einsum("ij,jk,ik->i", diffs, prec, diffs)
+            dist = _sq_dists(Z, mu[None], _whitener(cov)[0])[:, 0]
             idx = np.argsort(dist, kind="stable")[:h]
             mu, cov = _stats(idx)
             det_new = float(np.linalg.det(cov))
@@ -198,7 +199,7 @@ def fast_mcd(
 
     # one deterministic start (closest to the overall mean) + random restarts
     overall = Z.mean(axis=0)
-    (first,) = (np.argsort(((Z - overall) ** 2).sum(axis=1), kind="stable")[:h],)
+    first = np.argsort(((Z - overall) ** 2).sum(axis=1), kind="stable")[:h]
     starts = [first]
     for _ in range(MCD_RESTARTS - 1):
         starts.append(rng.choice(n, size=h, replace=False))
@@ -217,7 +218,7 @@ def fast_mcd(
 class RdeModel:
     basis: KernelPcaBasis
     centroids: np.ndarray      # (C, k) robust locations in component space
-    precisions: np.ndarray     # (C, k, k)
+    whiteners: np.ndarray      # (C, k, k) inverse Cholesky factors of the ridged MCD scatters
     n_components: int
     mcd_fraction: float
     seed: int
@@ -291,19 +292,18 @@ def fit_rde(
     rng = seeded_rng(seed)
     C = len(groups)
     centroids = np.empty((C, k))
-    precisions = np.empty((C, k, k))
+    whiteners = np.empty((C, k, k))
     for c in range(C):
         centroids[c], cov = fast_mcd(Z[comp == c], mcd_fraction, rng)
-        precisions[c], _ = _regularized_precision(cov)
-    return RdeModel(basis, centroids, precisions, k, mcd_fraction, seed)
+        whiteners[c], _ = _whitener(cov)
+    return RdeModel(basis, centroids, whiteners, k, mcd_fraction, seed)
 
 
 @batched(1)
 def score_rde(E, model: RdeModel) -> np.ndarray:
     """Smallest robust Mahalanobis distance in kernel component space."""
     _check_batch(E, model.basis.support.shape[1])
-    diffs = model.centroids[None] - model.basis.transform(E)[:, None]
-    return np.einsum("nck,ckj,ncj->nc", diffs, model.precisions, diffs).min(axis=1)
+    return _sq_dists(model.basis.transform(E), model.centroids, model.whiteners).min(axis=1)
 
 
 # ----------------------------------------------------------- density mixture
@@ -311,7 +311,7 @@ def score_rde(E, model: RdeModel) -> np.ndarray:
 @dataclass(frozen=True)
 class DduModel:
     centroids: np.ndarray     # (C, d)
-    precisions: np.ndarray    # (C, d, d) inverses of ridged per-class covs
+    whiteners: np.ndarray     # (C, d, d) inverse Cholesky factors of ridged per-class covs
     log_dets: np.ndarray      # (C,) log det of the ridged covariances
     log_priors: np.ndarray    # (C,) log empirical class frequencies
 
@@ -322,18 +322,16 @@ def fit_ddu(train: LabeledSplit) -> DduModel:
     n, d = X.shape
     C = len(groups)
     centroids = np.empty((C, d))
-    precisions = np.empty((C, d, d))
+    whiteners = np.empty((C, d, d))
     log_dets = np.empty(C)
     log_priors = np.empty(C)
     for c, idx in enumerate(groups):
         pts = X[idx]
         centroids[c] = pts.mean(axis=0)
         cov = np.cov(pts, rowvar=False, ddof=1).reshape(d, d)
-        # the Cholesky check in _regularized_precision makes the sign positive
-        precisions[c], lam = _regularized_precision(cov)
-        log_dets[c] = np.linalg.slogdet(cov + lam * np.eye(d))[1]
+        whiteners[c], log_dets[c] = _whitener(cov)
         log_priors[c] = np.log(idx.size / n)
-    return DduModel(centroids, precisions, log_dets, log_priors)
+    return DduModel(centroids, whiteners, log_dets, log_priors)
 
 
 @batched(1)
@@ -341,8 +339,7 @@ def score_ddu(E, model: DduModel) -> np.ndarray:
     """Negative log of the prior-weighted Gaussian mixture density."""
     d = model.centroids.shape[1]
     _check_batch(E, d)
-    diffs = model.centroids[None] - E[:, None]
-    quad = np.einsum("ncd,cde,nce->nc", diffs, model.precisions, diffs)
+    quad = _sq_dists(E, model.centroids, model.whiteners)
     log_comp = model.log_priors - 0.5 * (d * np.log(2.0 * np.pi) + model.log_dets + quad)
     return -scipy.special.logsumexp(log_comp, axis=1)
 

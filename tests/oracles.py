@@ -8,7 +8,10 @@ eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
 score-table reader and writer go row by row in Python, as
 ``read_scores_csv`` and ``write_scores_csv`` did before they worked on
 whole columns.  The kernel-PCA projection is the out-of-place expression
-``KernelPcaBasis.transform`` evaluated before it centred in place.
+``KernelPcaBasis.transform`` evaluated before it centred in place.  The
+Mahalanobis forms invert each ridged covariance and contract it with a
+3-operand einsum, as MD, RDE and DDU did before they held Cholesky
+whiteners.
 """
 import csv
 import itertools
@@ -18,6 +21,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from abstain.core import rank
+from abstain.density import _ridge_lambda
 from abstain.hybrid import (
     ALPHA_GRID,
     C_GRID,
@@ -131,3 +135,21 @@ def kernel_pca_transform(basis, E):
     K = np.exp(-basis.gamma * cdist(E, basis.support, "sqeuclidean"))
     Kc = K - basis.col_means[None, :] - K.mean(axis=1, keepdims=True) + basis.grand_mean
     return Kc @ basis.dual_vectors
+
+
+def ridged_inverse(cov):
+    """Symmetrised inverse and log-determinant of cov + lambda*I with the
+    density scorers' ridge, by LU."""
+    reg = cov + _ridge_lambda(cov) * np.eye(cov.shape[0])
+    prec = np.linalg.inv(reg)
+    return (prec + prec.T) / 2.0, np.linalg.slogdet(reg)[1]
+
+
+def mahalanobis_sq(X, centroids, covs):
+    """(n, C) squared Mahalanobis distances of the rows of ``X`` to each
+    centroid under one shared ``(d, d)`` covariance or one per centroid,
+    each ridged and inverted."""
+    covs = np.broadcast_to(covs, (len(centroids),) + covs.shape[-2:])
+    precisions = np.array([ridged_inverse(cov)[0] for cov in covs])
+    diffs = centroids[None] - X[:, None]
+    return np.einsum("ncd,cde,nce->nc", diffs, precisions, diffs)

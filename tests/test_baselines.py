@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from abstain import baselines
 from abstain.baselines import (
     BetaModel,
     _fit_beta_group,
@@ -126,6 +127,19 @@ def test_beta_group_grid_oracle_agreement():
     i, j = np.unravel_index(np.argmax(ll), ll.shape)
     assert a == pytest.approx(grid[i], abs=0.15)
     assert b == pytest.approx(grid[j], abs=0.15)
+
+
+@pytest.mark.parametrize("shapes", [(30.0, 1.5), (2.0, 20.0), (0.8, 3.0)])
+def test_beta_grid_fallback_lands_on_the_newton_shapes(shapes, monkeypatch):
+    # with no Newton steps the fit falls back to the likelihood grid, which
+    # must search each shape on its own grid: re-centring both on alpha's
+    # best value fitted Beta(30, 1.5) as (121, 30)
+    x = seeded_rng(0).beta(*shapes, size=400)
+    newton = _fit_beta_group(x)
+    monkeypatch.setattr(baselines, "MLE_MAX_ITER", 0)
+    grid = _fit_beta_group(x)
+    assert grid[0] == pytest.approx(newton[0], rel=1e-3)
+    assert grid[1] == pytest.approx(newton[1], rel=1e-3)
 
 
 def test_beta_model_validation():

@@ -109,9 +109,10 @@ def test_nuq_underflow_inside_a_batch_is_inf_with_warning():
     np.testing.assert_allclose(np.delete(out, 3), rows, rtol=1e-12, atol=0)
 
 
-def test_md_and_ddu_at_256_dimensions():
+@pytest.mark.parametrize("d", [256, 768])
+def test_md_and_ddu_at_embedding_dimensions(d):
     rng = seeded_rng(8)
-    C, d = 3, 256
+    C = 3
     labels = np.arange(600) % C
     X = rng.normal(size=(C, d))[labels] * 3.0 + rng.normal(size=(600, d))
     train = LabeledSplit(np.full((600, C), 1.0 / C), labels, "multiclass", "train", X)

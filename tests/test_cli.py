@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import abstain
 from abstain import dataio, density, rejection
 from abstain.cli import _write_curve_csv, main
-from abstain.dataio import (NO_LABEL, FormatError, load_manifest, load_models, load_split,
-                            read_scores_csv, sha256_file, validate_manifest, write_labels_csv)
+from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models,
+                            load_split, read_scores_csv, sha256_file, validate_manifest,
+                            write_labels_csv)
 from abstain.synth import SynthSpec
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
@@ -259,6 +261,19 @@ def _copy_with_manifest_fields(src, tmp_path, **fields):
     manifest = ds / "manifest.json"
     manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **fields}))
     return manifest
+
+
+def test_version_1_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
+    # version 1 held MD/RDE/DDU precisions where version 2 holds whiteners
+    stale = tmp_path / "models.bin"
+    raw = bytearray((mc_dir / "models.bin").read_bytes())
+    raw[8:12] = struct.pack("<I", 1)
+    stale.write_bytes(bytes(raw))
+    with pytest.raises(VersionError):
+        load_models(stale)
+    code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", stale,
+               "--methods", "MD", "--out", tmp_path / "s.csv")
+    assert code == 2 and capsys.readouterr().err.startswith("data error [bad-version]")
 
 
 @pytest.mark.parametrize("fields, methods, named", [

@@ -421,7 +421,7 @@ class TestModelContainer:
         back = load_models(tmp_path / "m.bin")
         assert set(back) == {"md", "huq2"}
         assert np.array_equal(back["md"].centroids, md.centroids)
-        assert np.array_equal(back["md"].precision, md.precision)
+        assert np.array_equal(back["md"].whitener, md.whitener)
         assert back["huq2"].alpha == cfg.alpha
         assert np.array_equal(back["huq2"].table_novelty, cfg.table_novelty)
 

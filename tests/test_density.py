@@ -24,7 +24,7 @@ from abstain.density import (
     score_nuq,
     score_rde,
 )
-from oracles import dense_top_eigenpairs, kernel_pca_transform
+from oracles import dense_top_eigenpairs, kernel_pca_transform, mahalanobis_sq, ridged_inverse
 
 # 2-class symmetric fixture used by several MD/DDU checks
 CLASS0 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -63,7 +63,7 @@ def test_md_precision_matches_direct_inverse():
     model = fit_md(two_class_split())
     lam = 1e-6 * np.trace(model.covariance) / 2
     direct = np.linalg.inv(model.covariance + lam * np.eye(2))
-    assert np.allclose(model.precision, direct, atol=1e-9)
+    assert np.allclose(model.whitener.T @ model.whitener, direct, atol=1e-9)
 
 
 def test_md_score_at_centroid_is_zero():
@@ -76,8 +76,9 @@ def test_md_equidistant_point_matches_quadform_oracle():
     model = fit_md(two_class_split())
     e = np.array([2.0, 0.0])
     # naive per-class quadratic forms
+    precision = model.whitener.T @ model.whitener
     dists = [
-        float((e - c) @ model.precision @ (e - c)) for c in model.centroids
+        float((e - c) @ precision @ (e - c)) for c in model.centroids
     ]
     assert dists[0] == pytest.approx(dists[1], abs=1e-12)
     assert score_md(e, model) == pytest.approx(min(dists), abs=1e-12)
@@ -150,6 +151,23 @@ def test_md_scores_nonnegative(seed):
     model = fit_md(split)
     q = seeded_rng(seed + 1).normal(size=2) * 10
     assert score_md(q, model) >= 0.0
+
+
+@pytest.mark.parametrize("d", [8, 256, 768])
+def test_whitened_distances_and_log_dets_match_ridged_inverse(d):
+    # whitened squared norms and Cholesky log-dets against an LU inverse
+    # and slogdet, up to the paper's embedding width
+    split = random_split(3000, 3, d, seed=31)
+    X, labels = split.embeddings, split.labels
+    queries = np.vstack([X[:100], seeded_rng(32).normal(size=(100, d)) * 4])
+    md, ddu = fit_md(split), fit_ddu(split)
+    covs = np.array([np.cov(X[labels == c], rowvar=False, ddof=1) for c in range(3)])
+    for model, W, cov in ((md, md.whitener, md.covariance), (ddu, ddu.whiteners, covs)):
+        got = density._sq_dists(queries, model.centroids, W)
+        want = mahalanobis_sq(queries, model.centroids, cov)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    want_log_dets = [ridged_inverse(cov)[1] for cov in covs]
+    np.testing.assert_allclose(ddu.log_dets, want_log_dets, rtol=0, atol=1e-11)
 
 
 def test_ridge_lambda_floor():
@@ -310,7 +328,7 @@ def test_rde_scores_match_model_from_dense_pairs(monkeypatch):
     lanczos = score_rde(queries, fit_rde(split, seed=0))
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", dense_top_eigenpairs)
     dense = score_rde(queries, fit_rde(split, seed=0))
-    # the per-class precisions in 64 components amplify the solvers'
+    # the per-class whiteners in 64 components amplify the solvers'
     # 1e-16 eigenvector differences to a few 1e-10
     np.testing.assert_allclose(lanczos, dense, rtol=1e-9, atol=0)
 
@@ -370,7 +388,8 @@ def test_ddu_class_covariance_matches_hand_value():
     model = fit_ddu(two_class_split())
     cov = np.diag([2 / 3, 2 / 3])
     lam = 1e-6 * np.trace(cov) / 2
-    assert np.allclose(model.precisions[0], np.linalg.inv(cov + lam * np.eye(2)), atol=1e-9)
+    W = model.whiteners[0]
+    assert np.allclose(W.T @ W, np.linalg.inv(cov + lam * np.eye(2)), atol=1e-9)
 
 
 def test_ddu_two_identical_classes_collapse_to_one():
@@ -383,7 +402,7 @@ def test_ddu_two_identical_classes_collapse_to_one():
     cov = np.cov(pts, rowvar=False, ddof=1)
     lam = _ridge_lambda(cov)
     reg = cov + lam * np.eye(3)
-    single = DduModel(pts.mean(axis=0)[None], np.linalg.inv(reg)[None],
+    single = DduModel(pts.mean(axis=0)[None], np.linalg.inv(np.linalg.cholesky(reg))[None],
                       np.array([np.linalg.slogdet(reg)[1]]), np.array([0.0]))
     for _ in range(10):
         q = rng.normal(size=3) * 2
@@ -399,7 +418,7 @@ def test_ddu_logsumexp_matches_naive_density_sum():
         dens = 0.0
         for c in range(3):
             diff = q - model.centroids[c]
-            quad = diff @ model.precisions[c] @ diff
+            quad = diff @ model.whiteners[c].T @ model.whiteners[c] @ diff
             # naive: prior * (2 pi)^(-d/2) * det^(-1/2) * exp(-quad/2)
             dens += np.exp(model.log_priors[c]) * (2 * np.pi) ** -1 \
                 * np.exp(-0.5 * model.log_dets[c]) * np.exp(-0.5 * quad)
