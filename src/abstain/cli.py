@@ -26,12 +26,13 @@ from .core import LabeledSplit
 from .dataio import (
     NO_LABEL,
     DataError,
+    load_manifest,
     load_models,
-    load_split,
+    load_splits,
     read_scores_csv,
     save_dataset,
     save_models,
-    validate_manifest,
+    write_curve_csv,
     write_scores_csv,
 )
 
@@ -195,8 +196,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    manifest = validate_manifest(args.manifest)
-    base = Path(args.manifest).parent
+    manifest = load_manifest(args.manifest)
     if args.methods is None:
         requested = [key for key, fitter in FITTERS.items() if manifest.task in fitter.tasks]
     else:
@@ -205,33 +205,27 @@ def _cmd_fit(args) -> int:
     for m in requested:
         if m not in FITTERS:
             raise UsageError(f"unknown fit method {m!r}; available: {', '.join(FITTERS)}")
+        if manifest.task not in FITTERS[m].tasks:
+            raise UsageError(f"{m} fitting needs a {' or '.join(FITTERS[m].tasks)} manifest")
     if not requested:
         raise UsageError("no methods requested")
-    splits: Dict[str, object] = {}
-    models: Dict[str, object] = {}
-    for m in requested:
-        fitter = FITTERS[m]
-        if manifest.task not in fitter.tasks:
-            raise UsageError(f"{m} fitting needs a {' or '.join(fitter.tasks)} manifest")
-        if fitter.split not in splits:   # no fitter reads the stochastic passes
-            splits[fitter.split] = load_split(manifest, base, fitter.split, ("embeddings",))
-        models[m] = fitter.fit(splits[fitter.split], args.seed)
-    save_models(args.out, models)
+    splits = load_splits(manifest, Path(args.manifest).parent,   # no fitter reads the passes
+                         {FITTERS[m].split: ("embeddings",) for m in requested})
+    save_models(args.out, {m: FITTERS[m].fit(splits[FITTERS[m].split], args.seed) for m in requested})
     print(args.out)
     return 0
 
 
 def _cmd_score(args) -> int:
-    manifest = validate_manifest(args.manifest)
-    base = Path(args.manifest).parent
+    manifest = load_manifest(args.manifest)
     names = resolve_methods(args.methods, manifest.task)
-    target = load_split(manifest, base, args.split, method_inputs(names))
-    models = load_models(args.models) if args.models else {}
-    calib = None
+    wanted = {args.split: method_inputs(names)}
     hybrids = [name for name in names if METHODS[name].hybrid]
-    if args.calibrate and hybrids:
-        calib = load_split(manifest, base, args.calibrate, method_inputs(hybrids))
-    write_scores_csv(args.out, score_split(names, target, models, calib))
+    if args.calibrate and hybrids:   # the scored split's inputs cover the hybrids' ones
+        wanted.setdefault(args.calibrate, method_inputs(hybrids))
+    splits = load_splits(manifest, Path(args.manifest).parent, wanted)
+    models = load_models(args.models) if args.models else {}
+    write_scores_csv(args.out, score_split(names, splits[args.split], models, splits.get(args.calibrate)))
     print(args.out)
     return 0
 
@@ -243,15 +237,6 @@ def _clean(value: float) -> Optional[float]:
 def _auc_payload(res: rejection.NormalizedAuc) -> dict:
     return {key: _clean(getattr(res, key))
             for key in ("raw_auc", "rand_auc", "oracle_auc", "normalized", "flag")}
-
-
-def _write_curve_csv(path: Path, curve: rejection.RejectionCurve) -> None:
-    coverages, values = curve.coverages.tolist(), curve.values.tolist()
-    step = 1 << 16   # rows per write: bounds the text held at once
-    with open(path, "w") as fh:
-        fh.write("coverage,value\n")
-        for i in range(0, len(values), step):
-            fh.write("".join([f"{c!r},{v!r}\n" for c, v in zip(coverages[i:i + step], values[i:i + step])]))
 
 
 def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.ndarray]:
@@ -295,14 +280,13 @@ def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.n
 
 
 def _cmd_evaluate(args) -> int:
-    manifest = validate_manifest(args.manifest)
-    base = Path(args.manifest).parent
-    split = load_split(manifest, base, args.split, ())
+    manifest = load_manifest(args.manifest)
     span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
         raise UsageError("label mode needs a multilabel manifest")
     if len(args.out) > 2:
         raise UsageError("--out takes a metrics path and at most one curves directory")
+    split = load_splits(manifest, Path(args.manifest).parent, {args.split: ()})[args.split]
     metrics_path = Path(args.out[0])
     curves_dir = Path(args.out[1]) if len(args.out) > 1 else metrics_path.parent / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +302,7 @@ def _cmd_evaluate(args) -> int:
         for name, scores in zip(names, matrix):
             curve = rejection.build_curve(scores, data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
-            _write_curve_csv(curves_dir / f"{name}{suffix}.csv", curve)
+            write_curve_csv(curves_dir / f"{name}{suffix}.csv", curve.coverages, curve.values)
             plots.setdefault(mode_name, {})[name] = (curve.coverages, curve.values)
 
     for mode_name, curve_map in sorted(plots.items()):

@@ -19,7 +19,7 @@ import struct
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Collection, Dict, List, Tuple
+from typing import Callable, Collection, Dict, List, Tuple
 
 import numpy as np
 
@@ -71,36 +71,33 @@ def write_matrix(path, arr: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def _read_header(fh, header: struct.Struct, magic: bytes, expected: int = FORMAT_VERSION) -> list:
-    """Check the magic and the ``expected`` version of the binary file open
-    as ``fh``; returns the header fields after them."""
-    head = fh.read(header.size)
-    if len(head) < header.size:
-        raise FormatError(f"{fh.name}: truncated header")
-    found, version, *rest = header.unpack(head)
+def _read_header(raw, name, header: struct.Struct, magic: bytes, expected: int = FORMAT_VERSION) -> list:
+    """Check the magic and the ``expected`` version at the start of ``raw``,
+    bytes of the binary file ``name``; returns the header fields after them."""
+    if len(raw) < header.size:
+        raise FormatError(f"{name}: truncated header")
+    found, version, *rest = header.unpack_from(raw)
     if found != magic:
-        raise MagicError(f"{fh.name}: bad magic {found!r}")
+        raise MagicError(f"{name}: bad magic {found!r}")
     if version != expected:
-        raise VersionError(f"{fh.name}: unsupported version {version}")
+        raise VersionError(f"{name}: unsupported version {version}")
     return rest
 
 
-def _read_float32(path, header: struct.Struct, magic: bytes) -> np.ndarray:
-    """Payload of a matrix file as (rows, cols), or of a stochastic-pass file,
-    whose header adds T and C, as (rows, T, C)."""
-    with open(path, "rb") as fh:
-        rows, cols, *tc = _read_header(fh, header, magic)
-        if tc and tc[0] * tc[1] != cols:
-            raise FormatError(f"{path}: header T*C {tc[0]}*{tc[1]} != cols {cols}")
-        payload = fh.read()
-    expected = rows * cols * 4
-    if len(payload) != expected:
-        raise RowCountError(f"{path}: payload holds {len(payload)} bytes, header implies {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, *(tc or [cols]))
+def _parse_float32(raw: bytes, name, header: struct.Struct, magic: bytes) -> np.ndarray:
+    """Payload of the bytes ``raw`` of a matrix file as (rows, cols), or of
+    a stochastic-pass file, whose header adds T and C, as (rows, T, C)."""
+    rows, cols, *tc = _read_header(raw, name, header, magic)
+    if tc and tc[0] * tc[1] != cols:
+        raise FormatError(f"{name}: header T*C {tc[0]}*{tc[1]} != cols {cols}")
+    expected, payload = rows * cols * 4, len(raw) - header.size
+    if payload != expected:
+        raise RowCountError(f"{name}: payload holds {payload} bytes, header implies {expected}")
+    return np.frombuffer(raw, dtype="<f4", offset=header.size).reshape(rows, *(tc or [cols]))
 
 
-def read_matrix(path) -> np.ndarray:
-    return _read_float32(path, _HDR_MATRIX, MAGIC_MATRIX)
+def parse_matrix(raw: bytes, name) -> np.ndarray:
+    return _parse_float32(raw, name, _HDR_MATRIX, MAGIC_MATRIX)
 
 
 def write_mc_tensor(path, arr: np.ndarray) -> None:
@@ -113,8 +110,8 @@ def write_mc_tensor(path, arr: np.ndarray) -> None:
         fh.write(arr.reshape(n, t * c).tobytes(order="C"))
 
 
-def read_mc_tensor(path) -> np.ndarray:
-    return _read_float32(path, _HDR_MC, MAGIC_MC)
+def parse_mc_tensor(raw: bytes, name) -> np.ndarray:
+    return _parse_float32(raw, name, _HDR_MC, MAGIC_MC)
 
 
 def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
@@ -126,12 +123,12 @@ def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
         w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
 
 
-def _read_csv(path, row_dtype) -> Tuple[List[str], np.ndarray]:
-    """Header fields and body rows of a CSV table, the rows parsed in one
-    ``np.loadtxt`` pass into the structured dtype ``row_dtype(header,
-    longest)``; ``longest`` is the longest body line in bytes, so a string
-    field of that size never truncates.  Bytes reach string fields as they
-    are in the file.
+def _read_csv(raw: bytes, path, row_dtype) -> Tuple[List[str], np.ndarray]:
+    """Header fields and body rows of ``raw``, the bytes of the CSV table
+    ``path``, the rows parsed in one ``np.loadtxt`` pass into the
+    structured dtype ``row_dtype(header, longest)``; ``longest`` is the
+    longest body line in bytes, so a string field of that size never
+    truncates.  Bytes reach string fields as they are in the file.
 
     The rules are the csv module's, one row per line: a line ends at LF,
     CRLF or CR, a double-quoted field may hold commas and doubled quotes,
@@ -139,7 +136,6 @@ def _read_csv(path, row_dtype) -> Tuple[List[str], np.ndarray]:
     quotes, a row of the wrong width and a field its column cannot parse
     are FormatErrors that name the line.
     """
-    raw = Path(path).read_bytes()
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
@@ -188,7 +184,7 @@ def _first_bad_line(raw: bytes, ends: np.ndarray, dtype: np.dtype) -> int:
     return lo
 
 
-def read_labels_csv(path, task: str) -> np.ndarray:
+def parse_labels_csv(raw: bytes, path, task: str) -> np.ndarray:
     def row_dtype(header, longest):
         if not header or header[0] != "index":
             raise FormatError(f"{path}: missing header row")
@@ -196,7 +192,7 @@ def read_labels_csv(path, task: str) -> np.ndarray:
             raise FormatError(f"{path}: expected header index,label")
         return [(f"f{j}", "<i8") for j in range(len(header))]
 
-    header, rows = _read_csv(path, row_dtype)
+    header, rows = _read_csv(raw, path, row_dtype)
     labels = rows.view("<i8").reshape(len(rows), len(header))[:, 1:]
     if task == "multilabel" and not np.isin(labels, (0, 1)).all():
         raise FormatError(f"{path}: multilabel values must be 0 or 1")
@@ -205,6 +201,13 @@ def read_labels_csv(path, task: str) -> np.ndarray:
 
 SCORE_HEADER = ["instance", "label", "method", "score"]
 NO_LABEL = -1   # label column of instance-level score rows
+WRITE_ROWS = 1 << 16   # rows per write of a table writer: bounds the text held at once
+
+
+def _write_chunked(fh, n: int, text: Callable[[slice], str]) -> None:
+    """Write the ``n`` rows of a table, ``text(span)`` for each span of WRITE_ROWS rows."""
+    for i in range(0, n, WRITE_ROWS):
+        fh.write(text(slice(i, i + WRITE_ROWS)))
 
 
 def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
@@ -216,7 +219,6 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
     back exactly.  The bytes are those of ``csv.writer``: each method
     name is quoted by it once, the numeric fields never need quoting.
     """
-    step = 1 << 16   # rows per write: bounds the text held at once
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SCORE_HEADER) + "\r\n")
         for method, values in scores.items():
@@ -229,13 +231,19 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
             else:
                 instances, labels = np.arange(len(values)), None
             flat = values.ravel()
-            for i in range(0, len(instances), step):
-                span = slice(i, i + step)
-                fh.write("".join([
-                    f"{n},{label},{field},{score!r}\r\n" for n, label, score in zip(
-                        instances[span].tolist(),
-                        itertools.repeat("") if labels is None else labels[span].tolist(),
-                        flat[span].tolist())]))
+            _write_chunked(fh, len(flat), lambda span: "".join([
+                f"{n},{label},{field},{score!r}\r\n" for n, label, score in zip(
+                    instances[span].tolist(),
+                    itertools.repeat("") if labels is None else labels[span].tolist(),
+                    flat[span].tolist())]))
+
+
+def write_curve_csv(path, coverages, values) -> None:
+    """Write a rejection curve as ``coverage,value`` rows of ``repr`` floats."""
+    with open(path, "w") as fh:
+        fh.write("coverage,value\n")
+        _write_chunked(fh, len(values), lambda span: "".join(
+            [f"{c!r},{v!r}\n" for c, v in zip(coverages[span].tolist(), values[span].tolist())]))
 
 
 def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -249,7 +257,7 @@ def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                 ("score", "<f8")]
 
-    _, rows = _read_csv(path, row_dtype)
+    _, rows = _read_csv(Path(path).read_bytes(), path, row_dtype)
     label = rows["label"]
     has_label = label != b""
     labels = np.full(len(rows), NO_LABEL)
@@ -337,7 +345,7 @@ def save_dataset(dataset, out_dir) -> Path:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse and structurally check manifest.json; checksums are not verified."""
+    """Parse and structurally check manifest.json, file names plain; checksums are not verified."""
     path = Path(path)
     try:
         manifest = record_from_json(DatasetManifest, json.loads(path.read_text()), "manifest")
@@ -347,6 +355,10 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(f"{path}: {exc}") from exc
     if manifest.format_version != FORMAT_VERSION:
         raise VersionError(f"{path}: unsupported manifest version {manifest.format_version}")
+    names = [*manifest.checksums, *(f for files in manifest.splits.values() for f in files.names())]
+    bad = [f for f in names if f in ("", ".", "..") or "/" in f or "\\" in f]
+    if bad:
+        raise FormatError(f"{path}: file name {bad[0]!r} is not a plain name in the manifest's directory")
     for role, files in manifest.splits.items():
         unlisted = [f for f in files.names() if f not in manifest.checksums]
         if unlisted:
@@ -354,50 +366,52 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def validate_manifest(path) -> DatasetManifest:
-    """Structural and checksum validation before any computation."""
-    path = Path(path)
-    manifest = load_manifest(path)
-    base = path.parent
-    for fname, expected in manifest.checksums.items():
-        target = base / fname
-        if not target.exists():
-            raise FormatError(f"{target}: listed in manifest but missing")
-        actual = sha256_file(target)
-        if actual != expected:
-            raise ChecksumError(f"{target}: checksum {actual[:12]}.. != manifest {expected[:12]}..")
-    return manifest
-
-
-def load_split(manifest: DatasetManifest, base_dir, role: str, inputs: Collection[str]) -> LabeledSplit:
-    """The ``role`` split: its probs and labels, and of its embeddings and
-    stochastic-pass tensor those named in ``inputs``.  Every file read
-    must hold the split's ``n`` rows (RowCountError), each of the shape
-    the manifest gives (FormatError): probs and multilabel labels
-    ``n_classes`` wide, embeddings ``dim`` wide, and (``n_passes``,
-    ``n_classes``) stochastic passes."""
-    if role not in manifest.splits:
-        raise FormatError(f"manifest has no split {role!r}")
-    files = manifest.splits[role]
+def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[str, LabeledSplit]:
+    """The splits ``wanted`` names, ``{role: inputs}``: each with its probs
+    and labels, and of its embeddings and stochastic passes those in its
+    inputs.  First every file ``manifest`` lists in ``base_dir`` is hashed:
+    a file a split needs is read once and parsed from the bytes hashed,
+    every other one is streamed through :func:`sha256_file`.  A file parsed
+    must hold the split's ``n`` rows (RowCountError), of the shape the
+    manifest gives (FormatError)."""
+    for role in wanted:
+        if role not in manifest.splits:
+            raise FormatError(f"manifest has no split {role!r}")
+    fields = {role: ["probs", "labels"] + [f for f in ("embeddings", "mc") if f in inputs]
+              for role, inputs in wanted.items()}
+    parsed = {getattr(manifest.splits[role], f) for role, names in fields.items() for f in names}
     base = Path(base_dir)
+    raw: Dict[str, bytes] = {}
+    for name, expected in manifest.checksums.items():
+        path = base / name
+        if not path.exists():
+            raise FormatError(f"{path}: listed in manifest but missing")
+        if name in parsed:
+            raw[name] = path.read_bytes()
+        actual = hashlib.sha256(raw[name]).hexdigest() if name in raw else sha256_file(path)
+        if actual != expected:
+            raise ChecksumError(f"{path}: checksum {actual[:12]}.. != manifest {expected[:12]}..")
     width = (manifest.n_classes,)
-    fields = {  # field: (array, row shape the manifest gives, the manifest fields giving it)
-        "probs": (read_matrix(base / files.probs), width, "n_classes"),
-        "labels": (read_labels_csv(base / files.labels, manifest.task),
+    rules = {  # field: (parser of its file's bytes, row shape the manifest gives, the fields giving it)
+        "probs": (parse_matrix, width, "n_classes"),
+        "labels": (lambda data, path: parse_labels_csv(data, path, manifest.task),
                    width if manifest.task == "multilabel" else (), "n_classes"),
+        "embeddings": (parse_matrix, (manifest.dim,), "dim"),
+        "mc": (parse_mc_tensor, (manifest.n_passes,) + width, "(n_passes, n_classes)"),
     }
-    if "embeddings" in inputs:
-        fields["embeddings"] = (read_matrix(base / files.embeddings), (manifest.dim,), "dim")
-    if "mc" in inputs:
-        fields["mc"] = (read_mc_tensor(base / files.mc), (manifest.n_passes,) + width,
-                        "(n_passes, n_classes)")
-    for name, (array, row_shape, given_by) in fields.items():
-        if len(array) != files.n:
-            raise RowCountError(f"{role} {name}: {len(array)} rows, manifest says {files.n}")
-        if array.shape[1:] != row_shape:
-            raise FormatError(f"{role} {name}: rows of shape {array.shape[1:]}, "
-                              f"manifest {given_by} gives {row_shape}")
-    return LabeledSplit(task=manifest.task, role=role, **{name: f[0] for name, f in fields.items()})
+    splits = {}
+    for role, names in fields.items():
+        files = manifest.splits[role]
+        arrays = {f: rules[f][0](raw[getattr(files, f)], base / getattr(files, f)) for f in names}
+        for f, array in arrays.items():
+            _, row_shape, given_by = rules[f]
+            if len(array) != files.n:
+                raise RowCountError(f"{role} {f}: {len(array)} rows, manifest says {files.n}")
+            if array.shape[1:] != row_shape:
+                raise FormatError(f"{role} {f}: rows of shape {array.shape[1:]}, "
+                                  f"manifest {given_by} gives {row_shape}")
+        splits[role] = LabeledSplit(task=manifest.task, role=role, **arrays)
+    return splits
 
 
 def save_models(path, models: Dict[str, object]) -> None:
@@ -409,6 +423,10 @@ def save_models(path, models: Dict[str, object]) -> None:
 
 
 def load_models(path) -> Dict[str, object]:
+    """Models in the container ``path``; its pickle payload runs code as it loads."""
     with open(path, "rb") as fh:
-        _read_header(fh, _HDR_MODELS, MAGIC_MODELS, MODELS_VERSION)
-        return pickle.load(fh)
+        _read_header(fh.read(_HDR_MODELS.size), path, _HDR_MODELS, MAGIC_MODELS, MODELS_VERSION)
+        try:
+            return pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError) as exc:
+            raise FormatError(f"{path}: malformed models payload: {exc!r}") from exc

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .core import LabeledSplit, rank_all
-from .rejection import multiclass_losses, risk_aucs
+from .rejection import multiclass_losses, rejection_order, risk_aucs
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 DELTA_MIN_QUANTILES = (0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99, 1.00)
@@ -132,7 +132,7 @@ def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant:
         grid = [(alpha, float(table_e[-1]), float(table_a[-1]), c, table_a)
                 for alpha, c in product(ALPHA_GRID, C_GRID)]
         mixes = np.stack([_huq2_mix(r_a, r_e, alpha, c, n) for alpha, _, _, c, _ in grid])
-        objectives = risk_aucs(losses[np.argsort(-mixes, axis=1, kind="stable")])
+        objectives = risk_aucs(losses[rejection_order(mixes)])
     else:
         dmin_values = [float(np.quantile(u_e, q, method="lower")) for q in DELTA_MIN_QUANTILES]
         dmax_values = [float(np.quantile(u_a, q, method="lower")) for q in DELTA_MAX_QUANTILES]
@@ -144,8 +144,7 @@ def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant:
                 in product(ALPHA_GRID, range(len(dmin_values)), range(len(dmax_values)))]
 
         def order(alpha, i, j):
-            mix = _huq_mix(r_a, r_e, id_ranks[i], in_dist[i], above_dmax[j], alpha, n + 2)
-            return np.argsort(-mix, kind="stable")
+            return rejection_order(_huq_mix(r_a, r_e, id_ranks[i], in_dist[i], above_dmax[j], alpha, n + 2))
 
         # The regions are offset by case_offset = n + 2, so a removal order starts with the
         # high-novelty units, ordered by (alpha, delta_min), then the rest, by (delta_min, delta_max).

@@ -58,9 +58,8 @@ class NormalizedAuc:
 
 
 def rejection_order(scores: np.ndarray) -> np.ndarray:
-    """Removal order: score descending, ties by original index ascending."""
-    scores = np.asarray(scores, dtype=float)
-    return np.lexsort((np.arange(scores.size), -scores))
+    """Removal order along the last axis: score descending, ties by index ascending."""
+    return np.argsort(-np.asarray(scores, dtype=float), axis=-1, kind="stable")
 
 
 def _check_scores(scores, n_expected: int) -> np.ndarray:

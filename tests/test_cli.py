@@ -1,4 +1,7 @@
 """End-to-end command-line pipeline tests, run in-process via main()."""
+import builtins
+import collections
+import io
 import json
 import os
 import re
@@ -14,9 +17,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
 from abstain import dataio, density, rejection
-from abstain.cli import _write_curve_csv, main
+from abstain.cli import main
 from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models,
-                            load_split, read_scores_csv, sha256_file, validate_manifest,
+                            load_splits, read_scores_csv, sha256_file, write_curve_csv,
                             write_labels_csv)
 from abstain.synth import SynthSpec
 
@@ -228,7 +231,7 @@ def test_malformed_split_entry_is_format_error(edit, message, mc_dir, tmp_path, 
     payload["splits"]["test"] = edit(payload["splits"]["test"])
     manifest.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=re.escape(message)):
-        load_split(validate_manifest(manifest), ds, "test", ("embeddings", "mc"))
+        load_splits(load_manifest(manifest), ds, {"test": ("embeddings", "mc")})
     code = run("score", "--manifest", manifest, "--methods", "SR", "--out", tmp_path / "s.csv")
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("data error [bad-format]") and message in err
@@ -313,15 +316,81 @@ def test_multilabel_label_width_must_match_n_classes(ml_dir, tmp_path, capsys):
 ], ids=["score-SR", "score-SMP", "score-hybrid", "fit", "evaluate"])
 def test_commands_read_only_the_split_files_they_use(argv, read, mc_dir, evaluated, tmp_path, monkeypatch):
     opened = set()
-    for reader in ("read_matrix", "read_mc_tensor"):
-        def traced(path, _read=getattr(dataio, reader)):
+    for parser in ("parse_matrix", "parse_mc_tensor"):
+        def traced(raw, path, _parse=getattr(dataio, parser)):
             opened.add(Path(path).name)
-            return _read(path)
-        monkeypatch.setattr(dataio, reader, traced)
+            return _parse(raw, path)
+        monkeypatch.setattr(dataio, parser, traced)
     paths = {"MODELS": mc_dir / "models.bin", "SCORES": evaluated[1]}
     assert run(*[paths.get(a, a) for a in argv.split()], "--manifest", mc_dir / "ds" / "manifest.json",
                "--out", tmp_path / "out") == 0
     assert opened == read
+
+
+def _spy_opens(monkeypatch) -> collections.Counter:
+    """Counter of the resolved paths given to open(), which Path.read_bytes reaches as io.open()."""
+    opened = collections.Counter()
+    real = io.open
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[Path(file).resolve()] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    return opened
+
+
+@pytest.mark.parametrize("argv", [
+    "fit",
+    "score --models MODELS --methods MD,HUQ-DDU --calibrate validation",
+    "evaluate --scores SCORES",
+    "score --models MODELS --methods MD,HUQ-DDU --split validation --calibrate validation",
+], ids=["fit", "score-hybrid", "evaluate", "score-calibrating-on-the-scored-split"])
+def test_each_listed_file_is_opened_once(argv, mc_dir, evaluated, tmp_path, monkeypatch):
+    """A command hashes every file the manifest lists and parses the ones it
+    uses from the bytes it hashed: each file is opened once."""
+    ds = mc_dir / "ds"
+    listed = {(ds / name).resolve() for name in load_manifest(ds / "manifest.json").checksums}
+    opened = _spy_opens(monkeypatch)
+    paths = {"MODELS": mc_dir / "models.bin", "SCORES": evaluated[1]}
+    assert run(*[paths.get(a, a) for a in argv.split()], "--manifest", ds / "manifest.json",
+               "--out", tmp_path / "out") == 0
+    assert {path: opened[path] for path in listed} == dict.fromkeys(listed, 1)
+
+
+@pytest.mark.parametrize("where", ["checksums-relative", "checksums-absolute", "split-file"])
+def test_file_names_leaving_the_dataset_directory_are_refused(where, mc_dir, tmp_path, monkeypatch,
+                                                              capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(mc_dir / "ds", ds)
+    outside = tmp_path / "outside.bin"
+    shutil.copy(ds / "test_probs.bin", outside)
+    name = str(outside) if where == "checksums-absolute" else os.path.relpath(outside, ds)
+    manifest = ds / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["checksums"][name] = sha256_file(outside)
+    if where == "split-file":
+        payload["splits"]["test"]["probs"] = name
+    manifest.write_text(json.dumps(payload))
+    opened = _spy_opens(monkeypatch)
+    code = run("score", "--manifest", manifest, "--methods", "SR", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]")
+    assert f"file name {name!r} is not a plain name" in err
+    assert outside.resolve() not in opened
+
+
+def test_truncated_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
+    broken = tmp_path / "models.bin"
+    broken.write_bytes((mc_dir / "models.bin").read_bytes()[:600])
+    with pytest.raises(FormatError, match=re.escape(f"{broken}: malformed models payload")):
+        load_models(broken)
+    code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", broken,
+               "--methods", "MD", "--out", tmp_path / "s.csv")
+    assert code == 2 and capsys.readouterr().err.startswith("data error [bad-format]")
+    assert not (tmp_path / "s.csv").exists()
 
 
 class TestScore:
@@ -487,7 +556,7 @@ class TestEvaluateAndReport:
     def test_curve_csv_bytes(self, tmp_path):
         curve = rejection.RejectionCurve(np.array([1.0, 2 / 3, 1 / 3]),
                                          np.array([1 / 3, 5e-324, 0.0]), "risk")
-        _write_curve_csv(tmp_path / "c.csv", curve)
+        write_curve_csv(tmp_path / "c.csv", curve.coverages, curve.values)
         assert (tmp_path / "c.csv").read_bytes() == (
             b"coverage,value\n1.0,0.3333333333333333\n"
             b"0.6666666666666666,5e-324\n0.3333333333333333,0.0\n")
@@ -498,7 +567,7 @@ class TestEvaluateAndReport:
         ds = tmp_path / "ds"
         shutil.copytree(mc_dir / "ds", ds)
         manifest = ds / "manifest.json"
-        split = load_split(validate_manifest(manifest), ds, "test", ("embeddings", "mc"))
+        split = load_splits(load_manifest(manifest), ds, {"test": ("embeddings", "mc")})["test"]
         victim = ds / "test_labels.csv"
         write_labels_csv(victim, split.probs.argmax(axis=1), "multiclass")
         payload = json.loads(manifest.read_text())

@@ -1,5 +1,6 @@
 """Binary matrix format, CSV tables, manifest integrity, model container."""
 import json
+import re
 import struct
 import warnings
 
@@ -18,15 +19,14 @@ from abstain.dataio import (
     VersionError,
     load_manifest,
     load_models,
-    load_split,
-    read_labels_csv,
-    read_matrix,
-    read_mc_tensor,
+    load_splits,
+    parse_labels_csv,
+    parse_matrix,
+    parse_mc_tensor,
     read_scores_csv,
     save_dataset,
     save_models,
     sha256_file,
-    validate_manifest,
     write_labels_csv,
     write_matrix,
     write_mc_tensor,
@@ -36,6 +36,18 @@ from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
 from oracles import csv_read_scores, csv_write_scores
+
+
+def read_matrix(path):
+    return parse_matrix(path.read_bytes(), path)
+
+
+def read_mc_tensor(path):
+    return parse_mc_tensor(path.read_bytes(), path)
+
+
+def read_labels_csv(path, task):
+    return parse_labels_csv(path.read_bytes(), path, task)
 
 
 @pytest.fixture()
@@ -336,7 +348,8 @@ def test_score_table_bytes_match_csv_writer_across_write_chunks(tmp_path):
 class TestManifest:
     def test_save_then_validate(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")
-        manifest = validate_manifest(path)
+        manifest = load_manifest(path)
+        assert load_splits(manifest, path.parent, {}) == {}
         assert manifest.task == "multiclass"
         assert manifest.n_classes == 3
         assert set(manifest.splits) == {"train", "validation", "test"}
@@ -345,8 +358,7 @@ class TestManifest:
 
     def test_load_split_roundtrip(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")
-        manifest = validate_manifest(path)
-        split = load_split(manifest, path.parent, "test", ("embeddings", "mc"))
+        split = load_splits(load_manifest(path), path.parent, {"test": ("embeddings", "mc")})["test"]
         orig = dataset.splits["test"]
         assert np.array_equal(split.labels, orig.labels)
         # float32 storage: values match after the same narrowing
@@ -361,14 +373,14 @@ class TestManifest:
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError) as exc:
-            validate_manifest(path)
+            load_splits(load_manifest(path), path.parent, {})
         assert exc.value.code == "checksum-mismatch"
 
     def test_missing_file_reported(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")
         (path.parent / "train_mc.bin").unlink()
         with pytest.raises(FormatError, match="missing"):
-            validate_manifest(path)
+            load_splits(load_manifest(path), path.parent, {})
 
     def test_row_count_cross_check(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")
@@ -377,13 +389,13 @@ class TestManifest:
         path.write_text(json.dumps(payload))
         manifest = load_manifest(path)
         with pytest.raises(RowCountError, match="999"):
-            load_split(manifest, path.parent, "test", ("embeddings", "mc"))
+            load_splits(manifest, path.parent, {"test": ("embeddings", "mc")})
 
     def test_unknown_split_and_bad_manifest(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")
         manifest = load_manifest(path)
         with pytest.raises(FormatError, match="no split"):
-            load_split(manifest, path.parent, "extra", ("embeddings", "mc"))
+            load_splits(manifest, path.parent, {"extra": ("embeddings", "mc")})
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(FormatError, match="not valid JSON"):
@@ -392,6 +404,20 @@ class TestManifest:
         missing.write_text(json.dumps({"task": "multiclass"}))
         with pytest.raises(FormatError, match="missing manifest field"):
             load_manifest(missing)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../test_probs.bin", "sub/test_probs.bin",
+                                      "sub\\test_probs.bin", "/test_probs.bin"])
+    @pytest.mark.parametrize("where", ["checksums", "split"])
+    def test_file_names_must_be_plain(self, name, where, dataset, tmp_path):
+        path = save_dataset(dataset, tmp_path / "ds")
+        payload = json.loads(path.read_text())
+        if where == "split":
+            payload["splits"]["test"]["probs"] = name
+        else:
+            payload["checksums"][name] = "0" * 64
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"file name {re.escape(repr(name))} is not a plain name"):
+            load_manifest(path)
 
     def test_manifest_version_gate(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "ds")

@@ -122,6 +122,18 @@ class TestCurveConstruction:
     def test_rejection_order_ties_by_index(self):
         assert rejection_order([1.0, 3.0, 3.0, 2.0]).tolist() == [1, 2, 3, 0]
 
+    def test_rejection_order_of_each_row_is_its_1d_order(self):
+        rng = np.random.default_rng(0)
+        scores = rng.choice([0.0, -0.0, 1.0, 2.5], size=(5, 40), p=[0.4, 0.4, 0.1, 0.1])
+        scores[0] = rng.normal(size=40)
+        rows = rejection_order(scores)
+        for row, order in zip(scores, rows):
+            assert order.tolist() == rejection_order(row).tolist()
+            assert order.tolist() == np.lexsort((np.arange(row.size), -row)).tolist()
+        # -0.0 and 0.0 are one value: their tie goes by index
+        assert rejection_order([0.0, -0.0, 1.0, -0.0]).tolist() == [2, 0, 1, 3]
+        assert rejection_order([[-0.0, 0.0], [0.0, -0.0]]).tolist() == [[0, 1], [0, 1]]
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             build_curve([1.0, 2.0], LOSSES3, "risk")
