@@ -32,7 +32,7 @@ from .dataio import (
     read_scores_csv,
     save_dataset,
     save_models,
-    write_curve_csv,
+    write_curve_csvs,
     write_scores_csv,
 )
 
@@ -296,14 +296,17 @@ def _cmd_evaluate(args) -> int:
     evaluations = rejection.unit_data(split.probs, split.labels, manifest.task, args.mode)
     methods_payload: Dict[str, dict] = {name: {} for name in names}
     plots: Dict[str, Dict[str, tuple]] = {}
+    curve_files: Dict[Path, np.ndarray] = {}
     for mode_name, data in evaluations:
         oracle = rejection.build_curve(rejection.oracle_scores(data, mode_name), data, mode_name)
         suffix = "" if len(evaluations) == 1 else f".{mode_name}"
         for name, scores in zip(names, matrix):
             curve = rejection.build_curve(scores, data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
-            write_curve_csv(curves_dir / f"{name}{suffix}.csv", curve.coverages, curve.values)
+            curve_files[curves_dir / f"{name}{suffix}.csv"] = curve.values
             plots.setdefault(mode_name, {})[name] = (curve.coverages, curve.values)
+    # every curve of the run has the same (n - k)/n coverages: format them once
+    write_curve_csvs(oracle.coverages, curve_files)
 
     for mode_name, curve_map in sorted(plots.items()):
         svg = report.plot_curves_svg(curve_map, f"{mode_name} vs coverage", mode_name)

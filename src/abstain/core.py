@@ -14,6 +14,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
+import scipy
 
 PROB_SUM_TOL = 1e-6
 BLOCK_ROWS = 1024   # rows per scorer call: bounds temporaries such as RDE's kernel rows
@@ -193,3 +194,19 @@ class LabeledSplit:
     @property
     def n_classes(self) -> int:
         return int(self.probs.shape[1])
+
+    @functools.cached_property
+    def median_pairwise_distance(self) -> float:
+        """Median Euclidean distance over all pairs of embedding rows (0.0
+        below two rows), computed once per split: RDE and NUQ both read it.
+        Row order cannot change it, since each pair's distance has the same
+        bits in either order.  One in-place partition gives ``np.median``'s
+        bits: the middle value, or the mean of the two middle values."""
+        if self.embeddings is None:
+            raise ValueError("split has no embeddings")
+        dists = scipy.spatial.distance.pdist(self.embeddings)   # freed before any n x n kernel exists
+        if not dists.size:
+            return 0.0
+        k = dists.size // 2
+        dists.partition(k)
+        return float(dists[k] if dists.size % 2 else (dists[:k].max() + dists[k]) / 2)

@@ -9,6 +9,7 @@ payload is rows x (T*C).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -240,10 +241,22 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
 
 def write_curve_csv(path, coverages, values) -> None:
     """Write a rejection curve as ``coverage,value`` rows of ``repr`` floats."""
-    with open(path, "w") as fh:
-        fh.write("coverage,value\n")
-        _write_chunked(fh, len(values), lambda span: "".join(
-            [f"{c!r},{v!r}\n" for c, v in zip(coverages[span].tolist(), values[span].tolist())]))
+    write_curve_csvs(coverages, {path: values})
+
+
+def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
+    """Write rejection curves that share one coverage column, ``{path:
+    values}``, each as by :func:`write_curve_csv`; each span of WRITE_ROWS
+    coverages is formatted once for all of them."""
+    with contextlib.ExitStack() as stack:
+        files = [(stack.enter_context(open(path, "w")), values) for path, values in curves.items()]
+        for fh, _ in files:
+            fh.write("coverage,value\n")
+        for i in range(0, len(coverages), WRITE_ROWS):
+            span = slice(i, i + WRITE_ROWS)
+            text = [repr(c) for c in coverages[span].tolist()]
+            for fh, values in files:
+                fh.write("".join([f"{c},{v!r}\n" for c, v in zip(text, values[span].tolist())]))
 
 
 def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -371,9 +384,11 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
     and labels, and of its embeddings and stochastic passes those in its
     inputs.  First every file ``manifest`` lists in ``base_dir`` is hashed:
     a file a split needs is read once and parsed from the bytes hashed,
-    every other one is streamed through :func:`sha256_file`.  A file parsed
-    must hold the split's ``n`` rows (RowCountError), of the shape the
-    manifest gives (FormatError)."""
+    every other one is streamed through :func:`sha256_file`.  A listed file
+    that is a symbolic link, or resolves outside ``base_dir``, is refused
+    before it is opened (FormatError).  A file parsed must hold the split's
+    ``n`` rows (RowCountError), of the shape the manifest gives
+    (FormatError)."""
     for role in wanted:
         if role not in manifest.splits:
             raise FormatError(f"manifest has no split {role!r}")
@@ -381,9 +396,13 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
               for role, inputs in wanted.items()}
     parsed = {getattr(manifest.splits[role], f) for role, names in fields.items() for f in names}
     base = Path(base_dir)
+    root = base.resolve()
     raw: Dict[str, bytes] = {}
     for name, expected in manifest.checksums.items():
         path = base / name
+        if path.is_symlink() or path.resolve().parent != root:
+            raise FormatError(f"{path}: listed file is a symbolic link or resolves outside "
+                              "the manifest's directory")
         if not path.exists():
             raise FormatError(f"{path}: listed in manifest but missing")
         if name in parsed:

@@ -28,11 +28,6 @@ MCD_RESTARTS = 20
 DENSITY_UNDERFLOW = 1e-300
 
 
-def _median_pairwise_distance(X: np.ndarray) -> float:
-    dists = scipy.spatial.distance.pdist(X)   # freed before any n x n kernel exists
-    return float(np.median(dists, overwrite_input=True)) if dists.size else 0.0
-
-
 def _ridge_lambda(cov: np.ndarray) -> float:
     d = cov.shape[0]
     lam = RIDGE_SCALE * float(np.trace(cov)) / d
@@ -187,7 +182,9 @@ def fast_mcd(
         mu, cov = _stats(idx)
         det = float(np.linalg.det(cov))
         for _ in range(MCD_MAX_CSTEPS):
-            dist = _sq_dists(Z, mu[None], _whitener(cov)[0])[:, 0]
+            # one BLAS product: only the ranking is used, and no batch is scored
+            white = (Z - mu) @ _whitener(cov)[0].T
+            dist = np.square(white, out=white).sum(axis=1)
             idx = np.argsort(dist, kind="stable")[:h]
             mu, cov = _stats(idx)
             det_new = float(np.linalg.det(cov))
@@ -254,7 +251,7 @@ def fit_rde(
     if k > n - 1:
         raise ValueError(f"{k} components infeasible with {n} train rows")
 
-    med = _median_pairwise_distance(X)
+    med = train.median_pairwise_distance
     if med <= 0.0:
         warnings.warn("median pairwise distance is zero; unit kernel width used", RuntimeWarning)
         med = 1.0
@@ -364,7 +361,7 @@ def fit_nuq(train: LabeledSplit, bandwidth="auto") -> NuqModel:
     if n < 2:
         raise ValueError("kernel fit needs at least two train embeddings")
     if bandwidth == "auto":
-        med = _median_pairwise_distance(X)
+        med = train.median_pairwise_distance
         if med <= 0.0:
             raise ValueError("degenerate train sample: median pairwise distance is zero")
         h = med / np.sqrt(2.0)

@@ -11,17 +11,23 @@ whole columns.  The kernel-PCA projection is the out-of-place expression
 ``KernelPcaBasis.transform`` evaluated before it centred in place.  The
 Mahalanobis forms invert each ridged covariance and contract it with a
 3-operand einsum, as MD, RDE and DDU did before they held Cholesky
-whiteners.
+whiteners.  The FastMCD search ranks each concentration step with the
+scorers' per-row einsum ``_sq_dists``, as ``fast_mcd`` did before it took
+one BLAS product.  The masked sigmoid evaluates each sign's branch on a
+boolean selection, as ``synth._sigmoid`` did before it took one
+``np.where``.
 """
 import csv
 import itertools
+import warnings
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from abstain.core import rank
-from abstain.density import _ridge_lambda
+from abstain.core import rank, seeded_rng
+from abstain.density import (MCD_DEFAULT_FRACTION, MCD_DET_TOL, MCD_MAX_CSTEPS, MCD_RESTARTS,
+                             _ridge_lambda, _sq_dists, _whitener)
 from abstain.hybrid import (
     ALPHA_GRID,
     C_GRID,
@@ -153,3 +159,61 @@ def mahalanobis_sq(X, centroids, covs):
     precisions = np.array([ridged_inverse(cov)[0] for cov in covs])
     diffs = centroids[None] - X[:, None]
     return np.einsum("ncd,cde,nce->nc", diffs, precisions, diffs)
+
+
+def einsum_fast_mcd(Z, fraction=MCD_DEFAULT_FRACTION, rng=None):
+    """``density.fast_mcd`` with each C-step's distances from ``_sq_dists``."""
+    Z = np.asarray(Z, dtype=float)
+    n, p = Z.shape
+    if not 0.5 <= fraction <= 1.0:
+        raise ValueError("subset fraction must lie in [0.5, 1]")
+    Z = Z[np.lexsort(Z.T[::-1])]
+    h = max(int(np.ceil(fraction * n)), int(np.ceil((n + p + 1) / 2)))
+    h = min(h, n)
+    if h >= n or h < p + 1:
+        return Z.mean(axis=0), np.cov(Z, rowvar=False, ddof=1).reshape(p, p)
+    if rng is None:
+        rng = seeded_rng(0)
+
+    def _stats(idx):
+        pts = Z[idx]
+        return pts.mean(axis=0), np.cov(pts, rowvar=False, ddof=1).reshape(p, p)
+
+    def _concentrate(idx):
+        mu, cov = _stats(idx)
+        det = float(np.linalg.det(cov))
+        for _ in range(MCD_MAX_CSTEPS):
+            dist = _sq_dists(Z, mu[None], _whitener(cov)[0])[:, 0]
+            idx = np.argsort(dist, kind="stable")[:h]
+            mu, cov = _stats(idx)
+            det_new = float(np.linalg.det(cov))
+            if abs(det_new - det) < MCD_DET_TOL:
+                det = det_new
+                break
+            det = det_new
+        return det, mu, cov
+
+    overall = Z.mean(axis=0)
+    starts = [np.argsort(((Z - overall) ** 2).sum(axis=1), kind="stable")[:h]]
+    for _ in range(MCD_RESTARTS - 1):
+        starts.append(rng.choice(n, size=h, replace=False))
+    best = None
+    for idx in starts:
+        det, mu, cov = _concentrate(np.asarray(idx))
+        if best is None or det < best[0]:
+            best = (det, mu, cov)
+    det, mu, cov = best
+    if det <= 0.0 or not np.isfinite(det):
+        warnings.warn("degenerate MCD covariance; ridge applied", RuntimeWarning)
+    return mu, cov
+
+
+def masked_sigmoid(z):
+    """Logistic function of each entry: 1 / (1 + exp(-z)) where z >= 0,
+    exp(z) / (1 + exp(z)) elsewhere, each on its own boolean selection."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

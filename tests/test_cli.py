@@ -13,14 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
 from abstain import dataio, density, rejection
 from abstain.cli import main
+from abstain.core import seeded_rng
 from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models,
                             load_splits, read_scores_csv, sha256_file, write_curve_csv,
-                            write_labels_csv)
+                            write_curve_csvs, write_labels_csv)
 from abstain.synth import SynthSpec
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
@@ -164,6 +166,15 @@ class TestFit:
         code = run("fit", "--manifest", manifest, "--out", tmp_path / "m.bin")
         assert code == 2
         assert "data error [bad-format]" in capsys.readouterr().err
+
+    def test_one_pairwise_distance_median_per_train_split(self, mc_dir, tmp_path, monkeypatch):
+        # RDE's width and NUQ's bandwidth both come from the train split's median
+        calls = []
+        pdist = scipy.spatial.distance.pdist
+        monkeypatch.setattr(scipy.spatial.distance, "pdist", lambda X: calls.append(len(X)) or pdist(X))
+        assert run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--methods", "md,rde,ddu,nuq,beta", "--out", tmp_path / "m.bin") == 0
+        assert calls == [MC_SPEC.n_train]
 
     def test_rde_solver_failure_is_data_error(self, mc_dir, tmp_path, capsys, monkeypatch):
         def no_convergence(A, k, **kw):
@@ -382,6 +393,25 @@ def test_file_names_leaving_the_dataset_directory_are_refused(where, mc_dir, tmp
     assert outside.resolve() not in opened
 
 
+def test_symlinked_dataset_file_is_refused_unopened(mc_dir, tmp_path, monkeypatch, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(mc_dir / "ds", ds)
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not part of the dataset\n")
+    (ds / "link.txt").symlink_to(Path("..") / "outside.txt")
+    manifest = ds / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["checksums"]["link.txt"] = sha256_file(outside)
+    manifest.write_text(json.dumps(payload))
+    opened = _spy_opens(monkeypatch)
+    code = run("score", "--manifest", manifest, "--methods", "SR", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]") and "link.txt" in err
+    assert "symbolic link" in err
+    assert outside.resolve() not in opened
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_truncated_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
     broken = tmp_path / "models.bin"
     broken.write_bytes((mc_dir / "models.bin").read_bytes()[:600])
@@ -560,6 +590,16 @@ class TestEvaluateAndReport:
         assert (tmp_path / "c.csv").read_bytes() == (
             b"coverage,value\n1.0,0.3333333333333333\n"
             b"0.6666666666666666,5e-324\n0.3333333333333333,0.0\n")
+
+    def test_curves_sharing_coverages_write_repr_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "WRITE_ROWS", 2)   # spans of 2, 2 and 1 rows
+        n = 5
+        coverages = (n - np.arange(n)) / n
+        curves = {tmp_path / f"{i}.csv": seeded_rng(i).uniform(size=n) for i in range(3)}
+        write_curve_csvs(coverages, curves)
+        for path, values in curves.items():
+            rows = "".join(f"{c!r},{v!r}\n" for c, v in zip(coverages.tolist(), values.tolist()))
+            assert path.read_text() == "coverage,value\n" + rows
 
     def test_report_on_split_without_errors(self, mc_dir, tmp_path):
         # labels set to the argmax predictions: no errors, so every

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import pickle
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+import scipy.spatial.distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,8 @@ from abstain.density import (
     score_nuq,
     score_rde,
 )
-from oracles import dense_top_eigenpairs, kernel_pca_transform, mahalanobis_sq, ridged_inverse
+from oracles import (dense_top_eigenpairs, einsum_fast_mcd, kernel_pca_transform, mahalanobis_sq,
+                     ridged_inverse)
 
 # 2-class symmetric fixture used by several MD/DDU checks
 CLASS0 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -222,6 +225,30 @@ def test_fast_mcd_record_order_invariant():
     mu2, cov2 = fast_mcd(X[perm], 0.75, seeded_rng(9))
     assert np.array_equal(mu1, mu2)
     assert np.array_equal(cov1, cov2)
+
+
+@pytest.mark.parametrize("k", [8, 64])
+def test_fast_mcd_blas_csteps_match_einsum_oracle(k):
+    Z = seeded_rng(k).normal(size=(300, k)) * seeded_rng(k + 1).uniform(0.5, 3.0, k)
+    mu, cov = fast_mcd(Z, 0.75, seeded_rng(7))
+    mu_ref, cov_ref = einsum_fast_mcd(Z, 0.75, seeded_rng(7))
+    assert np.array_equal(mu, mu_ref) and np.array_equal(cov, cov_ref)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+def test_fast_mcd_matches_einsum_oracle_in_rde_component_space(monkeypatch):
+    calls = []
+
+    def checked(Z, fraction, rng):
+        ref = einsum_fast_mcd(Z, fraction, copy.deepcopy(rng))
+        got = fast_mcd(Z, fraction, rng)
+        calls.append(Z.shape)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        return got
+
+    monkeypatch.setattr(density, "fast_mcd", checked)
+    fit_rde(random_split(300, 3, 8, seed=21), seed=0)
+    assert calls == [(100, 64)] * 3
 
 
 # ------------------------------------------------------------------ RDE
@@ -454,6 +481,29 @@ def test_nuq_auto_bandwidth_is_median_over_sqrt2():
     sp = LabeledSplit(np.full((4, 2), 0.5), [0, 1, 0, 1], "multiclass", "train", X)
     m = fit_nuq(sp)
     assert m.bandwidth == pytest.approx(3.5 / np.sqrt(2), abs=1e-15)
+
+
+def _split_of(X):
+    return LabeledSplit(np.full((len(X), 2), 0.5), np.arange(len(X)) % 2, "multiclass", "train", X)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 42, 44])
+def test_median_pairwise_distance_is_np_median_bitwise(n):
+    # n(n-1)/2 pairs: an odd count at n = 2, 3, 42, an even one at n = 4, 5, 44
+    X = seeded_rng(n).normal(size=(n, 3)) * 2.5
+    want = np.median(scipy.spatial.distance.pdist(X))
+    assert _split_of(X).median_pairwise_distance == want
+    perm = seeded_rng(n + 1).permutation(n)
+    assert _split_of(X[perm]).median_pairwise_distance == want
+    assert _split_of(X[np.lexsort(X.T[::-1])]).median_pairwise_distance == want
+
+
+def test_median_pairwise_distance_with_ties_and_below_two_rows():
+    ties = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])   # 10 pairs
+    assert _split_of(ties).median_pairwise_distance == np.median(scipy.spatial.distance.pdist(ties))
+    grid = np.repeat(np.arange(6.0), 3)[:, None]   # 153 pairs, many equal
+    assert _split_of(grid).median_pairwise_distance == np.median(scipy.spatial.distance.pdist(grid))
+    assert _split_of(np.ones((1, 2))).median_pairwise_distance == 0.0
 
 
 def test_nuq_single_label_gives_zero():

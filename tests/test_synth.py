@@ -4,8 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from abstain.core import seeded_rng
 from abstain.density import fit_md, score_md
-from abstain.synth import SynthDataset, SynthSpec, generate
+from abstain.synth import SynthDataset, SynthSpec, _sigmoid, generate
+from oracles import masked_sigmoid
 
 SMALL = dict(n_train=80, n_validation=40, n_test=40, n_classes=3, dim=4, mc_passes=4)
 
@@ -155,3 +157,12 @@ class TestMultilabel:
         data = generate(spec)
         assert data.ood_flags["train"].sum() == 0
         assert data.ood_flags["test"].sum() == 4
+
+
+def test_sigmoid_matches_masked_oracle_bitwise():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.0, -745.0]
+    z = np.concatenate([special, seeded_rng(0).normal(size=10_000) * 40.0])
+    got, want = _sigmoid(z), masked_sigmoid(z)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
