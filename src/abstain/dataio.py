@@ -20,7 +20,7 @@ import struct
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Collection, Dict, List, Tuple
+from typing import Callable, Collection, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -124,12 +124,36 @@ def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
         w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
 
 
-def _read_csv(raw: bytes, path, row_dtype) -> Tuple[List[str], np.ndarray]:
-    """Header fields and body rows of ``raw``, the bytes of the CSV table
-    ``path``, the rows parsed in one ``np.loadtxt`` pass into the
-    structured dtype ``row_dtype(header, longest)``; ``longest`` is the
-    longest body line in bytes, so a string field of that size never
-    truncates.  Bytes reach string fields as they are in the file.
+WRITE_ROWS = 1 << 16   # rows per write or parse of a table: bounds the text held at once
+
+
+def _line_bounds(raw: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of each line of ``raw``, the end where the
+    line's terminator starts: at a CR, or at an LF that follows none.
+    After a CRLF the next line starts past both bytes."""
+    data = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = ends + 1
+    if b"\r" in raw:
+        lone_lf = ends[(ends == 0) | (data[ends - 1] != ord("\r"))]
+        ends = np.sort(np.r_[np.flatnonzero(data == ord("\r")), lone_lf])
+        crlf = data[ends] == ord("\r")
+        crlf[crlf] = data[np.minimum(ends[crlf] + 1, len(raw) - 1)] == ord("\n")
+        starts = ends + 1 + crlf
+    if not len(ends) or starts[-1] < len(raw):
+        ends = np.append(ends, len(raw))
+    return np.r_[0, starts[:len(ends) - 1]], ends
+
+
+def _csv_spans(raw: bytes, path, row_dtype) -> Iterator:
+    """Parse ``raw``, the bytes of the CSV table ``path``, in spans of
+    WRITE_ROWS lines.  Yields the header fields and the number of body
+    rows first, then, for each span, the index of its first body row
+    (body row r is on file line r + 2) and its rows, parsed in one
+    ``np.loadtxt`` pass into the structured dtype ``row_dtype(header,
+    longest)``.  ``longest`` is the span's longest line in bytes, so a
+    string field of that size never truncates.  Bytes reach string fields
+    as they are in the file.
 
     The rules are the csv module's, one row per line: a line ends at LF,
     CRLF or CR, a double-quoted field may hold commas and doubled quotes,
@@ -137,48 +161,50 @@ def _read_csv(raw: bytes, path, row_dtype) -> Tuple[List[str], np.ndarray]:
     quotes, a row of the wrong width and a field its column cannot parse
     are FormatErrors that name the line.
     """
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    if not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    header = next(csv.reader([raw[:ends[0]].decode(errors="replace")]), [])
-    lengths = np.diff(ends) - 1
-    if np.any(lengths == 0):
-        raise FormatError(f"{path}: line {int(np.argmin(lengths)) + 2} is blank")
-    dtype = np.dtype(row_dtype(header, int(lengths.max(initial=1))))
-    if not lengths.size:
-        return header, np.empty(0, dtype)
-    try:
-        rows = _parse_rows(raw, dtype, skiprows=1)
-    except (ValueError, DeprecationWarning) as exc:
-        line = _first_bad_line(raw, ends, dtype)
-        text = raw[ends[line - 1] + 1:ends[line]].decode(errors="replace")
-        raise FormatError(f"{path}: malformed row on line {line + 1}: {text!r}") from exc
-    if len(rows) != lengths.size:
-        raise FormatError(f"{path}: a quoted field holds a line break")
-    return header, rows
+    starts, ends = _line_bounds(raw)
+
+    def text(lo: int, hi: int) -> bytes:
+        """Lines lo .. hi - 1 (the header is line 0), each ended by LF but the last."""
+        chunk = raw[starts[lo]:ends[hi - 1]]
+        return chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in chunk else chunk
+
+    header = next(csv.reader([text(0, 1).decode(errors="replace")]), [])
+    blank = np.flatnonzero(ends[1:] == starts[1:])
+    if blank.size:
+        raise FormatError(f"{path}: line {int(blank[0]) + 2} is blank")
+    row_dtype(header, 1)   # checks the header of a table without body rows too
+    yield header, len(ends) - 1
+    for lo in range(1, len(ends), WRITE_ROWS):
+        hi = min(lo + WRITE_ROWS, len(ends))
+        dtype = np.dtype(row_dtype(header, int((ends[lo:hi] - starts[lo:hi]).max())))
+        try:
+            rows = _parse_rows(text(lo, hi), dtype)
+        except (ValueError, DeprecationWarning) as exc:
+            line = _first_bad_line(text, lo, hi, dtype)
+            bad = text(line, line + 1).decode(errors="replace")
+            raise FormatError(f"{path}: malformed row on line {line + 1}: {bad!r}") from exc
+        if len(rows) != hi - lo:
+            raise FormatError(f"{path}: a quoted field holds a line break")
+        yield lo - 1, rows
 
 
-def _parse_rows(text: bytes, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+def _parse_rows(text: bytes, dtype: np.dtype) -> np.ndarray:
     """``np.loadtxt`` of CSV ``text``.  numpy versions that parse an int
     field through float ('2.7' as 2) warn with a DeprecationWarning, which
     is raised here so that such a field fails as it fails int()."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         return np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                          skiprows=skiprows, encoding="latin1", ndmin=1)
+                          encoding="latin1", ndmin=1)
 
 
-def _first_bad_line(raw: bytes, ends: np.ndarray, dtype: np.dtype) -> int:
-    """Index (the header is line 0) of the first body line of ``raw`` that
+def _first_bad_line(text: Callable[[int, int], bytes], lo: int, hi: int, dtype: np.dtype) -> int:
+    """Index of the first of lines lo .. hi - 1, ``text(lo, hi)``, that
     ``_parse_rows`` fails on, found by parsing halves of the failing span."""
-    starts = np.r_[0, ends[:-1] + 1]
-    lo, hi = 1, len(ends)   # the first bad line is one of lines lo .. hi - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _parse_rows(raw[starts[lo]:ends[mid - 1]], dtype)
+            _parse_rows(text(lo, mid), dtype)
             lo = mid
         except (ValueError, DeprecationWarning):
             hi = mid
@@ -193,8 +219,11 @@ def parse_labels_csv(raw: bytes, path, task: str) -> np.ndarray:
             raise FormatError(f"{path}: expected header index,label")
         return [(f"f{j}", "<i8") for j in range(len(header))]
 
-    header, rows = _read_csv(raw, path, row_dtype)
-    labels = rows.view("<i8").reshape(len(rows), len(header))[:, 1:]
+    spans = _csv_spans(raw, path, row_dtype)
+    header, n = next(spans)
+    labels = np.empty((n, len(header) - 1), dtype=np.int64)
+    for first, rows in spans:
+        labels[first:first + len(rows)] = rows.view("<i8").reshape(len(rows), len(header))[:, 1:]
     if task == "multilabel" and not np.isin(labels, (0, 1)).all():
         raise FormatError(f"{path}: multilabel values must be 0 or 1")
     return labels.reshape(-1) if task == "multiclass" else labels.astype(np.int8)
@@ -202,7 +231,6 @@ def parse_labels_csv(raw: bytes, path, task: str) -> np.ndarray:
 
 SCORE_HEADER = ["instance", "label", "method", "score"]
 NO_LABEL = -1   # label column of instance-level score rows
-WRITE_ROWS = 1 << 16   # rows per write of a table writer: bounds the text held at once
 
 
 def _write_chunked(fh, n: int, text: Callable[[slice], str]) -> None:
@@ -263,38 +291,46 @@ def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     """The score table as column arrays (instance, label, method, score);
     instance-level rows carry NO_LABEL in the label column.  Instance and
     label fields are int64 integers and scores floats, or the table is a
-    FormatError (see :func:`_read_csv` for the line rules)."""
+    FormatError (see :func:`_csv_spans` for the line rules)."""
     def row_dtype(header, longest):
         if header != SCORE_HEADER:
             raise FormatError(f"{path}: missing score-table header")
         return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                 ("score", "<f8")]
 
-    _, rows = _read_csv(Path(path).read_bytes(), path, row_dtype)
-    label = rows["label"]
-    has_label = label != b""
-    labels = np.full(len(rows), NO_LABEL)
-    try:
-        labels[has_label] = label[has_label].astype(np.int64)
-    except (ValueError, OverflowError):
-        for r in np.flatnonzero(has_label):
-            try:
-                np.int64(int(label[r]))
-            except (ValueError, OverflowError):
-                raise FormatError(f"{path}: line {r + 2}: label {label[r].decode(errors='replace')!r} "
-                                  "is not an int64 integer") from None
-    if np.any(labels[has_label] < 0):
-        raise FormatError(f"{path}: negative label index")
-    # method names come in runs: decode each distinct one once
-    method = rows["method"]
-    starts = np.flatnonzero(np.r_[True, method[1:] != method[:-1]][:len(rows)])
-    names, which = np.unique(method[starts], return_inverse=True)
+    spans = _csv_spans(Path(path).read_bytes(), path, row_dtype)
+    _, n = next(spans)
+    instance, labels, score = np.empty(n, dtype=np.int64), np.full(n, NO_LABEL), np.empty(n)
+    # seeded so that a table without body rows concatenates too
+    run_names, run_lengths = [np.empty(0, dtype="S1")], [np.empty(0, dtype=np.int64)]
+    for first, rows in spans:
+        span = slice(first, first + len(rows))
+        instance[span], score[span] = rows["instance"], rows["score"]
+        label = rows["label"]
+        has_label = label != b""
+        try:
+            labels[span][has_label] = label[has_label].astype(np.int64)
+        except (ValueError, OverflowError):
+            for r in np.flatnonzero(has_label):
+                try:
+                    np.int64(int(label[r]))
+                except (ValueError, OverflowError):
+                    raise FormatError(f"{path}: line {first + r + 2}: label "
+                                      f"{label[r].decode(errors='replace')!r} is not an int64 integer") from None
+        if np.any(labels[span][has_label] < 0):
+            raise FormatError(f"{path}: negative label index")
+        # method names come in runs: keep each run's name and length
+        method = rows["method"]
+        starts = np.flatnonzero(np.r_[True, method[1:] != method[:-1]])
+        run_names.append(method[starts])
+        run_lengths.append(np.diff(np.r_[starts, len(rows)]))
+    # decode each distinct method name once
+    names, which = np.unique(np.concatenate(run_names), return_inverse=True)
     try:
         names = np.array([name.decode() for name in names.tolist()], dtype=str)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
-    methods = np.repeat(names[which], np.diff(np.r_[starts, len(rows)]))
-    return np.ascontiguousarray(rows["instance"]), labels, methods, np.ascontiguousarray(rows["score"])
+    return instance, labels, np.repeat(names[which], np.concatenate(run_lengths)), score
 
 
 def sha256_file(path) -> str:

@@ -10,6 +10,7 @@ against the train sample stay bounded.
 """
 from __future__ import annotations
 
+import mmap
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -26,6 +27,7 @@ MCD_DET_TOL = 1e-9
 MCD_MAX_CSTEPS = 100
 MCD_RESTARTS = 20
 DENSITY_UNDERFLOW = 1e-300
+KERNEL_BLOCK_ROWS = 128   # train-kernel rows built at once by RDE's fit
 
 
 def _ridge_lambda(cov: np.ndarray) -> float:
@@ -211,6 +213,78 @@ def fast_mcd(
     return mu, cov
 
 
+def _kernel_buffer(n: int) -> np.ndarray:
+    """A zeroed (n, n) float64 array on an anonymous mapping of small
+    pages: only the pages written are committed, so a triangle costs half
+    the matrix.  numpy's own large arrays may take 2 MB pages, each of
+    which spans dozens of kernel rows at n in the thousands."""
+    buf = mmap.mmap(-1, n * n * 8)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+
+
+def _top_eigenpairs(Kc: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenpairs of the symmetric matrix whose lower
+    triangle ``Kc`` holds, descending, each eigenvector's largest-magnitude
+    entry positive; eigenvalues below 1e-10 of the largest are dropped."""
+    n = Kc.shape[0]
+    # Lanczos from a seeded start (a centred kernel maps the ones vector
+    # to zero); Kc.T is Kc as a Fortran array, so BLAS dsymv reads its
+    # upper triangle, Kc's lower one, with no copy
+    solver_rng = seeded_rng(0)
+    v0 = solver_rng.uniform(-1.0, 1.0, n)
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda v: scipy.linalg.blas.dsymv(1.0, Kc.T, v.ravel()), dtype=Kc.dtype)
+    try:
+        evals, evecs = scipy.sparse.linalg.eigsh(op, k, which="LA", v0=v0, rng=solver_rng)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise ValueError(f"RDE kernel eigensolve failed: {exc}") from exc
+    evals, evecs = evals[::-1], evecs[:, ::-1]   # ARPACK returns ascending order
+    # the solver's signs are arbitrary: make each largest-magnitude entry positive
+    evecs *= np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
+    keep = evals > max(1e-12, 1e-10 * float(evals.max()))
+    if not np.all(keep):
+        warnings.warn(f"kernel spectrum collapsed; using {int(keep.sum())} components", RuntimeWarning)
+        evals, evecs = evals[keep], evecs[:, keep]
+    return evals, evecs
+
+
+def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[KernelPcaBasis, np.ndarray]:
+    """Top-k kernel principal components of the train rows X and the
+    rows' own (n, k) projections on them.
+
+    Only the lower triangle of the double-centred train kernel is built,
+    in blocks of KERNEL_BLOCK_ROWS rows, and read: the products go
+    through symmetric BLAS (dsymv, dsymm), and the upper triangle stays
+    uncommitted memory (see ``_kernel_buffer``).  Each column sum adds
+    its terms from row 0 down, one at a time, as numpy's column mean of
+    the full matrix does: the components amplify a last-bit change of
+    the means to about 1e-12 of the scores, and this keeps their bits."""
+    n = X.shape[0]
+    Kc = _kernel_buffer(n)
+    blocks = [(a, min(a + KERNEL_BLOCK_ROWS, n)) for a in range(0, n, KERNEL_BLOCK_ROWS)]
+    sums = np.empty(n)
+    for a, b in blocks:
+        block = scipy.spatial.distance.cdist(X[a:b], X[:b], "sqeuclidean")
+        Kc[a:b, :b] = np.exp(np.multiply(block, -gamma, out=block), out=block)
+        # row i holds the first i + 1 terms of column i, and the next term
+        # of every column before it
+        sums[a:b] = np.cumsum(block, axis=1)[np.arange(b - a), np.arange(a, b)]
+        for r, i in enumerate(range(a, b)):
+            sums[:i] += block[r, :i]
+    col = sums / n
+    grand = float(col.mean())
+    for a, b in blocks:
+        block = Kc[a:b, :b]
+        block -= col[None, :b]
+        block -= col[a:b, None]
+        block += grand
+    evals, evecs = _top_eigenpairs(Kc, k)
+    basis = KernelPcaBasis(X, gamma, evecs / np.sqrt(evals)[None, :], col, grand)
+    return basis, scipy.linalg.blas.dsymm(1.0, Kc.T, basis.dual_vectors)
+
+
 @dataclass(frozen=True)
 class RdeModel:
     basis: KernelPcaBasis
@@ -257,34 +331,8 @@ def fit_rde(
         med = 1.0
     gamma = 1.0 / (2.0 * med * med)
 
-    # one n x n array: the kernel, double-centred in place
-    Kc = scipy.spatial.distance.cdist(X, X, "sqeuclidean")
-    np.exp(np.multiply(Kc, -gamma, out=Kc), out=Kc)
-    col = Kc.mean(axis=0)
-    grand = float(Kc.mean())
-    Kc -= col[None, :]
-    Kc -= col[:, None]
-    Kc += grand
-    # Lanczos top-k from a seeded start (Kc maps the ones vector to zero);
-    # Kc.T is Kc as a Fortran array, so BLAS dsymv reads one triangle, no copy
-    solver_rng = seeded_rng(0)
-    v0 = solver_rng.uniform(-1.0, 1.0, n)
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: scipy.linalg.blas.dsymv(1.0, Kc.T, v.ravel()), dtype=Kc.dtype)
-    try:
-        evals, evecs = scipy.sparse.linalg.eigsh(op, k, which="LA", v0=v0, rng=solver_rng)
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise ValueError(f"RDE kernel eigensolve failed: {exc}") from exc
-    evals, evecs = evals[::-1], evecs[:, ::-1]   # ARPACK returns ascending order
-    # the solver's signs are arbitrary: make each largest-magnitude entry positive
-    evecs *= np.sign(evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])])
-    keep = evals > max(1e-12, 1e-10 * float(evals.max()))
-    if not np.all(keep):
-        warnings.warn(f"kernel spectrum collapsed; using {int(keep.sum())} components", RuntimeWarning)
-        evals, evecs = evals[keep], evecs[:, keep]
-        k = int(evals.size)
-    basis = KernelPcaBasis(X, gamma, evecs / np.sqrt(evals)[None, :], col, grand)
-    Z = Kc @ basis.dual_vectors
+    basis, Z = _kernel_pca(X, gamma, k)
+    k = basis.dual_vectors.shape[1]   # fewer if the spectrum collapsed
 
     rng = seeded_rng(seed)
     C = len(groups)
@@ -392,7 +440,8 @@ def score_nuq(E, model: NuqModel) -> np.ndarray:
     n, d = model.embeddings.shape
     _check_batch(E, d)
     h2 = model.bandwidth * model.bandwidth
-    w = np.exp(-scipy.spatial.distance.cdist(E, model.embeddings, "sqeuclidean") / (2.0 * h2))
+    w = scipy.spatial.distance.cdist(E, model.embeddings, "sqeuclidean")
+    np.exp(np.divide(np.negative(w, out=w), 2.0 * h2, out=w), out=w)
     wsum = w.sum(axis=1)
     density = wsum / (n * (2.0 * np.pi) ** (d / 2.0) * model.bandwidth**d)
     underflow = density < DENSITY_UNDERFLOW

@@ -8,7 +8,9 @@ eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
 score-table reader and writer go row by row in Python, as
 ``read_scores_csv`` and ``write_scores_csv`` did before they worked on
 whole columns.  The kernel-PCA projection is the out-of-place expression
-``KernelPcaBasis.transform`` evaluated before it centred in place.  The
+``KernelPcaBasis.transform`` evaluated before it centred in place, and
+the dense kernel PCA is RDE's fit on the full train kernel, as it ran
+before it built and read one triangle through symmetric BLAS.  The
 Mahalanobis forms invert each ridged covariance and contract it with a
 3-operand einsum, as MD, RDE and DDU did before they held Cholesky
 whiteners.  The FastMCD search ranks each concentration step with the
@@ -27,7 +29,7 @@ from scipy.spatial.distance import cdist
 
 from abstain.core import rank, seeded_rng
 from abstain.density import (MCD_DEFAULT_FRACTION, MCD_DET_TOL, MCD_MAX_CSTEPS, MCD_RESTARTS,
-                             _ridge_lambda, _sq_dists, _whitener)
+                             KernelPcaBasis, _ridge_lambda, _sq_dists, _top_eigenpairs, _whitener)
 from abstain.hybrid import (
     ALPHA_GRID,
     C_GRID,
@@ -141,6 +143,22 @@ def kernel_pca_transform(basis, E):
     K = np.exp(-basis.gamma * cdist(E, basis.support, "sqeuclidean"))
     Kc = K - basis.col_means[None, :] - K.mean(axis=1, keepdims=True) + basis.grand_mean
     return Kc @ basis.dual_vectors
+
+
+def dense_kernel_pca(X, gamma, k):
+    """``density._kernel_pca`` on the full n x n train kernel: one ``cdist``
+    array, exponentiated and double-centred in place with numpy means, and
+    the train projections as one dense product."""
+    Kc = cdist(X, X, "sqeuclidean")
+    np.exp(np.multiply(Kc, -gamma, out=Kc), out=Kc)
+    col = Kc.mean(axis=0)
+    grand = float(Kc.mean())
+    Kc -= col[None, :]
+    Kc -= col[:, None]
+    Kc += grand
+    evals, evecs = _top_eigenpairs(Kc, k)
+    basis = KernelPcaBasis(X, gamma, evecs / np.sqrt(evals)[None, :], col, grand)
+    return basis, Kc @ basis.dual_vectors
 
 
 def ridged_inverse(cov):

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from abstain import dataio
 from abstain.dataio import (
     NO_LABEL,
+    WRITE_ROWS,
     ChecksumError,
     FormatError,
     MagicError,
@@ -213,7 +215,7 @@ class TestScoreCsv:
 SCORE_TABLE_HEADER = "instance,label,method,score\n"
 
 
-@pytest.mark.parametrize("body", [
+PARITY_BODIES = [
     "0,,SR,0.5\n\n1,,SR,0.25\n",
     "0,,SR,0.5\n\n",
     "#0,,SR,0.5\n",
@@ -232,10 +234,15 @@ SCORE_TABLE_HEADER = "instance,label,method,score\n"
     "0,,SR,0.5\n1.0,,SR,0.25\n",
     "0,1,MP,0.5\n0,2.7,MP,0.25\n",
     " 1,+2,MP,0.5\n-0,0,MP,0.25\n",
-], ids=["blank-line", "blank-last-line", "row-starts-with-hash", "hash-in-method",
-        "quoted-method", "quoted-comma", "one-char-method", "200-char-method", "non-ascii-method",
-        "crlf", "cr", "header-only", "three-fields", "five-fields", "inf-subnormal-negative-zero",
-        "float-instance", "float-label", "int-spelling"])
+    "0,0,MP,0.5\r\n0,1,MP,0.25\r1,0,MP,0.5\n1,1,MP,1.0\r",
+]
+PARITY_IDS = ["blank-line", "blank-last-line", "row-starts-with-hash", "hash-in-method",
+              "quoted-method", "quoted-comma", "one-char-method", "200-char-method", "non-ascii-method",
+              "crlf", "cr", "header-only", "three-fields", "five-fields", "inf-subnormal-negative-zero",
+              "float-instance", "float-label", "int-spelling", "mixed-line-ends"]
+
+
+@pytest.mark.parametrize("body", PARITY_BODIES, ids=PARITY_IDS)
 def test_score_reader_matches_the_csv_module(body, tmp_path):
     """Each table reads as the csv-module reader reads it, floats bit for
     bit and dtypes included, or is a FormatError where that reader fails."""
@@ -255,23 +262,76 @@ def test_score_reader_matches_the_csv_module(body, tmp_path):
     assert np.array_equal(got[3].view(np.int64), expected[3].view(np.int64))
 
 
+NAMED_LINES = [
+    ("0,,SR,0.5\n0,,SR\n", "line 3: '0,,SR'"),
+    ("0,,SR,0.5\n1,,SR,0.5,1\n", "line 3: '1,,SR,0.5,1'"),
+    ("0,,SR,0.5\n99999999999999999999999,,SR,0.5\n", "line 3: '99999999999999999999999,,SR,0.5'"),
+    ("0,,SR,0.5\n3.9,,SR,0.5\n", "line 3: '3.9,,SR,0.5'"),
+    ("0,,SR,0.5\n" * 1500 + "1,,SR,x\n" + "0,,SR,0.5\n" * 700 + "2,,SR\n", "line 1502: '1,,SR,x'"),
+    ("0,,SR,zero\n", "line 2: '0,,SR,zero'"),
+    ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n", "line 3: label '99999999999999999999999'"),
+    ("0,1.0,MP,0.5\n", "line 2: label '1.0'"),
+    ("0,,SR,0.5\n\n", "line 3 is blank"),
+    ('0,,"S\nR",0.5\n', "line break"),
+]
+
+
 def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
     path = tmp_path / "s.csv"
-    for body, named in [
-        ("0,,SR,0.5\n0,,SR\n", "line 3: '0,,SR'"),
-        ("0,,SR,0.5\n1,,SR,0.5,1\n", "line 3: '1,,SR,0.5,1'"),
-        ("0,,SR,0.5\n99999999999999999999999,,SR,0.5\n", "line 3: '99999999999999999999999,,SR,0.5'"),
-        ("0,,SR,0.5\n3.9,,SR,0.5\n", "line 3: '3.9,,SR,0.5'"),
-        ("0,,SR,0.5\n" * 1500 + "1,,SR,x\n" + "0,,SR,0.5\n" * 700 + "2,,SR\n", "line 1502: '1,,SR,x'"),
-        ("0,,SR,zero\n", "line 2: '0,,SR,zero'"),
-        ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n", "line 3: label '99999999999999999999999'"),
-        ("0,1.0,MP,0.5\n", "line 2: label '1.0'"),
-        ("0,,SR,0.5\n\n", "line 3 is blank"),
-        ('0,,"S\nR",0.5\n', "line break"),
-    ]:
+    for body, named in NAMED_LINES:
         path.write_text(SCORE_TABLE_HEADER + body)
         with pytest.raises(FormatError, match=named.replace(".", r"\.")):
             read_scores_csv(path)
+
+
+@pytest.mark.parametrize("span", [1, 2, 3])
+def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
+    """Spans of a few lines give the columns, dtypes included, or the
+    FormatError, absolute line number included, of one span for the
+    whole table; a quoted line break that a span boundary splits is a
+    malformed row."""
+    path = tmp_path / "s.csv"
+    bodies = PARITY_BODIES + [body for body, _ in NAMED_LINES] + [
+        "0,,SR,0.5\n1,,SR,0.25\n0,,a-much-longer-method,0.5\n1,,SR,1.0\n2,,SR,2.0\n",
+        "0,0,MP,0.5\r\n0,1,MP,0.25\r\n1,0,MP,0.5\r1,1,MP,0.5\n2,0,SR,0.5\n",
+        "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,x,MP,0.5\n",
+        "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,-3,MP,0.5\n",
+        '0,,SR,0.5\n1,,"S\nR",0.5\n',
+    ]
+    for body in bodies:
+        path.write_bytes((SCORE_TABLE_HEADER + body).encode())
+        outcomes = []
+        for rows in (WRITE_ROWS, span):
+            monkeypatch.setattr(dataio, "WRITE_ROWS", rows)
+            try:
+                outcomes.append(read_scores_csv(path))
+            except FormatError as exc:
+                outcomes.append(str(exc))
+        whole, spans = outcomes
+        if isinstance(whole, str) and "line break" in whole:
+            assert isinstance(spans, str), body
+            continue
+        assert type(whole) is type(spans), body
+        if isinstance(whole, str):
+            assert spans == whole
+            continue
+        for w, g in zip(whole, spans):
+            assert g.dtype == w.dtype and g.shape == w.shape, body
+            assert np.array_equal(g.view(np.uint8), w.view(np.uint8)), body
+
+
+@pytest.mark.parametrize("span", [1, 2])
+def test_label_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
+    path = tmp_path / "y.csv"
+    y = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]])
+    write_labels_csv(path, y, "multilabel")
+    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
+    assert np.array_equal(read_labels_csv(path, "multilabel"), y)
+    write_labels_csv(path, y[:, 0], "multiclass")
+    assert np.array_equal(read_labels_csv(path, "multiclass"), y[:, 0])
+    path.write_text("index,label\n0,1\n1,2\n2,x\n")
+    with pytest.raises(FormatError, match="line 4: '2,x'"):
+        read_labels_csv(path, "multiclass")
 
 
 def test_int_field_parsed_through_float_is_refused(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
 import copy
 import itertools
+import json
 import math
+import os
 import pickle
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +30,10 @@ from abstain.density import (
     score_nuq,
     score_rde,
 )
-from oracles import (dense_top_eigenpairs, einsum_fast_mcd, kernel_pca_transform, mahalanobis_sq,
-                     ridged_inverse)
+from abstain.rejection import rejection_order
+from abstain.synth import SynthSpec, generate
+from oracles import (dense_kernel_pca, dense_top_eigenpairs, einsum_fast_mcd, kernel_pca_transform,
+                     mahalanobis_sq, ridged_inverse)
 
 # 2-class symmetric fixture used by several MD/DDU checks
 CLASS0 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -376,17 +382,89 @@ def test_rde_model_ignores_solver_eigenvector_signs(monkeypatch):
     assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
 
 
+# fits RDE on n train rows in a fresh interpreter and prints the growth
+# of its peak resident memory across that one fit, in bytes.  The peak is
+# read as VmHWM, the high-water mark of this process image: ru_maxrss
+# outlives exec, so in a child it starts at the peak of the test process.
+RSS_PROBE = """
+import json, sys, warnings
+import numpy as np
+from abstain.core import LabeledSplit, seeded_rng
+from abstain.density import fit_rde
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+def split(n, seed):
+    rng = seeded_rng(seed)
+    labels = np.arange(n) % 4
+    X = (rng.normal(size=(4, 8)) * 4.0)[labels] + rng.normal(size=(n, 8))
+    return LabeledSplit(np.full((n, 4), 0.25), labels, "multiclass", "train", X)
+
+warnings.simplefilter("ignore")
+n, median = json.loads(sys.argv[1])
+fit_rde(split(200, 1), seed=0)            # load the solvers before the mark
+train = split(n, 3)
+train.median_pairwise_distance = median   # its pdist vector would set the mark
+before = peak_rss()
+fit_rde(train, seed=0)
+print(peak_rss() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_rde_fit_commits_one_triangle_of_the_kernel():
+    # the kernel's lower triangle is n^2 * 4 bytes, and it commits about a
+    # page more per row: the growth measures 0.77 * n^2 * 8 bytes, and 1.23
+    # with the full kernel resident
+    n = 3000
+    median = random_split(n, 4, 8, seed=3).median_pairwise_distance
+    src = str(Path(density.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-c", RSS_PROBE, json.dumps([n, median])],
+                           env=env, capture_output=True, text=True, check=True)
+    growth = int(probe.stdout.split()[-1])
+    assert growth < 0.875 * n * n * 8
+
+
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
-def test_rde_fit_holds_one_kernel_matrix():
-    n = 1200
-    split = random_split(n, 4, 8, seed=3)
-    tracemalloc.start()
-    try:
-        fit_rde(split, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * n * n * 8
+def test_rde_fit_never_reads_the_upper_triangle(monkeypatch):
+    split = random_split(240, 3, 8, seed=23)
+    model = fit_rde(split, seed=0)
+    real = density._kernel_buffer
+
+    def poisoned(n):
+        K = real(n)
+        K[np.triu_indices(n, 1)] = np.nan
+        return K
+
+    monkeypatch.setattr(density, "_kernel_buffer", poisoned)
+    assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+@pytest.mark.parametrize("d", [8, 256, 768])
+def test_rde_scores_match_dense_kernel_oracle(monkeypatch, d):
+    data = generate(SynthSpec(dim=d))   # the shipped default spec at each width
+    train, queries = data.splits["train"], data.splits["test"].embeddings
+    model = fit_rde(train, seed=0)
+    monkeypatch.setattr(density, "_kernel_pca", dense_kernel_pca)
+    dense = fit_rde(train, seed=0)
+    assert np.array_equal(model.basis.col_means, dense.basis.col_means)
+    got, want = score_rde(queries, model), score_rde(queries, dense)
+    # the grand mean's and the projections' summation orders differ
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(rejection_order(got), rejection_order(want))
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+def test_rde_fit_ignores_kernel_block_rows(monkeypatch):
+    split = random_split(240, 3, 8, seed=23)
+    model = fit_rde(split, seed=0)
+    for rows in (1, 7, 240):
+        monkeypatch.setattr(density, "KERNEL_BLOCK_ROWS", rows)
+        assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
 
 
 # ------------------------------------------------------------------ DDU
