@@ -15,7 +15,7 @@ from .baselines import (
     score_mp,
     score_sr,
 )
-from .core import LabeledSplit, rank, rank_all, seeded_rng
+from .core import LabeledSplit, rank_all, seeded_rng
 from .density import (
     DduModel,
     MdModel,
@@ -51,7 +51,7 @@ __all__ = [
     "NormalizedAuc", "NuqModel", "RdeModel", "RejectionCurve", "SynthDataset",
     "SynthSpec", "build_curve", "curve_auc", "curve_value_at", "fast_mcd",
     "fit_beta", "fit_ddu", "fit_hybrid", "fit_md", "fit_nuq", "fit_rde",
-    "generate", "multiclass_losses", "normalized_auc", "rank", "rank_all",
+    "generate", "multiclass_losses", "normalized_auc", "rank_all",
     "score_bald", "score_beta", "score_ddu", "score_delta", "score_entropy",
     "score_hybrid_batch", "score_md",
     "score_mp", "score_nuq", "score_pv", "score_rde", "score_smp",

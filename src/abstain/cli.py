@@ -243,40 +243,59 @@ def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.n
     """Sorted method names of the ``level`` rows of a score table and their
     scores, one matrix row per method and one column per unit: an
     instance, or at level "label" an (instance, label) pair,
-    instance-major.  Every unit needs exactly one row per method."""
-    instance, label, method, score = table
+    instance-major.  Every unit needs exactly one row per method.  A
+    method run whose rows are all at ``level`` is read through a slice."""
+    instance, label, runs, score = table
     pairs = level == "label"
-    keep = (label != NO_LABEL) == pairs
-    instance, label, method, score = instance[keep], label[keep], method[keep], score[keep]
-    names, which = np.unique(method, return_inverse=True)
-    if not names.size:
+    parts = []   # (method, its rows at ``level``, their number) per run, in table order
+    stop = 0
+    for name, length in runs:
+        start, stop = stop, stop + length
+        keep = (label[start:stop] != NO_LABEL) == pairs
+        if keep.all():
+            parts.append((name, slice(start, stop), length))
+        elif keep.any():
+            parts.append((name, start + np.flatnonzero(keep), int(keep.sum())))
+    names = sorted({name for name, _, _ in parts})
+    if not names:
         raise DataError(f"score table holds no {level}-level rows")
-    counts = np.bincount(which, minlength=names.size)
-    if not pairs and np.any(counts != n):
-        k = int(np.flatnonzero(counts != n)[0])
-        raise DataError(f"method {names[k]}: {counts[k]} rows for {n} instances")
-    in_range = (0 <= instance) & (instance < n)
-    units = n
-    if pairs:
-        in_range &= (0 <= label) & (label < width)
-        units = n * width
-    if not np.all(in_range):
-        r = int(np.flatnonzero(~in_range)[0])
-        at = f"instance {instance[r]}" + (f", label {label[r]}" if pairs else "")
-        raise DataError(f"score row out of range: method {method[r]}, {at}")
-    slot = which * units + (instance * width + label if pairs else instance)
-    hits = np.bincount(slot, minlength=names.size * units).reshape(names.size, units)
-    if np.any(hits > 1):
-        k, u = np.argwhere(hits > 1)[0]
+    if not pairs:
+        for name in names:
+            count = sum(size for method, _, size in parts if method == name)
+            if count != n:
+                raise DataError(f"method {name}: {count} rows for {n} instances")
+    for name, rows, _ in parts:
+        at_instance = instance[rows]
+        in_range = (0 <= at_instance) & (at_instance < n)
+        if pairs:
+            in_range &= (0 <= label[rows]) & (label[rows] < width)
+        if not in_range.all():
+            r = int(np.argmin(in_range))
+            at = f"instance {at_instance[r]}" + (f", label {label[rows][r]}" if pairs else "")
+            raise DataError(f"score row out of range: method {name}, {at}")
+    units = n * width if pairs else n
+    matrix = np.empty((len(names), units))
+    repeated = missing = None
+    for k, name in enumerate(names):
+        hits = np.zeros(units, dtype=np.int64)
+        for method, rows, _ in parts:
+            if method == name:
+                unit = instance[rows] * width + label[rows] if pairs else instance[rows]
+                hits += np.bincount(unit, minlength=units)
+                matrix[k, unit] = score[rows]
+        if repeated is None and hits.max() > 1:
+            u = int(np.argmax(hits > 1))
+            repeated = name, hits[u], u
+        if missing is None and not hits.all():
+            missing = name
+    if repeated is not None:
+        name, count, u = repeated
         at = f"instance {u // width}, label {u % width}" if pairs else f"instance {u}"
-        raise DataError(f"method {names[k]}: {hits[k, u]} score rows for {at}")
-    if np.any(hits == 0):
-        k = int(np.flatnonzero((hits == 0).any(axis=1))[0])
-        raise DataError(f"method {names[k]}: score table misses some label pairs" if pairs
-                        else f"method {names[k]}: missing instances in score table")
-    matrix = np.empty(names.size * units)
-    matrix[slot] = score
-    return names.tolist(), matrix.reshape(names.size, units)
+        raise DataError(f"method {name}: {count} score rows for {at}")
+    if missing is not None:
+        raise DataError(f"method {missing}: score table misses some label pairs" if pairs
+                        else f"method {missing}: missing instances in score table")
+    return names, matrix
 
 
 def _cmd_evaluate(args) -> int:
@@ -304,8 +323,8 @@ def _cmd_evaluate(args) -> int:
             curve = rejection.build_curve(scores, data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
             curve_files[curves_dir / f"{name}{suffix}.csv"] = curve.values
-            plots.setdefault(mode_name, {})[name] = (curve.coverages, curve.values)
-    # every curve of the run has the same (n - k)/n coverages: format them once
+            plots.setdefault(mode_name, {})[name] = (oracle.coverages, curve.values)
+    # every curve of the run has the same (n - k)/n coverages: keep and format them once
     write_curve_csvs(oracle.coverages, curve_files)
 
     for mode_name, curve_map in sorted(plots.items()):

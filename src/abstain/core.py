@@ -27,24 +27,13 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def rank(u: float, table: np.ndarray) -> int:
-    """1-based rank of ``u`` over a sorted score table.
+def rank_all(u: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """1-based rank of each query value in ``u`` over a sorted score table.
 
-    Counts the table entries strictly below ``u`` and adds one, so tied
-    values share the smallest rank and out-of-table values still rank
+    Counts the table entries strictly below each value and adds one, so
+    tied values share the smallest rank and out-of-table values still rank
     sensibly (below the minimum -> 1, above the maximum -> len + 1).
     """
-    table = np.asarray(table, dtype=float)
-    if table.size == 0:
-        raise ValueError("empty rank table")
-    u = float(u)
-    if not np.isfinite(u):
-        raise ValueError("rank input must be finite")
-    return int(np.searchsorted(table, u, side="left")) + 1
-
-
-def rank_all(u: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`rank` over an array of query values."""
     table = np.asarray(table, dtype=float)
     if table.size == 0:
         raise ValueError("empty rank table")

@@ -20,7 +20,7 @@ import struct
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Collection, Dict, Iterator, List, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -124,36 +124,80 @@ def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
         w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
 
 
-WRITE_ROWS = 1 << 16   # rows per write or parse of a table: bounds the text held at once
+WRITE_ROWS = 1 << 13   # rows per write or parse of a table: bounds the text held at once
+READ_BYTES = 1 << 20   # bytes per read of a file: bounds the bytes held at once
 
 
-def _line_bounds(raw: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of each line of ``raw``, the end where the
+def _file_chunks(path) -> Iterator[bytes]:
+    """The bytes of the file ``path``, in reads of READ_BYTES."""
+    with open(path, "rb") as fh:
+        yield from iter(lambda: fh.read(READ_BYTES), b"")
+
+
+def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of ``chunks`` in blocks of whole lines: each block ends
+    just past a line end, the last one where the bytes end.  A CR that ends
+    a chunk is held back with its line, since the next chunk may start with
+    the LF of a CRLF."""
+    held: List[bytes] = []   # the bytes after the last line end
+    for chunk in chunks:
+        if held and held[-1].endswith(b"\r") and not chunk.startswith(b"\n"):
+            yield b"".join(held)   # that CR ended a line
+            held = []
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut:
+            yield b"".join(held + [chunk[:cut]])
+            held = []
+        if cut < len(chunk):
+            held.append(chunk[cut:])
+    if held:
+        yield b"".join(held)
+
+
+def _block_lines(block: bytes) -> Tuple[np.ndarray, np.ndarray, Callable[[int, int], bytes]]:
+    """Start and end offsets of each line of ``block``, the end where the
     line's terminator starts: at a CR, or at an LF that follows none.
-    After a CRLF the next line starts past both bytes."""
-    data = np.frombuffer(raw, np.uint8)
+    After a CRLF the next line starts past both bytes.  Also returns
+    ``text(lo, hi)``, lines lo .. hi - 1 as ``np.loadtxt`` reads them: each
+    ended by its LF or CRLF but the last, and if the block holds a CR that
+    ends a line alone, with every line end turned into an LF."""
+    data = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
     starts = ends + 1
-    if b"\r" in raw:
-        lone_lf = ends[(ends == 0) | (data[ends - 1] != ord("\r"))]
-        ends = np.sort(np.r_[np.flatnonzero(data == ord("\r")), lone_lf])
-        crlf = data[ends] == ord("\r")
-        crlf[crlf] = data[np.minimum(ends[crlf] + 1, len(raw) - 1)] == ord("\n")
-        starts = ends + 1 + crlf
-    if not len(ends) or starts[-1] < len(raw):
-        ends = np.append(ends, len(raw))
-    return np.r_[0, starts[:len(ends) - 1]], ends
+    lone_cr = False
+    if b"\r" in block:
+        cr = np.flatnonzero(data == ord("\r"))
+        if len(cr) == len(ends) and np.array_equal(cr + 1, ends):   # CRLF line ends only
+            ends = cr
+        else:
+            lone_lf = ends[(ends == 0) | (data[ends - 1] != ord("\r"))]
+            ends = np.sort(np.r_[cr, lone_lf])
+            crlf = data[ends] == ord("\r")
+            crlf[crlf] = data[np.minimum(ends[crlf] + 1, len(block) - 1)] == ord("\n")
+            starts = ends + 1 + crlf
+            lone_cr = len(cr) > np.count_nonzero(crlf)
+    if not len(ends) or starts[-1] < len(block):
+        ends = np.append(ends, len(block))
+    starts = np.r_[0, starts[:len(ends) - 1]]
+
+    def text(lo: int, hi: int) -> bytes:
+        chunk = block[starts[lo]:ends[hi - 1]]
+        return chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if lone_cr else chunk
+
+    return starts, ends, text
 
 
-def _csv_spans(raw: bytes, path, row_dtype) -> Iterator:
-    """Parse ``raw``, the bytes of the CSV table ``path``, in spans of
-    WRITE_ROWS lines.  Yields the header fields and the number of body
-    rows first, then, for each span, the index of its first body row
-    (body row r is on file line r + 2) and its rows, parsed in one
-    ``np.loadtxt`` pass into the structured dtype ``row_dtype(header,
-    longest)``.  ``longest`` is the span's longest line in bytes, so a
-    string field of that size never truncates.  Bytes reach string fields
-    as they are in the file.
+def _csv_spans(chunks: Callable[[], Iterable[bytes]], path, row_dtype) -> Iterator:
+    """Parse the CSV table ``path``, whose bytes each call of ``chunks()``
+    gives, in blocks of whole lines (:func:`_line_blocks`) and spans of at
+    most WRITE_ROWS lines.  A first pass over the blocks counts the lines
+    and checks the header and that no line is blank: it yields the header
+    fields and the number of body rows.  A second pass yields, for each
+    span, the index of its first body row (body row r is on file line
+    r + 2) and its rows, parsed in one ``np.loadtxt`` pass into the
+    structured dtype ``row_dtype(header, longest)``.  ``longest`` is the
+    span's longest line in bytes, so a string field of that size never
+    truncates.  Bytes reach string fields as they are in the file.
 
     The rules are the csv module's, one row per line: a line ends at LF,
     CRLF or CR, a double-quoted field may hold commas and doubled quotes,
@@ -161,31 +205,34 @@ def _csv_spans(raw: bytes, path, row_dtype) -> Iterator:
     quotes, a row of the wrong width and a field its column cannot parse
     are FormatErrors that name the line.
     """
-    starts, ends = _line_bounds(raw)
-
-    def text(lo: int, hi: int) -> bytes:
-        """Lines lo .. hi - 1 (the header is line 0), each ended by LF but the last."""
-        chunk = raw[starts[lo]:ends[hi - 1]]
-        return chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in chunk else chunk
-
-    header = next(csv.reader([text(0, 1).decode(errors="replace")]), [])
-    blank = np.flatnonzero(ends[1:] == starts[1:])
-    if blank.size:
-        raise FormatError(f"{path}: line {int(blank[0]) + 2} is blank")
+    header, lines = [], 0   # lines before the block; the header is line 0
+    for block in _line_blocks(chunks()):
+        starts, ends, text = _block_lines(block)
+        body = 0 if lines else 1   # the block's first body line
+        if body:
+            header = next(csv.reader([text(0, 1).decode(errors="replace")]), [])
+        blank = np.flatnonzero(ends[body:] == starts[body:])
+        if blank.size:
+            raise FormatError(f"{path}: line {lines + body + int(blank[0]) + 1} is blank")
+        lines += len(ends)
     row_dtype(header, 1)   # checks the header of a table without body rows too
-    yield header, len(ends) - 1
-    for lo in range(1, len(ends), WRITE_ROWS):
-        hi = min(lo + WRITE_ROWS, len(ends))
-        dtype = np.dtype(row_dtype(header, int((ends[lo:hi] - starts[lo:hi]).max())))
-        try:
-            rows = _parse_rows(text(lo, hi), dtype)
-        except (ValueError, DeprecationWarning) as exc:
-            line = _first_bad_line(text, lo, hi, dtype)
-            bad = text(line, line + 1).decode(errors="replace")
-            raise FormatError(f"{path}: malformed row on line {line + 1}: {bad!r}") from exc
-        if len(rows) != hi - lo:
-            raise FormatError(f"{path}: a quoted field holds a line break")
-        yield lo - 1, rows
+    yield header, max(lines - 1, 0)
+    lines = 0
+    for block in _line_blocks(chunks()):
+        starts, ends, text = _block_lines(block)
+        for lo in range(0 if lines else 1, len(ends), WRITE_ROWS):
+            hi = min(lo + WRITE_ROWS, len(ends))
+            dtype = np.dtype(row_dtype(header, int((ends[lo:hi] - starts[lo:hi]).max())))
+            try:
+                rows = _parse_rows(text(lo, hi), dtype)
+            except (ValueError, DeprecationWarning) as exc:
+                line = _first_bad_line(text, lo, hi, dtype)
+                bad = text(line, line + 1).decode(errors="replace")
+                raise FormatError(f"{path}: malformed row on line {lines + line + 1}: {bad!r}") from exc
+            if len(rows) != hi - lo:
+                raise FormatError(f"{path}: a quoted field holds a line break")
+            yield lines + lo - 1, rows
+        lines += len(ends)
 
 
 def _parse_rows(text: bytes, dtype: np.dtype) -> np.ndarray:
@@ -219,7 +266,8 @@ def parse_labels_csv(raw: bytes, path, task: str) -> np.ndarray:
             raise FormatError(f"{path}: expected header index,label")
         return [(f"f{j}", "<i8") for j in range(len(header))]
 
-    spans = _csv_spans(raw, path, row_dtype)
+    spans = _csv_spans(lambda: (raw[i:i + READ_BYTES] for i in range(0, len(raw), READ_BYTES)),
+                       path, row_dtype)
     header, n = next(spans)
     labels = np.empty((n, len(header) - 1), dtype=np.int64)
     for first, rows in spans:
@@ -287,22 +335,23 @@ def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
                 fh.write("".join([f"{c},{v!r}\n" for c, v in zip(text, values[span].tolist())]))
 
 
-def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The score table as column arrays (instance, label, method, score);
-    instance-level rows carry NO_LABEL in the label column.  Instance and
-    label fields are int64 integers and scores floats, or the table is a
-    FormatError (see :func:`_csv_spans` for the line rules)."""
+def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, List[Tuple[str, int]], np.ndarray]:
+    """The score table as columns (instance, label, runs, score), read in
+    blocks of READ_BYTES.  ``runs`` gives the method column as (name, rows)
+    runs of equal names, in table order; instance-level rows carry
+    NO_LABEL in the label column.  Instance and label fields are int64
+    integers and scores floats, or the table is a FormatError (see
+    :func:`_csv_spans` for the line rules)."""
     def row_dtype(header, longest):
         if header != SCORE_HEADER:
             raise FormatError(f"{path}: missing score-table header")
         return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                 ("score", "<f8")]
 
-    spans = _csv_spans(Path(path).read_bytes(), path, row_dtype)
+    spans = _csv_spans(lambda: _file_chunks(path), path, row_dtype)
     _, n = next(spans)
     instance, labels, score = np.empty(n, dtype=np.int64), np.full(n, NO_LABEL), np.empty(n)
-    # seeded so that a table without body rows concatenates too
-    run_names, run_lengths = [np.empty(0, dtype="S1")], [np.empty(0, dtype=np.int64)]
+    runs: List[list] = []   # [name as bytes, rows]
     for first, rows in spans:
         span = slice(first, first + len(rows))
         instance[span], score[span] = rows["instance"], rows["score"]
@@ -319,25 +368,24 @@ def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
                                       f"{label[r].decode(errors='replace')!r} is not an int64 integer") from None
         if np.any(labels[span][has_label] < 0):
             raise FormatError(f"{path}: negative label index")
-        # method names come in runs: keep each run's name and length
         method = rows["method"]
         starts = np.flatnonzero(np.r_[True, method[1:] != method[:-1]])
-        run_names.append(method[starts])
-        run_lengths.append(np.diff(np.r_[starts, len(rows)]))
-    # decode each distinct method name once
-    names, which = np.unique(np.concatenate(run_names), return_inverse=True)
-    try:
-        names = np.array([name.decode() for name in names.tolist()], dtype=str)
+        for name, length in zip(method[starts].tolist(), np.diff(np.r_[starts, len(rows)]).tolist()):
+            if runs and runs[-1][0] == name:
+                runs[-1][1] += length
+            else:
+                runs.append([name, length])
+    try:   # each distinct method name is decoded once
+        names = {name: name.decode() for name, _ in runs}
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
-    return instance, labels, np.repeat(names[which], np.concatenate(run_lengths)), score
+    return instance, labels, [(names[name], length) for name, length in runs], score
 
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    for chunk in _file_chunks(path):
+        h.update(chunk)
     return h.hexdigest()
 
 

@@ -74,9 +74,14 @@ def _check_scores(scores, n_expected: int) -> np.ndarray:
 
 
 def _suffix_sums(x):
-    # along the last axis, index k holds the remainder after removing k units
-    return x.sum(axis=-1, keepdims=True) - np.concatenate(
-        (np.zeros_like(x[..., :1]), np.cumsum(x, axis=-1)[..., :-1]), axis=-1)
+    """Along the last axis, index k holds the sum left after removing k
+    units: the total less the first k terms, in the dtype numpy sums
+    ``x`` in (int64 for small ints), so integer counts sum exactly."""
+    total = x.sum(axis=-1, keepdims=True)
+    out = np.empty(x.shape, dtype=total.dtype)
+    out[..., :1] = 0
+    np.cumsum(x[..., :-1], axis=-1, dtype=out.dtype, out=out[..., 1:])
+    return np.subtract(total, out, out=out)
 
 
 def _risk_values(errors, totals):
@@ -85,25 +90,36 @@ def _risk_values(errors, totals):
 
 
 def _f1_values(tp, fp, fn):
-    tp_left, fp_left, fn_left = _suffix_sums(tp), _suffix_sums(fp), _suffix_sums(fn)
-    denom = 2.0 * tp_left + fp_left + fn_left
+    values = 2.0 * _suffix_sums(tp)
+    denom = values + _suffix_sums(fp)
+    denom += _suffix_sums(fn)
     # nothing predicted or true positive and no mistakes: vacuously perfect
-    return np.where(denom > 0.0, 2.0 * tp_left / np.where(denom > 0.0, denom, 1.0), 1.0)
+    vacuous = ~(denom > 0.0)
+    denom[vacuous] = 1.0
+    values /= denom
+    values[vacuous] = 1.0
+    return values
+
+
+def _counts(x) -> np.ndarray:
+    """``x`` as an array of integer counts, or else of floats."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "iu" else x.astype(float)
 
 
 def _unit_arrays(data, mode: str):
-    """Checked per-unit float arrays of ``data`` (see :func:`build_curve`):
-    (errors, totals) for risk and accuracy, (tp, fp, fn) for f1_micro."""
+    """Checked per-unit arrays of ``data`` (see :func:`build_curve`):
+    (errors, totals) for risk and accuracy, (tp, fp, fn) for f1_micro.
+    Integer counts keep their dtype, anything else becomes float."""
     if mode in ("risk", "accuracy"):
-        errors, totals = data if isinstance(data, tuple) else (data, np.ones(len(data)))
-        errors = np.asarray(errors, dtype=float)
-        totals = np.asarray(totals, dtype=float)
+        errors, totals = data if isinstance(data, tuple) else (data, np.ones(len(data), dtype=np.int8))
+        errors, totals = _counts(errors), _counts(totals)
         if errors.shape != totals.shape or errors.ndim != 1:
             raise ValueError("errors/totals must be matching 1-D arrays")
         return errors, totals
     if not (isinstance(data, tuple) and len(data) == 3):
         raise ValueError("f1_micro needs a (tp, fp, fn) count triple")
-    tp, fp, fn = (np.asarray(x, dtype=float) for x in data)
+    tp, fp, fn = (_counts(x) for x in data)
     if not (tp.shape == fp.shape == fn.shape) or tp.ndim != 1:
         raise ValueError("tp/fp/fn must be matching 1-D arrays")
     return tp, fp, fn
@@ -124,15 +140,15 @@ def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
     scores = _check_scores(scores, arrays[0].size)
     order = rejection_order(scores)
     arrays = [x[order] for x in arrays]
+    del order   # n indices, not needed by the sums
     if mode == "f1_micro":
         values = _f1_values(*arrays)
     else:
         values = _risk_values(*arrays)
         if mode == "accuracy":
-            values = 1.0 - values
+            np.subtract(1.0, values, out=values)
     n = scores.size
-    coverages = (n - np.arange(n)) / n
-    return RejectionCurve(coverages, values, mode)
+    return RejectionCurve(np.arange(n, 0, -1) / n, values, mode)
 
 
 def curve_value_at(curve: RejectionCurve, coverage: float) -> float:
@@ -187,7 +203,7 @@ def oracle_scores(data, mode: str) -> np.ndarray:
     """
     arrays = _unit_arrays(data, mode)
     if mode in ("risk", "accuracy"):
-        return arrays[0].copy()
+        return arrays[0].astype(float)
     _, fp, fn = arrays
     return 2.0 * fp + fn
 
@@ -232,8 +248,9 @@ def unit_data(probs: np.ndarray, labels: np.ndarray, task: str, level: str):
     sigmoid outputs thresholded at 0.5, is judged by accuracy, as
     ``(fp + fn, totals)``, and micro-F1, as ``(tp, fp, fn)``, over label
     decisions counted per unit: per (instance, label) pair, instance-major,
-    at ``level`` "label", per whole instance at level "instance".
-    The last pair is the headline one: risk, or micro-F1.
+    at ``level`` "label", as int8 0/1 counts, per whole instance at level
+    "instance", as int64 counts.  The last pair is the headline one: risk,
+    or micro-F1.
     """
     if task == "multiclass":
         if level != "instance":
@@ -248,9 +265,9 @@ def unit_data(probs: np.ndarray, labels: np.ndarray, task: str, level: str):
     pred = probs >= 0.5
     masks = (pred & (labels == 1), pred & (labels == 0), ~pred & (labels == 1))
     if level == "label":
-        tp, fp, fn = (mask.reshape(-1).astype(float) for mask in masks)
-        totals = np.ones(tp.size)
+        tp, fp, fn = (mask.reshape(-1).view(np.int8) for mask in masks)
+        totals = np.ones(tp.size, dtype=np.int8)
     else:
-        tp, fp, fn = (mask.sum(axis=1).astype(float) for mask in masks)
-        totals = np.full(len(probs), probs.shape[1], dtype=float)
+        tp, fp, fn = (mask.sum(axis=1) for mask in masks)
+        totals = np.full(len(probs), probs.shape[1], dtype=np.int64)
     return (("accuracy", (fp + fn, totals)), ("f1_micro", (tp, fp, fn)))

@@ -53,9 +53,9 @@ def plot_curves_svg(
     points :func:`_m4` keeps."""
     curves = {name: (np.asarray(xs, dtype=float), np.asarray(vs, dtype=float))
               for name, (xs, vs) in sorted(curves.items())}
-    ys = np.concatenate([vs for _, vs in curves.values()] or [np.empty(0)])
-    y_lo = float(ys.min()) if ys.size else 0.0
-    y_hi = float(ys.max()) if ys.size else 1.0
+    filled = [vs for _, vs in curves.values() if vs.size]
+    y_lo = float(np.min([vs.min() for vs in filled])) if filled else 0.0
+    y_hi = float(np.max([vs.max() for vs in filled])) if filled else 1.0
     if y_hi - y_lo < 1e-9:
         y_lo, y_hi = y_lo - 0.05, y_hi + 0.05
     pad = 0.04 * (y_hi - y_lo)

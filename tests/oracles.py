@@ -1,13 +1,14 @@
 """Reference implementations the tests hold the library to.
 
 The scalar hybrid rules score one (ambiguity, novelty) pair with scalar
-ranks, written from the definitions rather than from the vectorised
-code.  The brute-force hybrid search builds every grid config and scores
+ranks (``rank``, the scalar form of ``core.rank_all``), written from the
+definitions rather than from the vectorised code.  The brute-force hybrid search builds every grid config and scores
 it with ``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
 score-table reader and writer go row by row in Python, as
 ``read_scores_csv`` and ``write_scores_csv`` did before they worked on
-whole columns.  The kernel-PCA projection is the out-of-place expression
+whole columns; ``method_column`` expands the reader's method runs into
+the per-row column it returned before it kept runs.  The kernel-PCA projection is the out-of-place expression
 ``KernelPcaBasis.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran
 before it built and read one triangle through symmetric BLAS.  The
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from abstain.core import rank, seeded_rng
+from abstain.core import seeded_rng
 from abstain.density import (MCD_DEFAULT_FRACTION, MCD_DET_TOL, MCD_MAX_CSTEPS, MCD_RESTARTS,
                              KernelPcaBasis, _ridge_lambda, _sq_dists, _top_eigenpairs, _whitener)
 from abstain.hybrid import (
@@ -39,6 +40,22 @@ from abstain.hybrid import (
     score_hybrid_batch,
 )
 from abstain.rejection import build_curve, curve_auc, multiclass_losses
+
+
+def rank(u: float, table: np.ndarray) -> int:
+    """1-based rank of ``u`` over a sorted score table.
+
+    Counts the table entries strictly below ``u`` and adds one, so tied
+    values share the smallest rank and out-of-table values still rank
+    sensibly (below the minimum -> 1, above the maximum -> len + 1).
+    """
+    table = np.asarray(table, dtype=float)
+    if table.size == 0:
+        raise ValueError("empty rank table")
+    u = float(u)
+    if not np.isfinite(u):
+        raise ValueError("rank input must be finite")
+    return int(np.searchsorted(table, u, side="left")) + 1
 
 
 def score_huq(u_ambiguity: float, u_novelty: float, config: HybridConfig) -> float:
@@ -117,6 +134,11 @@ def csv_read_scores(path):
     labels = np.array([int(v) if v != "" else -1 for v in label], dtype=int)
     return (np.array([int(v) for v in instance], dtype=int), labels, np.array(method, dtype=str),
             np.array([float(v) for v in score], dtype=float))
+
+
+def method_column(runs) -> np.ndarray:
+    """The per-row method names of a score table's (name, rows) method runs."""
+    return np.array([name for name, rows in runs for _ in range(rows)], dtype=str)
 
 
 def csv_write_scores(path, scores):

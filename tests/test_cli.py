@@ -24,6 +24,7 @@ from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, 
                             load_splits, read_scores_csv, sha256_file, write_curve_csv,
                             write_curve_csvs, write_labels_csv)
 from abstain.synth import SynthSpec
+from oracles import method_column
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
                     n_classes=3, dim=4, mc_passes=4)
@@ -33,6 +34,12 @@ ML_SPEC = SynthSpec(seed=5, task="multilabel", n_labels=5, n_train=120,
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def child_env() -> dict:
+    """This process's environment, with the tested sources first on PYTHONPATH."""
+    src = str(Path(abstain.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="module")
@@ -423,15 +430,25 @@ def test_truncated_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+FIT_AND_SCORE = """
+import sys
+from abstain.cli import main
+manifest, out = sys.argv[1:]
+assert main(["fit", "--manifest", manifest, "--methods", "md,rde,ddu,nuq", "--out", out + ".bin"]) == 0
+assert main(["score", "--manifest", manifest, "--models", out + ".bin", "--methods", "MD,RDE,DDU,NUQ",
+             "--out", out + ".csv"]) == 0
+"""
+
+
 class TestScore:
     def test_basic_methods_row_counts(self, mc_dir, tmp_path):
         out = tmp_path / "s.csv"
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--models", mc_dir / "models.bin", "--methods", "SR,Entropy,MD",
                    "--split", "test", "--out", out) == 0
-        instance, label, method, _ = read_scores_csv(out)
+        instance, label, runs, _ = read_scores_csv(out)
         assert len(instance) == 3 * 60
-        assert set(method) == {"SR", "Entropy", "MD"}
+        assert set(method_column(runs)) == {"SR", "Entropy", "MD"}
         assert (label == NO_LABEL).all()
 
     def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path):
@@ -444,12 +461,37 @@ class TestScore:
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a == (tmp_path / "c.csv").read_bytes()
 
+    def test_blas_thread_count_keeps_rejection_orders(self, tmp_path):
+        """The shipped default spec, fitted and scored at 1 and at 2 BLAS
+        threads, each count set before numpy loads in a fresh interpreter:
+        MD and DDU score bitwise alike; RDE (Lanczos and symmetric BLAS
+        products) and NUQ (a kernel-weight product) move by at most 1e-12
+        relative and keep every rejection order."""
+        assert run("gen-synth", "--out", tmp_path / "ds") == 0
+        manifest = tmp_path / "ds" / "manifest.json"
+        columns = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-c", FIT_AND_SCORE, str(manifest), str(out)], check=True,
+                           env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)})
+            _, _, runs, score = read_scores_csv(out.with_suffix(".csv"))
+            stops = np.cumsum([rows for _, rows in runs])
+            columns.append({name: score[stop - rows:stop] for (name, rows), stop in zip(runs, stops)})
+        one, two = columns
+        assert list(one) == list(two) == ["MD", "RDE", "DDU", "NUQ"]
+        for name in ("MD", "DDU"):
+            assert one[name].tobytes() == two[name].tobytes(), name
+        for name in ("RDE", "NUQ"):
+            np.testing.assert_allclose(two[name], one[name], rtol=1e-12, atol=0, err_msg=name)
+            assert np.array_equal(rejection.rejection_order(one[name]), rejection.rejection_order(two[name]))
+
     def test_all_methods_with_hybrids(self, mc_dir, tmp_path):
         out = tmp_path / "all.csv"
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--models", mc_dir / "models.bin", "--methods", "all",
                    "--calibrate", "validation", "--out", out) == 0
-        _, _, method, _ = read_scores_csv(out)
+        _, _, runs, _ = read_scores_csv(out)
+        method = method_column(runs)
         methods = set(method)
         assert "HUQ2-MD" in methods and "HUQ-DDU" in methods and "Beta" in methods
         assert len(method) == len(methods) * 60
@@ -491,7 +533,8 @@ class TestScore:
         assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
                    "--models", ml_dir / "models.bin", "--methods", "MP,MP-mean",
                    "--out", out) == 0
-        instance, label, method, _ = read_scores_csv(out)
+        instance, label, runs, _ = read_scores_csv(out)
+        method = method_column(runs)
         pairs, inst = method == "MP", method == "MP-mean"
         assert pairs.sum() == 60 * 5 and (label[pairs] != NO_LABEL).all()
         assert inst.sum() == 60 and (label[inst] == NO_LABEL).all()
@@ -644,7 +687,43 @@ class TestEvaluateAndReport:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+# VmHWM, the peak resident size of the process image, in KiB; unlike
+# ru_maxrss it does not carry the parent's peak across exec
+EVALUATE_PROBE = """
+import json, sys
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+import abstain.cli as cli
+start = vm_hwm()
+assert cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps([start, vm_hwm()]))
+"""
+
+
 class TestMultilabelEvaluate:
+    def test_label_mode_holds_under_200_bytes_per_pair(self, tmp_path):
+        """``evaluate --mode label`` on 5000 x 20 pairs, in a fresh
+        interpreter, grows its peak resident memory by less than 200 bytes
+        per (instance, label) pair over the loaded interpreter.  It grows by
+        13-14 MiB; a reader that keeps a method name per row and the whole
+        file's line offsets, with float counts, takes about 32 MiB."""
+        if not Path("/proc/self/status").exists():
+            pytest.skip("VmHWM is read from /proc/self/status")
+        n, width = 5000, 20
+        spec = tmp_path / "spec.json"
+        spec.write_text(SynthSpec(seed=3, task="multilabel", n_labels=width, n_train=200,
+                                  n_validation=100, n_test=n).to_json())
+        assert run("gen-synth", "--spec", spec, "--out", tmp_path / "ds") == 0
+        manifest = tmp_path / "ds" / "manifest.json"
+        assert run("score", "--manifest", manifest, "--methods", "MP", "--out", tmp_path / "s.csv") == 0
+        argv = ["evaluate", "--scores", str(tmp_path / "s.csv"), "--manifest", str(manifest),
+                "--mode", "label", "--out", str(tmp_path / "m.json"), str(tmp_path / "curves")]
+        probe = subprocess.run([sys.executable, "-c", EVALUATE_PROBE, json.dumps(argv)],
+                               env=child_env(), capture_output=True, text=True, check=True)
+        start, peak = json.loads(probe.stdout.splitlines()[-1])
+        assert (peak - start) * 1024 < 200 * n * width
+
     def test_label_and_instance_modes(self, ml_dir, tmp_path):
         scores = tmp_path / "scores.csv"
         assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
@@ -749,10 +828,8 @@ class TestImportHygiene:
             ["report", "--metrics", str(metrics), "--curves", str(root / "curves"),
              "--out", str(tmp_path / "report.html")],
         ]
-        src = str(Path(abstain.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
                                 json.dumps([SCIPY_SUBPACKAGES, LAYERS, commands])],
-                               env=env, capture_output=True, text=True, check=True)
+                               env=child_env(), capture_output=True, text=True, check=True)
         states = json.loads(probe.stdout.splitlines()[-1])
         assert states == [[stage, [], []] for stage in ("import", "fit", "evaluate", "report")]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abstain.core import LabeledSplit, rank, rank_all, seeded_rng, validate_probs
+from abstain.core import LabeledSplit, rank_all, seeded_rng, validate_probs
+from oracles import rank
 
 TABLE = np.array([0.1, 0.2, 0.2, 0.7])
 

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from abstain import dataio
 from abstain.dataio import (
     NO_LABEL,
+    READ_BYTES,
     WRITE_ROWS,
     ChecksumError,
     FormatError,
@@ -37,7 +38,7 @@ from abstain.dataio import (
 from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
-from oracles import csv_read_scores, csv_write_scores
+from oracles import csv_read_scores, csv_write_scores, method_column
 
 
 def read_matrix(path):
@@ -169,7 +170,7 @@ class TestScoreCsv:
         instance, label, method, score = read_scores_csv(tmp_path / "s.csv")
         assert instance.tolist() == [0, 1, 0, 0, 1, 1, 0, 1]
         assert label.tolist() == [NO_LABEL, NO_LABEL, 0, 1, 0, 1, NO_LABEL, NO_LABEL]
-        assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP", "MD", "MD"]
+        assert method == [("SR", 2), ("MP", 4), ("MD", 2)]
         assert score.tolist() == [0.25, 0.5, 0.1, 0.4, 0.7, 0.2, 3.75e-2, 1.5]
 
     def test_float_repr_roundtrips_exactly(self, tmp_path):
@@ -196,7 +197,7 @@ class TestScoreCsv:
         instance, label, method, score = read_scores_csv(path)
         assert instance.tolist() == [0, 1, 0, 0, 1, 1]
         assert label.tolist() == [NO_LABEL, NO_LABEL, 0, 1, 0, 1]
-        assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP"]
+        assert method_column(method).tolist() == ["SR", "SR", "MP", "MP", "MP", "MP"]
         assert np.array_equal(score.view(np.int64), np.concatenate([sr, mp.ravel()]).view(np.int64))
 
     def test_header_and_row_shape_enforced(self, tmp_path):
@@ -255,10 +256,10 @@ def test_score_reader_matches_the_csv_module(body, tmp_path):
             read_scores_csv(path)
         return
     got = read_scores_csv(path)
-    for g, e in zip(got, expected):
+    for g, e in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
         assert g.dtype == e.dtype and g.shape == e.shape
     assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
-    assert got[2].tolist() == expected[2].tolist()
+    assert method_column(got[2]).tolist() == expected[2].tolist()
     assert np.array_equal(got[3].view(np.int64), expected[3].view(np.int64))
 
 
@@ -284,12 +285,29 @@ def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
             read_scores_csv(path)
 
 
+# line ends and faults that reads of 1 to 7 bytes cut at some block edge
+BLOCK_EDGE_BODIES = [
+    "0,0,MP,0.5\r\n0,1,MP,0.25\r\n1,0,MP,0.125\r\n",
+    "0,0,MP,0.5\r0,1,MP,0.25\r1,0,MP,0.125\r",
+    "0,0,MP,0.5\r0,1,MP,0.25\r\n1,0,MP,0.125\n1,1,MP,1.0",
+    '0,,SR,0.5\n1,,"S\r\nR",0.25\n2,,SR,0.125\n',
+    '0,,SR,0.5\r1,,"S\rR",0.25\r',
+    "0,,SR,0.5\n\n1,,SR,0.25\n",
+    "0,,SR,0.5\r\n\r\n1,,SR,0.25\r\n",
+    "0,,SR,0.5\r\r1,,SR,0.25\r",
+    "0,,SR,0.5\n1,,SR,0.25\n2,,SR\n",
+]
+BLOCK_BYTES = (1, 2, 3, 5, 7)
+
+
 @pytest.mark.parametrize("span", [1, 2, 3])
 def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
-    """Spans of a few lines give the columns, dtypes included, or the
-    FormatError, absolute line number included, of one span for the
-    whole table; a quoted line break that a span boundary splits is a
-    malformed row."""
+    """Spans of a few lines, read in blocks of a few bytes too, give the
+    columns, dtypes included, or the FormatError, absolute line number
+    included, of one span and one block for the whole table.  Reads of 1
+    to 7 bytes split CRLFs, CR-only line ends, quoted line breaks and blank
+    lines at block edges; a quoted line break that a span or block edge
+    splits is a malformed row."""
     path = tmp_path / "s.csv"
     bodies = PARITY_BODIES + [body for body, _ in NAMED_LINES] + [
         "0,,SR,0.5\n1,,SR,0.25\n0,,a-much-longer-method,0.5\n1,,SR,1.0\n2,,SR,2.0\n",
@@ -297,27 +315,30 @@ def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
         "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,x,MP,0.5\n",
         "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,-3,MP,0.5\n",
         '0,,SR,0.5\n1,,"S\nR",0.5\n',
-    ]
+    ] + BLOCK_EDGE_BODIES
     for body in bodies:
         path.write_bytes((SCORE_TABLE_HEADER + body).encode())
         outcomes = []
-        for rows in (WRITE_ROWS, span):
+        for rows, size in [(WRITE_ROWS, READ_BYTES), (span, READ_BYTES)] + [(span, b) for b in BLOCK_BYTES]:
             monkeypatch.setattr(dataio, "WRITE_ROWS", rows)
+            monkeypatch.setattr(dataio, "READ_BYTES", size)
             try:
                 outcomes.append(read_scores_csv(path))
             except FormatError as exc:
                 outcomes.append(str(exc))
-        whole, spans = outcomes
-        if isinstance(whole, str) and "line break" in whole:
-            assert isinstance(spans, str), body
-            continue
-        assert type(whole) is type(spans), body
-        if isinstance(whole, str):
-            assert spans == whole
-            continue
-        for w, g in zip(whole, spans):
-            assert g.dtype == w.dtype and g.shape == w.shape, body
-            assert np.array_equal(g.view(np.uint8), w.view(np.uint8)), body
+        whole, *parts = outcomes
+        for got in parts:
+            if isinstance(whole, str) and "line break" in whole:
+                assert isinstance(got, str), body
+                continue
+            assert type(whole) is type(got), body
+            if isinstance(whole, str):
+                assert got == whole
+                continue
+            assert got[2] == whole[2], body
+            for w, g in zip(whole[:2] + whole[3:], got[:2] + got[3:]):
+                assert g.dtype == w.dtype and g.shape == w.shape, body
+                assert np.array_equal(g.view(np.uint8), w.view(np.uint8)), body
 
 
 @pytest.mark.parametrize("span", [1, 2])
@@ -326,6 +347,7 @@ def test_label_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
     y = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]])
     write_labels_csv(path, y, "multilabel")
     monkeypatch.setattr(dataio, "WRITE_ROWS", span)
+    monkeypatch.setattr(dataio, "READ_BYTES", 2 + span)
     assert np.array_equal(read_labels_csv(path, "multilabel"), y)
     write_labels_csv(path, y[:, 0], "multiclass")
     assert np.array_equal(read_labels_csv(path, "multiclass"), y[:, 0])
@@ -374,7 +396,7 @@ def test_score_table_round_trip(tmp_path_factory, scores):
         for column, part in zip(expected, (i, j, [name] * values.size, values.ravel())):
             column.extend(part)
     assert instance.tolist() == expected[0] and label.tolist() == expected[1]
-    assert method.tolist() == expected[2]
+    assert method_column(method).tolist() == expected[2]
     assert np.array_equal(score.view(np.int64), np.array(expected[3], dtype=float).view(np.int64))
 
 

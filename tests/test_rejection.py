@@ -14,6 +14,7 @@ from abstain.rejection import (
     curve_auc,
     curve_value_at,
     multiclass_losses,
+    normalize_auc,
     normalized_auc,
     oracle_scores,
     rejection_order,
@@ -386,6 +387,13 @@ class TestUnitData:
         assert errors.tolist() == [2.0, 1.0]
         assert totals.tolist() == [3.0, 3.0]
 
+    def test_counts_are_integers(self):
+        rng = np.random.default_rng(5)
+        probs, truth = rng.random((4, 3)), rng.integers(0, 2, (4, 3))
+        for level, dtype in (("label", np.int8), ("instance", np.int64)):
+            (_, (errors, totals)), (_, counts) = unit_data(probs, truth, "multilabel", level)
+            assert [x.dtype for x in (errors, totals, *counts)] == [dtype] * 5, level
+
     def test_both_levels_give_the_same_total_counts(self):
         rng = np.random.default_rng(19)
         probs = rng.random((15, 6))
@@ -534,3 +542,48 @@ class TestScoreInvariance:
             return  # degenerate by construction
         res = normalized_auc(rng.standard_normal(30), losses, "risk")
         assert res.normalized <= 1.0 + 1e-9
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _counts_as(data, dtype):
+    """Per-unit data with each count array cast to ``dtype``."""
+    if isinstance(data, tuple):
+        return tuple(np.asarray(x, dtype) for x in data)
+    return np.asarray(data, dtype)
+
+
+class TestIntegerCounts:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60), st.integers(1, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_int8_and_int64_counts_give_the_float_curves(self, seed, n, width):
+        """Partial sums of counts below 2**53 are exact in float64, so
+        integer counts give the float64 counts' curves and areas bit for
+        bit, in every mode, for 0/1 pair data and per-instance counts up
+        to the label count."""
+        rng = np.random.default_rng(seed)
+        pair = rng.integers(0, 4, n)   # 0 true negative, 1 tp, 2 fp, 3 fn
+        tp, fp, fn = (pair == k for k in (1, 2, 3))
+        split = rng.multinomial(width, [0.25] * 4, size=n)   # per instance: tn, tp, fp, fn up to L
+        scores = rng.integers(0, 5, n) / 4.0   # ties, broken by index
+        datasets = [("risk", fp + fn), ("accuracy", (fp + fn, np.ones(n))), ("f1_micro", (tp, fp, fn)),
+                    ("accuracy", (split[:, 2] + split[:, 3], np.full(n, width))),
+                    ("f1_micro", tuple(split[:, 1:].T))]
+        for mode, data in datasets:
+            floats = _counts_as(data, float)
+            want = build_curve(scores, floats, mode)
+            want_oracle = build_curve(oracle_scores(floats, mode), floats, mode)
+            for dtype in (np.int8, np.int64):
+                counts = _counts_as(data, dtype)
+                got = build_curve(scores, counts, mode)
+                oracle = build_curve(oracle_scores(counts, mode), counts, mode)
+                assert _bits(got.values) == _bits(want.values), (mode, dtype)
+                assert _bits(got.coverages) == _bits(want.coverages), (mode, dtype)
+                assert _bits(oracle.values) == _bits(want_oracle.values), (mode, dtype)
+                for span in ("full", "first_50"):
+                    a, b = normalize_auc(got, oracle, span), normalize_auc(want, want_oracle, span)
+                    fields = ("raw_auc", "rand_auc", "oracle_auc", "normalized")
+                    assert _bits([getattr(a, f) for f in fields]) == _bits([getattr(b, f) for f in fields])
+                    assert a.flag == b.flag
