@@ -243,46 +243,40 @@ def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.n
     """Sorted method names of the ``level`` rows of a score table and their
     scores, one matrix row per method and one column per unit: an
     instance, or at level "label" an (instance, label) pair,
-    instance-major.  Every unit needs exactly one row per method.  A
-    method run whose rows are all at ``level`` is read through a slice."""
+    instance-major.  Every unit needs exactly one row per method.  The
+    work is linear in the rows, whatever order the methods' rows come in."""
     instance, label, runs, score = table
     pairs = level == "label"
-    parts = []   # (method, its rows at ``level``, their number) per run, in table order
-    stop = 0
-    for name, length in runs:
-        start, stop = stop, stop + length
-        keep = (label[start:stop] != NO_LABEL) == pairs
-        if keep.all():
-            parts.append((name, slice(start, stop), length))
-        elif keep.any():
-            parts.append((name, start + np.flatnonzero(keep), int(keep.sum())))
-    names = sorted({name for name, _, _ in parts})
+    methods = sorted({name for name, _ in runs})
+    code = {name: k for k, name in enumerate(methods)}
+    # each row's method as an index into ``methods``
+    which = np.repeat(np.array([code[name] for name, _ in runs], dtype=np.int32),
+                      np.array([length for _, length in runs], dtype=np.int64))
+    at_level = (label != NO_LABEL) == pairs
+    counts = np.bincount(which[at_level], minlength=len(methods))
+    names = [name for name, count in zip(methods, counts) if count]
     if not names:
         raise DataError(f"score table holds no {level}-level rows")
     if not pairs:
-        for name in names:
-            count = sum(size for method, _, size in parts if method == name)
-            if count != n:
+        for name, count in zip(methods, counts):
+            if count and count != n:
                 raise DataError(f"method {name}: {count} rows for {n} instances")
-    for name, rows, _ in parts:
-        at_instance = instance[rows]
-        in_range = (0 <= at_instance) & (at_instance < n)
-        if pairs:
-            in_range &= (0 <= label[rows]) & (label[rows] < width)
-        if not in_range.all():
-            r = int(np.argmin(in_range))
-            at = f"instance {at_instance[r]}" + (f", label {label[rows][r]}" if pairs else "")
-            raise DataError(f"score row out of range: method {name}, {at}")
+    in_range = (0 <= instance) & (instance < n)
+    if pairs:
+        in_range &= (0 <= label) & (label < width)
+    out = at_level & ~in_range
+    if out.any():
+        r = int(np.argmax(out))
+        at = f"instance {instance[r]}" + (f", label {label[r]}" if pairs else "")
+        raise DataError(f"score row out of range: method {methods[which[r]]}, {at}")
     units = n * width if pairs else n
     matrix = np.empty((len(names), units))
     repeated = missing = None
     for k, name in enumerate(names):
-        hits = np.zeros(units, dtype=np.int64)
-        for method, rows, _ in parts:
-            if method == name:
-                unit = instance[rows] * width + label[rows] if pairs else instance[rows]
-                hits += np.bincount(unit, minlength=units)
-                matrix[k, unit] = score[rows]
+        rows = np.flatnonzero(at_level & (which == code[name]))
+        unit = instance[rows] * width + label[rows] if pairs else instance[rows]
+        hits = np.bincount(unit, minlength=units)
+        matrix[k, unit] = score[rows]
         if repeated is None and hits.max() > 1:
             u = int(np.argmax(hits > 1))
             repeated = name, hits[u], u

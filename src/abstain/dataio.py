@@ -167,15 +167,12 @@ def _block_lines(block: bytes) -> Tuple[np.ndarray, np.ndarray, Callable[[int, i
     lone_cr = False
     if b"\r" in block:
         cr = np.flatnonzero(data == ord("\r"))
-        if len(cr) == len(ends) and np.array_equal(cr + 1, ends):   # CRLF line ends only
-            ends = cr
-        else:
-            lone_lf = ends[(ends == 0) | (data[ends - 1] != ord("\r"))]
-            ends = np.sort(np.r_[cr, lone_lf])
-            crlf = data[ends] == ord("\r")
-            crlf[crlf] = data[np.minimum(ends[crlf] + 1, len(block) - 1)] == ord("\n")
-            starts = ends + 1 + crlf
-            lone_cr = len(cr) > np.count_nonzero(crlf)
+        lone_lf = ends[(ends == 0) | (data[ends - 1] != ord("\r"))]
+        ends = np.sort(np.r_[cr, lone_lf])
+        crlf = data[ends] == ord("\r")
+        crlf[crlf] = data[np.minimum(ends[crlf] + 1, len(block) - 1)] == ord("\n")
+        starts = ends + 1 + crlf
+        lone_cr = len(cr) > np.count_nonzero(crlf)
     if not len(ends) or starts[-1] < len(block):
         ends = np.append(ends, len(block))
     starts = np.r_[0, starts[:len(ends) - 1]]
@@ -187,52 +184,51 @@ def _block_lines(block: bytes) -> Tuple[np.ndarray, np.ndarray, Callable[[int, i
     return starts, ends, text
 
 
-def _csv_spans(chunks: Callable[[], Iterable[bytes]], path, row_dtype) -> Iterator:
-    """Parse the CSV table ``path``, whose bytes each call of ``chunks()``
-    gives, in blocks of whole lines (:func:`_line_blocks`) and spans of at
-    most WRITE_ROWS lines.  A first pass over the blocks counts the lines
-    and checks the header and that no line is blank: it yields the header
-    fields and the number of body rows.  A second pass yields, for each
-    span, the index of its first body row (body row r is on file line
-    r + 2) and its rows, parsed in one ``np.loadtxt`` pass into the
-    structured dtype ``row_dtype(header, longest)``.  ``longest`` is the
-    span's longest line in bytes, so a string field of that size never
-    truncates.  Bytes reach string fields as they are in the file.
+def _csv_spans(blocks: Iterable[bytes], path, row_dtype) -> Iterator:
+    """Parse the CSV table ``path``, whose bytes ``blocks`` gives in blocks
+    of whole lines (:func:`_line_blocks`), in spans of at most WRITE_ROWS
+    lines.  Yields the header fields first, then, for each span, the index
+    of its first body row (body row r is on file line r + 2) and its rows,
+    parsed in one ``np.loadtxt`` pass into the structured dtype
+    ``row_dtype(header, longest)``.  ``longest`` is the span's longest line
+    in bytes, so a string field of that size never truncates.  Bytes reach
+    string fields as they are in the file.
 
     The rules are the csv module's, one row per line: a line ends at LF,
     CRLF or CR, a double-quoted field may hold commas and doubled quotes,
     and '#' is an ordinary character.  A blank line, a line break inside
     quotes, a row of the wrong width and a field its column cannot parse
-    are FormatErrors that name the line.
+    are FormatErrors that name the line; the rows before a blank line are
+    yielded first, so the first faulty line is named whatever the blocks.
     """
-    header, lines = [], 0   # lines before the block; the header is line 0
-    for block in _line_blocks(chunks()):
+    header, lines = None, 0   # lines before the block; the header is line 0
+    for block in blocks:
         starts, ends, text = _block_lines(block)
-        body = 0 if lines else 1   # the block's first body line
-        if body:
+        if header is None:
             header = next(csv.reader([text(0, 1).decode(errors="replace")]), [])
-        blank = np.flatnonzero(ends[body:] == starts[body:])
-        if blank.size:
-            raise FormatError(f"{path}: line {lines + body + int(blank[0]) + 1} is blank")
-        lines += len(ends)
-    row_dtype(header, 1)   # checks the header of a table without body rows too
-    yield header, max(lines - 1, 0)
-    lines = 0
-    for block in _line_blocks(chunks()):
-        starts, ends, text = _block_lines(block)
+            row_dtype(header, 1)   # checks the header of a table without body rows too
+            yield header
         for lo in range(0 if lines else 1, len(ends), WRITE_ROWS):
             hi = min(lo + WRITE_ROWS, len(ends))
-            dtype = np.dtype(row_dtype(header, int((ends[lo:hi] - starts[lo:hi]).max())))
-            try:
-                rows = _parse_rows(text(lo, hi), dtype)
-            except (ValueError, DeprecationWarning) as exc:
-                line = _first_bad_line(text, lo, hi, dtype)
-                bad = text(line, line + 1).decode(errors="replace")
-                raise FormatError(f"{path}: malformed row on line {lines + line + 1}: {bad!r}") from exc
-            if len(rows) != hi - lo:
-                raise FormatError(f"{path}: a quoted field holds a line break")
-            yield lines + lo - 1, rows
+            blank = np.flatnonzero(ends[lo:hi] == starts[lo:hi])
+            if blank.size:
+                hi = lo + int(blank[0])
+            if hi > lo:
+                dtype = np.dtype(row_dtype(header, int((ends[lo:hi] - starts[lo:hi]).max())))
+                try:
+                    rows = _parse_rows(text(lo, hi), dtype)
+                except (ValueError, DeprecationWarning) as exc:
+                    line = _first_bad_line(text, lo, hi, dtype)
+                    bad = text(line, line + 1).decode(errors="replace")
+                    raise FormatError(f"{path}: malformed row on line {lines + line + 1}: {bad!r}") from exc
+                if len(rows) != hi - lo:
+                    raise FormatError(f"{path}: a quoted field holds a line break")
+                yield lines + lo - 1, rows
+            if blank.size:
+                raise FormatError(f"{path}: line {lines + hi + 1} is blank")
         lines += len(ends)
+    if header is None:   # an empty file
+        row_dtype([], 1)
 
 
 def _parse_rows(text: bytes, dtype: np.dtype) -> np.ndarray:
@@ -266,12 +262,10 @@ def parse_labels_csv(raw: bytes, path, task: str) -> np.ndarray:
             raise FormatError(f"{path}: expected header index,label")
         return [(f"f{j}", "<i8") for j in range(len(header))]
 
-    spans = _csv_spans(lambda: (raw[i:i + READ_BYTES] for i in range(0, len(raw), READ_BYTES)),
-                       path, row_dtype)
-    header, n = next(spans)
-    labels = np.empty((n, len(header) - 1), dtype=np.int64)
-    for first, rows in spans:
-        labels[first:first + len(rows)] = rows.view("<i8").reshape(len(rows), len(header))[:, 1:]
+    spans = _csv_spans([raw], path, row_dtype)
+    width = len(next(spans))
+    labels = np.concatenate([np.empty((0, width - 1), dtype=np.int64)] + [
+        rows.view("<i8").reshape(len(rows), width)[:, 1:] for _, rows in spans])
     if task == "multilabel" and not np.isin(labels, (0, 1)).all():
         raise FormatError(f"{path}: multilabel values must be 0 or 1")
     return labels.reshape(-1) if task == "multiclass" else labels.astype(np.int8)
@@ -348,15 +342,26 @@ def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, List[Tuple[str, int]]
         return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                 ("score", "<f8")]
 
-    spans = _csv_spans(lambda: _file_chunks(path), path, row_dtype)
-    _, n = next(spans)
-    instance, labels, score = np.empty(n, dtype=np.int64), np.full(n, NO_LABEL), np.empty(n)
+    spans = _csv_spans(_line_blocks(_file_chunks(path)), path, row_dtype)
+    next(spans)
+    # the columns grow by a quarter when full and are cut to size at the
+    # end; ndarray.resize reallocates in place, so a large column's pages
+    # are remapped, not copied, and it leaves no freed parts behind
+    instance, labels, score = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
     runs: List[list] = []   # [name as bytes, rows]
+    stop = 0
     for first, rows in spans:
-        span = slice(first, first + len(rows))
+        stop = first + len(rows)
+        span = slice(first, stop)
+        if stop > len(instance):   # no view of a column outlives this loop's body
+            size = max(stop, len(instance) * 5 // 4)
+            instance.resize(size, refcheck=False)
+            labels.resize(size, refcheck=False)
+            score.resize(size, refcheck=False)
         instance[span], score[span] = rows["instance"], rows["score"]
         label = rows["label"]
         has_label = label != b""
+        labels[span] = NO_LABEL
         try:
             labels[span][has_label] = label[has_label].astype(np.int64)
         except (ValueError, OverflowError):
@@ -379,6 +384,9 @@ def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, List[Tuple[str, int]]
         names = {name: name.decode() for name, _ in runs}
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
+    instance.resize(stop, refcheck=False)
+    labels.resize(stop, refcheck=False)
+    score.resize(stop, refcheck=False)
     return instance, labels, [(names[name], length) for name, length in runs], score
 
 

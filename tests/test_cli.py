@@ -706,7 +706,7 @@ class TestMultilabelEvaluate:
         """``evaluate --mode label`` on 5000 x 20 pairs, in a fresh
         interpreter, grows its peak resident memory by less than 200 bytes
         per (instance, label) pair over the loaded interpreter.  It grows by
-        13-14 MiB; a reader that keeps a method name per row and the whole
+        about 14 MiB; a reader that keeps a method name per row and the whole
         file's line offsets, with float counts, takes about 32 MiB."""
         if not Path("/proc/self/status").exists():
             pytest.skip("VmHWM is read from /proc/self/status")
@@ -746,6 +746,34 @@ class TestMultilabelEvaluate:
                    "--mode", "instance", "--out", inst_metrics, tmp_path / "ic") == 0
         payload = json.loads(inst_metrics.read_text())
         assert set(payload["methods"]) == {"MP-mean", "MD"}
+
+    def test_interleaved_methods_evaluate_as_grouped(self, ml_dir, tmp_path):
+        """A score table sorted by instance and label, with two pair-level
+        and two instance-level methods interleaved so that every row is a
+        method run of its own, gives the metrics and curves of the same
+        rows grouped by method."""
+        grouped = tmp_path / "grouped.csv"
+        assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
+                   "--models", ml_dir / "models.bin", "--methods", "MP,MP-mean,MD",
+                   "--out", grouped) == 0
+        header, *rows = grouped.read_text().splitlines()
+        rows += [row.replace(",MP,", ",MQ,") for row in rows if ",MP," in row]
+        grouped.write_text("\n".join([header] + rows) + "\n")
+        interleaved = tmp_path / "interleaved.csv"
+        rows.sort(key=lambda row: [int(field or -1) for field in row.split(",")[:2]])
+        interleaved.write_text("\n".join([header] + rows) + "\n")
+        assert len(read_scores_csv(interleaved)[2]) == len(rows)
+        for mode in ("label", "instance"):
+            outputs = []
+            for table in (grouped, interleaved):
+                out = tmp_path / f"{table.stem}-{mode}"
+                assert run("evaluate", "--scores", table, "--manifest", ml_dir / "ds" / "manifest.json",
+                           "--mode", mode, "--out", out / "metrics.json", out / "curves") == 0
+                outputs.append({path.relative_to(out): path.read_bytes()
+                                for path in sorted(out.rglob("*")) if path.is_file()})
+            assert outputs[0] == outputs[1]
+            methods = json.loads(outputs[0][Path("metrics.json")])["methods"]
+            assert set(methods) == ({"MP", "MQ"} if mode == "label" else {"MP-mean", "MD"})
 
     def test_incomplete_pair_table_is_data_error(self, ml_dir, tmp_path, capsys):
         scores = tmp_path / "scores.csv"

@@ -273,11 +273,15 @@ NAMED_LINES = [
     ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n", "line 3: label '99999999999999999999999'"),
     ("0,1.0,MP,0.5\n", "line 2: label '1.0'"),
     ("0,,SR,0.5\n\n", "line 3 is blank"),
+    ("0,,SR,0.5\n1,,SR\n\n2,,SR,0.25\n", "line 3: '1,,SR'"),
+    ("0,,SR,0.5\n1,-2,MP,0.25\n\n", "negative label"),
     ('0,,"S\nR",0.5\n', "line break"),
 ]
 
 
 def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
+    """The FormatError names the first faulty line: a malformed row or a
+    bad label before a blank line is named, not the blank line."""
     path = tmp_path / "s.csv"
     for body, named in NAMED_LINES:
         path.write_text(SCORE_TABLE_HEADER + body)
@@ -347,7 +351,6 @@ def test_label_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
     y = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]])
     write_labels_csv(path, y, "multilabel")
     monkeypatch.setattr(dataio, "WRITE_ROWS", span)
-    monkeypatch.setattr(dataio, "READ_BYTES", 2 + span)
     assert np.array_equal(read_labels_csv(path, "multilabel"), y)
     write_labels_csv(path, y[:, 0], "multiclass")
     assert np.array_equal(read_labels_csv(path, "multiclass"), y[:, 0])
