@@ -24,7 +24,6 @@ import numpy as np
 from . import baselines, density, hybrid, mc, rejection, report, synth
 from .core import LabeledSplit
 from .dataio import (
-    NO_LABEL,
     DataError,
     load_manifest,
     load_models,
@@ -240,40 +239,37 @@ def _auc_payload(res: rejection.NormalizedAuc) -> dict:
 
 
 def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.ndarray]:
-    """Sorted method names of the ``level`` rows of a score table and their
-    scores, one matrix row per method and one column per unit: an
-    instance, or at level "label" an (instance, label) pair,
-    instance-major.  Every unit needs exactly one row per method.  The
-    work is linear in the rows, whatever order the methods' rows come in."""
+    """Sorted method names of a score table of ``level`` rows, as
+    ``read_scores_csv(path, level)`` reads it, and their scores, one matrix
+    row per method and one column per unit: an instance, or at level
+    "label" an (instance, label) pair, instance-major.  Every unit needs
+    exactly one row per method.  The work is linear in the rows, whatever
+    order the methods' rows come in."""
     instance, label, runs, score = table
     pairs = level == "label"
-    methods = sorted({name for name, _ in runs})
-    code = {name: k for k, name in enumerate(methods)}
-    # each row's method as an index into ``methods``
-    which = np.repeat(np.array([code[name] for name, _ in runs], dtype=np.int32),
-                      np.array([length for _, length in runs], dtype=np.int64))
-    at_level = (label != NO_LABEL) == pairs
-    counts = np.bincount(which[at_level], minlength=len(methods))
-    names = [name for name, count in zip(methods, counts) if count]
+    names = sorted({name for name, _ in runs})
     if not names:
         raise DataError(f"score table holds no {level}-level rows")
+    code = {name: k for k, name in enumerate(names)}
+    # each row's method as an index into ``names``
+    which = np.repeat(np.array([code[name] for name, _ in runs], dtype=np.int32),
+                      np.array([length for _, length in runs], dtype=np.int64))
     if not pairs:
-        for name, count in zip(methods, counts):
-            if count and count != n:
+        for name, count in zip(names, np.bincount(which, minlength=len(names))):
+            if count != n:
                 raise DataError(f"method {name}: {count} rows for {n} instances")
     in_range = (0 <= instance) & (instance < n)
     if pairs:
         in_range &= (0 <= label) & (label < width)
-    out = at_level & ~in_range
-    if out.any():
-        r = int(np.argmax(out))
+    if not in_range.all():
+        r = int(np.argmin(in_range))
         at = f"instance {instance[r]}" + (f", label {label[r]}" if pairs else "")
-        raise DataError(f"score row out of range: method {methods[which[r]]}, {at}")
+        raise DataError(f"score row out of range: method {names[which[r]]}, {at}")
     units = n * width if pairs else n
     matrix = np.empty((len(names), units))
     repeated = missing = None
     for k, name in enumerate(names):
-        rows = np.flatnonzero(at_level & (which == code[name]))
+        rows = np.flatnonzero(which == k)
         unit = instance[rows] * width + label[rows] if pairs else instance[rows]
         hits = np.bincount(unit, minlength=units)
         matrix[k, unit] = score[rows]
@@ -304,22 +300,24 @@ def _cmd_evaluate(args) -> int:
     curves_dir = Path(args.out[1]) if len(args.out) > 1 else metrics_path.parent / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
-    names, matrix = _unit_scores(read_scores_csv(args.scores), args.mode, len(split),
+    names, matrix = _unit_scores(read_scores_csv(args.scores, args.mode), args.mode, len(split),
                                  split.probs.shape[1])
     evaluations = rejection.unit_data(split.probs, split.labels, manifest.task, args.mode)
     methods_payload: Dict[str, dict] = {name: {} for name in names}
     plots: Dict[str, Dict[str, tuple]] = {}
     curve_files: Dict[Path, np.ndarray] = {}
-    for mode_name, data in evaluations:
+    for mode_name, data in evaluations:   # one metric's curves at a time
         oracle = rejection.build_curve(rejection.oracle_scores(data, mode_name), data, mode_name)
         suffix = "" if len(evaluations) == 1 else f".{mode_name}"
         for name, scores in zip(names, matrix):
             curve = rejection.build_curve(scores, data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
             curve_files[curves_dir / f"{name}{suffix}.csv"] = curve.values
-            plots.setdefault(mode_name, {})[name] = (oracle.coverages, curve.values)
-    # every curve of the run has the same (n - k)/n coverages: keep and format them once
-    write_curve_csvs(oracle.coverages, curve_files)
+            plots.setdefault(mode_name, {})[name] = report.plot_points(curve.coverages, curve.values)
+        # every curve of the run shares the (n - k)/n coverages: keep and format them once
+        coverages = oracle.coverages
+        del oracle   # freed before the next metric's oracle is built
+    write_curve_csvs(coverages, curve_files)
 
     for mode_name, curve_map in sorted(plots.items()):
         svg = report.plot_curves_svg(curve_map, f"{mode_name} vs coverage", mode_name)

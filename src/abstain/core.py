@@ -163,9 +163,9 @@ class LabeledSplit:
         else:
             if self.labels.shape != (n, width):
                 raise ValueError("multilabel labels must match probs shape")
-            if n and not np.isin(self.labels, (0, 1)).all():
+            if n and not ((self.labels == 0) | (self.labels == 1)).all():
                 raise ValueError("multilabel bits must be 0 or 1")
-            self.labels = self.labels.astype(np.int8)
+            self.labels = self.labels.astype(np.int8, copy=False)
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=float)
             if self.embeddings.ndim != 2 or self.embeddings.shape[0] != n:

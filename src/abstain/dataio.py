@@ -20,7 +20,7 @@ import struct
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Collection, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -262,13 +262,18 @@ def parse_labels_csv(raw: bytes, path, task: str) -> np.ndarray:
             raise FormatError(f"{path}: expected header index,label")
         return [(f"f{j}", "<i8") for j in range(len(header))]
 
+    def kept(labels):   # a span's labels; multilabel 0/1 bits one byte each
+        if task == "multiclass":
+            return labels
+        if not ((labels == 0) | (labels == 1)).all():
+            raise FormatError(f"{path}: multilabel values must be 0 or 1")
+        return labels.astype(np.int8)
+
     spans = _csv_spans([raw], path, row_dtype)
     width = len(next(spans))
-    labels = np.concatenate([np.empty((0, width - 1), dtype=np.int64)] + [
-        rows.view("<i8").reshape(len(rows), width)[:, 1:] for _, rows in spans])
-    if task == "multilabel" and not np.isin(labels, (0, 1)).all():
-        raise FormatError(f"{path}: multilabel values must be 0 or 1")
-    return labels.reshape(-1) if task == "multiclass" else labels.astype(np.int8)
+    labels = np.concatenate([kept(np.empty((0, width - 1), dtype=np.int64))] + [
+        kept(rows.view("<i8").reshape(len(rows), width)[:, 1:]) for _, rows in spans])
+    return labels.reshape(-1) if task == "multiclass" else labels
 
 
 SCORE_HEADER = ["instance", "label", "method", "score"]
@@ -329,41 +334,44 @@ def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
                 fh.write("".join([f"{c},{v!r}\n" for c, v in zip(text, values[span].tolist())]))
 
 
-def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, List[Tuple[str, int]], np.ndarray]:
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values of the 1-D ``column`` starts."""
+    return np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+
+
+def read_scores_csv(path, level: Optional[str] = None
+                    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[str, int]], np.ndarray]:
     """The score table as columns (instance, label, runs, score), read in
     blocks of READ_BYTES.  ``runs`` gives the method column as (name, rows)
     runs of equal names, in table order; instance-level rows carry
     NO_LABEL in the label column.  Instance and label fields are int64
     integers and scores floats, or the table is a FormatError (see
-    :func:`_csv_spans` for the line rules)."""
+    :func:`_csv_spans` for the line rules).  ``level`` "instance" or
+    "label" keeps only the instance-level or the pair-level rows; every
+    row is parsed and checked all the same."""
     def row_dtype(header, longest):
         if header != SCORE_HEADER:
             raise FormatError(f"{path}: missing score-table header")
         return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                 ("score", "<f8")]
 
+    if level not in (None, "instance", "label"):
+        raise ValueError(f"unknown level {level!r}; expected 'instance' or 'label'")
     spans = _csv_spans(_line_blocks(_file_chunks(path)), path, row_dtype)
     next(spans)
     # the columns grow by a quarter when full and are cut to size at the
     # end; ndarray.resize reallocates in place, so a large column's pages
     # are remapped, not copied, and it leaves no freed parts behind
-    instance, labels, score = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
-    runs: List[list] = []   # [name as bytes, rows]
+    columns = instance, labels, score = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    runs: List[list] = []   # [name as bytes, rows] of the rows kept
+    names = set()           # every row's method name, as bytes
     stop = 0
     for first, rows in spans:
-        stop = first + len(rows)
-        span = slice(first, stop)
-        if stop > len(instance):   # no view of a column outlives this loop's body
-            size = max(stop, len(instance) * 5 // 4)
-            instance.resize(size, refcheck=False)
-            labels.resize(size, refcheck=False)
-            score.resize(size, refcheck=False)
-        instance[span], score[span] = rows["instance"], rows["score"]
         label = rows["label"]
         has_label = label != b""
-        labels[span] = NO_LABEL
+        values = np.full(len(rows), NO_LABEL, dtype=np.int64)
         try:
-            labels[span][has_label] = label[has_label].astype(np.int64)
+            values[has_label] = label[has_label].astype(np.int64)
         except (ValueError, OverflowError):
             for r in np.flatnonzero(has_label):
                 try:
@@ -371,22 +379,35 @@ def read_scores_csv(path) -> Tuple[np.ndarray, np.ndarray, List[Tuple[str, int]]
                 except (ValueError, OverflowError):
                     raise FormatError(f"{path}: line {first + r + 2}: label "
                                       f"{label[r].decode(errors='replace')!r} is not an int64 integer") from None
-        if np.any(labels[span][has_label] < 0):
-            raise FormatError(f"{path}: negative label index")
+        negative = np.flatnonzero(has_label & (values < 0))
+        if negative.size:
+            r = negative[0]
+            raise FormatError(f"{path}: line {first + r + 2}: negative label index {values[r]}")
         method = rows["method"]
-        starts = np.flatnonzero(np.r_[True, method[1:] != method[:-1]])
-        for name, length in zip(method[starts].tolist(), np.diff(np.r_[starts, len(rows)]).tolist()):
+        names.update(method[_run_starts(method)].tolist())
+        keep = slice(None) if level is None else has_label == (level == "label")
+        method = method[keep]
+        if not method.size:
+            continue
+        start, stop = stop, stop + method.size
+        if stop > len(instance):   # no view of a column outlives this loop's body
+            size = max(stop, len(instance) * 5 // 4)
+            for column in columns:
+                column.resize(size, refcheck=False)
+        instance[start:stop], labels[start:stop], score[start:stop] = (
+            rows["instance"][keep], values[keep], rows["score"][keep])
+        starts = _run_starts(method)
+        for name, length in zip(method[starts].tolist(), np.diff(np.r_[starts, method.size]).tolist()):
             if runs and runs[-1][0] == name:
                 runs[-1][1] += length
             else:
                 runs.append([name, length])
     try:   # each distinct method name is decoded once
-        names = {name: name.decode() for name, _ in runs}
+        names = {name: name.decode() for name in names}
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
-    instance.resize(stop, refcheck=False)
-    labels.resize(stop, refcheck=False)
-    score.resize(stop, refcheck=False)
+    for column in columns:
+        column.resize(stop, refcheck=False)
     return instance, labels, [(names[name], length) for name, length in runs], score
 
 

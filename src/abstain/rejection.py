@@ -8,6 +8,7 @@ so curves are reproducible no matter where the scores came from.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,10 +19,26 @@ SPANS = ("full", "first_50")
 
 _DEGENERATE_TOL = 1e-15
 
+# n -> the read-only coverages (n - k)/n that every curve over n units
+# shares; an entry lives as long as some curve holds it
+_GRIDS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _coverage_grid(n: int) -> np.ndarray:
+    """The coverages (n - k)/n, k = 0 .. n - 1, one read-only array shared
+    by every curve over ``n`` units that is alive at once."""
+    grid = _GRIDS.get(n)
+    if grid is None:
+        grid = np.arange(n, 0, -1) / n
+        grid.flags.writeable = False
+        _GRIDS[n] = grid
+    return grid
+
 
 @dataclass(frozen=True)
 class RejectionCurve:
-    """Metric-vs-coverage points, one per removal, coverage decreasing."""
+    """Metric-vs-coverage points, one per removal, coverage decreasing.
+    Curves built by :func:`build_curve` share one coverage array."""
 
     coverages: np.ndarray
     values: np.ndarray
@@ -38,7 +55,8 @@ class RejectionCurve:
             raise ValueError(f"unknown mode {self.mode!r}")
         if abs(self.coverages[0] - 1.0) > 1e-12:
             raise ValueError("curve must start at full coverage")
-        if np.any(np.diff(self.coverages) >= 0):
+        on_grid = _GRIDS.get(self.coverages.size) is self.coverages   # decreasing as built
+        if not on_grid and np.any(np.diff(self.coverages) >= 0):
             raise ValueError("coverages must be strictly decreasing")
 
     def __len__(self) -> int:
@@ -147,8 +165,7 @@ def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
         values = _risk_values(*arrays)
         if mode == "accuracy":
             np.subtract(1.0, values, out=values)
-    n = scores.size
-    return RejectionCurve(np.arange(n, 0, -1) / n, values, mode)
+    return RejectionCurve(_coverage_grid(scores.size), values, mode)
 
 
 def curve_value_at(curve: RejectionCurve, coverage: float) -> float:

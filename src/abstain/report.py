@@ -21,6 +21,8 @@ PALETTE = (
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 58, 16, 24, 42
+_IW, _IH = _W - _ML - _MR, _H - _MT - _MB   # plot area; one pixel column per unit of width
+_X_LO, _X_HI = 0.0, 1.0                       # the coverage axis
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> List[float]:
@@ -42,17 +44,34 @@ def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate((starts, ends, order[starts], order[ends])))
 
 
+def _px(x):
+    """Horizontal pixel of coverage ``x``: the axis is reversed."""
+    return _ML + (_X_HI - x) / (_X_HI - _X_LO) * _IW
+
+
+def plot_points(xs, vs) -> Tuple[np.ndarray, np.ndarray]:
+    """The points of a curve, coverages ``xs`` and values ``vs``, that
+    :func:`plot_curves_svg` draws: every point, or for a curve with more
+    points than the plot has pixel columns, the points :func:`_m4` keeps.
+    Its pixel columns depend on ``xs`` alone, so a curve reduced first
+    plots to the same bytes: M4 keeps each column's lowest and highest
+    value, and applied to its own output it keeps every point."""
+    xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
+    if xs.size <= _IW:
+        return xs, vs
+    keep = _m4(np.clip(np.floor(_px(xs) - _ML), 0, _IW - 1), vs)
+    return xs[keep], vs[keep]
+
+
 def plot_curves_svg(
     curves: Dict[str, Tuple[np.ndarray, np.ndarray]],
     title: str,
     ylabel: str,
 ) -> str:
     """Line plot of metric-vs-coverage curves; coverage axis reversed
-    so reading left to right follows increasing rejection.  A curve with
-    more points than the plot has pixel columns is drawn through the
-    points :func:`_m4` keeps."""
-    curves = {name: (np.asarray(xs, dtype=float), np.asarray(vs, dtype=float))
-              for name, (xs, vs) in sorted(curves.items())}
+    so reading left to right follows increasing rejection.  Each curve is
+    drawn through its :func:`plot_points`."""
+    curves = {name: plot_points(xs, vs) for name, (xs, vs) in sorted(curves.items())}
     filled = [vs for _, vs in curves.values() if vs.size]
     y_lo = float(np.min([vs.min() for vs in filled])) if filled else 0.0
     y_hi = float(np.max([vs.max() for vs in filled])) if filled else 1.0
@@ -60,15 +79,8 @@ def plot_curves_svg(
         y_lo, y_hi = y_lo - 0.05, y_hi + 0.05
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = 0.0, 1.0
-    iw = _W - _ML - _MR
-    ih = _H - _MT - _MB
-
-    def px(x):
-        return _ML + (x_hi - x) / (x_hi - x_lo) * iw
-
     def py(y):
-        return _MT + (y_hi - y) / (y_hi - y_lo) * ih
+        return _MT + (y_hi - y) / (y_hi - y_lo) * _IH
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
@@ -76,8 +88,8 @@ def plot_curves_svg(
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="15" text-anchor="middle" font-size="14">{html.escape(title)}</text>',
     ]
-    for t in _ticks(x_lo, x_hi):
-        x = px(t)
+    for t in _ticks(_X_LO, _X_HI):
+        x = _px(t)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_MT}" x2="{x:.2f}" y2="{_H - _MB}" stroke="#ddd"/>'
         )
@@ -93,23 +105,19 @@ def plot_curves_svg(
             f'<text x="{_ML - 6}" y="{y + 4:.2f}" text-anchor="end">{t:.3f}</text>'
         )
     parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{iw}" height="{ih}" fill="none" stroke="#444"/>'
+        f'<rect x="{_ML}" y="{_MT}" width="{_IW}" height="{_IH}" fill="none" stroke="#444"/>'
     )
     parts.append(
-        f'<text x="{_ML + iw / 2:.1f}" y="{_H - 8}" text-anchor="middle">coverage</text>'
+        f'<text x="{_ML + _IW / 2:.1f}" y="{_H - 8}" text-anchor="middle">coverage</text>'
     )
     parts.append(
-        f'<text x="14" y="{_MT + ih / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_MT + ih / 2:.1f})">{html.escape(ylabel)}</text>'
+        f'<text x="14" y="{_MT + _IH / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_MT + _IH / 2:.1f})">{html.escape(ylabel)}</text>'
     )
     legend_y = _MT + 10
     for i, (name, (xs, vs)) in enumerate(curves.items()):
         color = PALETTE[i % len(PALETTE)]
-        xp, yp = px(xs), py(vs)
-        if xs.size > iw:
-            keep = _m4(np.clip(np.floor(xp - _ML), 0, iw - 1), vs)
-            xp, yp = xp[keep], yp[keep]
-        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xp.tolist(), yp.tolist())])
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(_px(xs).tolist(), py(vs).tolist())])
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         parts.append(
             f'<line x1="{_ML + 8}" y1="{legend_y:.1f}" x2="{_ML + 28}" y2="{legend_y:.1f}" '

@@ -1,7 +1,9 @@
 """Binary matrix format, CSV tables, manifest integrity, model container."""
+import itertools
 import json
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,6 +37,7 @@ from abstain.dataio import (
     write_mc_tensor,
     write_scores_csv,
 )
+from abstain.core import LabeledSplit, seeded_rng
 from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
@@ -158,6 +161,26 @@ class TestLabelCsv:
         p.write_text("0,1\n1,2\n")
         with pytest.raises(FormatError, match="header"):
             read_labels_csv(p, "multiclass")
+
+    def test_multilabel_parse_holds_bits_as_bytes(self, tmp_path):
+        """Parsing a 20000 x 20 multilabel file, 400k bits, peaks less than
+        5 MiB above the file's bytes, and a split keeps the parsed int8 bits
+        without a copy.  The parse peaks about 3.7 MiB above them; one that
+        holds every bit as int64 before the cast peaks about 10.3 MiB above."""
+        y = seeded_rng(0).integers(0, 2, size=(20_000, 20))
+        path = tmp_path / "y.csv"
+        write_labels_csv(path, y, "multilabel")
+        raw = path.read_bytes()
+        parse_labels_csv(b"index,y0\n0,1\n", path, "multilabel")   # one-off costs of a first parse
+        tracemalloc.start()
+        try:
+            bits = parse_labels_csv(raw, path, "multilabel")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.dtype == np.int8 and np.array_equal(bits, y)
+        assert peak < 5 * 2**20
+        assert LabeledSplit(np.full(y.shape, 0.5), bits, task="multilabel").labels is bits
 
 
 class TestScoreCsv:
@@ -287,6 +310,62 @@ def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
         path.write_text(SCORE_TABLE_HEADER + body)
         with pytest.raises(FormatError, match=named.replace(".", r"\.")):
             read_scores_csv(path)
+
+
+def level_rows(table, level):
+    """The rows of a full read ``table`` of one level, as (instance, label,
+    runs, score); ``runs`` merges the runs that the filter joins."""
+    instance, label, runs, score = table
+    keep = (label != NO_LABEL) == (level == "label")
+    names = method_column(runs)[keep].tolist()
+    runs = [(name, len(list(group))) for name, group in itertools.groupby(names)]
+    return instance[keep], label[keep], runs, score[keep]
+
+
+@pytest.mark.parametrize("span", [1, 3, WRITE_ROWS])
+@pytest.mark.parametrize("order", ["grouped", "interleaved"])
+def test_score_reader_at_a_level_reads_the_full_tables_rows(order, span, tmp_path, monkeypatch):
+    """``read_scores_csv(path, level)`` gives the rows of the full read at
+    that level, dtypes included, on a table grouped by method as the writer
+    writes it and on one sorted by instance and label, where each row is a
+    method run of its own.  Spans of 1 and 3 lines hold spans that keep no row."""
+    rng = seeded_rng(1)
+    path = tmp_path / "s.csv"
+    write_scores_csv(path, {"SR": rng.uniform(size=4), "MP": rng.uniform(size=(4, 3)),
+                            "MD": rng.uniform(size=4), "MQ": rng.uniform(size=(4, 3))})
+    if order == "interleaved":
+        header, *rows = path.read_text().splitlines()
+        rows.sort(key=lambda row: [int(field or -1) for field in row.split(",")[:2]])
+        path.write_text("\n".join([header] + rows) + "\n")
+    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
+    full = read_scores_csv(path)
+    for level in ("instance", "label"):
+        got, expected = read_scores_csv(path, level), level_rows(full, level)
+        assert got[2] == expected[2]
+        for g, e in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
+            assert g.dtype == e.dtype and np.array_equal(g.view(np.uint8), e.view(np.uint8))
+
+
+@pytest.mark.parametrize("level", ["instance", "label"])
+@pytest.mark.parametrize("body, named", [
+    ("0,0,MP,0.5\n0,,SR,0.5\n0,,SR\n", "line 4: '0,,SR'"),
+    ("0,,SR,0.5\n0,0,MP,0.5\n0,1,MP\n", "line 4: '0,1,MP'"),
+    ("0,,SR,0.5\n0,0,MP,0.5\n0,x,MP,0.5\n", "line 4: label 'x' is not an int64 integer"),
+    ("0,,SR,0.5\n0,0,MP,0.5\n0,-2,MP,0.5\n", "line 4: negative label index -2"),
+    ("0,0,MP,0.5\n0,,\xff,0.5\n", "method name is not UTF-8"),
+    ("0,,SR,0.5\n0,0,\xff,0.5\n", "method name is not UTF-8"),
+], ids=["short-instance-row", "short-pair-row", "non-integer-label", "negative-label",
+        "instance-name-not-utf8", "pair-name-not-utf8"])
+def test_score_reader_at_a_level_checks_every_row(level, body, named, tmp_path):
+    """A faulty row is the FormatError of the full read, its line named,
+    whichever level the read keeps."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(SCORE_TABLE_HEADER.encode() + body.encode("latin1"))
+    with pytest.raises(FormatError, match=named) as full:
+        read_scores_csv(path)
+    with pytest.raises(FormatError) as at_level:
+        read_scores_csv(path, level)
+    assert str(at_level.value) == str(full.value)
 
 
 # line ends and faults that reads of 1 to 7 bytes cut at some block edge

@@ -5,9 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abstain.cli import main
-from abstain.report import plot_curves_svg
+from abstain.report import plot_curves_svg, plot_points
 from abstain.synth import SynthSpec
 
 COLUMNS = 566           # pixel columns of the plot area: 640 wide less 58 + 16 margins
@@ -53,6 +55,32 @@ def test_curve_within_the_pixel_columns_is_drawn_point_for_point():
         assert hashlib.sha256(svg.encode()).hexdigest() == (
             "546f92878b50cfc1bdb9f90c5b1b4820ab8bc54143d311b5f1493c49efdecf19")
         assert [len(points) for points in polyline_points(svg)] == [2, n]
+
+
+def tied_curve(n, seed, still, grid):
+    """A curve of up to ``n`` points: coverages (n - k)/n on ``grid``, else
+    random ones, strictly decreasing; values a walk that stands still with
+    probability ``still``, on a lattice, so values tie and hold in runs."""
+    rng = np.random.default_rng(seed)
+    xs = (n - np.arange(n)) / n if grid else np.unique(rng.uniform(1e-3, 1.0, n))[::-1]
+    steps = rng.integers(-1, 2, xs.size) * (rng.random(xs.size) >= still)
+    return xs, np.cumsum(steps) / 16.0
+
+
+@given(n=st.integers(1, 20 * COLUMNS), seed=st.integers(0, 2**32 - 1), still=st.floats(0.0, 1.0),
+       grid=st.booleans(), second=st.integers(1, 3 * COLUMNS))
+@settings(max_examples=60, deadline=None)
+def test_plot_of_the_reduced_points_is_byte_identical(n, seed, still, grid, second):
+    """Strictly decreasing coverages, 1 to 20 plot widths of points and
+    values with ties and constant runs: plot_curves_svg gives the same bytes
+    from each curve's plot_points as from all its points, and plot_points of
+    its own output keeps every point."""
+    curves = {"a": tied_curve(n, seed, still, grid), "b": tied_curve(second, seed + 1, still, not grid)}
+    reduced = {name: plot_points(*curve) for name, curve in curves.items()}
+    for xs, vs in reduced.values():
+        again = plot_points(xs, vs)
+        assert np.array_equal(again[0], xs) and np.array_equal(again[1], vs)
+    assert plot_curves_svg(reduced, "t", "y") == plot_curves_svg(curves, "t", "y")
 
 
 def test_pair_scale_curve_plot_stays_small():
