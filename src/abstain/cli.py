@@ -25,6 +25,7 @@ from . import baselines, density, hybrid, mc, rejection, report, synth
 from .core import LabeledSplit
 from .dataio import (
     DataError,
+    FormatError,
     load_manifest,
     load_models,
     load_splits,
@@ -53,16 +54,18 @@ BOTH = MULTICLASS + MULTILABEL
 @dataclass(frozen=True)
 class Fitter:
     fit: Callable[[LabeledSplit, int], object]   # (split, seed) -> fitted model
+    model: type                                  # class of the model it returns
     split: str                                   # role of the split it fits on
     tasks: Tuple[str, ...]
 
 
 FITTERS: Dict[str, Fitter] = {
-    "md": Fitter(lambda split, seed: density.fit_md(split), "train", BOTH),
-    "rde": Fitter(lambda split, seed: density.fit_rde(split, seed=seed), "train", BOTH),
-    "ddu": Fitter(lambda split, seed: density.fit_ddu(split), "train", BOTH),
-    "nuq": Fitter(lambda split, seed: density.fit_nuq(split), "train", BOTH),
-    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), "validation", MULTICLASS),
+    "md": Fitter(lambda split, seed: density.fit_md(split), density.MdModel, "train", BOTH),
+    "rde": Fitter(lambda split, seed: density.fit_rde(split, seed=seed), density.RdeModel, "train", BOTH),
+    "ddu": Fitter(lambda split, seed: density.fit_ddu(split), density.DduModel, "train", BOTH),
+    "nuq": Fitter(lambda split, seed: density.fit_nuq(split), density.NuqModel, "train", BOTH),
+    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), baselines.BetaModel, "validation",
+                   MULTICLASS),
 }
 
 
@@ -215,6 +218,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _load_fitted(path) -> Dict[str, object]:
+    """The models in the container ``path``, which must map FITTERS names
+    to the models they fit (FormatError)."""
+    models = load_models(path)
+    if not isinstance(models, dict) or not all(
+            key in FITTERS and isinstance(model, FITTERS[key].model) for key, model in models.items()):
+        raise FormatError(f"{path}: models payload is not a map of fitter names to fitted models")
+    return models
+
+
 def _cmd_score(args) -> int:
     manifest = load_manifest(args.manifest)
     names = resolve_methods(args.methods, manifest.task)
@@ -223,7 +236,7 @@ def _cmd_score(args) -> int:
     if args.calibrate and hybrids:   # the scored split's inputs cover the hybrids' ones
         wanted.setdefault(args.calibrate, method_inputs(hybrids))
     splits = load_splits(manifest, Path(args.manifest).parent, wanted)
-    models = load_models(args.models) if args.models else {}
+    models = _load_fitted(args.models) if args.models else {}
     write_scores_csv(args.out, score_split(names, splits[args.split], models, splits.get(args.calibrate)))
     print(args.out)
     return 0

@@ -30,7 +30,8 @@ MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MC = b"UQMCTENS"
 MAGIC_MODELS = b"UQMODELS"
 FORMAT_VERSION = 1
-MODELS_VERSION = 2   # 2: density models hold Cholesky whiteners, not precisions
+MODELS_VERSION = 3   # 2: density models hold Cholesky whiteners, not precisions;
+                     # 3: RDE and NUQ models hold only what their scorers read
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_MC = struct.Struct("<8sIQQII")
@@ -314,15 +315,10 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
                     flat[span].tolist())]))
 
 
-def write_curve_csv(path, coverages, values) -> None:
-    """Write a rejection curve as ``coverage,value`` rows of ``repr`` floats."""
-    write_curve_csvs(coverages, {path: values})
-
-
 def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
     """Write rejection curves that share one coverage column, ``{path:
-    values}``, each as by :func:`write_curve_csv`; each span of WRITE_ROWS
-    coverages is formatted once for all of them."""
+    values}``, each as ``coverage,value`` rows of ``repr`` floats; each span
+    of WRITE_ROWS coverages is formatted once for all of them."""
     with contextlib.ExitStack() as stack:
         files = [(stack.enter_context(open(path, "w")), values) for path, values in curves.items()]
         for fh, _ in files:

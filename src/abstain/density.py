@@ -13,7 +13,6 @@ from __future__ import annotations
 import mmap
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy
@@ -22,7 +21,8 @@ from .core import LabeledSplit, batched, seeded_rng
 
 RIDGE_SCALE = 1e-6        # ridge = RIDGE_SCALE * trace/d, floor below
 RIDGE_FLOOR = 1e-12
-MCD_DEFAULT_FRACTION = 0.75
+MIN_PER_CLASS = 2         # rows each fitted class needs, for a covariance
+MCD_FRACTION = 0.75       # share of rows in each MCD subset
 MCD_DET_TOL = 1e-9
 MCD_MAX_CSTEPS = 100
 MCD_RESTARTS = 20
@@ -69,18 +69,16 @@ def _require_embeddings(split: LabeledSplit) -> np.ndarray:
     return split.embeddings
 
 
-def _class_partition(split: LabeledSplit, min_per_class: int):
-    """Indices per class id 0..C-1; errors name any class that is short.
+def _class_partition(split: LabeledSplit):
+    """Indices per class id 0..C-1; errors name a class under MIN_PER_CLASS rows.
 
     Multilabel splits have no mutually exclusive classes, so they fit a
     single shared component over all embeddings.
     """
     X = _require_embeddings(split)
     if split.task != "multiclass":
-        if X.shape[0] < min_per_class:
-            raise ValueError(
-                f"shared component has {X.shape[0]} train embeddings, need >= {min_per_class}"
-            )
+        if X.shape[0] < MIN_PER_CLASS:
+            raise ValueError(f"shared component has {X.shape[0]} train embeddings, need >= {MIN_PER_CLASS}")
         return X, [np.arange(X.shape[0])]
     C = split.n_classes
     groups = []
@@ -88,8 +86,8 @@ def _class_partition(split: LabeledSplit, min_per_class: int):
         idx = np.flatnonzero(split.labels == c)
         if idx.size == 0:
             raise ValueError(f"class {c} absent from train split")
-        if idx.size < min_per_class:
-            raise ValueError(f"class {c} has {idx.size} train embeddings, need >= {min_per_class}")
+        if idx.size < MIN_PER_CLASS:
+            raise ValueError(f"class {c} has {idx.size} train embeddings, need >= {MIN_PER_CLASS}")
         groups.append(idx)
     return X, groups
 
@@ -105,7 +103,7 @@ class MdModel:
 
 def fit_md(train: LabeledSplit) -> MdModel:
     """Class centroids plus one shared within-class covariance."""
-    X, groups = _class_partition(train, min_per_class=2)
+    X, groups = _class_partition(train)
     n, d = X.shape
     C = len(groups)
     centroids = np.empty((C, d))
@@ -149,12 +147,9 @@ class KernelPcaBasis:
         return K @ self.dual_vectors
 
 
-def fast_mcd(
-    Z: np.ndarray,
-    fraction: float = MCD_DEFAULT_FRACTION,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-covariance-determinant location and scatter.
+def fast_mcd(Z: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-covariance-determinant location and scatter over subsets of
+    an MCD_FRACTION share of the rows; ``rng`` draws the random restarts.
 
     Concentration steps: from a candidate subset, take the ``h`` points
     with the smallest Mahalanobis distance under the subset statistics
@@ -164,15 +159,11 @@ def fast_mcd(
     """
     Z = np.asarray(Z, dtype=float)
     n, p = Z.shape
-    if not 0.5 <= fraction <= 1.0:
-        raise ValueError("subset fraction must lie in [0.5, 1]")
     Z = Z[np.lexsort(Z.T[::-1])]
-    h = max(int(np.ceil(fraction * n)), int(np.ceil((n + p + 1) / 2)))
+    h = max(int(np.ceil(MCD_FRACTION * n)), int(np.ceil((n + p + 1) / 2)))
     h = min(h, n)
     if h >= n or h < p + 1:
         return Z.mean(axis=0), np.cov(Z, rowvar=False, ddof=1).reshape(p, p)
-    if rng is None:
-        rng = seeded_rng(0)
 
     def _stats(idx):
         pts = Z[idx]
@@ -290,40 +281,25 @@ class RdeModel:
     basis: KernelPcaBasis
     centroids: np.ndarray      # (C, k) robust locations in component space
     whiteners: np.ndarray      # (C, k, k) inverse Cholesky factors of the ridged MCD scatters
-    n_components: int
-    mcd_fraction: float
-    seed: int
 
 
-def fit_rde(
-    train: LabeledSplit,
-    n_components: Optional[int] = None,
-    mcd_fraction: float = MCD_DEFAULT_FRACTION,
-    seed: int = 0,
-) -> RdeModel:
+def fit_rde(train: LabeledSplit, seed: int = 0) -> RdeModel:
     """Global kernel PCA, then per-class robust statistics.
 
-    The RBF width comes from the median pairwise distance heuristic.
-    Components default to min(64, smallest class count - 2).  Inputs are
+    The RBF width comes from the median pairwise distance heuristic.  It
+    keeps min(64, smallest class count - 2) components, fewer if the
+    spectrum collapses; ``seed`` drives FastMCD's restarts.  Inputs are
     canonicalised by row sort so record order cannot change the fit.
     """
-    X, groups = _class_partition(train, min_per_class=2)
+    X, groups = _class_partition(train)
     comp = np.empty(X.shape[0], dtype=np.int64)
     for c, idx in enumerate(groups):
         comp[idx] = c
     order = np.lexsort(X.T[::-1])
     X, comp = X[order], comp[order]
-    n = X.shape[0]
-    min_class = min(len(g) for g in groups)
-    if n_components is None:
-        n_components = min(64, min_class - 2)
-    k = int(n_components)
+    k = min(64, min(len(g) for g in groups) - 2)
     if k < 1:
         raise ValueError("need at least one kernel component; classes too small")
-    if any(len(g) < k + 2 for g in groups):
-        raise ValueError(f"every class needs >= {k + 2} train embeddings for {k} components")
-    if k > n - 1:
-        raise ValueError(f"{k} components infeasible with {n} train rows")
 
     med = train.median_pairwise_distance
     if med <= 0.0:
@@ -339,9 +315,9 @@ def fit_rde(
     centroids = np.empty((C, k))
     whiteners = np.empty((C, k, k))
     for c in range(C):
-        centroids[c], cov = fast_mcd(Z[comp == c], mcd_fraction, rng)
+        centroids[c], cov = fast_mcd(Z[comp == c], rng)
         whiteners[c], _ = _whitener(cov)
-    return RdeModel(basis, centroids, whiteners, k, mcd_fraction, seed)
+    return RdeModel(basis, centroids, whiteners)
 
 
 @batched(1)
@@ -363,7 +339,7 @@ class DduModel:
 
 def fit_ddu(train: LabeledSplit) -> DduModel:
     """Per-class Gaussian fit with empirical-frequency priors."""
-    X, groups = _class_partition(train, min_per_class=2)
+    X, groups = _class_partition(train)
     n, d = X.shape
     C = len(groups)
     centroids = np.empty((C, d))
@@ -396,7 +372,6 @@ class NuqModel:
     embeddings: np.ndarray      # (n, d) train points kept verbatim
     label_matrix: np.ndarray    # (n, C) one-hot rows (bit rows if multilabel)
     bandwidth: float
-    kernel_constant: float      # bandwidth**d / (2 sqrt(pi))
 
 
 def fit_nuq(train: LabeledSplit, bandwidth="auto") -> NuqModel:
@@ -405,7 +380,7 @@ def fit_nuq(train: LabeledSplit, bandwidth="auto") -> NuqModel:
     "auto" takes median pairwise distance / sqrt(2).
     """
     X = _require_embeddings(train)
-    n, d = X.shape
+    n = X.shape[0]
     if n < 2:
         raise ValueError("kernel fit needs at least two train embeddings")
     if bandwidth == "auto":
@@ -423,7 +398,7 @@ def fit_nuq(train: LabeledSplit, bandwidth="auto") -> NuqModel:
         Y[np.arange(n), train.labels] = 1.0
     else:
         Y = train.labels.astype(float)
-    return NuqModel(X, Y, h, h**d / (2.0 * np.sqrt(np.pi)))
+    return NuqModel(X, Y, h)
 
 
 @batched(1)
@@ -450,7 +425,7 @@ def score_nuq(E, model: NuqModel) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         p_class = (w @ model.label_matrix) / wsum[:, None]
         sig2_max = (p_class * (1.0 - p_class)).max(axis=1)
-        tau2 = model.kernel_constant / n * sig2_max / density
+        tau2 = model.bandwidth**d / (2.0 * np.sqrt(np.pi)) / n * sig2_max / density
         out = 2.0 * np.sqrt(2.0 / np.pi) * np.sqrt(tau2)
     out[underflow] = np.inf
     return out

@@ -18,10 +18,12 @@ whiteners.  The FastMCD search ranks each concentration step with the
 scorers' per-row einsum ``_sq_dists``, as ``fast_mcd`` did before it took
 one BLAS product.  The masked sigmoid evaluates each sign's branch on a
 boolean selection, as ``synth._sigmoid`` did before it took one
-``np.where``.
+``np.where``.  The naive NUQ scorer loops over train rows and
+coordinates in Python floats.
 """
 import csv
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -29,7 +31,7 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from abstain.core import seeded_rng
-from abstain.density import (MCD_DEFAULT_FRACTION, MCD_DET_TOL, MCD_MAX_CSTEPS, MCD_RESTARTS,
+from abstain.density import (MCD_FRACTION, MCD_DET_TOL, MCD_MAX_CSTEPS, MCD_RESTARTS,
                              KernelPcaBasis, _ridge_lambda, _sq_dists, _top_eigenpairs, _whitener)
 from abstain.hybrid import (
     ALPHA_GRID,
@@ -201,7 +203,7 @@ def mahalanobis_sq(X, centroids, covs):
     return np.einsum("ncd,cde,nce->nc", diffs, precisions, diffs)
 
 
-def einsum_fast_mcd(Z, fraction=MCD_DEFAULT_FRACTION, rng=None):
+def einsum_fast_mcd(Z, fraction=MCD_FRACTION, rng=None):
     """``density.fast_mcd`` with each C-step's distances from ``_sq_dists``."""
     Z = np.asarray(Z, dtype=float)
     n, p = Z.shape
@@ -246,6 +248,29 @@ def einsum_fast_mcd(Z, fraction=MCD_DEFAULT_FRACTION, rng=None):
     if det <= 0.0 or not np.isfinite(det):
         warnings.warn("degenerate MCD covariance; ridge applied", RuntimeWarning)
     return mu, cov
+
+
+def naive_nuq(e, X, labels, C, h):
+    """NUQ's score of the query ``e`` against the train rows ``X`` with
+    class ids ``labels`` < ``C`` at bandwidth ``h``, one Python float at a
+    time, from the kernel estimate's formula."""
+    n, d = X.shape
+    weights = []
+    for i in range(n):
+        s = 0.0
+        for k in range(d):
+            s += (X[i][k] - e[k]) ** 2
+        weights.append(math.exp(-s / (2 * h * h)))
+    wsum = sum(weights)
+    dens = wsum / (n * (2 * math.pi) ** (d / 2) * h ** d)
+    if dens < 1e-300:
+        return float("inf")
+    worst = 0.0
+    for c in range(C):
+        pc = sum(w for w, l in zip(weights, labels) if l == c) / wsum
+        worst = max(worst, pc * (1 - pc))
+    tau2 = (h ** d / (2 * math.sqrt(math.pi))) / n * worst / dens
+    return 2 * math.sqrt(2 / math.pi) * math.sqrt(tau2)
 
 
 def masked_sigmoid(z):

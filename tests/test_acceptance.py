@@ -29,6 +29,7 @@ from abstain.rejection import (
     unit_data,
 )
 from abstain.synth import SynthSpec, generate
+from oracles import naive_nuq
 
 rows = lambda fn, X, *a: np.array([fn(r, *a) for r in X])
 
@@ -90,26 +91,6 @@ def _beta_grid_argmax(x):
     return best[1], best[2]
 
 
-def _naive_nuq(e, X, labels, C, h):
-    n, d = X.shape
-    weights = []
-    for i in range(n):
-        s = 0.0
-        for k in range(d):
-            s += (X[i][k] - e[k]) ** 2
-        weights.append(math.exp(-s / (2 * h * h)))
-    wsum = sum(weights)
-    dens = wsum / (n * (2 * math.pi) ** (d / 2) * h ** d)
-    if dens < 1e-300:
-        return float("inf")
-    worst = 0.0
-    for c in range(C):
-        pc = sum(w for w, l in zip(weights, labels) if l == c) / wsum
-        worst = max(worst, pc * (1 - pc))
-    tau2 = (h ** d / (2 * math.sqrt(math.pi))) / n * worst / dens
-    return 2 * math.sqrt(2 / math.pi) * math.sqrt(tau2)
-
-
 def test_criterion_3_oracle_equivalences():
     t0 = time.perf_counter()
     worst_ratio = 1.0
@@ -117,7 +98,7 @@ def test_criterion_3_oracle_equivalences():
         h = max(math.ceil(0.75 * n), math.ceil((n + 3) / 2))
         for seed in range(5):
             X = seeded_rng(seed).normal(size=(n, 2)) * 2.0
-            _, cov = fast_mcd(X, 0.75, seeded_rng(100 + seed))
+            _, cov = fast_mcd(X, seeded_rng(100 + seed))
             target = _exhaustive_mcd_det(X, h)
             got = np.linalg.det(cov)
             assert got <= 1.05 * target + 1e-12
@@ -147,7 +128,7 @@ def test_criterion_3_oracle_equivalences():
         model = fit_nuq(split)
         for e in [X[0], X[n // 2], rng.normal(size=d)]:
             got = score_nuq(e, model)
-            want = _naive_nuq(e, X, y, C, model.bandwidth)
+            want = naive_nuq(e, X, y, C, model.bandwidth)
             assert got == pytest.approx(want, abs=1e-10)
             nuq_gap = max(nuq_gap, abs(got - want))
     elapsed = time.perf_counter() - t0

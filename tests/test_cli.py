@@ -21,7 +21,7 @@ from abstain import dataio, density, rejection
 from abstain.cli import main
 from abstain.core import seeded_rng
 from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models,
-                            load_splits, read_scores_csv, sha256_file, write_curve_csv,
+                            load_splits, read_scores_csv, save_models, sha256_file,
                             write_curve_csvs, write_labels_csv)
 from abstain.synth import SynthSpec
 from oracles import method_column
@@ -284,11 +284,13 @@ def _copy_with_manifest_fields(src, tmp_path, **fields):
     return manifest
 
 
-def test_version_1_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
-    # version 1 held MD/RDE/DDU precisions where version 2 holds whiteners
+@pytest.mark.parametrize("version", [1, 2])
+def test_stale_models_container_is_a_data_error(version, mc_dir, tmp_path, capsys):
+    # version 1 held MD/RDE/DDU precisions where later ones hold whiteners;
+    # version 2 RDE and NUQ models held fields their scorers never read
     stale = tmp_path / "models.bin"
     raw = bytearray((mc_dir / "models.bin").read_bytes())
-    raw[8:12] = struct.pack("<I", 1)
+    raw[8:12] = struct.pack("<I", version)
     stale.write_bytes(bytes(raw))
     with pytest.raises(VersionError):
         load_models(stale)
@@ -427,6 +429,18 @@ def test_truncated_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
     code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", broken,
                "--methods", "MD", "--out", tmp_path / "s.csv")
     assert code == 2 and capsys.readouterr().err.startswith("data error [bad-format]")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"md": 3}], ids=["list", "md-int"])
+def test_wrong_shape_models_container_is_a_data_error(payload, mc_dir, tmp_path, capsys):
+    # a well-formed pickle that is not a map of fitter names to fitted models
+    wrong = tmp_path / "models.bin"
+    save_models(wrong, payload)
+    code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", wrong,
+               "--methods", "MD", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]") and str(wrong) in err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -629,7 +643,7 @@ class TestEvaluateAndReport:
     def test_curve_csv_bytes(self, tmp_path):
         curve = rejection.RejectionCurve(np.array([1.0, 2 / 3, 1 / 3]),
                                          np.array([1 / 3, 5e-324, 0.0]), "risk")
-        write_curve_csv(tmp_path / "c.csv", curve.coverages, curve.values)
+        write_curve_csvs(curve.coverages, {tmp_path / "c.csv": curve.values})
         assert (tmp_path / "c.csv").read_bytes() == (
             b"coverage,value\n1.0,0.3333333333333333\n"
             b"0.6666666666666666,5e-324\n0.3333333333333333,0.0\n")

@@ -33,7 +33,7 @@ from abstain.density import (
 from abstain.rejection import rejection_order
 from abstain.synth import SynthSpec, generate
 from oracles import (dense_kernel_pca, dense_top_eigenpairs, einsum_fast_mcd, kernel_pca_transform,
-                     mahalanobis_sq, ridged_inverse)
+                     mahalanobis_sq, naive_nuq, ridged_inverse)
 
 # 2-class symmetric fixture used by several MD/DDU checks
 CLASS0 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -200,7 +200,7 @@ def exhaustive_mcd_det(X, h):
 def test_fast_mcd_matches_exhaustive_oracle(seed):
     rng = seeded_rng(seed)
     X = rng.normal(size=(12, 2)) * 2.0
-    mu, cov = fast_mcd(X, 0.75, seeded_rng(100 + seed))
+    mu, cov = fast_mcd(X, seeded_rng(100 + seed))
     h = max(math.ceil(0.75 * 12), math.ceil((12 + 2 + 1) / 2))
     target = exhaustive_mcd_det(X, h)
     got = np.linalg.det(cov)
@@ -211,7 +211,7 @@ def test_fast_mcd_resists_planted_outliers():
     rng = seeded_rng(1)
     clean = rng.normal(size=(20, 2)) * 0.3
     X = np.vstack([clean, [[25.0, 25.0], [-30.0, 40.0]]])
-    mu, cov = fast_mcd(X, 0.75, seeded_rng(2))
+    mu, cov = fast_mcd(X, seeded_rng(2))
     assert np.linalg.norm(mu - clean.mean(axis=0)) < 0.1
     assert np.linalg.norm(X.mean(axis=0) - clean.mean(axis=0)) > 0.5
 
@@ -219,7 +219,7 @@ def test_fast_mcd_resists_planted_outliers():
 def test_fast_mcd_identical_points_degenerate_warning():
     X = np.ones((10, 2))
     with pytest.warns(RuntimeWarning, match="degenerate MCD covariance"):
-        mu, cov = fast_mcd(X, 0.75, seeded_rng(0))
+        mu, cov = fast_mcd(X, seeded_rng(0))
     assert np.allclose(mu, [1.0, 1.0])
 
 
@@ -227,8 +227,8 @@ def test_fast_mcd_record_order_invariant():
     rng = seeded_rng(3)
     X = rng.normal(size=(15, 2))
     perm = seeded_rng(4).permutation(15)
-    mu1, cov1 = fast_mcd(X, 0.75, seeded_rng(9))
-    mu2, cov2 = fast_mcd(X[perm], 0.75, seeded_rng(9))
+    mu1, cov1 = fast_mcd(X, seeded_rng(9))
+    mu2, cov2 = fast_mcd(X[perm], seeded_rng(9))
     assert np.array_equal(mu1, mu2)
     assert np.array_equal(cov1, cov2)
 
@@ -236,8 +236,8 @@ def test_fast_mcd_record_order_invariant():
 @pytest.mark.parametrize("k", [8, 64])
 def test_fast_mcd_blas_csteps_match_einsum_oracle(k):
     Z = seeded_rng(k).normal(size=(300, k)) * seeded_rng(k + 1).uniform(0.5, 3.0, k)
-    mu, cov = fast_mcd(Z, 0.75, seeded_rng(7))
-    mu_ref, cov_ref = einsum_fast_mcd(Z, 0.75, seeded_rng(7))
+    mu, cov = fast_mcd(Z, seeded_rng(7))
+    mu_ref, cov_ref = einsum_fast_mcd(Z, rng=seeded_rng(7))
     assert np.array_equal(mu, mu_ref) and np.array_equal(cov, cov_ref)
 
 
@@ -245,9 +245,9 @@ def test_fast_mcd_blas_csteps_match_einsum_oracle(k):
 def test_fast_mcd_matches_einsum_oracle_in_rde_component_space(monkeypatch):
     calls = []
 
-    def checked(Z, fraction, rng):
-        ref = einsum_fast_mcd(Z, fraction, copy.deepcopy(rng))
-        got = fast_mcd(Z, fraction, rng)
+    def checked(Z, rng):
+        ref = einsum_fast_mcd(Z, rng=copy.deepcopy(rng))
+        got = fast_mcd(Z, rng)
         calls.append(Z.shape)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
         return got
@@ -300,15 +300,21 @@ def test_rde_spectrum_collapse_reduces_components():
     split = LabeledSplit(np.full((20, 2), 0.5), labels, "multiclass", "train", X)
     with pytest.warns(RuntimeWarning, match="kernel spectrum collapsed"):
         model = fit_rde(split, seed=0)
-    assert model.n_components < 8
+    assert model.centroids.shape[1] < 8
 
 
 def test_rde_component_count_validation():
-    split = random_split(20, 2, 2, seed=0)
-    with pytest.raises(ValueError, match=">= 14"):
-        fit_rde(split, n_components=12)
-    with pytest.raises(ValueError, match="at least one"):
-        fit_rde(split, n_components=0)
+    # k = min(64, smallest class count - 2)
+    def split(smallest):
+        labels = np.array([0] * 20 + [1] * smallest)
+        X = seeded_rng(smallest).normal(size=(labels.size, 2)) + 4.0 * labels[:, None]
+        return LabeledSplit(np.full((labels.size, 2), 0.5), labels, "multiclass", "train", X)
+
+    with pytest.raises(ValueError, match="at least one kernel component"):
+        fit_rde(split(2), seed=0)
+    model = fit_rde(split(10), seed=0)
+    assert model.centroids.shape[1] == 8
+    assert model.basis.dual_vectors.shape[1] == 8
 
 
 def test_rde_dimension_mismatch():
@@ -541,18 +547,6 @@ def test_ddu_score_grows_with_distance():
 # ------------------------------------------------------------------ NUQ
 
 
-def test_nuq_kernel_constant_fixtures():
-    rng = seeded_rng(0)
-    X2 = rng.normal(size=(6, 2))
-    sp2 = LabeledSplit(np.full((6, 2), 0.5), [0, 1, 0, 1, 0, 1], "multiclass", "train", X2)
-    m = fit_nuq(sp2, bandwidth=1.0)
-    assert m.kernel_constant == pytest.approx(0.28209479177387814, abs=1e-15)
-    X1 = rng.normal(size=(6, 1))
-    sp1 = LabeledSplit(np.full((6, 2), 0.5), [0, 1, 0, 1, 0, 1], "multiclass", "train", X1)
-    m1 = fit_nuq(sp1, bandwidth=2.0)
-    assert m1.kernel_constant == pytest.approx(0.5641895835477563, abs=1e-15)
-
-
 def test_nuq_auto_bandwidth_is_median_over_sqrt2():
     X = np.array([[0.0], [1.0], [3.0], [7.0]])
     # pairwise distances 1,3,7,2,6,4 -> median 3.5
@@ -595,37 +589,33 @@ def test_nuq_single_label_gives_zero():
     assert score_nuq(X[0], m) == 0.0
 
 
-def naive_nuq(e, X, labels, C, h):
-    n, d = X.shape
-    weights = []
-    for i in range(n):
-        s = 0.0
-        for k in range(d):
-            s += (X[i][k] - e[k]) ** 2
-        weights.append(math.exp(-s / (2 * h * h)))
-    wsum = sum(weights)
-    dens = wsum / (n * (2 * math.pi) ** (d / 2) * h ** d)
-    if dens < 1e-300:
-        return float("inf")
-    worst = 0.0
-    for c in range(C):
-        pc = sum(w for w, l in zip(weights, labels) if l == c) / wsum
-        worst = max(worst, pc * (1 - pc))
-    tau2 = (h ** d / (2 * math.sqrt(math.pi))) / n * worst / dens
-    return 2 * math.sqrt(2 / math.pi) * math.sqrt(tau2)
+def _kernel_constant_fixture(name):
+    """Six alternating-label rows at d=2 fit at bandwidth 1.0 ("d2-h1"), or
+    at d=1 fit at bandwidth 2.0 ("d1-h2"): NUQ's kernel constant
+    h**d / (2 sqrt(pi)) is 0.28209479177387814 or 0.5641895835477563."""
+    rng = seeded_rng(0)
+    X2, X1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 1))
+    X, h = (X2, 1.0) if name == "d2-h1" else (X1, 2.0)
+    labels = np.array([0, 1, 0, 1, 0, 1])
+    sp = LabeledSplit(np.full((6, 2), 0.5), labels, "multiclass", "train", X)
+    return X, labels, 2, fit_nuq(sp, bandwidth=h)
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", [*range(8), "d2-h1", "d1-h2"])
 def test_nuq_matches_naive_double_loop(seed):
-    rng = seeded_rng(seed)
-    n = int(rng.integers(5, 51))
-    d = int(rng.integers(1, 4))
-    C = int(rng.integers(2, 5))
-    X = rng.normal(size=(n, d)) * 3
-    labels = rng.integers(0, C, size=n)
-    labels[:C] = np.arange(C)
-    sp = LabeledSplit(np.full((n, C), 1.0 / C), labels, "multiclass", "train", X)
-    model = fit_nuq(sp)
+    if isinstance(seed, str):
+        X, labels, C, model = _kernel_constant_fixture(seed)
+        rng, d, tolerance = seeded_rng(1), X.shape[1], dict(rel=1e-15, abs=0.0)
+    else:
+        rng = seeded_rng(seed)
+        n = int(rng.integers(5, 51))
+        d = int(rng.integers(1, 4))
+        C = int(rng.integers(2, 5))
+        X = rng.normal(size=(n, d)) * 3
+        labels = rng.integers(0, C, size=n)
+        labels[:C] = np.arange(C)
+        sp = LabeledSplit(np.full((n, C), 1.0 / C), labels, "multiclass", "train", X)
+        model, tolerance = fit_nuq(sp), dict(abs=1e-10)
     for _ in range(6):
         e = rng.normal(size=d) * 3
         got = score_nuq(e, model)
@@ -633,7 +623,7 @@ def test_nuq_matches_naive_double_loop(seed):
         if math.isinf(want):
             assert math.isinf(got)
         else:
-            assert got == pytest.approx(want, abs=1e-10)
+            assert got == pytest.approx(want, **tolerance)
 
 
 def test_nuq_duplication_scales_by_sample_size():
