@@ -251,56 +251,6 @@ def _auc_payload(res: rejection.NormalizedAuc) -> dict:
             for key in ("raw_auc", "rand_auc", "oracle_auc", "normalized", "flag")}
 
 
-def _unit_scores(table, level: str, n: int, width: int) -> Tuple[List[str], np.ndarray]:
-    """Sorted method names of a score table of ``level`` rows, as
-    ``read_scores_csv(path, level)`` reads it, and their scores, one matrix
-    row per method and one column per unit: an instance, or at level
-    "label" an (instance, label) pair, instance-major.  Every unit needs
-    exactly one row per method.  The work is linear in the rows, whatever
-    order the methods' rows come in."""
-    instance, label, runs, score = table
-    pairs = level == "label"
-    names = sorted({name for name, _ in runs})
-    if not names:
-        raise DataError(f"score table holds no {level}-level rows")
-    code = {name: k for k, name in enumerate(names)}
-    # each row's method as an index into ``names``
-    which = np.repeat(np.array([code[name] for name, _ in runs], dtype=np.int32),
-                      np.array([length for _, length in runs], dtype=np.int64))
-    if not pairs:
-        for name, count in zip(names, np.bincount(which, minlength=len(names))):
-            if count != n:
-                raise DataError(f"method {name}: {count} rows for {n} instances")
-    in_range = (0 <= instance) & (instance < n)
-    if pairs:
-        in_range &= (0 <= label) & (label < width)
-    if not in_range.all():
-        r = int(np.argmin(in_range))
-        at = f"instance {instance[r]}" + (f", label {label[r]}" if pairs else "")
-        raise DataError(f"score row out of range: method {names[which[r]]}, {at}")
-    units = n * width if pairs else n
-    matrix = np.empty((len(names), units))
-    repeated = missing = None
-    for k, name in enumerate(names):
-        rows = np.flatnonzero(which == k)
-        unit = instance[rows] * width + label[rows] if pairs else instance[rows]
-        hits = np.bincount(unit, minlength=units)
-        matrix[k, unit] = score[rows]
-        if repeated is None and hits.max() > 1:
-            u = int(np.argmax(hits > 1))
-            repeated = name, hits[u], u
-        if missing is None and not hits.all():
-            missing = name
-    if repeated is not None:
-        name, count, u = repeated
-        at = f"instance {u // width}, label {u % width}" if pairs else f"instance {u}"
-        raise DataError(f"method {name}: {count} score rows for {at}")
-    if missing is not None:
-        raise DataError(f"method {missing}: score table misses some label pairs" if pairs
-                        else f"method {missing}: missing instances in score table")
-    return names, matrix
-
-
 def _cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
     span = {"full": "full", "first50": "first_50"}[args.span]
@@ -311,25 +261,24 @@ def _cmd_evaluate(args) -> int:
     split = load_splits(manifest, Path(args.manifest).parent, {args.split: ()})[args.split]
     metrics_path = Path(args.out[0])
     curves_dir = Path(args.out[1]) if len(args.out) > 1 else metrics_path.parent / "curves"
-    curves_dir.mkdir(parents=True, exist_ok=True)
 
-    names, matrix = _unit_scores(read_scores_csv(args.scores, args.mode), args.mode, len(split),
-                                 split.probs.shape[1])
+    scores = read_scores_csv(args.scores, args.mode, len(split), split.probs.shape[1])
     evaluations = rejection.unit_data(split.probs, split.labels, manifest.task, args.mode)
-    methods_payload: Dict[str, dict] = {name: {} for name in names}
+    methods_payload: Dict[str, dict] = {name: {} for name in scores}
     plots: Dict[str, Dict[str, tuple]] = {}
     curve_files: Dict[Path, np.ndarray] = {}
     for mode_name, data in evaluations:   # one metric's curves at a time
         oracle = rejection.build_curve(rejection.oracle_scores(data, mode_name), data, mode_name)
         suffix = "" if len(evaluations) == 1 else f".{mode_name}"
-        for name, scores in zip(names, matrix):
-            curve = rejection.build_curve(scores, data, mode_name)
+        for name, values in scores.items():
+            curve = rejection.build_curve(values.reshape(-1), data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
             curve_files[curves_dir / f"{name}{suffix}.csv"] = curve.values
             plots.setdefault(mode_name, {})[name] = report.plot_points(curve.coverages, curve.values)
         # every curve of the run shares the (n - k)/n coverages: keep and format them once
         coverages = oracle.coverages
         del oracle   # freed before the next metric's oracle is built
+    curves_dir.mkdir(parents=True, exist_ok=True)
     write_curve_csvs(coverages, curve_files)
 
     for mode_name, curve_map in sorted(plots.items()):

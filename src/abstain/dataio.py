@@ -9,6 +9,7 @@ payload is rows x (T*C).
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import hashlib
@@ -20,7 +21,7 @@ import struct
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -330,38 +331,23 @@ def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
                 fh.write("".join([f"{c},{v!r}\n" for c, v in zip(text, values[span].tolist())]))
 
 
-def _run_starts(column: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal values of the 1-D ``column`` starts."""
-    return np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
-
-
-def read_scores_csv(path, level: Optional[str] = None
-                    ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[str, int]], np.ndarray]:
-    """The score table as columns (instance, label, runs, score), read in
-    blocks of READ_BYTES.  ``runs`` gives the method column as (name, rows)
-    runs of equal names, in table order; instance-level rows carry
-    NO_LABEL in the label column.  Instance and label fields are int64
-    integers and scores floats, or the table is a FormatError (see
-    :func:`_csv_spans` for the line rules).  ``level`` "instance" or
-    "label" keeps only the instance-level or the pair-level rows; every
-    row is parsed and checked all the same."""
+def _score_spans(path) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Parse the score table ``path``, read in blocks of READ_BYTES, and
+    yield each span's checked columns (instance, label, method, score):
+    int64 instance and label indices, NO_LABEL in the label column of
+    instance-level rows, method names as the file's bytes and float
+    scores.  Every row of both levels is parsed and checked: its instance
+    and label fields must be int64 integers, a label non-negative, and
+    its score a float, or the table is a FormatError that names the line
+    (see :func:`_csv_spans` for the line rules)."""
     def row_dtype(header, longest):
         if header != SCORE_HEADER:
             raise FormatError(f"{path}: missing score-table header")
         return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                 ("score", "<f8")]
 
-    if level not in (None, "instance", "label"):
-        raise ValueError(f"unknown level {level!r}; expected 'instance' or 'label'")
     spans = _csv_spans(_line_blocks(_file_chunks(path)), path, row_dtype)
     next(spans)
-    # the columns grow by a quarter when full and are cut to size at the
-    # end; ndarray.resize reallocates in place, so a large column's pages
-    # are remapped, not copied, and it leaves no freed parts behind
-    columns = instance, labels, score = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
-    runs: List[list] = []   # [name as bytes, rows] of the rows kept
-    names = set()           # every row's method name, as bytes
-    stop = 0
     for first, rows in spans:
         label = rows["label"]
         has_label = label != b""
@@ -379,32 +365,67 @@ def read_scores_csv(path, level: Optional[str] = None
         if negative.size:
             r = negative[0]
             raise FormatError(f"{path}: line {first + r + 2}: negative label index {values[r]}")
-        method = rows["method"]
-        names.update(method[_run_starts(method)].tolist())
-        keep = slice(None) if level is None else has_label == (level == "label")
-        method = method[keep]
-        if not method.size:
-            continue
-        start, stop = stop, stop + method.size
-        if stop > len(instance):   # no view of a column outlives this loop's body
-            size = max(stop, len(instance) * 5 // 4)
-            for column in columns:
-                column.resize(size, refcheck=False)
-        instance[start:stop], labels[start:stop], score[start:stop] = (
-            rows["instance"][keep], values[keep], rows["score"][keep])
-        starts = _run_starts(method)
-        for name, length in zip(method[starts].tolist(), np.diff(np.r_[starts, method.size]).tolist()):
-            if runs and runs[-1][0] == name:
-                runs[-1][1] += length
-            else:
-                runs.append([name, length])
+        yield rows["instance"], values, rows["method"], rows["score"]
+
+
+def read_scores_csv(path, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
+    """The scores that :func:`write_scores_csv` was given, at ``level``:
+    ``{method: scores}`` in name order, an (n,) array per method at level
+    "instance" and an (n, width) array, one score per (instance, label)
+    pair, at level "label".  The rows may come in any order; each span's
+    rows of the level are put in place as it is parsed.  Every row of
+    both levels is checked (:func:`_score_spans`) and method names are
+    decoded after the parse, so a faulty row anywhere is the FormatError.
+    Then every unit, an instance or a pair, needs exactly one row of the
+    level per method, or the table is a DataError."""
+    pairs = level == "label"
+    units = n * width if pairs else n
+    # per method name: its score and its row count per unit; a row out of
+    # range counts at the spare unit past the last one
+    kept = collections.defaultdict(lambda: (np.empty(units + 1), np.zeros(units + 1, dtype=np.int32)))
+    names = set()    # every row's method name
+    outside = None   # the first row of the level out of range
+    for instance, label, method, score in _score_spans(path):
+        spanned = set(method[np.r_[True, method[1:] != method[:-1]]].tolist())   # each run's name
+        names |= spanned
+        keep = (label != NO_LABEL) == pairs
+        in_range = (0 <= instance) & (instance < n)
+        if pairs:
+            in_range &= (0 <= label) & (label < width)
+        if outside is None and not in_range[keep].all():
+            r = np.flatnonzero(keep & ~in_range)[0]
+            outside = bytes(method[r]), instance[r], label[r]
+        unit = np.where(in_range, instance * width + label if pairs else instance, units)
+        for name in spanned:
+            rows = keep & (method == name)
+            if rows.any():
+                values, hits = kept[name]
+                np.add.at(hits, unit[rows], np.int32(1))   # an int32 one keeps numpy's fast path
+                values[unit[rows]] = score[rows]
     try:   # each distinct method name is decoded once
         names = {name: name.decode() for name in names}
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
-    for column in columns:
-        column.resize(stop, refcheck=False)
-    return instance, labels, [(names[name], length) for name, length in runs], score
+    methods = dict(sorted((names[name], (values[:units], hits)) for name, (values, hits) in kept.items()))
+    if not methods:
+        raise DataError(f"score table holds no {level}-level rows")
+    for name, (_, hits) in methods.items():
+        if not pairs and hits.sum() != n:
+            raise DataError(f"method {name}: {hits.sum()} rows for {n} instances")
+    if outside is not None:
+        name, i, j = outside
+        raise DataError(f"score row out of range: method {names[name]}, instance {i}"
+                        + (f", label {j}" if pairs else ""))
+    for name, (_, hits) in methods.items():
+        if hits[:units].max() > 1:
+            u = int(np.argmax(hits > 1))
+            at = f"instance {u // width}, label {u % width}" if pairs else f"instance {u}"
+            raise DataError(f"method {name}: {hits[u]} score rows for {at}")
+    for name, (_, hits) in methods.items():
+        if not hits[:units].all():
+            raise DataError(f"method {name}: score table misses some label pairs" if pairs
+                            else f"method {name}: missing instances in score table")
+    return {name: values.reshape(n, width) if pairs else values for name, (values, _) in methods.items()}
 
 
 def sha256_file(path) -> str:

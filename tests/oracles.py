@@ -5,10 +5,11 @@ ranks (``rank``, the scalar form of ``core.rank_all``), written from the
 definitions rather than from the vectorised code.  The brute-force hybrid search builds every grid config and scores
 it with ``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
-score-table reader and writer go row by row in Python, as
-``read_scores_csv`` and ``write_scores_csv`` did before they worked on
-whole columns; ``method_column`` expands the reader's method runs into
-the per-row column it returned before it kept runs.  The kernel-PCA projection is the out-of-place expression
+score-table reader and writer go row by row in Python, as the score
+table's parser and ``write_scores_csv`` did before they worked on whole
+columns; the reader gives every row in file order, as the parser's spans
+joined give it, so tests of what ``score`` writes check its rows there.
+The kernel-PCA projection is the out-of-place expression
 ``KernelPcaBasis.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran
 before it built and read one triangle through symmetric BLAS.  The
@@ -136,11 +137,6 @@ def csv_read_scores(path):
     labels = np.array([int(v) if v != "" else -1 for v in label], dtype=int)
     return (np.array([int(v) for v in instance], dtype=int), labels, np.array(method, dtype=str),
             np.array([float(v) for v in score], dtype=float))
-
-
-def method_column(runs) -> np.ndarray:
-    """The per-row method names of a score table's (name, rows) method runs."""
-    return np.array([name for name, rows in runs for _ in range(rows)], dtype=str)
 
 
 def csv_write_scores(path, scores):

@@ -24,7 +24,7 @@ from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, 
                             load_splits, read_scores_csv, save_models, sha256_file,
                             write_curve_csvs, write_labels_csv)
 from abstain.synth import SynthSpec
-from oracles import method_column
+from oracles import csv_read_scores
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
                     n_classes=3, dim=4, mc_passes=4)
@@ -460,9 +460,9 @@ class TestScore:
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--models", mc_dir / "models.bin", "--methods", "SR,Entropy,MD",
                    "--split", "test", "--out", out) == 0
-        instance, label, runs, _ = read_scores_csv(out)
+        instance, label, method, _ = csv_read_scores(out)
         assert len(instance) == 3 * 60
-        assert set(method_column(runs)) == {"SR", "Entropy", "MD"}
+        assert set(method) == {"SR", "Entropy", "MD"}
         assert (label == NO_LABEL).all()
 
     def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path):
@@ -483,16 +483,16 @@ class TestScore:
         relative and keep every rejection order."""
         assert run("gen-synth", "--out", tmp_path / "ds") == 0
         manifest = tmp_path / "ds" / "manifest.json"
+        test = load_manifest(manifest)
         columns = []
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
             subprocess.run([sys.executable, "-c", FIT_AND_SCORE, str(manifest), str(out)], check=True,
                            env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)})
-            _, _, runs, score = read_scores_csv(out.with_suffix(".csv"))
-            stops = np.cumsum([rows for _, rows in runs])
-            columns.append({name: score[stop - rows:stop] for (name, rows), stop in zip(runs, stops)})
+            columns.append(read_scores_csv(out.with_suffix(".csv"), "instance", test.splits["test"].n,
+                                           test.n_classes))
         one, two = columns
-        assert list(one) == list(two) == ["MD", "RDE", "DDU", "NUQ"]
+        assert list(one) == list(two) == ["DDU", "MD", "NUQ", "RDE"]
         for name in ("MD", "DDU"):
             assert one[name].tobytes() == two[name].tobytes(), name
         for name in ("RDE", "NUQ"):
@@ -504,8 +504,7 @@ class TestScore:
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--models", mc_dir / "models.bin", "--methods", "all",
                    "--calibrate", "validation", "--out", out) == 0
-        _, _, runs, _ = read_scores_csv(out)
-        method = method_column(runs)
+        method = csv_read_scores(out)[2]
         methods = set(method)
         assert "HUQ2-MD" in methods and "HUQ-DDU" in methods and "Beta" in methods
         assert len(method) == len(methods) * 60
@@ -547,8 +546,7 @@ class TestScore:
         assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
                    "--models", ml_dir / "models.bin", "--methods", "MP,MP-mean",
                    "--out", out) == 0
-        instance, label, runs, _ = read_scores_csv(out)
-        method = method_column(runs)
+        instance, label, method, _ = csv_read_scores(out)
         pairs, inst = method == "MP", method == "MP-mean"
         assert pairs.sum() == 60 * 5 and (label[pairs] != NO_LABEL).all()
         assert inst.sum() == 60 and (label[inst] == NO_LABEL).all()
@@ -629,6 +627,22 @@ class TestEvaluateAndReport:
                    "--manifest", mc_dir / "ds" / "manifest.json",
                    "--out", tmp_path / "m.json")
         assert code == 2
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda lines: lines[:2] + ["0,,SR"] + lines[3:], "malformed row on line 3"),
+        (lambda lines: lines[:-1], "method Entropy: 59 rows for 60 instances"),
+    ], ids=["malformed-row", "missing-row"])
+    def test_refused_table_writes_nothing(self, edit, named, evaluated, mc_dir, tmp_path, capsys):
+        """A table that evaluate refuses leaves neither a metrics file nor
+        a curves directory behind."""
+        _, scores, _ = evaluated
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edit(scores.read_text().splitlines())) + "\n")
+        out = tmp_path / "out"
+        code = run("evaluate", "--scores", bad, "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--out", out / "metrics.json", out / "curves")
+        assert code == 2 and named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_one_curve_per_method_and_one_oracle(self, evaluated, mc_dir, tmp_path, monkeypatch):
         _, scores, _ = evaluated
@@ -746,17 +760,20 @@ def evaluate_growth_per_pair(root, mode) -> float:
 class TestMultilabelEvaluate:
     def test_label_mode_holds_under_200_bytes_per_pair(self, pair_scores):
         """``evaluate --mode label`` grows its peak resident memory by less
-        than 130 bytes per (instance, label) pair.  It grows by about 115
-        (11 MiB), a margin of 13%.  A read that keeps the instance-level rows
-        too, with every full curve alive at once, each with its own
-        coverages, takes about 147."""
+        than 130 bytes per (instance, label) pair.  The reader fills one
+        score array and one int32 row count per pair; the peak is set
+        later, by the curves.  It grows by 119 to 127 (11.3 to 12.1 MiB),
+        with the allocator's state from run to run, a margin of 2 to 9%.
+        A read that keeps the instance-level rows too, with every full
+        curve alive at once, each with its own coverages, takes about 147."""
         assert evaluate_growth_per_pair(pair_scores, "label") < 130
 
     def test_instance_mode_holds_under_100_bytes_per_pair(self, pair_scores):
         """``evaluate --mode instance`` on a table that holds MP's pair rows
         grows its peak resident memory by less than 100 bytes per pair.  It
-        grows by about 86 (8.4 MiB), a margin of 16%; a read that keeps the
-        pair rows it then drops takes about 121."""
+        parses the pair rows span by span and keeps none of them; it grows
+        by 85 to 87 (8.1 to 8.3 MiB), a margin of 13%.  A read that keeps
+        the pair rows it then drops takes about 121."""
         assert evaluate_growth_per_pair(pair_scores, "instance") < 100
 
     def test_label_and_instance_modes(self, ml_dir, tmp_path):
@@ -797,7 +814,8 @@ class TestMultilabelEvaluate:
         interleaved = tmp_path / "interleaved.csv"
         rows.sort(key=lambda row: [int(field or -1) for field in row.split(",")[:2]])
         interleaved.write_text("\n".join([header] + rows) + "\n")
-        assert len(read_scores_csv(interleaved)[2]) == len(rows)
+        method = csv_read_scores(interleaved)[2]
+        assert (method[1:] != method[:-1]).all()
         for mode in ("label", "instance"):
             outputs = []
             for table in (grouped, interleaved):

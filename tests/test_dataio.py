@@ -1,5 +1,4 @@
 """Binary matrix format, CSV tables, manifest integrity, model container."""
-import itertools
 import json
 import re
 import struct
@@ -18,6 +17,7 @@ from abstain.dataio import (
     READ_BYTES,
     WRITE_ROWS,
     ChecksumError,
+    DataError,
     FormatError,
     MagicError,
     RowCountError,
@@ -41,7 +41,7 @@ from abstain.core import LabeledSplit, seeded_rng
 from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
-from oracles import csv_read_scores, csv_write_scores, method_column
+from oracles import csv_read_scores, csv_write_scores
 
 
 def read_matrix(path):
@@ -183,6 +183,14 @@ class TestLabelCsv:
         assert LabeledSplit(np.full(y.shape, 0.5), bits, task="multilabel").labels is bits
 
 
+def score_columns(path):
+    """The columns (instance, label, method, score) of every row of the
+    score table ``path``, each the join of the spans that
+    ``dataio._score_spans`` yields; method names stay bytes."""
+    empty = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, "S"), np.empty(0)
+    return tuple(np.concatenate(parts) for parts in zip(empty, *dataio._score_spans(path)))
+
+
 class TestScoreCsv:
     def test_roundtrip_with_and_without_label_column(self, tmp_path):
         # instance-level SR and MD around a pair-level MP
@@ -190,16 +198,21 @@ class TestScoreCsv:
         mp = np.array([[0.1, 0.4], [0.7, 0.2]])
         md = np.array([3.75e-2, 1.5])
         write_scores_csv(tmp_path / "s.csv", {"SR": sr, "MP": mp, "MD": md})
-        instance, label, method, score = read_scores_csv(tmp_path / "s.csv")
+        instance, label, method, score = score_columns(tmp_path / "s.csv")
         assert instance.tolist() == [0, 1, 0, 0, 1, 1, 0, 1]
         assert label.tolist() == [NO_LABEL, NO_LABEL, 0, 1, 0, 1, NO_LABEL, NO_LABEL]
-        assert method == [("SR", 2), ("MP", 4), ("MD", 2)]
+        assert method.tolist() == [b"SR", b"SR", b"MP", b"MP", b"MP", b"MP", b"MD", b"MD"]
         assert score.tolist() == [0.25, 0.5, 0.1, 0.4, 0.7, 0.2, 3.75e-2, 1.5]
+        instances = read_scores_csv(tmp_path / "s.csv", "instance", 2, 2)
+        assert list(instances) == ["MD", "SR"]
+        assert instances["MD"].tolist() == md.tolist() and instances["SR"].tolist() == sr.tolist()
+        pairs = read_scores_csv(tmp_path / "s.csv", "label", 2, 2)
+        assert list(pairs) == ["MP"] and pairs["MP"].tolist() == mp.tolist()
 
     def test_float_repr_roundtrips_exactly(self, tmp_path):
         val = 0.1 + 0.2  # not representable as a short decimal
         write_scores_csv(tmp_path / "s.csv", {"SR": np.array([val])})
-        assert read_scores_csv(tmp_path / "s.csv")[3][0] == val
+        assert read_scores_csv(tmp_path / "s.csv", "instance", 1, 1)["SR"][0] == val
 
     def test_mixed_table_bytes_are_pinned_and_read_back_exactly(self, tmp_path):
         # an instance-level method, then a pair-level one; the floats need
@@ -217,23 +230,25 @@ class TestScoreCsv:
             b"1,0,MP,0.0\r\n"
             b"1,1,MP,1.0\r\n"
         )
-        instance, label, method, score = read_scores_csv(path)
+        instance, label, method, score = score_columns(path)
         assert instance.tolist() == [0, 1, 0, 0, 1, 1]
         assert label.tolist() == [NO_LABEL, NO_LABEL, 0, 1, 0, 1]
-        assert method_column(method).tolist() == ["SR", "SR", "MP", "MP", "MP", "MP"]
+        assert method.tolist() == [b"SR", b"SR", b"MP", b"MP", b"MP", b"MP"]
         assert np.array_equal(score.view(np.int64), np.concatenate([sr, mp.ravel()]).view(np.int64))
+        assert read_scores_csv(path, "instance", 2, 2)["SR"].tobytes() == sr.tobytes()
+        assert read_scores_csv(path, "label", 2, 2)["MP"].tobytes() == mp.tobytes()
 
     def test_header_and_row_shape_enforced(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("a,b\n")
         with pytest.raises(FormatError, match="header"):
-            read_scores_csv(p)
+            read_scores_csv(p, "instance", 1, 1)
         p.write_text("instance,label,method,score\n0,,SR\n")
         with pytest.raises(FormatError, match="malformed row"):
-            read_scores_csv(p)
+            read_scores_csv(p, "instance", 1, 1)
         p.write_text("instance,label,method,score\n0,-1,MP,0.5\n")
         with pytest.raises(FormatError, match="negative label"):
-            read_scores_csv(p)
+            read_scores_csv(p, "instance", 1, 1)
 
 
 SCORE_TABLE_HEADER = "instance,label,method,score\n"
@@ -276,13 +291,13 @@ def test_score_reader_matches_the_csv_module(body, tmp_path):
         expected = csv_read_scores(path)
     except ValueError:
         with pytest.raises(FormatError):
-            read_scores_csv(path)
+            score_columns(path)
         return
-    got = read_scores_csv(path)
+    got = score_columns(path)
     for g, e in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
         assert g.dtype == e.dtype and g.shape == e.shape
     assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
-    assert method_column(got[2]).tolist() == expected[2].tolist()
+    assert np.char.decode(got[2]).tolist() == expected[2].tolist()
     assert np.array_equal(got[3].view(np.int64), expected[3].view(np.int64))
 
 
@@ -309,26 +324,17 @@ def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
     for body, named in NAMED_LINES:
         path.write_text(SCORE_TABLE_HEADER + body)
         with pytest.raises(FormatError, match=named.replace(".", r"\.")):
-            read_scores_csv(path)
-
-
-def level_rows(table, level):
-    """The rows of a full read ``table`` of one level, as (instance, label,
-    runs, score); ``runs`` merges the runs that the filter joins."""
-    instance, label, runs, score = table
-    keep = (label != NO_LABEL) == (level == "label")
-    names = method_column(runs)[keep].tolist()
-    runs = [(name, len(list(group))) for name, group in itertools.groupby(names)]
-    return instance[keep], label[keep], runs, score[keep]
+            score_columns(path)
 
 
 @pytest.mark.parametrize("span", [1, 3, WRITE_ROWS])
 @pytest.mark.parametrize("order", ["grouped", "interleaved"])
 def test_score_reader_at_a_level_reads_the_full_tables_rows(order, span, tmp_path, monkeypatch):
-    """``read_scores_csv(path, level)`` gives the rows of the full read at
-    that level, dtypes included, on a table grouped by method as the writer
-    writes it and on one sorted by instance and label, where each row is a
-    method run of its own.  Spans of 1 and 3 lines hold spans that keep no row."""
+    """``read_scores_csv(path, level, n, width)`` puts each row of the
+    level that the spans parse at its unit, one array per method in name
+    order, on a table grouped by method as the writer writes it and on one
+    sorted by instance and label, where each row is a method run of its
+    own.  Spans of 1 and 3 lines hold spans that keep no row."""
     rng = seeded_rng(1)
     path = tmp_path / "s.csv"
     write_scores_csv(path, {"SR": rng.uniform(size=4), "MP": rng.uniform(size=(4, 3)),
@@ -338,12 +344,19 @@ def test_score_reader_at_a_level_reads_the_full_tables_rows(order, span, tmp_pat
         rows.sort(key=lambda row: [int(field or -1) for field in row.split(",")[:2]])
         path.write_text("\n".join([header] + rows) + "\n")
     monkeypatch.setattr(dataio, "WRITE_ROWS", span)
-    full = read_scores_csv(path)
-    for level in ("instance", "label"):
-        got, expected = read_scores_csv(path, level), level_rows(full, level)
-        assert got[2] == expected[2]
-        for g, e in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
-            assert g.dtype == e.dtype and np.array_equal(g.view(np.uint8), e.view(np.uint8))
+    instance, label, method, score = score_columns(path)
+    for level, shape in (("instance", (4,)), ("label", (4, 3))):
+        keep = (label != NO_LABEL) == (level == "label")
+        expected = {}
+        for name in sorted(set(method[keep].tolist())):
+            rows = keep & (method == name)
+            expected[name.decode()] = values = np.empty(shape)
+            values[(instance[rows], label[rows])[:len(shape)]] = score[rows]
+        got = read_scores_csv(path, level, 4, 3)
+        assert list(got) == list(expected)
+        for g, e in zip(got.values(), expected.values()):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert np.array_equal(g.view(np.uint8), e.view(np.uint8))
 
 
 @pytest.mark.parametrize("level", ["instance", "label"])
@@ -357,15 +370,54 @@ def test_score_reader_at_a_level_reads_the_full_tables_rows(order, span, tmp_pat
 ], ids=["short-instance-row", "short-pair-row", "non-integer-label", "negative-label",
         "instance-name-not-utf8", "pair-name-not-utf8"])
 def test_score_reader_at_a_level_checks_every_row(level, body, named, tmp_path):
-    """A faulty row is the FormatError of the full read, its line named,
-    whichever level the read keeps."""
+    """A faulty row is the FormatError that the parse of every row gives,
+    its line named, whichever level the read keeps; so is a method name
+    that is not UTF-8, on a row of either level."""
     path = tmp_path / "s.csv"
     path.write_bytes(SCORE_TABLE_HEADER.encode() + body.encode("latin1"))
-    with pytest.raises(FormatError, match=named) as full:
-        read_scores_csv(path)
-    with pytest.raises(FormatError) as at_level:
-        read_scores_csv(path, level)
+    with pytest.raises(FormatError, match=named) as at_level:
+        read_scores_csv(path, level, 1, 2)
+    if "UTF-8" in named:   # names are decoded after the parse, which yields them as bytes
+        other = {"instance": "label", "label": "instance"}[level]
+        with pytest.raises(FormatError) as full:
+            read_scores_csv(path, other, 1, 2)
+    else:
+        with pytest.raises(FormatError) as full:
+            score_columns(path)
     assert str(at_level.value) == str(full.value)
+
+
+@pytest.mark.parametrize("span", [1, WRITE_ROWS])
+@pytest.mark.parametrize("level, body", [
+    ("instance", "0,,SR,0.5\n7,,SR,0.5\n1,,SR,0.5\n2,,SR\n"),
+    ("label", "0,0,MP,0.5\n0,0,MP,0.5\n0,1,MP,0.5\n1,0,MP\n"),
+], ids=["out-of-range", "duplicate"])
+def test_score_reader_names_a_late_malformed_row_before_an_early_unit_error(level, body, span, tmp_path,
+                                                                           monkeypatch):
+    """A unit error early in the table, an out-of-range or a repeated row,
+    does not hide a malformed row on the last line: the read raises that
+    line's FormatError, whether the rows come in one span or in many."""
+    path = tmp_path / "s.csv"
+    path.write_text(SCORE_TABLE_HEADER + body)
+    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
+    last = body.splitlines()[-1]
+    with pytest.raises(FormatError, match=f"malformed row on line 5: '{last}'"):
+        read_scores_csv(path, level, 3, 2)
+
+
+@pytest.mark.parametrize("span", [1, WRITE_ROWS])
+@pytest.mark.parametrize("level, body", [
+    ("instance", "0,,SR,0.5\n0,,\xff,0.5\n"),
+    ("instance", "0,0,\xff,0.5\n0,,SR,0.5\n0,,SR,0.5\n"),
+], ids=["row-count", "repeated"])
+def test_score_reader_refuses_a_bad_name_before_a_unit_error(level, body, span, tmp_path, monkeypatch):
+    """A method name that is not UTF-8 is the FormatError even where the
+    units are wrong too, on a row of the level read or of the other one."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(SCORE_TABLE_HEADER.encode() + body.encode("latin1"))
+    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
+    with pytest.raises(FormatError, match="method name is not UTF-8"):
+        read_scores_csv(path, level, 2, 2)
 
 
 # line ends and faults that reads of 1 to 7 bytes cut at some block edge
@@ -406,7 +458,7 @@ def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
             monkeypatch.setattr(dataio, "WRITE_ROWS", rows)
             monkeypatch.setattr(dataio, "READ_BYTES", size)
             try:
-                outcomes.append(read_scores_csv(path))
+                outcomes.append(score_columns(path))
             except FormatError as exc:
                 outcomes.append(str(exc))
         whole, *parts = outcomes
@@ -418,7 +470,7 @@ def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
             if isinstance(whole, str):
                 assert got == whole
                 continue
-            assert got[2] == whole[2], body
+            assert got[2].tolist() == whole[2].tolist(), body
             for w, g in zip(whole[:2] + whole[3:], got[:2] + got[3:]):
                 assert g.dtype == w.dtype and g.shape == w.shape, body
                 assert np.array_equal(g.view(np.uint8), w.view(np.uint8)), body
@@ -451,35 +503,42 @@ def test_int_field_parsed_through_float_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "s.csv"
     path.write_text(SCORE_TABLE_HEADER + "0,,SR,0.5\n")
     with pytest.raises(FormatError, match="line 2: '0,,SR,0.5'"):
-        read_scores_csv(path)
+        score_columns(path)
 
 
 finite_or_infinite = st.floats(allow_nan=False, allow_subnormal=True)
-score_arrays = hnp.arrays(np.float64, st.one_of(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
-                          elements=finite_or_infinite)
 method_names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r\n"),
                        max_size=12)
 
 
-@given(st.dictionaries(method_names, score_arrays, max_size=4))
+@st.composite
+def score_tables(draw):
+    """(n, width, {method: scores}): each array (n,) or (n, width)."""
+    n, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    arrays = st.sampled_from([(n,), (n, width)]).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=finite_or_infinite))
+    return n, width, draw(st.dictionaries(method_names, arrays, max_size=4))
+
+
+@given(score_tables())
 @settings(max_examples=60, deadline=None)
-def test_score_table_round_trip(tmp_path_factory, scores):
-    """Whatever write_scores_csv writes, read_scores_csv reads back: rows
-    in method order, pairs instance-major, scores bit for bit."""
+def test_score_table_round_trip(tmp_path_factory, table):
+    """read_scores_csv inverts write_scores_csv: at each level it gives the
+    arrays of that level, in name order, scores bit for bit; a level that
+    has no rows is a DataError."""
+    n, width, scores = table
     path = tmp_path_factory.mktemp("rt") / "s.csv"
     write_scores_csv(path, scores)
-    instance, label, method, score = read_scores_csv(path)
-    expected = [[], [], [], []]
-    for name, values in scores.items():
-        if values.ndim == 2:
-            i, j = np.indices(values.shape).reshape(2, -1)
-        else:
-            i, j = np.arange(values.size), np.full(values.size, NO_LABEL)
-        for column, part in zip(expected, (i, j, [name] * values.size, values.ravel())):
-            column.extend(part)
-    assert instance.tolist() == expected[0] and label.tolist() == expected[1]
-    assert method_column(method).tolist() == expected[2]
-    assert np.array_equal(score.view(np.int64), np.array(expected[3], dtype=float).view(np.int64))
+    for level, ndim in (("instance", 1), ("label", 2)):
+        expected = {name: scores[name] for name in sorted(scores) if scores[name].ndim == ndim}
+        if not expected:
+            with pytest.raises(DataError, match=f"score table holds no {level}-level rows"):
+                read_scores_csv(path, level, n, width)
+            continue
+        got = read_scores_csv(path, level, n, width)
+        assert list(got) == list(expected)
+        for g, e in zip(got.values(), expected.values()):
+            assert g.shape == e.shape and np.array_equal(g.view(np.int64), e.view(np.int64))
 
 
 any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
