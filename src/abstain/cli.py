@@ -264,6 +264,7 @@ def _cmd_evaluate(args) -> int:
 
     scores = read_scores_csv(args.scores, args.mode, len(split), split.probs.shape[1])
     evaluations = rejection.unit_data(split.probs, split.labels, manifest.task, args.mode)
+    del split   # the curves need only the unit counts: the probs are freed before they are built
     methods_payload: Dict[str, dict] = {name: {} for name in scores}
     plots: Dict[str, Dict[str, tuple]] = {}
     curve_files: Dict[Path, np.ndarray] = {}

@@ -140,7 +140,6 @@ class LabeledSplit:
     probs: np.ndarray
     labels: np.ndarray
     task: str = "multiclass"
-    role: str = "train"
     embeddings: Optional[np.ndarray] = None
     mc: Optional[np.ndarray] = None
 

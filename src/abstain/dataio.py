@@ -21,7 +21,7 @@ import struct
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Collection, Dict, Iterable, Iterator, List, Tuple
+from typing import BinaryIO, Callable, Collection, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -127,129 +127,67 @@ def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
 
 
 WRITE_ROWS = 1 << 13   # rows per write or parse of a table: bounds the text held at once
-READ_BYTES = 1 << 20   # bytes per read of a file: bounds the bytes held at once
 
 
-def _file_chunks(path) -> Iterator[bytes]:
-    """The bytes of the file ``path``, in reads of READ_BYTES."""
-    with open(path, "rb") as fh:
-        yield from iter(lambda: fh.read(READ_BYTES), b"")
-
-
-def _line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
-    """The bytes of ``chunks`` in blocks of whole lines: each block ends
-    just past a line end, the last one where the bytes end.  A CR that ends
-    a chunk is held back with its line, since the next chunk may start with
-    the LF of a CRLF."""
-    held: List[bytes] = []   # the bytes after the last line end
-    for chunk in chunks:
-        if held and held[-1].endswith(b"\r") and not chunk.startswith(b"\n"):
-            yield b"".join(held)   # that CR ended a line
-            held = []
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
-        if cut:
-            yield b"".join(held + [chunk[:cut]])
-            held = []
-        if cut < len(chunk):
-            held.append(chunk[cut:])
-    if held:
-        yield b"".join(held)
-
-
-def _block_lines(block: bytes) -> Tuple[np.ndarray, np.ndarray, Callable[[int, int], bytes]]:
-    """Start and end offsets of each line of ``block``, the end where the
-    line's terminator starts: at a CR, or at an LF that follows none.
-    After a CRLF the next line starts past both bytes.  Also returns
-    ``text(lo, hi)``, lines lo .. hi - 1 as ``np.loadtxt`` reads them: each
-    ended by its LF or CRLF but the last, and if the block holds a CR that
-    ends a line alone, with every line end turned into an LF."""
-    data = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = ends + 1
-    lone_cr = False
-    if b"\r" in block:
-        cr = np.flatnonzero(data == ord("\r"))
-        lone_lf = ends[(ends == 0) | (data[ends - 1] != ord("\r"))]
-        ends = np.sort(np.r_[cr, lone_lf])
-        crlf = data[ends] == ord("\r")
-        crlf[crlf] = data[np.minimum(ends[crlf] + 1, len(block) - 1)] == ord("\n")
-        starts = ends + 1 + crlf
-        lone_cr = len(cr) > np.count_nonzero(crlf)
-    if not len(ends) or starts[-1] < len(block):
-        ends = np.append(ends, len(block))
-    starts = np.r_[0, starts[:len(ends) - 1]]
-
-    def text(lo: int, hi: int) -> bytes:
-        chunk = block[starts[lo]:ends[hi - 1]]
-        return chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if lone_cr else chunk
-
-    return starts, ends, text
-
-
-def _csv_spans(blocks: Iterable[bytes], path, row_dtype) -> Iterator:
-    """Parse the CSV table ``path``, whose bytes ``blocks`` gives in blocks
-    of whole lines (:func:`_line_blocks`), in spans of at most WRITE_ROWS
-    lines.  Yields the header fields first, then, for each span, the index
-    of its first body row (body row r is on file line r + 2) and its rows,
-    parsed in one ``np.loadtxt`` pass into the structured dtype
-    ``row_dtype(header, longest)``.  ``longest`` is the span's longest line
-    in bytes, so a string field of that size never truncates.  Bytes reach
-    string fields as they are in the file.
+def _csv_spans(raw: BinaryIO, path, row_dtype) -> Iterator:
+    """Parse the CSV table ``path``, read from the binary file ``raw``, in
+    spans of at most WRITE_ROWS lines.  Yields the header fields first,
+    then, for each span, the index of its first body row (body row r is
+    on file line r + 2) and its rows, parsed in one ``np.loadtxt`` pass
+    into the structured dtype ``row_dtype(header, longest)``.  ``longest``
+    is the span's longest line, so a string field of that size never
+    truncates.  The file is read as latin-1 text, one character per byte,
+    so bytes reach string fields as they are in the file.
 
     The rules are the csv module's, one row per line: a line ends at LF,
-    CRLF or CR, a double-quoted field may hold commas and doubled quotes,
-    and '#' is an ordinary character.  A blank line, a line break inside
-    quotes, a row of the wrong width and a field its column cannot parse
-    are FormatErrors that name the line; the rows before a blank line are
-    yielded first, so the first faulty line is named whatever the blocks.
+    CRLF or CR (Python's universal newlines, which turn each into an LF),
+    a double-quoted field may hold commas and doubled quotes, and '#' is
+    an ordinary character.  A blank line, a line break inside quotes, a
+    row of the wrong width and a field its column cannot parse are
+    FormatErrors that name the line; the rows before a blank line are
+    parsed first, so the first faulty line is named whatever the spans.
     """
-    header, lines = None, 0   # lines before the block; the header is line 0
-    for block in blocks:
-        starts, ends, text = _block_lines(block)
-        if header is None:
-            header = next(csv.reader([text(0, 1).decode(errors="replace")]), [])
-            row_dtype(header, 1)   # checks the header of a table without body rows too
-            yield header
-        for lo in range(0 if lines else 1, len(ends), WRITE_ROWS):
-            hi = min(lo + WRITE_ROWS, len(ends))
-            blank = np.flatnonzero(ends[lo:hi] == starts[lo:hi])
-            if blank.size:
-                hi = lo + int(blank[0])
-            if hi > lo:
-                dtype = np.dtype(row_dtype(header, int((ends[lo:hi] - starts[lo:hi]).max())))
-                try:
-                    rows = _parse_rows(text(lo, hi), dtype)
-                except (ValueError, DeprecationWarning) as exc:
-                    line = _first_bad_line(text, lo, hi, dtype)
-                    bad = text(line, line + 1).decode(errors="replace")
-                    raise FormatError(f"{path}: malformed row on line {lines + line + 1}: {bad!r}") from exc
-                if len(rows) != hi - lo:
-                    raise FormatError(f"{path}: a quoted field holds a line break")
-                yield lines + lo - 1, rows
-            if blank.size:
-                raise FormatError(f"{path}: line {lines + hi + 1} is blank")
-        lines += len(ends)
-    if header is None:   # an empty file
-        row_dtype([], 1)
+    lines = io.TextIOWrapper(raw, encoding="latin1", newline=None)
+    header = next(csv.reader([next(lines, "").rstrip("\n")]), [])
+    row_dtype(header, 1)   # checks the header of a table without body rows too
+    yield header
+    first = 0   # body rows before the span
+    while span := list(itertools.islice(lines, WRITE_ROWS)):
+        blank = span.index("\n") if "\n" in span else len(span)
+        body = span[:blank]
+        if body:
+            dtype = np.dtype(row_dtype(header, max(map(len, body))))
+            try:
+                rows = _parse_rows(body, dtype)
+            except (ValueError, DeprecationWarning) as exc:
+                line = _first_bad_line(body, dtype)
+                bad = body[line].rstrip("\n").encode("latin1").decode(errors="replace")
+                raise FormatError(f"{path}: malformed row on line {first + line + 2}: {bad!r}") from exc
+            if len(rows) != len(body):
+                raise FormatError(f"{path}: a quoted field holds a line break")
+            yield first, rows
+        if blank < len(span):
+            raise FormatError(f"{path}: line {first + blank + 2} is blank")
+        first += len(span)
 
 
-def _parse_rows(text: bytes, dtype: np.dtype) -> np.ndarray:
-    """``np.loadtxt`` of CSV ``text``.  numpy versions that parse an int
+def _parse_rows(lines: List[str], dtype: np.dtype) -> np.ndarray:
+    """``np.loadtxt`` of CSV ``lines``.  numpy versions that parse an int
     field through float ('2.7' as 2) warn with a DeprecationWarning, which
     is raised here so that such a field fails as it fails int()."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                          encoding="latin1", ndmin=1)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
 
 
-def _first_bad_line(text: Callable[[int, int], bytes], lo: int, hi: int, dtype: np.dtype) -> int:
-    """Index of the first of lines lo .. hi - 1, ``text(lo, hi)``, that
-    ``_parse_rows`` fails on, found by parsing halves of the failing span."""
+def _first_bad_line(lines: List[str], dtype: np.dtype) -> int:
+    """Index of the first of ``lines`` that ``_parse_rows`` fails on, found
+    by parsing halves of the failing span."""
+    lo, hi = 0, len(lines)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _parse_rows(text(lo, mid), dtype)
+            _parse_rows(lines[lo:mid], dtype)
             lo = mid
         except (ValueError, DeprecationWarning):
             hi = mid
@@ -271,7 +209,7 @@ def parse_labels_csv(raw: bytes, path, task: str) -> np.ndarray:
             raise FormatError(f"{path}: multilabel values must be 0 or 1")
         return labels.astype(np.int8)
 
-    spans = _csv_spans([raw], path, row_dtype)
+    spans = _csv_spans(io.BytesIO(raw), path, row_dtype)
     width = len(next(spans))
     labels = np.concatenate([kept(np.empty((0, width - 1), dtype=np.int64))] + [
         kept(rows.view("<i8").reshape(len(rows), width)[:, 1:]) for _, rows in spans])
@@ -332,9 +270,9 @@ def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
 
 
 def _score_spans(path) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Parse the score table ``path``, read in blocks of READ_BYTES, and
-    yield each span's checked columns (instance, label, method, score):
-    int64 instance and label indices, NO_LABEL in the label column of
+    """Parse the score table ``path`` in spans of lines and yield each
+    span's checked columns (instance, label, method, score): int64
+    instance and label indices, NO_LABEL in the label column of
     instance-level rows, method names as the file's bytes and float
     scores.  Every row of both levels is parsed and checked: its instance
     and label fields must be int64 integers, a label non-negative, and
@@ -346,26 +284,28 @@ def _score_spans(path) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.
         return [("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                 ("score", "<f8")]
 
-    spans = _csv_spans(_line_blocks(_file_chunks(path)), path, row_dtype)
-    next(spans)
-    for first, rows in spans:
-        label = rows["label"]
-        has_label = label != b""
-        values = np.full(len(rows), NO_LABEL, dtype=np.int64)
-        try:
-            values[has_label] = label[has_label].astype(np.int64)
-        except (ValueError, OverflowError):
-            for r in np.flatnonzero(has_label):
-                try:
-                    np.int64(int(label[r]))
-                except (ValueError, OverflowError):
-                    raise FormatError(f"{path}: line {first + r + 2}: label "
-                                      f"{label[r].decode(errors='replace')!r} is not an int64 integer") from None
-        negative = np.flatnonzero(has_label & (values < 0))
-        if negative.size:
-            r = negative[0]
-            raise FormatError(f"{path}: line {first + r + 2}: negative label index {values[r]}")
-        yield rows["instance"], values, rows["method"], rows["score"]
+    with open(path, "rb") as raw:
+        spans = _csv_spans(raw, path, row_dtype)
+        next(spans)
+        for first, rows in spans:
+            label = rows["label"]
+            has_label = label != b""
+            values = np.full(len(rows), NO_LABEL, dtype=np.int64)
+            try:
+                values[has_label] = label[has_label].astype(np.int64)
+            except (ValueError, OverflowError):
+                for r in np.flatnonzero(has_label):
+                    try:
+                        np.int64(int(label[r]))
+                    except (ValueError, OverflowError):
+                        bad = label[r].decode(errors="replace")
+                        raise FormatError(f"{path}: line {first + r + 2}: label {bad!r} "
+                                          "is not an int64 integer") from None
+            negative = np.flatnonzero(has_label & (values < 0))
+            if negative.size:
+                r = negative[0]
+                raise FormatError(f"{path}: line {first + r + 2}: negative label index {values[r]}")
+            yield rows["instance"], values, rows["method"], rows["score"]
 
 
 def read_scores_csv(path, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
@@ -430,8 +370,9 @@ def read_scores_csv(path, level: str, n: int, width: int) -> Dict[str, np.ndarra
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
-    for chunk in _file_chunks(path):
-        h.update(chunk)
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):   # 1 MiB at a time
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -559,7 +500,7 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
             if array.shape[1:] != row_shape:
                 raise FormatError(f"{role} {f}: rows of shape {array.shape[1:]}, "
                                   f"manifest {given_by} gives {row_shape}")
-        splits[role] = LabeledSplit(task=manifest.task, role=role, **arrays)
+        splits[role] = LabeledSplit(task=manifest.task, **arrays)
     return splits
 
 

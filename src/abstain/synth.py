@@ -193,6 +193,6 @@ def generate(spec: SynthSpec) -> SynthDataset:
     for role, (rng, X, y, ood, flip) in drawn.items():
         logits = X @ W + b
         noise = rng.standard_normal((len(X), spec.mc_passes, W.shape[1])) * spec.mc_noise
-        splits[role] = LabeledSplit(link(logits), y, spec.task, role, X, link(logits[:, None, :] + noise))
+        splits[role] = LabeledSplit(link(logits), y, spec.task, X, link(logits[:, None, :] + noise))
         ood_flags[role], flipped[role] = ood, flip
     return SynthDataset(spec, splits, ood_flags, flipped)

@@ -4,7 +4,7 @@ import pytest
 from abstain.core import LabeledSplit, seeded_rng
 
 
-def make_multiclass_split(n=40, C=3, d=2, seed=0, role="train", with_mc=False, T=4):
+def make_multiclass_split(n=40, C=3, d=2, seed=0, with_mc=False, T=4):
     """Small well-separated clusters, every class populated."""
     rng = seeded_rng(seed)
     labels = np.arange(n) % C
@@ -18,7 +18,7 @@ def make_multiclass_split(n=40, C=3, d=2, seed=0, role="train", with_mc=False, T
         noise = rng.normal(size=(n, T, C)) * 0.1
         raw = np.exp(logits[:, None, :] + noise)
         mc = raw / raw.sum(axis=2, keepdims=True)
-    return LabeledSplit(probs, labels, "multiclass", role, X, mc)
+    return LabeledSplit(probs, labels, "multiclass", X, mc)
 
 
 @pytest.fixture

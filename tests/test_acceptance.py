@@ -124,7 +124,7 @@ def test_criterion_3_oracle_equivalences():
         y[:C] = np.arange(C)  # every class present
         probs = np.full((n, C), 1.0 / C)
         from abstain.core import LabeledSplit
-        split = LabeledSplit(probs, y, "multiclass", "train", X)
+        split = LabeledSplit(probs, y, "multiclass", X)
         model = fit_nuq(split)
         for e in [X[0], X[n // 2], rng.normal(size=d)]:
             got = score_nuq(e, model)
@@ -146,14 +146,14 @@ def test_criterion_4_affine_invariance():
     X = centers[y] + rng.normal(size=(500, 8))
     probs = np.full((500, 4), 0.25)
     from abstain.core import LabeledSplit
-    base = LabeledSplit(probs, y, "multiclass", "train", X)
+    base = LabeledSplit(probs, y, "multiclass", X)
     before = rows(score_md, X, fit_md(base))
 
     # random invertible linear map: scaled orthogonal factor, so the
     # trace-scaled ridge regularizer transforms along with the data
     Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     A = 1.7 * Q
-    mapped = LabeledSplit(probs, y, "multiclass", "train", X @ A.T)
+    mapped = LabeledSplit(probs, y, "multiclass", X @ A.T)
     after = rows(score_md, X @ A.T, fit_md(mapped))
     rel = np.max(np.abs(before - after) / np.maximum(np.maximum(np.abs(before), np.abs(after)), 1e-12))
     assert rel <= 1e-6

@@ -156,7 +156,7 @@ def _toy_validation(n=400, seed=3):
     maxp = np.clip(maxp, 0.51, 0.999)
     probs = np.stack([maxp, 1.0 - maxp], axis=1)
     labels = np.where(correct, 0, 1)
-    return LabeledSplit(probs, labels, "multiclass", "validation")
+    return LabeledSplit(probs, labels, "multiclass")
 
 
 def test_fit_beta_and_score_against_closed_form():
@@ -180,7 +180,7 @@ def test_score_beta_orders_confidence():
 
 def test_fit_beta_needs_both_outcomes():
     probs = np.tile([0.9, 0.1], (30, 1))
-    split = LabeledSplit(probs, np.zeros(30, dtype=int), "multiclass", "validation")
+    split = LabeledSplit(probs, np.zeros(30, dtype=int), "multiclass")
     with pytest.raises(ValueError, match="degenerate validation split"):
         fit_beta(split)
 

@@ -98,7 +98,7 @@ def test_identical_passes_score_exactly_zero_inside_a_batch():
 def test_nuq_underflow_inside_a_batch_is_inf_with_warning():
     rng = seeded_rng(5)
     X = rng.normal(size=(30, 2))
-    train = LabeledSplit(np.full((30, 2), 0.5), np.arange(30) % 2, "multiclass", "train", X)
+    train = LabeledSplit(np.full((30, 2), 0.5), np.arange(30) % 2, "multiclass", X)
     model = density.fit_nuq(train, bandwidth=0.5)
     queries = np.vstack([X[:3], [[500.0, -500.0]], X[3:5]])
     with pytest.warns(RuntimeWarning, match="density underflow"):
@@ -115,7 +115,7 @@ def test_md_and_ddu_at_embedding_dimensions(d):
     C = 3
     labels = np.arange(600) % C
     X = rng.normal(size=(C, d))[labels] * 3.0 + rng.normal(size=(600, d))
-    train = LabeledSplit(np.full((600, C), 1.0 / C), labels, "multiclass", "train", X)
+    train = LabeledSplit(np.full((600, C), 1.0 / C), labels, "multiclass", X)
     queries = rng.normal(size=(40, d)) * 2.0
     for fn, model in ((density.score_md, density.fit_md(train)),
                       (density.score_ddu, density.fit_ddu(train))):

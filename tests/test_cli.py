@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,7 @@ def test_wrong_shape_models_container_is_a_data_error(payload, mc_dir, tmp_path,
 
 FIT_AND_SCORE = """
 import sys
+import tracemalloc
 from abstain.cli import main
 manifest, out = sys.argv[1:]
 assert main(["fit", "--manifest", manifest, "--methods", "md,rde,ddu,nuq", "--out", out + ".bin"]) == 0
@@ -758,23 +760,45 @@ def evaluate_growth_per_pair(root, mode) -> float:
 
 
 class TestMultilabelEvaluate:
-    def test_label_mode_holds_under_200_bytes_per_pair(self, pair_scores):
+    def test_label_mode_holds_under_130_bytes_per_pair(self, pair_scores):
         """``evaluate --mode label`` grows its peak resident memory by less
         than 130 bytes per (instance, label) pair.  The reader fills one
         score array and one int32 row count per pair; the peak is set
-        later, by the curves.  It grows by 119 to 127 (11.3 to 12.1 MiB),
-        with the allocator's state from run to run, a margin of 2 to 9%.
-        A read that keeps the instance-level rows too, with every full
-        curve alive at once, each with its own coverages, takes about 147."""
+        later, by the curves, after the split's probabilities are freed.
+        It grows by 107 to 110 (10.2 to 10.5 MiB), with the allocator's
+        state from run to run.  With the probabilities alive through the
+        curves it grew by 119 to 129; a read that keeps the instance-level
+        rows too, with every full curve alive at once, each with its own
+        coverages, takes about 147."""
         assert evaluate_growth_per_pair(pair_scores, "label") < 130
 
-    def test_instance_mode_holds_under_100_bytes_per_pair(self, pair_scores):
+    def test_instance_mode_holds_under_70_bytes_per_pair(self, pair_scores):
         """``evaluate --mode instance`` on a table that holds MP's pair rows
-        grows its peak resident memory by less than 100 bytes per pair.  It
-        parses the pair rows span by span and keeps none of them; it grows
-        by 85 to 87 (8.1 to 8.3 MiB), a margin of 13%.  A read that keeps
-        the pair rows it then drops takes about 121."""
-        assert evaluate_growth_per_pair(pair_scores, "instance") < 100
+        grows its peak resident memory by less than 70 bytes per pair.  It
+        parses the pair rows span by span, as text lines, and keeps none
+        of them; it grows by 51 to 52 (4.9 MiB).  A reader that split the
+        file's bytes into lines itself, in blocks of 1 MiB, took 85 to 87,
+        and a read that keeps the pair rows it then drops about 121."""
+        assert evaluate_growth_per_pair(pair_scores, "instance") < 70
+
+    @pytest.mark.parametrize("level", ["instance", "label"])
+    def test_score_reader_peaks_under_3_5_mb_above_what_it_returns(self, pair_scores, level):
+        """``read_scores_csv`` on the 110,000 rows of ``pair_scores`` peaks
+        less than 3.5 MB (tracemalloc) above its start, beyond the arrays
+        it returns, at either level.  It holds one span of lines and its
+        parsed rows at a time, and beside the scores one int32 row count
+        per unit: about 2.7 MB above its start at the instance level and
+        3.2 MB at the label level.  A reader that split the file's bytes
+        into lines itself, in blocks of 1 MiB, peaked 5.6 and 6.1 MB above
+        what it returned."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            scores = read_scores_csv(pair_scores / "s.csv", level, 5000, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start - sum(values.nbytes for values in scores.values()) < 3.5e6
 
     def test_label_and_instance_modes(self, ml_dir, tmp_path):
         scores = tmp_path / "scores.csv"

@@ -24,7 +24,7 @@ def train():
     logits = -d2
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
-    return LabeledSplit(probs, y, "multiclass", "train", X)
+    return LabeledSplit(probs, y, "multiclass", X)
 
 
 HOME = np.array([6.0, 0.0])      # first class centroid

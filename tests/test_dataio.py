@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from abstain import dataio
 from abstain.dataio import (
     NO_LABEL,
-    READ_BYTES,
     WRITE_ROWS,
     ChecksumError,
     DataError,
@@ -314,6 +313,7 @@ NAMED_LINES = [
     ("0,,SR,0.5\n1,,SR\n\n2,,SR,0.25\n", "line 3: '1,,SR'"),
     ("0,,SR,0.5\n1,-2,MP,0.25\n\n", "negative label"),
     ('0,,"S\nR",0.5\n', "line break"),
+    ("0,,Ünï,0.5,1\n", "line 2: '0,,Ünï,0.5,1'"),
 ]
 
 
@@ -322,7 +322,7 @@ def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
     bad label before a blank line is named, not the blank line."""
     path = tmp_path / "s.csv"
     for body, named in NAMED_LINES:
-        path.write_text(SCORE_TABLE_HEADER + body)
+        path.write_bytes((SCORE_TABLE_HEADER + body).encode())
         with pytest.raises(FormatError, match=named.replace(".", r"\.")):
             score_columns(path)
 
@@ -420,8 +420,8 @@ def test_score_reader_refuses_a_bad_name_before_a_unit_error(level, body, span, 
         read_scores_csv(path, level, 2, 2)
 
 
-# line ends and faults that reads of 1 to 7 bytes cut at some block edge
-BLOCK_EDGE_BODIES = [
+# line ends and faults that spans of 1 to 3 lines cut at some span edge
+SPAN_EDGE_BODIES = [
     "0,0,MP,0.5\r\n0,1,MP,0.25\r\n1,0,MP,0.125\r\n",
     "0,0,MP,0.5\r0,1,MP,0.25\r1,0,MP,0.125\r",
     "0,0,MP,0.5\r0,1,MP,0.25\r\n1,0,MP,0.125\n1,1,MP,1.0",
@@ -432,17 +432,15 @@ BLOCK_EDGE_BODIES = [
     "0,,SR,0.5\r\r1,,SR,0.25\r",
     "0,,SR,0.5\n1,,SR,0.25\n2,,SR\n",
 ]
-BLOCK_BYTES = (1, 2, 3, 5, 7)
 
 
 @pytest.mark.parametrize("span", [1, 2, 3])
 def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
-    """Spans of a few lines, read in blocks of a few bytes too, give the
-    columns, dtypes included, or the FormatError, absolute line number
-    included, of one span and one block for the whole table.  Reads of 1
-    to 7 bytes split CRLFs, CR-only line ends, quoted line breaks and blank
-    lines at block edges; a quoted line break that a span or block edge
-    splits is a malformed row."""
+    """Spans of a few lines give the columns, dtypes included, or the
+    FormatError, absolute line number included, of one span for the whole
+    table.  Spans of 1 to 3 lines split CRLFs, CR-only line ends, quoted
+    line breaks and blank lines at span edges; a quoted line break that a
+    span edge splits is a malformed row."""
     path = tmp_path / "s.csv"
     bodies = PARITY_BODIES + [body for body, _ in NAMED_LINES] + [
         "0,,SR,0.5\n1,,SR,0.25\n0,,a-much-longer-method,0.5\n1,,SR,1.0\n2,,SR,2.0\n",
@@ -450,30 +448,52 @@ def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
         "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,x,MP,0.5\n",
         "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,-3,MP,0.5\n",
         '0,,SR,0.5\n1,,"S\nR",0.5\n',
-    ] + BLOCK_EDGE_BODIES
+    ] + SPAN_EDGE_BODIES
     for body in bodies:
         path.write_bytes((SCORE_TABLE_HEADER + body).encode())
         outcomes = []
-        for rows, size in [(WRITE_ROWS, READ_BYTES), (span, READ_BYTES)] + [(span, b) for b in BLOCK_BYTES]:
+        for rows in (WRITE_ROWS, span):
             monkeypatch.setattr(dataio, "WRITE_ROWS", rows)
-            monkeypatch.setattr(dataio, "READ_BYTES", size)
             try:
                 outcomes.append(score_columns(path))
             except FormatError as exc:
                 outcomes.append(str(exc))
-        whole, *parts = outcomes
-        for got in parts:
-            if isinstance(whole, str) and "line break" in whole:
-                assert isinstance(got, str), body
-                continue
-            assert type(whole) is type(got), body
-            if isinstance(whole, str):
-                assert got == whole
-                continue
-            assert got[2].tolist() == whole[2].tolist(), body
-            for w, g in zip(whole[:2] + whole[3:], got[:2] + got[3:]):
-                assert g.dtype == w.dtype and g.shape == w.shape, body
-                assert np.array_equal(g.view(np.uint8), w.view(np.uint8)), body
+        whole, got = outcomes
+        if isinstance(whole, str) and "line break" in whole:
+            assert isinstance(got, str), body
+            continue
+        assert type(whole) is type(got), body
+        if isinstance(whole, str):
+            assert got == whole
+            continue
+        assert got[2].tolist() == whole[2].tolist(), body
+        for w, g in zip(whole[:2] + whole[3:], got[:2] + got[3:]):
+            assert g.dtype == w.dtype and g.shape == w.shape, body
+            assert np.array_equal(g.view(np.uint8), w.view(np.uint8)), body
+
+
+def test_score_reader_reads_a_crlf_cut_by_a_text_read_as_its_lf_copy(tmp_path):
+    """The text wrapper reads a file 8 KiB at a time.  A CRLF whose CR ends
+    one read and whose LF starts the next is one line end, and a CR that
+    ends a read alone is one too: each table reads as its LF copy.  Rows
+    are shorter than 40 bytes, so one of forty paddings of the first row
+    puts a line end at byte 8191, the last of the first read."""
+    path, lf_path = tmp_path / "s.csv", tmp_path / "lf.csv"
+    cut = 0
+    for pad in range(40):
+        body = f"0,,{'M' * (pad + 1)},0.5\n" + "".join(f"{i},3,MP,{i / 7!r}\n" for i in range(400))
+        lf = (SCORE_TABLE_HEADER + body).encode()
+        lf_path.write_bytes(lf)
+        expected = score_columns(lf_path)
+        for end in (b"\r\n", b"\r"):
+            data = lf.replace(b"\n", end)
+            cut += data[8191:8192 + len(end) - 1] == end
+            path.write_bytes(data)
+            got = score_columns(path)
+            assert got[2].tolist() == expected[2].tolist()
+            for e, g in zip(expected[:2] + expected[3:], got[:2] + got[3:]):
+                assert g.dtype == e.dtype and np.array_equal(g.view(np.uint8), e.view(np.uint8))
+    assert cut >= 2   # a CRLF and a lone CR each straddled the read edge at least once
 
 
 @pytest.mark.parametrize("span", [1, 2])

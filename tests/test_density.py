@@ -47,7 +47,7 @@ def two_class_split(repeat=1):
         X = np.tile(X, (repeat, 1))
         labels = np.tile(labels, repeat)
     probs = np.full((len(labels), 2), 0.5)
-    return LabeledSplit(probs, labels, "multiclass", "train", X)
+    return LabeledSplit(probs, labels, "multiclass", X)
 
 
 def random_split(n, C, d, seed, spread=4.0):
@@ -55,7 +55,7 @@ def random_split(n, C, d, seed, spread=4.0):
     labels = np.arange(n) % C
     centers = rng.normal(size=(C, d)) * spread
     X = centers[labels] + rng.normal(size=(n, d))
-    return LabeledSplit(np.full((n, C), 1.0 / C), labels, "multiclass", "train", X)
+    return LabeledSplit(np.full((n, C), 1.0 / C), labels, "multiclass", X)
 
 
 # ------------------------------------------------------------------ MD
@@ -107,7 +107,7 @@ def test_md_duplication_changes_covariance_by_denominator_only():
 
 def test_md_absent_class_error():
     probs = np.full((4, 3), 1 / 3)
-    split = LabeledSplit(probs, [0, 0, 1, 1], "multiclass", "train",
+    split = LabeledSplit(probs, [0, 0, 1, 1], "multiclass",
                          np.arange(8.0).reshape(4, 2))
     with pytest.raises(ValueError, match="class 2 absent"):
         fit_md(split)
@@ -115,7 +115,7 @@ def test_md_absent_class_error():
 
 def test_md_short_class_error():
     probs = np.full((3, 2), 0.5)
-    split = LabeledSplit(probs, [0, 0, 1], "multiclass", "train",
+    split = LabeledSplit(probs, [0, 0, 1], "multiclass",
                          np.arange(6.0).reshape(3, 2))
     with pytest.raises(ValueError, match="class 1 has 1"):
         fit_md(split)
@@ -131,7 +131,7 @@ def test_md_multilabel_fits_single_shared_component():
     rng = seeded_rng(4)
     X = rng.normal(size=(12, 2))
     bits = rng.integers(0, 2, size=(12, 3))
-    split = LabeledSplit(np.full((12, 3), 0.5), bits, "multilabel", "train", X)
+    split = LabeledSplit(np.full((12, 3), 0.5), bits, "multilabel", X)
     model = fit_md(split)
     assert model.centroids.shape == (1, 2)
     assert np.allclose(model.centroids[0], X.mean(axis=0))
@@ -143,7 +143,7 @@ def test_md_similarity_transform_invariance():
     rng = seeded_rng(11)
     Q = np.linalg.qr(rng.normal(size=(5, 5)))[0] * 1.7
     b = rng.normal(size=5)
-    mapped = LabeledSplit(split.probs, split.labels, "multiclass", "train",
+    mapped = LabeledSplit(split.probs, split.labels, "multiclass",
                           split.embeddings @ Q.T + b)
     m1, m2 = fit_md(split), fit_md(mapped)
     for _ in range(20):
@@ -264,7 +264,7 @@ def test_rde_identical_class_scores_zero_at_its_point():
     rng = seeded_rng(2)
     X = np.vstack([np.zeros((10, 2)), rng.normal(size=(10, 2)) + 5.0])
     labels = np.array([0] * 10 + [1] * 10)
-    split = LabeledSplit(np.full((20, 2), 0.5), labels, "multiclass", "train", X)
+    split = LabeledSplit(np.full((20, 2), 0.5), labels, "multiclass", X)
     model = fit_rde(split, seed=0)
     assert score_rde(np.zeros(2), model) == pytest.approx(0.0, abs=1e-6)
 
@@ -281,7 +281,7 @@ def test_rde_shuffle_invariance_is_exact():
     split = random_split(60, 3, 4, seed=12)
     perm = seeded_rng(13).permutation(60)
     shuffled = LabeledSplit(split.probs[perm], split.labels[perm], "multiclass",
-                            "train", split.embeddings[perm])
+                            split.embeddings[perm])
     m1 = fit_rde(split, seed=5)
     m2 = fit_rde(shuffled, seed=5)
     queries = seeded_rng(14).normal(size=(10, 4)) * 4
@@ -297,7 +297,7 @@ def test_rde_spectrum_collapse_reduces_components():
     locs1 = rng.normal(size=(3, 2)) + 6
     X = np.vstack([locs0[np.arange(10) % 3], locs1[np.arange(10) % 3]])
     labels = np.array([0] * 10 + [1] * 10)
-    split = LabeledSplit(np.full((20, 2), 0.5), labels, "multiclass", "train", X)
+    split = LabeledSplit(np.full((20, 2), 0.5), labels, "multiclass", X)
     with pytest.warns(RuntimeWarning, match="kernel spectrum collapsed"):
         model = fit_rde(split, seed=0)
     assert model.centroids.shape[1] < 8
@@ -308,7 +308,7 @@ def test_rde_component_count_validation():
     def split(smallest):
         labels = np.array([0] * 20 + [1] * smallest)
         X = seeded_rng(smallest).normal(size=(labels.size, 2)) + 4.0 * labels[:, None]
-        return LabeledSplit(np.full((labels.size, 2), 0.5), labels, "multiclass", "train", X)
+        return LabeledSplit(np.full((labels.size, 2), 0.5), labels, "multiclass", X)
 
     with pytest.raises(ValueError, match="at least one kernel component"):
         fit_rde(split(2), seed=0)
@@ -406,7 +406,7 @@ def split(n, seed):
     rng = seeded_rng(seed)
     labels = np.arange(n) % 4
     X = (rng.normal(size=(4, 8)) * 4.0)[labels] + rng.normal(size=(n, 8))
-    return LabeledSplit(np.full((n, 4), 0.25), labels, "multiclass", "train", X)
+    return LabeledSplit(np.full((n, 4), 0.25), labels, "multiclass", X)
 
 warnings.simplefilter("ignore")
 n, median = json.loads(sys.argv[1])
@@ -491,7 +491,7 @@ def test_ddu_priors_are_label_frequencies():
     X = rng.normal(size=(40, 2))
     labels = np.array([0] * 32 + [1] * 8)
     X[labels == 1] += 5
-    split2 = LabeledSplit(np.full((40, 2), 0.5), labels, "multiclass", "train", X)
+    split2 = LabeledSplit(np.full((40, 2), 0.5), labels, "multiclass", X)
     assert np.allclose(np.exp(fit_ddu(split2).log_priors), [0.8, 0.2], atol=1e-12)
 
 
@@ -508,7 +508,7 @@ def test_ddu_two_identical_classes_collapse_to_one():
     pts = rng.normal(size=(12, 3))
     X = np.vstack([pts, pts])
     labels = np.array([0] * 12 + [1] * 12)
-    split = LabeledSplit(np.full((24, 2), 0.5), labels, "multiclass", "train", X)
+    split = LabeledSplit(np.full((24, 2), 0.5), labels, "multiclass", X)
     mixture = fit_ddu(split)
     cov = np.cov(pts, rowvar=False, ddof=1)
     lam = _ridge_lambda(cov)
@@ -550,13 +550,13 @@ def test_ddu_score_grows_with_distance():
 def test_nuq_auto_bandwidth_is_median_over_sqrt2():
     X = np.array([[0.0], [1.0], [3.0], [7.0]])
     # pairwise distances 1,3,7,2,6,4 -> median 3.5
-    sp = LabeledSplit(np.full((4, 2), 0.5), [0, 1, 0, 1], "multiclass", "train", X)
+    sp = LabeledSplit(np.full((4, 2), 0.5), [0, 1, 0, 1], "multiclass", X)
     m = fit_nuq(sp)
     assert m.bandwidth == pytest.approx(3.5 / np.sqrt(2), abs=1e-15)
 
 
 def _split_of(X):
-    return LabeledSplit(np.full((len(X), 2), 0.5), np.arange(len(X)) % 2, "multiclass", "train", X)
+    return LabeledSplit(np.full((len(X), 2), 0.5), np.arange(len(X)) % 2, "multiclass", X)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 42, 44])
@@ -584,7 +584,7 @@ def test_nuq_single_label_gives_zero():
     bits = np.ones((8, 1), dtype=int)
     # multilabel path with a constant bit: no label variance anywhere
     sp = LabeledSplit(np.full((8, 2), 0.9), np.hstack([bits, bits]), "multilabel",
-                      "train", X)
+                      X)
     m = fit_nuq(sp, bandwidth=1.0)
     assert score_nuq(X[0], m) == 0.0
 
@@ -597,7 +597,7 @@ def _kernel_constant_fixture(name):
     X2, X1 = rng.normal(size=(6, 2)), rng.normal(size=(6, 1))
     X, h = (X2, 1.0) if name == "d2-h1" else (X1, 2.0)
     labels = np.array([0, 1, 0, 1, 0, 1])
-    sp = LabeledSplit(np.full((6, 2), 0.5), labels, "multiclass", "train", X)
+    sp = LabeledSplit(np.full((6, 2), 0.5), labels, "multiclass", X)
     return X, labels, 2, fit_nuq(sp, bandwidth=h)
 
 
@@ -614,7 +614,7 @@ def test_nuq_matches_naive_double_loop(seed):
         X = rng.normal(size=(n, d)) * 3
         labels = rng.integers(0, C, size=n)
         labels[:C] = np.arange(C)
-        sp = LabeledSplit(np.full((n, C), 1.0 / C), labels, "multiclass", "train", X)
+        sp = LabeledSplit(np.full((n, C), 1.0 / C), labels, "multiclass", X)
         model, tolerance = fit_nuq(sp), dict(abs=1e-10)
     for _ in range(6):
         e = rng.normal(size=d) * 3
@@ -631,10 +631,10 @@ def test_nuq_duplication_scales_by_sample_size():
     X = rng.normal(size=(12, 2))
     labels = rng.integers(0, 2, 12)
     labels[:2] = [0, 1]
-    sp = LabeledSplit(np.full((12, 2), 0.5), labels, "multiclass", "train", X)
+    sp = LabeledSplit(np.full((12, 2), 0.5), labels, "multiclass", X)
     m1 = fit_nuq(sp, bandwidth=1.3)
     sp2 = LabeledSplit(np.full((24, 2), 0.5), np.tile(labels, 2), "multiclass",
-                       "train", np.tile(X, (2, 1)))
+                       np.tile(X, (2, 1)))
     m2 = fit_nuq(sp2, bandwidth=1.3)
     q = rng.normal(size=2) * 0.5
     # tau^2 carries a 1/|D| factor, so the score drops by sqrt(1/2)
@@ -645,7 +645,7 @@ def test_nuq_underflow_returns_inf_with_warning():
     rng = seeded_rng(5)
     X = rng.normal(size=(10, 2))
     sp = LabeledSplit(np.full((10, 2), 0.5), rng.integers(0, 2, 10), "multiclass",
-                      "train", X)
+                      X)
     m = fit_nuq(sp, bandwidth=0.05)
     with pytest.warns(RuntimeWarning, match="density underflow"):
         out = score_nuq(np.array([500.0, -500.0]), m)
@@ -656,7 +656,7 @@ def test_nuq_bandwidth_validation():
     sp = random_split(10, 2, 2, seed=0)
     with pytest.raises(ValueError, match="positive"):
         fit_nuq(sp, bandwidth=0.0)
-    same = LabeledSplit(np.full((4, 2), 0.5), [0, 1, 0, 1], "multiclass", "train",
+    same = LabeledSplit(np.full((4, 2), 0.5), [0, 1, 0, 1], "multiclass",
                         np.ones((4, 2)))
     with pytest.raises(ValueError, match="median pairwise distance is zero"):
         fit_nuq(same)

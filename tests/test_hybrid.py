@@ -129,7 +129,7 @@ def _calibration_split(n=60, seed=0):
     maxp = rng.uniform(0.4, 0.999, n)
     probs = np.stack([maxp, 1 - maxp], axis=1)
     labels = (rng.random(n) < np.where(maxp > 0.7, 0.1, 0.45)).astype(int)
-    return LabeledSplit(probs, labels, "multiclass", "validation")
+    return LabeledSplit(probs, labels, "multiclass")
 
 
 def test_fit_hybrid_insufficient_data():
@@ -143,7 +143,7 @@ def test_fit_hybrid_argument_validation():
     u = np.zeros(60)
     with pytest.raises(ValueError, match="unknown variant"):
         fit_hybrid(split, u, u, variant="nope")
-    multilabel = LabeledSplit(split.probs, np.zeros((60, 2), dtype=int), "multilabel", "validation")
+    multilabel = LabeledSplit(split.probs, np.zeros((60, 2), dtype=int), "multilabel")
     with pytest.raises(ValueError, match="needs a multiclass split"):
         fit_hybrid(multilabel, u, u)
     with pytest.raises(ValueError, match="match the validation"):
@@ -223,7 +223,7 @@ def test_fit_hybrid_tie_prefers_first_grid_point():
     rng = seeded_rng(2)
     maxp = rng.uniform(0.55, 0.99, 30)
     probs = np.stack([maxp, 1 - maxp], axis=1)
-    split = LabeledSplit(probs, np.zeros(30, dtype=int), "multiclass", "validation")
+    split = LabeledSplit(probs, np.zeros(30, dtype=int), "multiclass")
     u_a, u_e = 1 - maxp, rng.random(30)
     for variant in ("huq", "huq2"):
         cfg = fit_hybrid(split, u_a, u_e, variant=variant)
