@@ -24,7 +24,7 @@ from abstain.synth import SynthSpec, generate
 
 def fit_models(data, task):
     """Every model the task can use, fitted as ``abstain fit`` does."""
-    return {key: fitter.fit(data.splits[fitter.split], 0)
+    return {key: fitter.fit(data.splits[fitter.split])
             for key, fitter in FITTERS.items() if task in fitter.tasks}
 
 

@@ -61,7 +61,6 @@ class BetaModel:
     gamma_incorrect: float
     prior_correct: float
     prior_incorrect: float
-    shape_capped: bool = False
 
     def __post_init__(self):
         for name in ("alpha_correct", "gamma_correct", "alpha_incorrect", "gamma_incorrect"):
@@ -95,7 +94,7 @@ def _grid_mle(m1: float, m2: float) -> tuple[float, float]:
     return a, g
 
 
-def _fit_beta_group(x: np.ndarray) -> tuple[float, float, bool]:
+def _fit_beta_group(x: np.ndarray) -> tuple[float, float]:
     """Max-likelihood Beta shapes for one sample.
 
     Newton iterations on the digamma stationarity conditions, started
@@ -108,7 +107,7 @@ def _fit_beta_group(x: np.ndarray) -> tuple[float, float, bool]:
     if var < 1e-12:
         scale = SHAPE_CAP / max(mean, 1.0 - mean)
         warnings.warn("beta shapes capped: group has no spread", RuntimeWarning)
-        return mean * scale, (1.0 - mean) * scale, True
+        return mean * scale, (1.0 - mean) * scale
     m1 = float(np.log(x).mean())
     m2 = float(np.log1p(-x).mean())
     common = mean * (1.0 - mean) / var - 1.0
@@ -139,13 +138,11 @@ def _fit_beta_group(x: np.ndarray) -> tuple[float, float, bool]:
             break
     if not converged:
         a, g = _grid_mle(m1, m2)
-    capped = False
     if a > SHAPE_CAP or g > SHAPE_CAP:
         shrink = SHAPE_CAP / max(a, g)
         a, g = a * shrink, g * shrink
-        capped = True
         warnings.warn("beta shapes capped at 1e4", RuntimeWarning)
-    return float(a), float(g), capped
+    return float(a), float(g)
 
 
 def fit_beta(validation: LabeledSplit) -> BetaModel:
@@ -166,10 +163,10 @@ def fit_beta(validation: LabeledSplit) -> BetaModel:
         raise ValueError(
             f"degenerate validation split: {n_c} correct / {n_i} incorrect, need >= 2 each"
         )
-    a_c, g_c, cap_c = _fit_beta_group(maxprob[correct])
-    a_i, g_i, cap_i = _fit_beta_group(maxprob[~correct])
+    a_c, g_c = _fit_beta_group(maxprob[correct])
+    a_i, g_i = _fit_beta_group(maxprob[~correct])
     n = n_c + n_i
-    return BetaModel(a_c, g_c, a_i, g_i, n_c / n, n_i / n, cap_c or cap_i)
+    return BetaModel(a_c, g_c, a_i, g_i, n_c / n, n_i / n)
 
 
 @batched(1)

@@ -53,19 +53,18 @@ BOTH = MULTICLASS + MULTILABEL
 
 @dataclass(frozen=True)
 class Fitter:
-    fit: Callable[[LabeledSplit, int], object]   # (split, seed) -> fitted model
-    model: type                                  # class of the model it returns
-    split: str                                   # role of the split it fits on
+    fit: Callable[[LabeledSplit], object]   # split -> fitted model
+    model: type                             # class of the model it returns
+    split: str                              # role of the split it fits on
     tasks: Tuple[str, ...]
 
 
 FITTERS: Dict[str, Fitter] = {
-    "md": Fitter(lambda split, seed: density.fit_md(split), density.MdModel, "train", BOTH),
-    "rde": Fitter(lambda split, seed: density.fit_rde(split, seed=seed), density.RdeModel, "train", BOTH),
-    "ddu": Fitter(lambda split, seed: density.fit_ddu(split), density.DduModel, "train", BOTH),
-    "nuq": Fitter(lambda split, seed: density.fit_nuq(split), density.NuqModel, "train", BOTH),
-    "beta": Fitter(lambda split, seed: baselines.fit_beta(split), baselines.BetaModel, "validation",
-                   MULTICLASS),
+    "md": Fitter(lambda split: density.fit_md(split), density.MdModel, "train", BOTH),
+    "rde": Fitter(lambda split: density.fit_rde(split), density.RdeModel, "train", BOTH),
+    "ddu": Fitter(lambda split: density.fit_ddu(split), density.DduModel, "train", BOTH),
+    "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH),
+    "beta": Fitter(lambda split: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS),
 }
 
 
@@ -213,7 +212,7 @@ def _cmd_fit(args) -> int:
         raise UsageError("no methods requested")
     splits = load_splits(manifest, Path(args.manifest).parent,   # no fitter reads the passes
                          {FITTERS[m].split: ("embeddings",) for m in requested})
-    save_models(args.out, {m: FITTERS[m].fit(splits[FITTERS[m].split], args.seed) for m in requested})
+    save_models(args.out, {m: FITTERS[m].fit(splits[FITTERS[m].split]) for m in requested})
     print(args.out)
     return 0
 
@@ -340,7 +339,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--methods", default=None,
                    help=f"comma list from {','.join(FITTERS)}; default all that fit the task")
     p.add_argument("--out", required=True, help="models container path")
-    p.add_argument("--seed", type=int, default=0, help="subsampling seed for robust fits")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("score", help="score one split with the requested methods")

@@ -31,8 +31,9 @@ MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MC = b"UQMCTENS"
 MAGIC_MODELS = b"UQMODELS"
 FORMAT_VERSION = 1
-MODELS_VERSION = 3   # 2: density models hold Cholesky whiteners, not precisions;
-                     # 3: RDE and NUQ models hold only what their scorers read
+MODELS_VERSION = 4   # 2: density models hold Cholesky whiteners, not precisions;
+                     # 3: RDE and NUQ models hold only what their scorers read;
+                     # 4: the Beta model has no shape-capped flag
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_MC = struct.Struct("<8sIQQII")

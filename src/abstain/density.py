@@ -283,13 +283,14 @@ class RdeModel:
     whiteners: np.ndarray      # (C, k, k) inverse Cholesky factors of the ridged MCD scatters
 
 
-def fit_rde(train: LabeledSplit, seed: int = 0) -> RdeModel:
+def fit_rde(train: LabeledSplit) -> RdeModel:
     """Global kernel PCA, then per-class robust statistics.
 
     The RBF width comes from the median pairwise distance heuristic.  It
     keeps min(64, smallest class count - 2) components, fewer if the
-    spectrum collapses; ``seed`` drives FastMCD's restarts.  Inputs are
-    canonicalised by row sort so record order cannot change the fit.
+    spectrum collapses; FastMCD's restarts draw from one fixed stream.
+    Inputs are canonicalised by row sort so record order cannot change
+    the fit.
     """
     X, groups = _class_partition(train)
     comp = np.empty(X.shape[0], dtype=np.int64)
@@ -310,7 +311,7 @@ def fit_rde(train: LabeledSplit, seed: int = 0) -> RdeModel:
     basis, Z = _kernel_pca(X, gamma, k)
     k = basis.dual_vectors.shape[1]   # fewer if the spectrum collapsed
 
-    rng = seeded_rng(seed)
+    rng = seeded_rng(0)
     C = len(groups)
     centroids = np.empty((C, k))
     whiteners = np.empty((C, k, k))
@@ -374,24 +375,17 @@ class NuqModel:
     bandwidth: float
 
 
-def fit_nuq(train: LabeledSplit, bandwidth="auto") -> NuqModel:
-    """Store the train sample and pick the kernel bandwidth.
-
-    "auto" takes median pairwise distance / sqrt(2).
-    """
+def fit_nuq(train: LabeledSplit) -> NuqModel:
+    """Store the train sample; the kernel bandwidth is the median
+    pairwise distance / sqrt(2)."""
     X = _require_embeddings(train)
     n = X.shape[0]
     if n < 2:
         raise ValueError("kernel fit needs at least two train embeddings")
-    if bandwidth == "auto":
-        med = train.median_pairwise_distance
-        if med <= 0.0:
-            raise ValueError("degenerate train sample: median pairwise distance is zero")
-        h = med / np.sqrt(2.0)
-    else:
-        h = float(bandwidth)
-        if not h > 0.0:
-            raise ValueError("bandwidth must be positive")
+    med = train.median_pairwise_distance
+    if med <= 0.0:
+        raise ValueError("degenerate train sample: median pairwise distance is zero")
+    h = med / np.sqrt(2.0)
     if train.task == "multiclass":
         C = train.n_classes
         Y = np.zeros((n, C))

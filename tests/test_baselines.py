@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -90,16 +92,16 @@ def test_scores_lie_in_unit_ranges(p):
 def test_beta_group_zero_variance_caps_with_warning():
     x = np.full(25, 0.8)
     with pytest.warns(RuntimeWarning, match="no spread"):
-        a, b, capped = _fit_beta_group(x)
-    assert capped
+        a, b = _fit_beta_group(x)
     assert max(a, b) == pytest.approx(1e4)
     assert a / (a + b) == pytest.approx(0.8, abs=1e-9)  # mean preserved
 
 
 def test_beta_group_recovers_true_shapes():
     x = seeded_rng(42).beta(5.0, 2.0, size=10000)
-    a, b, capped = _fit_beta_group(x)
-    assert not capped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # neither capping warning
+        a, b = _fit_beta_group(x)
     assert a == pytest.approx(5.0, abs=0.3)
     assert b == pytest.approx(2.0, abs=0.15)
 
@@ -107,7 +109,7 @@ def test_beta_group_recovers_true_shapes():
 def test_beta_group_matches_scipy_mle():
     # scipy's constrained fit solves the same stationarity conditions
     x = np.clip(seeded_rng(7).beta(3.0, 4.0, size=2000), 1e-6, 1 - 1e-6)
-    a, b, _ = _fit_beta_group(x)
+    a, b = _fit_beta_group(x)
     a_s, b_s, _, _ = stats.beta.fit(x, floc=0, fscale=1)
     assert a == pytest.approx(a_s, rel=1e-6)
     assert b == pytest.approx(b_s, rel=1e-6)
@@ -118,7 +120,7 @@ def test_beta_group_grid_oracle_agreement():
     from scipy.special import betaln
 
     x = seeded_rng(42).beta(5.0, 2.0, size=10000)
-    a, b, _ = _fit_beta_group(x)
+    a, b = _fit_beta_group(x)
     xc = np.clip(x, 1e-6, 1 - 1e-6)
     m1, m2 = np.log(xc).mean(), np.log1p(-xc).mean()
     grid = np.arange(0.1, 20.0 + 1e-9, 0.01)
@@ -144,9 +146,9 @@ def test_beta_grid_fallback_lands_on_the_newton_shapes(shapes, monkeypatch):
 
 def test_beta_model_validation():
     with pytest.raises(ValueError, match="positive"):
-        BetaModel(0.0, 1.0, 1.0, 1.0, 0.5, 0.5, False)
+        BetaModel(0.0, 1.0, 1.0, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError, match="sum"):
-        BetaModel(1.0, 1.0, 1.0, 1.0, 0.9, 0.3, False)
+        BetaModel(1.0, 1.0, 1.0, 1.0, 0.9, 0.3)
 
 
 def _toy_validation(n=400, seed=3):

@@ -7,6 +7,8 @@ relative.  The fixture keeps the default spec's embedding width: with
 d=4 and 64 kernel components RDE's component space is ill-conditioned
 enough to turn that reordering into 5e-12.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ SPEC = dict(n_train=300, n_validation=100, n_test=150, n_classes=3, dim=8, mc_pa
 
 def _fitted(task):
     data = generate(SynthSpec(seed=11, task=task, **SPEC))
-    models = {key: fitter.fit(data.splits[fitter.split], 0)
+    models = {key: fitter.fit(data.splits[fitter.split])
               for key, fitter in FITTERS.items() if task in fitter.tasks}
     return data.splits["test"], models
 
@@ -99,7 +101,7 @@ def test_nuq_underflow_inside_a_batch_is_inf_with_warning():
     rng = seeded_rng(5)
     X = rng.normal(size=(30, 2))
     train = LabeledSplit(np.full((30, 2), 0.5), np.arange(30) % 2, "multiclass", X)
-    model = density.fit_nuq(train, bandwidth=0.5)
+    model = replace(density.fit_nuq(train), bandwidth=0.5)
     queries = np.vstack([X[:3], [[500.0, -500.0]], X[3:5]])
     with pytest.warns(RuntimeWarning, match="density underflow"):
         out = density.score_nuq(queries, model)

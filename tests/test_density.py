@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +254,7 @@ def test_fast_mcd_matches_einsum_oracle_in_rde_component_space(monkeypatch):
         return got
 
     monkeypatch.setattr(density, "fast_mcd", checked)
-    fit_rde(random_split(300, 3, 8, seed=21), seed=0)
+    fit_rde(random_split(300, 3, 8, seed=21))
     assert calls == [(100, 64)] * 3
 
 
@@ -265,13 +266,13 @@ def test_rde_identical_class_scores_zero_at_its_point():
     X = np.vstack([np.zeros((10, 2)), rng.normal(size=(10, 2)) + 5.0])
     labels = np.array([0] * 10 + [1] * 10)
     split = LabeledSplit(np.full((20, 2), 0.5), labels, "multiclass", X)
-    model = fit_rde(split, seed=0)
+    model = fit_rde(split)
     assert score_rde(np.zeros(2), model) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_rde_far_point_beats_train_quantile():
     split = random_split(80, 2, 3, seed=6)
-    model = fit_rde(split, seed=0)
+    model = fit_rde(split)
     train_scores = np.array([score_rde(e, model) for e in split.embeddings])
     far = score_rde(np.full(3, 60.0), model)
     assert far > np.quantile(train_scores, 0.99)
@@ -282,8 +283,8 @@ def test_rde_shuffle_invariance_is_exact():
     perm = seeded_rng(13).permutation(60)
     shuffled = LabeledSplit(split.probs[perm], split.labels[perm], "multiclass",
                             split.embeddings[perm])
-    m1 = fit_rde(split, seed=5)
-    m2 = fit_rde(shuffled, seed=5)
+    m1 = fit_rde(split)
+    m2 = fit_rde(shuffled)
     queries = seeded_rng(14).normal(size=(10, 4)) * 4
     s1 = np.array([score_rde(q, m1) for q in queries])
     s2 = np.array([score_rde(q, m2) for q in queries])
@@ -299,7 +300,7 @@ def test_rde_spectrum_collapse_reduces_components():
     labels = np.array([0] * 10 + [1] * 10)
     split = LabeledSplit(np.full((20, 2), 0.5), labels, "multiclass", X)
     with pytest.warns(RuntimeWarning, match="kernel spectrum collapsed"):
-        model = fit_rde(split, seed=0)
+        model = fit_rde(split)
     assert model.centroids.shape[1] < 8
 
 
@@ -311,14 +312,14 @@ def test_rde_component_count_validation():
         return LabeledSplit(np.full((labels.size, 2), 0.5), labels, "multiclass", X)
 
     with pytest.raises(ValueError, match="at least one kernel component"):
-        fit_rde(split(2), seed=0)
-    model = fit_rde(split(10), seed=0)
+        fit_rde(split(2))
+    model = fit_rde(split(10))
     assert model.centroids.shape[1] == 8
     assert model.basis.dual_vectors.shape[1] == 8
 
 
 def test_rde_dimension_mismatch():
-    model = fit_rde(random_split(30, 2, 2, seed=1), seed=0)
+    model = fit_rde(random_split(30, 2, 2, seed=1))
     with pytest.raises(ValueError, match="dimension mismatch"):
         score_rde(np.zeros(5), model)
 
@@ -336,7 +337,7 @@ def test_rde_lanczos_matches_dense_eigh(monkeypatch, d):
         return solves[-1][1]
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", spy)
-    fit_rde(split, seed=0)
+    fit_rde(split)
     ((A, (evals, evecs)),) = solves
     ref_vals, ref_vecs = dense_top_eigenpairs(A, evals.size)
     order = np.argsort(evals)
@@ -352,7 +353,7 @@ def test_rde_lanczos_matches_dense_eigh(monkeypatch, d):
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
 def test_kernel_pca_transform_matches_out_of_place_expression():
     split = random_split(300, 3, 8, seed=21)
-    basis = fit_rde(split, seed=0).basis
+    basis = fit_rde(split).basis
     queries = np.vstack([split.embeddings[:40], seeded_rng(24).normal(size=(60, 8)) * 4])
     for E in (queries, queries[0]):
         got, want = basis.transform(E), kernel_pca_transform(basis, E)
@@ -364,9 +365,9 @@ def test_kernel_pca_transform_matches_out_of_place_expression():
 def test_rde_scores_match_model_from_dense_pairs(monkeypatch):
     split = random_split(300, 3, 8, seed=21)
     queries = np.vstack([split.embeddings, seeded_rng(22).normal(size=(50, 8)) * 4])
-    lanczos = score_rde(queries, fit_rde(split, seed=0))
+    lanczos = score_rde(queries, fit_rde(split))
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", dense_top_eigenpairs)
-    dense = score_rde(queries, fit_rde(split, seed=0))
+    dense = score_rde(queries, fit_rde(split))
     # the per-class whiteners in 64 components amplify the solvers'
     # 1e-16 eigenvector differences to a few 1e-10
     np.testing.assert_allclose(lanczos, dense, rtol=1e-9, atol=0)
@@ -377,7 +378,7 @@ def test_rde_model_ignores_solver_eigenvector_signs(monkeypatch):
     # fast_mcd sorts rows by component 0 first, so a flipped sign would
     # reorder its rows and change which subsets the restarts draw
     split = random_split(240, 3, 8, seed=23)
-    model = fit_rde(split, seed=0)
+    model = fit_rde(split)
     real = scipy.sparse.linalg.eigsh
 
     def negated(A, k, **kw):
@@ -385,7 +386,7 @@ def test_rde_model_ignores_solver_eigenvector_signs(monkeypatch):
         return evals, -evecs
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", negated)
-    assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
+    assert pickle.dumps(fit_rde(split)) == pickle.dumps(model)
 
 
 # fits RDE on n train rows in a fresh interpreter and prints the growth
@@ -410,11 +411,11 @@ def split(n, seed):
 
 warnings.simplefilter("ignore")
 n, median = json.loads(sys.argv[1])
-fit_rde(split(200, 1), seed=0)            # load the solvers before the mark
+fit_rde(split(200, 1))                    # load the solvers before the mark
 train = split(n, 3)
 train.median_pairwise_distance = median   # its pdist vector would set the mark
 before = peak_rss()
-fit_rde(train, seed=0)
+fit_rde(train)
 print(peak_rss() - before)
 """
 
@@ -437,7 +438,7 @@ def test_rde_fit_commits_one_triangle_of_the_kernel():
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
 def test_rde_fit_never_reads_the_upper_triangle(monkeypatch):
     split = random_split(240, 3, 8, seed=23)
-    model = fit_rde(split, seed=0)
+    model = fit_rde(split)
     real = density._kernel_buffer
 
     def poisoned(n):
@@ -446,7 +447,7 @@ def test_rde_fit_never_reads_the_upper_triangle(monkeypatch):
         return K
 
     monkeypatch.setattr(density, "_kernel_buffer", poisoned)
-    assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
+    assert pickle.dumps(fit_rde(split)) == pickle.dumps(model)
 
 
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
@@ -454,9 +455,9 @@ def test_rde_fit_never_reads_the_upper_triangle(monkeypatch):
 def test_rde_scores_match_dense_kernel_oracle(monkeypatch, d):
     data = generate(SynthSpec(dim=d))   # the shipped default spec at each width
     train, queries = data.splits["train"], data.splits["test"].embeddings
-    model = fit_rde(train, seed=0)
+    model = fit_rde(train)
     monkeypatch.setattr(density, "_kernel_pca", dense_kernel_pca)
-    dense = fit_rde(train, seed=0)
+    dense = fit_rde(train)
     assert np.array_equal(model.basis.col_means, dense.basis.col_means)
     got, want = score_rde(queries, model), score_rde(queries, dense)
     # the grand mean's and the projections' summation orders differ
@@ -467,10 +468,10 @@ def test_rde_scores_match_dense_kernel_oracle(monkeypatch, d):
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
 def test_rde_fit_ignores_kernel_block_rows(monkeypatch):
     split = random_split(240, 3, 8, seed=23)
-    model = fit_rde(split, seed=0)
+    model = fit_rde(split)
     for rows in (1, 7, 240):
         monkeypatch.setattr(density, "KERNEL_BLOCK_ROWS", rows)
-        assert pickle.dumps(fit_rde(split, seed=0)) == pickle.dumps(model)
+        assert pickle.dumps(fit_rde(split)) == pickle.dumps(model)
 
 
 # ------------------------------------------------------------------ DDU
@@ -585,7 +586,7 @@ def test_nuq_single_label_gives_zero():
     # multilabel path with a constant bit: no label variance anywhere
     sp = LabeledSplit(np.full((8, 2), 0.9), np.hstack([bits, bits]), "multilabel",
                       X)
-    m = fit_nuq(sp, bandwidth=1.0)
+    m = replace(fit_nuq(sp), bandwidth=1.0)
     assert score_nuq(X[0], m) == 0.0
 
 
@@ -598,7 +599,7 @@ def _kernel_constant_fixture(name):
     X, h = (X2, 1.0) if name == "d2-h1" else (X1, 2.0)
     labels = np.array([0, 1, 0, 1, 0, 1])
     sp = LabeledSplit(np.full((6, 2), 0.5), labels, "multiclass", X)
-    return X, labels, 2, fit_nuq(sp, bandwidth=h)
+    return X, labels, 2, replace(fit_nuq(sp), bandwidth=h)
 
 
 @pytest.mark.parametrize("seed", [*range(8), "d2-h1", "d1-h2"])
@@ -632,10 +633,10 @@ def test_nuq_duplication_scales_by_sample_size():
     labels = rng.integers(0, 2, 12)
     labels[:2] = [0, 1]
     sp = LabeledSplit(np.full((12, 2), 0.5), labels, "multiclass", X)
-    m1 = fit_nuq(sp, bandwidth=1.3)
+    m1 = replace(fit_nuq(sp), bandwidth=1.3)
     sp2 = LabeledSplit(np.full((24, 2), 0.5), np.tile(labels, 2), "multiclass",
                        np.tile(X, (2, 1)))
-    m2 = fit_nuq(sp2, bandwidth=1.3)
+    m2 = replace(fit_nuq(sp2), bandwidth=1.3)
     q = rng.normal(size=2) * 0.5
     # tau^2 carries a 1/|D| factor, so the score drops by sqrt(1/2)
     assert score_nuq(q, m2) / score_nuq(q, m1) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -646,17 +647,18 @@ def test_nuq_underflow_returns_inf_with_warning():
     X = rng.normal(size=(10, 2))
     sp = LabeledSplit(np.full((10, 2), 0.5), rng.integers(0, 2, 10), "multiclass",
                       X)
-    m = fit_nuq(sp, bandwidth=0.05)
+    m = replace(fit_nuq(sp), bandwidth=0.05)
     with pytest.warns(RuntimeWarning, match="density underflow"):
         out = score_nuq(np.array([500.0, -500.0]), m)
     assert out == float("inf")
 
 
 def test_nuq_bandwidth_validation():
-    sp = random_split(10, 2, 2, seed=0)
-    with pytest.raises(ValueError, match="positive"):
-        fit_nuq(sp, bandwidth=0.0)
-    same = LabeledSplit(np.full((4, 2), 0.5), [0, 1, 0, 1], "multiclass",
-                        np.ones((4, 2)))
-    with pytest.raises(ValueError, match="median pairwise distance is zero"):
-        fit_nuq(same)
+    # the bandwidth is the median pairwise distance / sqrt(2), so it is
+    # positive unless that median is zero, which fit_nuq refuses: all rows
+    # equal, or 4 equal rows of 5 (6 of the 10 distances are zero)
+    assert fit_nuq(random_split(10, 2, 2, seed=0)).bandwidth > 0.0
+    for X in (np.ones((4, 2)), np.vstack([np.ones((4, 2)), [[2.0, 2.0]]])):
+        same = LabeledSplit(np.full((len(X), 2), 0.5), np.arange(len(X)) % 2, "multiclass", X)
+        with pytest.raises(ValueError, match="median pairwise distance is zero"):
+            fit_nuq(same)
