@@ -5,19 +5,20 @@ failure modes are injected: instances landing in the boundary band
 between clusters get their labels flipped at a configurable rate, and a
 displaced cluster with arbitrary labels contaminates the validation and
 test splits.  Probabilities come from a linear probe fit on the clean
-train split, so the displaced cluster collects confidently wrong
-predictions rather than honest ones.
+train split by a numpy limited-memory BFGS, so the displaced cluster
+collects confidently wrong predictions rather than honest ones.  The
+generator needs numpy alone.
 
 The same spec and seed always produce byte-identical arrays.
 """
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Dict
 
 import numpy as np
-import scipy
 
 from .core import TASKS, LabeledSplit, record_from_json
 
@@ -88,15 +89,21 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp of -|z| never overflows: 1 / (1 + e) where z >= 0, e / (1 + e) elsewhere
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 def _softmax_nll(P: np.ndarray, T: np.ndarray) -> float:
@@ -110,9 +117,54 @@ def _sigmoid_nll(P: np.ndarray, T: np.ndarray) -> float:
     return -(T * np.log(P + eps) + (1.0 - T) * np.log(1.0 - P + eps)).sum()
 
 
+def _lbfgs(fun_grad, x0: np.ndarray):
+    """Minimise ``fun_grad(x) -> (f, gradient)`` from ``x0`` by limited-memory
+    BFGS (Liu & Nocedal 1989; Nocedal & Wright, Alg. 7.4): the two-loop
+    recursion over the last 10 pairs (s, y), a pair kept only when s.y > 0,
+    and Armijo backtracking from a unit step (the first direction scaled to
+    unit length).  Stops at max|g| <= 1e-10, at a step that lowers f by at
+    most 1e-12 relative to max(|f_old|, |f_new|, 1), when backtracking finds
+    no decrease, or after 500 iterations.  Returns the last iterate and the
+    number of iterations taken."""
+    x = x0
+    f, g = fun_grad(x)
+    pairs = deque(maxlen=10)   # (s, y, 1 / s.y), oldest first
+    for it in range(500):
+        if np.abs(g).max() <= 1e-10:
+            return x, it
+        q, alphas = g.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            q /= rho * (y @ y)   # initial inverse Hessian (s.y / y.y) I
+        else:
+            q /= np.linalg.norm(g)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (y @ q)) * s
+        slope, t = -(g @ q), 1.0
+        for _ in range(60):
+            x_new = x - t * q
+            f_new, g_new = fun_grad(x_new)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            return x, it
+        s, y = x_new - x, g_new - g
+        if s @ y > 0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= 1e-12:
+            return x, it + 1
+    return x, 500
+
+
 def _fit_probe(X: np.ndarray, targets: np.ndarray, link, nll, scale: int, l2: float = 1e-3):
-    """Linear probe ``link(X @ W + b)`` for 0/1 ``targets``, fit by L-BFGS on
-    ``nll / scale`` (``scale`` terms) plus an L2 penalty on W."""
+    """Linear probe ``link(X @ W + b)`` for 0/1 ``targets``, fit by ``_lbfgs``
+    on ``nll / scale`` (``scale`` terms) plus an L2 penalty on W, from zeros."""
     d, k = X.shape[1], targets.shape[1]
 
     def loss_grad(w):
@@ -122,9 +174,8 @@ def _fit_probe(X: np.ndarray, targets: np.ndarray, link, nll, scale: int, l2: fl
         G = (P - targets) / scale
         return loss, np.concatenate([(X.T @ G + l2 * W).ravel(), G.sum(axis=0)])
 
-    res = scipy.optimize.minimize(loss_grad, np.zeros(d * k + k), jac=True, method="L-BFGS-B",
-                                  options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-10})
-    return res.x[: d * k].reshape(d, k), res.x[d * k:]
+    w = _lbfgs(loss_grad, np.zeros(d * k + k))[0]
+    return w[: d * k].reshape(d, k), w[d * k:]
 
 
 def _sample_split(spec: SynthSpec, n: int, with_ood: bool, centroids, ood_center, rng):
@@ -192,7 +243,9 @@ def generate(spec: SynthSpec) -> SynthDataset:
     splits, ood_flags, flipped = {}, {}, {}
     for role, (rng, X, y, ood, flip) in drawn.items():
         logits = X @ W + b
-        noise = rng.standard_normal((len(X), spec.mc_passes, W.shape[1])) * spec.mc_noise
-        splits[role] = LabeledSplit(link(logits), y, spec.task, X, link(logits[:, None, :] + noise))
+        noise = rng.standard_normal((len(X), spec.mc_passes, W.shape[1]))
+        noise *= spec.mc_noise
+        noise += logits[:, None, :]
+        splits[role] = LabeledSplit(link(logits), y, spec.task, X, link(noise))
         ood_flags[role], flipped[role] = ood, flip
     return SynthDataset(spec, splits, ood_flags, flipped)

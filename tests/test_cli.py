@@ -487,15 +487,28 @@ class TestScore:
 
     def test_blas_thread_count_keeps_rejection_orders(self, tmp_path):
         """The shipped default spec at gen-synth seeds 7 (its own) and 11,
-        fitted and scored at 1 and at 2 BLAS threads, each count set before
-        numpy loads in a fresh interpreter: MD and DDU score bitwise alike,
-        and every rejection order is kept.  RDE (Lanczos and symmetric BLAS
-        products) and NUQ (a kernel-weight product) move in the last bits:
-        at seed 7 by at most 1e-12 relative; seed 11 moves RDE by about
-        1.07e-12, so it is held to its orders alone."""
+        generated, fitted and scored at 1 and at 2 BLAS threads, each count
+        set before numpy loads in a fresh interpreter.  gen-synth writes
+        byte-identical datasets, also for the multilabel task.  MD and DDU
+        score bitwise alike, and every rejection order is kept.  RDE (Lanczos
+        and symmetric BLAS products) and NUQ (a kernel-weight product) move in
+        the last bits: at seed 7 by at most 1e-12 relative; seed 11 moves RDE
+        by about 1.07e-12, so it is held to its orders alone."""
+        def gen_synth(name, *argv):
+            for threads in (1, 2):
+                subprocess.run([sys.executable, "-m", "abstain.cli", "gen-synth", *map(str, argv),
+                                "--out", str(tmp_path / f"{name}-threads{threads}")],
+                               check=True, capture_output=True,
+                               env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)})
+            manifests = [(tmp_path / f"{name}-threads{threads}" / "manifest.json") for threads in (1, 2)]
+            assert manifests[0].read_bytes() == manifests[1].read_bytes(), name
+            return manifests[0]
+
+        spec = tmp_path / "multilabel.json"
+        spec.write_text(SynthSpec(task="multilabel").to_json())
+        gen_synth("multilabel", "--spec", spec)
         for seed in (7, 11):
-            assert run("gen-synth", "--seed", seed, "--out", tmp_path / f"ds{seed}") == 0
-            manifest = tmp_path / f"ds{seed}" / "manifest.json"
+            manifest = gen_synth(f"ds{seed}", "--seed", seed)
             test = load_manifest(manifest)
             columns = []
             for threads in (1, 2):
@@ -940,6 +953,7 @@ class TestImportHygiene:
         root, scores, metrics = evaluated
         manifest = str(mc_dir / "ds" / "manifest.json")
         commands = [
+            ["gen-synth", "--out", str(tmp_path / "ds")],
             ["fit", "--manifest", manifest, "--methods", "md", "--out", str(tmp_path / "m.bin")],
             ["evaluate", "--scores", str(scores), "--manifest", manifest,
              "--out", str(tmp_path / "metrics.json"), str(tmp_path / "curves")],
@@ -950,4 +964,4 @@ class TestImportHygiene:
                                 json.dumps([SCIPY_SUBPACKAGES, LAYERS, commands])],
                                env=child_env(), capture_output=True, text=True, check=True)
         states = json.loads(probe.stdout.splitlines()[-1])
-        assert states == [[stage, [], []] for stage in ("import", "fit", "evaluate", "report")]
+        assert states == [[stage, [], []] for stage in ("import", "gen-synth", "fit", "evaluate", "report")]

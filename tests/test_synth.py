@@ -3,10 +3,12 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from abstain import synth
 from abstain.core import seeded_rng
 from abstain.density import fit_md, score_md
-from abstain.synth import SynthDataset, SynthSpec, _sigmoid, generate
+from abstain.synth import SynthDataset, SynthSpec, _lbfgs, _sigmoid, _softmax, generate
 from oracles import masked_sigmoid
 
 SMALL = dict(n_train=80, n_validation=40, n_test=40, n_classes=3, dim=4, mc_passes=4)
@@ -137,6 +139,66 @@ class TestProbe:
             d.splits["test"].mc - d.splits["test"].probs[:, None, :]
         ).mean()
         assert dev(small) < dev(large)
+
+
+def scipy_lbfgsb(fun_grad, x0):
+    """The reference solver: scipy's L-BFGS-B with the probe's stopping rules."""
+    res = scipy.optimize.minimize(fun_grad, x0, jac=True, method="L-BFGS-B",
+                                  options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-10})
+    return res.x, res.nit
+
+
+def rosenbrock(x):
+    r = x[1:] - x[:-1] ** 2
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * r
+    return float((100.0 * r**2 + (1.0 - x[:-1]) ** 2).sum()), g
+
+
+class TestProbeSolver:
+    @pytest.mark.parametrize("kw", [{}, {"task": "multilabel"}, {"dim": 256}],
+                             ids=["default", "multilabel", "dim256"])
+    def test_matches_scipy_lbfgsb(self, kw, monkeypatch):
+        solved = []
+
+        def recorded(solver):
+            def solve(fun_grad, x0):
+                x, n_iter = solver(fun_grad, x0)
+                solved.append((fun_grad(x)[0], n_iter))
+                return x, n_iter
+            return solve
+
+        spec = SynthSpec(**kw)
+        monkeypatch.setattr(synth, "_lbfgs", recorded(_lbfgs))
+        ours = generate(spec)
+        monkeypatch.setattr(synth, "_lbfgs", recorded(scipy_lbfgsb))
+        ref = generate(spec)
+        (f_ours, n_iter), (f_ref, _) = solved
+        assert abs(f_ours - f_ref) <= 1e-9 * abs(f_ref)
+        assert n_iter < 500
+        for role, split in ours.splits.items():
+            for field in ("probs", "mc"):
+                np.testing.assert_allclose(getattr(split, field), getattr(ref.splits[role], field),
+                                           rtol=0, atol=1e-4, err_msg=(role, field))
+
+    def test_reaches_the_rosenbrock_minimum(self):
+        x, n_iter = _lbfgs(rosenbrock, np.array([-1.2, 1.0]))
+        assert n_iter < 500
+        np.testing.assert_allclose(x, 1.0, rtol=0, atol=1e-6)
+
+    def test_returns_a_stationary_start_unmoved(self):
+        x0 = np.zeros(3)
+        x, n_iter = _lbfgs(lambda x: (0.5 * float(x @ x), x), x0)
+        assert n_iter == 0 and np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("link", [_softmax, _sigmoid], ids=["softmax", "sigmoid"])
+def test_links_leave_their_input_unchanged(link):
+    z = seeded_rng(3).normal(size=(50, 4, 3)) * 5.0
+    before = z.copy()
+    link(z)
+    assert np.array_equal(z, before)
 
 
 class TestMultilabel:
