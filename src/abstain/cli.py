@@ -53,18 +53,33 @@ BOTH = MULTICLASS + MULTILABEL
 
 @dataclass(frozen=True)
 class Fitter:
+    """``fields`` gives each field of the model, dotted into a nested
+    record, as its dimension letters: "" is a float, "C d" a (C, d)
+    float64 array.  d is the embedding width and L the class or label
+    count; C is the class count, or 1 for a multilabel split's shared
+    component; n and k are fixed by the first field that holds them."""
+
     fit: Callable[[LabeledSplit], object]   # split -> fitted model
     model: type                             # class of the model it returns
     split: str                              # role of the split it fits on
     tasks: Tuple[str, ...]
+    fields: Dict[str, str]
 
 
 FITTERS: Dict[str, Fitter] = {
-    "md": Fitter(lambda split: density.fit_md(split), density.MdModel, "train", BOTH),
-    "rde": Fitter(lambda split: density.fit_rde(split), density.RdeModel, "train", BOTH),
-    "ddu": Fitter(lambda split: density.fit_ddu(split), density.DduModel, "train", BOTH),
-    "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH),
-    "beta": Fitter(lambda split: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS),
+    "md": Fitter(lambda split: density.fit_md(split), density.MdModel, "train", BOTH,
+                 {"centroids": "C d", "covariance": "d d", "whitener": "d d"}),
+    "rde": Fitter(lambda split: density.fit_rde(split), density.RdeModel, "train", BOTH,
+                  {"basis.support": "n d", "basis.gamma": "", "basis.dual_vectors": "n k",
+                   "basis.col_means": "n", "basis.grand_mean": "", "centroids": "C k",
+                   "whiteners": "C k k"}),
+    "ddu": Fitter(lambda split: density.fit_ddu(split), density.DduModel, "train", BOTH,
+                  {"centroids": "C d", "whiteners": "C d d", "log_dets": "C", "log_priors": "C"}),
+    "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH,
+                  {"embeddings": "n d", "label_matrix": "n L", "bandwidth": ""}),
+    "beta": Fitter(lambda split: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS,
+                   dict.fromkeys(("alpha_correct", "gamma_correct", "alpha_incorrect",
+                                  "gamma_incorrect", "prior_correct", "prior_incorrect"), "")),
 }
 
 
@@ -217,13 +232,40 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_fitted(path) -> Dict[str, object]:
+def _load_fitted(path, manifest) -> Dict[str, object]:
     """The models in the container ``path``, which must map FITTERS names
-    to the models they fit (FormatError)."""
+    to the models they fit, each field of the shape its Fitter gives for
+    ``manifest`` and each model passing its own checks (FormatError naming
+    the model and the field)."""
     models = load_models(path)
     if not isinstance(models, dict) or not all(
             key in FITTERS and isinstance(model, FITTERS[key].model) for key, model in models.items()):
         raise FormatError(f"{path}: models payload is not a map of fitter names to fitted models")
+    classes = manifest.n_classes if manifest.task == "multiclass" else 1
+    for key, model in models.items():
+        sizes = {"d": manifest.dim, "C": classes, "L": manifest.n_classes}
+        for name, letters in FITTERS[key].fields.items():
+            value = model
+            for part in name.split("."):
+                value = getattr(value, part, None)
+            dims = letters.split()
+            if not dims:
+                if isinstance(value, float):
+                    continue
+                want = "a float"
+            else:
+                shape = ", ".join(f"{x}={sizes[x]}" if x in sizes else x for x in dims)
+                want = f"a float64 array of shape ({shape})"
+                if (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == len(dims)
+                        and value.shape == tuple(sizes.setdefault(x, m) for x, m in zip(dims, value.shape))):
+                    continue
+            got = (f"a {value.dtype} array of shape {value.shape}" if isinstance(value, np.ndarray)
+                   else type(value).__name__)
+            raise FormatError(f"{path}: {key} model field {name!r} must be {want}, not {got}")
+        try:
+            replace(model)   # the model's own checks, which unpickling skips
+        except ValueError as exc:
+            raise FormatError(f"{path}: {key} model: {exc}") from exc
     return models
 
 
@@ -235,7 +277,7 @@ def _cmd_score(args) -> int:
     if args.calibrate and hybrids:   # the scored split's inputs cover the hybrids' ones
         wanted.setdefault(args.calibrate, method_inputs(hybrids))
     splits = load_splits(manifest, Path(args.manifest).parent, wanted)
-    models = _load_fitted(args.models) if args.models else {}
+    models = _load_fitted(args.models, manifest) if args.models else {}
     write_scores_csv(args.out, score_split(names, splits[args.split], models, splits.get(args.calibrate)))
     print(args.out)
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 
 PROB_SUM_TOL = 1e-6
-BLOCK_ROWS = 1024   # rows per scorer call: bounds temporaries such as RDE's kernel rows
+BLOCK_ROWS = 256    # rows per scorer call: bounds temporaries such as RDE's kernel rows
 
 TASKS = ("multiclass", "multilabel")
 

@@ -27,7 +27,7 @@ MCD_DET_TOL = 1e-9
 MCD_MAX_CSTEPS = 100
 MCD_RESTARTS = 20
 DENSITY_UNDERFLOW = 1e-300
-KERNEL_BLOCK_ROWS = 128   # train-kernel rows built at once by RDE's fit
+KERNEL_BLOCK_ROWS = 32    # train-kernel rows built at once by RDE's fit
 
 
 def _ridge_lambda(cov: np.ndarray) -> float:
@@ -246,7 +246,8 @@ def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[KernelPcaBasis, np
     rows' own (n, k) projections on them.
 
     Only the lower triangle of the double-centred train kernel is built,
-    in blocks of KERNEL_BLOCK_ROWS rows, and read: the products go
+    in blocks of KERNEL_BLOCK_ROWS rows whose distances and prefix sums
+    share one buffer, and read: the products go
     through symmetric BLAS (dsymv, dsymm), and the upper triangle stays
     uncommitted memory (see ``_kernel_buffer``).  Each column sum adds
     its terms from row 0 down, one at a time, as numpy's column mean of
@@ -256,14 +257,17 @@ def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[KernelPcaBasis, np
     Kc = _kernel_buffer(n)
     blocks = [(a, min(a + KERNEL_BLOCK_ROWS, n)) for a in range(0, n, KERNEL_BLOCK_ROWS)]
     sums = np.empty(n)
+    scratch = np.empty(KERNEL_BLOCK_ROWS * n)
     for a, b in blocks:
-        block = scipy.spatial.distance.cdist(X[a:b], X[:b], "sqeuclidean")
-        Kc[a:b, :b] = np.exp(np.multiply(block, -gamma, out=block), out=block)
+        block = scratch[:(b - a) * b].reshape(b - a, b)
+        scipy.spatial.distance.cdist(X[a:b], X[:b], "sqeuclidean", out=block)
+        rows = Kc[a:b, :b]
+        np.exp(np.multiply(block, -gamma, out=block), out=rows)
         # row i holds the first i + 1 terms of column i, and the next term
         # of every column before it
-        sums[a:b] = np.cumsum(block, axis=1)[np.arange(b - a), np.arange(a, b)]
+        sums[a:b] = np.cumsum(rows, axis=1, out=block)[np.arange(b - a), np.arange(a, b)]
         for r, i in enumerate(range(a, b)):
-            sums[:i] += block[r, :i]
+            sums[:i] += rows[r, :i]
     col = sums / n
     grand = float(col.mean())
     for a, b in blocks:

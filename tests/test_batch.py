@@ -85,6 +85,21 @@ def test_blocks_leave_scores_unchanged(monkeypatch):
         assert_agree(name, blocked[name], whole[name])
 
 
+def test_scoring_blocks_of_256_and_1024_rows_give_the_same_bits(monkeypatch):
+    # the shipped default spec: its 1,200 test rows are 2 blocks of 1,024
+    # rows or 5 of 256, and every score, RDE's and NUQ's too, keeps its bits
+    data = generate(SynthSpec(seed=7))
+    models = {key: fitter.fit(data.splits[fitter.split]) for key, fitter in FITTERS.items()
+              if "multiclass" in fitter.tasks}
+    names = [name for name, m in METHODS.items() if "multiclass" in m.tasks]
+    scored = {}
+    for rows in (256, 1024):
+        monkeypatch.setattr(core, "BLOCK_ROWS", rows)
+        scored[rows] = score_split(names, data.splits["test"], models, data.splits["validation"])
+    for name in names:
+        assert np.array_equal(scored[256][name], scored[1024][name]), name
+
+
 def test_identical_passes_score_exactly_zero_inside_a_batch():
     rng = seeded_rng(3)
     t = rng.dirichlet(np.ones(4), size=(6, 5))

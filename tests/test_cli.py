@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline tests, run in-process via main()."""
 import builtins
 import collections
+import copy
+import functools
 import io
 import json
 import os
@@ -451,6 +453,51 @@ def test_wrong_shape_models_container_is_a_data_error(payload, mc_dir, tmp_path,
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("data error [bad-format]") and str(wrong) in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def _with_field(models, key, name, value):
+    """``models`` with the dotted field ``name`` of its ``key`` model set to
+    ``value`` as a crafted container holds it, past every constructor check."""
+    model = copy.deepcopy(models[key])
+    *parents, field = name.split(".")
+    object.__setattr__(functools.reduce(getattr, parents, model), field, value)
+    return {**models, key: model}
+
+
+def test_model_of_the_wrong_shape_is_a_data_error_naming_model_and_field(mc_dir, tmp_path, capsys):
+    """A model whose arrays do not fit the manifest, or each other, or that
+    fails its own checks, is refused before any score: MD's scorer would
+    raise an IndexError, and a negative Beta prior would score NaN."""
+    good = load_models(mc_dir / "models.bin")
+    rde, nuq = good["rde"], good["nuq"]
+    cases = [
+        ({"md": density.MdModel(np.zeros(3), 3, None)}, "MD", "md model field 'centroids'"),
+        (_with_field(good, "md", "whitener", np.eye(5)), "MD", "md model field 'whitener'"),
+        (_with_field(good, "md", "covariance", 3), "MD", "md model field 'covariance'"),
+        (_with_field(good, "ddu", "log_priors", np.zeros(2)), "DDU", "ddu model field 'log_priors'"),
+        (_with_field(good, "rde", "basis.dual_vectors", rde.basis.dual_vectors[:, 1:]), "RDE",
+         "rde model field 'centroids'"),
+        (_with_field(good, "rde", "basis.gamma", None), "RDE", "rde model field 'basis.gamma'"),
+        (_with_field(good, "nuq", "label_matrix", nuq.label_matrix[1:]), "NUQ",
+         "nuq model field 'label_matrix'"),
+        (_with_field(good, "nuq", "embeddings", nuq.embeddings.astype(np.float32)), "NUQ",
+         "nuq model field 'embeddings'"),
+        (_with_field(good, "beta", "prior_correct", "0.5"), "Beta", "beta model field 'prior_correct'"),
+        (_with_field(good, "beta", "prior_correct", -1.0), "Beta", "beta model: priors must sum to 1"),
+        (_with_field(good, "beta", "alpha_correct", -2.0), "Beta",
+         "beta model: alpha_correct must be positive"),
+        # one shared component, as a multilabel fit holds, where the manifest has three classes
+        (_with_field(good, "md", "centroids", good["md"].centroids[:1]), "MD", "md model field 'centroids'"),
+    ]
+    for i, (models, method, named) in enumerate(cases):
+        path = tmp_path / f"models{i}.bin"
+        save_models(path, models)
+        code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", path,
+                   "--methods", method, "--out", tmp_path / "s.csv")
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("data error [bad-format]"), (named, err)
+        assert f"{path}: {named}" in err, err
+        assert not (tmp_path / "s.csv").exists()
 
 
 FIT_AND_SCORE = """

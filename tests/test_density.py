@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import scipy.spatial.distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abstain import density
+from abstain import core, density
 from abstain.core import LabeledSplit, seeded_rng
 from abstain.density import (
     DduModel,
@@ -469,9 +470,36 @@ def test_rde_scores_match_dense_kernel_oracle(monkeypatch, d):
 def test_rde_fit_ignores_kernel_block_rows(monkeypatch):
     split = random_split(240, 3, 8, seed=23)
     model = fit_rde(split)
-    for rows in (1, 7, 240):
+    for rows in (1, 7, 32, 128, 240):
         monkeypatch.setattr(density, "KERNEL_BLOCK_ROWS", rows)
         assert pickle.dumps(fit_rde(split)) == pickle.dumps(model)
+
+
+@pytest.fixture(scope="module")
+def kernel_models_at_2000_rows():
+    train = random_split(2000, 4, 8, seed=29)
+    return {score_rde: fit_rde(train), score_nuq: fit_nuq(train)}
+
+
+@pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
+@pytest.mark.parametrize("scorer", [score_rde, score_nuq], ids=["RDE", "NUQ"])
+def test_kernel_scorers_hold_one_block_of_kernel_rows(kernel_models_at_2000_rows, scorer):
+    """Scoring 4 * BLOCK_ROWS + 1 rows against 2,000 train rows (d=8)
+    peaks less than 6 MB (tracemalloc) above its inputs and output.  One
+    block of 256 kernel rows is 4.1 MB, and RDE peaks 4.2 MB, NUQ 4.1 MB;
+    with 512-row blocks they peaked 8.5 and 8.3 MB, with 1,024-row blocks
+    16.9 and 16.5 MB."""
+    models = kernel_models_at_2000_rows
+    queries = random_split(4 * core.BLOCK_ROWS + 1, 4, 8, seed=31).embeddings
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = scorer(queries, models[scorer])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (len(queries),)
+    assert peak - start - out.nbytes < 6e6
 
 
 # ------------------------------------------------------------------ DDU
