@@ -39,6 +39,8 @@ _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_MC = struct.Struct("<8sIQQII")
 _HDR_MODELS = struct.Struct("<8sI")
 
+WRITE_ROWS = 1 << 13   # rows per write or parse of a file: bounds the text or float32 block held at once
+
 
 class DataError(Exception):
     """Base for malformed or inconsistent inputs."""
@@ -66,13 +68,29 @@ class FormatError(DataError):
     code = "bad-format"
 
 
-def write_matrix(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+def _write_float32(path, header: bytes, arr: np.ndarray) -> str:
+    """Write ``header``, then the rows of ``arr`` as row-major float32, cast
+    into one buffer of WRITE_ROWS rows and written from it a block at a
+    time; returns the file's SHA-256 hex digest, taken from the bytes as
+    they are written."""
+    digest = hashlib.sha256(header)
+    buffer = np.empty((min(len(arr), WRITE_ROWS), *arr.shape[1:]), dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for i in range(0, len(arr), WRITE_ROWS):
+            block = buffer[:len(arr) - i]
+            block[...] = arr[i:i + WRITE_ROWS]
+            digest.update(block)
+            fh.write(block)
+    return digest.hexdigest()
+
+
+def write_matrix(path, arr: np.ndarray) -> str:
+    """Write a matrix file; returns its SHA-256 hex digest."""
+    arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("matrix files hold 2-D arrays")
-    with open(path, "wb") as fh:
-        fh.write(_HDR_MATRIX.pack(MAGIC_MATRIX, FORMAT_VERSION, arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
+    return _write_float32(path, _HDR_MATRIX.pack(MAGIC_MATRIX, FORMAT_VERSION, *arr.shape), arr)
 
 
 def _read_header(raw, name, header: struct.Struct, magic: bytes, expected: int = FORMAT_VERSION) -> list:
@@ -104,14 +122,13 @@ def parse_matrix(raw: bytes, name) -> np.ndarray:
     return _parse_float32(raw, name, _HDR_MATRIX, MAGIC_MATRIX)
 
 
-def write_mc_tensor(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+def write_mc_tensor(path, arr: np.ndarray) -> str:
+    """Write a stochastic-pass file; returns its SHA-256 hex digest."""
+    arr = np.asarray(arr)
     if arr.ndim != 3:
         raise ValueError("stochastic-pass files hold (n, T, C) arrays")
     n, t, c = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(_HDR_MC.pack(MAGIC_MC, FORMAT_VERSION, n, t * c, t, c))
-        fh.write(arr.reshape(n, t * c).tobytes(order="C"))
+    return _write_float32(path, _HDR_MC.pack(MAGIC_MC, FORMAT_VERSION, n, t * c, t, c), arr)
 
 
 def parse_mc_tensor(raw: bytes, name) -> np.ndarray:
@@ -119,15 +136,26 @@ def parse_mc_tensor(raw: bytes, name) -> np.ndarray:
 
 
 def write_labels_csv(path, labels: np.ndarray, task: str) -> None:
+    """Write a label table in the bytes of ``csv.writer``: a header row,
+    then per row its index and its class id or its 0/1 bits, CRLF ends.
+    Labels that are all single digits, as every generated table's are,
+    are formatted as one byte array, the rest through ``csv.writer``."""
     labels = np.asarray(labels, dtype=np.int64)
     header = ["label"] if task == "multiclass" else [f"y{j}" for j in range(labels.shape[1])]
+    table = labels[:, None] if labels.ndim == 1 else labels
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index"] + header)
-        w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
-
-
-WRITE_ROWS = 1 << 13   # rows per write or parse of a table: bounds the text held at once
+        if not ((0 <= table) & (table <= 9)).all():
+            w.writerows(np.column_stack([np.arange(len(table)), table]).tolist())
+            return
+        # the text after each index, ",d" per label then CRLF, one byte per character
+        tail = np.empty((len(table), 2 * table.shape[1] + 2), dtype=np.uint8)
+        tail[:, :-2:2] = ord(",")
+        tail[:, 1:-2:2] = table + ord("0")
+        tail[:, -2:] = (ord("\r"), ord("\n"))
+        tails = tail.view(f"S{tail.shape[1]}").ravel().tolist()
+        fh.write(b"".join([b"%d%s" % row for row in enumerate(tails)]).decode())
 
 
 def _csv_spans(raw: BinaryIO, path, row_dtype) -> Iterator:
@@ -407,19 +435,22 @@ class DatasetManifest:
 
 
 def save_dataset(dataset, out_dir) -> Path:
-    """Write every split plus manifest.json; returns the manifest path."""
+    """Write every split plus manifest.json; returns the manifest path.
+    The binary files are hashed as they are written, the label CSVs read
+    back."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = dataset.spec
     splits: Dict[str, SplitFiles] = {}
+    checksums: Dict[str, str] = {}
     for role, split in dataset.splits.items():
         files = splits[role] = SplitFiles(len(split), f"{role}_embeddings.bin", f"{role}_probs.bin",
                                           f"{role}_mc.bin", f"{role}_labels.csv")
-        write_matrix(out / files.embeddings, split.embeddings)
-        write_matrix(out / files.probs, split.probs)
-        write_mc_tensor(out / files.mc, split.mc)
+        checksums[files.embeddings] = write_matrix(out / files.embeddings, split.embeddings)
+        checksums[files.probs] = write_matrix(out / files.probs, split.probs)
+        checksums[files.mc] = write_mc_tensor(out / files.mc, split.mc)
         write_labels_csv(out / files.labels, split.labels, split.task)
-    checksums = {f: sha256_file(out / f) for files in splits.values() for f in files.names()}
+        checksums[files.labels] = sha256_file(out / files.labels)
     n_classes = spec.n_classes if spec.task == "multiclass" else spec.n_labels
     manifest = DatasetManifest(FORMAT_VERSION, spec.task, n_classes, spec.dim, spec.mc_passes,
                                spec.seed, splits, checksums)

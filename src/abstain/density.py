@@ -276,8 +276,12 @@ def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[KernelPcaBasis, np
         block -= col[a:b, None]
         block += grand
     evals, evecs = _top_eigenpairs(Kc, k)
-    basis = KernelPcaBasis(X, gamma, evecs / np.sqrt(evals)[None, :], col, grand)
-    return basis, scipy.linalg.blas.dsymm(1.0, Kc.T, basis.dual_vectors)
+    # dsymm reads a Fortran operand in place (f2py copies a C-ordered one);
+    # the basis keeps C-ordered dual vectors, which its transform reads
+    dual = np.divide(evecs, np.sqrt(evals)[None, :], out=np.empty(evecs.shape, order="F"))
+    del evecs
+    projections = scipy.linalg.blas.dsymm(1.0, Kc.T, dual)
+    return KernelPcaBasis(X, gamma, np.ascontiguousarray(dual), col, grand), projections
 
 
 @dataclass(frozen=True)

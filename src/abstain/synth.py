@@ -20,7 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from .core import TASKS, LabeledSplit, record_from_json
+from .core import BLOCK_ROWS, TASKS, LabeledSplit, record_from_json
 
 _SPLITS = ("train", "validation", "test")
 
@@ -215,6 +215,23 @@ def _label_bits(X, ood, w_true, b_true, overlap: float, rng):
     return np.where(flip_bits, 1 - y_bits, y_bits).astype(np.int8), flip_bits.any(axis=1)
 
 
+def _stochastic_passes(logits: np.ndarray, link, spec: SynthSpec, rng) -> np.ndarray:
+    """The (n, T, C) stochastic passes: ``link`` of each row of ``logits``
+    plus ``spec.mc_noise`` times standard normal noise, ``spec.mc_passes``
+    times.  One float64 tensor is filled in blocks of BLOCK_ROWS rows, each
+    drawn, scaled, shifted and linked while it is in cache; the blocks take
+    the draws of one (n, T, C) call in its order, so the bits are those of
+    the whole-tensor computation."""
+    passes = np.empty((len(logits), spec.mc_passes, logits.shape[1]))
+    for a in range(0, len(logits), BLOCK_ROWS):
+        block = passes[a:a + BLOCK_ROWS]
+        rng.standard_normal(out=block)
+        block *= spec.mc_noise
+        block += logits[a:a + BLOCK_ROWS, None, :]
+        block[...] = link(block)
+    return passes
+
+
 def generate(spec: SynthSpec) -> SynthDataset:
     """Build the three splits plus ground-truth contamination flags."""
     g, *split_rngs = (np.random.Generator(np.random.PCG64(ss))
@@ -243,9 +260,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     splits, ood_flags, flipped = {}, {}, {}
     for role, (rng, X, y, ood, flip) in drawn.items():
         logits = X @ W + b
-        noise = rng.standard_normal((len(X), spec.mc_passes, W.shape[1]))
-        noise *= spec.mc_noise
-        noise += logits[:, None, :]
-        splits[role] = LabeledSplit(link(logits), y, spec.task, X, link(noise))
+        passes = _stochastic_passes(logits, link, spec, rng)
+        splits[role] = LabeledSplit(link(logits), y, spec.task, X, passes)
         ood_flags[role], flipped[role] = ood, flip
     return SynthDataset(spec, splits, ood_flags, flipped)

@@ -9,6 +9,8 @@ score-table reader and writer go row by row in Python, as the score
 table's parser and ``write_scores_csv`` did before they worked on whole
 columns; the reader gives every row in file order, as the parser's spans
 joined give it, so tests of what ``score`` writes check its rows there.
+The csv-module label-table writer is ``write_labels_csv`` as it was
+before it formatted single-digit labels as one byte array.
 The kernel-PCA projection is the out-of-place expression
 ``KernelPcaBasis.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran
@@ -19,7 +21,9 @@ whiteners.  The FastMCD search ranks each concentration step with the
 scorers' per-row einsum ``_sq_dists``, as ``fast_mcd`` did before it took
 one BLAS product.  The masked sigmoid evaluates each sign's branch on a
 boolean selection, as ``synth._sigmoid`` did before it took one
-``np.where``.  The naive NUQ scorer loops over train rows and
+``np.where``.  The whole-tensor passes draw, scale, shift and link all
+(n, T, C) stochastic passes at once, as ``synth.generate`` did before it
+filled them in row blocks.  The naive NUQ scorer loops over train rows and
 coordinates in Python floats.
 """
 import csv
@@ -137,6 +141,17 @@ def csv_read_scores(path):
     labels = np.array([int(v) if v != "" else -1 for v in label], dtype=int)
     return (np.array([int(v) for v in instance], dtype=int), labels, np.array(method, dtype=str),
             np.array([float(v) for v in score], dtype=float))
+
+
+def csv_write_labels(path, labels, task):
+    """The label table written with the csv module: a header row, then
+    each row's index and its class id or 0/1 bits."""
+    labels = np.asarray(labels, dtype=np.int64)
+    header = ["label"] if task == "multiclass" else [f"y{j}" for j in range(labels.shape[1])]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index"] + header)
+        w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
 
 
 def csv_write_scores(path, scores):
@@ -278,3 +293,13 @@ def masked_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def whole_tensor_passes(logits, link, spec, rng):
+    """The (n, T, C) stochastic passes of ``logits`` from one normal draw of
+    the whole tensor, scaled by ``spec.mc_noise``, shifted by the logits and
+    linked in one call each."""
+    noise = rng.standard_normal((len(logits), spec.mc_passes, logits.shape[1]))
+    noise *= spec.mc_noise
+    noise += logits[:, None, :]
+    return link(noise)

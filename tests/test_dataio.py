@@ -40,7 +40,7 @@ from abstain.core import LabeledSplit, seeded_rng
 from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
-from oracles import csv_read_scores, csv_write_scores
+from oracles import csv_read_scores, csv_write_labels, csv_write_scores
 
 
 def read_matrix(path):
@@ -154,6 +154,18 @@ class TestLabelCsv:
         back = read_labels_csv(tmp_path / "y.csv", "multilabel")
         assert back.dtype == np.int8
         assert np.array_equal(back, y)
+
+    @pytest.mark.parametrize("labels, task", [
+        (np.array([0, 2, 1, 9]), "multiclass"),   # single digits: formatted as bytes
+        (seeded_rng(0).integers(0, 2, (1000, 20)).astype(np.int8), "multilabel"),
+        (np.zeros((0, 3), dtype=np.int8), "multilabel"),
+        (np.array([3, 12, 0, 10]), "multiclass"),   # any other label: csv.writer
+        (np.array([[1, -1], [0, 1]]), "multilabel"),
+    ])
+    def test_bytes_match_csv_writer(self, labels, task, tmp_path):
+        write_labels_csv(tmp_path / "a.csv", labels, task)
+        csv_write_labels(tmp_path / "b.csv", labels, task)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "y.csv"
@@ -676,6 +688,43 @@ class TestManifest:
         assert sha256_file(p1) == sha256_file(p2)
         for f in json.loads(p1.read_text())["checksums"]:
             assert sha256_file(p1.parent / f) == sha256_file(p2.parent / f)
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+def test_files_longer_than_a_write_block_read_back_bitwise(dtype, tmp_path):
+    rng = np.random.default_rng(2)
+    matrix = rng.standard_normal((WRITE_ROWS + 1, 3)).astype(dtype)
+    passes = rng.random((WRITE_ROWS + 1, 2, 3)).astype(dtype)
+    digests = write_matrix(tmp_path / "m.bin", matrix), write_mc_tensor(tmp_path / "t.bin", passes)
+    assert digests == (sha256_file(tmp_path / "m.bin"), sha256_file(tmp_path / "t.bin"))
+    for back, arr in ((read_matrix(tmp_path / "m.bin"), matrix), (read_mc_tensor(tmp_path / "t.bin"), passes)):
+        assert back.shape == arr.shape
+        assert np.array_equal(back.view(np.uint32), arr.astype("<f4").view(np.uint32))
+
+
+def test_generate_and_save_hold_under_half_a_pass_tensor_beyond_the_dataset(tmp_path):
+    """The test split's passes dominate the dataset, and its files span
+    three write blocks: building, writing and hashing them hold no
+    whole-tensor temporary, and the manifest's checksums are the files'."""
+    small = dict(task="multilabel", n_classes=2, n_labels=8, dim=2, mc_passes=20)
+    spec = SynthSpec(seed=4, n_train=200, n_validation=100, n_test=2 * WRITE_ROWS + 1, **small)
+    save_dataset(generate(SynthSpec(seed=4, n_train=40, n_validation=20, n_test=20, **small)),
+                 tmp_path / "warm")   # one-off costs of a first run
+    tracemalloc.start()
+    try:
+        dataset = generate(spec)
+        manifest = save_dataset(dataset, tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for split in dataset.splits.values()
+               for a in (split.probs, split.labels, split.embeddings, split.mc))
+    held += sum(a.nbytes for flags in (dataset.ood_flags, dataset.flipped_flags) for a in flags.values())
+    assert peak - held < dataset.splits["test"].mc.nbytes / 2
+    checksums = json.loads(manifest.read_text())["checksums"]
+    assert len(checksums) == 12
+    for name, digest in checksums.items():
+        assert sha256_file(manifest.parent / name) == digest
 
 
 class TestModelContainer:

@@ -6,10 +6,10 @@ import pytest
 import scipy.optimize
 
 from abstain import synth
-from abstain.core import seeded_rng
+from abstain.core import BLOCK_ROWS, seeded_rng
 from abstain.density import fit_md, score_md
 from abstain.synth import SynthDataset, SynthSpec, _lbfgs, _sigmoid, _softmax, generate
-from oracles import masked_sigmoid
+from oracles import masked_sigmoid, whole_tensor_passes
 
 SMALL = dict(n_train=80, n_validation=40, n_test=40, n_classes=3, dim=4, mc_passes=4)
 
@@ -70,6 +70,20 @@ class TestDeterminism:
         spec = SynthSpec(seed=5, task="multilabel", n_labels=4, **SMALL)
         a, b = generate(spec), generate(spec)
         assert split_digest(a.splits["validation"]) == split_digest(b.splits["validation"])
+
+
+@pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+def test_block_filled_passes_match_the_whole_tensor_oracle(task, monkeypatch):
+    n = 2 * BLOCK_ROWS + 1   # every split crosses two block boundaries
+    spec = SynthSpec(seed=6, task=task, n_train=n, n_validation=n, n_test=n,
+                     n_classes=3, n_labels=5, dim=4, mc_passes=6)
+    blocked = generate(spec)
+    monkeypatch.setattr(synth, "_stochastic_passes", whole_tensor_passes)
+    whole = generate(spec)
+    for role, split in blocked.splits.items():
+        assert split.mc.shape == (n, 6, 3 if task == "multiclass" else 5)
+        assert np.array_equal(split.mc, whole.splits[role].mc)
+        assert split_digest(split) == split_digest(whole.splits[role])
 
 
 class TestContamination:
