@@ -185,7 +185,7 @@ def _sample_split(spec: SynthSpec, n: int, with_ood: bool, centroids, ood_center
     n_id = n - n_ood
     y = rng.permutation(np.arange(n_id) % C)   # balanced classes
     X = centroids[y] + rng.standard_normal((n_id, d))
-    dists = np.linalg.norm(X[:, None, :] - centroids[None, :, :], axis=2)
+    dists = np.stack([np.linalg.norm(X - c, axis=1) for c in centroids], axis=1)   # no (n, C, d) temporary
     order = np.argsort(dists, axis=1)
     margin = dists[np.arange(n_id), order[:, 1]] - dists[np.arange(n_id), order[:, 0]]
     in_band = margin < spec.spacing / 2.0

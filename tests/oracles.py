@@ -9,8 +9,6 @@ score-table reader and writer go row by row in Python, as the score
 table's parser and ``write_scores_csv`` did before they worked on whole
 columns; the reader gives every row in file order, as the parser's spans
 joined give it, so tests of what ``score`` writes check its rows there.
-The csv-module label-table writer is ``write_labels_csv`` as it was
-before it formatted single-digit labels as one byte array.
 The kernel-PCA projection is the out-of-place expression
 ``KernelPcaBasis.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran
@@ -23,8 +21,10 @@ one BLAS product.  The masked sigmoid evaluates each sign's branch on a
 boolean selection, as ``synth._sigmoid`` did before it took one
 ``np.where``.  The whole-tensor passes draw, scale, shift and link all
 (n, T, C) stochastic passes at once, as ``synth.generate`` did before it
-filled them in row blocks.  The naive NUQ scorer loops over train rows and
-coordinates in Python floats.
+filled them in row blocks.  The whole-array split sampler is
+``synth._sample_split`` as it was before it measured each row's distance
+to one centroid at a time: it holds the (n, C, d) difference array.  The
+naive NUQ scorer loops over train rows and coordinates in Python floats.
 """
 import csv
 import itertools
@@ -141,17 +141,6 @@ def csv_read_scores(path):
     labels = np.array([int(v) if v != "" else -1 for v in label], dtype=int)
     return (np.array([int(v) for v in instance], dtype=int), labels, np.array(method, dtype=str),
             np.array([float(v) for v in score], dtype=float))
-
-
-def csv_write_labels(path, labels, task):
-    """The label table written with the csv module: a header row, then
-    each row's index and its class id or 0/1 bits."""
-    labels = np.asarray(labels, dtype=np.int64)
-    header = ["label"] if task == "multiclass" else [f"y{j}" for j in range(labels.shape[1])]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index"] + header)
-        w.writerows(np.column_stack([np.arange(len(labels)), labels]).tolist())
 
 
 def csv_write_scores(path, scores):
@@ -303,3 +292,30 @@ def whole_tensor_passes(logits, link, spec, rng):
     noise *= spec.mc_noise
     noise += logits[:, None, :]
     return link(noise)
+
+
+def sample_split_whole_array(spec, n, with_ood, centroids, ood_center, rng):
+    """``synth._sample_split`` with every row's centroid distances taken
+    from one (n, C, d) difference array."""
+    C, d = centroids.shape
+    n_ood = int(np.floor(spec.ood_fraction * n)) if with_ood else 0
+    n_id = n - n_ood
+    y = rng.permutation(np.arange(n_id) % C)
+    X = centroids[y] + rng.standard_normal((n_id, d))
+    dists = np.linalg.norm(X[:, None, :] - centroids[None, :, :], axis=2)
+    order = np.argsort(dists, axis=1)
+    margin = dists[np.arange(n_id), order[:, 1]] - dists[np.arange(n_id), order[:, 0]]
+    in_band = margin < spec.spacing / 2.0
+    flip = in_band & (rng.random(n_id) < spec.overlap)
+    competing = np.where(order[:, 0] != y, order[:, 0], order[:, 1])
+    y = np.where(flip, competing, y)
+    if n_ood:
+        y_ood = rng.integers(0, C, size=n_ood)
+        X_ood = ood_center[None, :] + rng.standard_normal((n_ood, d))
+        X = np.vstack([X, X_ood])
+        y = np.concatenate([y, y_ood])
+        flip = np.concatenate([flip, np.zeros(n_ood, dtype=bool)])
+    ood = np.zeros(n, dtype=bool)
+    ood[n_id:] = True
+    perm = rng.permutation(n)
+    return X[perm], y[perm], ood[perm], flip[perm]

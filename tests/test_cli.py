@@ -24,9 +24,9 @@ from abstain import dataio, density, rejection
 from abstain.cli import main
 from abstain.core import seeded_rng
 from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models,
-                            load_splits, read_scores_csv, save_models, sha256_file,
-                            write_curve_csvs, write_labels_csv)
-from abstain.synth import SynthSpec
+                            load_splits, parse_matrix, read_scores_csv, save_models, sha256_file,
+                            write_curve_csvs, write_matrix)
+from abstain.synth import SynthSpec, generate
 from oracles import csv_read_scores
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
@@ -78,6 +78,20 @@ class TestGenSynth:
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("spec", [MC_SPEC, ML_SPEC], ids=["multiclass", "multilabel"])
+    def test_load_splits_returns_the_generated_labels_and_passes(self, spec, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json())
+        assert run("gen-synth", "--spec", spec_path, "--out", tmp_path / "ds") == 0
+        manifest = tmp_path / "ds" / "manifest.json"
+        wanted = dict.fromkeys(("train", "validation", "test"), ("embeddings", "mc"))
+        loaded = load_splits(load_manifest(manifest), tmp_path / "ds", wanted)
+        for role, split in generate(spec).splits.items():
+            assert loaded[role].labels.dtype == split.labels.dtype
+            assert np.array_equal(loaded[role].labels, split.labels)
+            assert loaded[role].mc.shape == split.mc.shape
+            assert np.array_equal(loaded[role].mc, split.mc.astype("<f4"))
 
     def test_seed_flag_overrides_spec(self, tmp_path):
         spec5 = tmp_path / "s5.json"
@@ -159,31 +173,41 @@ class TestFit:
         assert code == 2
         assert "checksum-mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec, edit", [
-        (MC_SPEC, lambda lines: lines[:2] + ["0"] + lines[3:]),       # short multiclass row
-        (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]),  # ragged
-        (MC_SPEC, lambda lines: [""] + lines),                       # empty first line
-        (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",300"] + lines[3:]),
-        (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + f",{2 ** 63}"] + lines[3:]),
-        (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + ",one"] + lines[3:]),
-        (MC_SPEC, lambda lines: lines[:2] + [lines[2].split(",")[0] + ",2.7"] + lines[3:]),
-        (ML_SPEC, lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",1.0"] + lines[3:]),
-    ], ids=["short-multiclass-row", "ragged-multilabel-rows", "empty-first-line",
-            "multilabel-value-300", "multiclass-value-beyond-int64", "multiclass-value-not-integer",
-            "multiclass-value-float", "multilabel-value-float"])
-    def test_malformed_label_rows_are_format_errors(self, spec, edit, tmp_path, capsys):
+    @pytest.mark.parametrize("spec, value, named", [
+        (MC_SPEC, None, "train labels: rows of shape (0,), manifest task gives ()"),
+        (ML_SPEC, 300, "row 1 holds 300.0, not an integer in 0..1"),
+        (MC_SPEC, 2.0 ** 63, "row 1 holds 9.223372036854776e+18, not an integer in 0..2"),
+        (MC_SPEC, np.nan, "row 1 holds nan, not an integer in 0..2"),
+        (MC_SPEC, 2.5, "row 1 holds 2.5, not an integer in 0..2"),
+        (ML_SPEC, 0.5, "row 1 holds 0.5, not an integer in 0..1"),
+        (MC_SPEC, np.inf, "row 1 holds inf, not an integer in 0..2"),
+        (MC_SPEC, 3, "train labels: row 1 holds 3.0, not an integer in 0..2"),
+        (MC_SPEC, -1, "row 1 holds -1.0, not an integer in 0..2"),
+        (ML_SPEC, 2, "train labels: row 1 holds 2.0, not an integer in 0..1"),
+        (ML_SPEC, np.nan, "row 1 holds nan, not an integer in 0..1"),
+    ], ids=["short-multiclass-row", "multilabel-value-300", "multiclass-value-beyond-int64",
+            "multiclass-value-not-integer", "multiclass-value-float", "multilabel-value-float",
+            "multiclass-value-inf", "multiclass-value-n_classes", "multiclass-value-negative",
+            "multilabel-value-2", "multilabel-value-nan"])
+    def test_malformed_label_rows_are_format_errors(self, spec, value, named, tmp_path, capsys):
+        """A label file whose rows hold no class id, or whose row 1 holds a
+        value that is not a class id below n_classes (3) or a 0/1 bit."""
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
         assert run("gen-synth", "--spec", spec_path, "--out", tmp_path / "ds") == 0
-        victim = tmp_path / "ds" / "train_labels.csv"
-        victim.write_text("\r\n".join(edit(victim.read_text().split("\n"))), newline="")
+        victim = tmp_path / "ds" / "train_labels.bin"
+        labels = parse_matrix(victim.read_bytes(), victim).copy()
+        if value is None:
+            labels = labels[:, :0]
+        else:
+            labels[1, -1] = value
         manifest = tmp_path / "ds" / "manifest.json"
         payload = json.loads(manifest.read_text())
-        payload["checksums"][victim.name] = sha256_file(victim)
+        payload["checksums"][victim.name] = write_matrix(victim, labels)
         manifest.write_text(json.dumps(payload))
         code = run("fit", "--manifest", manifest, "--out", tmp_path / "m.bin")
-        assert code == 2
-        assert "data error [bad-format]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("data error [bad-format]") and named in err
 
     def test_one_pairwise_distance_median_per_train_split(self, mc_dir, tmp_path, monkeypatch):
         # RDE's width and NUQ's bandwidth both come from the train split's median
@@ -310,10 +334,24 @@ def test_stale_models_container_is_a_data_error(version, mc_dir, tmp_path, capsy
     assert code == 2 and capsys.readouterr().err.startswith("data error [bad-version]")
 
 
+@pytest.mark.parametrize("argv", [
+    "fit", "score --models MODELS --methods SR", "evaluate --scores SCORES",
+], ids=["fit", "score", "evaluate"])
+def test_dataset_of_format_version_1_is_refused(argv, mc_dir, evaluated, tmp_path, capsys):
+    # version 1 stored the stochastic passes in their own tensor format and
+    # the labels as CSV; such a directory must be generated again
+    manifest = _copy_with_manifest_fields(mc_dir / "ds", tmp_path, format_version=1)
+    paths = {"MODELS": mc_dir / "models.bin", "SCORES": evaluated[1]}
+    code = run(*[paths.get(a, a) for a in argv.split()], "--manifest", manifest, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-version]") and "unsupported manifest version 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fields, methods, named", [
     ({"n_classes": 99}, "SR", "test probs: rows of shape (3,), manifest n_classes gives (99,)"),
     ({"dim": 1}, "MD", "test embeddings: rows of shape (4,), manifest dim gives (1,)"),
-    ({"n_passes": 2}, "SMP", "test mc: rows of shape (4, 3), manifest (n_passes, n_classes) gives (2, 3)"),
+    ({"n_passes": 2}, "SMP", "test mc: rows of shape (12,), manifest (n_passes, n_classes) gives (2, 3)"),
 ], ids=["n_classes", "dim", "n_passes"])
 def test_manifest_fields_must_match_the_files(fields, methods, named, mc_dir, tmp_path, capsys):
     manifest = _copy_with_manifest_fields(mc_dir / "ds", tmp_path, **fields)
@@ -326,10 +364,9 @@ def test_manifest_fields_must_match_the_files(fields, methods, named, mc_dir, tm
 def test_multilabel_label_width_must_match_n_classes(ml_dir, tmp_path, capsys):
     ds = tmp_path / "ds"
     manifest = _copy_with_manifest_fields(ml_dir / "ds", tmp_path)
-    victim = ds / "test_labels.csv"
-    write_labels_csv(victim, np.zeros((60, 4), dtype=np.int8), "multilabel")
+    victim = ds / "test_labels.bin"
     payload = json.loads(manifest.read_text())
-    payload["checksums"][victim.name] = sha256_file(victim)
+    payload["checksums"][victim.name] = write_matrix(victim, np.zeros((60, 4)))
     manifest.write_text(json.dumps(payload))
     code = run("score", "--manifest", manifest, "--methods", "MP", "--out", tmp_path / "s.csv")
     err = capsys.readouterr().err
@@ -337,21 +374,24 @@ def test_multilabel_label_width_must_match_n_classes(ml_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, read", [
-    ("score --models MODELS --methods SR", {"test_probs.bin"}),
-    ("score --models MODELS --methods SR,SMP", {"test_probs.bin", "test_mc.bin"}),
+    ("score --models MODELS --methods SR", {"test_probs.bin", "test_labels.bin"}),
+    ("score --models MODELS --methods SR,SMP", {"test_probs.bin", "test_labels.bin", "test_mc.bin"}),
     ("score --models MODELS --methods MD,HUQ-DDU --calibrate validation",
-     {"test_probs.bin", "test_embeddings.bin", "validation_probs.bin", "validation_embeddings.bin"}),
+     {"test_probs.bin", "test_labels.bin", "test_embeddings.bin", "validation_probs.bin",
+      "validation_labels.bin", "validation_embeddings.bin"}),
     ("fit --methods md,beta",
-     {"train_probs.bin", "train_embeddings.bin", "validation_probs.bin", "validation_embeddings.bin"}),
-    ("evaluate --scores SCORES", {"test_probs.bin"}),
+     {"train_probs.bin", "train_labels.bin", "train_embeddings.bin", "validation_probs.bin",
+      "validation_labels.bin", "validation_embeddings.bin"}),
+    ("evaluate --scores SCORES", {"test_probs.bin", "test_labels.bin"}),
 ], ids=["score-SR", "score-SMP", "score-hybrid", "fit", "evaluate"])
 def test_commands_read_only_the_split_files_they_use(argv, read, mc_dir, evaluated, tmp_path, monkeypatch):
     opened = set()
-    for parser in ("parse_matrix", "parse_mc_tensor"):
-        def traced(raw, path, _parse=getattr(dataio, parser)):
-            opened.add(Path(path).name)
-            return _parse(raw, path)
-        monkeypatch.setattr(dataio, parser, traced)
+
+    def traced(raw, path, _parse=dataio.parse_matrix):
+        opened.add(Path(path).name)
+        return _parse(raw, path)
+
+    monkeypatch.setattr(dataio, "parse_matrix", traced)
     paths = {"MODELS": mc_dir / "models.bin", "SCORES": evaluated[1]}
     assert run(*[paths.get(a, a) for a in argv.split()], "--manifest", mc_dir / "ds" / "manifest.json",
                "--out", tmp_path / "out") == 0
@@ -504,9 +544,9 @@ FIT_AND_SCORE = """
 import sys
 import tracemalloc
 from abstain.cli import main
-manifest, out = sys.argv[1:]
-assert main(["fit", "--manifest", manifest, "--methods", "md,rde,ddu,nuq", "--out", out + ".bin"]) == 0
-assert main(["score", "--manifest", manifest, "--models", out + ".bin", "--methods", "MD,RDE,DDU,NUQ",
+manifest, out, methods = sys.argv[1:]
+assert main(["fit", "--manifest", manifest, "--methods", methods.lower(), "--out", out + ".bin"]) == 0
+assert main(["score", "--manifest", manifest, "--models", out + ".bin", "--methods", methods,
              "--out", out + ".csv"]) == 0
 """
 
@@ -540,7 +580,13 @@ class TestScore:
         score bitwise alike, and every rejection order is kept.  RDE (Lanczos
         and symmetric BLAS products) and NUQ (a kernel-weight product) move in
         the last bits: at seed 7 by at most 1e-12 relative; seed 11 moves RDE
-        by about 1.07e-12, so it is held to its orders alone."""
+        by about 1.07e-12, so it is held to its orders alone.
+
+        At the paper's embedding width, 768, on 200 train rows (50 per class,
+        far fewer than the dimensions) and seeds 7 and 11, MD and DDU move by
+        up to about 5e-10 relative and RDE by about 5e-12, and the rejection
+        orders of all three are kept.  NUQ is left out there: it scores every
+        row +inf at this width."""
         def gen_synth(name, *argv):
             for threads in (1, 2):
                 subprocess.run([sys.executable, "-m", "abstain.cli", "gen-synth", *map(str, argv),
@@ -554,25 +600,29 @@ class TestScore:
         spec = tmp_path / "multilabel.json"
         spec.write_text(SynthSpec(task="multilabel").to_json())
         gen_synth("multilabel", "--spec", spec)
-        for seed in (7, 11):
-            manifest = gen_synth(f"ds{seed}", "--seed", seed)
+        wide = tmp_path / "wide.json"
+        wide.write_text(SynthSpec(dim=768, n_train=200, n_validation=100, n_test=200).to_json())
+        for dim, seed in ((8, 7), (8, 11), (768, 7), (768, 11)):
+            manifest = gen_synth(f"d{dim}-seed{seed}", "--seed", seed, *(["--spec", wide] if dim == 768 else []))
             test = load_manifest(manifest)
+            methods = ["MD", "RDE", "DDU", "NUQ"] if dim == 8 else ["MD", "RDE", "DDU"]
             columns = []
             for threads in (1, 2):
-                out = tmp_path / f"seed{seed}-threads{threads}"
-                subprocess.run([sys.executable, "-c", FIT_AND_SCORE, str(manifest), str(out)], check=True,
+                out = tmp_path / f"d{dim}-seed{seed}-threads{threads}"
+                subprocess.run([sys.executable, "-c", FIT_AND_SCORE, str(manifest), str(out),
+                                ",".join(methods)], check=True,
                                env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)})
                 columns.append(read_scores_csv(out.with_suffix(".csv"), "instance", test.splits["test"].n,
                                                test.n_classes))
             one, two = columns
-            assert list(one) == list(two) == ["DDU", "MD", "NUQ", "RDE"]
-            for name in ("MD", "DDU"):
-                assert one[name].tobytes() == two[name].tobytes(), (seed, name)
-            for name in ("RDE", "NUQ"):
-                if seed == 7:
+            assert list(one) == list(two) == sorted(methods)
+            for name in methods:
+                if dim == 8 and name in ("MD", "DDU"):
+                    assert one[name].tobytes() == two[name].tobytes(), (seed, name)
+                if dim == 8 and seed == 7 and name in ("RDE", "NUQ"):
                     np.testing.assert_allclose(two[name], one[name], rtol=1e-12, atol=0, err_msg=name)
                 assert np.array_equal(rejection.rejection_order(one[name]),
-                                      rejection.rejection_order(two[name])), (seed, name)
+                                      rejection.rejection_order(two[name])), (dim, seed, name)
 
     def test_all_methods_with_hybrids(self, mc_dir, tmp_path):
         out = tmp_path / "all.csv"
@@ -754,10 +804,9 @@ class TestEvaluateAndReport:
         shutil.copytree(mc_dir / "ds", ds)
         manifest = ds / "manifest.json"
         split = load_splits(load_manifest(manifest), ds, {"test": ("embeddings", "mc")})["test"]
-        victim = ds / "test_labels.csv"
-        write_labels_csv(victim, split.probs.argmax(axis=1), "multiclass")
+        victim = ds / "test_labels.bin"
         payload = json.loads(manifest.read_text())
-        payload["checksums"][victim.name] = sha256_file(victim)
+        payload["checksums"][victim.name] = write_matrix(victim, split.probs.argmax(axis=1)[:, None])
         manifest.write_text(json.dumps(payload))
         assert run("score", "--manifest", manifest, "--methods", "SR,Entropy",
                    "--out", tmp_path / "s.csv") == 0
@@ -860,10 +909,11 @@ class TestMultilabelEvaluate:
         less than 3.5 MB (tracemalloc) above its start, beyond the arrays
         it returns, at either level.  It holds one span of lines and its
         parsed rows at a time, and beside the scores one int32 row count
-        per unit: about 2.7 MB above its start at the instance level and
-        3.2 MB at the label level.  A reader that split the file's bytes
-        into lines itself, in blocks of 1 MiB, peaked 5.6 and 6.1 MB above
-        what it returned."""
+        per unit: about 1.8 MB above what it returns at the instance level
+        and 2.3 MB at the label level.  While it kept the previous span's
+        lines and rows alive through the parse of the next, it peaked 2.7
+        and 3.2 MB above; a reader that split the file's bytes into lines
+        itself, in blocks of 1 MiB, peaked 5.6 and 6.1 MB above."""
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

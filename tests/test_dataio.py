@@ -24,35 +24,23 @@ from abstain.dataio import (
     load_manifest,
     load_models,
     load_splits,
-    parse_labels_csv,
     parse_matrix,
-    parse_mc_tensor,
     read_scores_csv,
     save_dataset,
     save_models,
     sha256_file,
-    write_labels_csv,
     write_matrix,
-    write_mc_tensor,
     write_scores_csv,
 )
-from abstain.core import LabeledSplit, seeded_rng
+from abstain.core import seeded_rng
 from abstain.density import fit_md
 from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
-from oracles import csv_read_scores, csv_write_labels, csv_write_scores
+from oracles import csv_read_scores, csv_write_scores
 
 
 def read_matrix(path):
     return parse_matrix(path.read_bytes(), path)
-
-
-def read_mc_tensor(path):
-    return parse_mc_tensor(path.read_bytes(), path)
-
-
-def read_labels_csv(path, task):
-    return parse_labels_csv(path.read_bytes(), path, task)
 
 
 @pytest.fixture()
@@ -109,97 +97,13 @@ class TestMatrixFormat:
         assert exc.value.code == "row-count-disagreement"
 
 
-class TestMcTensorFormat:
-    def test_roundtrip_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(1)
-        arr = rng.random((4, 3, 2)).astype("<f4")
-        write_mc_tensor(tmp_path / "t.bin", arr)
-        back = read_mc_tensor(tmp_path / "t.bin")
-        assert back.shape == (4, 3, 2)
-        assert np.array_equal(back.view(np.uint32), arr.view(np.uint32))
-
-    def test_rejects_non_3d(self, tmp_path):
-        with pytest.raises(ValueError, match=r"\(n, T, C\)"):
-            write_mc_tensor(tmp_path / "t.bin", np.zeros((2, 2)))
-
-    def test_inconsistent_header_extension(self, tmp_path):
-        p = tmp_path / "t.bin"
-        write_mc_tensor(p, np.zeros((2, 3, 2)))
-        raw = bytearray(p.read_bytes())
-        # header T field no longer divides the stored column count
-        raw[28:32] = struct.pack("<I", 4)
-        p.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="T\\*C"):
-            read_mc_tensor(p)
-
-    def test_truncation_detected(self, tmp_path):
-        p = tmp_path / "t.bin"
-        write_mc_tensor(p, np.ones((3, 2, 2)))
-        p.write_bytes(p.read_bytes()[:-4])
-        with pytest.raises(RowCountError):
-            read_mc_tensor(p)
-
-
-class TestLabelCsv:
-    def test_multiclass_roundtrip(self, tmp_path):
-        y = np.array([0, 2, 1, 1])
-        write_labels_csv(tmp_path / "y.csv", y, "multiclass")
-        back = read_labels_csv(tmp_path / "y.csv", "multiclass")
-        assert back.dtype == np.int64
-        assert np.array_equal(back, y)
-
-    def test_multilabel_roundtrip(self, tmp_path):
-        y = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8)
-        write_labels_csv(tmp_path / "y.csv", y, "multilabel")
-        back = read_labels_csv(tmp_path / "y.csv", "multilabel")
-        assert back.dtype == np.int8
-        assert np.array_equal(back, y)
-
-    @pytest.mark.parametrize("labels, task", [
-        (np.array([0, 2, 1, 9]), "multiclass"),   # single digits: formatted as bytes
-        (seeded_rng(0).integers(0, 2, (1000, 20)).astype(np.int8), "multilabel"),
-        (np.zeros((0, 3), dtype=np.int8), "multilabel"),
-        (np.array([3, 12, 0, 10]), "multiclass"),   # any other label: csv.writer
-        (np.array([[1, -1], [0, 1]]), "multilabel"),
-    ])
-    def test_bytes_match_csv_writer(self, labels, task, tmp_path):
-        write_labels_csv(tmp_path / "a.csv", labels, task)
-        csv_write_labels(tmp_path / "b.csv", labels, task)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_missing_header(self, tmp_path):
-        p = tmp_path / "y.csv"
-        p.write_text("0,1\n1,2\n")
-        with pytest.raises(FormatError, match="header"):
-            read_labels_csv(p, "multiclass")
-
-    def test_multilabel_parse_holds_bits_as_bytes(self, tmp_path):
-        """Parsing a 20000 x 20 multilabel file, 400k bits, peaks less than
-        5 MiB above the file's bytes, and a split keeps the parsed int8 bits
-        without a copy.  The parse peaks about 3.7 MiB above them; one that
-        holds every bit as int64 before the cast peaks about 10.3 MiB above."""
-        y = seeded_rng(0).integers(0, 2, size=(20_000, 20))
-        path = tmp_path / "y.csv"
-        write_labels_csv(path, y, "multilabel")
-        raw = path.read_bytes()
-        parse_labels_csv(b"index,y0\n0,1\n", path, "multilabel")   # one-off costs of a first parse
-        tracemalloc.start()
-        try:
-            bits = parse_labels_csv(raw, path, "multilabel")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert bits.dtype == np.int8 and np.array_equal(bits, y)
-        assert peak < 5 * 2**20
-        assert LabeledSplit(np.full(y.shape, 0.5), bits, task="multilabel").labels is bits
-
-
 def score_columns(path):
     """The columns (instance, label, method, score) of every row of the
     score table ``path``, each the join of the spans that
-    ``dataio._score_spans`` yields; method names stay bytes."""
-    empty = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, "S"), np.empty(0)
-    return tuple(np.concatenate(parts) for parts in zip(empty, *dataio._score_spans(path)))
+    ``dataio._score_spans`` places; method names stay bytes."""
+    spans = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, "S"), np.empty(0))]
+    dataio._score_spans(path, lambda *columns: spans.append(columns))
+    return tuple(np.concatenate(parts) for parts in zip(*spans))
 
 
 class TestScoreCsv:
@@ -508,20 +412,6 @@ def test_score_reader_reads_a_crlf_cut_by_a_text_read_as_its_lf_copy(tmp_path):
     assert cut >= 2   # a CRLF and a lone CR each straddled the read edge at least once
 
 
-@pytest.mark.parametrize("span", [1, 2])
-def test_label_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
-    path = tmp_path / "y.csv"
-    y = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1]])
-    write_labels_csv(path, y, "multilabel")
-    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
-    assert np.array_equal(read_labels_csv(path, "multilabel"), y)
-    write_labels_csv(path, y[:, 0], "multiclass")
-    assert np.array_equal(read_labels_csv(path, "multiclass"), y[:, 0])
-    path.write_text("index,label\n0,1\n1,2\n2,x\n")
-    with pytest.raises(FormatError, match="line 4: '2,x'"):
-        read_labels_csv(path, "multiclass")
-
-
 def test_int_field_parsed_through_float_is_refused(tmp_path, monkeypatch):
     # numpy versions that parse an int field such as '2.7' through float
     # only warn with a DeprecationWarning; the read must fail on it
@@ -694,10 +584,10 @@ class TestManifest:
 def test_files_longer_than_a_write_block_read_back_bitwise(dtype, tmp_path):
     rng = np.random.default_rng(2)
     matrix = rng.standard_normal((WRITE_ROWS + 1, 3)).astype(dtype)
-    passes = rng.random((WRITE_ROWS + 1, 2, 3)).astype(dtype)
-    digests = write_matrix(tmp_path / "m.bin", matrix), write_mc_tensor(tmp_path / "t.bin", passes)
+    passes = rng.random((WRITE_ROWS + 1, 2 * 3)).astype(dtype)   # two passes over three classes per row
+    digests = write_matrix(tmp_path / "m.bin", matrix), write_matrix(tmp_path / "t.bin", passes)
     assert digests == (sha256_file(tmp_path / "m.bin"), sha256_file(tmp_path / "t.bin"))
-    for back, arr in ((read_matrix(tmp_path / "m.bin"), matrix), (read_mc_tensor(tmp_path / "t.bin"), passes)):
+    for back, arr in ((read_matrix(tmp_path / "m.bin"), matrix), (read_matrix(tmp_path / "t.bin"), passes)):
         assert back.shape == arr.shape
         assert np.array_equal(back.view(np.uint32), arr.astype("<f4").view(np.uint32))
 

@@ -9,7 +9,7 @@ from abstain import synth
 from abstain.core import BLOCK_ROWS, seeded_rng
 from abstain.density import fit_md, score_md
 from abstain.synth import SynthDataset, SynthSpec, _lbfgs, _sigmoid, _softmax, generate
-from oracles import masked_sigmoid, whole_tensor_passes
+from oracles import masked_sigmoid, sample_split_whole_array, whole_tensor_passes
 
 SMALL = dict(n_train=80, n_validation=40, n_test=40, n_classes=3, dim=4, mc_passes=4)
 
@@ -85,6 +85,24 @@ def test_block_filled_passes_match_the_whole_tensor_oracle(task, monkeypatch):
         assert np.array_equal(split.mc, whole.splits[role].mc)
         assert split_digest(split) == split_digest(whole.splits[role])
 
+
+
+@pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+def test_centroid_distances_taken_one_centroid_at_a_time_match_the_whole_array_oracle(task, monkeypatch):
+    """At the paper's embedding width, each row's distances measured one
+    centroid at a time give the bits of one (n, C, d) difference array:
+    every array and flag of every split is the same."""
+    spec = SynthSpec(seed=7, task=task, n_train=120, n_validation=60, n_test=60,
+                     n_classes=4, n_labels=5, dim=768, mc_passes=3)
+    each = generate(spec)
+    monkeypatch.setattr(synth, "_sample_split", sample_split_whole_array)
+    whole = generate(spec)
+    assert any(flags.any() for flags in whole.flipped_flags.values())
+    for role, split in each.splits.items():
+        for name in ("probs", "labels", "embeddings", "mc"):
+            assert np.array_equal(getattr(split, name), getattr(whole.splits[role], name)), (role, name)
+        assert np.array_equal(each.ood_flags[role], whole.ood_flags[role])
+        assert np.array_equal(each.flipped_flags[role], whole.flipped_flags[role])
 
 class TestContamination:
     def test_ood_counts_are_floored_fractions(self):
