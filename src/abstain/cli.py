@@ -53,11 +53,11 @@ BOTH = MULTICLASS + MULTILABEL
 
 @dataclass(frozen=True)
 class Fitter:
-    """``fields`` gives each field of the model, dotted into a nested
-    record, as its dimension letters: "" is a float, "C d" a (C, d)
-    float64 array.  d is the embedding width and L the class or label
-    count; C is the class count, or 1 for a multilabel split's shared
-    component; n and k are fixed by the first field that holds them."""
+    """``fields``, the model's schema in the container, gives its fields in
+    order as dimension letters: "" is a float, "C d" a (C, d) array.  d is
+    the embedding width and L the class or label count; C is the class
+    count, or 1 for a multilabel split's shared component; n and k are
+    fixed by the first field that holds them."""
 
     fit: Callable[[LabeledSplit], object]   # split -> fitted model
     model: type                             # class of the model it returns
@@ -68,11 +68,10 @@ class Fitter:
 
 FITTERS: Dict[str, Fitter] = {
     "md": Fitter(lambda split: density.fit_md(split), density.MdModel, "train", BOTH,
-                 {"centroids": "C d", "covariance": "d d", "whitener": "d d"}),
+                 {"centroids": "C d", "whitener": "d d"}),
     "rde": Fitter(lambda split: density.fit_rde(split), density.RdeModel, "train", BOTH,
-                  {"basis.support": "n d", "basis.gamma": "", "basis.dual_vectors": "n k",
-                   "basis.col_means": "n", "basis.grand_mean": "", "centroids": "C k",
-                   "whiteners": "C k k"}),
+                  {"support": "n d", "gamma": "", "dual_vectors": "n k", "col_means": "n",
+                   "grand_mean": "", "centroids": "C k", "whiteners": "C k k"}),
     "ddu": Fitter(lambda split: density.fit_ddu(split), density.DduModel, "train", BOTH,
                   {"centroids": "C d", "whiteners": "C d d", "log_dets": "C", "log_priors": "C"}),
     "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH,
@@ -227,43 +226,31 @@ def _cmd_fit(args) -> int:
         raise UsageError("no methods requested")
     splits = load_splits(manifest, Path(args.manifest).parent,   # no fitter reads the passes
                          {FITTERS[m].split: ("embeddings",) for m in requested})
-    save_models(args.out, {m: FITTERS[m].fit(splits[FITTERS[m].split]) for m in requested})
+    save_models(args.out, {m: vars(FITTERS[m].fit(splits[FITTERS[m].split])) for m in requested})
     print(args.out)
     return 0
 
 
 def _load_fitted(path, manifest) -> Dict[str, object]:
-    """The models in the container ``path``, which must map FITTERS names
-    to the models they fit, each field of the shape its Fitter gives for
-    ``manifest`` and each model passing its own checks (FormatError naming
-    the model and the field)."""
-    models = load_models(path)
-    if not isinstance(models, dict) or not all(
-            key in FITTERS and isinstance(model, FITTERS[key].model) for key, model in models.items()):
-        raise FormatError(f"{path}: models payload is not a map of fitter names to fitted models")
+    """The models in the container ``path``, each built by its FITTERS
+    entry's class from that Fitter's fields, in order, of the shapes it
+    gives for ``manifest`` (FormatError naming the model and the field)."""
     classes = manifest.n_classes if manifest.task == "multiclass" else 1
-    for key, model in models.items():
+    models = {}
+    for key, values in load_models(path).items():
+        fitter = FITTERS.get(key)
+        if fitter is None or list(values) != list(fitter.fields):
+            raise FormatError(f"{path}: model {key!r} with fields {list(values)} is none of "
+                              + ", ".join(f"{k} {list(f.fields)}" for k, f in FITTERS.items()))
         sizes = {"d": manifest.dim, "C": classes, "L": manifest.n_classes}
-        for name, letters in FITTERS[key].fields.items():
-            value = model
-            for part in name.split("."):
-                value = getattr(value, part, None)
-            dims = letters.split()
-            if not dims:
-                if isinstance(value, float):
-                    continue
-                want = "a float"
-            else:
-                shape = ", ".join(f"{x}={sizes[x]}" if x in sizes else x for x in dims)
-                want = f"a float64 array of shape ({shape})"
-                if (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == len(dims)
-                        and value.shape == tuple(sizes.setdefault(x, m) for x, m in zip(dims, value.shape))):
-                    continue
-            got = (f"a {value.dtype} array of shape {value.shape}" if isinstance(value, np.ndarray)
-                   else type(value).__name__)
-            raise FormatError(f"{path}: {key} model field {name!r} must be {want}, not {got}")
+        for name, letters in fitter.fields.items():
+            dims, shape = letters.split(), values[name].shape
+            want = ", ".join(f"{x}={sizes[x]}" if x in sizes else x for x in dims)
+            want = f"a float64 array of shape ({want})" if dims else "a float"
+            if len(shape) != len(dims) or any(sizes.setdefault(x, m) != m for x, m in zip(dims, shape)):
+                raise FormatError(f"{path}: {key} model field {name!r} must be {want}, not of shape {shape}")
         try:
-            replace(model)   # the model's own checks, which unpickling skips
+            models[key] = fitter.model(**values)
         except ValueError as exc:
             raise FormatError(f"{path}: {key} model: {exc}") from exc
     return models

@@ -15,7 +15,7 @@ import io
 import itertools
 import json
 import math
-import pickle
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -29,12 +29,10 @@ from .core import LabeledSplit, record_from_json
 MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MODELS = b"UQMODELS"
 FORMAT_VERSION = 2   # 2: stochastic passes and labels are matrix files
-MODELS_VERSION = 4   # 2: density models hold Cholesky whiteners, not precisions;
-                     # 3: RDE and NUQ models hold only what their scorers read;
-                     # 4: the Beta model has no shape-capped flag
+MODELS_VERSION = 5   # the README lists what each version changed
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
-_HDR_MODELS = struct.Struct("<8sI")
+_HDR_MODELS = struct.Struct("<8sIQ")
 
 WRITE_ROWS = 1 << 13   # rows per write or parse of a file: bounds the text or float32 block held at once
 
@@ -461,19 +459,42 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
     return splits
 
 
-def save_models(path, models: Dict[str, object]) -> None:
-    """Versioned container for fitted scorer models (pickle payload)."""
-    blob = pickle.dumps(models, protocol=4)
+def save_models(path, models: Dict[str, Dict[str, object]]) -> None:
+    """Write the container of ``{key: {field: value}}``: the header, a JSON
+    index of each field's shape, then each field as float64, in index order."""
+    index = json.dumps({key: {name: np.shape(value) for name, value in fields.items()}
+                        for key, fields in models.items()}).encode()
     with open(path, "wb") as fh:
-        fh.write(_HDR_MODELS.pack(MAGIC_MODELS, MODELS_VERSION))
-        fh.write(blob)
+        fh.write(_HDR_MODELS.pack(MAGIC_MODELS, MODELS_VERSION, len(index)) + index)
+        for fields in models.values():
+            fh.writelines(np.asarray(value, "<f8", order="C") for value in fields.values())
 
 
-def load_models(path) -> Dict[str, object]:
-    """Models in the container ``path``; its pickle payload runs code as it loads."""
+def load_models(path) -> Dict[str, Dict[str, np.ndarray]]:
+    """The fields ``{key: {field: array}}`` of the container ``path`` in
+    file order, a 0-d field as an ``np.float64``.  No array is built until
+    the index passes its checks (FormatError): an object of objects of
+    shapes, lists of non-negative ints, that need exactly the bytes after it."""
     with open(path, "rb") as fh:
-        _read_header(fh.read(_HDR_MODELS.size), path, _HDR_MODELS, MAGIC_MODELS, MODELS_VERSION)
-        try:
-            return pickle.load(fh)
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError) as exc:
-            raise FormatError(f"{path}: malformed models payload: {exc!r}") from exc
+        size, = _read_header(fh.read(_HDR_MODELS.size), path, _HDR_MODELS, MAGIC_MODELS, MODELS_VERSION)
+        payload = os.fstat(fh.fileno()).st_size - _HDR_MODELS.size - size
+        try:   # ValueError also for an index that is not UTF-8 or JSON, RecursionError if nested too deep
+            if payload < 0:
+                raise ValueError("it runs past the end of the file")
+            index = json.loads(fh.read(size))
+            if not (isinstance(index, dict) and all(isinstance(fields, dict) for fields in index.values())):
+                raise ValueError("it must map each model to an object of field shapes")
+            shapes = [shape for fields in index.values() for shape in fields.values()]
+            if not all(isinstance(s, list) and all(type(m) is int and m >= 0 for m in s) for s in shapes):
+                raise ValueError("a field shape is not a list of non-negative ints")
+            if 8 * sum(map(math.prod, shapes)) != payload:
+                raise ValueError(f"its shapes need {8 * sum(map(math.prod, shapes))} bytes, "
+                                 f"{payload} follow it")
+            models = {key: {name: np.empty(shape, "<f8") for name, shape in fields.items()}
+                      for key, fields in index.items()}
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: malformed models index: {exc}") from exc
+        for fields in models.values():
+            for value in fields.values():
+                fh.readinto(value)
+    return {key: {name: value[()] for name, value in fields.items()} for key, fields in models.items()}

@@ -97,12 +97,11 @@ def _class_partition(split: LabeledSplit):
 @dataclass(frozen=True)
 class MdModel:
     centroids: np.ndarray     # (C, d)
-    covariance: np.ndarray    # (d, d) pooled within-class, denominator n - C
     whitener: np.ndarray      # (d, d) inverse Cholesky factor of the ridged covariance
 
 
 def fit_md(train: LabeledSplit) -> MdModel:
-    """Class centroids plus one shared within-class covariance."""
+    """Class centroids plus the whitener of the pooled within-class covariance."""
     X, groups = _class_partition(train)
     n, d = X.shape
     C = len(groups)
@@ -113,8 +112,7 @@ def fit_md(train: LabeledSplit) -> MdModel:
         centroids[c] = pts.mean(axis=0)
         diff = pts - centroids[c]
         scatter += diff.T @ diff
-    pooled = scatter / (n - C)
-    return MdModel(centroids, pooled, _whitener(pooled)[0])
+    return MdModel(centroids, _whitener(scatter / (n - C))[0])
 
 
 @batched(1)
@@ -127,14 +125,14 @@ def score_md(E, model: MdModel) -> np.ndarray:
 # ------------------------------------------------------------ robust variant
 
 @dataclass(frozen=True)
-class KernelPcaBasis:
-    """RBF kernel principal components fit on the train embeddings."""
-
-    support: np.ndarray       # (n, d)
+class RdeModel:
+    support: np.ndarray       # (n, d) train embeddings
     gamma: float
     dual_vectors: np.ndarray  # (n, k): eigvec / sqrt(eigval)
     col_means: np.ndarray     # (n,) train-kernel column means
     grand_mean: float
+    centroids: np.ndarray     # (C, k) robust locations in component space
+    whiteners: np.ndarray     # (C, k, k) inverse Cholesky factors of the ridged MCD scatters
 
     def transform(self, E: np.ndarray) -> np.ndarray:
         E = np.atleast_2d(np.asarray(E, dtype=float))
@@ -187,19 +185,13 @@ def fast_mcd(Z: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
             det = det_new
         return det, mu, cov
 
-    # one deterministic start (closest to the overall mean) + random restarts
+    # one deterministic start (closest to the overall mean) + random restarts; the first least det wins
     overall = Z.mean(axis=0)
     first = np.argsort(((Z - overall) ** 2).sum(axis=1), kind="stable")[:h]
-    starts = [first]
-    for _ in range(MCD_RESTARTS - 1):
-        starts.append(rng.choice(n, size=h, replace=False))
-    best = None
-    for idx in starts:
-        det, mu, cov = _concentrate(np.asarray(idx))
-        if best is None or det < best[0]:
-            best = (det, mu, cov)
-    det, mu, cov = best
-    if det <= 0.0 or not np.isfinite(det):
+    starts = [first] + [rng.choice(n, size=h, replace=False) for _ in range(MCD_RESTARTS - 1)]
+    _, mu, cov = min((_concentrate(np.asarray(idx)) for idx in starts), key=lambda run: run[0])
+    # det underflows to 0.0 on healthy scatters in many dimensions; the sign does not
+    if not np.linalg.slogdet(cov)[0] > 0.0:
         warnings.warn("degenerate MCD covariance; ridge applied", RuntimeWarning)
     return mu, cov
 
@@ -241,9 +233,10 @@ def _top_eigenpairs(Kc: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[KernelPcaBasis, np.ndarray]:
-    """Top-k kernel principal components of the train rows X and the
-    rows' own (n, k) projections on them.
+def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Dual vectors, column means and grand mean of the top-k kernel
+    principal components of the train rows X, and the rows' own (n, k)
+    projections on them.
 
     Only the lower triangle of the double-centred train kernel is built,
     in blocks of KERNEL_BLOCK_ROWS rows whose distances and prefix sums
@@ -277,18 +270,11 @@ def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[KernelPcaBasis, np
         block += grand
     evals, evecs = _top_eigenpairs(Kc, k)
     # dsymm reads a Fortran operand in place (f2py copies a C-ordered one);
-    # the basis keeps C-ordered dual vectors, which its transform reads
+    # the model keeps C-ordered dual vectors, which its transform reads
     dual = np.divide(evecs, np.sqrt(evals)[None, :], out=np.empty(evecs.shape, order="F"))
     del evecs
     projections = scipy.linalg.blas.dsymm(1.0, Kc.T, dual)
-    return KernelPcaBasis(X, gamma, np.ascontiguousarray(dual), col, grand), projections
-
-
-@dataclass(frozen=True)
-class RdeModel:
-    basis: KernelPcaBasis
-    centroids: np.ndarray      # (C, k) robust locations in component space
-    whiteners: np.ndarray      # (C, k, k) inverse Cholesky factors of the ridged MCD scatters
+    return np.ascontiguousarray(dual), col, grand, projections
 
 
 def fit_rde(train: LabeledSplit) -> RdeModel:
@@ -316,8 +302,8 @@ def fit_rde(train: LabeledSplit) -> RdeModel:
         med = 1.0
     gamma = 1.0 / (2.0 * med * med)
 
-    basis, Z = _kernel_pca(X, gamma, k)
-    k = basis.dual_vectors.shape[1]   # fewer if the spectrum collapsed
+    dual, col, grand, Z = _kernel_pca(X, gamma, k)
+    k = dual.shape[1]   # fewer if the spectrum collapsed
 
     rng = seeded_rng(0)
     C = len(groups)
@@ -326,14 +312,14 @@ def fit_rde(train: LabeledSplit) -> RdeModel:
     for c in range(C):
         centroids[c], cov = fast_mcd(Z[comp == c], rng)
         whiteners[c], _ = _whitener(cov)
-    return RdeModel(basis, centroids, whiteners)
+    return RdeModel(X, gamma, dual, col, grand, centroids, whiteners)
 
 
 @batched(1)
 def score_rde(E, model: RdeModel) -> np.ndarray:
     """Smallest robust Mahalanobis distance in kernel component space."""
-    _check_batch(E, model.basis.support.shape[1])
-    return _sq_dists(model.basis.transform(E), model.centroids, model.whiteners).min(axis=1)
+    _check_batch(E, model.support.shape[1])
+    return _sq_dists(model.transform(E), model.centroids, model.whiteners).min(axis=1)
 
 
 # ----------------------------------------------------------- density mixture

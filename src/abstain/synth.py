@@ -178,6 +178,11 @@ def _fit_probe(X: np.ndarray, targets: np.ndarray, link, nll, scale: int, l2: fl
     return w[: d * k].reshape(d, k), w[d * k:]
 
 
+def _centroid_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, C) Euclidean distances of the rows of X to each centroid, one centroid at a time."""
+    return np.stack([np.linalg.norm(X - c, axis=1) for c in centroids], axis=1)
+
+
 def _sample_split(spec: SynthSpec, n: int, with_ood: bool, centroids, ood_center, rng):
     """Embeddings, class labels, and the two ground-truth flag arrays."""
     C, d = centroids.shape
@@ -185,7 +190,7 @@ def _sample_split(spec: SynthSpec, n: int, with_ood: bool, centroids, ood_center
     n_id = n - n_ood
     y = rng.permutation(np.arange(n_id) % C)   # balanced classes
     X = centroids[y] + rng.standard_normal((n_id, d))
-    dists = np.stack([np.linalg.norm(X - c, axis=1) for c in centroids], axis=1)   # no (n, C, d) temporary
+    dists = _centroid_distances(X, centroids)   # no (n, C, d) temporary
     order = np.argsort(dists, axis=1)
     margin = dists[np.arange(n_id), order[:, 1]] - dists[np.arange(n_id), order[:, 0]]
     in_band = margin < spec.spacing / 2.0

@@ -10,7 +10,7 @@ table's parser and ``write_scores_csv`` did before they worked on whole
 columns; the reader gives every row in file order, as the parser's spans
 joined give it, so tests of what ``score`` writes check its rows there.
 The kernel-PCA projection is the out-of-place expression
-``KernelPcaBasis.transform`` evaluated before it centred in place, and
+``RdeModel.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran
 before it built and read one triangle through symmetric BLAS.  The
 Mahalanobis forms invert each ridged covariance and contract it with a
@@ -37,7 +37,7 @@ from scipy.spatial.distance import cdist
 
 from abstain.core import seeded_rng
 from abstain.density import (MCD_FRACTION, MCD_DET_TOL, MCD_MAX_CSTEPS, MCD_RESTARTS,
-                             KernelPcaBasis, _ridge_lambda, _sq_dists, _top_eigenpairs, _whitener)
+                             _ridge_lambda, _sq_dists, _top_eigenpairs, _whitener)
 from abstain.hybrid import (
     ALPHA_GRID,
     C_GRID,
@@ -160,13 +160,13 @@ def csv_write_scores(path, scores):
                             map(repr, values.ravel().tolist())))
 
 
-def kernel_pca_transform(basis, E):
-    """Centred RBF kernel rows of ``E`` against the basis support,
-    projected on the dual vectors, in one out-of-place expression."""
+def kernel_pca_transform(model, E):
+    """Centred RBF kernel rows of ``E`` against the RDE model's support,
+    projected on its dual vectors, in one out-of-place expression."""
     E = np.atleast_2d(np.asarray(E, dtype=float))
-    K = np.exp(-basis.gamma * cdist(E, basis.support, "sqeuclidean"))
-    Kc = K - basis.col_means[None, :] - K.mean(axis=1, keepdims=True) + basis.grand_mean
-    return Kc @ basis.dual_vectors
+    K = np.exp(-model.gamma * cdist(E, model.support, "sqeuclidean"))
+    Kc = K - model.col_means[None, :] - K.mean(axis=1, keepdims=True) + model.grand_mean
+    return Kc @ model.dual_vectors
 
 
 def dense_kernel_pca(X, gamma, k):
@@ -181,8 +181,8 @@ def dense_kernel_pca(X, gamma, k):
     Kc -= col[:, None]
     Kc += grand
     evals, evecs = _top_eigenpairs(Kc, k)
-    basis = KernelPcaBasis(X, gamma, evecs / np.sqrt(evals)[None, :], col, grand)
-    return basis, Kc @ basis.dual_vectors
+    dual = evecs / np.sqrt(evals)[None, :]
+    return dual, col, grand, Kc @ dual
 
 
 def ridged_inverse(cov):
@@ -244,8 +244,8 @@ def einsum_fast_mcd(Z, fraction=MCD_FRACTION, rng=None):
         det, mu, cov = _concentrate(np.asarray(idx))
         if best is None or det < best[0]:
             best = (det, mu, cov)
-    det, mu, cov = best
-    if det <= 0.0 or not np.isfinite(det):
+    mu, cov = best[1:]
+    if not np.linalg.slogdet(cov)[0] > 0.0:
         warnings.warn("degenerate MCD covariance; ridge applied", RuntimeWarning)
     return mu, cov
 

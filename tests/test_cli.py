@@ -1,11 +1,11 @@
 """End-to-end command-line pipeline tests, run in-process via main()."""
+import ast
 import builtins
 import collections
-import copy
-import functools
 import io
 import json
 import os
+import pickle
 import re
 import shutil
 import struct
@@ -21,7 +21,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
 from abstain import dataio, density, rejection
-from abstain.cli import main
+from abstain.cli import FITTERS, _load_fitted, main, resolve_methods, score_split
 from abstain.core import seeded_rng
 from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models,
                             load_splits, parse_matrix, read_scores_csv, save_models, sha256_file,
@@ -475,7 +475,7 @@ def test_symlinked_dataset_file_is_refused_unopened(mc_dir, tmp_path, monkeypatc
 def test_truncated_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
     broken = tmp_path / "models.bin"
     broken.write_bytes((mc_dir / "models.bin").read_bytes()[:600])
-    with pytest.raises(FormatError, match=re.escape(f"{broken}: malformed models payload")):
+    with pytest.raises(FormatError, match=re.escape(f"{broken}: malformed models index")):
         load_models(broken)
     code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", broken,
                "--methods", "MD", "--out", tmp_path / "s.csv")
@@ -483,25 +483,82 @@ def test_truncated_models_container_is_a_data_error(mc_dir, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {"md": 3}], ids=["list", "md-int"])
-def test_wrong_shape_models_container_is_a_data_error(payload, mc_dir, tmp_path, capsys):
-    # a well-formed pickle that is not a map of fitter names to fitted models
-    wrong = tmp_path / "models.bin"
-    save_models(wrong, payload)
-    code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", wrong,
-               "--methods", "MD", "--out", tmp_path / "s.csv")
+class _WritesMarker:
+    """Unpickling this runs ``open(path, "w")``, which creates ``path``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def _container(index, payload=b"", version=dataio.MODELS_VERSION, size=None) -> bytes:
+    """Container bytes: the header, ``index`` (JSON-encoded unless bytes),
+    then ``payload``; ``size`` overrides the index size in the header."""
+    raw = index if isinstance(index, bytes) else json.dumps(index).encode()
+    header = struct.pack("<8sIQ", dataio.MAGIC_MODELS, version, len(raw) if size is None else size)
+    return header + raw + payload
+
+
+MD_INDEX = {"md": {"centroids": [3, 4], "whitener": [4, 4]}}
+MD_BYTES = np.zeros(28).tobytes()
+
+
+@pytest.mark.parametrize("crafted, code", [
+    (_container(b"not json {", MD_BYTES), "bad-format"),
+    (_container(b"\xff\xfe\x00", MD_BYTES), "bad-format"),
+    (_container(b"[" * 100_000 + b"]" * 100_000), "bad-format"),
+    (_container([["md", [3, 4]]], MD_BYTES), "bad-format"),
+    (_container({"md": 3}, MD_BYTES), "bad-format"),
+    (_container({"md": [3, 4]}, MD_BYTES), "bad-format"),
+    (_container({"md": {"centroids": [-3, -4], "whitener": [4, 4]}}, MD_BYTES), "bad-format"),
+    (_container({"md": {"centroids": [True, 4], "whitener": [4, 4]}}, MD_BYTES), "bad-format"),
+    (_container({"md": {"centroids": [3.0, 4], "whitener": [4, 4]}}, MD_BYTES), "bad-format"),
+    (_container({"md": {"centroids": ["3", 4], "whitener": [4, 4]}}, MD_BYTES), "bad-format"),
+    (_container({"md": {"centroids": 12, "whitener": [4, 4]}}, MD_BYTES), "bad-format"),
+    (_container(MD_INDEX, MD_BYTES[:-8]), "bad-format"),                  # sizes run past the end
+    (_container(MD_INDEX, MD_BYTES + b"\0" * 8), "bad-format"),           # and end short of it
+    (_container({"md": {"centroids": [2 ** 40, 2 ** 40]}}, MD_BYTES), "bad-format"),
+    (_container({"md": {"centroids": [0, 2 ** 70]}}), "bad-format"),
+    (_container({"md": {"centroids": [1] * 65}}, b"\0" * 8), "bad-format"),
+    (_container(MD_INDEX, MD_BYTES, size=2 ** 63), "bad-format"),          # index runs past the end
+    (_container({"kde": {"centroids": [3, 4], "whitener": [4, 4]}}, MD_BYTES), "bad-format"),
+    (_container({"md": {"whitener": [4, 4], "centroids": [3, 4]}}, MD_BYTES), "bad-format"),
+    (_container({"md": {"centroids": [3, 4]}}, MD_BYTES[:12 * 8]), "bad-format"),
+    (_container(MD_INDEX, MD_BYTES, version=4), "bad-version"),
+], ids=["not-json", "not-utf8", "nested-deep", "list", "md-int", "shapes-not-object", "negative",
+        "bool", "float", "string", "shape-not-list", "past-end", "short-of-end", "huge-shape",
+        "huge-empty-shape", "too-many-dims", "huge-index-size", "unknown-key", "field-order",
+        "missing-field", "version-4"])
+def test_crafted_models_container_is_a_data_error(crafted, code, mc_dir, tmp_path, capsys):
+    path = tmp_path / "models.bin"
+    path.write_bytes(crafted)
+    exit_code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", path,
+                    "--methods", "MD", "--out", tmp_path / "s.csv")
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("data error [bad-format]") and str(wrong) in err
+    assert exit_code == 2 and err.startswith(f"data error [{code}]") and str(path) in err, err
+    assert "Traceback" not in err and "MemoryError" not in err
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("version", [4, dataio.MODELS_VERSION])
+def test_pickled_models_container_runs_no_code(version, mc_dir, tmp_path, capsys):
+    # a version 4 container held a pickle; under any version it must load no pickle
+    marker, path = tmp_path / "marker", tmp_path / "models.bin"
+    path.write_bytes(struct.pack("<8sI", dataio.MAGIC_MODELS, version)
+                     + pickle.dumps({"md": _WritesMarker(marker)}, protocol=4))
+    code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", path,
+               "--methods", "MD", "--out", tmp_path / "s.csv")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-version]" if version == 4 else "data error [bad-format]")
+    assert not marker.exists()
+
+
 def _with_field(models, key, name, value):
-    """``models`` with the dotted field ``name`` of its ``key`` model set to
-    ``value`` as a crafted container holds it, past every constructor check."""
-    model = copy.deepcopy(models[key])
-    *parents, field = name.split(".")
-    object.__setattr__(functools.reduce(getattr, parents, model), field, value)
-    return {**models, key: model}
+    """The fields of ``models``, with the ``key`` model's field ``name``
+    set to ``value`` as a crafted container holds it."""
+    return {**models, key: {**models[key], name: value}}
 
 
 def test_model_of_the_wrong_shape_is_a_data_error_naming_model_and_field(mc_dir, tmp_path, capsys):
@@ -511,23 +568,22 @@ def test_model_of_the_wrong_shape_is_a_data_error_naming_model_and_field(mc_dir,
     good = load_models(mc_dir / "models.bin")
     rde, nuq = good["rde"], good["nuq"]
     cases = [
-        ({"md": density.MdModel(np.zeros(3), 3, None)}, "MD", "md model field 'centroids'"),
+        ({"md": {"centroids": np.zeros(3), "whitener": 3.0}}, "MD", "md model field 'centroids'"),
         (_with_field(good, "md", "whitener", np.eye(5)), "MD", "md model field 'whitener'"),
-        (_with_field(good, "md", "covariance", 3), "MD", "md model field 'covariance'"),
         (_with_field(good, "ddu", "log_priors", np.zeros(2)), "DDU", "ddu model field 'log_priors'"),
-        (_with_field(good, "rde", "basis.dual_vectors", rde.basis.dual_vectors[:, 1:]), "RDE",
+        (_with_field(good, "rde", "dual_vectors", rde["dual_vectors"][:, 1:]), "RDE",
          "rde model field 'centroids'"),
-        (_with_field(good, "rde", "basis.gamma", None), "RDE", "rde model field 'basis.gamma'"),
-        (_with_field(good, "nuq", "label_matrix", nuq.label_matrix[1:]), "NUQ",
+        (_with_field(good, "rde", "gamma", np.ones(2)), "RDE", "rde model field 'gamma'"),
+        (_with_field(good, "nuq", "label_matrix", nuq["label_matrix"][1:]), "NUQ",
          "nuq model field 'label_matrix'"),
-        (_with_field(good, "nuq", "embeddings", nuq.embeddings.astype(np.float32)), "NUQ",
+        (_with_field(good, "nuq", "embeddings", nuq["embeddings"][:, None]), "NUQ",
          "nuq model field 'embeddings'"),
-        (_with_field(good, "beta", "prior_correct", "0.5"), "Beta", "beta model field 'prior_correct'"),
+        (_with_field(good, "beta", "prior_correct", np.ones(1)), "Beta", "beta model field 'prior_correct'"),
         (_with_field(good, "beta", "prior_correct", -1.0), "Beta", "beta model: priors must sum to 1"),
         (_with_field(good, "beta", "alpha_correct", -2.0), "Beta",
          "beta model: alpha_correct must be positive"),
         # one shared component, as a multilabel fit holds, where the manifest has three classes
-        (_with_field(good, "md", "centroids", good["md"].centroids[:1]), "MD", "md model field 'centroids'"),
+        (_with_field(good, "md", "centroids", good["md"]["centroids"][:1]), "MD", "md model field 'centroids'"),
     ]
     for i, (models, method, named) in enumerate(cases):
         path = tmp_path / f"models{i}.bin"
@@ -540,10 +596,51 @@ def test_model_of_the_wrong_shape_is_a_data_error_naming_model_and_field(mc_dir,
         assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+def test_models_round_trip_through_the_container_scores_the_same_bits(task, mc_dir, ml_dir, tmp_path):
+    root = mc_dir if task == "multiclass" else ml_dir
+    manifest = load_manifest(root / "ds" / "manifest.json")
+    splits = load_splits(manifest, root / "ds", dict.fromkeys(("train", "validation", "test"),
+                                                              ("embeddings", "mc")))
+    keys = [key for key, fitter in FITTERS.items() if task in fitter.tasks]
+    fitted = {key: FITTERS[key].fit(splits[FITTERS[key].split]) for key in keys}
+    for tag in ("a", "b"):
+        save_models(tmp_path / f"{tag}.bin", {key: vars(model) for key, model in fitted.items()})
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    assert (tmp_path / "a.bin").read_bytes() == (root / "models.bin").read_bytes()
+    loaded = _load_fitted(tmp_path / "a.bin", manifest)
+    assert list(loaded) == keys
+    for key, model in loaded.items():
+        assert type(model) is FITTERS[key].model
+        for name, letters in FITTERS[key].fields.items():
+            value = getattr(model, name)
+            assert type(value) is (np.ndarray if letters else np.float64), (key, name)
+    names = resolve_methods("all", task)
+    calib = splits["validation"] if task == "multiclass" else None
+    want = score_split(names, splits["test"], fitted, calib)
+    got = score_split(names, splits["test"], loaded, calib)
+    assert list(got) == names
+    for name in names:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar power")
+def test_loaded_nuq_model_still_scores_inf_at_the_paper_width(tmp_path):
+    # at d=768 the kernel constant bandwidth**d overflows; a loaded
+    # np.float64 bandwidth gives inf, as the fitted one does
+    data = generate(SynthSpec(seed=7, n_train=120, n_validation=60, n_test=60, dim=768, mc_passes=2))
+    save_models(tmp_path / "m.bin", {"nuq": vars(density.fit_nuq(data.splits["train"]))})
+    model = density.NuqModel(**load_models(tmp_path / "m.bin")["nuq"])
+    assert type(model.bandwidth) is np.float64
+    with pytest.warns(RuntimeWarning, match="density underflow"):
+        scores = density.score_nuq(data.splits["test"].embeddings, model)
+    assert np.all(scores == np.inf)
+
+
 FIT_AND_SCORE = """
 import sys
 import tracemalloc
-from abstain.cli import main
+from abstain.cli import FITTERS, _load_fitted, main, resolve_methods, score_split
 manifest, out, methods = sys.argv[1:]
 assert main(["fit", "--manifest", manifest, "--methods", methods.lower(), "--out", out + ".bin"]) == 0
 assert main(["score", "--manifest", manifest, "--models", out + ".bin", "--methods", methods,
@@ -1062,3 +1159,22 @@ class TestImportHygiene:
                                env=child_env(), capture_output=True, text=True, check=True)
         states = json.loads(probe.stdout.splitlines()[-1])
         assert states == [[stage, [], []] for stage in ("import", "gen-synth", "fit", "evaluate", "report")]
+
+    def test_no_module_or_script_can_load_a_pickle(self):
+        # loading files must never run code: nothing imports a pickle
+        # loader, and no numpy reader is allowed to unpickle
+        sources = [*Path(abstain.__file__).parent.rglob("*.py"),
+                   *(Path(__file__).resolve().parents[1] / "scripts").rglob("*.py")]
+        assert len(sources) > 10
+        found = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(m.split(".")[0] in ("pickle", "_pickle", "shelve") for m in modules):
+                    found.append(f"{path.name}:{node.lineno} imports {', '.join(modules)}")
+                if isinstance(node, ast.Call) and any(
+                        k.arg == "allow_pickle" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
+                        for k in node.keywords):
+                    found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)} with allow_pickle")
+        assert not found

@@ -34,7 +34,6 @@ from abstain.dataio import (
 )
 from abstain.core import seeded_rng
 from abstain.density import fit_md
-from abstain.hybrid import HybridConfig
 from abstain.synth import SynthSpec, generate
 from oracles import csv_read_scores, csv_write_scores
 
@@ -620,22 +619,17 @@ def test_generate_and_save_hold_under_half_a_pass_tensor_beyond_the_dataset(tmp_
 class TestModelContainer:
     def test_fitted_models_roundtrip(self, dataset, tmp_path):
         md = fit_md(dataset.splits["train"])
-        cfg = HybridConfig(variant="huq2", alpha=0.3, delta_min=1.0, delta_max=2.0,
-                           c=2, n_validation=4,
-                           table_ambiguity=np.array([0.1, 0.2, 0.3, 0.9]),
-                           table_ambiguity_id=np.array([0.1, 0.2]),
-                           table_novelty=np.array([0.5, 0.7, 1.5, 2.0]))
-        save_models(tmp_path / "m.bin", {"md": md, "huq2": cfg})
+        save_models(tmp_path / "m.bin", {"md": vars(md), "x": {"scalar": 0.25, "empty": np.zeros((0, 3))}})
         back = load_models(tmp_path / "m.bin")
-        assert set(back) == {"md", "huq2"}
-        assert np.array_equal(back["md"].centroids, md.centroids)
-        assert np.array_equal(back["md"].whitener, md.whitener)
-        assert back["huq2"].alpha == cfg.alpha
-        assert np.array_equal(back["huq2"].table_novelty, cfg.table_novelty)
+        assert list(back) == ["md", "x"] and list(back["md"]) == ["centroids", "whitener"]
+        assert np.array_equal(back["md"]["centroids"], md.centroids)
+        assert np.array_equal(back["md"]["whitener"], md.whitener)
+        assert type(back["x"]["scalar"]) is np.float64 and back["x"]["scalar"] == 0.25
+        assert back["x"]["empty"].shape == (0, 3)
 
     def test_container_header_checked(self, tmp_path):
         p = tmp_path / "m.bin"
-        save_models(p, {"x": 1})
+        save_models(p, {"x": {"v": 1.0}})
         raw = bytearray(p.read_bytes())
         raw[:8] = b"NOTMODEL"
         p.write_bytes(bytes(raw))
@@ -649,5 +643,5 @@ class TestModelContainer:
 
 
 def save_and_read(p):
-    save_models(p, {"x": 1})
+    save_models(p, {"x": {"v": 1.0}})
     return p.read_bytes()

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,17 +64,23 @@ def random_split(n, C, d, seed, spread=4.0):
 # ------------------------------------------------------------------ MD
 
 
+def ridged_covariance(whitener):
+    """The ridged covariance (W^T W)^-1 that a whitener W whitens."""
+    return np.linalg.inv(whitener.T @ whitener)
+
+
 def test_md_centroids_and_pooled_covariance():
     model = fit_md(two_class_split())
     assert np.allclose(model.centroids, [[0.0, 0.0], [4.0, 0.0]], atol=1e-15)
-    # per-class scatter diag(2,2); pooled over n-C=6
-    assert np.allclose(model.covariance, np.diag([2 / 3, 2 / 3]), atol=1e-15)
+    # per-class scatter diag(2,2); pooled over n-C=6, ridged by 1e-6 of its mean variance
+    assert np.allclose(ridged_covariance(model.whitener), np.diag([2 / 3, 2 / 3]) * (1 + 1e-6), atol=1e-15)
 
 
 def test_md_precision_matches_direct_inverse():
     model = fit_md(two_class_split())
-    lam = 1e-6 * np.trace(model.covariance) / 2
-    direct = np.linalg.inv(model.covariance + lam * np.eye(2))
+    pooled = np.diag([2 / 3, 2 / 3])
+    lam = 1e-6 * np.trace(pooled) / 2
+    direct = np.linalg.inv(pooled + lam * np.eye(2))
     assert np.allclose(model.whitener.T @ model.whitener, direct, atol=1e-9)
 
 
@@ -104,7 +111,9 @@ def test_md_duplication_changes_covariance_by_denominator_only():
     assert np.array_equal(base.centroids, doubled.centroids)
     n, C = 8, 2
     factor = (2 * (n - C)) / (2 * n - C)
-    assert np.allclose(doubled.covariance, base.covariance * factor, atol=1e-12)
+    # the ridge is a share of the mean variance, so the ridged covariance scales alike
+    assert np.allclose(ridged_covariance(doubled.whitener), ridged_covariance(base.whitener) * factor,
+                       atol=1e-12)
 
 
 def test_md_absent_class_error():
@@ -137,7 +146,8 @@ def test_md_multilabel_fits_single_shared_component():
     model = fit_md(split)
     assert model.centroids.shape == (1, 2)
     assert np.allclose(model.centroids[0], X.mean(axis=0))
-    assert np.allclose(model.covariance, np.cov(X, rowvar=False, ddof=1))
+    cov = np.cov(X, rowvar=False, ddof=1)
+    assert np.allclose(ridged_covariance(model.whitener), cov + _ridge_lambda(cov) * np.eye(2))
 
 
 def test_md_similarity_transform_invariance():
@@ -173,7 +183,8 @@ def test_whitened_distances_and_log_dets_match_ridged_inverse(d):
     queries = np.vstack([X[:100], seeded_rng(32).normal(size=(100, d)) * 4])
     md, ddu = fit_md(split), fit_ddu(split)
     covs = np.array([np.cov(X[labels == c], rowvar=False, ddof=1) for c in range(3)])
-    for model, W, cov in ((md, md.whitener, md.covariance), (ddu, ddu.whiteners, covs)):
+    pooled = sum(((labels == c).sum() - 1) * covs[c] for c in range(3)) / (len(X) - 3)
+    for model, W, cov in ((md, md.whitener, pooled), (ddu, ddu.whiteners, covs)):
         got = density._sq_dists(queries, model.centroids, W)
         want = mahalanobis_sq(queries, model.centroids, cov)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -223,6 +234,16 @@ def test_fast_mcd_identical_points_degenerate_warning():
     with pytest.warns(RuntimeWarning, match="degenerate MCD covariance"):
         mu, cov = fast_mcd(X, seeded_rng(0))
     assert np.allclose(mu, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_healthy_rde_fit_does_not_warn_of_a_degenerate_mcd_covariance(seed):
+    # in 64 components each class scatter's det underflows to 0.0, though
+    # its slogdet sign is 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit_rde(random_split(300, 3, 8, seed=seed))
+    assert not [w for w in caught if "degenerate MCD covariance" in str(w.message)]
 
 
 def test_fast_mcd_record_order_invariant():
@@ -316,7 +337,7 @@ def test_rde_component_count_validation():
         fit_rde(split(2))
     model = fit_rde(split(10))
     assert model.centroids.shape[1] == 8
-    assert model.basis.dual_vectors.shape[1] == 8
+    assert model.dual_vectors.shape[1] == 8
 
 
 def test_rde_dimension_mismatch():
@@ -354,10 +375,10 @@ def test_rde_lanczos_matches_dense_eigh(monkeypatch, d):
 @pytest.mark.filterwarnings("ignore:degenerate MCD covariance")
 def test_kernel_pca_transform_matches_out_of_place_expression():
     split = random_split(300, 3, 8, seed=21)
-    basis = fit_rde(split).basis
+    model = fit_rde(split)
     queries = np.vstack([split.embeddings[:40], seeded_rng(24).normal(size=(60, 8)) * 4])
     for E in (queries, queries[0]):
-        got, want = basis.transform(E), kernel_pca_transform(basis, E)
+        got, want = model.transform(E), kernel_pca_transform(model, E)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -459,7 +480,7 @@ def test_rde_scores_match_dense_kernel_oracle(monkeypatch, d):
     model = fit_rde(train)
     monkeypatch.setattr(density, "_kernel_pca", dense_kernel_pca)
     dense = fit_rde(train)
-    assert np.array_equal(model.basis.col_means, dense.basis.col_means)
+    assert np.array_equal(model.col_means, dense.col_means)
     got, want = score_rde(queries, model), score_rde(queries, dense)
     # the grand mean's and the projections' summation orders differ
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -104,6 +104,18 @@ def test_centroid_distances_taken_one_centroid_at_a_time_match_the_whole_array_o
         assert np.array_equal(each.ood_flags[role], whole.ood_flags[role])
         assert np.array_equal(each.flipped_flags[role], whole.flipped_flags[role])
 
+
+@pytest.mark.parametrize("d", [8, 768])
+def test_centroid_distances_are_the_bits_of_the_whole_array_norm(d):
+    # the distances reach generate() only through an argsort and a band
+    # test, so a last-bit change in them shows only here
+    rng = seeded_rng(d)
+    centroids = rng.normal(size=(5, d)) * 4.0
+    X = centroids[np.arange(300) % 5] + rng.standard_normal((300, d))
+    want = np.linalg.norm(X[:, None] - centroids[None], axis=2)
+    assert np.array_equal(synth._centroid_distances(X, centroids), want)
+
+
 class TestContamination:
     def test_ood_counts_are_floored_fractions(self):
         spec = SynthSpec(seed=2, ood_fraction=0.1, n_train=80, n_validation=45,
