@@ -234,7 +234,8 @@ def _cmd_fit(args) -> int:
 def _load_fitted(path, manifest) -> Dict[str, object]:
     """The models in the container ``path``, each built by its FITTERS
     entry's class from that Fitter's fields, in order, of the shapes it
-    gives for ``manifest`` (FormatError naming the model and the field)."""
+    gives for ``manifest``, every value finite (FormatError naming the
+    model and the field)."""
     classes = manifest.n_classes if manifest.task == "multiclass" else 1
     models = {}
     for key, values in load_models(path).items():
@@ -249,6 +250,8 @@ def _load_fitted(path, manifest) -> Dict[str, object]:
             want = f"a float64 array of shape ({want})" if dims else "a float"
             if len(shape) != len(dims) or any(sizes.setdefault(x, m) != m for x, m in zip(dims, shape)):
                 raise FormatError(f"{path}: {key} model field {name!r} must be {want}, not of shape {shape}")
+            if not np.isfinite(values[name]).all():
+                raise FormatError(f"{path}: {key} model field {name!r} holds NaN or infinite values")
         try:
             models[key] = fitter.model(**values)
         except ValueError as exc:
@@ -298,17 +301,16 @@ def _cmd_evaluate(args) -> int:
     curve_files: Dict[Path, np.ndarray] = {}
     for mode_name, data in evaluations:   # one metric's curves at a time
         oracle = rejection.build_curve(rejection.oracle_scores(data, mode_name), data, mode_name)
+        n = oracle.size   # every curve of the run is over the same n units
         suffix = "" if len(evaluations) == 1 else f".{mode_name}"
         for name, values in scores.items():
             curve = rejection.build_curve(values.reshape(-1), data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
-            curve_files[curves_dir / f"{name}{suffix}.csv"] = curve.values
-            plots.setdefault(mode_name, {})[name] = report.plot_points(curve.coverages, curve.values)
-        # every curve of the run shares the (n - k)/n coverages: keep and format them once
-        coverages = oracle.coverages
+            curve_files[curves_dir / f"{name}{suffix}.csv"] = curve
+            plots.setdefault(mode_name, {})[name] = report.plot_points(rejection.coverages(n), curve)
         del oracle   # freed before the next metric's oracle is built
     curves_dir.mkdir(parents=True, exist_ok=True)
-    write_curve_csvs(coverages, curve_files)
+    write_curve_csvs(rejection.coverages(n), curve_files)
 
     for mode_name, curve_map in sorted(plots.items()):
         svg = report.plot_curves_svg(curve_map, f"{mode_name} vs coverage", mode_name)

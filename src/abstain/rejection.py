@@ -8,7 +8,6 @@ so curves are reproducible no matter where the scores came from.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,48 +18,18 @@ SPANS = ("full", "first_50")
 
 _DEGENERATE_TOL = 1e-15
 
-# n -> the read-only coverages (n - k)/n that every curve over n units
-# shares; an entry lives as long as some curve holds it
-_GRIDS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+def coverages(n: int) -> np.ndarray:
+    """The coverages (n - k)/n, k = 0 .. n - 1, of a curve over ``n``
+    units: index k is the share of units left after removing k."""
+    return np.arange(n, 0, -1) / n
 
 
-def _coverage_grid(n: int) -> np.ndarray:
-    """The coverages (n - k)/n, k = 0 .. n - 1, one read-only array shared
-    by every curve over ``n`` units that is alive at once."""
-    grid = _GRIDS.get(n)
-    if grid is None:
-        grid = np.arange(n, 0, -1) / n
-        grid.flags.writeable = False
-        _GRIDS[n] = grid
-    return grid
-
-
-@dataclass(frozen=True)
-class RejectionCurve:
-    """Metric-vs-coverage points, one per removal, coverage decreasing.
-    Curves built by :func:`build_curve` share one coverage array."""
-
-    coverages: np.ndarray
-    values: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "coverages", np.asarray(self.coverages, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.coverages.shape != self.values.shape or self.coverages.ndim != 1:
-            raise ValueError("coverages/values must be matching 1-D arrays")
-        if self.coverages.size == 0:
-            raise ValueError("empty curve")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if abs(self.coverages[0] - 1.0) > 1e-12:
-            raise ValueError("curve must start at full coverage")
-        on_grid = _GRIDS.get(self.coverages.size) is self.coverages   # decreasing as built
-        if not on_grid and np.any(np.diff(self.coverages) >= 0):
-            raise ValueError("coverages must be strictly decreasing")
-
-    def __len__(self) -> int:
-        return int(self.coverages.size)
+def _check_curve(curve) -> np.ndarray:
+    curve = np.asarray(curve, dtype=float)
+    if curve.ndim != 1 or curve.size == 0:
+        raise ValueError("a curve must be a non-empty 1-D array")
+    return curve
 
 
 @dataclass(frozen=True)
@@ -143,8 +112,9 @@ def _unit_arrays(data, mode: str):
     return tp, fp, fn
 
 
-def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
-    """Build the rejection curve for one score vector.
+def build_curve(scores, data, mode: str = "risk") -> np.ndarray:
+    """The rejection curve of one score vector: the (n,) metric values
+    left after removing k = 0 .. n - 1 units, at :func:`coverages`.
 
     mode "risk" / "accuracy": ``data`` is a 0/1 loss per unit, or an
     ``(errors, totals)`` pair of label-decision counts per unit.
@@ -165,20 +135,19 @@ def build_curve(scores, data, mode: str = "risk") -> RejectionCurve:
         values = _risk_values(*arrays)
         if mode == "accuracy":
             np.subtract(1.0, values, out=values)
-    return RejectionCurve(_coverage_grid(scores.size), values, mode)
+    return values
 
 
-def curve_value_at(curve: RejectionCurve, coverage: float) -> float:
+def curve_value_at(curve, coverage: float) -> float:
     """Linear interpolation of the curve at the requested coverage."""
-    cov = curve.coverages[::-1]
-    val = curve.values[::-1]
+    val = _check_curve(curve)[::-1]
     coverage = float(coverage)
     if coverage > 1.0 or coverage <= 0.0:
         raise ValueError("coverage must lie in (0, 1]")
-    return float(np.interp(coverage, cov, val))
+    return float(np.interp(coverage, coverages(val.size)[::-1], val))
 
 
-def curve_auc(curve: RejectionCurve, span: str = "full") -> float:
+def curve_auc(curve, span: str = "full") -> float:
     """Trapezoidal area under the curve, normalized by its coverage span.
 
     "first_50" keeps only coverages in [0.5, 1], interpolating a point
@@ -186,26 +155,23 @@ def curve_auc(curve: RejectionCurve, span: str = "full") -> float:
     """
     if span not in SPANS:
         raise ValueError(f"unknown span {span!r}; expected one of {SPANS}")
-    cov = curve.coverages[::-1].copy()
-    val = curve.values[::-1].copy()
-    if cov.size == 1:
+    val = _check_curve(curve)[::-1]
+    if val.size == 1:
         return float(val[0])
+    cov = coverages(val.size)[::-1]
     if span == "first_50" and cov[0] < 0.5:
         v_at = np.interp(0.5, cov, val)
         keep = cov >= 0.5
         cov = np.concatenate(([0.5], cov[keep]))
         val = np.concatenate(([v_at], val[keep]))
-    width = cov[-1] - cov[0]
-    if width <= 0.0:
-        return float(val[-1])
-    return float(np.trapezoid(val, cov) / width)
+    return float(np.trapezoid(val, cov) / (cov[-1] - cov[0]))
 
 
 def risk_aucs(loss_rows: np.ndarray) -> np.ndarray:
     """Full-span risk-curve areas of (rows, n) 0/1 losses in removal order,
     by the operations of ``curve_auc(build_curve(...), "full")``, bitwise."""
     n = loss_rows.shape[1]
-    cov = ((n - np.arange(n)) / n)[::-1]
+    cov = coverages(n)[::-1]
     values = _risk_values(loss_rows, np.ones(n))[:, ::-1]
     return np.trapezoid(values, cov, axis=1) / (cov[-1] - cov[0])
 
@@ -225,7 +191,7 @@ def oracle_scores(data, mode: str) -> np.ndarray:
     return 2.0 * fp + fn
 
 
-def normalize_auc(curve: RejectionCurve, oracle: RejectionCurve, span: str) -> NormalizedAuc:
+def normalize_auc(curve, oracle, span: str) -> NormalizedAuc:
     """Area under ``curve`` rescaled between references.
 
     ``oracle`` is the curve of the same data in :func:`oracle_scores`
@@ -237,7 +203,7 @@ def normalize_auc(curve: RejectionCurve, oracle: RejectionCurve, span: str) -> N
     """
     raw = curve_auc(curve, span)
     best = curve_auc(oracle, span)
-    rand = float(oracle.values[0])
+    rand = float(oracle[0])
     if abs(best - rand) < _DEGENERATE_TOL:
         return NormalizedAuc(raw, rand, best, float("nan"), span, "degenerate: no errors")
     return NormalizedAuc(raw, rand, best, (raw - rand) / (best - rand), span, None)

@@ -25,6 +25,9 @@ filled them in row blocks.  The whole-array split sampler is
 ``synth._sample_split`` as it was before it measured each row's distance
 to one centroid at a time: it holds the (n, C, d) difference array.  The
 naive NUQ scorer loops over train rows and coordinates in Python floats.
+The curve readers ``curve_auc_on`` and ``curve_value_on`` take a curve's
+coverages as an explicit array, as ``curve_auc`` and ``curve_value_at``
+did when a curve carried its own coverage array.
 """
 import csv
 import itertools
@@ -117,6 +120,31 @@ def brute_force_fit_hybrid(validation, u_a, u_e, variant):
         if best is None or val < best[0]:
             best = (val, cfg)
     return best[1]
+
+
+def curve_value_on(coverages, values, coverage: float) -> float:
+    """The value of the curve ``values`` at ``coverage``, interpolated
+    over the decreasing ``coverages`` it carries."""
+    return float(np.interp(float(coverage), coverages[::-1], values[::-1]))
+
+
+def curve_auc_on(coverages, values, span: str) -> float:
+    """The area under the curve ``values`` over the decreasing
+    ``coverages`` it carries, normalized by its coverage span; "first_50"
+    keeps coverages in [0.5, 1] with a point interpolated at 0.5."""
+    cov = coverages[::-1].copy()
+    val = values[::-1].copy()
+    if cov.size == 1:
+        return float(val[0])
+    if span == "first_50" and cov[0] < 0.5:
+        v_at = np.interp(0.5, cov, val)
+        keep = cov >= 0.5
+        cov = np.concatenate(([0.5], cov[keep]))
+        val = np.concatenate(([v_at], val[keep]))
+    width = cov[-1] - cov[0]
+    if width <= 0.0:
+        return float(val[-1])
+    return float(np.trapezoid(val, cov) / width)
 
 
 def dense_top_eigenpairs(A, k, **_):

@@ -62,8 +62,8 @@ def test_criterion_2_binary_equivalence():
         build_curve(rows(fn, test.probs), losses, "risk")
         for fn in (score_sr, score_delta, score_entropy)
     ]
-    assert np.array_equal(curves[0].values, curves[1].values)
-    assert np.array_equal(curves[0].values, curves[2].values)
+    assert np.array_equal(curves[0], curves[1])
+    assert np.array_equal(curves[0], curves[2])
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"\n[acceptance 2/9] PASS: SR/Delta/Entropy binary curves identical "

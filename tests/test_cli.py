@@ -562,9 +562,10 @@ def _with_field(models, key, name, value):
 
 
 def test_model_of_the_wrong_shape_is_a_data_error_naming_model_and_field(mc_dir, tmp_path, capsys):
-    """A model whose arrays do not fit the manifest, or each other, or that
-    fails its own checks, is refused before any score: MD's scorer would
-    raise an IndexError, and a negative Beta prior would score NaN."""
+    """A model whose arrays do not fit the manifest, or each other, or hold
+    NaN or ±inf, or that fails its own checks, is refused before any
+    score: MD's scorer would raise an IndexError, and a negative Beta
+    prior or a NaN whitener would score NaN."""
     good = load_models(mc_dir / "models.bin")
     rde, nuq = good["rde"], good["nuq"]
     cases = [
@@ -584,6 +585,11 @@ def test_model_of_the_wrong_shape_is_a_data_error_naming_model_and_field(mc_dir,
          "beta model: alpha_correct must be positive"),
         # one shared component, as a multilabel fit holds, where the manifest has three classes
         (_with_field(good, "md", "centroids", good["md"]["centroids"][:1]), "MD", "md model field 'centroids'"),
+        # the right shapes, but MD would score a NaN column
+        (_with_field(good, "md", "whitener", np.full_like(good["md"]["whitener"], np.nan)), "MD",
+         "md model field 'whitener' holds NaN or infinite values"),
+        (_with_field(good, "md", "centroids", np.full_like(good["md"]["centroids"], np.inf)), "MD",
+         "md model field 'centroids' holds NaN or infinite values"),
     ]
     for i, (models, method, named) in enumerate(cases):
         path = tmp_path / f"models{i}.bin"
@@ -877,9 +883,7 @@ class TestEvaluateAndReport:
         assert calls == ["risk"] * (3 + 1)
 
     def test_curve_csv_bytes(self, tmp_path):
-        curve = rejection.RejectionCurve(np.array([1.0, 2 / 3, 1 / 3]),
-                                         np.array([1 / 3, 5e-324, 0.0]), "risk")
-        write_curve_csvs(curve.coverages, {tmp_path / "c.csv": curve.values})
+        write_curve_csvs(rejection.coverages(3), {tmp_path / "c.csv": np.array([1 / 3, 5e-324, 0.0])})
         assert (tmp_path / "c.csv").read_bytes() == (
             b"coverage,value\n1.0,0.3333333333333333\n"
             b"0.6666666666666666,5e-324\n0.3333333333333333,0.0\n")
@@ -979,23 +983,25 @@ def evaluate_growth_per_pair(root, mode) -> float:
 
 
 class TestMultilabelEvaluate:
-    def test_label_mode_holds_under_130_bytes_per_pair(self, pair_scores):
+    def test_label_mode_holds_under_105_bytes_per_pair(self, pair_scores):
         """``evaluate --mode label`` grows its peak resident memory by less
-        than 130 bytes per (instance, label) pair.  The reader fills one
+        than 105 bytes per (instance, label) pair.  The reader fills one
         score array and one int32 row count per pair; the peak is set
         later, by the curves, after the split's probabilities are freed.
-        It grows by 107 to 110 (10.2 to 10.5 MiB), with the allocator's
-        state from run to run.  With the probabilities alive through the
-        curves it grew by 119 to 129; a read that keeps the instance-level
-        rows too, with every full curve alive at once, each with its own
-        coverages, takes about 147."""
-        assert evaluate_growth_per_pair(pair_scores, "label") < 130
+        It grows by 97 (9.3 MiB), with a curve's coverages built only
+        inside the call that reads them.  With one coverage array shared
+        by every curve and kept from the first curve to the CSV write it
+        grew by 113 to 114; with the probabilities alive through the curves
+        too, by 119 to 129; a read that keeps the instance-level rows too,
+        with every full curve alive at once, each with its own coverages,
+        takes about 147."""
+        assert evaluate_growth_per_pair(pair_scores, "label") < 105
 
     def test_instance_mode_holds_under_70_bytes_per_pair(self, pair_scores):
         """``evaluate --mode instance`` on a table that holds MP's pair rows
         grows its peak resident memory by less than 70 bytes per pair.  It
         parses the pair rows span by span, as text lines, and keeps none
-        of them; it grows by 51 to 52 (4.9 MiB).  A reader that split the
+        of them; it grows by 34 to 35 (3.3 MiB).  A reader that split the
         file's bytes into lines itself, in blocks of 1 MiB, took 85 to 87,
         and a read that keeps the pair rows it then drops about 121."""
         assert evaluate_growth_per_pair(pair_scores, "instance") < 70

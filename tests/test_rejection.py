@@ -3,14 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abstain.baselines import score_mp
 from abstain.rejection import (
     NormalizedAuc,
-    RejectionCurve,
     build_curve,
+    coverages,
     curve_auc,
     curve_value_at,
     multiclass_losses,
@@ -21,6 +21,7 @@ from abstain.rejection import (
     unit_data,
 )
 from abstain.synth import SynthSpec, generate
+from oracles import curve_auc_on, curve_value_on
 
 # hand-traced 3 point fixture: one error carrying the top score
 LOSSES3 = np.array([1.0, 0.0, 0.0])
@@ -80,18 +81,18 @@ def naive_f1_curve(scores, pred, truth):
 class TestCurveConstruction:
     def test_hand_traced_risk_points(self):
         curve = build_curve(SCORES3, LOSSES3, "risk")
-        assert np.allclose(curve.coverages, [1.0, 2 / 3, 1 / 3])
-        assert np.allclose(curve.values, [1 / 3, 0.0, 0.0])
+        assert np.allclose(coverages(len(curve)), [1.0, 2 / 3, 1 / 3])
+        assert np.allclose(curve, [1 / 3, 0.0, 0.0])
 
     def test_all_losses_zero_curve_is_zero(self):
         curve = build_curve([5.0, 1.0, 2.0, 0.5], np.zeros(4), "risk")
-        assert np.all(curve.values == 0.0)
+        assert np.all(curve == 0.0)
 
     def test_full_coverage_equals_error_rate_exactly(self):
         rng = np.random.default_rng(3)
         losses = (rng.random(37) < 0.3).astype(float)
         curve = build_curve(rng.random(37), losses, "risk")
-        assert curve.values[0] == losses.sum() / 37
+        assert curve[0] == losses.sum() / 37
 
     def test_accuracy_mode_is_one_minus_risk(self):
         rng = np.random.default_rng(4)
@@ -99,26 +100,26 @@ class TestCurveConstruction:
         scores = rng.random(20)
         risk = build_curve(scores, losses, "risk")
         acc = build_curve(scores, losses, "accuracy")
-        assert np.allclose(acc.values, 1.0 - risk.values)
+        assert np.allclose(acc, 1.0 - risk)
 
     def test_constant_scores_follow_index_order(self):
         losses = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
         curve = build_curve(np.zeros(5), losses, "risk")
-        assert np.allclose(curve.values, naive_risk_curve(np.zeros(5), losses))
+        assert np.allclose(curve, naive_risk_curve(np.zeros(5), losses))
 
     def test_matches_naive_recompute_random(self):
         rng = np.random.default_rng(11)
         scores = rng.random(25)
         losses = (rng.random(25) < 0.5).astype(float)
         curve = build_curve(scores, losses, "risk")
-        assert np.allclose(curve.values, naive_risk_curve(scores, losses), atol=1e-12)
+        assert np.allclose(curve, naive_risk_curve(scores, losses), atol=1e-12)
 
     def test_bundled_counts_weight_the_average(self):
         # two units: 1 error of 4 decisions, 3 errors of 4 decisions
         errors = np.array([1.0, 3.0])
         totals = np.array([4.0, 4.0])
         curve = build_curve([1.0, 2.0], (errors, totals), "risk")
-        assert np.allclose(curve.values, [0.5, 0.25])
+        assert np.allclose(curve, [0.5, 0.25])
 
     def test_rejection_order_ties_by_index(self):
         assert rejection_order([1.0, 3.0, 3.0, 2.0]).tolist() == [1, 2, 3, 0]
@@ -151,14 +152,6 @@ class TestCurveConstruction:
         with pytest.raises(ValueError, match="unknown mode"):
             build_curve(SCORES3, LOSSES3, "f2_macro")
 
-    def test_curve_type_validates_shape_and_order(self):
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            RejectionCurve([1.0, 0.5, 0.5], [0.1, 0.1, 0.1], "risk")
-        with pytest.raises(ValueError, match="full coverage"):
-            RejectionCurve([0.9, 0.5], [0.1, 0.1], "risk")
-        with pytest.raises(ValueError, match="matching 1-D"):
-            RejectionCurve([1.0, 0.5], [0.1], "risk")
-
 
 class TestCurveReadout:
     def test_grid_points_and_interpolation(self):
@@ -185,7 +178,7 @@ class TestCurveReadout:
 
     def test_first_50_of_constant_curve_equals_full(self):
         curve = build_curve(np.arange(6.0), np.ones(6), "risk")
-        assert np.all(curve.values == 1.0)
+        assert np.all(curve == 1.0)
         assert curve_auc(curve, "first_50") == curve_auc(curve, "full") == 1.0
 
     def test_single_point_curve(self):
@@ -197,6 +190,14 @@ class TestCurveReadout:
         curve = build_curve(SCORES3, LOSSES3, "risk")
         with pytest.raises(ValueError, match="unknown span"):
             curve_auc(curve, "last_50")
+
+    def test_readers_refuse_an_empty_or_2d_curve(self):
+        curve = build_curve(SCORES3, LOSSES3, "risk")
+        for bad in (np.array([]), [], np.full((2, 3), 0.1)):
+            for read in (curve_auc, lambda c: curve_value_at(c, 0.5),
+                         lambda c: normalize_auc(c, curve, "full"), lambda c: normalize_auc(curve, c, "full")):
+                with pytest.raises(ValueError, match="non-empty 1-D"):
+                    read(bad)
 
 
 class TestNormalizedAuc:
@@ -284,7 +285,7 @@ class TestOracleScores:
                 )
                 for drop in map(set, itertools.combinations(units, k))
             )
-            assert curve.values[k] == pytest.approx(best, abs=1e-12)
+            assert curve[k] == pytest.approx(best, abs=1e-12)
 
     def test_pair_oracle_prefix_optimal_random_bits(self):
         for seed in range(5):
@@ -303,7 +304,7 @@ class TestOracleScores:
                     )
                     for d in map(set, itertools.combinations(units, k))
                 )
-                assert curve.values[k] == pytest.approx(best, abs=1e-12)
+                assert curve[k] == pytest.approx(best, abs=1e-12)
 
     def test_count_triples_normalize_to_one_against_own_reference(self):
         # bundled (tp, fp, fn) units: the 2*fp + fn ordering is the declared
@@ -319,7 +320,7 @@ class TestF1Curves:
         pred = np.array([1, 0])  # FP then TN
         truth = np.array([0, 0])
         curve = build_curve([5.0, 1.0], pair_counts(pred, truth), "f1_micro")
-        assert curve.values.tolist() == [0.0, 1.0]
+        assert curve.tolist() == [0.0, 1.0]
 
     def test_matches_naive_recompute(self):
         rng = np.random.default_rng(21)
@@ -327,7 +328,7 @@ class TestF1Curves:
         truth = rng.integers(0, 2, 30)
         scores = rng.random(30)
         curve = build_curve(scores, pair_counts(pred, truth), "f1_micro")
-        assert np.allclose(curve.values, naive_f1_curve(scores, pred, truth), atol=1e-12)
+        assert np.allclose(curve, naive_f1_curve(scores, pred, truth), atol=1e-12)
 
     def test_bad_data_forms_rejected(self):
         with pytest.raises(ValueError, match="f1_micro needs"):
@@ -422,15 +423,15 @@ class TestLabelwise:
         # the second pair is the shakier one and goes first
         assert rejection_order(scores).tolist() == [1, 0]
         acc, f1 = labelwise_curves(probs, truth)
-        assert np.allclose(acc.coverages, [1.0, 0.5])
-        assert np.all(acc.values == 1.0)
-        assert np.all(f1.values == 1.0)
+        assert np.allclose(coverages(len(acc)), [1.0, 0.5])
+        assert np.all(acc == 1.0)
+        assert np.all(f1 == 1.0)
 
     def test_all_correct_curves_constant_one(self):
         probs = np.array([[0.9, 0.2], [0.1, 0.8]])
         truth = (probs >= 0.5).astype(int)
         acc, f1 = labelwise_curves(probs, truth)
-        assert np.all(acc.values == 1.0) and np.all(f1.values == 1.0)
+        assert np.all(acc == 1.0) and np.all(f1 == 1.0)
 
     def test_labelwise_matches_naive_recompute(self):
         rng = np.random.default_rng(13)
@@ -439,9 +440,9 @@ class TestLabelwise:
         acc, f1 = labelwise_curves(probs, truth)
         scores = score_mp(probs).reshape(-1)
         pred, true = (probs >= 0.5).astype(int).reshape(-1), truth.reshape(-1)
-        assert np.allclose(f1.values, naive_f1_curve(scores, pred, true), atol=1e-12)
+        assert np.allclose(f1, naive_f1_curve(scores, pred, true), atol=1e-12)
         assert np.allclose(
-            acc.values, 1.0 - naive_risk_curve(scores, (pred != true).astype(float)), atol=1e-12
+            acc, 1.0 - naive_risk_curve(scores, (pred != true).astype(float)), atol=1e-12
         )
 
     def test_labelwise_dominates_instancewise_on_synth(self):
@@ -467,7 +468,7 @@ class TestInstancewise:
         for agg in (np.mean, np.max):
             acc, _ = instancewise_curves(probs, truth, agg)
             # after one removal only the sharp, fully correct instance is left
-            assert acc.values[1] == 1.0
+            assert acc[1] == 1.0
 
     def test_matches_naive_recompute(self):
         rng = np.random.default_rng(31)
@@ -489,8 +490,8 @@ class TestInstancewise:
                     int(((p == 0) & (t == 1)).sum()),
                 )
             )
-        assert np.allclose(acc.values, exp_acc, atol=1e-12)
-        assert np.allclose(f1.values, exp_f1, atol=1e-12)
+        assert np.allclose(acc, exp_acc, atol=1e-12)
+        assert np.allclose(f1, exp_f1, atol=1e-12)
 
     def test_single_label_reduces_to_labelwise_exactly(self):
         rng = np.random.default_rng(17)
@@ -498,8 +499,8 @@ class TestInstancewise:
         truth = rng.integers(0, 2, (20, 1))
         la, lf = labelwise_curves(probs, truth)
         ia, if_ = instancewise_curves(probs, truth)
-        assert np.array_equal(la.values, ia.values)
-        assert np.array_equal(lf.values, if_.values)
+        assert np.array_equal(la, ia)
+        assert np.array_equal(lf, if_)
 
 
 class TestScoreInvariance:
@@ -510,9 +511,9 @@ class TestScoreInvariance:
         losses = (rng.random(n) < 0.4).astype(float)
         curve = build_curve(rng.standard_normal(n), losses, "risk")
         assert len(curve) == n
-        assert np.all(np.diff(curve.coverages) < 0)
-        assert np.all((curve.values >= 0.0) & (curve.values <= 1.0))
-        assert curve.values[0] == losses.mean()
+        assert np.all(np.diff(coverages(n)) < 0)
+        assert np.all((curve >= 0.0) & (curve <= 1.0))
+        assert curve[0] == losses.mean()
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 30))
     @settings(max_examples=60, deadline=None)
@@ -524,14 +525,14 @@ class TestScoreInvariance:
         losses = (rng.random(n) < 0.5).astype(float)
         a = build_curve(scores, losses, "risk")
         b = build_curve(4.0 * scores, losses, "risk")
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_invariance_under_exp_on_separated_scores(self):
         scores = np.array([3.0, -1.0, 0.5, 2.0, -2.5])
         losses = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
         a = build_curve(scores, losses, "risk")
         b = build_curve(np.exp(scores), losses, "risk")
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -579,11 +580,45 @@ class TestIntegerCounts:
                 counts = _counts_as(data, dtype)
                 got = build_curve(scores, counts, mode)
                 oracle = build_curve(oracle_scores(counts, mode), counts, mode)
-                assert _bits(got.values) == _bits(want.values), (mode, dtype)
-                assert _bits(got.coverages) == _bits(want.coverages), (mode, dtype)
-                assert _bits(oracle.values) == _bits(want_oracle.values), (mode, dtype)
+                assert _bits(got) == _bits(want), (mode, dtype)
+                assert _bits(oracle) == _bits(want_oracle), (mode, dtype)
                 for span in ("full", "first_50"):
                     a, b = normalize_auc(got, oracle, span), normalize_auc(want, want_oracle, span)
                     fields = ("raw_auc", "rand_auc", "oracle_auc", "normalized")
                     assert _bits([getattr(a, f) for f in fields]) == _bits([getattr(b, f) for f in fields])
                     assert a.flag == b.flag
+
+
+class TestCurveReadersBitwise:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60))
+    @example(0, 1)
+    @example(1, 2)
+    @example(2, 7)    # 0.5 lies between two grid points
+    @example(3, 8)    # 0.5 is a grid point
+    @settings(max_examples=80, deadline=None)
+    def test_readers_match_the_explicit_coverage_arithmetic(self, seed, n):
+        """curve_auc over both spans, curve_value_at and normalize_auc give,
+        bit for bit, the readers that took a curve's coverages as an array
+        of (n - k)/n, in every mode, for int8, int64 and float counts."""
+        rng = np.random.default_rng(seed)
+        pair = rng.integers(0, 4, n)   # 0 true negative, 1 tp, 2 fp, 3 fn
+        tp, fp, fn = (pair == k for k in (1, 2, 3))
+        scores = rng.integers(0, 5, n) / 4.0
+        explicit = np.array([(n - k) / n for k in range(n)])
+        points = [1.0, 0.5, explicit[-1], *(1.0 - rng.random(3))]
+        datasets = [("risk", fp + fn), ("accuracy", (fp + fn, np.ones(n))), ("f1_micro", (tp, fp, fn))]
+        for mode, data in datasets:
+            for dtype in (np.int8, np.int64, float):
+                counts = _counts_as(data, dtype)
+                curve = build_curve(scores, counts, mode)
+                oracle = build_curve(oracle_scores(counts, mode), counts, mode)
+                for c in points:
+                    assert _bits(curve_value_at(curve, c)) == _bits(curve_value_on(explicit, curve, c))
+                for span in ("full", "first_50"):
+                    raw, best = curve_auc_on(explicit, curve, span), curve_auc_on(explicit, oracle, span)
+                    rand = float(oracle[0])
+                    want = float("nan") if abs(best - rand) < 1e-15 else (raw - rand) / (best - rand)
+                    got = normalize_auc(curve, oracle, span)
+                    assert _bits(curve_auc(curve, span)) == _bits(raw), (mode, dtype, span)
+                    assert _bits([got.raw_auc, got.rand_auc, got.oracle_auc, got.normalized]) == \
+                        _bits([raw, rand, best, want]), (mode, dtype, span)
