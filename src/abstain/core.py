@@ -135,6 +135,9 @@ class LabeledSplit:
               sigmoid entries for multilabel
     labels  : (n,) int class ids, or (n, L) 0/1 bits
     embeddings / mc are optional; mc is (n, T, C) stochastic-pass rows.
+
+    Probabilities must pass :func:`validate_probs` and labels must be
+    integer class ids or bits, or the ValueError names the field.
     """
 
     probs: np.ndarray
@@ -150,27 +153,29 @@ class LabeledSplit:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         n, width = self.probs.shape
-        self.labels = np.asarray(self.labels)
-        if self.labels.shape[0] != n:
+        multiclass = self.task == "multiclass"
+        try:
+            validate_probs(self.probs, normalized=multiclass)
+        except ValueError as exc:
+            raise ValueError(f"probs: {exc}") from None
+        labels = np.asarray(self.labels)
+        if labels.shape[0] != n:
             raise ValueError("labels/probs row count mismatch")
-        if self.task == "multiclass":
-            if self.labels.ndim != 1:
-                raise ValueError("multiclass labels must be one-dimensional")
-            self.labels = self.labels.astype(np.int64)
-            if n and (self.labels.min() < 0 or self.labels.max() >= width):
-                raise ValueError("class label outside 0..C-1")
-        else:
-            if self.labels.shape != (n, width):
-                raise ValueError("multilabel labels must match probs shape")
-            if n and not ((self.labels == 0) | (self.labels == 1)).all():
-                raise ValueError("multilabel bits must be 0 or 1")
-            self.labels = self.labels.astype(np.int8, copy=False)
+        if labels.shape != ((n,) if multiclass else (n, width)):
+            raise ValueError("multiclass labels must be one-dimensional" if multiclass
+                             else "multilabel labels must match probs shape")
+        top = width if multiclass else 2   # checked before the cast, which would truncate or wrap
+        bad = np.argwhere(~((labels == np.round(labels)) & (0 <= labels) & (labels < top)))
+        if len(bad):
+            raise ValueError(f"labels: row {bad[0][0]} holds {labels[tuple(bad[0])]}, "
+                             f"not an integer in 0..{top - 1}")
+        self.labels = labels.astype(np.int64 if multiclass else np.int8)
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=float)
             if self.embeddings.ndim != 2 or self.embeddings.shape[0] != n:
                 raise ValueError("embeddings must be (n, d)")
             if not np.all(np.isfinite(self.embeddings)):
-                raise ValueError("non-finite embedding entry")
+                raise ValueError("embeddings hold a non-finite entry")
         if self.mc is not None:
             self.mc = np.asarray(self.mc, dtype=float)
             if self.mc.ndim != 3 or self.mc.shape[0] != n or self.mc.shape[2] != width:

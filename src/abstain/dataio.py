@@ -107,26 +107,13 @@ def parse_matrix(raw: bytes, name) -> np.ndarray:
 
 
 def _parse_rows(lines: List[str], dtype: np.dtype) -> np.ndarray:
-    """``np.loadtxt`` of CSV ``lines``.  numpy versions that parse an int
-    field through float ('2.7' as 2) warn with a DeprecationWarning, which
-    is raised here so that such a field fails as it fails int()."""
+    """``np.loadtxt`` of CSV ``lines``, its warnings raised: numpy versions
+    that parse an int field through float ('2.7' as 2) warn with a
+    DeprecationWarning, so such a field fails as it fails int(), and lines
+    that hold no row warn too."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("error")
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
-
-
-def _first_bad_line(lines: List[str], dtype: np.dtype) -> int:
-    """Index of the first of ``lines`` that ``_parse_rows`` fails on, found
-    by parsing halves of the failing span."""
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_rows(lines[lo:mid], dtype)
-            lo = mid
-        except (ValueError, DeprecationWarning):
-            hi = mid
-    return lo
 
 
 SCORE_HEADER = ["instance", "label", "method", "score"]
@@ -189,37 +176,41 @@ def _span_columns(body: List[str], first: int, path) -> Tuple[np.ndarray, ...]:
     column of instance-level rows, method names as the file's bytes and
     float scores.  The lines are parsed in one ``np.loadtxt`` pass whose
     string fields are as wide as the longest line, so they never
-    truncate.  A row that does not parse, an instance or label field that
-    is not an int64 integer, a negative label and a quoted line break are
-    FormatErrors that name the line."""
-    longest = max(map(len, body))
-    dtype = np.dtype([("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
-                      ("score", "<f8")])
+    truncate.  A blank line, a row that does not parse, an instance or
+    label field that is not an int64 integer and a negative label are
+    FormatErrors.  ``np.loadtxt`` skips a blank line and joins a quoted
+    line break, so a span that parses to fewer rows than lines is a
+    malformed row.  A span of several lines that fails is read again line
+    by line, and the first line that fails alone is named; where none
+    does, the span's error names its first line."""
     try:
-        rows = _parse_rows(body, dtype)
-    except (ValueError, DeprecationWarning) as exc:
-        line = _first_bad_line(body, dtype)
-        bad = body[line].rstrip("\n").encode("latin1").decode(errors="replace")
-        raise FormatError(f"{path}: malformed row on line {first + line + 2}: {bad!r}") from exc
-    if len(rows) != len(body):
-        raise FormatError(f"{path}: a quoted field holds a line break")
-    label = rows["label"]
-    has_label = label != b""
-    values = np.full(len(rows), NO_LABEL, dtype=np.int64)
-    try:
-        values[has_label] = label[has_label].astype(np.int64)
-    except (ValueError, OverflowError):
-        for r in np.flatnonzero(has_label):
-            try:
-                np.int64(int(label[r]))
-            except (ValueError, OverflowError):
-                bad = label[r].decode(errors="replace")
-                raise FormatError(f"{path}: line {first + r + 2}: label {bad!r} "
-                                  "is not an int64 integer") from None
-    negative = np.flatnonzero(has_label & (values < 0))
-    if negative.size:
-        r = negative[0]
-        raise FormatError(f"{path}: line {first + r + 2}: negative label index {values[r]}")
+        if body == ["\n"]:
+            raise FormatError(f"{path}: line {first + 2} is blank")
+        longest = max(map(len, body))
+        dtype = np.dtype([("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
+                          ("score", "<f8")])
+        try:
+            rows = _parse_rows(body, dtype)
+            if len(rows) != len(body):
+                raise ValueError("fewer rows than lines")
+        except (ValueError, Warning) as exc:
+            bad = body[0].rstrip("\n").encode("latin1").decode(errors="replace")
+            raise FormatError(f"{path}: malformed row on line {first + 2}: {bad!r}") from exc
+        label = rows["label"]
+        has_label = label != b""
+        values = np.full(len(rows), NO_LABEL, dtype=np.int64)
+        try:
+            values[has_label] = label[has_label].astype(np.int64)
+        except (ValueError, OverflowError):
+            bad = label[0].decode(errors="replace")
+            raise FormatError(f"{path}: line {first + 2}: label {bad!r} is not an int64 integer") from None
+        if (has_label & (values < 0)).any():
+            raise FormatError(f"{path}: line {first + 2}: negative label index {values[0]}")
+    except FormatError:
+        if len(body) > 1:
+            for r in range(len(body)):
+                _span_columns(body[r:r + 1], first + r, path)
+        raise
     return rows["instance"], values, rows["method"], rows["score"]
 
 
@@ -234,20 +225,17 @@ def _score_spans(path, place: Callable[..., None]) -> None:
     The rules are the csv module's, one row per line: a line ends at LF,
     CRLF or CR (Python's universal newlines, which turn each into an LF),
     a double-quoted field may hold commas and doubled quotes, and '#' is
-    an ordinary character.  A missing header, a blank line and a faulty
-    row are FormatErrors; the rows before a blank line are parsed first,
-    so the first faulty line is named whatever the spans."""
+    an ordinary character.  A missing header and a faulty line are
+    FormatErrors; spans are read in order and a failing span names the
+    first line that fails alone, so the first faulty line is named
+    whatever the spans."""
     with open(path, "rb") as raw:
         lines = io.TextIOWrapper(raw, encoding="latin1", newline=None)
         if next(csv.reader([next(lines, "").rstrip("\n")]), []) != SCORE_HEADER:
             raise FormatError(f"{path}: missing score-table header")
         first = 0   # body rows before the span
         while span := list(itertools.islice(lines, WRITE_ROWS)):
-            blank = span.index("\n") if "\n" in span else len(span)
-            if blank:
-                place(*_span_columns(span[:blank], first, path))
-            if blank < len(span):
-                raise FormatError(f"{path}: line {first + blank + 2} is blank")
+            place(*_span_columns(span, first, path))
             first += len(span)
             del span   # not held while the next span is read
 
@@ -408,8 +396,8 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
     that is a symbolic link, or resolves outside ``base_dir``, is refused
     before it is opened (FormatError).  A file parsed must hold the split's
     ``n`` rows (RowCountError), of the shape the manifest gives
-    (FormatError), and every label must be an integer, a class id below
-    ``n_classes`` or a 0/1 bit (FormatError)."""
+    (FormatError), and make a :class:`LabeledSplit`, or the FormatError
+    names the split and the field."""
     for role in wanted:
         if role not in manifest.splits:
             raise FormatError(f"manifest has no split {role!r}")
@@ -450,12 +438,10 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
                 raise FormatError(f"{role} {f}: rows of shape {array.shape[1:]}, "
                                   f"manifest {given_by} gives {row_shape}")
             arrays[f] = array.reshape(files.n, *row_shape)
-        labels, top = arrays["labels"], manifest.n_classes if multiclass else 2
-        bad = np.argwhere(~((labels == np.round(labels)) & (0 <= labels) & (labels < top)))
-        if len(bad):
-            raise FormatError(f"{role} labels: row {bad[0][0]} holds {labels[tuple(bad[0])]}, "
-                              f"not an integer in 0..{top - 1}")
-        splits[role] = LabeledSplit(task=manifest.task, **arrays)
+        try:
+            splits[role] = LabeledSplit(task=manifest.task, **arrays)
+        except ValueError as exc:
+            raise FormatError(f"{role} {exc}") from exc
     return splits
 
 

@@ -373,6 +373,29 @@ def test_multilabel_label_width_must_match_n_classes(ml_dir, tmp_path, capsys):
     assert code == 2 and "test labels: rows of shape (4,), manifest n_classes gives (5,)" in err
 
 
+@pytest.mark.parametrize("argv", ["evaluate --scores SCORES", "score --models MODELS --methods SR"],
+                         ids=["evaluate", "score"])
+@pytest.mark.parametrize("row, named", [
+    ((np.nan, 7.0, 0.0), "test probs: non-finite probability entry"),
+    ((7.0, 0.0, 0.0), "test probs: probability entry outside [0, 1]"),
+], ids=["nan", "seven"])
+def test_split_with_bad_probabilities_is_refused(argv, row, named, mc_dir, evaluated, tmp_path, capsys):
+    """Test probabilities that are not a softmax row are a bad-format error
+    naming the split and the field, whichever command reads them."""
+    manifest = _copy_with_manifest_fields(mc_dir / "ds", tmp_path)
+    victim = manifest.parent / "test_probs.bin"
+    probs = parse_matrix(victim.read_bytes(), victim).copy()
+    probs[1] = row
+    payload = json.loads(manifest.read_text())
+    payload["checksums"][victim.name] = write_matrix(victim, probs)
+    manifest.write_text(json.dumps(payload))
+    paths = {"MODELS": mc_dir / "models.bin", "SCORES": evaluated[1]}
+    code = run(*[paths.get(a, a) for a in argv.split()], "--manifest", manifest, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("data error [bad-format]") and named in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, read", [
     ("score --models MODELS --methods SR", {"test_probs.bin", "test_labels.bin"}),
     ("score --models MODELS --methods SR,SMP", {"test_probs.bin", "test_labels.bin", "test_mc.bin"}),

@@ -73,7 +73,7 @@ def test_labeled_split_validation():
     LabeledSplit(probs, [0, 1])
     with pytest.raises(ValueError, match="row count"):
         LabeledSplit(probs, [0])
-    with pytest.raises(ValueError, match="0..C-1"):
+    with pytest.raises(ValueError, match=r"labels: row 1 holds 2, not an integer in 0\.\.1"):
         LabeledSplit(probs, [0, 2])
     with pytest.raises(ValueError, match="unknown task"):
         LabeledSplit(probs, [0, 1], task="regression")
@@ -86,7 +86,7 @@ def test_labeled_split_multilabel_bits():
     sp = LabeledSplit(probs, [[1, 0], [0, 1]], task="multilabel")
     assert sp.labels.dtype == np.int8
     assert sp.n_classes == 2
-    with pytest.raises(ValueError, match="0 or 1"):
+    with pytest.raises(ValueError, match=r"labels: row 0 holds 2, not an integer in 0\.\.1"):
         LabeledSplit(probs, [[1, 2], [0, 1]], task="multilabel")
     with pytest.raises(ValueError, match="match probs shape"):
         LabeledSplit(probs, [[1, 0, 1], [0, 1, 0]], task="multilabel")
@@ -95,8 +95,31 @@ def test_labeled_split_multilabel_bits():
 def test_labeled_split_multilabel_bits_checked_before_int8_cast():
     # 256 and 257 wrap to 0 and 1 in int8, so the 0/1 check must see the input values
     probs = np.array([[0.9, 0.2], [0.4, 0.7]])
-    with pytest.raises(ValueError, match="0 or 1"):
+    with pytest.raises(ValueError, match=r"labels: row 0 holds 256, not an integer in 0\.\.1"):
         LabeledSplit(probs, [[256, 1], [0, 257]], task="multilabel")
+
+
+def test_labeled_split_refuses_fractional_labels():
+    # a cast to int64 would read 2.5 as 2 and 1.9 as 1
+    probs = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])
+    with pytest.raises(ValueError, match=r"labels: row 1 holds 2\.5, not an integer in 0\.\.2"):
+        LabeledSplit(probs, [0.0, 2.5, 1.0])
+    with pytest.raises(ValueError, match=r"labels: row 2 holds 1\.9, not an integer in 0\.\.2"):
+        LabeledSplit(probs, [0.0, 2.0, 1.9])
+    assert LabeledSplit(probs, [0.0, 2.0, 1.0]).labels.tolist() == [0, 2, 1]
+
+
+@pytest.mark.parametrize("task, row, named", [
+    ("multiclass", [np.nan, 1.0], "probs: non-finite probability entry"),
+    ("multiclass", [7.0, 0.0], "probs: probability entry outside"),
+    ("multiclass", [0.5, 0.4], "probs: probabilities sum to 0.9"),
+    ("multilabel", [1.5, 0.5], "probs: probability entry outside"),
+])
+def test_labeled_split_checks_its_probabilities(task, row, named):
+    probs = np.array([[0.6, 0.4], row])
+    labels = [0, 1] if task == "multiclass" else [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match=named):
+        LabeledSplit(probs, labels, task)
 
 
 def test_labeled_split_mc_shape_guard():

@@ -227,14 +227,21 @@ NAMED_LINES = [
     ("0,,SR,0.5\n\n", "line 3 is blank"),
     ("0,,SR,0.5\n1,,SR\n\n2,,SR,0.25\n", "line 3: '1,,SR'"),
     ("0,,SR,0.5\n1,-2,MP,0.25\n\n", "negative label"),
-    ('0,,"S\nR",0.5\n', "line break"),
+    ('0,,"S\nR",0.5\n', "malformed row on line 2: '0,,\"S'"),
     ("0,,Ünï,0.5,1\n", "line 2: '0,,Ünï,0.5,1'"),
+    ("0,0,MP,0.5\n0,-3,MP,0.5\n1,0,MP,0.5\n1,x,MP,0.5\n", "line 3: negative label index -3"),
+    ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n1,0,MP,abc\n",
+     "line 3: label '99999999999999999999999' is not"),
+    ("0,0,MP,0.5\n0,-3,MP,0.5\n2,,SR\n", "line 3: negative label index -3"),
+    ('0,,SR,"0.5\n"\n', "malformed row on line 3: '\"'"),
 ]
 
 
 def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
     """The FormatError names the first faulty line: a malformed row or a
-    bad label before a blank line is named, not the blank line."""
+    bad label before a blank line is named, not the blank line, and of two
+    faults in one span the earlier is named.  A quoted line break is a
+    malformed row on the first line that fails alone."""
     path = tmp_path / "s.csv"
     for body, named in NAMED_LINES:
         path.write_bytes((SCORE_TABLE_HEADER + body).encode())
@@ -346,6 +353,7 @@ SPAN_EDGE_BODIES = [
     "0,,SR,0.5\r\n\r\n1,,SR,0.25\r\n",
     "0,,SR,0.5\r\r1,,SR,0.25\r",
     "0,,SR,0.5\n1,,SR,0.25\n2,,SR\n",
+    "0,,SR,0.5\n1,,SR,0.25\n\n\n",
 ]
 
 
@@ -354,8 +362,8 @@ def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
     """Spans of a few lines give the columns, dtypes included, or the
     FormatError, absolute line number included, of one span for the whole
     table.  Spans of 1 to 3 lines split CRLFs, CR-only line ends, quoted
-    line breaks and blank lines at span edges; a quoted line break that a
-    span edge splits is a malformed row."""
+    line breaks and blank lines at span edges; a quoted line break is the
+    malformed row of the first line that fails alone, whatever the spans."""
     path = tmp_path / "s.csv"
     bodies = PARITY_BODIES + [body for body, _ in NAMED_LINES] + [
         "0,,SR,0.5\n1,,SR,0.25\n0,,a-much-longer-method,0.5\n1,,SR,1.0\n2,,SR,2.0\n",
@@ -374,9 +382,6 @@ def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
             except FormatError as exc:
                 outcomes.append(str(exc))
         whole, got = outcomes
-        if isinstance(whole, str) and "line break" in whole:
-            assert isinstance(got, str), body
-            continue
         assert type(whole) is type(got), body
         if isinstance(whole, str):
             assert got == whole
