@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .core import LabeledSplit, batched, validate_probs
+from .core import LabeledSplit, batched, validate_probs, xlogx
 
 PROB_CLAMP = 1e-6      # keeps Beta densities and their logs finite
 SHAPE_CAP = 1e4        # Beta shape bound when a group has no spread
@@ -48,12 +48,14 @@ def score_delta(p) -> np.ndarray:
 def score_entropy(p) -> np.ndarray:
     """Shannon entropy in nats, with 0 * log 0 = 0."""
     p = validate_probs(p, normalized=True)
-    return -scipy.special.xlogy(p, p).sum(axis=1)
+    return -xlogx(p).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class BetaModel:
-    """Two Beta densities over the max class probability plus priors."""
+    """Two Beta densities over the max class probability plus priors.
+    Each density's log normaliser, ``betaln(alpha, gamma)``, is taken at
+    fit, so scoring needs no special function."""
 
     alpha_correct: float
     gamma_correct: float
@@ -61,6 +63,8 @@ class BetaModel:
     gamma_incorrect: float
     prior_correct: float
     prior_incorrect: float
+    log_beta_correct: float
+    log_beta_incorrect: float
 
     def __post_init__(self):
         for name in ("alpha_correct", "gamma_correct", "alpha_incorrect", "gamma_incorrect"):
@@ -166,7 +170,8 @@ def fit_beta(validation: LabeledSplit) -> BetaModel:
     a_c, g_c = _fit_beta_group(maxprob[correct])
     a_i, g_i = _fit_beta_group(maxprob[~correct])
     n = n_c + n_i
-    return BetaModel(a_c, g_c, a_i, g_i, n_c / n, n_i / n)
+    return BetaModel(a_c, g_c, a_i, g_i, n_c / n, n_i / n,
+                     float(scipy.special.betaln(a_c, g_c)), float(scipy.special.betaln(a_i, g_i)))
 
 
 @batched(1)
@@ -175,12 +180,8 @@ def score_beta(p, model: BetaModel) -> np.ndarray:
     p = validate_probs(p, normalized=True)
     x = np.clip(p.max(axis=1), PROB_CLAMP, 1.0 - PROB_CLAMP)
     lx, l1x = np.log(x), np.log1p(-x)
-    log_c = (model.alpha_correct - 1.0) * lx + (model.gamma_correct - 1.0) * l1x - scipy.special.betaln(
-        model.alpha_correct, model.gamma_correct
-    )
-    log_i = (model.alpha_incorrect - 1.0) * lx + (model.gamma_incorrect - 1.0) * l1x - scipy.special.betaln(
-        model.alpha_incorrect, model.gamma_incorrect
-    )
+    log_c = (model.alpha_correct - 1.0) * lx + (model.gamma_correct - 1.0) * l1x - model.log_beta_correct
+    log_i = (model.alpha_incorrect - 1.0) * lx + (model.gamma_incorrect - 1.0) * l1x - model.log_beta_incorrect
     with np.errstate(divide="ignore", invalid="ignore"):
         num = np.log(model.prior_correct) + log_c
         other = np.log(model.prior_incorrect) + log_i

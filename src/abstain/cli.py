@@ -77,8 +77,9 @@ FITTERS: Dict[str, Fitter] = {
     "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH,
                   {"embeddings": "n d", "label_matrix": "n L", "bandwidth": ""}),
     "beta": Fitter(lambda split: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS,
-                   dict.fromkeys(("alpha_correct", "gamma_correct", "alpha_incorrect",
-                                  "gamma_incorrect", "prior_correct", "prior_incorrect"), "")),
+                   dict.fromkeys(("alpha_correct", "gamma_correct", "alpha_incorrect", "gamma_incorrect",
+                                  "prior_correct", "prior_incorrect", "log_beta_correct",
+                                  "log_beta_incorrect"), "")),
 }
 
 

@@ -1,5 +1,6 @@
 """Shared primitives: dataset container, rank function, seeded RNG,
-the batch convention of the scorers, and the checked JSON record loader.
+the entropy term p log p, the batch convention of the scorers, and the
+checked JSON record loader.
 
 Every scorer in this package follows one convention: higher = more
 uncertain.  Scorers whose natural output is a confidence are
@@ -77,6 +78,11 @@ def _json_value(kind, value, label: str):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{label} must be {kind.__name__}, not {type(value).__name__}")
     return value
+
+
+def xlogx(p: np.ndarray) -> np.ndarray:
+    """``p * log(p)`` elementwise, with 0 * log 0 = 0: the terms of an entropy."""
+    return p * np.log(np.where(p > 0.0, p, 1.0))
 
 
 def batched(row_ndim: int):

@@ -29,7 +29,7 @@ from .core import LabeledSplit, record_from_json
 MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MODELS = b"UQMODELS"
 FORMAT_VERSION = 2   # 2: stochastic passes and labels are matrix files
-MODELS_VERSION = 5   # the README lists what each version changed
+MODELS_VERSION = 6   # the README lists what each version changed
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_MODELS = struct.Struct("<8sIQ")
@@ -180,9 +180,12 @@ def _span_columns(body: List[str], first: int, path) -> Tuple[np.ndarray, ...]:
     label field that is not an int64 integer and a negative label are
     FormatErrors.  ``np.loadtxt`` skips a blank line and joins a quoted
     line break, so a span that parses to fewer rows than lines is a
-    malformed row.  A span of several lines that fails is read again line
-    by line, and the first line that fails alone is named; where none
-    does, the span's error names its first line."""
+    malformed row.  Rows never span lines, so neither is a line whose
+    quotes do not pair up, which ``np.loadtxt`` would read alone with its
+    quote left open; a span with an odd count of them holds such a line.
+    A span of several lines that fails is read again line by line, and the
+    first line that fails alone is named; where none does, the span's
+    error names its first line."""
     try:
         if body == ["\n"]:
             raise FormatError(f"{path}: line {first + 2} is blank")
@@ -190,6 +193,8 @@ def _span_columns(body: List[str], first: int, path) -> Tuple[np.ndarray, ...]:
         dtype = np.dtype([("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
                           ("score", "<f8")])
         try:
+            if "".join(body).count('"') % 2:
+                raise ValueError("a line's quotes do not pair up")
             rows = _parse_rows(body, dtype)
             if len(rows) != len(body):
                 raise ValueError("fewer rows than lines")

@@ -28,6 +28,7 @@ MCD_MAX_CSTEPS = 100
 MCD_RESTARTS = 20
 DENSITY_UNDERFLOW = 1e-300
 KERNEL_BLOCK_ROWS = 32    # train-kernel rows built at once by RDE's fit
+NUQ_SUB_ROWS = 16         # query rows whose distances NUQ accumulates at once
 
 
 def _ridge_lambda(cov: np.ndarray) -> float:
@@ -135,8 +136,16 @@ class RdeModel:
     whiteners: np.ndarray     # (C, k, k) inverse Cholesky factors of the ridged MCD scatters
 
     def transform(self, E: np.ndarray) -> np.ndarray:
+        """Projections of the rows of E on the kernel components.  Their
+        squared distances to the support rows take the Gram form
+        |e|^2 - 2 e.s + |s|^2, one BLAS product, clamped at 0 against
+        cancellation."""
         E = np.atleast_2d(np.asarray(E, dtype=float))
-        K = scipy.spatial.distance.cdist(E, self.support, "sqeuclidean")
+        K = E @ self.support.T
+        K *= -2.0
+        K += np.square(E).sum(axis=1)[:, None]
+        K += np.square(self.support).sum(axis=1)[None, :]
+        np.maximum(K, 0.0, out=K)
         np.exp(np.multiply(K, -self.gamma, out=K), out=K)
         row = K.mean(axis=1, keepdims=True)
         K -= self.col_means[None, :]
@@ -357,7 +366,24 @@ def score_ddu(E, model: DduModel) -> np.ndarray:
     _check_batch(E, d)
     quad = _sq_dists(E, model.centroids, model.whiteners)
     log_comp = model.log_priors - 0.5 * (d * np.log(2.0 * np.pi) + model.log_dets + quad)
-    return -scipy.special.logsumexp(log_comp, axis=1)
+    return -_logsumexp(log_comp)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of ``a``, by the steps of
+    ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17, real input), so it
+    gives the same bits: the m entries equal to the row maximum are taken
+    out of the sum s of exp(entry - max) over the rest, and the result is
+    log1p(s / m) + log(m) + max.  A row whose maximum is not finite gives
+    that maximum."""
+    top = a.max(axis=1, keepdims=True)
+    tied = a == top
+    m = tied.sum(axis=1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(np.where(tied, -np.inf, a) - top).sum(axis=1, keepdims=True)
+        s = np.where(s == 0.0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+    return np.where(np.isfinite(top), out, top)[:, 0]
 
 
 # ------------------------------------------------------- kernel noise scorer
@@ -389,6 +415,24 @@ def fit_nuq(train: LabeledSplit) -> NuqModel:
     return NuqModel(X, Y, h)
 
 
+def _exact_sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances of the rows of X to the rows of
+    Y, each the sum of the squared coordinate differences in column order:
+    the bits of ``scipy.spatial.distance.cdist(X, Y, "sqeuclidean")``.  The
+    rows of X go NUQ_SUB_ROWS at a time, so the accumulator being added to
+    stays in cache."""
+    out = np.zeros((X.shape[0], Y.shape[0]))
+    columns = np.ascontiguousarray(Y.T)
+    diff = np.empty((min(NUQ_SUB_ROWS, X.shape[0]), Y.shape[0]))
+    for a in range(0, X.shape[0], NUQ_SUB_ROWS):
+        acc, sub = out[a:a + NUQ_SUB_ROWS], X[a:a + NUQ_SUB_ROWS]
+        part = diff[:len(sub)]
+        for k, column in enumerate(columns):
+            np.subtract(sub[:, k:k + 1], column, out=part)
+            acc += np.square(part, out=part)
+    return out
+
+
 @batched(1)
 def score_nuq(E, model: NuqModel) -> np.ndarray:
     """Kernel estimate of the pointwise label-noise rate, scaled.
@@ -403,7 +447,7 @@ def score_nuq(E, model: NuqModel) -> np.ndarray:
     n, d = model.embeddings.shape
     _check_batch(E, d)
     h2 = model.bandwidth * model.bandwidth
-    w = scipy.spatial.distance.cdist(E, model.embeddings, "sqeuclidean")
+    w = _exact_sq_dists(E, model.embeddings)
     np.exp(np.divide(np.negative(w, out=w), 2.0 * h2, out=w), out=w)
     wsum = w.sum(axis=1)
     density = wsum / (n * (2.0 * np.pi) ** (d / 2.0) * model.bandwidth**d)

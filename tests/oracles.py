@@ -190,9 +190,12 @@ def csv_write_scores(path, scores):
 
 def kernel_pca_transform(model, E):
     """Centred RBF kernel rows of ``E`` against the RDE model's support,
-    projected on its dual vectors, in one out-of-place expression."""
+    projected on its dual vectors, in one out-of-place expression.  The
+    squared distances take the Gram form |e|^2 - 2 e.s + |s|^2, clamped at 0."""
     E = np.atleast_2d(np.asarray(E, dtype=float))
-    K = np.exp(-model.gamma * cdist(E, model.support, "sqeuclidean"))
+    S = model.support
+    sq = np.square(E).sum(axis=1)[:, None] - 2.0 * (E @ S.T) + np.square(S).sum(axis=1)[None, :]
+    K = np.exp(-model.gamma * np.maximum(sq, 0.0))
     Kc = K - model.col_means[None, :] - K.mean(axis=1, keepdims=True) + model.grand_mean
     return Kc @ model.dual_vectors
 

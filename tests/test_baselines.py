@@ -40,6 +40,13 @@ def test_entropy_hand_value():
     assert score_entropy([1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_entropy_of_a_one_hot_row_is_zero():
+    # 0 * log 0 counts as 0, in every position and inside a batch
+    rows = np.eye(4)
+    assert np.array_equal(score_entropy(rows), np.zeros(4))
+    assert score_entropy([0.0, 1.0, 0.0]) == 0.0
+
+
 @pytest.mark.parametrize("bad", [[1.5, 0.2], [0.3, 0.3], [[0.5, 0.5], [0.6, 0.6]], [0.5, np.nan]],
                          ids=["entry-above-one", "row-sum-below-one", "batch-row-sum", "nan-entry"])
 @pytest.mark.parametrize("scorer", [score_entropy, score_delta], ids=["Entropy", "Delta"])
@@ -146,9 +153,9 @@ def test_beta_grid_fallback_lands_on_the_newton_shapes(shapes, monkeypatch):
 
 def test_beta_model_validation():
     with pytest.raises(ValueError, match="positive"):
-        BetaModel(0.0, 1.0, 1.0, 1.0, 0.5, 0.5)
+        BetaModel(0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="sum"):
-        BetaModel(1.0, 1.0, 1.0, 1.0, 0.9, 0.3)
+        BetaModel(1.0, 1.0, 1.0, 1.0, 0.9, 0.3, 0.0, 0.0)
 
 
 def _toy_validation(n=400, seed=3):
@@ -173,6 +180,28 @@ def test_fit_beta_and_score_against_closed_form():
             model.prior_incorrect * f_i + model.prior_correct * f_c
         )
         assert score_beta(p, model) == pytest.approx(expected, rel=1e-9)
+
+
+def test_beta_keeps_betaln_of_its_shapes_and_scores_with_its_bits():
+    """fit_beta stores betaln of each group's shapes, bit for bit, and
+    score_beta reading them gives the bits of the posterior that calls
+    betaln itself."""
+    from scipy.special import betaln
+
+    model = fit_beta(_toy_validation())
+    assert model.log_beta_correct == betaln(model.alpha_correct, model.gamma_correct)
+    assert model.log_beta_incorrect == betaln(model.alpha_incorrect, model.gamma_incorrect)
+    x = seeded_rng(5).uniform(0.5, 1.0, 500)
+    p = np.stack([x, 1.0 - x], axis=1)
+    c = np.clip(x, 1e-6, 1.0 - 1e-6)
+    lx, l1x = np.log(c), np.log1p(-c)
+    log_c = ((model.alpha_correct - 1.0) * lx + (model.gamma_correct - 1.0) * l1x
+             - betaln(model.alpha_correct, model.gamma_correct))
+    log_i = ((model.alpha_incorrect - 1.0) * lx + (model.gamma_incorrect - 1.0) * l1x
+             - betaln(model.alpha_incorrect, model.gamma_incorrect))
+    num = np.log(model.prior_correct) + log_c
+    want = 1.0 - np.exp(num - np.logaddexp(num, np.log(model.prior_incorrect) + log_i))
+    assert np.array_equal(score_beta(p, model), want)
 
 
 def test_score_beta_orders_confidence():

@@ -319,10 +319,11 @@ def _copy_with_manifest_fields(src, tmp_path, **fields):
     return manifest
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 5])
 def test_stale_models_container_is_a_data_error(version, mc_dir, tmp_path, capsys):
     # version 1 held MD/RDE/DDU precisions where later ones hold whiteners;
-    # version 2 RDE and NUQ models held fields their scorers never read
+    # version 2 RDE and NUQ models held fields their scorers never read;
+    # version 5 Beta models lacked the betaln constants that score reads
     stale = tmp_path / "models.bin"
     raw = bytearray((mc_dir / "models.bin").read_bytes())
     raw[8:12] = struct.pack("<I", version)
@@ -1172,12 +1173,16 @@ print(json.dumps(states))
 
 class TestImportHygiene:
     def test_commands_that_call_no_scipy_load_no_scipy_subpackage(self, mc_dir, evaluated, tmp_path):
-        # a fresh interpreter: this test process has loaded scipy subpackages already
+        # a fresh interpreter: this test process has loaded scipy subpackages already.
+        # Only fit calls scipy (ARPACK, cdist, pdist, digamma, betaln); score
+        # runs every multiclass method on models of every fitter
         root, scores, metrics = evaluated
         manifest = str(mc_dir / "ds" / "manifest.json")
         commands = [
             ["gen-synth", "--out", str(tmp_path / "ds")],
             ["fit", "--manifest", manifest, "--methods", "md", "--out", str(tmp_path / "m.bin")],
+            ["score", "--manifest", manifest, "--models", str(mc_dir / "models.bin"), "--methods", "all",
+             "--calibrate", "validation", "--out", str(tmp_path / "scores.csv")],
             ["evaluate", "--scores", str(scores), "--manifest", manifest,
              "--out", str(tmp_path / "metrics.json"), str(tmp_path / "curves")],
             ["report", "--metrics", str(metrics), "--curves", str(root / "curves"),
@@ -1187,7 +1192,8 @@ class TestImportHygiene:
                                 json.dumps([SCIPY_SUBPACKAGES, LAYERS, commands])],
                                env=child_env(), capture_output=True, text=True, check=True)
         states = json.loads(probe.stdout.splitlines()[-1])
-        assert states == [[stage, [], []] for stage in ("import", "gen-synth", "fit", "evaluate", "report")]
+        assert states == [[stage, [], []] for stage in ("import", "gen-synth", "fit", "score", "evaluate",
+                                                         "report")]
 
     def test_no_module_or_script_can_load_a_pickle(self):
         # loading files must never run code: nothing imports a pickle

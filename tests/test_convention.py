@@ -6,6 +6,7 @@ one) and must rank the shaky case strictly higher.
 """
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 from abstain import baselines, density, hybrid, mc
 from abstain.core import LabeledSplit
@@ -37,6 +38,7 @@ def test_probability_scorers(train):
     model = baselines.BetaModel(
         alpha_correct=8.0, gamma_correct=2.0, alpha_incorrect=2.0,
         gamma_incorrect=8.0, prior_correct=0.7, prior_incorrect=0.3,
+        log_beta_correct=betaln(8.0, 2.0), log_beta_incorrect=betaln(2.0, 8.0),
     )
     assert baselines.score_beta(FLAT, model) > baselines.score_beta(CRISP, model)
 

@@ -233,20 +233,34 @@ NAMED_LINES = [
     ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n1,0,MP,abc\n",
      "line 3: label '99999999999999999999999' is not"),
     ("0,0,MP,0.5\n0,-3,MP,0.5\n2,,SR\n", "line 3: negative label index -3"),
-    ('0,,SR,"0.5\n"\n', "malformed row on line 3: '\"'"),
+    ('0,,SR,"0.5\n"\n', "malformed row on line 2: '0,,SR,\"0.5'"),
 ]
 
 
 def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
     """The FormatError names the first faulty line: a malformed row or a
     bad label before a blank line is named, not the blank line, and of two
-    faults in one span the earlier is named.  A quoted line break is a
-    malformed row on the first line that fails alone."""
+    faults in one span the earlier is named.  A line whose quotes do not
+    pair up is a malformed row, so a quoted line break is named on the line
+    that opens it."""
     path = tmp_path / "s.csv"
     for body, named in NAMED_LINES:
         path.write_bytes((SCORE_TABLE_HEADER + body).encode())
         with pytest.raises(FormatError, match=named.replace(".", r"\.")):
             score_columns(path)
+
+
+@pytest.mark.parametrize("span", [WRITE_ROWS, 1])
+def test_score_reader_refuses_a_line_whose_quotes_do_not_pair_up(span, tmp_path, monkeypatch):
+    """Rows never span lines, so a line holding an odd count of '"' is a
+    malformed row, in one span and in spans of one line: parsed alone,
+    np.loadtxt reads '0,,SR,"0.5' as a row, its quote left open at the
+    end of its input, and '""1,,SR,0.5' as instance 1."""
+    path = tmp_path / "s.csv"
+    path.write_bytes((SCORE_TABLE_HEADER + '0,,SR,"0.5\n""1,,SR,0.5\n').encode())
+    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
+    with pytest.raises(FormatError, match="malformed row on line 2: '0,,SR,\"0.5'"):
+        score_columns(path)
 
 
 @pytest.mark.parametrize("span", [1, 3, WRITE_ROWS])
