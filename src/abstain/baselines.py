@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .core import LabeledSplit, batched, validate_probs, xlogx
 
@@ -80,6 +79,7 @@ def _grid_mle(m1: float, m2: float) -> tuple[float, float]:
     """Coarse-to-fine likelihood grid; the crash pad when Newton stalls.
     Each pass refines one step around the grid's best pair, then spans a
     factor of two around each shape on its own grid."""
+    import scipy.special
 
     def best_on(grid_a, grid_g):
         ll = (np.add.outer((grid_a - 1.0) * m1, (grid_g - 1.0) * m2)
@@ -105,6 +105,7 @@ def _fit_beta_group(x: np.ndarray) -> tuple[float, float]:
     from method-of-moments.  Degenerate (zero-spread) samples cap the
     shapes at SHAPE_CAP with the sample mean preserved.
     """
+    import scipy.special
     x = np.clip(np.asarray(x, dtype=float), PROB_CLAMP, 1.0 - PROB_CLAMP)
     mean = float(x.mean())
     var = float(x.var(ddof=1)) if x.size > 1 else 0.0
@@ -156,6 +157,7 @@ def fit_beta(validation: LabeledSplit) -> BetaModel:
     membership is whether the argmax matched the label.  Priors are the
     empirical group frequencies.
     """
+    import scipy.special
     if validation.task != "multiclass":
         raise ValueError("beta fitting is defined for multiclass splits")
     probs = validation.probs

@@ -15,7 +15,6 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
-import scipy
 
 PROB_SUM_TOL = 1e-6
 BLOCK_ROWS = 256    # rows per scorer call: bounds temporaries such as RDE's kernel rows
@@ -201,6 +200,7 @@ class LabeledSplit:
         Row order cannot change it, since each pair's distance has the same
         bits in either order.  One in-place partition gives ``np.median``'s
         bits: the middle value, or the mean of the two middle values."""
+        import scipy.spatial.distance
         if self.embeddings is None:
             raise ValueError("split has no embeddings")
         dists = scipy.spatial.distance.pdist(self.embeddings)   # freed before any n x n kernel exists

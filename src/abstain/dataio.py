@@ -25,6 +25,7 @@ from typing import Callable, Collection, Dict, List, Tuple
 import numpy as np
 
 from .core import LabeledSplit, record_from_json
+from .errors import ChecksumError, DataError, FormatError, MagicError, RowCountError, VersionError
 
 MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MODELS = b"UQMODELS"
@@ -35,32 +36,6 @@ _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_MODELS = struct.Struct("<8sIQ")
 
 WRITE_ROWS = 1 << 13   # rows per write or parse of a file: bounds the text or float32 block held at once
-
-
-class DataError(Exception):
-    """Base for malformed or inconsistent inputs."""
-
-    code = "data-error"
-
-
-class MagicError(DataError):
-    code = "bad-magic"
-
-
-class VersionError(DataError):
-    code = "bad-version"
-
-
-class ChecksumError(DataError):
-    code = "checksum-mismatch"
-
-
-class RowCountError(DataError):
-    code = "row-count-disagreement"
-
-
-class FormatError(DataError):
-    code = "bad-format"
 
 
 def write_matrix(path, arr: np.ndarray) -> str:

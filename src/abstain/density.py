@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .core import LabeledSplit, batched, seeded_rng
 
@@ -220,6 +219,8 @@ def _top_eigenpairs(Kc: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenpairs of the symmetric matrix whose lower
     triangle ``Kc`` holds, descending, each eigenvector's largest-magnitude
     entry positive; eigenvalues below 1e-10 of the largest are dropped."""
+    import scipy.linalg.blas
+    import scipy.sparse.linalg
     n = Kc.shape[0]
     # Lanczos from a seeded start (a centred kernel maps the ones vector
     # to zero); Kc.T is Kc as a Fortran array, so BLAS dsymv reads its
@@ -255,6 +256,8 @@ def _kernel_pca(X: np.ndarray, gamma: float, k: int) -> tuple[np.ndarray, np.nda
     its terms from row 0 down, one at a time, as numpy's column mean of
     the full matrix does: the components amplify a last-bit change of
     the means to about 1e-12 of the scores, and this keeps their bits."""
+    import scipy.linalg.blas
+    import scipy.spatial.distance
     n = X.shape[0]
     Kc = _kernel_buffer(n)
     blocks = [(a, min(a + KERNEL_BLOCK_ROWS, n)) for a in range(0, n, KERNEL_BLOCK_ROWS)]

@@ -1,16 +1,18 @@
 """Static HTML/SVG rendering of evaluation results.
 
 Everything is emitted from plain string templates so two runs over the
-same metrics produce identical bytes.
+same metrics produce identical bytes.  Only the plotting functions use
+numpy, and each imports it, so ``render_report`` runs without it.
 """
 from __future__ import annotations
 
 import html
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PALETTE = (
     "#4363d8", "#e6194b", "#3cb44b", "#f58231", "#911eb4",
@@ -37,6 +39,7 @@ def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     every run of consecutive points in one pixel column.  This is M4
     aggregation (Jugel et al., VLDB 2014): the polyline through these
     points draws the same pixels as the one through every point."""
+    import numpy as np
     starts = np.flatnonzero(np.r_[True, columns[1:] != columns[:-1]])
     ends = np.r_[starts[1:], columns.size] - 1
     run = np.repeat(np.arange(starts.size), ends - starts + 1)
@@ -56,6 +59,7 @@ def plot_points(xs, vs) -> Tuple[np.ndarray, np.ndarray]:
     Its pixel columns depend on ``xs`` alone, so a curve reduced first
     plots to the same bytes: M4 keeps each column's lowest and highest
     value, and applied to its own output it keeps every point."""
+    import numpy as np
     xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
     if xs.size <= _IW:
         return xs, vs
@@ -71,6 +75,7 @@ def plot_curves_svg(
     """Line plot of metric-vs-coverage curves; coverage axis reversed
     so reading left to right follows increasing rejection.  Each curve is
     drawn through its :func:`plot_points`."""
+    import numpy as np
     curves = {name: plot_points(xs, vs) for name, (xs, vs) in sorted(curves.items())}
     filled = [vs for _, vs in curves.values() if vs.size]
     y_lo = float(np.min([vs.min() for vs in filled])) if filled else 0.0

@@ -124,6 +124,13 @@ class TestFit:
         assert set(load_models(mc_dir / "models.bin")) == {"md", "rde", "ddu", "nuq", "beta"}
         assert set(load_models(ml_dir / "models.bin")) == {"md", "rde", "ddu", "nuq"}
 
+    def test_help_names_exactly_the_fitters(self, capsys):
+        # the parser is built without the registry, so it spells the names out
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        names = re.search(r"comma list from (\S+) ", " ".join(capsys.readouterr().out.split())).group(1)
+        assert names == ",".join(FITTERS)
+
     def test_subset_of_methods(self, mc_dir, tmp_path):
         out = tmp_path / "m.bin"
         assert run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
@@ -787,6 +794,19 @@ class TestScore:
         assert code == 1
         assert "unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "--split nosuch --methods SR",
+        "--methods SR --calibrate nosuch",
+        "--methods HUQ-MD --calibrate nosuch",
+    ], ids=["split", "calibrate", "calibrate-hybrid"])
+    def test_split_not_in_the_manifest_is_a_data_error(self, argv, mc_dir, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", mc_dir / "models.bin",
+                   *argv.split(), "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == "data error [bad-format]: manifest has no split 'nosuch'\n"
+        assert not out.exists()
+
     def test_density_without_models_is_usage_error(self, mc_dir, tmp_path, capsys):
         code = run("score", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--methods", "MD", "--out", tmp_path / "s.csv")
@@ -1171,7 +1191,45 @@ print(json.dumps(states))
 """
 
 
+# Runs one command as `python -m abstain.cli` does, in this fresh
+# interpreter, then prints the names of the modules loaded.
+MAIN_PROBE = """
+import json, runpy, sys
+sys.argv = ["abstain"] + json.loads(sys.argv[1])
+try:
+    runpy.run_module("abstain.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
 class TestImportHygiene:
+    def test_commands_run_as_a_program_load_only_what_they_run(self, mc_dir, evaluated, tmp_path):
+        # report loads no numpy, and no command but fit loads any scipy module,
+        # not even the top-level package
+        root, scores, metrics = evaluated
+        manifest = str(mc_dir / "ds" / "manifest.json")
+        commands = {
+            "gen-synth": ["--out", str(tmp_path / "ds")],
+            "fit": ["--manifest", manifest, "--methods", "md", "--out", str(tmp_path / "m.bin")],
+            "score": ["--manifest", manifest, "--models", str(mc_dir / "models.bin"), "--methods", "all",
+                      "--calibrate", "validation", "--out", str(tmp_path / "scores.csv")],
+            "evaluate": ["--scores", str(scores), "--manifest", manifest,
+                         "--out", str(tmp_path / "metrics.json"), str(tmp_path / "curves")],
+            "report": ["--metrics", str(metrics), "--curves", str(root / "curves"),
+                       "--out", str(tmp_path / "report.html")],
+        }
+        loaded = {}
+        for command, argv in commands.items():
+            probe = subprocess.run([sys.executable, "-c", MAIN_PROBE, json.dumps([command, *argv])],
+                                   env=child_env(), capture_output=True, text=True, check=True)
+            modules = json.loads(probe.stdout.splitlines()[-1])
+            assert "abstain.cli" not in modules, command   # run as __main__, never imported a second time
+            loaded[command] = sorted({m.split(".")[0] for m in modules} & {"numpy", "scipy"})
+        assert loaded == {"gen-synth": ["numpy"], "fit": ["numpy"], "score": ["numpy"],
+                          "evaluate": ["numpy"], "report": []}
+
     def test_commands_that_call_no_scipy_load_no_scipy_subpackage(self, mc_dir, evaluated, tmp_path):
         # a fresh interpreter: this test process has loaded scipy subpackages already.
         # Only fit calls scipy (ARPACK, cdist, pdist, digamma, betaln); score
