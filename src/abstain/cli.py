@@ -1,13 +1,13 @@
 """Command-line pipeline: generate a benchmark, fit scorers, score a
 split, evaluate rejection curves, and render a report.
 
-Run as a program (``python -m abstain.cli <command>``), each command
-imports only the layers it runs: ``report`` loads no numpy, and only
-``fit`` loads scipy.  ``fit`` and ``score`` dispatch through the method
-registry (``registry.FITTERS`` and ``registry.METHODS``).  Imported as a
-module, as by the ``abstain`` console script, scripts and tests, it loads
-every layer and exposes the registry.  Exit codes: 0 success, 1 usage
-errors, 2 data errors.
+Run as a program (the ``abstain`` console script, ``python -m abstain``
+or ``python -m abstain.cli <command>``), each command imports only the
+layers it runs: ``report`` loads no numpy, and only ``fit`` loads scipy.
+``fit`` and ``score`` dispatch through the method registry
+(``registry.FITTERS`` and ``registry.METHODS``).  Imported as a module, as
+by scripts and tests, it loads every layer and exposes the registry.  Exit
+codes: 0 success, 1 usage errors, 2 data errors.
 """
 from __future__ import annotations
 
@@ -119,6 +119,9 @@ def _cmd_evaluate(args) -> int:
             curve_files[curves_dir / f"{name}{suffix}.csv"] = curve
             plots.setdefault(mode_name, {})[name] = report.plot_points(rejection.coverages(n), curve)
         del oracle   # freed before the next metric's oracle is built
+    # the writer may fork a child, whose peak counts in this process's max RSS:
+    # free what it does not read before
+    del scores, evaluations, data, values
     curves_dir.mkdir(parents=True, exist_ok=True)
     write_curve_csvs(rejection.coverages(n), curve_files)
 

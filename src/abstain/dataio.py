@@ -16,7 +16,9 @@ import itertools
 import json
 import math
 import os
+import shutil
 import struct
+import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -95,10 +97,58 @@ SCORE_HEADER = ["instance", "label", "method", "score"]
 NO_LABEL = -1   # label column of instance-level score rows
 
 
-def _write_chunked(fh, n: int, text: Callable[[slice], str]) -> None:
-    """Write the ``n`` rows of a table, ``text(span)`` for each span of WRITE_ROWS rows."""
-    for i in range(0, n, WRITE_ROWS):
-        fh.write(text(slice(i, i + WRITE_ROWS)))
+FORK_ROWS = 100_000   # rows a writer must be able to hand to a second process before it forks one
+
+
+def _fork_pays(rows: int) -> bool:
+    """Whether forking a second writer for ``rows`` rows of text gains time: the
+    rows reach FORK_ROWS and this process may run on at least two CPUs (where
+    ``os.sched_getaffinity`` is missing, as ``os.fork`` may be, it never forks)."""
+    return rows >= FORK_ROWS and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _fork_halves(child: Callable[[], None], parent: Callable[[], None], outputs) -> None:
+    """Run ``child()`` in a forked process while this one runs ``parent()``.
+
+    The child leaves through ``os._exit``: it flushes no buffer and runs no
+    handler that it inherited.  The parent waits for it even when its own
+    half raises, and a child that does not exit 0 is an OSError.  On any
+    failure the files ``outputs`` are removed, so no partial output is left."""
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                child()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            parent()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status:
+            raise OSError(f"the forked writer of {outputs[0]} failed with exit code "
+                          f"{os.waitstatus_to_exitcode(status)}")
+    except BaseException:
+        for path in outputs:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        raise
+
+
+def _score_text(field: str, values: np.ndarray, width, start: int) -> str:
+    """The score table rows of one method's ``values``, flat rows ``start``
+    on, ``field`` its CSV field: instance rows if ``width`` is None, else
+    rows of (instance, label) pairs of ``width`` labels, instance-major.
+    Indices are made for these rows only."""
+    stop = start + len(values)
+    if width is None:
+        instances, labels = range(start, stop), itertools.repeat("")
+    else:
+        instances, labels = (a.tolist() for a in np.divmod(np.arange(start, stop), width))
+    return "".join([f"{n},{label},{field},{score!r}\r\n"
+                    for n, label, score in zip(instances, labels, values.tolist())])
 
 
 def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
@@ -109,39 +159,66 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
     instance-major.  Scores are written as ``repr`` floats, so they read
     back exactly.  The bytes are those of ``csv.writer``: each method
     name is quoted by it once, the numeric fields never need quoting.
+
+    The rows are formatted a span of WRITE_ROWS at a time.  When the second
+    half of the spans pays for a fork (:func:`_fork_pays`), a forked child
+    formats it into an anonymous temporary file in the table's directory
+    while this process writes the first half, then this process appends it.
     """
+    spans = []   # (method field, scores, label count or None, first row) per span, in file order
+    for method, values in scores.items():
+        quoted = io.StringIO()
+        csv.writer(quoted).writerow(["", method])
+        field = quoted.getvalue()[1:-2]   # strip the leading "," and the "\r\n"
+        values = np.asarray(values, dtype=float)
+        width = values.shape[1] if values.ndim == 2 else None
+        flat = values.ravel()
+        spans += [(field, flat[i:i + WRITE_ROWS], width, i) for i in range(0, len(flat), WRITE_ROWS)]
+    half = len(spans) // 2
+
+    def write(fh, part):
+        for span in part:
+            fh.write(_score_text(*span))
+
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SCORE_HEADER) + "\r\n")
-        for method, values in scores.items():
-            quoted = io.StringIO()
-            csv.writer(quoted).writerow(["", method])
-            field = quoted.getvalue()[1:-2]   # strip the leading "," and the "\r\n"
-            values = np.asarray(values, dtype=float)
-            if values.ndim == 2:
-                instances, labels = np.indices(values.shape).reshape(2, -1)
-            else:
-                instances, labels = np.arange(len(values)), None
-            flat = values.ravel()
-            _write_chunked(fh, len(flat), lambda span: "".join([
-                f"{n},{label},{field},{score!r}\r\n" for n, label, score in zip(
-                    instances[span].tolist(),
-                    itertools.repeat("") if labels is None else labels[span].tolist(),
-                    flat[span].tolist())]))
+        if not _fork_pays(sum(len(span[1]) for span in spans[half:])):
+            write(fh, spans)
+            return
+        with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
+            def write_tail():
+                with io.TextIOWrapper(tail, encoding=fh.encoding, newline="") as text:
+                    write(text, spans[half:])
+
+            _fork_halves(write_tail, lambda: write(fh, spans[:half]), [path])
+            fh.flush()
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh.buffer)
 
 
 def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
     """Write rejection curves that share one coverage column, ``{path:
     values}``, each as ``coverage,value`` rows of ``repr`` floats; each span
-    of WRITE_ROWS coverages is formatted once for all of them."""
-    with contextlib.ExitStack() as stack:
-        files = [(stack.enter_context(open(path, "w")), values) for path, values in curves.items()]
-        for fh, _ in files:
-            fh.write("coverage,value\n")
-        for i in range(0, len(coverages), WRITE_ROWS):
-            span = slice(i, i + WRITE_ROWS)
-            text = [repr(c) for c in coverages[span].tolist()]
-            for fh, values in files:
-                fh.write("".join([f"{c},{v!r}\n" for c, v in zip(text, values[span].tolist())]))
+    of WRITE_ROWS coverages is formatted once for all the files a process
+    writes.  When every other file pays for a fork (:func:`_fork_pays`), a
+    forked child writes those files and this process the rest."""
+    paths = list(curves)
+
+    def write(part):
+        with contextlib.ExitStack() as stack:
+            files = [(stack.enter_context(open(path, "w")), curves[path]) for path in part]
+            for fh, _ in files:
+                fh.write("coverage,value\n")
+            for i in range(0, len(coverages), WRITE_ROWS):
+                span = slice(i, i + WRITE_ROWS)
+                text = [repr(c) for c in coverages[span].tolist()]
+                for fh, values in files:
+                    fh.write("".join([f"{c},{v!r}\n" for c, v in zip(text, values[span].tolist())]))
+
+    if _fork_pays(len(coverages) * (len(paths) // 2)):
+        _fork_halves(lambda: write(paths[1::2]), lambda: write(paths[::2]), paths)
+    else:
+        write(paths)
 
 
 def _span_columns(body: List[str], first: int, path) -> Tuple[np.ndarray, ...]:

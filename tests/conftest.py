@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,22 @@ def small_split():
 @pytest.fixture
 def rng():
     return seeded_rng(0)
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs; the test is
+    skipped where the CSV writers cannot fork, on fewer than two CPUs."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the writers fork only on two CPUs")
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids

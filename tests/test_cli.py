@@ -985,16 +985,20 @@ class TestEvaluateAndReport:
 
 
 # VmHWM, the peak resident size of the process image, in KiB; unlike
-# ru_maxrss it does not carry the parent's peak across exec
+# ru_maxrss it does not carry the parent's peak across exec.  The peak is
+# the larger of it and the largest ru_maxrss of a child the command
+# forked, so a forked writer's peak is bounded too.  locale, which the
+# command imports, is imported before the start mark, as under abstain.cli
+# before it loaded only what a command runs.
 EVALUATE_PROBE = """
-import json, sys
+import json, locale, resource, sys
 def vm_hwm():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 import abstain.cli as cli
 start = vm_hwm()
 assert cli.main(json.loads(sys.argv[1])) == 0
-print(json.dumps([start, vm_hwm()]))
+print(json.dumps([start, max(vm_hwm(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)]))
 """
 
 
@@ -1171,6 +1175,73 @@ class TestMultilabelEvaluate:
         assert "2 score rows for instance 0" in capsys.readouterr().err
 
 
+# Runs commands in this fresh interpreter pinned to one CPU, with every
+# table above the break-even, and fails if a writer forks.
+PINNED_PROBE = """
+import json, os, sys
+from abstain import cli, dataio
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+dataio.FORK_ROWS = 1
+def fork():
+    raise AssertionError("a writer forked on one CPU")
+os.fork = fork
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+class TestForkedWriters:
+    def commands(self, ml_dir, out):
+        out.mkdir(exist_ok=True)
+        return [["score", "--manifest", str(ml_dir / "ds" / "manifest.json"), "--models",
+                 str(ml_dir / "models.bin"), "--methods", "MP,MP-mean,MD", "--out", str(out / "s.csv")],
+                ["evaluate", "--scores", str(out / "s.csv"), "--manifest", str(ml_dir / "ds" / "manifest.json"),
+                 "--mode", "label", "--out", str(out / "m.json"), str(out / "curves")]]
+
+    def test_run_pinned_to_one_cpu_writes_the_forked_bytes(self, ml_dir, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(dataio, "FORK_ROWS", 1)
+        for argv in self.commands(ml_dir, tmp_path / "two"):
+            assert main(argv) == 0
+        assert len(forks) == 2   # the score table and the two label-mode curve files
+        subprocess.run([sys.executable, "-c", PINNED_PROBE, json.dumps(self.commands(ml_dir, tmp_path / "one"))],
+                       env=child_env(), capture_output=True, text=True, check=True)
+        two = sorted(p.relative_to(tmp_path / "two") for p in (tmp_path / "two").rglob("*") if p.is_file())
+        one = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
+        assert two == one and len(two) == 6   # s.csv, m.json, two curve CSVs and two SVGs
+        for name in two:
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("side", ["child", "parent"])
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_failed_half_is_an_io_error_that_leaves_no_output(self, command, side, ml_dir, tmp_path, forks,
+                                                               monkeypatch, capsys):
+        score, evaluate = self.commands(ml_dir, tmp_path)
+        if command == "evaluate":
+            assert main(score) == 0
+        monkeypatch.setattr(dataio, "FORK_ROWS", 1)
+        parent = os.getpid()
+
+        def failing():   # raises in the chosen process only
+            if (os.getpid() == parent) == (side == "parent"):
+                raise OSError("no space left on device")
+
+        if command == "score":
+            text = dataio._score_text
+            monkeypatch.setattr(dataio, "_score_text", lambda *span: failing() or text(*span))
+        else:
+            monkeypatch.setattr(dataio, "open", lambda path, mode="r", *a, **k: (
+                failing() if mode == "w" else None) or open(path, mode, *a, **k), raising=False)
+        assert main(score if command == "score" else evaluate) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error [io]: ")
+        assert ("forked writer" in err) == (side == "child") and ("no space left" in err) == (side == "parent")
+        outputs = [tmp_path / "s.csv"] if command == "score" else list((tmp_path / "curves").glob("*.csv"))
+        assert not any(p.exists() for p in outputs)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):   # the parent has waited for its child
+            os.waitpid(forks[0], os.WNOHANG)
+
+
 SCIPY_SUBPACKAGES = ("scipy.special", "scipy.spatial", "scipy.sparse",
                      "scipy.optimize", "scipy.linalg", "scipy.stats")
 # every layer module must be loaded by `import abstain.cli`: perfbench/traced.py
@@ -1204,7 +1275,33 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+# Runs one command through the console script that pyproject.toml
+# declares, in this fresh interpreter, then prints the modules loaded.
+SCRIPT_PROBE = """
+import importlib, json, sys, tomllib
+with open(sys.argv[1], "rb") as fh:
+    module, _, function = tomllib.load(fh)["project"]["scripts"]["abstain"].partition(":")
+sys.argv = ["abstain"] + json.loads(sys.argv[2])
+try:
+    getattr(importlib.import_module(module), function)()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
 class TestImportHygiene:
+    def test_console_script_report_loads_no_numpy(self, evaluated, tmp_path):
+        root, _, metrics = evaluated
+        argv = ["report", "--metrics", str(metrics), "--curves", str(root / "curves"),
+                "--out", str(tmp_path / "report.html")]
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        probe = subprocess.run([sys.executable, "-c", SCRIPT_PROBE, str(pyproject), json.dumps(argv)],
+                               env=child_env(), capture_output=True, text=True, check=True)
+        modules = json.loads(probe.stdout.splitlines()[-1])
+        assert (tmp_path / "report.html").exists()
+        assert not [m for m in modules if m.split(".")[0] == "numpy" or m == "abstain.cli"]
+
     def test_commands_run_as_a_program_load_only_what_they_run(self, mc_dir, evaluated, tmp_path):
         # report loads no numpy, and no command but fit loads any scipy module,
         # not even the top-level package

@@ -1,5 +1,6 @@
 """Binary matrix format, CSV tables, manifest integrity, model container."""
 import json
+import os
 import re
 import struct
 import tracemalloc
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from abstain import dataio
+from abstain import dataio, rejection
 from abstain.dataio import (
+    FORK_ROWS,
     NO_LABEL,
     WRITE_ROWS,
     ChecksumError,
@@ -29,6 +31,7 @@ from abstain.dataio import (
     save_dataset,
     save_models,
     sha256_file,
+    write_curve_csvs,
     write_matrix,
     write_scores_csv,
 )
@@ -506,6 +509,45 @@ def test_score_table_bytes_match_csv_writer_across_write_chunks(tmp_path):
     write_scores_csv(tmp_path / "fast.csv", scores)
     csv_write_scores(tmp_path / "ref.csv", scores)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def written_on_one_cpu(monkeypatch, write):
+    """Call ``write()`` as a process allowed on one CPU only would."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        write()
+
+
+class TestForkedWriters:
+    def test_score_table_above_the_break_even_is_the_one_process_bytes(self, tmp_path, forks, monkeypatch):
+        # pair rows between instance rows: the second half of the spans
+        # holds more than FORK_ROWS rows, from both table shapes
+        rng = np.random.default_rng(11)
+        n = FORK_ROWS // 9
+        scores = {"SR": rng.normal(size=n), "MP": rng.normal(size=(n, 20)), "MD": rng.normal(size=n)}
+        write_scores_csv(tmp_path / "two.csv", scores)
+        assert len(forks) == 1
+        written_on_one_cpu(monkeypatch, lambda: write_scores_csv(tmp_path / "one.csv", scores))
+        assert len(forks) == 1
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "two.csv"]   # no temporary file left
+
+    @pytest.mark.parametrize("files", [1, 2, 3])
+    def test_curve_sets_above_the_break_even_are_the_one_process_bytes(self, files, tmp_path, forks, monkeypatch):
+        # every other file holds FORK_ROWS rows: one file is written alone
+        coverages = rejection.coverages(FORK_ROWS)
+        rng = np.random.default_rng(files)
+        values = [rng.uniform(size=FORK_ROWS) for _ in range(files)]
+        for side in ("two", "one"):
+            (tmp_path / side).mkdir()
+            curves = {tmp_path / side / f"{i}.csv": v for i, v in enumerate(values)}
+            if side == "two":
+                write_curve_csvs(coverages, curves)
+            else:
+                written_on_one_cpu(monkeypatch, lambda: write_curve_csvs(coverages, curves))
+        assert len(forks) == (files > 1)
+        for i in range(files):
+            assert (tmp_path / "two" / f"{i}.csv").read_bytes() == (tmp_path / "one" / f"{i}.csv").read_bytes()
 
 
 class TestManifest:
