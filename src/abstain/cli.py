@@ -66,7 +66,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from .dataio import load_manifest, load_splits, write_scores_csv
+    from .dataio import load_manifest, load_splits, write_scores
     from .registry import METHODS, _load_fitted, method_inputs, resolve_methods, score_split
     manifest = load_manifest(args.manifest)
     names = resolve_methods(args.methods, manifest.task)
@@ -76,7 +76,7 @@ def _cmd_score(args) -> int:
         wanted.setdefault(args.calibrate, method_inputs(hybrids))
     splits = load_splits(manifest, Path(args.manifest).parent, wanted)
     models = _load_fitted(args.models, manifest) if args.models else {}
-    write_scores_csv(args.out, score_split(names, splits[args.split], models, splits.get(args.calibrate)))
+    write_scores(args.out, score_split(names, splits[args.split], models, splits.get(args.calibrate)))
     print(args.out)
     return 0
 
@@ -92,7 +92,7 @@ def _auc_payload(res) -> dict:
 
 def _cmd_evaluate(args) -> int:
     from . import rejection, report
-    from .dataio import load_manifest, load_splits, read_scores_csv, write_curve_csvs
+    from .dataio import load_manifest, load_splits, read_scores, write_curve_csvs
     manifest = load_manifest(args.manifest)
     span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
@@ -103,7 +103,7 @@ def _cmd_evaluate(args) -> int:
     metrics_path = Path(args.out[0])
     curves_dir = Path(args.out[1]) if len(args.out) > 1 else metrics_path.parent / "curves"
 
-    scores = read_scores_csv(args.scores, args.mode, len(split), split.probs.shape[1])
+    scores = read_scores(args.scores, args.mode, len(split), split.probs.shape[1])
     evaluations = rejection.unit_data(split.probs, split.labels, manifest.task, args.mode)
     del split   # the curves need only the unit counts: the probs are freed before they are built
     methods_payload: Dict[str, dict] = {name: {} for name in scores}
@@ -191,12 +191,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--models", default=None, help="models container from fit")
     p.add_argument("--split", default="test")
     p.add_argument("--methods", default="all")
-    p.add_argument("--out", required=True, help="score table CSV path")
+    p.add_argument("--out", required=True, help="score table CSV path; its score container is this path + .bin")
     p.add_argument("--calibrate", default=None, help="split used to fit hybrid combinators")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="rejection curves and normalized areas from a score table")
-    p.add_argument("--scores", required=True)
+    p.add_argument("--scores", required=True, help="score table; its scores are read from this path + .bin")
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--mode", default="instance", choices=("instance", "label"))

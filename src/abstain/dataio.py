@@ -1,5 +1,5 @@
-"""On-disk interchange: headered float32 matrices, CSV score tables, a
-JSON manifest with SHA-256 integrity, and a versioned model container.
+"""On-disk interchange: headered float32 matrices, a JSON manifest with
+SHA-256 integrity, the CSV score table, and float64 model and score containers.
 
 Binary layout (little-endian): 8-byte magic, u32 format version, u64
 rows, u64 cols, then row-major float32 data.  Every split file is one
@@ -7,7 +7,6 @@ such matrix, one row per instance; the manifest gives each row's shape.
 """
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import hashlib
@@ -19,10 +18,9 @@ import os
 import shutil
 import struct
 import tempfile
-import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Collection, Dict, List, Tuple
+from typing import Callable, Collection, Dict, Tuple
 
 import numpy as np
 
@@ -31,13 +29,15 @@ from .errors import ChecksumError, DataError, FormatError, MagicError, RowCountE
 
 MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MODELS = b"UQMODELS"
+MAGIC_SCORES = b"UQSCORES"
 FORMAT_VERSION = 2   # 2: stochastic passes and labels are matrix files
-MODELS_VERSION = 6   # the README lists what each version changed
+MODELS_VERSION = 7   # the README lists what each version changed
+SCORES_VERSION = 1
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
-_HDR_MODELS = struct.Struct("<8sIQ")
+_HDR_CONTAINER = struct.Struct("<8sIQ32s")   # magic, version, index size, SHA-256 of the bytes after it
 
-WRITE_ROWS = 1 << 13   # rows per write or parse of a file: bounds the text or float32 block held at once
+WRITE_ROWS = 1 << 13   # rows per write of a file: bounds the text or float32 block held at once
 
 
 def write_matrix(path, arr: np.ndarray) -> str:
@@ -81,20 +81,6 @@ def parse_matrix(raw: bytes, name) -> np.ndarray:
     if payload != expected:
         raise RowCountError(f"{name}: payload holds {payload} bytes, header implies {expected}")
     return np.frombuffer(raw, dtype="<f4", offset=_HDR_MATRIX.size).reshape(rows, cols)
-
-
-def _parse_rows(lines: List[str], dtype: np.dtype) -> np.ndarray:
-    """``np.loadtxt`` of CSV ``lines``, its warnings raised: numpy versions
-    that parse an int field through float ('2.7' as 2) warn with a
-    DeprecationWarning, so such a field fails as it fails int(), and lines
-    that hold no row warn too."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
-
-
-SCORE_HEADER = ["instance", "label", "method", "score"]
-NO_LABEL = -1   # label column of instance-level score rows
 
 
 FORK_ROWS = 100_000   # rows a writer must be able to hand to a second process before it forks one
@@ -181,7 +167,7 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
             fh.write(_score_text(*span))
 
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SCORE_HEADER) + "\r\n")
+        fh.write("instance,label,method,score\r\n")
         if not _fork_pays(sum(len(span[1]) for span in spans[half:])):
             write(fh, spans)
             return
@@ -221,151 +207,9 @@ def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
         write(paths)
 
 
-def _span_columns(body: List[str], first: int, path) -> Tuple[np.ndarray, ...]:
-    """The checked columns (instance, label, method, score) of the score
-    table lines ``body``, body rows ``first`` on (body row r is on file
-    line r + 2): int64 instance and label indices, NO_LABEL in the label
-    column of instance-level rows, method names as the file's bytes and
-    float scores.  The lines are parsed in one ``np.loadtxt`` pass whose
-    string fields are as wide as the longest line, so they never
-    truncate.  A blank line, a row that does not parse, an instance or
-    label field that is not an int64 integer and a negative label are
-    FormatErrors.  ``np.loadtxt`` skips a blank line and joins a quoted
-    line break, so a span that parses to fewer rows than lines is a
-    malformed row.  Rows never span lines, so neither is a line whose
-    quotes do not pair up, which ``np.loadtxt`` would read alone with its
-    quote left open; a span with an odd count of them holds such a line.
-    A span of several lines that fails is read again line by line, and the
-    first line that fails alone is named; where none does, the span's
-    error names its first line."""
-    try:
-        if body == ["\n"]:
-            raise FormatError(f"{path}: line {first + 2} is blank")
-        longest = max(map(len, body))
-        dtype = np.dtype([("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
-                          ("score", "<f8")])
-        try:
-            if "".join(body).count('"') % 2:
-                raise ValueError("a line's quotes do not pair up")
-            rows = _parse_rows(body, dtype)
-            if len(rows) != len(body):
-                raise ValueError("fewer rows than lines")
-        except (ValueError, Warning) as exc:
-            bad = body[0].rstrip("\n").encode("latin1").decode(errors="replace")
-            raise FormatError(f"{path}: malformed row on line {first + 2}: {bad!r}") from exc
-        label = rows["label"]
-        has_label = label != b""
-        values = np.full(len(rows), NO_LABEL, dtype=np.int64)
-        try:
-            values[has_label] = label[has_label].astype(np.int64)
-        except (ValueError, OverflowError):
-            bad = label[0].decode(errors="replace")
-            raise FormatError(f"{path}: line {first + 2}: label {bad!r} is not an int64 integer") from None
-        if (has_label & (values < 0)).any():
-            raise FormatError(f"{path}: line {first + 2}: negative label index {values[0]}")
-    except FormatError:
-        if len(body) > 1:
-            for r in range(len(body)):
-                _span_columns(body[r:r + 1], first + r, path)
-        raise
-    return rows["instance"], values, rows["method"], rows["score"]
-
-
-def _score_spans(path, place: Callable[..., None]) -> None:
-    """Parse the score table ``path`` in spans of at most WRITE_ROWS lines
-    and call ``place(instance, label, method, score)`` with each span's
-    checked columns (:func:`_span_columns`).  No span's lines or rows are
-    held while the next span is read.  The file is read as latin-1 text,
-    one character per byte, so bytes reach string fields as they are in
-    the file.
-
-    The rules are the csv module's, one row per line: a line ends at LF,
-    CRLF or CR (Python's universal newlines, which turn each into an LF),
-    a double-quoted field may hold commas and doubled quotes, and '#' is
-    an ordinary character.  A missing header and a faulty line are
-    FormatErrors; spans are read in order and a failing span names the
-    first line that fails alone, so the first faulty line is named
-    whatever the spans."""
-    with open(path, "rb") as raw:
-        lines = io.TextIOWrapper(raw, encoding="latin1", newline=None)
-        if next(csv.reader([next(lines, "").rstrip("\n")]), []) != SCORE_HEADER:
-            raise FormatError(f"{path}: missing score-table header")
-        first = 0   # body rows before the span
-        while span := list(itertools.islice(lines, WRITE_ROWS)):
-            place(*_span_columns(span, first, path))
-            first += len(span)
-            del span   # not held while the next span is read
-
-
-def read_scores_csv(path, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
-    """The scores that :func:`write_scores_csv` was given, at ``level``:
-    ``{method: scores}`` in name order, an (n,) array per method at level
-    "instance" and an (n, width) array, one score per (instance, label)
-    pair, at level "label".  The rows may come in any order; each span's
-    rows of the level are put in place as it is parsed.  Every row of
-    both levels is checked (:func:`_score_spans`) and method names are
-    decoded after the parse, so a faulty row anywhere is the FormatError.
-    Then every unit, an instance or a pair, needs exactly one row of the
-    level per method, or the table is a DataError."""
-    pairs = level == "label"
-    units = n * width if pairs else n
-    # per method name: its score and its row count per unit; a row out of
-    # range counts at the spare unit past the last one
-    kept = collections.defaultdict(lambda: (np.empty(units + 1), np.zeros(units + 1, dtype=np.int32)))
-    names = set()   # every row's method name
-    outside = []    # the first row of the level out of range
-
-    def place(instance, label, method, score):
-        spanned = set(method[np.r_[True, method[1:] != method[:-1]]].tolist())   # each run's name
-        names.update(spanned)
-        keep = (label != NO_LABEL) == pairs
-        in_range = (0 <= instance) & (instance < n)
-        if pairs:
-            in_range &= (0 <= label) & (label < width)
-        if not outside and not in_range[keep].all():
-            r = np.flatnonzero(keep & ~in_range)[0]
-            outside.append((bytes(method[r]), instance[r], label[r]))
-        unit = np.where(in_range, instance * width + label if pairs else instance, units)
-        for name in spanned:
-            rows = keep & (method == name)
-            if rows.any():
-                values, hits = kept[name]
-                np.add.at(hits, unit[rows], np.int32(1))   # an int32 one keeps numpy's fast path
-                values[unit[rows]] = score[rows]
-
-    _score_spans(path, place)
-    try:   # each distinct method name is decoded once
-        names = {name: name.decode() for name in names}
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
-    methods = dict(sorted((names[name], (values[:units], hits)) for name, (values, hits) in kept.items()))
-    if not methods:
-        raise DataError(f"score table holds no {level}-level rows")
-    for name, (_, hits) in methods.items():
-        if not pairs and hits.sum() != n:
-            raise DataError(f"method {name}: {hits.sum()} rows for {n} instances")
-    if outside:
-        name, i, j = outside[0]
-        raise DataError(f"score row out of range: method {names[name]}, instance {i}"
-                        + (f", label {j}" if pairs else ""))
-    for name, (_, hits) in methods.items():
-        if hits[:units].max() > 1:
-            u = int(np.argmax(hits > 1))
-            at = f"instance {u // width}, label {u % width}" if pairs else f"instance {u}"
-            raise DataError(f"method {name}: {hits[u]} score rows for {at}")
-    for name, (_, hits) in methods.items():
-        if not hits[:units].all():
-            raise DataError(f"method {name}: score table misses some label pairs" if pairs
-                            else f"method {name}: missing instances in score table")
-    return {name: values.reshape(n, width) if pairs else values for name, (values, _) in methods.items()}
-
-
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):   # 1 MiB at a time
-            h.update(chunk)
-    return h.hexdigest()
+    with open(path, "rb") as fh:   # read into one reused buffer
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 @dataclass
@@ -502,42 +346,115 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
     return splits
 
 
-def save_models(path, models: Dict[str, Dict[str, object]]) -> None:
-    """Write the container of ``{key: {field: value}}``: the header, a JSON
-    index of each field's shape, then each field as float64, in index order."""
-    index = json.dumps({key: {name: np.shape(value) for name, value in fields.items()}
-                        for key, fields in models.items()}).encode()
+def _write_container(path, magic: bytes, version: int, index: dict, values) -> None:
+    """Write a container: the header, the JSON ``index``, then ``values`` as row-major
+    float64 in index order, each hashed as it is written into the header's SHA-256."""
+    index = json.dumps(index).encode()
+    digest = hashlib.sha256(index)
     with open(path, "wb") as fh:
-        fh.write(_HDR_MODELS.pack(MAGIC_MODELS, MODELS_VERSION, len(index)) + index)
-        for fields in models.values():
-            fh.writelines(np.asarray(value, "<f8", order="C") for value in fields.values())
+        fh.write(_HDR_CONTAINER.pack(magic, version, len(index), bytes(32)) + index)
+        for value in (np.asarray(v, "<f8", order="C") for v in values):
+            digest.update(value)
+            fh.write(value)
+        fh.seek(_HDR_CONTAINER.size - 32)
+        fh.write(digest.digest())
 
 
-def load_models(path) -> Dict[str, Dict[str, np.ndarray]]:
-    """The fields ``{key: {field: array}}`` of the container ``path`` in
-    file order, a 0-d field as an ``np.float64``.  No array is built until
-    the index passes its checks (FormatError): an object of objects of
-    shapes, lists of non-negative ints, that need exactly the bytes after it."""
+def _read_container(path, magic: bytes, version: int, what: str, shapes_of, keep=None) -> Dict:
+    """The fields ``{name: array}`` of the container ``path`` whose shapes pass ``keep``; the
+    others are only hashed.  No array is built until the index passes its checks (FormatError):
+    a JSON object whose field shapes, ``shapes_of(index)`` in file order, are lists of non-negative
+    ints that need exactly the bytes after it.  Bytes after the header that miss its SHA-256: ChecksumError."""
     with open(path, "rb") as fh:
-        size, = _read_header(fh.read(_HDR_MODELS.size), path, _HDR_MODELS, MAGIC_MODELS, MODELS_VERSION)
-        payload = os.fstat(fh.fileno()).st_size - _HDR_MODELS.size - size
+        size, expected = _read_header(fh.read(_HDR_CONTAINER.size), path, _HDR_CONTAINER, magic, version)
+        payload = os.fstat(fh.fileno()).st_size - _HDR_CONTAINER.size - size
         try:   # ValueError also for an index that is not UTF-8 or JSON, RecursionError if nested too deep
             if payload < 0:
                 raise ValueError("it runs past the end of the file")
-            index = json.loads(fh.read(size))
-            if not (isinstance(index, dict) and all(isinstance(fields, dict) for fields in index.values())):
-                raise ValueError("it must map each model to an object of field shapes")
-            shapes = [shape for fields in index.values() for shape in fields.values()]
-            if not all(isinstance(s, list) and all(type(m) is int and m >= 0 for m in s) for s in shapes):
+            raw = fh.read(size)
+            index = json.loads(raw)
+            if not isinstance(index, dict):
+                raise ValueError("it is not a JSON object")
+            shapes = shapes_of(index)
+            if not all(isinstance(s, list) and all(type(m) is int and m >= 0 for m in s) for s in shapes.values()):
                 raise ValueError("a field shape is not a list of non-negative ints")
-            if 8 * sum(map(math.prod, shapes)) != payload:
-                raise ValueError(f"its shapes need {8 * sum(map(math.prod, shapes))} bytes, "
-                                 f"{payload} follow it")
-            models = {key: {name: np.empty(shape, "<f8") for name, shape in fields.items()}
-                      for key, fields in index.items()}
+            if (need := 8 * sum(map(math.prod, shapes.values()))) != payload:
+                raise ValueError(f"its shapes need {need} bytes, {payload} follow it")
+            digest, fields = hashlib.sha256(raw), {}
+            for name, shape in shapes.items():   # np.empty raises ValueError for a dimension numpy refuses
+                if keep is None or keep(shape):
+                    fields[name] = value = np.empty(shape, "<f8")
+                    fh.readinto(value)
+                    digest.update(value)
+                else:   # 64 KiB at a time
+                    for left in range(8 * math.prod(shape), 0, -(1 << 16)):
+                        digest.update(fh.read(min(left, 1 << 16)))
         except (ValueError, RecursionError) as exc:
-            raise FormatError(f"{path}: malformed models index: {exc}") from exc
-        for fields in models.values():
-            for value in fields.values():
-                fh.readinto(value)
-    return {key: {name: value[()] for name, value in fields.items()} for key, fields in models.items()}
+            raise FormatError(f"{path}: malformed {what} index: {exc}") from exc
+    if digest.digest() != expected:
+        raise ChecksumError(f"{path}: checksum {digest.hexdigest()[:12]}.. != header {expected.hex()[:12]}..")
+    return fields
+
+
+def save_models(path, models: Dict[str, Dict[str, object]]) -> None:
+    """Write the models container of ``{key: {field: value}}``, indexed by each key's field shapes."""
+    index = {key: {name: np.shape(value) for name, value in fields.items()} for key, fields in models.items()}
+    _write_container(path, MAGIC_MODELS, MODELS_VERSION, index, (v for f in models.values() for v in f.values()))
+
+
+def load_models(path) -> Dict[str, Dict[str, np.ndarray]]:
+    """The fields ``{key: {field: array}}`` of the models container ``path``, a 0-d field an ``np.float64``."""
+    def shapes_of(index):
+        if not all(isinstance(fields, dict) for fields in index.values()):
+            raise ValueError("it must map each model to an object of field shapes")
+        return {(key, name): shape for key, fields in index.items() for name, shape in fields.items()}
+
+    models: Dict[str, Dict[str, np.ndarray]] = {}
+    for (key, name), value in _read_container(path, MAGIC_MODELS, MODELS_VERSION, "models", shapes_of).items():
+        models.setdefault(key, {})[name] = value[()]
+    return models
+
+
+def scores_container(table) -> Path:
+    """The score container of the score table ``table``: the table's path with ".bin" appended."""
+    return Path(f"{table}.bin")
+
+
+def write_scores(table, scores: Dict[str, np.ndarray]) -> None:
+    """Write the score table ``table`` (:func:`write_scores_csv`), then its score container, indexed with
+    the table's SHA-256.  Any container at that path is removed first, and again if either write fails."""
+    container = scores_container(table)
+    container.unlink(missing_ok=True)
+    try:
+        write_scores_csv(table, scores)
+        index = {"table": sha256_file(table), "scores": {name: np.shape(v) for name, v in scores.items()}}
+        _write_container(container, MAGIC_SCORES, SCORES_VERSION, index, scores.values())
+    except BaseException:
+        container.unlink(missing_ok=True)
+        raise
+
+
+def read_scores(table, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
+    """``{method: scores}`` of ``level`` in name order, from the score container of the
+    score table ``table``: (n,) arrays at level "instance", (n, width) arrays of (instance,
+    label) pairs at level "label".  The container must exist (DataError), hold the table's
+    SHA-256 (ChecksumError) and only (n,) and (n, width) arrays (FormatError)."""
+    container, digest = scores_container(table), sha256_file(table)
+    if not container.is_file():
+        raise DataError(f"{container}: missing; `abstain score` writes it beside the score table")
+    wanted = [n, width] if level == "label" else [n]
+
+    def shapes_of(index):
+        if set(index) != {"table", "scores"} or not isinstance(index["scores"], dict):
+            raise ValueError("it must hold the table's digest and an object of score shapes")
+        if index["table"] != digest:
+            raise ChecksumError(f"{table}: checksum {digest[:12]}.. != {container} {index['table']!s:.12}..")
+        for name, shape in index["scores"].items():
+            if shape not in ([n], [n, width]):
+                raise FormatError(f"{container}: method {name}: shape {shape}, not [{n}] or [{n}, {width}]")
+        if wanted not in index["scores"].values():
+            raise DataError(f"score table holds no {level}-level rows")
+        return index["scores"]
+
+    return dict(sorted(_read_container(container, MAGIC_SCORES, SCORES_VERSION, "score", shapes_of,
+                                       lambda shape: shape == wanted).items()))

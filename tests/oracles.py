@@ -5,10 +5,10 @@ ranks (``rank``, the scalar form of ``core.rank_all``), written from the
 definitions rather than from the vectorised code.  The brute-force hybrid search builds every grid config and scores
 it with ``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
-score-table reader and writer go row by row in Python, as the score
-table's parser and ``write_scores_csv`` did before they worked on whole
-columns; the reader gives every row in file order, as the parser's spans
-joined give it, so tests of what ``score`` writes check its rows there.
+score-table reader and writer go row by row in Python: the writer gives
+the bytes ``write_scores_csv`` must write, and the reader gives every row
+of an exported table in file order, so tests of what ``score`` writes
+check its rows, and the scores of its container, there.
 The kernel-PCA projection is the out-of-place expression
 ``RdeModel.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran

@@ -291,9 +291,11 @@ def test_criterion_9_cli_determinism(tmp_path):
         outputs.append((
             (root / "scores.csv").read_bytes(),
             (root / "metrics.json").read_bytes(),
+            (root / "scores.csv.bin").read_bytes(),
         ))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+    assert outputs[0][2] == outputs[1][2]
     n_methods = len(json.loads(outputs[0][1])["methods"])
     elapsed = time.perf_counter() - t0
     print(f"\n[acceptance 9/9] PASS: two pipeline runs byte-identical "

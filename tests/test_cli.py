@@ -2,6 +2,7 @@
 import ast
 import builtins
 import collections
+import hashlib
 import io
 import json
 import os
@@ -23,9 +24,9 @@ import abstain
 from abstain import dataio, density, rejection
 from abstain.cli import FITTERS, _load_fitted, main, resolve_methods, score_split
 from abstain.core import seeded_rng
-from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models,
-                            load_splits, parse_matrix, read_scores_csv, save_models, sha256_file,
-                            write_curve_csvs, write_matrix)
+from abstain.dataio import (FormatError, VersionError, load_manifest, load_models, load_splits, parse_matrix,
+                            read_scores, save_models, scores_container, sha256_file, write_curve_csvs,
+                            write_matrix, write_scores)
 from abstain.synth import SynthSpec, generate
 from oracles import csv_read_scores
 
@@ -326,11 +327,12 @@ def _copy_with_manifest_fields(src, tmp_path, **fields):
     return manifest
 
 
-@pytest.mark.parametrize("version", [1, 2, 5])
+@pytest.mark.parametrize("version", [1, 2, 5, 6])
 def test_stale_models_container_is_a_data_error(version, mc_dir, tmp_path, capsys):
     # version 1 held MD/RDE/DDU precisions where later ones hold whiteners;
     # version 2 RDE and NUQ models held fields their scorers never read;
-    # version 5 Beta models lacked the betaln constants that score reads
+    # version 5 Beta models lacked the betaln constants that score reads;
+    # version 6 carried no checksum of its index and fields
     stale = tmp_path / "models.bin"
     raw = bytearray((mc_dir / "models.bin").read_bytes())
     raw[8:12] = struct.pack("<I", version)
@@ -525,10 +527,12 @@ class _WritesMarker:
 
 
 def _container(index, payload=b"", version=dataio.MODELS_VERSION, size=None) -> bytes:
-    """Container bytes: the header, ``index`` (JSON-encoded unless bytes),
-    then ``payload``; ``size`` overrides the index size in the header."""
+    """Container bytes: the header, with the SHA-256 of what follows it,
+    ``index`` (JSON-encoded unless bytes), then ``payload``; ``size``
+    overrides the index size in the header."""
     raw = index if isinstance(index, bytes) else json.dumps(index).encode()
-    header = struct.pack("<8sIQ", dataio.MAGIC_MODELS, version, len(raw) if size is None else size)
+    header = struct.pack("<8sIQ32s", dataio.MAGIC_MODELS, version, len(raw) if size is None else size,
+                         hashlib.sha256(raw + payload).digest())
     return header + raw + payload
 
 
@@ -573,16 +577,17 @@ def test_crafted_models_container_is_a_data_error(crafted, code, mc_dir, tmp_pat
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("version", [4, dataio.MODELS_VERSION])
+@pytest.mark.parametrize("version", [4, 6, dataio.MODELS_VERSION])
 def test_pickled_models_container_runs_no_code(version, mc_dir, tmp_path, capsys):
-    # a version 4 container held a pickle; under any version it must load no pickle
+    # a version 4 container held a pickle; under any version, stale or current, it must load no pickle
     marker, path = tmp_path / "marker", tmp_path / "models.bin"
     path.write_bytes(struct.pack("<8sI", dataio.MAGIC_MODELS, version)
                      + pickle.dumps({"md": _WritesMarker(marker)}, protocol=4))
     code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", path,
                "--methods", "MD", "--out", tmp_path / "s.csv")
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("data error [bad-version]" if version == 4 else "data error [bad-format]")
+    assert code == 2 and err.startswith("data error [bad-format]" if version == dataio.MODELS_VERSION
+                                        else "data error [bad-version]")
     assert not marker.exists()
 
 
@@ -694,17 +699,16 @@ class TestScore:
         instance, label, method, _ = csv_read_scores(out)
         assert len(instance) == 3 * 60
         assert set(method) == {"SR", "Entropy", "MD"}
-        assert (label == NO_LABEL).all()
+        assert (label == -1).all()   # the empty label field
 
     def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path):
         args = ("score", "--manifest", mc_dir / "ds" / "manifest.json",
                 "--models", mc_dir / "models.bin", "--methods", "SR,MD,NUQ,BALD")
-        assert run(*args, "--out", tmp_path / "a.csv") == 0
-        assert run(*args, "--out", tmp_path / "b.csv") == 0
-        assert run(*args, "--out", tmp_path / "c.csv") == 0
-        a = (tmp_path / "a.csv").read_bytes()
-        assert a == (tmp_path / "b.csv").read_bytes()
-        assert a == (tmp_path / "c.csv").read_bytes()
+        outputs = []
+        for table in (tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"):
+            assert run(*args, "--out", table) == 0
+            outputs.append((table.read_bytes(), scores_container(table).read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_blas_thread_count_keeps_rejection_orders(self, tmp_path):
         """The shipped default spec at gen-synth seeds 7 (its own) and 11,
@@ -746,8 +750,8 @@ class TestScore:
                 subprocess.run([sys.executable, "-c", FIT_AND_SCORE, str(manifest), str(out),
                                 ",".join(methods)], check=True,
                                env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)})
-                columns.append(read_scores_csv(out.with_suffix(".csv"), "instance", test.splits["test"].n,
-                                               test.n_classes))
+                columns.append(read_scores(out.with_suffix(".csv"), "instance", test.splits["test"].n,
+                                           test.n_classes))
             one, two = columns
             assert list(one) == list(two) == sorted(methods)
             for name in methods:
@@ -820,8 +824,8 @@ class TestScore:
                    "--out", out) == 0
         instance, label, method, _ = csv_read_scores(out)
         pairs, inst = method == "MP", method == "MP-mean"
-        assert pairs.sum() == 60 * 5 and (label[pairs] != NO_LABEL).all()
-        assert inst.sum() == 60 and (label[inst] == NO_LABEL).all()
+        assert pairs.sum() == 60 * 5 and (label[pairs] != -1).all()
+        assert inst.sum() == 60 and (label[inst] == -1).all()
         # pair rows are instance-major
         assert instance[pairs].tolist() == [i for i in range(60) for _ in range(5)]
         assert label[pairs].tolist() == list(range(5)) * 60
@@ -839,6 +843,12 @@ def evaluated(mc_dir, tmp_path_factory):
                "--manifest", mc_dir / "ds" / "manifest.json",
                "--out", metrics, root / "curves") == 0
     return root, scores, metrics
+
+
+def _flip_last_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(raw)
 
 
 class TestEvaluateAndReport:
@@ -901,19 +911,39 @@ class TestEvaluateAndReport:
         assert code == 2
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda lines: lines[:2] + ["0,,SR"] + lines[3:], "malformed row on line 3"),
-        (lambda lines: lines[:-1], "method Entropy: 59 rows for 60 instances"),
-    ], ids=["malformed-row", "missing-row"])
+        (lambda bad: bad.write_text("\n".join(bad.read_text().splitlines()[:2] + ["0,,SR"]) + "\n"),
+         "data error [checksum-mismatch]: {table}: checksum"),
+        (lambda bad: bad.write_text("\n".join(bad.read_text().splitlines()[:-1]) + "\n"),
+         "data error [checksum-mismatch]: {table}: checksum"),
+        (lambda bad: scores_container(bad).unlink(),
+         "data error [data-error]: {container}: missing; `abstain score` writes it beside the score table"),
+        (lambda bad: _flip_last_byte(scores_container(bad)),
+         "data error [checksum-mismatch]: {container}: checksum"),
+        (lambda bad: scores_container(bad).write_bytes(scores_container(bad).read_bytes()[:100]),
+         "data error [bad-format]: {container}: malformed score index"),
+        (lambda bad: scores_container(bad).write_bytes(b"UQSCORES" + struct.pack("<I", 2)
+                                                       + scores_container(bad).read_bytes()[12:]),
+         "data error [bad-version]: {container}: unsupported version 2"),
+        (lambda bad: write_scores(bad, {"SR": np.zeros(60), "MD": np.zeros(61)}),
+         "data error [bad-format]: {container}: method MD: shape [61], not [60] or [60, 3]"),
+        (lambda bad: write_scores(bad, {"SR": np.r_[np.zeros(59), np.nan]}), "data error: NaN score"),
+    ], ids=["malformed-row", "missing-row", "missing-container", "flipped-container-byte",
+            "truncated-container", "container-version-2", "shape-not-of-the-manifest", "nan-score"])
     def test_refused_table_writes_nothing(self, edit, named, evaluated, mc_dir, tmp_path, capsys):
-        """A table that evaluate refuses leaves neither a metrics file nor
-        a curves directory behind."""
+        """A score table that evaluate refuses, or whose container it
+        refuses, leaves neither a metrics file nor a curves directory
+        behind.  A table edited after score wrote it no longer has the
+        digest its container holds."""
         _, scores, _ = evaluated
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(edit(scores.read_text().splitlines())) + "\n")
+        shutil.copy(scores, bad)
+        shutil.copy(scores_container(scores), scores_container(bad))
+        edit(bad)
         out = tmp_path / "out"
         code = run("evaluate", "--scores", bad, "--manifest", mc_dir / "ds" / "manifest.json",
                    "--out", out / "metrics.json", out / "curves")
-        assert code == 2 and named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(named.format(table=bad, container=scores_container(bad))), err
         assert not out.exists()
 
     def test_one_curve_per_method_and_one_oracle(self, evaluated, mc_dir, tmp_path, monkeypatch):
@@ -1033,10 +1063,11 @@ def evaluate_growth_per_pair(root, mode) -> float:
 class TestMultilabelEvaluate:
     def test_label_mode_holds_under_105_bytes_per_pair(self, pair_scores):
         """``evaluate --mode label`` grows its peak resident memory by less
-        than 105 bytes per (instance, label) pair.  The reader fills one
-        score array and one int32 row count per pair; the peak is set
-        later, by the curves, after the split's probabilities are freed.
-        It grows by 97 (9.3 MiB), with a curve's coverages built only
+        than 105 bytes per (instance, label) pair.  The score container
+        gives one float64 score per pair; the peak is set later, by the
+        curves, after the split's probabilities are freed.  It grows by
+        94 with modules compiled from source (97 while a CSV reader also
+        held an int32 row count per pair), with a curve's coverages built only
         inside the call that reads them.  With one coverage array shared
         by every curve and kept from the first curve to the CSV write it
         grew by 113 to 114; with the probabilities alive through the curves
@@ -1048,31 +1079,36 @@ class TestMultilabelEvaluate:
     def test_instance_mode_holds_under_70_bytes_per_pair(self, pair_scores):
         """``evaluate --mode instance`` on a table that holds MP's pair rows
         grows its peak resident memory by less than 70 bytes per pair.  It
-        parses the pair rows span by span, as text lines, and keeps none
-        of them; it grows by 34 to 35 (3.3 MiB).  A reader that split the
-        file's bytes into lines itself, in blocks of 1 MiB, took 85 to 87,
-        and a read that keeps the pair rows it then drops about 121."""
+        only hashes MP's array in the score container and never builds it;
+        it grows by 32 with modules compiled from source.  The CSV reader
+        that parsed the pair rows span by span grew by 34 to 37; one that
+        split the file's bytes into lines itself, in blocks of 1 MiB, took
+        85 to 87, and a read that keeps the pair rows it then drops about
+        121."""
         assert evaluate_growth_per_pair(pair_scores, "instance") < 70
 
     @pytest.mark.parametrize("level", ["instance", "label"])
     def test_score_reader_peaks_under_3_5_mb_above_what_it_returns(self, pair_scores, level):
-        """``read_scores_csv`` on the 110,000 rows of ``pair_scores`` peaks
-        less than 3.5 MB (tracemalloc) above its start, beyond the arrays
-        it returns, at either level.  It holds one span of lines and its
-        parsed rows at a time, and beside the scores one int32 row count
-        per unit: about 1.8 MB above what it returns at the instance level
-        and 2.3 MB at the label level.  While it kept the previous span's
-        lines and rows alive through the parse of the next, it peaked 2.7
-        and 3.2 MB above; a reader that split the file's bytes into lines
-        itself, in blocks of 1 MiB, peaked 5.6 and 6.1 MB above."""
+        """``read_scores`` on the score table of ``pair_scores`` (110,000
+        scores) peaks less than 3.5 MB (tracemalloc) above its start,
+        beyond the arrays it returns, at either level.  It hashes the table
+        through one reused buffer, builds only the arrays of its level and
+        hashes the others 64 KiB at a time, so at the instance level it
+        never holds MP's 0.8 MB of pair scores: about 0.19 MB above what it
+        returns at the instance level and 0.05 MB at the label level.  The
+        CSV reader it replaced peaked 1.8 and 2.3 MB above; hashing the
+        table in 1 MiB chunks took 2.1 MB."""
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            scores = read_scores_csv(pair_scores / "s.csv", level, 5000, 20)
+            scores = read_scores(pair_scores / "s.csv", level, 5000, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start - sum(values.nbytes for values in scores.values()) < 3.5e6
+        above = peak - start - sum(values.nbytes for values in scores.values())
+        assert above < 3.5e6
+        if level == "instance":
+            assert above < 5000 * 20 * 8 / 2
 
     def test_label_and_instance_modes(self, ml_dir, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -1097,82 +1133,17 @@ class TestMultilabelEvaluate:
         payload = json.loads(inst_metrics.read_text())
         assert set(payload["methods"]) == {"MP-mean", "MD"}
 
-    def test_interleaved_methods_evaluate_as_grouped(self, ml_dir, tmp_path):
-        """A score table sorted by instance and label, with two pair-level
-        and two instance-level methods interleaved so that every row is a
-        method run of its own, gives the metrics and curves of the same
-        rows grouped by method."""
-        grouped = tmp_path / "grouped.csv"
-        assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
-                   "--models", ml_dir / "models.bin", "--methods", "MP,MP-mean,MD",
-                   "--out", grouped) == 0
-        header, *rows = grouped.read_text().splitlines()
-        rows += [row.replace(",MP,", ",MQ,") for row in rows if ",MP," in row]
-        grouped.write_text("\n".join([header] + rows) + "\n")
-        interleaved = tmp_path / "interleaved.csv"
-        rows.sort(key=lambda row: [int(field or -1) for field in row.split(",")[:2]])
-        interleaved.write_text("\n".join([header] + rows) + "\n")
-        method = csv_read_scores(interleaved)[2]
-        assert (method[1:] != method[:-1]).all()
-        for mode in ("label", "instance"):
-            outputs = []
-            for table in (grouped, interleaved):
-                out = tmp_path / f"{table.stem}-{mode}"
-                assert run("evaluate", "--scores", table, "--manifest", ml_dir / "ds" / "manifest.json",
-                           "--mode", mode, "--out", out / "metrics.json", out / "curves") == 0
-                outputs.append({path.relative_to(out): path.read_bytes()
-                                for path in sorted(out.rglob("*")) if path.is_file()})
-            assert outputs[0] == outputs[1]
-            methods = json.loads(outputs[0][Path("metrics.json")])["methods"]
-            assert set(methods) == ({"MP", "MQ"} if mode == "label" else {"MP-mean", "MD"})
-
     def test_incomplete_pair_table_is_data_error(self, ml_dir, tmp_path, capsys):
-        scores = tmp_path / "scores.csv"
-        assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
-                   "--models", ml_dir / "models.bin", "--methods", "MP",
-                   "--out", scores) == 0
-        lines = scores.read_text().splitlines()
-        scores.write_text("\n".join(lines[:-1]) + "\n")  # drop one pair row
-        code = run("evaluate", "--scores", scores,
-                   "--manifest", ml_dir / "ds" / "manifest.json",
-                   "--mode", "label", "--out", tmp_path / "m.json")
-        assert code == 2
-        assert "misses some label pairs" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("row, named", [
-        ("0,99999999999999999999999,MP,0.5", "label '99999999999999999999999' is not an int64 integer"),
-        ("0,1.0,MP,0.5", "label '1.0' is not an int64 integer"),
-        ("99999999999999999999999,0,MP,0.5", "malformed row on line 2: '99999999999999999999999,0,MP,0.5'"),
-        ("1.0,0,MP,0.5", "malformed row on line 2: '1.0,0,MP,0.5'"),
-    ], ids=["label-beyond-int64", "label-not-integer", "instance-beyond-int64", "instance-not-integer"])
-    def test_unparsable_index_is_format_error(self, ml_dir, tmp_path, capsys, row, named):
+        # MP's scores for the last label are missing: its array is (n, L - 1)
         scores = tmp_path / "scores.csv"
         assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
                    "--methods", "MP", "--out", scores) == 0
-        lines = scores.read_text().splitlines()
-        scores.write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+        write_scores(scores, {"MP": read_scores(scores, "label", 60, 5)["MP"][:, :-1]})
         code = run("evaluate", "--scores", scores, "--manifest", ml_dir / "ds" / "manifest.json",
                    "--mode", "label", "--out", tmp_path / "m.json")
-        err = capsys.readouterr().err
-        assert code == 2 and err.startswith("data error [bad-format]") and named in err
-
-    @pytest.mark.parametrize("mode, duplicate", [("label", "0,0,MP,0.999"), ("instance", "0,,MD,0.999")])
-    def test_duplicate_score_row_is_data_error(self, ml_dir, tmp_path, capsys, mode, duplicate):
-        scores = tmp_path / "scores.csv"
-        assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
-                   "--models", ml_dir / "models.bin", "--methods", "MP,MD",
-                   "--out", scores) == 0
-        lines = scores.read_text().splitlines()
-        original = next(i for i, line in enumerate(lines) if line.startswith(duplicate[:-5]))
-        if mode == "instance":  # keep the row count: the duplicate replaces instance 1's row
-            del lines[original + 1]
-        lines.insert(original + 1, duplicate)
-        scores.write_text("\n".join(lines) + "\n")
-        code = run("evaluate", "--scores", scores,
-                   "--manifest", ml_dir / "ds" / "manifest.json",
-                   "--mode", mode, "--out", tmp_path / "m.json")
         assert code == 2
-        assert "2 score rows for instance 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"data error [bad-format]: {scores_container(scores)}: "
+                                           "method MP: shape [60, 4], not [60] or [60, 5]\n")
 
 
 # Runs commands in this fresh interpreter pinned to one CPU, with every
@@ -1207,7 +1178,7 @@ class TestForkedWriters:
                        env=child_env(), capture_output=True, text=True, check=True)
         two = sorted(p.relative_to(tmp_path / "two") for p in (tmp_path / "two").rglob("*") if p.is_file())
         one = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
-        assert two == one and len(two) == 6   # s.csv, m.json, two curve CSVs and two SVGs
+        assert two == one and len(two) == 7   # s.csv, s.csv.bin, m.json, two curve CSVs and two SVGs
         for name in two:
             assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
@@ -1218,6 +1189,8 @@ class TestForkedWriters:
         score, evaluate = self.commands(ml_dir, tmp_path)
         if command == "evaluate":
             assert main(score) == 0
+        else:   # a container of an earlier run, which must not outlive its table
+            scores_container(tmp_path / "s.csv").write_bytes(b"stale")
         monkeypatch.setattr(dataio, "FORK_ROWS", 1)
         parent = os.getpid()
 
@@ -1235,7 +1208,8 @@ class TestForkedWriters:
         err = capsys.readouterr().err
         assert err.startswith("data error [io]: ")
         assert ("forked writer" in err) == (side == "child") and ("no space left" in err) == (side == "parent")
-        outputs = [tmp_path / "s.csv"] if command == "score" else list((tmp_path / "curves").glob("*.csv"))
+        outputs = ([tmp_path / "s.csv", scores_container(tmp_path / "s.csv")] if command == "score"
+                   else list((tmp_path / "curves").glob("*.csv")))
         assert not any(p.exists() for p in outputs)
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):   # the parent has waited for its child
