@@ -7,6 +7,7 @@ such matrix, one row per instance; the manifest gives each row's shape.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import hashlib
@@ -18,9 +19,10 @@ import os
 import shutil
 import struct
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Collection, Dict, Tuple
+from typing import Callable, Collection, Dict, List, Tuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ SCORES_VERSION = 1
 _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_CONTAINER = struct.Struct("<8sIQ32s")   # magic, version, index size, SHA-256 of the bytes after it
 
-WRITE_ROWS = 1 << 13   # rows per write of a file: bounds the text or float32 block held at once
+WRITE_ROWS = 1 << 13   # rows per write or parse of a file: bounds the text or float32 block held at once
 
 
 def write_matrix(path, arr: np.ndarray) -> str:
@@ -81,6 +83,20 @@ def parse_matrix(raw: bytes, name) -> np.ndarray:
     if payload != expected:
         raise RowCountError(f"{name}: payload holds {payload} bytes, header implies {expected}")
     return np.frombuffer(raw, dtype="<f4", offset=_HDR_MATRIX.size).reshape(rows, cols)
+
+
+def _parse_rows(lines: List[str], dtype: np.dtype) -> np.ndarray:
+    """``np.loadtxt`` of CSV ``lines``, its warnings raised: numpy versions
+    that parse an int field through float ('2.7' as 2) warn with a
+    DeprecationWarning, so such a field fails as it fails int(), and lines
+    that hold no row warn too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+
+
+SCORE_HEADER = ["instance", "label", "method", "score"]
+NO_LABEL = -1   # label column of instance-level score rows
 
 
 FORK_ROWS = 100_000   # rows a writer must be able to hand to a second process before it forks one
@@ -167,7 +183,7 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
             fh.write(_score_text(*span))
 
     with open(path, "w", newline="") as fh:
-        fh.write("instance,label,method,score\r\n")
+        fh.write(",".join(SCORE_HEADER) + "\r\n")
         if not _fork_pays(sum(len(span[1]) for span in spans[half:])):
             write(fh, spans)
             return
@@ -205,6 +221,146 @@ def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
         _fork_halves(lambda: write(paths[1::2]), lambda: write(paths[::2]), paths)
     else:
         write(paths)
+
+
+def _span_columns(body: List[str], first: int, path) -> Tuple[np.ndarray, ...]:
+    """The checked columns (instance, label, method, score) of the score
+    table lines ``body``, body rows ``first`` on (body row r is on file
+    line r + 2): int64 instance and label indices, NO_LABEL in the label
+    column of instance-level rows, method names as the file's bytes and
+    float scores.  The lines are parsed in one ``np.loadtxt`` pass whose
+    string fields are as wide as the longest line, so they never
+    truncate.  A blank line, a row that does not parse, an instance or
+    label field that is not an int64 integer and a negative label are
+    FormatErrors.  ``np.loadtxt`` skips a blank line and joins a quoted
+    line break, so a span that parses to fewer rows than lines is a
+    malformed row.  Rows never span lines, so neither is a line whose
+    quotes do not pair up, which ``np.loadtxt`` would read alone with its
+    quote left open; a span with an odd count of them holds such a line.
+    A span of several lines that fails is read again line by line, and the
+    first line that fails alone is named; where none does, the span's
+    error names its first line."""
+    try:
+        if body == ["\n"]:
+            raise FormatError(f"{path}: line {first + 2} is blank")
+        longest = max(map(len, body))
+        dtype = np.dtype([("instance", "<i8"), ("label", f"S{longest}"), ("method", f"S{longest}"),
+                          ("score", "<f8")])
+        try:
+            if "".join(body).count('"') % 2:
+                raise ValueError("a line's quotes do not pair up")
+            rows = _parse_rows(body, dtype)
+            if len(rows) != len(body):
+                raise ValueError("fewer rows than lines")
+        except (ValueError, Warning) as exc:
+            bad = body[0].rstrip("\n").encode("latin1").decode(errors="replace")
+            raise FormatError(f"{path}: malformed row on line {first + 2}: {bad!r}") from exc
+        label = rows["label"]
+        has_label = label != b""
+        values = np.full(len(rows), NO_LABEL, dtype=np.int64)
+        try:
+            values[has_label] = label[has_label].astype(np.int64)
+        except (ValueError, OverflowError):
+            bad = label[0].decode(errors="replace")
+            raise FormatError(f"{path}: line {first + 2}: label {bad!r} is not an int64 integer") from None
+        if (has_label & (values < 0)).any():
+            raise FormatError(f"{path}: line {first + 2}: negative label index {values[0]}")
+    except FormatError:
+        if len(body) > 1:
+            for r in range(len(body)):
+                _span_columns(body[r:r + 1], first + r, path)
+        raise
+    return rows["instance"], values, rows["method"], rows["score"]
+
+
+def _score_spans(path, place: Callable[..., None]) -> None:
+    """Parse the score table ``path`` in spans of at most WRITE_ROWS lines
+    and call ``place(instance, label, method, score)`` with each span's
+    checked columns (:func:`_span_columns`).  No span's lines or rows are
+    held while the next span is read.  The file is read as latin-1 text,
+    one character per byte, so bytes reach string fields as they are in
+    the file.
+
+    The rules are the csv module's, one row per line: a line ends at LF,
+    CRLF or CR (Python's universal newlines, which turn each into an LF),
+    a double-quoted field may hold commas and doubled quotes, and '#' is
+    an ordinary character.  A missing header and a faulty line are
+    FormatErrors; spans are read in order and a failing span names the
+    first line that fails alone, so the first faulty line is named
+    whatever the spans."""
+    with open(path, "rb") as raw:
+        lines = io.TextIOWrapper(raw, encoding="latin1", newline=None)
+        if next(csv.reader([next(lines, "").rstrip("\n")]), []) != SCORE_HEADER:
+            raise FormatError(f"{path}: missing score-table header")
+        first = 0   # body rows before the span
+        while span := list(itertools.islice(lines, WRITE_ROWS)):
+            place(*_span_columns(span, first, path))
+            first += len(span)
+            del span   # not held while the next span is read
+
+
+def read_scores_csv(path, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
+    """The scores that :func:`write_scores_csv` was given, at ``level``:
+    ``{method: scores}`` in name order, an (n,) array per method at level
+    "instance" and an (n, width) array, one score per (instance, label)
+    pair, at level "label".  The rows may come in any order; each span's
+    rows of the level are put in place as it is parsed.  Every row of
+    both levels is checked (:func:`_score_spans`) and method names are
+    decoded after the parse, so a faulty row anywhere is the FormatError.
+    Then every unit, an instance or a pair, needs exactly one row of the
+    level per method, or the table is a DataError.  It reads the exported
+    table itself, with no container; ``evaluate`` reads :func:`read_scores`."""
+    pairs = level == "label"
+    units = n * width if pairs else n
+    # per method name: its score and its row count per unit; a row out of
+    # range counts at the spare unit past the last one
+    kept = collections.defaultdict(lambda: (np.empty(units + 1), np.zeros(units + 1, dtype=np.int32)))
+    names = set()   # every row's method name
+    outside = []    # the first row of the level out of range
+
+    def place(instance, label, method, score):
+        spanned = set(method[np.r_[True, method[1:] != method[:-1]]].tolist())   # each run's name
+        names.update(spanned)
+        keep = (label != NO_LABEL) == pairs
+        in_range = (0 <= instance) & (instance < n)
+        if pairs:
+            in_range &= (0 <= label) & (label < width)
+        if not outside and not in_range[keep].all():
+            r = np.flatnonzero(keep & ~in_range)[0]
+            outside.append((bytes(method[r]), instance[r], label[r]))
+        unit = np.where(in_range, instance * width + label if pairs else instance, units)
+        for name in spanned:
+            rows = keep & (method == name)
+            if rows.any():
+                values, hits = kept[name]
+                np.add.at(hits, unit[rows], np.int32(1))   # an int32 one keeps numpy's fast path
+                values[unit[rows]] = score[rows]
+
+    _score_spans(path, place)
+    try:   # each distinct method name is decoded once
+        names = {name: name.decode() for name in names}
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: method name is not UTF-8: {exc}") from exc
+    methods = dict(sorted((names[name], (values[:units], hits)) for name, (values, hits) in kept.items()))
+    if not methods:
+        raise DataError(f"score table holds no {level}-level rows")
+    for name, (_, hits) in methods.items():
+        if not pairs and hits.sum() != n:
+            raise DataError(f"method {name}: {hits.sum()} rows for {n} instances")
+    if outside:
+        name, i, j = outside[0]
+        raise DataError(f"score row out of range: method {names[name]}, instance {i}"
+                        + (f", label {j}" if pairs else ""))
+    for name, (_, hits) in methods.items():
+        if hits[:units].max() > 1:
+            u = int(np.argmax(hits > 1))
+            at = f"instance {u // width}, label {u % width}" if pairs else f"instance {u}"
+            raise DataError(f"method {name}: {hits[u]} score rows for {at}")
+    for name, (_, hits) in methods.items():
+        if not hits[:units].all():
+            raise DataError(f"method {name}: score table misses some label pairs" if pairs
+                            else f"method {name}: missing instances in score table")
+    return {name: values.reshape(n, width) if pairs else values for name, (values, _) in methods.items()}
 
 
 def sha256_file(path) -> str:

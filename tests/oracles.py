@@ -7,8 +7,9 @@ it with ``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
 score-table reader and writer go row by row in Python: the writer gives
 the bytes ``write_scores_csv`` must write, and the reader gives every row
-of an exported table in file order, so tests of what ``score`` writes
-check its rows, and the scores of its container, there.
+of a table in file order, as ``read_scores_csv``'s spans joined give it,
+so tests of what ``score`` writes check its rows, and the scores of its
+container, there.
 The kernel-PCA projection is the out-of-place expression
 ``RdeModel.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran

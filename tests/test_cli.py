@@ -24,9 +24,9 @@ import abstain
 from abstain import dataio, density, rejection
 from abstain.cli import FITTERS, _load_fitted, main, resolve_methods, score_split
 from abstain.core import seeded_rng
-from abstain.dataio import (FormatError, VersionError, load_manifest, load_models, load_splits, parse_matrix,
-                            read_scores, save_models, scores_container, sha256_file, write_curve_csvs,
-                            write_matrix, write_scores)
+from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models, load_splits,
+                            parse_matrix, read_scores, save_models, scores_container, sha256_file,
+                            write_curve_csvs, write_matrix, write_scores)
 from abstain.synth import SynthSpec, generate
 from oracles import csv_read_scores
 
@@ -699,7 +699,7 @@ class TestScore:
         instance, label, method, _ = csv_read_scores(out)
         assert len(instance) == 3 * 60
         assert set(method) == {"SR", "Entropy", "MD"}
-        assert (label == -1).all()   # the empty label field
+        assert (label == NO_LABEL).all()
 
     def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path):
         args = ("score", "--manifest", mc_dir / "ds" / "manifest.json",
@@ -824,8 +824,8 @@ class TestScore:
                    "--out", out) == 0
         instance, label, method, _ = csv_read_scores(out)
         pairs, inst = method == "MP", method == "MP-mean"
-        assert pairs.sum() == 60 * 5 and (label[pairs] != -1).all()
-        assert inst.sum() == 60 and (label[inst] == -1).all()
+        assert pairs.sum() == 60 * 5 and (label[pairs] != NO_LABEL).all()
+        assert inst.sum() == 60 and (label[inst] == NO_LABEL).all()
         # pair rows are instance-major
         assert instance[pairs].tolist() == [i for i in range(60) for _ in range(5)]
         assert label[pairs].tolist() == list(range(5)) * 60
