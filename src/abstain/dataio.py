@@ -308,8 +308,9 @@ def read_scores_csv(path, level: str, n: int, width: int) -> Dict[str, np.ndarra
     both levels is checked (:func:`_score_spans`) and method names are
     decoded after the parse, so a faulty row anywhere is the FormatError.
     Then every unit, an instance or a pair, needs exactly one row of the
-    level per method, or the table is a DataError.  It reads the exported
-    table itself, with no container; ``evaluate`` reads :func:`read_scores`."""
+    level per method, or the table is a DataError.  No command calls it:
+    ``evaluate`` reads :func:`read_scores`, and this reader and its grammar
+    tests are to be deleted in a change of their own."""
     pairs = level == "label"
     units = n * width if pairs else n
     # per method name: its score and its row count per unit; a row out of
@@ -594,17 +595,18 @@ def read_scores(table, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
     """``{method: scores}`` of ``level`` in name order, from the score container of the
     score table ``table``: (n,) arrays at level "instance", (n, width) arrays of (instance,
     label) pairs at level "label".  The container must exist (DataError), hold the table's
-    SHA-256 (ChecksumError) and only (n,) and (n, width) arrays (FormatError)."""
+    SHA-256 (ChecksumError) and only (n,) and (n, width) arrays (FormatError).  The table's
+    SHA-256 is compared after the container's own, so a fault in the container is named as its own."""
     container, digest = scores_container(table), sha256_file(table)
     if not container.is_file():
         raise DataError(f"{container}: missing; `abstain score` writes it beside the score table")
     wanted = [n, width] if level == "label" else [n]
+    stored = []   # the table's SHA-256 that the index holds
 
     def shapes_of(index):
         if set(index) != {"table", "scores"} or not isinstance(index["scores"], dict):
             raise ValueError("it must hold the table's digest and an object of score shapes")
-        if index["table"] != digest:
-            raise ChecksumError(f"{table}: checksum {digest[:12]}.. != {container} {index['table']!s:.12}..")
+        stored.append(index["table"])
         for name, shape in index["scores"].items():
             if shape not in ([n], [n, width]):
                 raise FormatError(f"{container}: method {name}: shape {shape}, not [{n}] or [{n}, {width}]")
@@ -612,5 +614,7 @@ def read_scores(table, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
             raise DataError(f"score table holds no {level}-level rows")
         return index["scores"]
 
-    return dict(sorted(_read_container(container, MAGIC_SCORES, SCORES_VERSION, "score", shapes_of,
-                                       lambda shape: shape == wanted).items()))
+    fields = _read_container(container, MAGIC_SCORES, SCORES_VERSION, "score", shapes_of, lambda shape: shape == wanted)
+    if stored[0] != digest:
+        raise ChecksumError(f"{table}: checksum {digest[:12]}.. != {container} {stored[0]!s:.12}..")
+    return dict(sorted(fields.items()))

@@ -573,6 +573,13 @@ class TestScoreContainer:
             read_scores(table, level, 3, 2)
         assert exc.value.code == "checksum-mismatch"
 
+    def test_a_flipped_byte_of_the_stored_table_digest_names_the_container(self, table):
+        # the table is intact; the container's own SHA-256 is checked before the table's
+        rewrite(scores_container(table), lambda raw: flip(raw, raw.index(b'"table": "') + 10))
+        with pytest.raises(ChecksumError, match=re.escape(f"{scores_container(table)}: checksum")) as exc:
+            read_scores(table, "instance", 3, 2)
+        assert exc.value.code == "checksum-mismatch"
+
     def test_a_changed_table_is_a_checksum_mismatch(self, table):
         rewrite(table, lambda raw: raw[:-3] + b"9" + raw[-2:])
         with pytest.raises(ChecksumError, match=re.escape(f"{table}: checksum")):
