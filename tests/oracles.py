@@ -7,9 +7,8 @@ it with ``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
 score-table reader and writer go row by row in Python: the writer gives
 the bytes ``write_scores_csv`` must write, and the reader gives every row
-of a table in file order, as ``read_scores_csv``'s spans joined give it,
-so tests of what ``score`` writes check its rows, and the scores of its
-container, there.
+of an exported table in file order, so tests of what ``score`` writes
+check its rows, and the scores of its container, there.
 The kernel-PCA projection is the out-of-place expression
 ``RdeModel.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran
@@ -156,9 +155,13 @@ def dense_top_eigenpairs(A, k, **_):
     return eigh(A @ np.eye(n), subset_by_index=(n - k, n - 1))
 
 
+EMPTY_LABEL = -1   # the label csv_read_scores gives an instance-level row's empty label field
+
+
 def csv_read_scores(path):
     """(instance, label, method, score) arrays of a score table read with
-    the csv module; a blank or wrong-width row is a ValueError."""
+    the csv module, EMPTY_LABEL for an empty label field; a blank or
+    wrong-width row is a ValueError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["instance", "label", "method", "score"]:
@@ -167,7 +170,7 @@ def csv_read_scores(path):
     if any(len(row) != 4 for row in body):
         raise ValueError("malformed row")
     instance, label, method, score = (list(column) for column in zip(*body)) if body else ([],) * 4
-    labels = np.array([int(v) if v != "" else -1 for v in label], dtype=int)
+    labels = np.array([int(v) if v != "" else EMPTY_LABEL for v in label], dtype=int)
     return (np.array([int(v) for v in instance], dtype=int), labels, np.array(method, dtype=str),
             np.array([float(v) for v in score], dtype=float))
 

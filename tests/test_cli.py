@@ -24,11 +24,11 @@ import abstain
 from abstain import dataio, density, rejection
 from abstain.cli import FITTERS, _load_fitted, main, resolve_methods, score_split
 from abstain.core import seeded_rng
-from abstain.dataio import (NO_LABEL, FormatError, VersionError, load_manifest, load_models, load_splits,
+from abstain.dataio import (FormatError, VersionError, load_manifest, load_models, load_splits,
                             parse_matrix, read_scores, save_models, scores_container, sha256_file,
                             write_curve_csvs, write_matrix, write_scores)
 from abstain.synth import SynthSpec, generate
-from oracles import csv_read_scores
+from oracles import EMPTY_LABEL, csv_read_scores
 
 MC_SPEC = SynthSpec(seed=5, n_train=120, n_validation=60, n_test=60,
                     n_classes=3, dim=4, mc_passes=4)
@@ -699,7 +699,7 @@ class TestScore:
         instance, label, method, _ = csv_read_scores(out)
         assert len(instance) == 3 * 60
         assert set(method) == {"SR", "Entropy", "MD"}
-        assert (label == NO_LABEL).all()
+        assert (label == EMPTY_LABEL).all()
 
     def test_reruns_and_thread_count_leave_bytes_unchanged(self, mc_dir, tmp_path):
         args = ("score", "--manifest", mc_dir / "ds" / "manifest.json",
@@ -824,8 +824,8 @@ class TestScore:
                    "--out", out) == 0
         instance, label, method, _ = csv_read_scores(out)
         pairs, inst = method == "MP", method == "MP-mean"
-        assert pairs.sum() == 60 * 5 and (label[pairs] != NO_LABEL).all()
-        assert inst.sum() == 60 and (label[inst] == NO_LABEL).all()
+        assert pairs.sum() == 60 * 5 and (label[pairs] != EMPTY_LABEL).all()
+        assert inst.sum() == 60 and (label[inst] == EMPTY_LABEL).all()
         # pair rows are instance-major
         assert instance[pairs].tolist() == [i for i in range(60) for _ in range(5)]
         assert label[pairs].tolist() == list(range(5)) * 60
@@ -1066,9 +1066,12 @@ class TestMultilabelEvaluate:
         than 105 bytes per (instance, label) pair.  The score container
         gives one float64 score per pair; the peak is set later, by the
         curves, after the split's probabilities are freed.  It grows by
-        94 with modules compiled from source (97 while a CSV reader also
-        held an int32 row count per pair), with a curve's coverages built only
-        inside the call that reads them.  With one coverage array shared
+        92 with modules compiled from source, with a curve's coverages built
+        only inside the call that reads them.  It read 87 while ``dataio``
+        still held an unused CSV reader, whose compile raised the peak
+        before the start mark (the mark fell by about 0.6 MB when it went,
+        the peak by less), and 97 while a CSV reader also held an int32 row
+        count per pair.  With one coverage array shared
         by every curve and kept from the first curve to the CSV write it
         grew by 113 to 114; with the probabilities alive through the curves
         too, by 119 to 129; a read that keeps the instance-level rows too,
@@ -1080,7 +1083,8 @@ class TestMultilabelEvaluate:
         """``evaluate --mode instance`` on a table that holds MP's pair rows
         grows its peak resident memory by less than 70 bytes per pair.  It
         only hashes MP's array in the score container and never builds it;
-        it grows by 32 with modules compiled from source.  The CSV reader
+        it grows by 32 with modules compiled from source (30 while an unused
+        CSV reader's compile raised the start mark).  The CSV reader
         that parsed the pair rows span by span grew by 34 to 37; one that
         split the file's bytes into lines itself, in blocks of 1 MiB, took
         85 to 87, and a read that keeps the pair rows it then drops about
@@ -1264,6 +1268,19 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+PACKAGE = Path(abstain.__file__).parent
+CSV_PARSERS = {"csv.reader", "csv.DictReader", "np.loadtxt", "np.genfromtxt", "numpy.loadtxt", "numpy.genfromtxt"}
+
+
+def source_nodes(*roots):
+    """(path, node) for every AST node of every .py file under ``roots``."""
+    sources = [path for root in roots for path in root.rglob("*.py")]
+    assert len(sources) > 10
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path, node
+
+
 class TestImportHygiene:
     def test_console_script_report_loads_no_numpy(self, evaluated, tmp_path):
         root, _, metrics = evaluated
@@ -1327,18 +1344,25 @@ class TestImportHygiene:
     def test_no_module_or_script_can_load_a_pickle(self):
         # loading files must never run code: nothing imports a pickle
         # loader, and no numpy reader is allowed to unpickle
-        sources = [*Path(abstain.__file__).parent.rglob("*.py"),
-                   *(Path(__file__).resolve().parents[1] / "scripts").rglob("*.py")]
-        assert len(sources) > 10
         found = []
-        for path in sources:
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                           else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-                if any(m.split(".")[0] in ("pickle", "_pickle", "shelve") for m in modules):
-                    found.append(f"{path.name}:{node.lineno} imports {', '.join(modules)}")
-                if isinstance(node, ast.Call) and any(
-                        k.arg == "allow_pickle" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
-                        for k in node.keywords):
-                    found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)} with allow_pickle")
+        for path, node in source_nodes(PACKAGE, Path(__file__).resolve().parents[1] / "scripts"):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(m.split(".")[0] in ("pickle", "_pickle", "shelve") for m in modules):
+                found.append(f"{path.name}:{node.lineno} imports {', '.join(modules)}")
+            if isinstance(node, ast.Call) and any(
+                    k.arg == "allow_pickle" and not (isinstance(k.value, ast.Constant) and k.value.value is False)
+                    for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)} with allow_pickle")
+        assert not found
+
+    def test_no_module_can_parse_a_csv_file(self):
+        # the score table is an export: the package writes CSV and reads
+        # back only its binary files, so it neither calls nor imports a CSV parser
+        found = []
+        for path, node in source_nodes(PACKAGE):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in CSV_PARSERS:
+                found.append(f"{path.name}:{node.lineno} calls {ast.unparse(node.func)}")
+            if isinstance(node, ast.ImportFrom) and any(f"{node.module}.{a.name}" in CSV_PARSERS for a in node.names):
+                found.append(f"{path.name}:{node.lineno} imports from {node.module}")
         assert not found

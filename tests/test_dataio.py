@@ -4,7 +4,6 @@ import os
 import re
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 from abstain import dataio, rejection
 from abstain.dataio import (
     FORK_ROWS,
-    NO_LABEL,
     WRITE_ROWS,
     ChecksumError,
     DataError,
@@ -28,7 +26,6 @@ from abstain.dataio import (
     load_splits,
     parse_matrix,
     read_scores,
-    read_scores_csv,
     save_dataset,
     save_models,
     scores_container,
@@ -38,10 +35,9 @@ from abstain.dataio import (
     write_scores,
     write_scores_csv,
 )
-from abstain.core import seeded_rng
 from abstain.density import fit_md
 from abstain.synth import SynthSpec, generate
-from oracles import csv_read_scores, csv_write_scores
+from oracles import EMPTY_LABEL, csv_read_scores, csv_write_scores
 
 
 def read_matrix(path):
@@ -102,15 +98,6 @@ class TestMatrixFormat:
         assert exc.value.code == "row-count-disagreement"
 
 
-def score_columns(path):
-    """The columns (instance, label, method, score) of every row of the
-    score table ``path``, each the join of the spans that
-    ``dataio._score_spans`` places; method names stay bytes."""
-    spans = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, "S"), np.empty(0))]
-    dataio._score_spans(path, lambda *columns: spans.append(columns))
-    return tuple(np.concatenate(parts) for parts in zip(*spans))
-
-
 class TestScoreCsv:
     def test_roundtrip_with_and_without_label_column(self, tmp_path):
         # instance-level SR and MD around a pair-level MP
@@ -120,7 +107,7 @@ class TestScoreCsv:
         write_scores(tmp_path / "s.csv", {"SR": sr, "MP": mp, "MD": md})
         instance, label, method, score = csv_read_scores(tmp_path / "s.csv")
         assert instance.tolist() == [0, 1, 0, 0, 1, 1, 0, 1]
-        assert label.tolist() == [-1, -1, 0, 1, 0, 1, -1, -1]   # -1: the empty label field
+        assert label.tolist() == [EMPTY_LABEL, EMPTY_LABEL, 0, 1, 0, 1, EMPTY_LABEL, EMPTY_LABEL]
         assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP", "MD", "MD"]
         assert score.tolist() == [0.25, 0.5, 0.1, 0.4, 0.7, 0.2, 3.75e-2, 1.5]
         instances = read_scores(tmp_path / "s.csv", "instance", 2, 2)
@@ -153,304 +140,11 @@ class TestScoreCsv:
         )
         instance, label, method, score = csv_read_scores(path)
         assert instance.tolist() == [0, 1, 0, 0, 1, 1]
-        assert label.tolist() == [-1, -1, 0, 1, 0, 1]
+        assert label.tolist() == [EMPTY_LABEL, EMPTY_LABEL, 0, 1, 0, 1]
         assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP"]
         assert np.array_equal(score.view(np.int64), np.concatenate([sr, mp.ravel()]).view(np.int64))
         assert read_scores(path, "instance", 2, 2)["SR"].tobytes() == sr.tobytes()
         assert read_scores(path, "label", 2, 2)["MP"].tobytes() == mp.tobytes()
-
-    def test_header_and_row_shape_enforced(self, tmp_path):
-        p = tmp_path / "s.csv"
-        p.write_text("a,b\n")
-        with pytest.raises(FormatError, match="header"):
-            read_scores_csv(p, "instance", 1, 1)
-        p.write_text("instance,label,method,score\n0,,SR\n")
-        with pytest.raises(FormatError, match="malformed row"):
-            read_scores_csv(p, "instance", 1, 1)
-        p.write_text("instance,label,method,score\n0,-1,MP,0.5\n")
-        with pytest.raises(FormatError, match="negative label"):
-            read_scores_csv(p, "instance", 1, 1)
-
-
-SCORE_TABLE_HEADER = "instance,label,method,score\n"
-
-
-PARITY_BODIES = [
-    "0,,SR,0.5\n\n1,,SR,0.25\n",
-    "0,,SR,0.5\n\n",
-    "#0,,SR,0.5\n",
-    "0,,#SR,0.5\n1,2,#,0.25\n",
-    '0,,"SR",0.5\n1,,"S""R",0.25\n',
-    '0,,"SR,MD",0.5\n1,0,"a,b,c",0.25\n',
-    "0,,S,0.5\n1,,S,0.25\n",
-    f"0,,{'M' * 200},0.5\n1,3,{'m' * 200},0.25\n",
-    "0,,Ünïcødé-∑σ,0.5\n1,,日本,0.25\n",
-    "0,0,MP,0.5\r\n0,1,MP,0.25\r\n",
-    "0,0,MP,0.5\r0,1,MP,0.25\r",
-    "",
-    "0,,SR\n",
-    "0,,SR,0.5,1\n",
-    "0,,SR,inf\n1,,SR,5e-324\n2,,SR,-0.0\n3,,SR,-inf\n",
-    "0,,SR,0.5\n1.0,,SR,0.25\n",
-    "0,1,MP,0.5\n0,2.7,MP,0.25\n",
-    " 1,+2,MP,0.5\n-0,0,MP,0.25\n",
-    "0,0,MP,0.5\r\n0,1,MP,0.25\r1,0,MP,0.5\n1,1,MP,1.0\r",
-]
-PARITY_IDS = ["blank-line", "blank-last-line", "row-starts-with-hash", "hash-in-method",
-              "quoted-method", "quoted-comma", "one-char-method", "200-char-method", "non-ascii-method",
-              "crlf", "cr", "header-only", "three-fields", "five-fields", "inf-subnormal-negative-zero",
-              "float-instance", "float-label", "int-spelling", "mixed-line-ends"]
-
-
-@pytest.mark.parametrize("body", PARITY_BODIES, ids=PARITY_IDS)
-def test_score_reader_matches_the_csv_module(body, tmp_path):
-    """Each table reads as the csv-module reader reads it, floats bit for
-    bit and dtypes included, or is a FormatError where that reader fails."""
-    path = tmp_path / "s.csv"
-    path.write_bytes((SCORE_TABLE_HEADER + body).encode())
-    try:
-        expected = csv_read_scores(path)
-    except ValueError:
-        with pytest.raises(FormatError):
-            score_columns(path)
-        return
-    got = score_columns(path)
-    for g, e in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
-        assert g.dtype == e.dtype and g.shape == e.shape
-    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
-    assert np.char.decode(got[2]).tolist() == expected[2].tolist()
-    assert np.array_equal(got[3].view(np.int64), expected[3].view(np.int64))
-
-
-NAMED_LINES = [
-    ("0,,SR,0.5\n0,,SR\n", "line 3: '0,,SR'"),
-    ("0,,SR,0.5\n1,,SR,0.5,1\n", "line 3: '1,,SR,0.5,1'"),
-    ("0,,SR,0.5\n99999999999999999999999,,SR,0.5\n", "line 3: '99999999999999999999999,,SR,0.5'"),
-    ("0,,SR,0.5\n3.9,,SR,0.5\n", "line 3: '3.9,,SR,0.5'"),
-    ("0,,SR,0.5\n" * 1500 + "1,,SR,x\n" + "0,,SR,0.5\n" * 700 + "2,,SR\n", "line 1502: '1,,SR,x'"),
-    ("0,,SR,zero\n", "line 2: '0,,SR,zero'"),
-    ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n", "line 3: label '99999999999999999999999'"),
-    ("0,1.0,MP,0.5\n", "line 2: label '1.0'"),
-    ("0,,SR,0.5\n\n", "line 3 is blank"),
-    ("0,,SR,0.5\n1,,SR\n\n2,,SR,0.25\n", "line 3: '1,,SR'"),
-    ("0,,SR,0.5\n1,-2,MP,0.25\n\n", "negative label"),
-    ('0,,"S\nR",0.5\n', "malformed row on line 2: '0,,\"S'"),
-    ("0,,Ünï,0.5,1\n", "line 2: '0,,Ünï,0.5,1'"),
-    ("0,0,MP,0.5\n0,-3,MP,0.5\n1,0,MP,0.5\n1,x,MP,0.5\n", "line 3: negative label index -3"),
-    ("0,0,MP,0.5\n0,99999999999999999999999,MP,0.5\n1,0,MP,abc\n",
-     "line 3: label '99999999999999999999999' is not"),
-    ("0,0,MP,0.5\n0,-3,MP,0.5\n2,,SR\n", "line 3: negative label index -3"),
-    ('0,,SR,"0.5\n"\n', "malformed row on line 2: '0,,SR,\"0.5'"),
-]
-
-
-def test_score_reader_names_the_line_it_cannot_parse(tmp_path):
-    """The FormatError names the first faulty line: a malformed row or a
-    bad label before a blank line is named, not the blank line, and of two
-    faults in one span the earlier is named.  A line whose quotes do not
-    pair up is a malformed row, so a quoted line break is named on the line
-    that opens it."""
-    path = tmp_path / "s.csv"
-    for body, named in NAMED_LINES:
-        path.write_bytes((SCORE_TABLE_HEADER + body).encode())
-        with pytest.raises(FormatError, match=named.replace(".", r"\.")):
-            score_columns(path)
-
-
-@pytest.mark.parametrize("span", [WRITE_ROWS, 1])
-def test_score_reader_refuses_a_line_whose_quotes_do_not_pair_up(span, tmp_path, monkeypatch):
-    """Rows never span lines, so a line holding an odd count of '"' is a
-    malformed row, in one span and in spans of one line: parsed alone,
-    np.loadtxt reads '0,,SR,"0.5' as a row, its quote left open at the
-    end of its input, and '""1,,SR,0.5' as instance 1."""
-    path = tmp_path / "s.csv"
-    path.write_bytes((SCORE_TABLE_HEADER + '0,,SR,"0.5\n""1,,SR,0.5\n').encode())
-    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
-    with pytest.raises(FormatError, match="malformed row on line 2: '0,,SR,\"0.5'"):
-        score_columns(path)
-
-
-@pytest.mark.parametrize("span", [1, 3, WRITE_ROWS])
-@pytest.mark.parametrize("order", ["grouped", "interleaved"])
-def test_score_reader_at_a_level_reads_the_full_tables_rows(order, span, tmp_path, monkeypatch):
-    """``read_scores_csv(path, level, n, width)`` puts each row of the
-    level that the spans parse at its unit, one array per method in name
-    order, on a table grouped by method as the writer writes it and on one
-    sorted by instance and label, where each row is a method run of its
-    own.  Spans of 1 and 3 lines hold spans that keep no row."""
-    rng = seeded_rng(1)
-    path = tmp_path / "s.csv"
-    write_scores_csv(path, {"SR": rng.uniform(size=4), "MP": rng.uniform(size=(4, 3)),
-                            "MD": rng.uniform(size=4), "MQ": rng.uniform(size=(4, 3))})
-    if order == "interleaved":
-        header, *rows = path.read_text().splitlines()
-        rows.sort(key=lambda row: [int(field or -1) for field in row.split(",")[:2]])
-        path.write_text("\n".join([header] + rows) + "\n")
-    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
-    instance, label, method, score = score_columns(path)
-    for level, shape in (("instance", (4,)), ("label", (4, 3))):
-        keep = (label != NO_LABEL) == (level == "label")
-        expected = {}
-        for name in sorted(set(method[keep].tolist())):
-            rows = keep & (method == name)
-            expected[name.decode()] = values = np.empty(shape)
-            values[(instance[rows], label[rows])[:len(shape)]] = score[rows]
-        got = read_scores_csv(path, level, 4, 3)
-        assert list(got) == list(expected)
-        for g, e in zip(got.values(), expected.values()):
-            assert g.dtype == e.dtype and g.shape == e.shape
-            assert np.array_equal(g.view(np.uint8), e.view(np.uint8))
-
-
-@pytest.mark.parametrize("level", ["instance", "label"])
-@pytest.mark.parametrize("body, named", [
-    ("0,0,MP,0.5\n0,,SR,0.5\n0,,SR\n", "line 4: '0,,SR'"),
-    ("0,,SR,0.5\n0,0,MP,0.5\n0,1,MP\n", "line 4: '0,1,MP'"),
-    ("0,,SR,0.5\n0,0,MP,0.5\n0,x,MP,0.5\n", "line 4: label 'x' is not an int64 integer"),
-    ("0,,SR,0.5\n0,0,MP,0.5\n0,-2,MP,0.5\n", "line 4: negative label index -2"),
-    ("0,0,MP,0.5\n0,,\xff,0.5\n", "method name is not UTF-8"),
-    ("0,,SR,0.5\n0,0,\xff,0.5\n", "method name is not UTF-8"),
-], ids=["short-instance-row", "short-pair-row", "non-integer-label", "negative-label",
-        "instance-name-not-utf8", "pair-name-not-utf8"])
-def test_score_reader_at_a_level_checks_every_row(level, body, named, tmp_path):
-    """A faulty row is the FormatError that the parse of every row gives,
-    its line named, whichever level the read keeps; so is a method name
-    that is not UTF-8, on a row of either level."""
-    path = tmp_path / "s.csv"
-    path.write_bytes(SCORE_TABLE_HEADER.encode() + body.encode("latin1"))
-    with pytest.raises(FormatError, match=named) as at_level:
-        read_scores_csv(path, level, 1, 2)
-    if "UTF-8" in named:   # names are decoded after the parse, which yields them as bytes
-        other = {"instance": "label", "label": "instance"}[level]
-        with pytest.raises(FormatError) as full:
-            read_scores_csv(path, other, 1, 2)
-    else:
-        with pytest.raises(FormatError) as full:
-            score_columns(path)
-    assert str(at_level.value) == str(full.value)
-
-
-@pytest.mark.parametrize("span", [1, WRITE_ROWS])
-@pytest.mark.parametrize("level, body", [
-    ("instance", "0,,SR,0.5\n7,,SR,0.5\n1,,SR,0.5\n2,,SR\n"),
-    ("label", "0,0,MP,0.5\n0,0,MP,0.5\n0,1,MP,0.5\n1,0,MP\n"),
-], ids=["out-of-range", "duplicate"])
-def test_score_reader_names_a_late_malformed_row_before_an_early_unit_error(level, body, span, tmp_path,
-                                                                           monkeypatch):
-    """A unit error early in the table, an out-of-range or a repeated row,
-    does not hide a malformed row on the last line: the read raises that
-    line's FormatError, whether the rows come in one span or in many."""
-    path = tmp_path / "s.csv"
-    path.write_text(SCORE_TABLE_HEADER + body)
-    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
-    last = body.splitlines()[-1]
-    with pytest.raises(FormatError, match=f"malformed row on line 5: '{last}'"):
-        read_scores_csv(path, level, 3, 2)
-
-
-@pytest.mark.parametrize("span", [1, WRITE_ROWS])
-@pytest.mark.parametrize("level, body", [
-    ("instance", "0,,SR,0.5\n0,,\xff,0.5\n"),
-    ("instance", "0,0,\xff,0.5\n0,,SR,0.5\n0,,SR,0.5\n"),
-], ids=["row-count", "repeated"])
-def test_score_reader_refuses_a_bad_name_before_a_unit_error(level, body, span, tmp_path, monkeypatch):
-    """A method name that is not UTF-8 is the FormatError even where the
-    units are wrong too, on a row of the level read or of the other one."""
-    path = tmp_path / "s.csv"
-    path.write_bytes(SCORE_TABLE_HEADER.encode() + body.encode("latin1"))
-    monkeypatch.setattr(dataio, "WRITE_ROWS", span)
-    with pytest.raises(FormatError, match="method name is not UTF-8"):
-        read_scores_csv(path, level, 2, 2)
-
-
-# line ends and faults that spans of 1 to 3 lines cut at some span edge
-SPAN_EDGE_BODIES = [
-    "0,0,MP,0.5\r\n0,1,MP,0.25\r\n1,0,MP,0.125\r\n",
-    "0,0,MP,0.5\r0,1,MP,0.25\r1,0,MP,0.125\r",
-    "0,0,MP,0.5\r0,1,MP,0.25\r\n1,0,MP,0.125\n1,1,MP,1.0",
-    '0,,SR,0.5\n1,,"S\r\nR",0.25\n2,,SR,0.125\n',
-    '0,,SR,0.5\r1,,"S\rR",0.25\r',
-    "0,,SR,0.5\n\n1,,SR,0.25\n",
-    "0,,SR,0.5\r\n\r\n1,,SR,0.25\r\n",
-    "0,,SR,0.5\r\r1,,SR,0.25\r",
-    "0,,SR,0.5\n1,,SR,0.25\n2,,SR\n",
-    "0,,SR,0.5\n1,,SR,0.25\n\n\n",
-]
-
-
-@pytest.mark.parametrize("span", [1, 2, 3])
-def test_score_reader_in_spans_reads_as_in_one(span, tmp_path, monkeypatch):
-    """Spans of a few lines give the columns, dtypes included, or the
-    FormatError, absolute line number included, of one span for the whole
-    table.  Spans of 1 to 3 lines split CRLFs, CR-only line ends, quoted
-    line breaks and blank lines at span edges; a quoted line break is the
-    malformed row of the first line that fails alone, whatever the spans."""
-    path = tmp_path / "s.csv"
-    bodies = PARITY_BODIES + [body for body, _ in NAMED_LINES] + [
-        "0,,SR,0.5\n1,,SR,0.25\n0,,a-much-longer-method,0.5\n1,,SR,1.0\n2,,SR,2.0\n",
-        "0,0,MP,0.5\r\n0,1,MP,0.25\r\n1,0,MP,0.5\r1,1,MP,0.5\n2,0,SR,0.5\n",
-        "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,x,MP,0.5\n",
-        "0,0,MP,0.5\n0,1,MP,0.25\n1,0,MP,0.5\n1,-3,MP,0.5\n",
-        '0,,SR,0.5\n1,,"S\nR",0.5\n',
-    ] + SPAN_EDGE_BODIES
-    for body in bodies:
-        path.write_bytes((SCORE_TABLE_HEADER + body).encode())
-        outcomes = []
-        for rows in (WRITE_ROWS, span):
-            monkeypatch.setattr(dataio, "WRITE_ROWS", rows)
-            try:
-                outcomes.append(score_columns(path))
-            except FormatError as exc:
-                outcomes.append(str(exc))
-        whole, got = outcomes
-        assert type(whole) is type(got), body
-        if isinstance(whole, str):
-            assert got == whole
-            continue
-        assert got[2].tolist() == whole[2].tolist(), body
-        for w, g in zip(whole[:2] + whole[3:], got[:2] + got[3:]):
-            assert g.dtype == w.dtype and g.shape == w.shape, body
-            assert np.array_equal(g.view(np.uint8), w.view(np.uint8)), body
-
-
-def test_score_reader_reads_a_crlf_cut_by_a_text_read_as_its_lf_copy(tmp_path):
-    """The text wrapper reads a file 8 KiB at a time.  A CRLF whose CR ends
-    one read and whose LF starts the next is one line end, and a CR that
-    ends a read alone is one too: each table reads as its LF copy.  Rows
-    are shorter than 40 bytes, so one of forty paddings of the first row
-    puts a line end at byte 8191, the last of the first read."""
-    path, lf_path = tmp_path / "s.csv", tmp_path / "lf.csv"
-    cut = 0
-    for pad in range(40):
-        body = f"0,,{'M' * (pad + 1)},0.5\n" + "".join(f"{i},3,MP,{i / 7!r}\n" for i in range(400))
-        lf = (SCORE_TABLE_HEADER + body).encode()
-        lf_path.write_bytes(lf)
-        expected = score_columns(lf_path)
-        for end in (b"\r\n", b"\r"):
-            data = lf.replace(b"\n", end)
-            cut += data[8191:8192 + len(end) - 1] == end
-            path.write_bytes(data)
-            got = score_columns(path)
-            assert got[2].tolist() == expected[2].tolist()
-            for e, g in zip(expected[:2] + expected[3:], got[:2] + got[3:]):
-                assert g.dtype == e.dtype and np.array_equal(g.view(np.uint8), e.view(np.uint8))
-    assert cut >= 2   # a CRLF and a lone CR each straddled the read edge at least once
-
-
-def test_int_field_parsed_through_float_is_refused(tmp_path, monkeypatch):
-    # numpy versions that parse an int field such as '2.7' through float
-    # only warn with a DeprecationWarning; the read must fail on it
-    parse = np.loadtxt
-
-    def lenient(*args, **kwargs):
-        warnings.warn("loadtxt(): parsing an integer via a float is deprecated", DeprecationWarning)
-        return parse(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", lenient)
-    path = tmp_path / "s.csv"
-    path.write_text(SCORE_TABLE_HEADER + "0,,SR,0.5\n")
-    with pytest.raises(FormatError, match="line 2: '0,,SR,0.5'"):
-        score_columns(path)
 
 
 def test_exported_table_parses_to_the_container_arrays_bit_for_bit(tmp_path):
@@ -473,23 +167,20 @@ def test_exported_table_parses_to_the_container_arrays_bit_for_bit(tmp_path):
         rows = method == name
         pairs = np.indices(values.shape).reshape(values.ndim, -1)
         assert np.array_equal(instance[rows], pairs[0])
-        assert np.array_equal(label[rows], pairs[1] if values.ndim == 2 else np.full(n, -1))
+        assert np.array_equal(label[rows], pairs[1] if values.ndim == 2 else np.full(n, EMPTY_LABEL))
         assert np.array_equal(score[rows].view(np.int64), values.ravel().view(np.int64)), name
 
 
 any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
-finite_or_infinite = st.floats(allow_nan=False, allow_subnormal=True)
-method_names = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r\n"),
-                       max_size=12)
 
 
 @st.composite
-def score_tables(draw, names=any_text, elements=st.floats(allow_subnormal=True)):
+def score_tables(draw):
     """(n, width, {method: scores}): each array (n,) or (n, width)."""
     n, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     arrays = st.sampled_from([(n,), (n, width)]).flatmap(
-        lambda shape: hnp.arrays(np.float64, shape, elements=elements))
-    return n, width, draw(st.dictionaries(names, arrays, max_size=4))
+        lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(allow_subnormal=True)))
+    return n, width, draw(st.dictionaries(any_text, arrays, max_size=4))
 
 
 @given(score_tables())
@@ -508,27 +199,6 @@ def test_score_table_round_trip(tmp_path_factory, table):
                 read_scores(path, level, n, width)
             continue
         got = read_scores(path, level, n, width)
-        assert list(got) == list(expected)
-        for g, e in zip(got.values(), expected.values()):
-            assert g.shape == e.shape and np.array_equal(g.view(np.int64), e.view(np.int64))
-
-
-@given(score_tables(method_names, finite_or_infinite))
-@settings(max_examples=60, deadline=None)
-def test_score_table_csv_round_trip(tmp_path_factory, table):
-    """read_scores_csv inverts write_scores_csv: at each level it gives the
-    arrays of that level, in name order, scores bit for bit; a level that
-    has no rows is a DataError."""
-    n, width, scores = table
-    path = tmp_path_factory.mktemp("rt") / "s.csv"
-    write_scores_csv(path, scores)
-    for level, ndim in (("instance", 1), ("label", 2)):
-        expected = {name: scores[name] for name in sorted(scores) if scores[name].ndim == ndim}
-        if not expected:
-            with pytest.raises(DataError, match=f"score table holds no {level}-level rows"):
-                read_scores_csv(path, level, n, width)
-            continue
-        got = read_scores_csv(path, level, n, width)
         assert list(got) == list(expected)
         for g, e in zip(got.values(), expected.values()):
             assert g.shape == e.shape and np.array_equal(g.view(np.int64), e.view(np.int64))
@@ -615,14 +285,28 @@ class TestScoreContainer:
         assert shapes == built
 
     def test_a_failed_write_leaves_no_container(self, table, monkeypatch):
-        def failing(path, *args):
+        """A failed write of the container, or of the table on its third span,
+        leaves neither file, and the write's own error is the one raised."""
+        def failing_container(path, *args):
             path.write_bytes(b"partial")
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(dataio, "_write_container", failing)
-        with pytest.raises(OSError):
-            write_scores(table, self.SCORES)
-        assert table.exists() and not scores_container(table).exists()
+        spans, score_text = [], dataio._score_text
+
+        def failing_table(*span):
+            spans.append(span)
+            if len(spans) == 3:
+                raise OSError("no space left on device")
+            return score_text(*span)
+
+        for name, failing in (("_write_container", failing_container), ("_score_text", failing_table)):
+            with monkeypatch.context() as m:
+                m.setattr(dataio, name, failing)
+                m.setattr(dataio, "WRITE_ROWS", 1)   # one row per span: two spans are written before the third fails
+                with pytest.raises(OSError, match="no space left on device"):
+                    write_scores(table, self.SCORES)
+            assert not table.exists() and not scores_container(table).exists(), name
+        assert len(spans) == 3
 
 
 any_score_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
