@@ -92,7 +92,7 @@ def _auc_payload(res) -> dict:
 
 def _cmd_evaluate(args) -> int:
     from . import rejection, report
-    from .dataio import load_manifest, load_splits, read_scores, write_curve_csvs
+    from .dataio import load_manifest, load_splits, read_scores, write_curve_csv, write_curves
     manifest = load_manifest(args.manifest)
     span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
@@ -108,7 +108,7 @@ def _cmd_evaluate(args) -> int:
     del split   # the curves need only the unit counts: the probs are freed before they are built
     methods_payload: Dict[str, dict] = {name: {} for name in scores}
     plots: Dict[str, Dict[str, tuple]] = {}
-    curve_files = {}   # CSV path: curve values
+    curves, points = {}, {}   # "<method>[.<metric>]": the curve's values, and the points its plot draws
     for mode_name, data in evaluations:   # one metric's curves at a time
         oracle = rejection.build_curve(rejection.oracle_scores(data, mode_name), data, mode_name)
         n = oracle.size   # every curve of the run is over the same n units
@@ -116,15 +116,14 @@ def _cmd_evaluate(args) -> int:
         for name, values in scores.items():
             curve = rejection.build_curve(values.reshape(-1), data, mode_name)
             methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
-            curve_files[curves_dir / f"{name}{suffix}.csv"] = curve
-            plots.setdefault(mode_name, {})[name] = report.plot_points(rejection.coverages(n), curve)
+            curves[name + suffix] = curve
+            points[name + suffix] = report.plot_points(rejection.coverages(n), curve)
+            plots.setdefault(mode_name, {})[name] = points[name + suffix]
         del oracle   # freed before the next metric's oracle is built
-    # the writer may fork a child, whose peak counts in this process's max RSS:
-    # free what it does not read before
-    del scores, evaluations, data, values
     curves_dir.mkdir(parents=True, exist_ok=True)
-    write_curve_csvs(rejection.coverages(n), curve_files)
-
+    write_curves(curves_dir / "curves.bin", n, curves)
+    for key, (xs, vs) in points.items():
+        write_curve_csv(curves_dir / f"{key}.csv", xs, vs)
     for mode_name, curve_map in sorted(plots.items()):
         svg = report.plot_curves_svg(curve_map, f"{mode_name} vs coverage", mode_name)
         (curves_dir / f"{mode_name}_curves.svg").write_text(svg)

@@ -1,6 +1,7 @@
 """On-disk interchange: headered float32 matrices, a JSON manifest with
-SHA-256 integrity, float64 model and score containers, and the CSV score
-table, an export that is written and never read back.
+SHA-256 integrity, float64 model, score and curve containers, and CSV
+exports that are written and never read back: the score table, and the
+plotted points of each curve.
 
 Binary layout (little-endian): 8-byte magic, u32 format version, u64
 rows, u64 cols, then row-major float32 data.  Every split file is one
@@ -31,9 +32,11 @@ from .errors import ChecksumError, DataError, FormatError, MagicError, RowCountE
 MAGIC_MATRIX = b"UQMATRIX"
 MAGIC_MODELS = b"UQMODELS"
 MAGIC_SCORES = b"UQSCORES"
+MAGIC_CURVES = b"UQCURVES"
 FORMAT_VERSION = 2   # 2: stochastic passes and labels are matrix files
 MODELS_VERSION = 7   # the README lists what each version changed
 SCORES_VERSION = 1
+CURVES_VERSION = 1
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
 _HDR_CONTAINER = struct.Struct("<8sIQ32s")   # magic, version, index size, SHA-256 of the bytes after it
@@ -186,29 +189,10 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
             shutil.copyfileobj(tail, fh.buffer)
 
 
-def write_curve_csvs(coverages, curves: Dict[Path, np.ndarray]) -> None:
-    """Write rejection curves that share one coverage column, ``{path:
-    values}``, each as ``coverage,value`` rows of ``repr`` floats; each span
-    of WRITE_ROWS coverages is formatted once for all the files a process
-    writes.  When every other file pays for a fork (:func:`_fork_pays`), a
-    forked child writes those files and this process the rest."""
-    paths = list(curves)
-
-    def write(part):
-        with contextlib.ExitStack() as stack:
-            files = [(stack.enter_context(open(path, "w")), curves[path]) for path in part]
-            for fh, _ in files:
-                fh.write("coverage,value\n")
-            for i in range(0, len(coverages), WRITE_ROWS):
-                span = slice(i, i + WRITE_ROWS)
-                text = [repr(c) for c in coverages[span].tolist()]
-                for fh, values in files:
-                    fh.write("".join([f"{c},{v!r}\n" for c, v in zip(text, values[span].tolist())]))
-
-    if _fork_pays(len(coverages) * (len(paths) // 2)):
-        _fork_halves(lambda: write(paths[1::2]), lambda: write(paths[::2]), paths)
-    else:
-        write(paths)
+def write_curve_csv(path, coverages, values) -> None:
+    """Write the points of one curve, ``coverages`` and ``values``, as ``coverage,value`` rows of ``repr`` floats."""
+    rows = "".join([f"{c!r},{v!r}\n" for c, v in zip(coverages.tolist(), values.tolist())])
+    Path(path).write_text("coverage,value\n" + rows)
 
 
 def sha256_file(path) -> str:
@@ -468,3 +452,19 @@ def read_scores(table, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
     if stored[0] != digest:
         raise ChecksumError(f"{table}: checksum {digest[:12]}.. != {container} {stored[0]!s:.12}..")
     return dict(sorted(fields.items()))
+
+
+def write_curves(path, n: int, curves: Dict[str, np.ndarray]) -> None:
+    """Write the curves container of ``{name: values}``, every curve over ``n`` units."""
+    _write_container(path, MAGIC_CURVES, CURVES_VERSION, {"n": n, "curves": {k: [n] for k in curves}}, curves.values())
+
+
+def read_curves(path) -> Dict[str, np.ndarray]:
+    """The curves ``{name: values}`` of the curves container ``path``, each at ``rejection.coverages(n)``."""
+    def shapes_of(index):
+        if (set(index) != {"n", "curves"} or type(index["n"]) is not int or not isinstance(index["curves"], dict)
+                or any(shape != [index["n"]] for shape in index["curves"].values())):
+            raise ValueError("it must hold an int n and an object of curve shapes, each [n]")
+        return index["curves"]
+
+    return _read_container(path, MAGIC_CURVES, CURVES_VERSION, "curves", shapes_of)

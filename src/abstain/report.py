@@ -38,13 +38,14 @@ def _m4(columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Ascending indices of the first, last, lowest and highest point of
     every run of consecutive points in one pixel column.  This is M4
     aggregation (Jugel et al., VLDB 2014): the polyline through these
-    points draws the same pixels as the one through every point."""
+    points draws the same pixels as the one through every point.  Run
+    ids are int16 (at most _IW runs); np.unique would import numpy.ma."""
     import numpy as np
     starts = np.flatnonzero(np.r_[True, columns[1:] != columns[:-1]])
     ends = np.r_[starts[1:], columns.size] - 1
-    run = np.repeat(np.arange(starts.size), ends - starts + 1)
+    run = np.repeat(np.arange(starts.size, dtype=np.int16), ends - starts + 1)
     order = np.lexsort((values, run))   # by run, then value; ties keep index order
-    return np.unique(np.concatenate((starts, ends, order[starts], order[ends])))
+    return np.array(sorted({*np.concatenate((starts, ends, order[starts], order[ends])).tolist()}))
 
 
 def _px(x):
@@ -63,7 +64,7 @@ def plot_points(xs, vs) -> Tuple[np.ndarray, np.ndarray]:
     xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
     if xs.size <= _IW:
         return xs, vs
-    keep = _m4(np.clip(np.floor(_px(xs) - _ML), 0, _IW - 1), vs)
+    keep = _m4(np.clip(np.floor(_px(xs) - _ML), 0, _IW - 1).astype(np.int16), vs)
     return xs[keep], vs[keep]
 
 

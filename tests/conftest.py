@@ -36,9 +36,9 @@ def rng():
 @pytest.fixture()
 def forks(monkeypatch):
     """The pids of the children forked while the test runs; the test is
-    skipped where the CSV writers cannot fork, on fewer than two CPUs."""
+    skipped where the score-table writer cannot fork, on fewer than two CPUs."""
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the writers fork only on two CPUs")
+        pytest.skip("the score-table writer forks only on two CPUs")
     pids = []
     fork = os.fork
 

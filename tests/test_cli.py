@@ -21,12 +21,11 @@ import scipy.spatial.distance
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
-from abstain import dataio, density, rejection
+from abstain import dataio, density, rejection, report
 from abstain.cli import FITTERS, _load_fitted, main, resolve_methods, score_split
-from abstain.core import seeded_rng
 from abstain.dataio import (FormatError, VersionError, load_manifest, load_models, load_splits,
-                            parse_matrix, read_scores, save_models, scores_container, sha256_file,
-                            write_curve_csvs, write_matrix, write_scores)
+                            parse_matrix, read_curves, read_scores, save_models, scores_container,
+                            sha256_file, write_curve_csv, write_matrix, write_scores)
 from abstain.synth import SynthSpec, generate
 from oracles import EMPTY_LABEL, csv_read_scores
 
@@ -957,20 +956,10 @@ class TestEvaluateAndReport:
         assert calls == ["risk"] * (3 + 1)
 
     def test_curve_csv_bytes(self, tmp_path):
-        write_curve_csvs(rejection.coverages(3), {tmp_path / "c.csv": np.array([1 / 3, 5e-324, 0.0])})
+        write_curve_csv(tmp_path / "c.csv", rejection.coverages(3), np.array([1 / 3, 5e-324, 0.0]))
         assert (tmp_path / "c.csv").read_bytes() == (
             b"coverage,value\n1.0,0.3333333333333333\n"
             b"0.6666666666666666,5e-324\n0.3333333333333333,0.0\n")
-
-    def test_curves_sharing_coverages_write_repr_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataio, "WRITE_ROWS", 2)   # spans of 2, 2 and 1 rows
-        n = 5
-        coverages = (n - np.arange(n)) / n
-        curves = {tmp_path / f"{i}.csv": seeded_rng(i).uniform(size=n) for i in range(3)}
-        write_curve_csvs(coverages, curves)
-        for path, values in curves.items():
-            rows = "".join(f"{c!r},{v!r}\n" for c, v in zip(coverages.tolist(), values.tolist()))
-            assert path.read_text() == "coverage,value\n" + rows
 
     def test_report_on_split_without_errors(self, mc_dir, tmp_path):
         # labels set to the argmax predictions: no errors, so every
@@ -1066,29 +1055,31 @@ class TestMultilabelEvaluate:
         than 105 bytes per (instance, label) pair.  The score container
         gives one float64 score per pair; the peak is set later, by the
         curves, after the split's probabilities are freed.  It grows by
-        92 with modules compiled from source, with a curve's coverages built
-        only inside the call that reads them.  It read 87 while ``dataio``
-        still held an unused CSV reader, whose compile raised the peak
-        before the start mark (the mark fell by about 0.6 MB when it went,
-        the peak by less), and 97 while a CSV reader also held an int32 row
-        count per pair.  With one coverage array shared
-        by every curve and kept from the first curve to the CSV write it
-        grew by 113 to 114; with the probabilities alive through the curves
-        too, by 119 to 129; a read that keeps the instance-level rows too,
-        with every full curve alive at once, each with its own coverages,
-        takes about 147."""
+        83 with modules compiled from source and by 86 with cached
+        bytecode, where the start mark sits about 1.5 MB lower.  It read 92
+        and 108 to 109 while M4 thinning kept float64 pixel columns and
+        int64 run ids and called np.unique, whose first call imports
+        numpy.ma (about 1.1 MB).  It read 87 while ``dataio`` still held
+        an unused CSV reader, whose compile raised the start mark, and 97
+        while a CSV reader also held an int32 row count per pair.  With one
+        coverage array shared by every curve and kept from the first curve
+        to the CSV write it grew by 113 to 114; with the probabilities alive
+        through the curves too, by 119 to 129; a read that keeps the
+        instance-level rows too, with every full curve alive at once, each
+        with its own coverages, takes about 147."""
         assert evaluate_growth_per_pair(pair_scores, "label") < 105
 
     def test_instance_mode_holds_under_70_bytes_per_pair(self, pair_scores):
         """``evaluate --mode instance`` on a table that holds MP's pair rows
         grows its peak resident memory by less than 70 bytes per pair.  It
         only hashes MP's array in the score container and never builds it;
-        it grows by 32 with modules compiled from source (30 while an unused
-        CSV reader's compile raised the start mark).  The CSV reader
-        that parsed the pair rows span by span grew by 34 to 37; one that
-        split the file's bytes into lines itself, in blocks of 1 MiB, took
-        85 to 87, and a read that keeps the pair rows it then drops about
-        121."""
+        it grows by 22 with modules compiled from source and 25 with cached
+        bytecode (32 and 45 while M4 thinning imported numpy.ma through
+        np.unique, 30 while an unused CSV reader's compile raised the start
+        mark).  The CSV reader that parsed the pair rows span by span grew
+        by 34 to 37; one that split the file's bytes into lines itself, in
+        blocks of 1 MiB, took 85 to 87, and a read that keeps the pair rows
+        it then drops about 121."""
         assert evaluate_growth_per_pair(pair_scores, "instance") < 70
 
     @pytest.mark.parametrize("level", ["instance", "label"])
@@ -1150,8 +1141,50 @@ class TestMultilabelEvaluate:
                                            "method MP: shape [60, 4], not [60] or [60, 5]\n")
 
 
-# Runs commands in this fresh interpreter pinned to one CPU, with every
-# table above the break-even, and fails if a writer forks.
+def built_curves(manifest, table, mode):
+    """``{"<method>[.<metric>]": values}`` of the curves ``evaluate --mode <mode>``
+    builds from ``table`` on ``manifest``'s test split, built here by ``build_curve``."""
+    loaded = load_manifest(manifest)
+    split = load_splits(loaded, Path(manifest).parent, {"test": ()})["test"]
+    scores = read_scores(table, mode, len(split), split.probs.shape[1])
+    evaluations = rejection.unit_data(split.probs, split.labels, loaded.task, mode)
+    suffixes = {metric: "" if len(evaluations) == 1 else f".{metric}" for metric, _ in evaluations}
+    return {name + suffixes[metric]: rejection.build_curve(values.reshape(-1), data, metric)
+            for metric, data in evaluations for name, values in scores.items()}
+
+
+class TestCurveFiles:
+    @pytest.mark.parametrize("mode", ["instance", "label"])
+    @pytest.mark.parametrize("size", ["60x5", "5000x20"])
+    def test_container_holds_the_built_bits_and_each_csv_the_plotted_points(self, size, mode, ml_dir, pair_scores,
+                                                                            tmp_path):
+        """Every (method, metric) curve reads back from curves.bin with
+        build_curve's bits, and its CSV holds plot_points of those values as
+        repr rows: every point of a curve of at most 566 points (60 x 5), the
+        M4 points of a longer one (5000 x 20)."""
+        if size == "60x5":
+            manifest, table = ml_dir / "ds" / "manifest.json", tmp_path / "s.csv"
+            assert run("score", "--manifest", manifest, "--models", ml_dir / "models.bin",
+                       "--methods", "MP,MP-mean,MD", "--out", table) == 0
+        else:
+            manifest, table = pair_scores / "ds" / "manifest.json", pair_scores / "s.csv"
+        curves = tmp_path / "curves"
+        assert run("evaluate", "--scores", table, "--manifest", manifest, "--mode", mode,
+                   "--out", tmp_path / "m.json", curves) == 0
+        built, read = built_curves(manifest, table, mode), read_curves(curves / "curves.bin")
+        assert list(read) == list(built) and len(built) == {"instance": 4, "label": 2}[mode]
+        assert sorted(p.name for p in curves.glob("*.csv")) == sorted(f"{key}.csv" for key in built)
+        for key, values in built.items():
+            assert read[key].dtype == np.dtype("<f8")
+            assert np.array_equal(read[key].view(np.uint64), values.view(np.uint64))
+            xs, vs = report.plot_points(rejection.coverages(values.size), values)
+            assert xs.size == values.size if values.size <= 566 else xs.size <= 4 * 566
+            rows = "".join(f"{x!r},{v!r}\n" for x, v in zip(xs.tolist(), vs.tolist()))
+            assert (curves / f"{key}.csv").read_text() == "coverage,value\n" + rows
+
+
+# Runs commands in this fresh interpreter pinned to one CPU, with the
+# score table above the break-even, and fails if its writer forks.
 PINNED_PROBE = """
 import json, os, sys
 from abstain import cli, dataio
@@ -1177,24 +1210,21 @@ class TestForkedWriters:
         monkeypatch.setattr(dataio, "FORK_ROWS", 1)
         for argv in self.commands(ml_dir, tmp_path / "two"):
             assert main(argv) == 0
-        assert len(forks) == 2   # the score table and the two label-mode curve files
+        assert len(forks) == 1   # the score table
         subprocess.run([sys.executable, "-c", PINNED_PROBE, json.dumps(self.commands(ml_dir, tmp_path / "one"))],
                        env=child_env(), capture_output=True, text=True, check=True)
         two = sorted(p.relative_to(tmp_path / "two") for p in (tmp_path / "two").rglob("*") if p.is_file())
         one = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
-        assert two == one and len(two) == 7   # s.csv, s.csv.bin, m.json, two curve CSVs and two SVGs
+        assert two == one and len(two) == 8   # s.csv, s.csv.bin, m.json, curves.bin, two curve CSVs and two SVGs
         for name in two:
             assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
     @pytest.mark.parametrize("side", ["child", "parent"])
-    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    @pytest.mark.parametrize("command", ["score"])
     def test_failed_half_is_an_io_error_that_leaves_no_output(self, command, side, ml_dir, tmp_path, forks,
                                                                monkeypatch, capsys):
-        score, evaluate = self.commands(ml_dir, tmp_path)
-        if command == "evaluate":
-            assert main(score) == 0
-        else:   # a container of an earlier run, which must not outlive its table
-            scores_container(tmp_path / "s.csv").write_bytes(b"stale")
+        score, _ = self.commands(ml_dir, tmp_path)
+        scores_container(tmp_path / "s.csv").write_bytes(b"stale")   # of an earlier run: must not outlive its table
         monkeypatch.setattr(dataio, "FORK_ROWS", 1)
         parent = os.getpid()
 
@@ -1202,19 +1232,13 @@ class TestForkedWriters:
             if (os.getpid() == parent) == (side == "parent"):
                 raise OSError("no space left on device")
 
-        if command == "score":
-            text = dataio._score_text
-            monkeypatch.setattr(dataio, "_score_text", lambda *span: failing() or text(*span))
-        else:
-            monkeypatch.setattr(dataio, "open", lambda path, mode="r", *a, **k: (
-                failing() if mode == "w" else None) or open(path, mode, *a, **k), raising=False)
-        assert main(score if command == "score" else evaluate) == 2
+        text = dataio._score_text
+        monkeypatch.setattr(dataio, "_score_text", lambda *span: failing() or text(*span))
+        assert main(score) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error [io]: ")
         assert ("forked writer" in err) == (side == "child") and ("no space left" in err) == (side == "parent")
-        outputs = ([tmp_path / "s.csv", scores_container(tmp_path / "s.csv")] if command == "score"
-                   else list((tmp_path / "curves").glob("*.csv")))
-        assert not any(p.exists() for p in outputs)
+        assert not any(p.exists() for p in (tmp_path / "s.csv", scores_container(tmp_path / "s.csv")))
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):   # the parent has waited for its child
             os.waitpid(forks[0], os.WNOHANG)

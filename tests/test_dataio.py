@@ -1,4 +1,4 @@
-"""Binary matrix format, the score table and its container, manifest integrity, model container."""
+"""Binary matrix format, the score table and its container, manifest integrity, model and curve containers."""
 import json
 import os
 import re
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from abstain import dataio, rejection
+from abstain import dataio
 from abstain.dataio import (
     FORK_ROWS,
     WRITE_ROWS,
@@ -25,12 +25,13 @@ from abstain.dataio import (
     load_models,
     load_splits,
     parse_matrix,
+    read_curves,
     read_scores,
     save_dataset,
     save_models,
     scores_container,
     sha256_file,
-    write_curve_csvs,
+    write_curves,
     write_matrix,
     write_scores,
     write_scores_csv,
@@ -356,23 +357,6 @@ class TestForkedWriters:
         assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "two.csv"]   # no temporary file left
 
-    @pytest.mark.parametrize("files", [1, 2, 3])
-    def test_curve_sets_above_the_break_even_are_the_one_process_bytes(self, files, tmp_path, forks, monkeypatch):
-        # every other file holds FORK_ROWS rows: one file is written alone
-        coverages = rejection.coverages(FORK_ROWS)
-        rng = np.random.default_rng(files)
-        values = [rng.uniform(size=FORK_ROWS) for _ in range(files)]
-        for side in ("two", "one"):
-            (tmp_path / side).mkdir()
-            curves = {tmp_path / side / f"{i}.csv": v for i, v in enumerate(values)}
-            if side == "two":
-                write_curve_csvs(coverages, curves)
-            else:
-                written_on_one_cpu(monkeypatch, lambda: write_curve_csvs(coverages, curves))
-        assert len(forks) == (files > 1)
-        for i in range(files):
-            assert (tmp_path / "two" / f"{i}.csv").read_bytes() == (tmp_path / "one" / f"{i}.csv").read_bytes()
-
 
 class TestManifest:
     def test_save_then_validate(self, dataset, tmp_path):
@@ -525,6 +509,39 @@ class TestModelContainer:
         p.write_bytes(bytes(raw))
         with pytest.raises(VersionError):
             load_models(p)
+
+
+class TestCurveContainer:
+    @pytest.fixture()
+    def curves(self, tmp_path):
+        path = tmp_path / "curves.bin"
+        write_curves(path, 3, {"SR": np.array([1 / 3, 5e-324, 0.0]), "MP.f1_micro": np.array([-0.0, 1.0, np.inf])})
+        return path
+
+    def test_round_trip_is_bit_identical(self, curves):
+        back = read_curves(curves)
+        assert list(back) == ["SR", "MP.f1_micro"]
+        assert back["SR"].view(np.uint64).tolist() == np.array([1 / 3, 5e-324, 0.0]).view(np.uint64).tolist()
+        assert back["MP.f1_micro"].view(np.uint64).tolist() == np.array([-0.0, 1.0, np.inf]).view(np.uint64).tolist()
+
+    def test_index_gives_n_and_each_curves_shape(self, curves):
+        raw, start = curves.read_bytes(), dataio._HDR_CONTAINER.size
+        magic, version, size, _ = dataio._HDR_CONTAINER.unpack_from(raw)
+        assert (magic, version) == (b"UQCURVES", 1)
+        assert json.loads(raw[start:start + size]) == {"n": 3, "curves": {"SR": [3], "MP.f1_micro": [3]}}
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda raw: flip(raw, -1), ChecksumError),
+        (lambda raw: b"UQSCORES" + raw[8:], MagicError),
+        (lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:], VersionError),
+        (lambda raw: raw.replace(b'"SR": [3]', b'"SR": [2]'), FormatError),
+    ], ids=["flipped-payload-byte", "magic", "version", "shape-not-n"])
+    def test_a_faulty_container_is_refused(self, edit, error, curves):
+        rewrite(curves, edit)
+        with pytest.raises(error) as exc:
+            read_curves(curves)
+        assert exc.value.code == {ChecksumError: "checksum-mismatch", MagicError: "bad-magic",
+                                  VersionError: "bad-version", FormatError: "bad-format"}[error]
 
 
 @pytest.mark.parametrize("byte", [b"", b'"md"'], ids=["field", "model-name"])
