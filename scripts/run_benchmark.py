@@ -24,8 +24,8 @@ from abstain.synth import SynthSpec, generate
 
 def fit_models(data, task):
     """Every model the task can use, fitted as ``abstain fit`` does."""
-    return {key: fitter.fit(data.splits[fitter.split])
-            for key, fitter in FITTERS.items() if task in fitter.tasks}
+    return {key: FITTERS[key].fit(data.splits[FITTERS[key].split])
+            for key in resolve_methods("all", task, FITTERS)}
 
 
 def add_entries(table, scores, split, level):

@@ -44,20 +44,9 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_fit(args) -> int:
     from .dataio import load_manifest, load_splits, save_models
-    from .registry import FITTERS
+    from .registry import FITTERS, resolve_methods
     manifest = load_manifest(args.manifest)
-    if args.methods is None:
-        requested = [key for key, fitter in FITTERS.items() if manifest.task in fitter.tasks]
-    else:
-        tokens = (m.strip().lower() for m in args.methods.split(","))
-        requested = list(dict.fromkeys(m for m in tokens if m))
-    for m in requested:
-        if m not in FITTERS:
-            raise UsageError(f"unknown fit method {m!r}; available: {', '.join(FITTERS)}")
-        if manifest.task not in FITTERS[m].tasks:
-            raise UsageError(f"{m} fitting needs a {' or '.join(FITTERS[m].tasks)} manifest")
-    if not requested:
-        raise UsageError("no methods requested")
+    requested = resolve_methods(args.methods, manifest.task, FITTERS)
     splits = load_splits(manifest, Path(args.manifest).parent,   # no fitter reads the passes
                          {FITTERS[m].split: ("embeddings",) for m in requested})
     save_models(args.out, {m: vars(FITTERS[m].fit(splits[FITTERS[m].split])) for m in requested})
@@ -180,8 +169,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit density/beta models on the train split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--methods", default=None,
-                   help="comma list from md,rde,ddu,nuq,beta (registry.FITTERS); default all that fit the task")
+    p.add_argument("--methods", default="all",
+                   help="comma list from md,rde,ddu,nuq,beta (registry.FITTERS), or all that fit the task")
     p.add_argument("--out", required=True, help="models container path")
     p.set_defaults(func=_cmd_fit)
 

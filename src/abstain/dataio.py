@@ -46,20 +46,21 @@ WRITE_ROWS = 1 << 13   # rows per write of a file: bounds the text or float32 bl
 
 def write_matrix(path, arr: np.ndarray) -> str:
     """Write a matrix file: the rows of ``arr`` cast into one float32
-    buffer of WRITE_ROWS rows and written from it a block at a time.
-    Returns the file's SHA-256 hex digest, taken from the bytes as they
-    are written."""
+    buffer of at most WRITE_ROWS rows and 2 MiB (one row, if a row is
+    wider) and written from it a block at a time.  Returns the file's
+    SHA-256 hex digest, taken from the bytes as they are written."""
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValueError("matrix files hold 2-D arrays")
     header = _HDR_MATRIX.pack(MAGIC_MATRIX, FORMAT_VERSION, *arr.shape)
     digest = hashlib.sha256(header)
-    buffer = np.empty((min(len(arr), WRITE_ROWS), arr.shape[1]), dtype="<f4")
+    step = min(WRITE_ROWS, max(1, (1 << 21) // (4 * arr.shape[1] or 1)))
+    buffer = np.empty((min(len(arr), step), arr.shape[1]), dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header)
-        for i in range(0, len(arr), WRITE_ROWS):
+        for i in range(0, len(arr), step):
             block = buffer[:len(arr) - i]
-            block[...] = arr[i:i + WRITE_ROWS]
+            block[...] = arr[i:i + step]
             digest.update(block)
             fh.write(block)
     return digest.hexdigest()

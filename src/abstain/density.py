@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import mmap
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,8 +96,8 @@ def _class_partition(split: LabeledSplit):
 
 @dataclass(frozen=True)
 class MdModel:
-    centroids: np.ndarray     # (C, d)
-    whitener: np.ndarray      # (d, d) inverse Cholesky factor of the ridged covariance
+    centroids: np.ndarray = field(metadata={"dims": "C d"})
+    whitener: np.ndarray = field(metadata={"dims": "d d"})   # inverse Cholesky factor of the ridged covariance
 
 
 def fit_md(train: LabeledSplit) -> MdModel:
@@ -126,13 +126,13 @@ def score_md(E, model: MdModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RdeModel:
-    support: np.ndarray       # (n, d) train embeddings
+    support: np.ndarray = field(metadata={"dims": "n d"})        # train embeddings
     gamma: float
-    dual_vectors: np.ndarray  # (n, k): eigvec / sqrt(eigval)
-    col_means: np.ndarray     # (n,) train-kernel column means
+    dual_vectors: np.ndarray = field(metadata={"dims": "n k"})   # eigvec / sqrt(eigval)
+    col_means: np.ndarray = field(metadata={"dims": "n"})        # train-kernel column means
     grand_mean: float
-    centroids: np.ndarray     # (C, k) robust locations in component space
-    whiteners: np.ndarray     # (C, k, k) inverse Cholesky factors of the ridged MCD scatters
+    centroids: np.ndarray = field(metadata={"dims": "C k"})      # robust locations in component space
+    whiteners: np.ndarray = field(metadata={"dims": "C k k"})    # inverse Cholesky factors of the ridged MCD scatters
 
     def transform(self, E: np.ndarray) -> np.ndarray:
         """Projections of the rows of E on the kernel components.  Their
@@ -338,10 +338,10 @@ def score_rde(E, model: RdeModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DduModel:
-    centroids: np.ndarray     # (C, d)
-    whiteners: np.ndarray     # (C, d, d) inverse Cholesky factors of ridged per-class covs
-    log_dets: np.ndarray      # (C,) log det of the ridged covariances
-    log_priors: np.ndarray    # (C,) log empirical class frequencies
+    centroids: np.ndarray = field(metadata={"dims": "C d"})
+    whiteners: np.ndarray = field(metadata={"dims": "C d d"})   # inverse Cholesky factors of ridged per-class covs
+    log_dets: np.ndarray = field(metadata={"dims": "C"})        # log det of the ridged covariances
+    log_priors: np.ndarray = field(metadata={"dims": "C"})      # log empirical class frequencies
 
 
 def fit_ddu(train: LabeledSplit) -> DduModel:
@@ -393,8 +393,8 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NuqModel:
-    embeddings: np.ndarray      # (n, d) train points kept verbatim
-    label_matrix: np.ndarray    # (n, C) one-hot rows (bit rows if multilabel)
+    embeddings: np.ndarray = field(metadata={"dims": "n d"})     # train points kept verbatim
+    label_matrix: np.ndarray = field(metadata={"dims": "n L"})   # one-hot rows (bit rows if multilabel)
     bandwidth: float
 
 

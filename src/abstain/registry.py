@@ -6,7 +6,7 @@ call their scorer or fitter through its module at call time
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -23,33 +23,25 @@ BOTH = MULTICLASS + MULTILABEL
 
 @dataclass(frozen=True)
 class Fitter:
-    """``fields``, the model's schema in the container, gives its fields in
-    order as dimension letters: "" is a float, "C d" a (C, d) array.  d is
-    the embedding width and L the class or label count; C is the class
-    count, or 1 for a multilabel split's shared component; n and k are
-    fixed by the first field that holds them."""
+    """The fields of the ``model`` dataclass, in order, are the model's
+    schema in the container.  An array field's ``dims`` metadata gives its
+    dimension letters, "C d" for a (C, d) array; a field without it is a
+    float.  d is the embedding width and L the class or label count; C is
+    the class count, or 1 for a multilabel split's shared component; n and
+    k are fixed by the first field that holds them."""
 
     fit: Callable[[LabeledSplit], object]   # split -> fitted model
     model: type                             # class of the model it returns
     split: str                              # role of the split it fits on
     tasks: Tuple[str, ...]
-    fields: Dict[str, str]
 
 
 FITTERS: Dict[str, Fitter] = {
-    "md": Fitter(lambda split: density.fit_md(split), density.MdModel, "train", BOTH,
-                 {"centroids": "C d", "whitener": "d d"}),
-    "rde": Fitter(lambda split: density.fit_rde(split), density.RdeModel, "train", BOTH,
-                  {"support": "n d", "gamma": "", "dual_vectors": "n k", "col_means": "n",
-                   "grand_mean": "", "centroids": "C k", "whiteners": "C k k"}),
-    "ddu": Fitter(lambda split: density.fit_ddu(split), density.DduModel, "train", BOTH,
-                  {"centroids": "C d", "whiteners": "C d d", "log_dets": "C", "log_priors": "C"}),
-    "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH,
-                  {"embeddings": "n d", "label_matrix": "n L", "bandwidth": ""}),
-    "beta": Fitter(lambda split: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS,
-                   dict.fromkeys(("alpha_correct", "gamma_correct", "alpha_incorrect", "gamma_incorrect",
-                                  "prior_correct", "prior_incorrect", "log_beta_correct",
-                                  "log_beta_incorrect"), "")),
+    "md": Fitter(lambda split: density.fit_md(split), density.MdModel, "train", BOTH),
+    "rde": Fitter(lambda split: density.fit_rde(split), density.RdeModel, "train", BOTH),
+    "ddu": Fitter(lambda split: density.fit_ddu(split), density.DduModel, "train", BOTH),
+    "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH),
+    "beta": Fitter(lambda split: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS),
 }
 
 
@@ -144,13 +136,14 @@ def method_inputs(names: Iterable[str]) -> Set[str]:
     return inputs
 
 
-def resolve_methods(raw: str, task: str) -> List[str]:
-    """Registry names from a comma list, or all that serve ``task`` for
-    "all", in registry order."""
-    available = [name for name, method in METHODS.items() if task in method.tasks]
+def resolve_methods(raw: str, task: str, registry: Dict[str, object] = METHODS) -> List[str]:
+    """Names of ``registry`` (METHODS for score, FITTERS for fit) from a
+    comma list in any case, or all that serve ``task`` for "all", in
+    registry order.  A name unknown, or of another task, is a UsageError."""
+    available = [name for name, entry in registry.items() if task in entry.tasks]
     if raw.strip().lower() == "all":
         return available
-    lookup = {name.lower(): name for name in available}
+    lookup = {name.lower(): name for name in registry}
     out = []
     for token in raw.split(","):
         token = token.strip()
@@ -158,9 +151,9 @@ def resolve_methods(raw: str, task: str) -> List[str]:
             continue
         name = lookup.get(token.lower())
         if name is None:
-            raise UsageError(
-                f"unknown method {token!r} for task {task}; available: {', '.join(available)}"
-            )
+            raise UsageError(f"unknown method {token!r} for task {task}; available: {', '.join(available)}")
+        if task not in registry[name].tasks:
+            raise UsageError(f"method {name} needs a {' or '.join(registry[name].tasks)} manifest")
         if name not in out:
             out.append(name)
     if not out:
@@ -170,18 +163,19 @@ def resolve_methods(raw: str, task: str) -> List[str]:
 
 def _load_fitted(path, manifest) -> Dict[str, object]:
     """The models in the container ``path``, each built by its FITTERS
-    entry's class from that Fitter's fields, in order, of the shapes it
-    gives for ``manifest``, every value finite (FormatError naming the
+    entry's class from that class's fields, in order, of the shapes their
+    dims give for ``manifest``, every value finite (FormatError naming the
     model and the field)."""
     classes = manifest.n_classes if manifest.task == "multiclass" else 1
+    schemas = {key: {f.name: f.metadata.get("dims", "") for f in fields(fitter.model)}
+               for key, fitter in FITTERS.items()}
     models = {}
     for key, values in load_models(path).items():
-        fitter = FITTERS.get(key)
-        if fitter is None or list(values) != list(fitter.fields):
+        if key not in schemas or list(values) != list(schemas[key]):
             raise FormatError(f"{path}: model {key!r} with fields {list(values)} is none of "
-                              + ", ".join(f"{k} {list(f.fields)}" for k, f in FITTERS.items()))
+                              + ", ".join(f"{k} {list(s)}" for k, s in schemas.items()))
         sizes = {"d": manifest.dim, "C": classes, "L": manifest.n_classes}
-        for name, letters in fitter.fields.items():
+        for name, letters in schemas[key].items():
             dims, shape = letters.split(), values[name].shape
             want = ", ".join(f"{x}={sizes[x]}" if x in sizes else x for x in dims)
             want = f"a float64 array of shape ({want})" if dims else "a float"
@@ -190,7 +184,7 @@ def _load_fitted(path, manifest) -> Dict[str, object]:
             if not np.isfinite(values[name]).all():
                 raise FormatError(f"{path}: {key} model field {name!r} holds NaN or infinite values")
         try:
-            models[key] = fitter.model(**values)
+            models[key] = FITTERS[key].model(**values)
         except ValueError as exc:
             raise FormatError(f"{path}: {key} model: {exc}") from exc
     return models

@@ -2,6 +2,7 @@
 import ast
 import builtins
 import collections
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
 from abstain import dataio, density, rejection, report
-from abstain.cli import FITTERS, _load_fitted, main, resolve_methods, score_split
+from abstain.cli import FITTERS, METHODS, _load_fitted, main, resolve_methods, score_split
 from abstain.dataio import (FormatError, VersionError, load_manifest, load_models, load_splits,
                             parse_matrix, read_curves, read_scores, save_models, scores_container,
                             sha256_file, write_curve_csv, write_matrix, write_scores)
@@ -151,7 +152,7 @@ class TestFit:
         code = run("fit", "--manifest", mc_dir / "ds" / "manifest.json",
                    "--methods", "kde", "--out", tmp_path / "m.bin")
         assert code == 1
-        assert "unknown fit method" in capsys.readouterr().err
+        assert "unknown method 'kde' for task multiclass" in capsys.readouterr().err
 
     def test_beta_on_multilabel_is_usage_error(self, ml_dir, tmp_path, capsys):
         code = run("fit", "--manifest", ml_dir / "ds" / "manifest.json",
@@ -236,6 +237,34 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: RDE kernel eigensolve failed") and "No convergence" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_fit_and_score_read_method_lists_alike(command, mc_dir, ml_dir, tmp_path, capsys):
+    """One function resolves ``--methods`` for both commands, over FITTERS
+    for fit and METHODS for score: registry names in any case, duplicates
+    and blank entries dropped, or "all", the default, for every method of
+    the manifest's task.  An unknown name, and a name of the other task,
+    is a usage error worded alike in both."""
+    registry = FITTERS if command == "fit" else METHODS
+    for root, task, other in ((mc_dir, "multiclass", "multilabel"), (ml_dir, "multilabel", "multiclass")):
+        available = [name for name, entry in registry.items() if task in entry.tasks]
+        first, second = available[:2]
+        out = tmp_path / "out"
+        argv = [command, "--manifest", root / "ds" / "manifest.json", "--out", out]
+        if command == "score":
+            argv += ["--models", root / "models.bin", "--calibrate", "validation"]
+        for methods, want in ((None, available), (" ALL ", available),
+                              (f"{first.upper()}, ,{second},{first.lower()},", [first, second])):
+            assert run(*argv, *(["--methods", methods] if methods else [])) == 0
+            got = list(load_models(out)) if command == "fit" else list(dict.fromkeys(csv_read_scores(out)[2]))
+            assert got == want, (task, methods)
+        assert run(*argv, "--methods", "nosuch") == 1
+        assert capsys.readouterr().err == (f"usage error: unknown method 'nosuch' for task {task}; "
+                                           f"available: {', '.join(available)}\n")
+        for name in (name for name, entry in registry.items() if task not in entry.tasks):
+            assert run(*argv, "--methods", f"{first},{name.lower()}") == 1
+            assert capsys.readouterr().err == f"usage error: method {name} needs a {other} manifest\n"
 
 
 # (case, edit of the parsed JSON object, message with {what} = spec or manifest)
@@ -653,9 +682,16 @@ def test_models_round_trip_through_the_container_scores_the_same_bits(task, mc_d
     assert list(loaded) == keys
     for key, model in loaded.items():
         assert type(model) is FITTERS[key].model
-        for name, letters in FITTERS[key].fields.items():
-            value = getattr(model, name)
-            assert type(value) is (np.ndarray if letters else np.float64), (key, name)
+        # the class declares every field the fitted model holds, in order,
+        # and the dimension letters of each array field
+        schema = [(f.name, f.metadata.get("dims")) for f in dataclasses.fields(model)]
+        assert [name for name, _ in schema] == list(vars(fitted[key])), key
+        for name, dims in schema:
+            value, back = getattr(fitted[key], name), getattr(model, name)
+            assert isinstance(value, np.ndarray) == (dims is not None), (key, name)
+            assert np.ndim(value) == len((dims or "").split()), (key, name)
+            assert type(back) is (np.ndarray if dims else np.float64), (key, name)
+            assert back.tobytes() == np.asarray(value, dtype=np.float64).tobytes(), (key, name)
     names = resolve_methods("all", task)
     calib = splits["validation"] if task == "multiclass" else None
     want = score_split(names, splits["test"], fitted, calib)
@@ -1004,20 +1040,18 @@ class TestEvaluateAndReport:
 
 
 # VmHWM, the peak resident size of the process image, in KiB; unlike
-# ru_maxrss it does not carry the parent's peak across exec.  The peak is
-# the larger of it and the largest ru_maxrss of a child the command
-# forked, so a forked writer's peak is bounded too.  locale, which the
-# command imports, is imported before the start mark, as under abstain.cli
-# before it loaded only what a command runs.
+# ru_maxrss it does not carry the parent's peak across exec.  locale,
+# which the command imports, is imported before the start mark, as under
+# abstain.cli before it loaded only what a command runs.
 EVALUATE_PROBE = """
-import json, locale, resource, sys
+import json, locale, sys
 def vm_hwm():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 import abstain.cli as cli
 start = vm_hwm()
 assert cli.main(json.loads(sys.argv[1])) == 0
-print(json.dumps([start, max(vm_hwm(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)]))
+print(json.dumps([start, vm_hwm()]))
 """
 
 

@@ -460,6 +460,24 @@ def test_files_longer_than_a_write_block_read_back_bitwise(dtype, tmp_path):
         assert np.array_equal(back.view(np.uint32), arr.astype("<f4").view(np.uint32))
 
 
+@pytest.mark.parametrize("shape", [(2048, 1024), (3, 600_000)], ids=["4-KiB-rows", "rows-over-2-MiB"])
+def test_wide_rows_are_written_through_a_buffer_of_about_2_mib(shape, tmp_path):
+    """The float32 buffer holds at most 2 MiB of rows, or one row if a row
+    is wider, whatever the row count: a test split's passes at 200 labels
+    are rows of 4,000 floats.  The file holds the one-block bytes."""
+    matrix = np.random.default_rng(3).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        digest = write_matrix(tmp_path / "m.bin", matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max(1 << 21, 4 * shape[1]) + (1 << 18)
+    raw = (tmp_path / "m.bin").read_bytes()
+    assert raw[len(raw) - matrix.size * 4:] == matrix.astype("<f4").tobytes()
+    assert digest == sha256_file(tmp_path / "m.bin")
+
+
 def test_generate_and_save_hold_under_half_a_pass_tensor_beyond_the_dataset(tmp_path):
     """The test split's passes dominate the dataset, and its files span
     three write blocks: building, writing and hashing them hold no
