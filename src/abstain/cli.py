@@ -61,11 +61,12 @@ def _cmd_score(args) -> int:
     names = resolve_methods(args.methods, manifest.task)
     wanted = {args.split: method_inputs(names)}
     hybrids = [name for name in names if METHODS[name].hybrid]
-    if args.calibrate:   # loaded, so checked, with or without hybrids; the scored split's inputs cover theirs
-        wanted.setdefault(args.calibrate, method_inputs(hybrids))
+    calibrate = args.calibrate or ("validation" if hybrids else None)
+    if calibrate:   # loaded, so checked, with or without hybrids; the scored split's inputs cover theirs
+        wanted.setdefault(calibrate, method_inputs(hybrids))
     splits = load_splits(manifest, Path(args.manifest).parent, wanted)
     models = _load_fitted(args.models, manifest) if args.models else {}
-    write_scores(args.out, score_split(names, splits[args.split], models, splits.get(args.calibrate)))
+    write_scores(args.out, score_split(names, splits[args.split], models, splits.get(calibrate)))
     print(args.out)
     return 0
 
@@ -180,7 +181,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--split", default="test")
     p.add_argument("--methods", default="all")
     p.add_argument("--out", required=True, help="score table CSV path; its score container is this path + .bin")
-    p.add_argument("--calibrate", default=None, help="split used to fit hybrid combinators")
+    p.add_argument("--calibrate", default=None,
+                   help="split used to fit hybrid combinators (default: validation, when hybrids are requested)")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="rejection curves and normalized areas from a score table")

@@ -164,7 +164,7 @@ class LabeledSplit:
         except ValueError as exc:
             raise ValueError(f"probs: {exc}") from None
         labels = np.asarray(self.labels)
-        if labels.shape[0] != n:
+        if labels.shape[:1] != (n,):
             raise ValueError("labels/probs row count mismatch")
         if labels.shape != ((n,) if multiclass else (n, width)):
             raise ValueError("multiclass labels must be one-dimensional" if multiclass

@@ -1,7 +1,8 @@
 """On-disk interchange: headered float32 matrices, a JSON manifest with
 SHA-256 integrity, float64 model, score and curve containers, and CSV
-exports that are written and never read back: the score table, and the
-plotted points of each curve.
+exports that are written and never read back: the score table, UTF-8 text
+hashed as it is written (its digest goes into the score container's
+index), and the plotted points of each curve.
 
 Binary layout (little-endian): 8-byte magic, u32 format version, u64
 rows, u64 cols, then row-major float32 data.  Every split file is one
@@ -17,12 +18,11 @@ import itertools
 import json
 import math
 import os
-import shutil
 import struct
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Collection, Dict, Tuple
+from typing import Collection, Dict, Tuple
 
 import numpy as np
 
@@ -94,45 +94,8 @@ SCORE_HEADER = ["instance", "label", "method", "score"]
 FORK_ROWS = 100_000   # rows a writer must be able to hand to a second process before it forks one
 
 
-def _fork_pays(rows: int) -> bool:
-    """Whether forking a second writer for ``rows`` rows of text gains time: the
-    rows reach FORK_ROWS and this process may run on at least two CPUs (where
-    ``os.sched_getaffinity`` is missing, as ``os.fork`` may be, it never forks)."""
-    return rows >= FORK_ROWS and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-
-def _fork_halves(child: Callable[[], None], parent: Callable[[], None], outputs) -> None:
-    """Run ``child()`` in a forked process while this one runs ``parent()``.
-
-    The child leaves through ``os._exit``: it flushes no buffer and runs no
-    handler that it inherited.  The parent waits for it even when its own
-    half raises, and a child that does not exit 0 is an OSError.  On any
-    failure the files ``outputs`` are removed, so no partial output is left."""
-    try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                child()
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            parent()
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if status:
-            raise OSError(f"the forked writer of {outputs[0]} failed with exit code "
-                          f"{os.waitstatus_to_exitcode(status)}")
-    except BaseException:
-        for path in outputs:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-        raise
-
-
-def _score_text(field: str, values: np.ndarray, width, start: int) -> str:
-    """The score table rows of one method's ``values``, flat rows ``start``
+def _score_text(field: str, values: np.ndarray, width, start: int) -> bytes:
+    """The UTF-8 score table rows of one method's ``values``, flat rows ``start``
     on, ``field`` its CSV field: instance rows if ``width`` is None, else
     rows of (instance, label) pairs of ``width`` labels, instance-major.
     Indices are made for these rows only."""
@@ -142,11 +105,13 @@ def _score_text(field: str, values: np.ndarray, width, start: int) -> str:
     else:
         instances, labels = (a.tolist() for a in np.divmod(np.arange(start, stop), width))
     return "".join([f"{n},{label},{field},{score!r}\r\n"
-                    for n, label, score in zip(instances, labels, values.tolist())])
+                    for n, label, score in zip(instances, labels, values.tolist())]).encode()
 
 
-def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
-    """Write the score table of ``{method: scores}``, methods in dict order.
+def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> str:
+    """Write the score table of ``{method: scores}``, methods in dict order,
+    as UTF-8; returns its SHA-256 hex digest, taken from the bytes as they
+    are written.
 
     An ``(n,)`` array gives one row per instance with an empty label
     field; an ``(n, L)`` array gives one row per (instance, label) pair,
@@ -155,9 +120,15 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
     name is quoted by it once, the numeric fields never need quoting.
 
     The rows are formatted a span of WRITE_ROWS at a time.  When the second
-    half of the spans pays for a fork (:func:`_fork_pays`), a forked child
-    formats it into an anonymous temporary file in the table's directory
-    while this process writes the first half, then this process appends it.
+    half of the spans holds FORK_ROWS rows or more and this process may run
+    on at least two CPUs (where ``os.sched_getaffinity`` is missing, as
+    ``os.fork`` may be, it never forks), a forked child formats that half
+    into an anonymous temporary file in the table's directory while this
+    process writes the first half; then this process hashes the child's
+    bytes as it appends them.  The child leaves through ``os._exit``: it
+    flushes no buffer and runs no handler that it inherited.  This process
+    waits for it even when its own half raises, and a child that does not
+    exit 0 is an OSError naming the table.
     """
     spans = []   # (method field, scores, label count or None, first row) per span, in file order
     for method, values in scores.items():
@@ -169,25 +140,38 @@ def write_scores_csv(path, scores: Dict[str, np.ndarray]) -> None:
         flat = values.ravel()
         spans += [(field, flat[i:i + WRITE_ROWS], width, i) for i in range(0, len(flat), WRITE_ROWS)]
     half = len(spans) // 2
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(chunks):
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
 
-    def write(fh, part):
-        for span in part:
-            fh.write(_score_text(*span))
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SCORE_HEADER) + "\r\n")
-        if not _fork_pays(sum(len(span[1]) for span in spans[half:])):
-            write(fh, spans)
-            return
+        write([(",".join(SCORE_HEADER) + "\r\n").encode()])
+        if (sum(len(span[1]) for span in spans[half:]) < FORK_ROWS or not hasattr(os, "sched_getaffinity")
+                or len(os.sched_getaffinity(0)) < 2):
+            write(itertools.starmap(_score_text, spans))
+            return digest.hexdigest()
         with tempfile.TemporaryFile(dir=Path(path).parent) as tail:
-            def write_tail():
-                with io.TextIOWrapper(tail, encoding=fh.encoding, newline="") as text:
-                    write(text, spans[half:])
-
-            _fork_halves(write_tail, lambda: write(fh, spans[:half]), [path])
-            fh.flush()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    tail.writelines(itertools.starmap(_score_text, spans[half:]))
+                    tail.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            try:
+                write(itertools.starmap(_score_text, spans[:half]))
+            finally:
+                _, status = os.waitpid(pid, 0)
+            if status:
+                raise OSError(f"the forked writer of {path} failed with exit code "
+                              f"{os.waitstatus_to_exitcode(status)}")
             tail.seek(0)
-            shutil.copyfileobj(tail, fh.buffer)
+            write(iter(lambda: tail.read(1 << 20), b""))
+    return digest.hexdigest()
 
 
 def write_curve_csv(path, coverages, values) -> None:
@@ -416,8 +400,8 @@ def write_scores(table, scores: Dict[str, np.ndarray]) -> None:
     container = scores_container(table)
     container.unlink(missing_ok=True)
     try:
-        write_scores_csv(table, scores)
-        index = {"table": sha256_file(table), "scores": {name: np.shape(v) for name, v in scores.items()}}
+        digest = write_scores_csv(table, scores)
+        index = {"table": digest, "scores": {name: np.shape(v) for name, v in scores.items()}}
         _write_container(container, MAGIC_SCORES, SCORES_VERSION, index, scores.values())
     except BaseException:
         for path in (table, container):

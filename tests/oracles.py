@@ -5,10 +5,11 @@ ranks (``rank``, the scalar form of ``core.rank_all``), written from the
 definitions rather than from the vectorised code.  The brute-force hybrid search builds every grid config and scores
 it with ``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
-score-table reader and writer go row by row in Python: the writer gives
-the bytes ``write_scores_csv`` must write, and the reader gives every row
-of an exported table in file order, so tests of what ``score`` writes
-check its rows, and the scores of its container, there.
+score-table reader and writer go row by row in Python, on UTF-8 text
+whatever the locale: the writer gives the bytes ``write_scores_csv`` must
+write, and the reader gives every row of an exported table in file order,
+so tests of what ``score`` writes check its rows, and the scores of its
+container, there.
 The kernel-PCA projection is the out-of-place expression
 ``RdeModel.transform`` evaluated before it centred in place, and
 the dense kernel PCA is RDE's fit on the full train kernel, as it ran
@@ -162,7 +163,7 @@ def csv_read_scores(path):
     """(instance, label, method, score) arrays of a score table read with
     the csv module, EMPTY_LABEL for an empty label field; a blank or
     wrong-width row is a ValueError."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["instance", "label", "method", "score"]:
             raise ValueError("missing score-table header")
@@ -178,8 +179,9 @@ def csv_read_scores(path):
 def csv_write_scores(path, scores):
     """The score table of ``{method: scores}`` written row by row with the
     csv module: ``(n,)`` arrays get an empty label field, ``(n, L)``
-    arrays one row per pair, instance-major, scores as ``repr``."""
-    with open(path, "w", newline="") as fh:
+    arrays one row per pair, instance-major, scores as ``repr``, encoded
+    as UTF-8 whatever the locale."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["instance", "label", "method", "score"])
         for method, values in scores.items():

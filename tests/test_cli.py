@@ -492,6 +492,31 @@ def test_each_listed_file_is_opened_once(argv, mc_dir, evaluated, tmp_path, monk
     assert {path: opened[path] for path in listed} == dict.fromkeys(listed, 1)
 
 
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "one-process"])
+def test_score_opens_its_table_once_to_write_it(forked, mc_dir, tmp_path, monkeypatch, request):
+    """score hashes its table as it writes it, the forked half as it appends
+    it: it opens the table once, for writing, and never reads it back."""
+    monkeypatch.setattr(dataio, "FORK_ROWS", 1)
+    forks = request.getfixturevalue("forks") if forked else []
+    if not forked:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    table, modes, real = tmp_path / "s.csv", [], io.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == table.resolve():
+            modes.append(mode)
+        return real(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", spy)
+        m.setattr(io, "open", spy)
+        assert run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", mc_dir / "models.bin",
+                   "--methods", "SR,MD", "--out", table) == 0
+    assert modes == ["wb"] and len(forks) == forked
+    raw = scores_container(table).read_bytes()
+    assert json.loads(raw[52:52 + struct.unpack_from("<8sIQ", raw)[2]])["table"] == sha256_file(table)
+
+
 @pytest.mark.parametrize("where", ["checksums-relative", "checksums-absolute", "split-file"])
 def test_file_names_leaving_the_dataset_directory_are_refused(where, mc_dir, tmp_path, monkeypatch,
                                                               capsys):
@@ -820,12 +845,37 @@ class TestScore:
         # once on the target split, once on the calibration split
         assert calls == {"score_md": 2, "score_rde": 2, "score_ddu": 2}
 
-    def test_hybrid_without_calibrate_is_usage_error(self, mc_dir, tmp_path, capsys):
-        code = run("score", "--manifest", mc_dir / "ds" / "manifest.json",
-                   "--models", mc_dir / "models.bin", "--methods", "HUQ-MD",
-                   "--out", tmp_path / "s.csv")
-        assert code == 1
-        assert "--calibrate" in capsys.readouterr().err
+    @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+    def test_default_command_scores_every_method_of_the_task(self, task, mc_dir, ml_dir, tmp_path, monkeypatch):
+        """`score --manifest M --models X --out S` scores every method of the
+        task.  Without --calibrate the six multiclass hybrids calibrate on the
+        validation split, to the bytes of --calibrate validation; a request
+        without hybrids, every multilabel one, loads no calibration split."""
+        root = mc_dir if task == "multiclass" else ml_dir
+        argv = ["score", "--manifest", root / "ds" / "manifest.json", "--models", root / "models.bin"]
+        loaded, load_splits = [], dataio.load_splits
+        monkeypatch.setattr(dataio, "load_splits", lambda *a: loaded.append(sorted(a[2])) or load_splits(*a))
+        assert run(*argv, "--out", tmp_path / "default.csv") == 0
+        assert loaded == [["test", "validation"] if task == "multiclass" else ["test"]]
+        names = [name for name, method in METHODS.items() if task in method.tasks]
+        assert list(dict.fromkeys(csv_read_scores(tmp_path / "default.csv")[2])) == names
+        assert len([name for name in names if METHODS[name].hybrid]) == (6 if task == "multiclass" else 0)
+        assert run(*argv, "--calibrate", "validation", "--out", tmp_path / "explicit.csv") == 0
+        for table in (Path, scores_container):
+            assert table(tmp_path / "default.csv").read_bytes() == table(tmp_path / "explicit.csv").read_bytes()
+
+    def test_hybrid_without_calibrate_needs_a_validation_split(self, mc_dir, tmp_path, capsys):
+        splits = json.loads((mc_dir / "ds" / "manifest.json").read_text())["splits"]
+        del splits["validation"]
+        manifest = _copy_with_manifest_fields(mc_dir / "ds", tmp_path, splits=splits)
+        out = tmp_path / "s.csv"
+        code = run("score", "--manifest", manifest, "--models", mc_dir / "models.bin", "--methods", "SR,HUQ-MD",
+                   "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == "data error [bad-format]: manifest has no split 'validation'\n"
+        assert not out.exists()
+        assert run("score", "--manifest", manifest, "--models", mc_dir / "models.bin", "--methods", "SR,MD",
+                   "--out", out) == 0   # no hybrid, so no calibration split
 
     def test_unknown_method_is_usage_error(self, mc_dir, tmp_path, capsys):
         code = run("score", "--manifest", mc_dir / "ds" / "manifest.json",

@@ -81,6 +81,17 @@ def test_labeled_split_validation():
         LabeledSplit(np.ones((2, 1)), [0, 0])
 
 
+def test_labeled_split_refuses_rank_0_labels():
+    # a scalar has no rows to count: a row count mismatch, not an IndexError;
+    # rows of the wrong rank keep their own message
+    probs = np.array([[0.6, 0.4], [0.2, 0.8]])
+    for task in ("multiclass", "multilabel"):
+        with pytest.raises(ValueError, match="labels/probs row count mismatch"):
+            LabeledSplit(probs, np.int64(1), task)
+    with pytest.raises(ValueError, match="multiclass labels must be one-dimensional"):
+        LabeledSplit(probs, [[0, 1], [1, 0]])
+
+
 def test_labeled_split_multilabel_bits():
     probs = np.array([[0.9, 0.2], [0.4, 0.7]])
     sp = LabeledSplit(probs, [[1, 0], [0, 1]], task="multilabel")

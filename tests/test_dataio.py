@@ -357,6 +357,25 @@ class TestForkedWriters:
         assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "two.csv"]   # no temporary file left
 
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "one-process"])
+    def test_container_holds_the_sha256_of_the_table_written(self, forked, tmp_path, monkeypatch, request):
+        # several spans on each side of the fork, and a method name that is not ASCII
+        monkeypatch.setattr(dataio, "FORK_ROWS", 1)
+        monkeypatch.setattr(dataio, "WRITE_ROWS", 7)
+        forks = request.getfixturevalue("forks") if forked else []
+        if not forked:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rng = np.random.default_rng(13)
+        scores = {"naïve": rng.normal(size=30), "MP": rng.normal(size=(10, 3))}
+        table = tmp_path / "s.csv"
+        write_scores(table, scores)
+        assert len(forks) == forked
+        raw = scores_container(table).read_bytes()
+        size = struct.unpack_from("<8sIQ32s", raw)[2]
+        assert json.loads(raw[52:52 + size])["table"] == sha256_file(table)
+        csv_write_scores(tmp_path / "ref.csv", scores)
+        assert table.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestManifest:
     def test_save_then_validate(self, dataset, tmp_path):
