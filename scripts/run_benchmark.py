@@ -32,12 +32,12 @@ def add_entries(table, scores, split, level):
     """Append the normalized areas over both spans of each named score
     vector, judged on ``split`` by risk (multiclass) or micro-F1."""
     mode, data = rejection.unit_data(split.probs, split.labels, split.task, level)[-1]
-    oracle = rejection.build_curve(rejection.oracle_scores(data, mode), data, mode)
+    references = {span: rejection.oracle_reference(data, mode, span) for span in ("full", "first_50")}
     for name, vec in scores.items():
         curve = rejection.build_curve(vec, data, mode)
         entry = table.setdefault(name, {"full": [], "first_50": []})
-        for span in ("full", "first_50"):
-            entry[span].append(rejection.normalize_auc(curve, oracle, span).normalized)
+        for span, reference in references.items():
+            entry[span].append(rejection.normalize_auc(curve, reference, span).normalized)
 
 
 def run_multiclass(spec_kwargs, seeds):

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from .errors import DataError, UsageError
 
@@ -71,13 +71,10 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _clean(value: float) -> Optional[float]:
-    return None if (isinstance(value, float) and math.isnan(value)) else value
-
-
 def _auc_payload(res) -> dict:
-    return {key: _clean(getattr(res, key))
-            for key in ("raw_auc", "rand_auc", "oracle_auc", "normalized", "flag")}
+    """The areas and flag of ``res``, a NaN as None."""
+    values = {key: getattr(res, key) for key in ("raw_auc", "rand_auc", "oracle_auc", "normalized", "flag")}
+    return {key: None if isinstance(v, float) and math.isnan(v) else v for key, v in values.items()}
 
 
 def _cmd_evaluate(args) -> int:
@@ -89,42 +86,49 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("label mode needs a multilabel manifest")
     if len(args.out) > 2:
         raise UsageError("--out takes a metrics path and at most one curves directory")
-    split = load_splits(manifest, Path(args.manifest).parent, {args.split: ()})[args.split]
     metrics_path = Path(args.out[0])
     curves_dir = Path(args.out[1]) if len(args.out) > 1 else metrics_path.parent / "curves"
+    made = [d for d in (curves_dir, *curves_dir.parents) if not d.exists()]   # deepest first
+    if not (metrics_path.parent.is_dir() or metrics_path.parent in made):   # refused before any output is opened
+        raise FileNotFoundError(f"{metrics_path}: no such directory: {metrics_path.parent}")
+    split = load_splits(manifest, Path(args.manifest).parent, {args.split: ()})[args.split]
 
     scores = read_scores(args.scores, args.mode, len(split), split.probs.shape[1])
+    n = next(iter(scores.values())).size   # every curve of the run is over the same n units
+    for values in scores.values():   # every score is checked before any output is opened
+        rejection.check_scores(values.reshape(-1), n)
     evaluations = rejection.unit_data(split.probs, split.labels, manifest.task, args.mode)
     del split   # the curves need only the unit counts: the probs are freed before they are built
+    suffixes = {mode_name: "" if len(evaluations) == 1 else f".{mode_name}" for mode_name, _ in evaluations}
     methods_payload: Dict[str, dict] = {name: {} for name in scores}
-    plots: Dict[str, Dict[str, tuple]] = {}
-    curves, points = {}, {}   # "<method>[.<metric>]": the curve's values, and the points its plot draws
-    for mode_name, data in evaluations:   # one metric's curves at a time
-        oracle = rejection.build_curve(rejection.oracle_scores(data, mode_name), data, mode_name)
-        n = oracle.size   # every curve of the run is over the same n units
-        suffix = "" if len(evaluations) == 1 else f".{mode_name}"
-        for name, values in scores.items():
-            curve = rejection.build_curve(values.reshape(-1), data, mode_name)
-            methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, oracle, span))
-            curves[name + suffix] = curve
-            points[name + suffix] = report.plot_points(rejection.coverages(n), curve)
-            plots.setdefault(mode_name, {})[name] = points[name + suffix]
-        del oracle   # freed before the next metric's oracle is built
+    plots: Dict[str, Dict[str, tuple]] = {}   # metric: {method: the points its plot draws}
+
+    def stream():   # one curve at a time, in index order: metric by metric, methods in name order
+        for mode_name, data in evaluations:
+            reference = rejection.oracle_reference(data, mode_name, span)
+            for name, values in scores.items():
+                curve = rejection.build_curve(values.reshape(-1), data, mode_name)
+                methods_payload[name][mode_name] = _auc_payload(rejection.normalize_auc(curve, reference, span))
+                plots.setdefault(mode_name, {})[name] = report.plot_points(n, curve)
+                yield curve
+                del curve   # freed before the next curve is built
+
     curves_dir.mkdir(parents=True, exist_ok=True)
-    write_curves(curves_dir / "curves.bin", n, curves)
-    for key, (xs, vs) in points.items():
-        write_curve_csv(curves_dir / f"{key}.csv", xs, vs)
+    try:
+        write_curves(curves_dir / "curves.bin", n, [name + suffixes[m] for m in suffixes for name in scores], stream())
+    except BaseException:   # no partial container, nor a directory made for it, is left
+        (curves_dir / "curves.bin").unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
+        raise
     for mode_name, curve_map in sorted(plots.items()):
+        for name, (xs, vs) in curve_map.items():
+            write_curve_csv(curves_dir / f"{name}{suffixes[mode_name]}.csv", xs, vs)
         svg = report.plot_curves_svg(curve_map, f"{mode_name} vs coverage", mode_name)
         (curves_dir / f"{mode_name}_curves.svg").write_text(svg)
 
-    payload = {
-        "task": manifest.task,
-        "split": args.split,
-        "mode": args.mode,
-        "span": args.span,
-        "methods": methods_payload,
-    }
+    payload = {"task": manifest.task, "split": args.split, "mode": args.mode, "span": args.span,
+               "methods": methods_payload}
     metrics_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(metrics_path)
     return 0

@@ -320,15 +320,17 @@ def load_splits(manifest, base_dir, wanted: Dict[str, Collection[str]]) -> Dict[
 
 
 def _write_container(path, magic: bytes, version: int, index: dict, values) -> None:
-    """Write a container: the header, the JSON ``index``, then ``values`` as row-major
-    float64 in index order, each hashed as it is written into the header's SHA-256."""
+    """Write a container: the header, the JSON ``index``, then the iterable ``values`` as
+    row-major float64 in index order, each hashed as it is written into the header's SHA-256."""
     index = json.dumps(index).encode()
     digest = hashlib.sha256(index)
     with open(path, "wb") as fh:
         fh.write(_HDR_CONTAINER.pack(magic, version, len(index), bytes(32)) + index)
-        for value in (np.asarray(v, "<f8", order="C") for v in values):
+        for value in values:
+            value = np.asarray(value, "<f8", order="C")
             digest.update(value)
             fh.write(value)
+            del value   # freed before the next value is made
         fh.seek(_HDR_CONTAINER.size - 32)
         fh.write(digest.digest())
 
@@ -439,9 +441,9 @@ def read_scores(table, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
     return dict(sorted(fields.items()))
 
 
-def write_curves(path, n: int, curves: Dict[str, np.ndarray]) -> None:
-    """Write the curves container of ``{name: values}``, every curve over ``n`` units."""
-    _write_container(path, MAGIC_CURVES, CURVES_VERSION, {"n": n, "curves": {k: [n] for k in curves}}, curves.values())
+def write_curves(path, n: int, names, curves) -> None:
+    """Write the curves container of ``names``, each over ``n`` units, from the iterable ``curves`` of their values."""
+    _write_container(path, MAGIC_CURVES, CURVES_VERSION, {"n": n, "curves": {k: [n] for k in names}}, curves)
 
 
 def read_curves(path) -> Dict[str, np.ndarray]:

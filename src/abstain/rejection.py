@@ -49,7 +49,8 @@ def rejection_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=float), axis=-1, kind="stable")
 
 
-def _check_scores(scores, n_expected: int) -> np.ndarray:
+def check_scores(scores, n_expected: int) -> np.ndarray:
+    """``scores`` as float; ValueError unless 1-D, of ``n_expected`` > 0 scores, none NaN."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size != n_expected:
         raise ValueError("scores shape mismatch with per-unit data")
@@ -61,13 +62,14 @@ def _check_scores(scores, n_expected: int) -> np.ndarray:
 
 
 def _suffix_sums(x):
-    """Along the last axis, index k holds the sum left after removing k
-    units: the total less the first k terms, in the dtype numpy sums
-    ``x`` in (int64 for small ints), so integer counts sum exactly."""
+    """Along the last axis, index k holds the sum left after removing k units:
+    the total less the first k terms, in float64, exact for integer counts
+    below 2**53, so that numpy's arithmetic on it as a temporary is in place."""
     total = x.sum(axis=-1, keepdims=True)
-    out = np.empty(x.shape, dtype=total.dtype)
+    out = np.empty(x.shape)
     out[..., :1] = 0
-    np.cumsum(x[..., :-1], axis=-1, dtype=out.dtype, out=out[..., 1:])
+    out[..., 1:] = x[..., :-1]   # cast here: a cumsum that casts copies all of its input first
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return np.subtract(total, out, out=out)
 
 
@@ -125,10 +127,10 @@ def build_curve(scores, data, mode: str = "risk") -> np.ndarray:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     arrays = _unit_arrays(data, mode)
-    scores = _check_scores(scores, arrays[0].size)
+    scores = check_scores(scores, arrays[0].size)
     order = rejection_order(scores)
     arrays = [x[order] for x in arrays]
-    del order   # n indices, not needed by the sums
+    del order, scores   # not needed by the sums; an oracle's scores, held only here, are freed
     if mode == "f1_micro":
         values = _f1_values(*arrays)
     else:
@@ -160,11 +162,13 @@ def curve_auc(curve, span: str = "full") -> float:
         return float(val[0])
     cov = coverages(val.size)[::-1]
     if span == "first_50" and cov[0] < 0.5:
-        v_at = np.interp(0.5, cov, val)
-        keep = cov >= 0.5
-        cov = np.concatenate(([0.5], cov[keep]))
-        val = np.concatenate(([v_at], val[keep]))
-    return float(np.trapezoid(val, cov) / (cov[-1] - cov[0]))
+        m = cov.size - np.count_nonzero(cov >= 0.5)   # cov ascends: the coverages kept are cov[m:]
+        v_at = np.interp(0.5, cov[m - 1:m + 1], val[m - 1:m + 1])   # the two points about 0.5 give the same bits
+        cov = np.concatenate(([0.5], cov[m:]))
+        val = np.concatenate(([v_at], val[m:]))
+    d, width = np.diff(cov), cov[-1] - cov[0]
+    del cov   # np.trapezoid's arithmetic, with the coverages freed before the sum
+    return float((d * (val[1:] + val[:-1]) / 2.0).sum() / width)
 
 
 def risk_aucs(loss_rows: np.ndarray) -> np.ndarray:
@@ -191,19 +195,24 @@ def oracle_scores(data, mode: str) -> np.ndarray:
     return 2.0 * fp + fn
 
 
-def normalize_auc(curve, oracle, span: str) -> NormalizedAuc:
-    """Area under ``curve`` rescaled between references.
+def oracle_reference(data, mode: str, span: str) -> tuple[float, float]:
+    """The area over ``span`` and the value at full coverage of the curve of ``data`` in :func:`oracle_scores` order."""
+    oracle = build_curve(oracle_scores(data, mode), data, mode)
+    return curve_auc(oracle, span), float(oracle[0])
 
-    ``oracle`` is the curve of the same data in :func:`oracle_scores`
-    order.  0 means no better than the constant curve at the full-set
+
+def normalize_auc(curve, reference: tuple[float, float], span: str) -> NormalizedAuc:
+    """Area under ``curve`` over ``span`` rescaled between references.
+
+    ``reference`` is the :func:`oracle_reference` of the same data and
+    span.  0 means no better than the constant curve at the full-set
     metric (every curve's value at full coverage, and the expectation
     under random rejection); 1 means the oracle order.  When the data
     holds no errors the references coincide and the result is flagged
     degenerate with NaN normalized value.
     """
     raw = curve_auc(curve, span)
-    best = curve_auc(oracle, span)
-    rand = float(oracle[0])
+    best, rand = reference
     if abs(best - rand) < _DEGENERATE_TOL:
         return NormalizedAuc(raw, rand, best, float("nan"), span, "degenerate: no errors")
     return NormalizedAuc(raw, rand, best, (raw - rand) / (best - rand), span, None)
@@ -212,8 +221,7 @@ def normalize_auc(curve, oracle, span: str) -> NormalizedAuc:
 def normalized_auc(scores, data, mode: str = "risk", span: str = "full") -> NormalizedAuc:
     """:func:`normalize_auc` of the rejection curve of ``scores`` on
     ``data`` (see :func:`build_curve`)."""
-    oracle = build_curve(oracle_scores(data, mode), data, mode)
-    return normalize_auc(build_curve(scores, data, mode), oracle, span)
+    return normalize_auc(build_curve(scores, data, mode), oracle_reference(data, mode, span), span)
 
 
 def multiclass_losses(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

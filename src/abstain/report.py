@@ -25,6 +25,7 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 58, 16, 24, 42
 _IW, _IH = _W - _ML - _MR, _H - _MT - _MB   # plot area; one pixel column per unit of width
 _X_LO, _X_HI = 0.0, 1.0                       # the coverage axis
+_BLOCK = 1 << 13                              # points whose coverages and pixel columns are made at once
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> List[float]:
@@ -54,18 +55,23 @@ def _px(x):
 
 
 def plot_points(xs, vs) -> Tuple[np.ndarray, np.ndarray]:
-    """The points of a curve, coverages ``xs`` and values ``vs``, that
-    :func:`plot_curves_svg` draws: every point, or for a curve with more
-    points than the plot has pixel columns, the points :func:`_m4` keeps.
-    Its pixel columns depend on ``xs`` alone, so a curve reduced first
-    plots to the same bytes: M4 keeps each column's lowest and highest
-    value, and applied to its own output it keeps every point."""
+    """The points of a curve, values ``vs`` at coverages ``xs`` (an int n for
+    ``rejection.coverages(n)``), that :func:`plot_curves_svg` draws: every
+    point, or for a curve with more points than the plot has pixel columns,
+    the points :func:`_m4` keeps, found a _BLOCK at a time and then among
+    the points the blocks keep.  Its pixel columns depend on ``xs`` alone,
+    so a curve reduced first plots to the same bytes: M4 keeps each column's
+    lowest and highest value, and applied to its own output it keeps every point."""
     import numpy as np
-    xs, vs = np.asarray(xs, dtype=float), np.asarray(vs, dtype=float)
-    if xs.size <= _IW:
-        return xs, vs
-    keep = _m4(np.clip(np.floor(_px(xs) - _ML), 0, _IW - 1).astype(np.int16), vs)
-    return xs[keep], vs[keep]
+    vs = np.asarray(vs, dtype=float)
+    at = (lambda k: (xs - k) / xs) if np.ndim(xs) == 0 else np.asarray(xs, dtype=float).__getitem__
+    if vs.size <= _IW:
+        return at(np.arange(vs.size)), vs
+
+    def m4(k):   # the indices of ``k`` that M4 keeps
+        return k[_m4(np.clip(np.floor(_px(at(k)) - _ML), 0, _IW - 1).astype(np.int16), vs[k])]
+    keep = m4(np.concatenate([m4(np.arange(i, min(i + _BLOCK, vs.size))) for i in range(0, vs.size, _BLOCK)]))
+    return at(keep), vs[keep]
 
 
 def plot_curves_svg(

@@ -936,6 +936,21 @@ def _flip_last_byte(path):
     path.write_bytes(raw)
 
 
+def _fail_third_curve_build(curves, monkeypatch):
+    """Make evaluate's third curve build, the second method's after the
+    oracle's and the first method's, raise, once curves.bin is open."""
+    build, calls = rejection.build_curve, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            assert (curves / "curves.bin").exists()
+            raise OSError("no space left on device")
+        return build(*args)
+
+    monkeypatch.setattr(rejection, "build_curve", failing)
+
+
 class TestEvaluateAndReport:
     def test_metrics_shape(self, evaluated):
         _, _, metrics = evaluated
@@ -996,40 +1011,60 @@ class TestEvaluateAndReport:
         assert code == 2
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda bad: bad.write_text("\n".join(bad.read_text().splitlines()[:2] + ["0,,SR"]) + "\n"),
+        (lambda bad, _: bad.write_text("\n".join(bad.read_text().splitlines()[:2] + ["0,,SR"]) + "\n"),
          "data error [checksum-mismatch]: {table}: checksum"),
-        (lambda bad: bad.write_text("\n".join(bad.read_text().splitlines()[:-1]) + "\n"),
+        (lambda bad, _: bad.write_text("\n".join(bad.read_text().splitlines()[:-1]) + "\n"),
          "data error [checksum-mismatch]: {table}: checksum"),
-        (lambda bad: scores_container(bad).unlink(),
+        (lambda bad, _: scores_container(bad).unlink(),
          "data error [data-error]: {container}: missing; `abstain score` writes it beside the score table"),
-        (lambda bad: _flip_last_byte(scores_container(bad)),
+        (lambda bad, _: _flip_last_byte(scores_container(bad)),
          "data error [checksum-mismatch]: {container}: checksum"),
-        (lambda bad: scores_container(bad).write_bytes(scores_container(bad).read_bytes()[:100]),
+        (lambda bad, _: scores_container(bad).write_bytes(scores_container(bad).read_bytes()[:100]),
          "data error [bad-format]: {container}: malformed score index"),
-        (lambda bad: scores_container(bad).write_bytes(b"UQSCORES" + struct.pack("<I", 2)
-                                                       + scores_container(bad).read_bytes()[12:]),
+        (lambda bad, _: scores_container(bad).write_bytes(b"UQSCORES" + struct.pack("<I", 2)
+                                                          + scores_container(bad).read_bytes()[12:]),
          "data error [bad-version]: {container}: unsupported version 2"),
-        (lambda bad: write_scores(bad, {"SR": np.zeros(60), "MD": np.zeros(61)}),
+        (lambda bad, _: write_scores(bad, {"SR": np.zeros(60), "MD": np.zeros(61)}),
          "data error [bad-format]: {container}: method MD: shape [61], not [60] or [60, 3]"),
-        (lambda bad: write_scores(bad, {"SR": np.r_[np.zeros(59), np.nan]}), "data error: NaN score"),
+        (lambda bad, _: write_scores(bad, {"SR": np.r_[np.zeros(59), np.nan]}), "data error: NaN score"),
+        (lambda bad, _: write_scores(bad, {"Entropy": np.zeros(60), "MD": np.ones(60),
+                                           "SR": np.r_[np.nan, np.zeros(59)]}),
+         "data error: NaN score"),
+        (lambda bad, monkeypatch: _fail_third_curve_build(bad.parent / "out" / "curves", monkeypatch),
+         "data error [io]: no space left on device"),
     ], ids=["malformed-row", "missing-row", "missing-container", "flipped-container-byte",
-            "truncated-container", "container-version-2", "shape-not-of-the-manifest", "nan-score"])
-    def test_refused_table_writes_nothing(self, edit, named, evaluated, mc_dir, tmp_path, capsys):
+            "truncated-container", "container-version-2", "shape-not-of-the-manifest", "nan-score",
+            "nan-in-the-last-method", "curve-build-raises-mid-stream"])
+    def test_refused_table_writes_nothing(self, edit, named, evaluated, mc_dir, tmp_path, capsys, monkeypatch):
         """A score table that evaluate refuses, or whose container it
         refuses, leaves neither a metrics file nor a curves directory
         behind.  A table edited after score wrote it no longer has the
-        digest its container holds."""
+        digest its container holds.  Every score is checked before any
+        output is opened, also a NaN in the last method in name order, and a
+        curve build that fails after curves.bin is opened removes the
+        partial container and the directories made for it."""
         _, scores, _ = evaluated
         bad = tmp_path / "bad.csv"
         shutil.copy(scores, bad)
         shutil.copy(scores_container(scores), scores_container(bad))
-        edit(bad)
+        edit(bad, monkeypatch)
         out = tmp_path / "out"
         code = run("evaluate", "--scores", bad, "--manifest", mc_dir / "ds" / "manifest.json",
                    "--out", out / "metrics.json", out / "curves")
         err = capsys.readouterr().err
         assert code == 2 and err.startswith(named.format(table=bad, container=scores_container(bad))), err
         assert not out.exists()
+
+    def test_missing_metrics_directory_writes_nothing(self, evaluated, mc_dir, tmp_path, capsys):
+        """A metrics path in a directory that does not exist, and that the
+        curves directory does not make, is refused before any output is
+        written, as an io error that names the path."""
+        _, scores, _ = evaluated
+        code = run("evaluate", "--scores", scores, "--manifest", mc_dir / "ds" / "manifest.json",
+                   "--out", tmp_path / "missing" / "metrics.json", tmp_path / "curves")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error [io]: {tmp_path / 'missing' / 'metrics.json'}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_curve_per_method_and_one_oracle(self, evaluated, mc_dir, tmp_path, monkeypatch):
         _, scores, _ = evaluated
@@ -1136,35 +1171,44 @@ def evaluate_growth_per_pair(root, mode) -> float:
 class TestMultilabelEvaluate:
     def test_label_mode_holds_under_105_bytes_per_pair(self, pair_scores):
         """``evaluate --mode label`` grows its peak resident memory by less
-        than 105 bytes per (instance, label) pair.  The score container
-        gives one float64 score per pair; the peak is set later, by the
-        curves, after the split's probabilities are freed.  It grows by
-        83 with modules compiled from source and by 86 with cached
-        bytecode, where the start mark sits about 1.5 MB lower.  It read 92
-        and 108 to 109 while M4 thinning kept float64 pixel columns and
-        int64 run ids and called np.unique, whose first call imports
-        numpy.ma (about 1.1 MB).  It read 87 while ``dataio`` still held
-        an unused CSV reader, whose compile raised the start mark, and 97
-        while a CSV reader also held an int32 row count per pair.  With one
-        coverage array shared by every curve and kept from the first curve
-        to the CSV write it grew by 113 to 114; with the probabilities alive
-        through the curves too, by 119 to 129; a read that keeps the
-        instance-level rows too, with every full curve alive at once, each
-        with its own coverages, takes about 147."""
+        than 105 bytes per (instance, label) pair.  It grows by 54 with
+        modules compiled from source and by 64 with cached bytecode, where
+        the start mark sits about 1.5 MB (15 bytes per pair) lower and the
+        command's own peak does not move (README).  The bound holds in both
+        states with room for the interpreter's own spread; the tracemalloc
+        test below bounds the command's own peak deterministically."""
         assert evaluate_growth_per_pair(pair_scores, "label") < 105
 
     def test_instance_mode_holds_under_70_bytes_per_pair(self, pair_scores):
         """``evaluate --mode instance`` on a table that holds MP's pair rows
         grows its peak resident memory by less than 70 bytes per pair.  It
         only hashes MP's array in the score container and never builds it;
-        it grows by 22 with modules compiled from source and 25 with cached
-        bytecode (32 and 45 while M4 thinning imported numpy.ma through
-        np.unique, 30 while an unused CSV reader's compile raised the start
-        mark).  The CSV reader that parsed the pair rows span by span grew
-        by 34 to 37; one that split the file's bytes into lines itself, in
-        blocks of 1 MiB, took 85 to 87, and a read that keeps the pair rows
-        it then drops about 121."""
+        it grows by 21 with modules compiled from source and 26 with cached
+        bytecode.  The bound is there to catch a read that parses or keeps
+        the pair rows, which this mode does not use."""
         assert evaluate_growth_per_pair(pair_scores, "instance") < 70
+
+    def test_label_mode_traces_under_45_bytes_per_pair(self, pair_scores, tmp_path):
+        """``evaluate --mode label`` on ``pair_scores`` peaks less than 45
+        bytes per (instance, label) pair above its start (tracemalloc, in
+        this process); it reads 40.9.  Throughout the curves it holds MP's
+        float64 pair scores (8 bytes per pair) and the int8 counts of both
+        metrics (5).  It builds one curve at a time, reduces each oracle
+        curve to two numbers, writes each curve before it builds the next
+        and sums the counts straight into float64, so its peak is one
+        micro-F1 build: three float64 suffix sums (24) over the counts in
+        removal order (3).  One more live float64 array of n values, such
+        as a curve kept while the next is built, crosses the bound."""
+        argv = ["evaluate", "--scores", pair_scores / "s.csv", "--manifest", pair_scores / "ds" / "manifest.json",
+                "--mode", "label", "--out", tmp_path / "m.json", tmp_path / "curves"]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert run(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (5000 * 20) < 45
 
     @pytest.mark.parametrize("level", ["instance", "label"])
     def test_score_reader_peaks_under_3_5_mb_above_what_it_returns(self, pair_scores, level):

@@ -552,7 +552,7 @@ class TestCurveContainer:
     @pytest.fixture()
     def curves(self, tmp_path):
         path = tmp_path / "curves.bin"
-        write_curves(path, 3, {"SR": np.array([1 / 3, 5e-324, 0.0]), "MP.f1_micro": np.array([-0.0, 1.0, np.inf])})
+        write_curves(path, 3, ["SR", "MP.f1_micro"], [np.array([1 / 3, 5e-324, 0.0]), np.array([-0.0, 1.0, np.inf])])
         return path
 
     def test_round_trip_is_bit_identical(self, curves):

@@ -16,6 +16,7 @@ from abstain.rejection import (
     multiclass_losses,
     normalize_auc,
     normalized_auc,
+    oracle_reference,
     oracle_scores,
     rejection_order,
     unit_data,
@@ -192,10 +193,9 @@ class TestCurveReadout:
             curve_auc(curve, "last_50")
 
     def test_readers_refuse_an_empty_or_2d_curve(self):
-        curve = build_curve(SCORES3, LOSSES3, "risk")
+        reference = oracle_reference(LOSSES3, "risk", "full")
         for bad in (np.array([]), [], np.full((2, 3), 0.1)):
-            for read in (curve_auc, lambda c: curve_value_at(c, 0.5),
-                         lambda c: normalize_auc(c, curve, "full"), lambda c: normalize_auc(curve, c, "full")):
+            for read in (curve_auc, lambda c: curve_value_at(c, 0.5), lambda c: normalize_auc(c, reference, "full")):
                 with pytest.raises(ValueError, match="non-empty 1-D"):
                     read(bad)
 
@@ -583,7 +583,8 @@ class TestIntegerCounts:
                 assert _bits(got) == _bits(want), (mode, dtype)
                 assert _bits(oracle) == _bits(want_oracle), (mode, dtype)
                 for span in ("full", "first_50"):
-                    a, b = normalize_auc(got, oracle, span), normalize_auc(want, want_oracle, span)
+                    a = normalize_auc(got, oracle_reference(counts, mode, span), span)
+                    b = normalize_auc(want, oracle_reference(floats, mode, span), span)
                     fields = ("raw_auc", "rand_auc", "oracle_auc", "normalized")
                     assert _bits([getattr(a, f) for f in fields]) == _bits([getattr(b, f) for f in fields])
                     assert a.flag == b.flag
@@ -618,7 +619,7 @@ class TestCurveReadersBitwise:
                     raw, best = curve_auc_on(explicit, curve, span), curve_auc_on(explicit, oracle, span)
                     rand = float(oracle[0])
                     want = float("nan") if abs(best - rand) < 1e-15 else (raw - rand) / (best - rand)
-                    got = normalize_auc(curve, oracle, span)
+                    got = normalize_auc(curve, oracle_reference(counts, mode, span), span)
                     assert _bits(curve_auc(curve, span)) == _bits(raw), (mode, dtype, span)
                     assert _bits([got.raw_auc, got.rand_auc, got.oracle_auc, got.normalized]) == \
                         _bits([raw, rand, best, want]), (mode, dtype, span)

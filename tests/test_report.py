@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abstain import report
 from abstain.cli import main
 from abstain.report import plot_curves_svg, plot_points
 from abstain.synth import SynthSpec
@@ -81,6 +82,22 @@ def test_plot_of_the_reduced_points_is_byte_identical(n, seed, still, grid, seco
         again = plot_points(xs, vs)
         assert np.array_equal(again[0], xs) and np.array_equal(again[1], vs)
     assert plot_curves_svg(reduced, "t", "y") == plot_curves_svg(curves, "t", "y")
+
+
+@given(n=st.integers(COLUMNS + 1, 3 * report._BLOCK), seed=st.integers(0, 2**32 - 1), still=st.floats(0.0, 1.0),
+       grid=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_blocked_m4_keeps_the_points_of_one_pass(n, seed, still, grid):
+    """plot_points runs M4 a block of points at a time and then over the
+    points the blocks keep; that keeps, bit for bit, the points of one M4
+    pass over the whole curve, for curves of one to three blocks, and an
+    int n stands for the coverages (n - k)/n."""
+    xs, vs = tied_curve(n, seed, still, grid)
+    keep = report._m4(np.clip(np.floor(report._px(xs) - LEFT), 0, COLUMNS - 1).astype(np.int16), vs)
+    got = [plot_points(xs, vs)] + ([plot_points(xs.size, vs)] if grid else [])
+    for points in got:
+        assert [a.view(np.uint64).tolist() for a in points] == [xs[keep].view(np.uint64).tolist(),
+                                                                vs[keep].view(np.uint64).tolist()]
 
 
 def test_pair_scale_curve_plot_stays_small():
