@@ -9,8 +9,7 @@ whose squared ranks are damped by the complementary rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .rejection import multiclass_losses, rejection_order, risk_aucs
 
 ALPHA_GRID = tuple(i / 20.0 for i in range(21))
 DELTA_MIN_QUANTILES = (0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99, 1.00)
-DELTA_MAX_QUANTILES = (0.00, 0.50, 0.70, 0.80, 0.90, 0.95)
 C_GRID = (1, 2, 3)
 MIN_CALIBRATION = 20
 
@@ -108,9 +106,10 @@ def score_hybrid_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
 
 
 def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str):
-    """The objective of every grid point of ``variant`` in grid order, and
-    a function from a grid index to that point's config.  Every rank is
-    computed once up front."""
+    """The objective of every grid point of ``variant``, alpha-major, and a
+    function from a grid index to that point's config.  Every rank is
+    computed once up front, and the mixes of one alpha at a time are
+    stacked, which bounds the memory."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     u_a, u_e = (np.asarray(u, dtype=float) for u in (u_a_scores, u_e_scores))
@@ -129,55 +128,44 @@ def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant:
     r_a, r_e = rank_all(u_a, table_a).astype(float), rank_all(u_e, table_e).astype(float)
     if variant == "huq2":
         # thresholds and the low-novelty table are unused by the smooth variant
-        grid = [(alpha, float(table_e[-1]), float(table_a[-1]), c, table_a)
-                for alpha, c in product(ALPHA_GRID, C_GRID)]
-        mixes = np.stack([_huq2_mix(r_a, r_e, alpha, c, n) for alpha, _, _, c, _ in grid])
-        objectives = risk_aucs(losses[rejection_order(mixes)])
+        points = [HybridConfig(variant, 0.0, float(table_e[-1]), float(table_a[-1]), c, n,
+                               table_a, table_a, table_e) for c in C_GRID]
+
+        def mix(alpha, k):
+            return _huq2_mix(r_a, r_e, alpha, points[k].c, n)
     else:
+        # The regions are offset by case_offset, and a low-novelty unit ranks over tables that
+        # hold its own score, so its mix is strictly increasing in u_a whatever delta_max is:
+        # no delta_max moves a removal order, and the smallest u_a stands for them all.
         dmin_values = [float(np.quantile(u_e, q, method="lower")) for q in DELTA_MIN_QUANTILES]
-        dmax_values = [float(np.quantile(u_a, q, method="lower")) for q in DELTA_MAX_QUANTILES]
         in_dist = [u_e <= dmin for dmin in dmin_values]
-        id_tables = [np.sort(u_a[mask]) for mask in in_dist]
-        id_ranks = [rank_all(u_a, table).astype(float) for table in id_tables]
-        above_dmax = [u_a > dmax for dmax in dmax_values]
-        grid = [(alpha, dmin_values[i], dmax_values[j], 1, id_tables[i]) for alpha, i, j
-                in product(ALPHA_GRID, range(len(dmin_values)), range(len(dmax_values)))]
+        points = [HybridConfig(variant, 0.0, dmin, float(table_a[0]), 1, n, table_a,
+                               np.sort(u_a[mask]), table_e) for dmin, mask in zip(dmin_values, in_dist)]
+        id_ranks = [rank_all(u_a, p.table_ambiguity_id).astype(float) for p in points]
+        above_dmax = u_a > table_a[0]
 
-        def order(alpha, i, j):
-            return rejection_order(_huq_mix(r_a, r_e, id_ranks[i], in_dist[i], above_dmax[j], alpha, n + 2))
+        def mix(alpha, k):
+            return _huq_mix(r_a, r_e, id_ranks[k], in_dist[k], above_dmax, alpha, points[k].case_offset)
 
-        # The regions are offset by case_offset = n + 2, so a removal order starts with the
-        # high-novelty units, ordered by (alpha, delta_min), then the rest, by (delta_min, delta_max).
-        n_novel = [n - int(np.count_nonzero(mask)) for mask in in_dist]
-        rows = np.empty((len(dmin_values), len(dmax_values), n))
-        for i, j in product(range(len(dmin_values)), range(len(dmax_values))):
-            rows[i, j, n_novel[i]:] = losses[order(0.0, i, j)[n_novel[i]:]]
-        objectives = []
-        for alpha in ALPHA_GRID:  # one block of rows per alpha bounds the memory
-            for i, m in enumerate(n_novel):
-                rows[i, :, :m] = losses[order(alpha, i, 0)[:m]]
-            objectives.append(risk_aucs(rows.reshape(-1, n)))
-        objectives = np.concatenate(objectives)
-
-    def config(k: int) -> HybridConfig:
-        alpha, delta_min, delta_max, c, table_id = grid[k]
-        return HybridConfig(variant, alpha, delta_min, delta_max, c, n, table_a, table_id, table_e)
-
-    return objectives, config
+    objectives = np.concatenate([
+        risk_aucs(losses[rejection_order(np.stack([mix(alpha, k) for k in range(len(points))]))])
+        for alpha in ALPHA_GRID])
+    return objectives, lambda k: replace(points[k % len(points)], alpha=ALPHA_GRID[k // len(points)])
 
 
 def fit_hybrid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str = "huq2") -> HybridConfig:
     """Grid-search the combinator hyperparameters on held-out scores.
 
     alpha runs over {0, 0.05, ..., 1}; the novelty threshold over upper
-    quantiles of the novelty scores; the ambiguity threshold over
-    quantiles of the ambiguity scores; c over {1, 2, 3} for the smooth
+    quantiles of the novelty scores; c over {1, 2, 3} for the smooth
     variant.  Quantiles are order statistics (actual held-out values),
-    which keeps every decision a pure rank comparison.  The objective is
-    the full-span risk-curve area on the multiclass ``validation`` split
-    of the scores :func:`score_hybrid_batch` gives under each config.
-    Ties prefer the smallest alpha, then the smallest quantile positions
-    (then the smallest c).
+    which keeps every decision a pure rank comparison.  The ambiguity
+    threshold is the smallest held-out ambiguity score: with the regions
+    offset, no threshold can change a held-out removal order, so none can
+    reach a smaller objective.  The objective is the full-span risk-curve
+    area on the multiclass ``validation`` split of the scores
+    :func:`score_hybrid_batch` gives under each config.  Ties prefer the
+    smallest alpha, then the smallest novelty quantile (or c).
     """
     objectives, config = _calibration_grid(validation, u_a_scores, u_e_scores, variant)
     return config(int(np.argmin(objectives)))

@@ -14,8 +14,9 @@ The same spec and seed always produce byte-identical arrays.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict
 
 import numpy as np
@@ -59,6 +60,9 @@ class SynthSpec:
             raise ValueError("overlap must lie in [0, 1]")
         if not 0.0 <= self.ood_fraction <= 0.5:
             raise ValueError("ood fraction must lie in [0, 0.5]")
+        for f in fields(self):   # overlap and the ood fraction are range-checked above
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.spacing <= 0.0 or self.ood_displacement < 0.0:
             raise ValueError("spacing and displacement must be positive")
         if self.mc_passes < 2:

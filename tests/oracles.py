@@ -2,8 +2,9 @@
 
 The scalar hybrid rules score one (ambiguity, novelty) pair with scalar
 ranks (``rank``, the scalar form of ``core.rank_all``), written from the
-definitions rather than from the vectorised code.  The brute-force hybrid search builds every grid config and scores
-it with ``score_hybrid_batch`` in the documented grid order.  The dense
+definitions rather than from the vectorised code.  The brute-force hybrid search builds every config of the
+full grid, each HUQ ambiguity threshold included, and scores it with
+``score_hybrid_batch`` in the documented grid order.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
 score-table reader and writer go row by row in Python, on UTF-8 text
 whatever the locale: the writer gives the bytes ``write_scores_csv`` must
@@ -45,12 +46,16 @@ from abstain.density import (MCD_FRACTION, MCD_DET_TOL, MCD_MAX_CSTEPS, MCD_REST
 from abstain.hybrid import (
     ALPHA_GRID,
     C_GRID,
-    DELTA_MAX_QUANTILES,
     DELTA_MIN_QUANTILES,
     HybridConfig,
     score_hybrid_batch,
 )
 from abstain.rejection import build_curve, curve_auc, multiclass_losses
+
+# the ambiguity thresholds of the full HUQ grid: the library searches only the
+# first, since no other can change a validation removal order; the brute-force
+# search tries them all
+DELTA_MAX_QUANTILES = (0.00, 0.50, 0.70, 0.80, 0.90, 0.95)
 
 
 def rank(u: float, table: np.ndarray) -> int:
@@ -94,10 +99,10 @@ def score_huq2(u_ambiguity: float, u_novelty: float, config: HybridConfig) -> fl
     )
 
 
-def brute_force_fit_hybrid(validation, u_a, u_e, variant):
-    """The rc_auc grid search done the slow way: alpha outermost, then
-    the novelty threshold, then the ambiguity threshold (or c); the
-    first strictly better config wins."""
+def brute_force_hybrid_objectives(validation, u_a, u_e, variant):
+    """Every config of the full grid, alpha outermost, then the novelty
+    threshold, then the ambiguity threshold (or c), with the area of its
+    one full risk curve."""
     u_a, u_e = np.asarray(u_a, dtype=float), np.asarray(u_e, dtype=float)
     n = len(u_a)
     losses = multiclass_losses(validation.probs, validation.labels)
@@ -115,9 +120,15 @@ def brute_force_fit_hybrid(validation, u_a, u_e, variant):
             for c in C_GRID:
                 configs.append(HybridConfig("huq2", alpha, float(table_e[-1]), float(table_a[-1]),
                                             c, n, table_a, table_a, table_e))
+    return [(curve_auc(build_curve(score_hybrid_batch(u_a, u_e, cfg), losses, "risk"), "full"), cfg)
+            for cfg in configs]
+
+
+def brute_force_fit_hybrid(validation, u_a, u_e, variant):
+    """The rc_auc grid search done the slow way: the first strictly
+    better config of :func:`brute_force_hybrid_objectives` wins."""
     best = None
-    for cfg in configs:
-        val = curve_auc(build_curve(score_hybrid_batch(u_a, u_e, cfg), losses, "risk"), "full")
+    for val, cfg in brute_force_hybrid_objectives(validation, u_a, u_e, variant):
         if best is None or val < best[0]:
             best = (val, cfg)
     return best[1]

@@ -111,6 +111,8 @@ class TestGenSynth:
         ("[1, 2]", "JSON object"),
         ('{"dim": "8"}', "'dim'"),
         ('{"seed": true}', "'seed'"),
+        ('{"mc_noise": NaN}', "mc_noise"),
+        ('{"spacing": Infinity}', "spacing"),
     ])
     def test_bad_spec_is_data_error_naming_the_field(self, tmp_path, capsys, text, named):
         spec = tmp_path / "spec.json"

@@ -1,5 +1,6 @@
 """Synthetic benchmark generator: determinism, contamination, probe quality."""
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestSpec:
         base.update(kw)
         with pytest.raises(ValueError, match=msg):
             SynthSpec(**base)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, msg", [
+        ("spacing", "spacing must be finite"),
+        ("ood_displacement", "ood_displacement must be finite"),
+        ("mc_noise", "mc_noise must be finite"),
+        ("overlap", r"overlap must lie in \[0, 1\]"),
+        ("ood_fraction", r"ood fraction must lie in \[0, 0.5\]"),
+    ])
+    def test_non_finite_floats_rejected_by_name(self, field, msg, value):
+        with pytest.raises(ValueError, match=msg):
+            SynthSpec.from_json(json.dumps({"n_train": 60, "n_validation": 30, "n_test": 40, field: value}))
 
 
 class TestDeterminism:
