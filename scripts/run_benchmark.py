@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Desk-scale benchmark: every scorer against the synthetic generator.
 
-Generates seeded datasets, fits the density and calibration models,
+Generates seeded datasets, fits the density, Beta and hybrid models,
 scores the test split with every applicable method, and prints mean
 normalized rejection-curve areas (higher is better for every column).
 
@@ -18,14 +18,13 @@ import time
 import numpy as np
 
 from abstain import rejection
-from abstain.cli import FITTERS, resolve_methods, score_split
+from abstain.cli import FITTERS, fit_models, resolve_methods, score_split
 from abstain.synth import SynthSpec, generate
 
 
-def fit_models(data, task):
-    """Every model the task can use, fitted as ``abstain fit`` does."""
-    return {key: FITTERS[key].fit(data.splits[FITTERS[key].split])
-            for key in resolve_methods("all", task, FITTERS)}
+def fitted(data, task):
+    """Every model the task can use, the hybrids included, fitted by the function ``abstain fit`` calls."""
+    return fit_models(resolve_methods("all", task, FITTERS), data.splits)
 
 
 def add_entries(table, scores, split, level):
@@ -44,8 +43,8 @@ def run_multiclass(spec_kwargs, seeds):
     table = {}
     for seed in seeds:
         data = generate(SynthSpec(seed=seed, **spec_kwargs))
-        test, val = data.splits["test"], data.splits["validation"]
-        scores = score_split(resolve_methods("all", "multiclass"), test, fit_models(data, "multiclass"), val)
+        test = data.splits["test"]
+        scores = score_split(resolve_methods("all", "multiclass"), test, fitted(data, "multiclass"))
         add_entries(table, scores, test, "instance")
     return table
 
@@ -55,7 +54,7 @@ def run_multilabel(spec_kwargs, seeds):
     for seed in seeds:
         data = generate(SynthSpec(seed=seed, task="multilabel", **spec_kwargs))
         test = data.splits["test"]
-        scores = score_split(resolve_methods("all", "multilabel"), test, fit_models(data, "multilabel"))
+        scores = score_split(resolve_methods("all", "multilabel"), test, fitted(data, "multilabel"))
         add_entries(table, {name: vec for name, vec in scores.items() if vec.ndim == 1}, test, "instance")
         # pooled label-pair rejection, the finer-grained alternative
         add_entries(table, {"MP (label-wise)": scores["MP"].reshape(-1)}, test, "label")

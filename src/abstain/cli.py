@@ -44,29 +44,24 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_fit(args) -> int:
     from .dataio import load_manifest, load_splits, save_models
-    from .registry import FITTERS, resolve_methods
+    from .registry import FITTERS, fit_models, resolve_methods
     manifest = load_manifest(args.manifest)
     requested = resolve_methods(args.methods, manifest.task, FITTERS)
     splits = load_splits(manifest, Path(args.manifest).parent,   # no fitter reads the passes
                          {FITTERS[m].split: ("embeddings",) for m in requested})
-    save_models(args.out, {m: vars(FITTERS[m].fit(splits[FITTERS[m].split])) for m in requested})
+    save_models(args.out, {m: vars(model) for m, model in fit_models(requested, splits).items()})
     print(args.out)
     return 0
 
 
 def _cmd_score(args) -> int:
-    from .dataio import load_manifest, load_splits, write_scores
-    from .registry import METHODS, _load_fitted, method_inputs, resolve_methods, score_split
+    from .dataio import load_manifest, load_splits, split_source, write_scores
+    from .registry import _load_fitted, method_inputs, resolve_methods, score_split
     manifest = load_manifest(args.manifest)
     names = resolve_methods(args.methods, manifest.task)
-    wanted = {args.split: method_inputs(names)}
-    hybrids = [name for name in names if METHODS[name].hybrid]
-    calibrate = args.calibrate or ("validation" if hybrids else None)
-    if calibrate:   # loaded, so checked, with or without hybrids; the scored split's inputs cover theirs
-        wanted.setdefault(calibrate, method_inputs(hybrids))
-    splits = load_splits(manifest, Path(args.manifest).parent, wanted)
+    split = load_splits(manifest, Path(args.manifest).parent, {args.split: method_inputs(names)})[args.split]
     models = _load_fitted(args.models, manifest) if args.models else {}
-    write_scores(args.out, score_split(names, splits[args.split], models, splits.get(calibrate)))
+    write_scores(args.out, score_split(names, split, models), split_source(manifest, args.split))
     print(args.out)
     return 0
 
@@ -79,7 +74,7 @@ def _auc_payload(res) -> dict:
 
 def _cmd_evaluate(args) -> int:
     from . import rejection, report
-    from .dataio import load_manifest, load_splits, read_scores, write_curve_csv, write_curves
+    from .dataio import load_manifest, load_splits, read_scores, split_source, write_curve_csv, write_curves
     manifest = load_manifest(args.manifest)
     span = {"full": "full", "first50": "first_50"}[args.span]
     if args.mode == "label" and manifest.task != "multilabel":
@@ -93,7 +88,7 @@ def _cmd_evaluate(args) -> int:
         raise FileNotFoundError(f"{metrics_path}: no such directory: {metrics_path.parent}")
     split = load_splits(manifest, Path(args.manifest).parent, {args.split: ()})[args.split]
 
-    scores = read_scores(args.scores, args.mode, len(split), split.probs.shape[1])
+    scores = read_scores(args.scores, args.mode, len(split), split.probs.shape[1], split_source(manifest, args.split))
     n = next(iter(scores.values())).size   # every curve of the run is over the same n units
     for values in scores.values():   # every score is checked before any output is opened
         rejection.check_scores(values.reshape(-1), n)
@@ -172,10 +167,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.set_defaults(func=_cmd_gen_synth)
 
-    p = sub.add_parser("fit", help="fit density/beta models on the train split")
+    p = sub.add_parser("fit", help="fit density models on the train split, Beta and the hybrids on validation")
     p.add_argument("--manifest", required=True)
     p.add_argument("--methods", default="all",
-                   help="comma list from md,rde,ddu,nuq,beta (registry.FITTERS), or all that fit the task")
+                   help="comma list from md,rde,ddu,nuq,beta,huq-md,huq-rde,huq-ddu,huq2-md,huq2-rde,huq2-ddu "
+                        "(registry.FITTERS), or all that fit the task")
     p.add_argument("--out", required=True, help="models container path")
     p.set_defaults(func=_cmd_fit)
 
@@ -185,8 +181,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--split", default="test")
     p.add_argument("--methods", default="all")
     p.add_argument("--out", required=True, help="score table CSV path; its score container is this path + .bin")
-    p.add_argument("--calibrate", default=None,
-                   help="split used to fit hybrid combinators (default: validation, when hybrids are requested)")
+    p.add_argument("--calibrate", choices=("validation",),
+                   help="accepted for existing command lines only: fit calibrates the hybrids on validation")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evaluate", help="rejection curves and normalized areas from a score table")
@@ -234,4 +230,4 @@ if __name__ == "__main__":
 # layer and exposes the registry: perfbench/traced.py looks each layer up
 # in sys.modules right after importing cli.
 from . import rejection, report, synth  # noqa: E402
-from .registry import FITTERS, METHODS, _load_fitted, resolve_methods, score_split  # noqa: E402
+from .registry import FITTERS, METHODS, _load_fitted, fit_models, resolve_methods, score_split  # noqa: E402

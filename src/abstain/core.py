@@ -76,6 +76,11 @@ def _json_value(kind, value, label: str):
     accepted = (float, int) if kind is float else (kind,)
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{label} must be {kind.__name__}, not {type(value).__name__}")
+    if kind is float:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{label} must be a float, not an int too large for one") from None
     return value
 
 

@@ -34,8 +34,8 @@ MAGIC_MODELS = b"UQMODELS"
 MAGIC_SCORES = b"UQSCORES"
 MAGIC_CURVES = b"UQCURVES"
 FORMAT_VERSION = 2   # 2: stochastic passes and labels are matrix files
-MODELS_VERSION = 7   # the README lists what each version changed
-SCORES_VERSION = 1
+MODELS_VERSION = 8   # the README lists what each version changed
+SCORES_VERSION = 2   # 2: the index names the split the scores are of
 CURVES_VERSION = 1
 
 _HDR_MATRIX = struct.Struct("<8sIQQ")
@@ -395,15 +395,23 @@ def scores_container(table) -> Path:
     return Path(f"{table}.bin")
 
 
-def write_scores(table, scores: Dict[str, np.ndarray]) -> None:
+def split_source(manifest, role: str) -> Dict[str, str]:
+    """Where scores of the split ``role`` of ``manifest`` come from: the role and the
+    manifest's checksums of the split's probs and labels, which fix its units and their truth."""
+    files = manifest.splits[role]
+    return {"split": role, "probs": manifest.checksums[files.probs], "labels": manifest.checksums[files.labels]}
+
+
+def write_scores(table, scores: Dict[str, np.ndarray], source: Dict[str, str]) -> None:
     """Write the score table ``table`` (:func:`write_scores_csv`), then its score container, indexed with
-    the table's SHA-256.  Any container at that path is removed first.  If either write fails, both files
-    are removed and the write's own error is raised, so the two are written together or not at all."""
+    the table's SHA-256 and the ``source`` (:func:`split_source`) of the scores.  Any container at that
+    path is removed first.  If either write fails, both files are removed and the write's own error is
+    raised, so the two are written together or not at all."""
     container = scores_container(table)
     container.unlink(missing_ok=True)
     try:
         digest = write_scores_csv(table, scores)
-        index = {"table": digest, "scores": {name: np.shape(v) for name, v in scores.items()}}
+        index = {"table": digest, "source": source, "scores": {name: np.shape(v) for name, v in scores.items()}}
         _write_container(container, MAGIC_SCORES, SCORES_VERSION, index, scores.values())
     except BaseException:
         for path in (table, container):
@@ -412,22 +420,25 @@ def write_scores(table, scores: Dict[str, np.ndarray]) -> None:
         raise
 
 
-def read_scores(table, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
+def read_scores(table, level: str, n: int, width: int, source: Dict[str, str]) -> Dict[str, np.ndarray]:
     """``{method: scores}`` of ``level`` in name order, from the score container of the
     score table ``table``: (n,) arrays at level "instance", (n, width) arrays of (instance,
     label) pairs at level "label".  The container must exist (DataError), hold the table's
-    SHA-256 (ChecksumError) and only (n,) and (n, width) arrays (FormatError).  The table's
-    SHA-256 is compared after the container's own, so a fault in the container is named as its own."""
+    SHA-256 (ChecksumError), only (n,) and (n, width) arrays (FormatError), and scores of
+    ``source``, the split they are evaluated on (DataError naming both).  The table's SHA-256
+    and the source are compared after the container's own, so a fault in the container is
+    named as its own."""
     container, digest = scores_container(table), sha256_file(table)
     if not container.is_file():
         raise DataError(f"{container}: missing; `abstain score` writes it beside the score table")
     wanted = [n, width] if level == "label" else [n]
-    stored = []   # the table's SHA-256 that the index holds
+    stored = []   # the table's SHA-256 and the source that the index holds
 
     def shapes_of(index):
-        if set(index) != {"table", "scores"} or not isinstance(index["scores"], dict):
-            raise ValueError("it must hold the table's digest and an object of score shapes")
-        stored.append(index["table"])
+        if (set(index) != {"table", "source", "scores"} or not isinstance(index["scores"], dict)
+                or not isinstance(index["source"], dict) or set(index["source"]) != set(source)):
+            raise ValueError("it must hold the table's digest, the source of the scores and an object of score shapes")
+        stored.extend((index["table"], index["source"]))
         for name, shape in index["scores"].items():
             if shape not in ([n], [n, width]):
                 raise FormatError(f"{container}: method {name}: shape {shape}, not [{n}] or [{n}, {width}]")
@@ -438,6 +449,10 @@ def read_scores(table, level: str, n: int, width: int) -> Dict[str, np.ndarray]:
     fields = _read_container(container, MAGIC_SCORES, SCORES_VERSION, "score", shapes_of, lambda shape: shape == wanted)
     if stored[0] != digest:
         raise ChecksumError(f"{table}: checksum {digest[:12]}.. != {container} {stored[0]!s:.12}..")
+    if stored[1] != source:
+        def named(s):
+            return f"the {s['split']!r} split with probs {s['probs']!s:.12}.. and labels {s['labels']!s:.12}.."
+        raise DataError(f"{container}: scores of {named(stored[1])}, not of {named(source)} of the manifest")
     return dict(sorted(fields.items()))
 
 

@@ -3,13 +3,13 @@ scorer.
 
 Raw scores from different families live on incompatible scales, so both
 inputs are reduced to ranks over held-out score tables before mixing.
-Two variants are provided: a three-region rule that routes each
-instance by thresholds on the novelty score, and a smooth product form
-whose squared ranks are damped by the complementary rank.
+Two variants are provided: a two-region rule that routes each instance
+by a threshold on the novelty score, and a smooth product form whose
+squared ranks are damped by the complementary rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,57 +26,51 @@ VARIANTS = ("huq", "huq2")
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Fitted hyperparameters plus the held-out rank tables."""
+    """Fitted hyperparameters, the held-out rank tables, and the objective
+    the calibration reached.  The variant is not stored: each registry key
+    names its own.  HUQ reads delta_min, HUQ-2 reads c."""
 
-    variant: str
+    table_ambiguity: np.ndarray = field(metadata={"dims": "n"})   # sorted held-out ambiguity scores
+    table_novelty: np.ndarray = field(metadata={"dims": "n"})     # sorted held-out novelty scores
     alpha: float
     delta_min: float
-    delta_max: float
-    c: int
-    n_validation: int
-    table_ambiguity: np.ndarray      # sorted held-out ambiguity scores
-    table_ambiguity_id: np.ndarray   # same, restricted to low-novelty rows
-    table_novelty: np.ndarray        # sorted held-out novelty scores
+    c: float
+    objective: float   # full-span risk-curve area on the held-out split
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.c not in C_GRID:
             raise ValueError(f"c must be one of {C_GRID}")
-        for name in ("table_ambiguity", "table_ambiguity_id", "table_novelty"):
+        for name in ("table_ambiguity", "table_novelty"):
             t = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, t)
             if t.size and np.any(np.diff(t) < 0):
                 raise ValueError(f"{name} must be sorted ascending")
-        if self.n_validation < 1:
-            raise ValueError("empty validation table")
+        if self.n_validation < 1 or self.table_novelty.size != self.n_validation:
+            raise ValueError("the validation tables must be non-empty and of one length")
+
+    @property
+    def n_validation(self) -> int:
+        return self.table_ambiguity.size
 
     @property
     def case_offset(self) -> int:
-        # strictly above any reachable rank, so the three regions of the
+        # strictly above any reachable rank, so the two regions of the
         # threshold rule can never interleave
         return self.n_validation + 2
 
 
-def _huq_mix(r_a, r_e, r_id, in_dist, above_dmax, alpha: float, base: int) -> np.ndarray:
-    """Three-region rule on the novelty threshold, from ranks.
-
-    Low novelty (``in_dist``) and low ambiguity: the rank ``r_id`` inside
-    the low-novelty table.  Low novelty but high ambiguity: the rank over
-    the whole table.  High novelty: both ranks mixed with weight alpha.
-    Each region is offset by ``base`` above the previous one.
-    """
-    ambiguous = in_dist & above_dmax
-    plain = in_dist & ~ambiguous
+def _huq_mix(r_a, r_e, in_dist, alpha: float, base: int) -> np.ndarray:
+    """Two-region rule on the novelty threshold, from ranks: low novelty
+    (``in_dist``) scores the ambiguity rank plus ``base``, high novelty
+    both ranks mixed with weight alpha plus ``2 * base``."""
     out = (1.0 - alpha) * r_e + alpha * r_a + 2 * base
-    out[ambiguous] = r_a[ambiguous] + base
-    out[plain] = r_id[plain]
+    out[in_dist] = r_a[in_dist] + base
     return out
 
 
-def _huq2_mix(r_a, r_e, alpha: float, c: int, n: int) -> np.ndarray:
+def _huq2_mix(r_a, r_e, alpha: float, c: float, n: int) -> np.ndarray:
     """Smooth product form over squared ranks, each damped by a linear
     leverage term in the other score's rank: l(u) = 1 - R(u)/(c * N)."""
     lever_a = 1.0 - r_a / (c * n)
@@ -84,25 +78,27 @@ def _huq2_mix(r_a, r_e, alpha: float, c: int, n: int) -> np.ndarray:
     return (1.0 - alpha) * r_e * r_e * lever_a + alpha * r_a * r_a * lever_e
 
 
-def score_hybrid_batch(u_a, u_e, config: HybridConfig) -> np.ndarray:
-    """Vectorised scoring of aligned ambiguity/novelty score arrays."""
-    u_a = np.asarray(u_a, dtype=float)
-    u_e = np.asarray(u_e, dtype=float)
+def _check_inputs(u_a, u_e, variant: str):
+    """``u_a`` and ``u_e`` as matching finite 1-D float arrays."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    u_a, u_e = (np.asarray(u, dtype=float) for u in (u_a, u_e))
     if u_a.shape != u_e.shape or u_a.ndim != 1:
         raise ValueError("score arrays must be matching 1-D")
     if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_e))):
         raise ValueError("hybrid inputs must be finite")
+    return u_a, u_e
+
+
+def score_hybrid_batch(u_a, u_e, config: HybridConfig, variant: str) -> np.ndarray:
+    """Vectorised scoring of aligned ambiguity/novelty score arrays by the
+    rule of ``variant``."""
+    u_a, u_e = _check_inputs(u_a, u_e, variant)
     r_a = rank_all(u_a, config.table_ambiguity).astype(float)
     r_e = rank_all(u_e, config.table_novelty).astype(float)
-    if config.variant == "huq2":
+    if variant == "huq2":
         return _huq2_mix(r_a, r_e, config.alpha, config.c, config.n_validation)
-    in_dist = u_e <= config.delta_min
-    above_dmax = u_a > config.delta_max
-    plain = in_dist & ~above_dmax
-    r_id = np.zeros_like(r_a)
-    if np.any(plain):
-        r_id[plain] = rank_all(u_a[plain], config.table_ambiguity_id)
-    return _huq_mix(r_a, r_e, r_id, in_dist, above_dmax, config.alpha, config.case_offset)
+    return _huq_mix(r_a, r_e, u_e <= config.delta_min, config.alpha, config.case_offset)
 
 
 def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str):
@@ -110,47 +106,38 @@ def _calibration_grid(validation: LabeledSplit, u_a_scores, u_e_scores, variant:
     function from a grid index to that point's config.  Every rank is
     computed once up front, and the mixes of one alpha at a time are
     stacked, which bounds the memory."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    u_a, u_e = (np.asarray(u, dtype=float) for u in (u_a_scores, u_e_scores))
     n = len(validation)
     if n < MIN_CALIBRATION:
         raise ValueError(f"insufficient calibration data: {n} < {MIN_CALIBRATION}")
-    if u_a.shape != (n,) or u_e.shape != (n,):
+    if np.shape(u_a_scores) != (n,) or np.shape(u_e_scores) != (n,):
         raise ValueError("score arrays must match the validation split")
-    if not (np.all(np.isfinite(u_a)) and np.all(np.isfinite(u_e))):
-        raise ValueError("hybrid inputs must be finite")
+    u_a, u_e = _check_inputs(u_a_scores, u_e_scores, variant)
     if validation.task != "multiclass":
         raise ValueError("hybrid calibration needs a multiclass split")
 
     losses = multiclass_losses(validation.probs, validation.labels)
     table_a, table_e = np.sort(u_a), np.sort(u_e)
     r_a, r_e = rank_all(u_a, table_a).astype(float), rank_all(u_e, table_e).astype(float)
-    if variant == "huq2":
-        # thresholds and the low-novelty table are unused by the smooth variant
-        points = [HybridConfig(variant, 0.0, float(table_e[-1]), float(table_a[-1]), c, n,
-                               table_a, table_a, table_e) for c in C_GRID]
+    if variant == "huq2":   # (delta_min, c) of each point: the threshold is unused by the smooth variant
+        points = [(float(table_e[-1]), float(c)) for c in C_GRID]
 
         def mix(alpha, k):
-            return _huq2_mix(r_a, r_e, alpha, points[k].c, n)
+            return _huq2_mix(r_a, r_e, alpha, points[k][1], n)
     else:
-        # The regions are offset by case_offset, and a low-novelty unit ranks over tables that
-        # hold its own score, so its mix is strictly increasing in u_a whatever delta_max is:
-        # no delta_max moves a removal order, and the smallest u_a stands for them all.
-        dmin_values = [float(np.quantile(u_e, q, method="lower")) for q in DELTA_MIN_QUANTILES]
-        in_dist = [u_e <= dmin for dmin in dmin_values]
-        points = [HybridConfig(variant, 0.0, dmin, float(table_a[0]), 1, n, table_a,
-                               np.sort(u_a[mask]), table_e) for dmin, mask in zip(dmin_values, in_dist)]
-        id_ranks = [rank_all(u_a, p.table_ambiguity_id).astype(float) for p in points]
-        above_dmax = u_a > table_a[0]
+        points = [(float(np.quantile(u_e, q, method="lower")), 1.0) for q in DELTA_MIN_QUANTILES]
+        in_dist = [u_e <= delta_min for delta_min, _ in points]
 
         def mix(alpha, k):
-            return _huq_mix(r_a, r_e, id_ranks[k], in_dist[k], above_dmax, alpha, points[k].case_offset)
+            return _huq_mix(r_a, r_e, in_dist[k], alpha, n + 2)
 
     objectives = np.concatenate([
         risk_aucs(losses[rejection_order(np.stack([mix(alpha, k) for k in range(len(points))]))])
         for alpha in ALPHA_GRID])
-    return objectives, lambda k: replace(points[k % len(points)], alpha=ALPHA_GRID[k // len(points)])
+
+    def config(k):
+        return HybridConfig(table_a, table_e, ALPHA_GRID[k // len(points)], *points[k % len(points)],
+                            float(objectives[k]))
+    return objectives, config
 
 
 def fit_hybrid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str = "huq2") -> HybridConfig:
@@ -159,13 +146,11 @@ def fit_hybrid(validation: LabeledSplit, u_a_scores, u_e_scores, variant: str = 
     alpha runs over {0, 0.05, ..., 1}; the novelty threshold over upper
     quantiles of the novelty scores; c over {1, 2, 3} for the smooth
     variant.  Quantiles are order statistics (actual held-out values),
-    which keeps every decision a pure rank comparison.  The ambiguity
-    threshold is the smallest held-out ambiguity score: with the regions
-    offset, no threshold can change a held-out removal order, so none can
-    reach a smaller objective.  The objective is the full-span risk-curve
-    area on the multiclass ``validation`` split of the scores
-    :func:`score_hybrid_batch` gives under each config.  Ties prefer the
-    smallest alpha, then the smallest novelty quantile (or c).
+    which keeps every decision a pure rank comparison.  The objective is
+    the full-span risk-curve area on the multiclass ``validation`` split
+    of the scores :func:`score_hybrid_batch` gives under each config, and
+    the config holds the one it reached.  Ties prefer the smallest alpha,
+    then the smallest novelty quantile (or c).
     """
     objectives, config = _calibration_grid(validation, u_a_scores, u_e_scores, variant)
     return config(int(np.argmin(objectives)))

@@ -1,11 +1,13 @@
 """The method registry, FITTERS and METHODS, that ``fit``, ``score`` and
-``scripts/run_benchmark.py`` dispatch through.  ``score_split`` computes
-each base score once per split and reuses it for every hybrid.  Entries
+``scripts/run_benchmark.py`` dispatch through.  ``fit_models`` fits a
+hybrid after its novelty model, and ``score_split`` scores a hybrid with
+its fitted config; both compute each base score once per split.  Entries
 call their scorer or fitter through its module at call time
 (``density.score_md``), so a wrapper on the module attribute sees every call.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -19,6 +21,7 @@ from .errors import DataError, FormatError, UsageError
 MULTICLASS = ("multiclass",)
 MULTILABEL = ("multilabel",)
 BOTH = MULTICLASS + MULTILABEL
+NOVELTY = ("MD", "RDE", "DDU")   # the novelty methods a hybrid pairs with SR
 
 
 @dataclass(frozen=True)
@@ -30,26 +33,34 @@ class Fitter:
     the class count, or 1 for a multilabel split's shared component; n and
     k are fixed by the first field that holds them."""
 
-    fit: Callable[[LabeledSplit], object]   # split -> fitted model
+    fit: Callable[[LabeledSplit, Callable[[str], np.ndarray]], object]   # (split, its scores by method) -> model
     model: type                             # class of the model it returns
     split: str                              # role of the split it fits on
     tasks: Tuple[str, ...]
+    after: Optional[str] = None             # FITTERS key of the model whose scores it is fitted on
+
+
+def _hybrid_fitter(variant: str, novelty: str) -> Fitter:
+    return Fitter(lambda split, scores: hybrid.fit_hybrid(split, scores("SR"), scores(novelty), variant),
+                  hybrid.HybridConfig, "validation", MULTICLASS, novelty.lower())
 
 
 FITTERS: Dict[str, Fitter] = {
-    "md": Fitter(lambda split: density.fit_md(split), density.MdModel, "train", BOTH),
-    "rde": Fitter(lambda split: density.fit_rde(split), density.RdeModel, "train", BOTH),
-    "ddu": Fitter(lambda split: density.fit_ddu(split), density.DduModel, "train", BOTH),
-    "nuq": Fitter(lambda split: density.fit_nuq(split), density.NuqModel, "train", BOTH),
-    "beta": Fitter(lambda split: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS),
+    "md": Fitter(lambda split, scores: density.fit_md(split), density.MdModel, "train", BOTH),
+    "rde": Fitter(lambda split, scores: density.fit_rde(split), density.RdeModel, "train", BOTH),
+    "ddu": Fitter(lambda split, scores: density.fit_ddu(split), density.DduModel, "train", BOTH),
+    "nuq": Fitter(lambda split, scores: density.fit_nuq(split), density.NuqModel, "train", BOTH),
+    "beta": Fitter(lambda split, scores: baselines.fit_beta(split), baselines.BetaModel, "validation", MULTICLASS),
 }
+FITTERS.update({f"{variant}-{novelty.lower()}": _hybrid_fitter(variant, novelty)
+                for variant in hybrid.VARIANTS for novelty in NOVELTY})
 
 
 @dataclass(frozen=True)
 class Method:
     """A base method scores a batch of one split field with an optional
-    fitted model; a hybrid pairs SR with a novelty method and is fitted
-    on a calibration split."""
+    fitted model; a hybrid pairs SR with a novelty method under the
+    config that ``fit`` fitted for it."""
 
     tasks: Tuple[str, ...]
     score: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
@@ -76,54 +87,56 @@ METHODS: Dict[str, Method] = {
     "DDU": Method(BOTH, lambda x, m: density.score_ddu(x, m), "embeddings", "ddu"),
     "NUQ": Method(BOTH, lambda x, m: density.score_nuq(x, m), "embeddings", "nuq"),
 }
-METHODS.update({f"{prefix}-{novelty}": Method(MULTICLASS, hybrid=(variant, novelty))
-                for prefix, variant in (("HUQ", "huq"), ("HUQ2", "huq2"))
-                for novelty in ("MD", "RDE", "DDU")})
+METHODS.update({f"{variant.upper()}-{novelty}": Method(MULTICLASS, model=f"{variant}-{novelty.lower()}",
+                                                       hybrid=(variant, novelty))
+                for variant in hybrid.VARIANTS for novelty in NOVELTY})
 
 
-def score_split(
-    names: Sequence[str],
-    target: LabeledSplit,
-    models: Dict[str, object],
-    calib: Optional[LabeledSplit] = None,
-) -> Dict[str, np.ndarray]:
-    """Scores of ``target`` for each named method, in the given order.
+def split_scores(split: LabeledSplit, models: Dict[str, object]) -> Callable[[str], np.ndarray]:
+    """A function from a METHODS name to the scores of ``split`` by that
+    method, each computed once, with the models ``models`` holds when the
+    name is first asked for."""
+    @functools.cache
+    def scores(name: str) -> np.ndarray:
+        method = METHODS[name]
+        batch = getattr(split, method.input)   # a hybrid's, the probs, is never None
+        if batch is None:
+            raise DataError("split has no embeddings" if method.input == "embeddings"
+                            else "split has no stochastic-pass tensor; SMP/PV/BALD unavailable")
+        model = None
+        if method.model is not None:
+            model = models.get(method.model)
+            if model is None:
+                raise UsageError(f"method {name} needs a fitted {method.model!r} model; "
+                                 f"rerun fit with --methods {method.model}")
+        if method.hybrid:
+            variant, novelty = method.hybrid
+            return hybrid.score_hybrid_batch(scores("SR"), scores(novelty), model, variant)
+        return method.score(batch, model)
+    return scores
 
-    Each base score is computed at most once per split: hybrids reuse SR
-    and their novelty score on both ``target`` and ``calib``, the split
-    their combinator is fitted on.
-    """
-    cache: Dict[tuple, np.ndarray] = {}
 
-    def base(name: str, split: LabeledSplit) -> np.ndarray:
-        key = (name, id(split))
-        if key not in cache:
-            method = METHODS[name]
-            batch = getattr(split, method.input)
-            if batch is None:
-                raise DataError("split has no embeddings" if method.input == "embeddings"
-                                else "split has no stochastic-pass tensor; SMP/PV/BALD unavailable")
-            model = None
-            if method.model is not None:
-                model = models.get(method.model)
-                if model is None:
-                    raise UsageError(f"method {name} needs a fitted {method.model!r} model; "
-                                     f"rerun fit with --methods {method.model}")
-            cache[key] = method.score(batch, model)
-        return cache[key]
+def score_split(names: Sequence[str], target: LabeledSplit, models: Dict[str, object]) -> Dict[str, np.ndarray]:
+    """Scores of ``target`` for each named method, in the given order:
+    hybrids reuse SR and their novelty score."""
+    scores = split_scores(target, models)
+    return {name: scores(name) for name in names}
 
-    out = {}
-    for name in names:
-        pair = METHODS[name].hybrid
-        if pair is None:
-            out[name] = base(name, target)
-            continue
-        if calib is None:
-            raise UsageError("hybrid methods need --calibrate <split> (typically validation)")
-        variant, novelty = pair
-        config = hybrid.fit_hybrid(calib, base("SR", calib), base(novelty, calib), variant)
-        out[name] = hybrid.score_hybrid_batch(base("SR", target), base(novelty, target), config)
-    return out
+
+def fit_models(names: Sequence[str], splits: Dict[str, LabeledSplit]) -> Dict[str, object]:
+    """The models of the FITTERS ``names``, in the given order, each fitted
+    on its split of ``splits``.  They are fitted in registry order, so a
+    hybrid after its novelty model, whose scores of each split are computed
+    once; a hybrid whose novelty model is not among ``names`` is a UsageError."""
+    for key in names:
+        after = FITTERS[key].after
+        if after is not None and after not in names:
+            raise UsageError(f"{key} is fitted on the scores of {after}; add {after} to --methods")
+    models: Dict[str, object] = {}
+    scores = {role: split_scores(split, models) for role, split in splits.items()}
+    for key in (key for key in FITTERS if key in names):
+        models[key] = FITTERS[key].fit(splits[FITTERS[key].split], scores[FITTERS[key].split])
+    return {key: models[key] for key in names}
 
 
 def method_inputs(names: Iterable[str]) -> Set[str]:

@@ -2,9 +2,10 @@
 
 The scalar hybrid rules score one (ambiguity, novelty) pair with scalar
 ranks (``rank``, the scalar form of ``core.rank_all``), written from the
-definitions rather than from the vectorised code.  The brute-force hybrid search builds every config of the
-full grid, each HUQ ambiguity threshold included, and scores it with
-``score_hybrid_batch`` in the documented grid order.  The dense
+definitions rather than from the vectorised code.  The brute-force hybrid
+search scores every point of the full grid in the documented grid order:
+HUQ by its former three-region rule, each ambiguity threshold included,
+HUQ-2 with ``score_hybrid_batch``.  The dense
 eigensolver stands in for RDE's Lanczos top-k solve.  The csv-module
 score-table reader and writer go row by row in Python, on UTF-8 text
 whatever the locale: the writer gives the bytes ``write_scores_csv`` must
@@ -52,9 +53,9 @@ from abstain.hybrid import (
 )
 from abstain.rejection import build_curve, curve_auc, multiclass_losses
 
-# the ambiguity thresholds of the full HUQ grid: the library searches only the
-# first, since no other can change a validation removal order; the brute-force
-# search tries them all
+# the ambiguity thresholds of the three-region HUQ grid: no threshold can change
+# a validation removal order, so the library's two-region rule has none; the
+# brute-force search tries them all
 DELTA_MAX_QUANTILES = (0.00, 0.50, 0.70, 0.80, 0.90, 0.95)
 
 
@@ -75,11 +76,9 @@ def rank(u: float, table: np.ndarray) -> int:
 
 
 def score_huq(u_ambiguity: float, u_novelty: float, config: HybridConfig) -> float:
-    """Three-region rule on the novelty threshold, one instance."""
+    """Two-region rule on the novelty threshold, one instance."""
     base = config.case_offset
     if u_novelty <= config.delta_min:
-        if u_ambiguity <= config.delta_max:
-            return float(rank(u_ambiguity, config.table_ambiguity_id))
         return float(rank(u_ambiguity, config.table_ambiguity) + base)
     mixed = (1.0 - config.alpha) * rank(u_novelty, config.table_novelty) + config.alpha * rank(
         u_ambiguity, config.table_ambiguity
@@ -99,39 +98,59 @@ def score_huq2(u_ambiguity: float, u_novelty: float, config: HybridConfig) -> fl
     )
 
 
+def score_three_region_huq(u_a, u_e, alpha, delta_min, delta_max, table_a, table_id, table_e):
+    """HUQ's three-region rule, as the library scored it before it kept two
+    regions: a low-novelty unit (u_e <= delta_min) whose ambiguity is at most
+    delta_max scores its ambiguity rank inside ``table_id``, the sorted
+    ambiguity scores of the low-novelty held-out rows; any other low-novelty
+    unit its rank over ``table_a`` plus N + 2; a high-novelty unit the mix
+    of both ranks plus 2 (N + 2)."""
+    base = len(table_a) + 2
+    r_a = np.searchsorted(table_a, u_a, side="left") + 1.0
+    r_e = np.searchsorted(table_e, u_e, side="left") + 1.0
+    out = (1.0 - alpha) * r_e + alpha * r_a + 2 * base
+    low = u_e <= delta_min
+    out[low] = r_a[low] + base
+    plain = low & (u_a <= delta_max)
+    out[plain] = np.searchsorted(table_id, u_a[plain], side="left") + 1.0
+    return out
+
+
 def brute_force_hybrid_objectives(validation, u_a, u_e, variant):
-    """Every config of the full grid, alpha outermost, then the novelty
-    threshold, then the ambiguity threshold (or c), with the area of its
-    one full risk curve."""
+    """Every point of the full grid, alpha outermost, then the novelty
+    threshold, then the ambiguity threshold (or c), as (the area of its one
+    full risk curve, its hyperparameters, its validation scores).  HUQ
+    points are scored by the three-region rule, each ambiguity threshold
+    of DELTA_MAX_QUANTILES included: 1,008 of them."""
     u_a, u_e = np.asarray(u_a, dtype=float), np.asarray(u_e, dtype=float)
-    n = len(u_a)
     losses = multiclass_losses(validation.probs, validation.labels)
     table_a, table_e = np.sort(u_a), np.sort(u_e)
-    configs = []
+    points = []
     for alpha in ALPHA_GRID:
         if variant == "huq":
             for q_min in DELTA_MIN_QUANTILES:
                 dmin = float(np.quantile(u_e, q_min, method="lower"))
                 for q_max in DELTA_MAX_QUANTILES:
                     dmax = float(np.quantile(u_a, q_max, method="lower"))
-                    configs.append(HybridConfig("huq", alpha, dmin, dmax, 1, n, table_a,
-                                                np.sort(u_a[u_e <= dmin]), table_e))
+                    scores = score_three_region_huq(u_a, u_e, alpha, dmin, dmax, table_a,
+                                                    np.sort(u_a[u_e <= dmin]), table_e)
+                    points.append(({"alpha": alpha, "delta_min": dmin, "delta_max": dmax, "c": 1.0}, scores))
         else:
             for c in C_GRID:
-                configs.append(HybridConfig("huq2", alpha, float(table_e[-1]), float(table_a[-1]),
-                                            c, n, table_a, table_a, table_e))
-    return [(curve_auc(build_curve(score_hybrid_batch(u_a, u_e, cfg), losses, "risk"), "full"), cfg)
-            for cfg in configs]
+                config = HybridConfig(table_a, table_e, alpha, float(table_e[-1]), float(c), 0.0)
+                points.append(({"alpha": alpha, "delta_min": float(table_e[-1]), "c": float(c)},
+                               score_hybrid_batch(u_a, u_e, config, "huq2")))
+    return [(curve_auc(build_curve(scores, losses, "risk"), "full"), point, scores) for point, scores in points]
 
 
 def brute_force_fit_hybrid(validation, u_a, u_e, variant):
     """The rc_auc grid search done the slow way: the first strictly
-    better config of :func:`brute_force_hybrid_objectives` wins."""
+    better point of :func:`brute_force_hybrid_objectives` wins."""
     best = None
-    for val, cfg in brute_force_hybrid_objectives(validation, u_a, u_e, variant):
-        if best is None or val < best[0]:
-            best = (val, cfg)
-    return best[1]
+    for searched in brute_force_hybrid_objectives(validation, u_a, u_e, variant):
+        if best is None or searched[0] < best[0]:
+            best = searched
+    return best
 
 
 def curve_value_on(coverages, values, coverage: float) -> float:

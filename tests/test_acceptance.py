@@ -174,10 +174,10 @@ def test_criterion_5_rank_invariance():
     taus = []
     for variant in ("huq", "huq2"):
         cfg = fit_hybrid(va, ua_v, ue_v, variant)
-        base = score_hybrid_batch(ua_t, ue_t, cfg)
+        base = score_hybrid_batch(ua_t, ue_t, cfg, variant)
         for f in (np.exp, lambda z: 10.0 * z + 3.0):
             cfg2 = fit_hybrid(va, f(ua_v), f(ue_v), variant)
-            again = score_hybrid_batch(f(ua_t), f(ue_t), cfg2)
+            again = score_hybrid_batch(f(ua_t), f(ue_t), cfg2, variant)
             assert np.array_equal(base, again)
             tau = kendalltau(base, again).statistic
             assert tau >= 1.0 - 1e-12
@@ -197,7 +197,7 @@ def test_criterion_6_hybrid_benefit():
         ua_v, ue_v = rows(score_sr, va.probs), rows(score_md, va.embeddings, md)
         ua_t, ue_t = rows(score_sr, te.probs), rows(score_md, te.embeddings, md)
         cfg = fit_hybrid(va, ua_v, ue_v, "huq2")
-        hy = score_hybrid_batch(ua_t, ue_t, cfg)
+        hy = score_hybrid_batch(ua_t, ue_t, cfg, "huq2")
         losses = multiclass_losses(te.probs, te.labels)
         for name, sc in (("SR", ua_t), ("MD", ue_t), ("HUQ2", hy)):
             norms[name].append(normalized_auc(sc, losses, "risk", "first_50").normalized)
@@ -283,7 +283,6 @@ def test_criterion_9_cli_determinism(tmp_path):
                          "--out", str(root / "models.bin")]) == 0
         assert cli_main(["score", "--manifest", manifest,
                          "--models", str(root / "models.bin"), "--methods", "all",
-                         "--calibrate", "validation",
                          "--out", str(root / "scores.csv")]) == 0
         assert cli_main(["evaluate", "--scores", str(root / "scores.csv"),
                          "--manifest", manifest,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from abstain import baselines, core, density, mc
-from abstain.cli import FITTERS, METHODS, score_split
+from abstain.cli import FITTERS, METHODS, fit_models, score_split
 from abstain.core import LabeledSplit, seeded_rng
 from abstain.synth import SynthSpec, generate
 
@@ -23,8 +23,7 @@ SPEC = dict(n_train=300, n_validation=100, n_test=150, n_classes=3, dim=8, mc_pa
 
 def _fitted(task):
     data = generate(SynthSpec(seed=11, task=task, **SPEC))
-    models = {key: fitter.fit(data.splits[fitter.split])
-              for key, fitter in FITTERS.items() if task in fitter.tasks}
+    models = fit_models([key for key, fitter in FITTERS.items() if task in fitter.tasks], data.splits)
     return data.splits["test"], models
 
 
@@ -78,9 +77,9 @@ def test_single_row_gives_the_batch_value_as_float():
 def test_blocks_leave_scores_unchanged(monkeypatch):
     split, models = _fitted("multiclass")
     names = [name for name, m in METHODS.items() if "multiclass" in m.tasks]
-    whole = score_split(names, split, models, split)
+    whole = score_split(names, split, models)
     monkeypatch.setattr(core, "BLOCK_ROWS", 7)  # 150 rows -> 22 blocks
-    blocked = score_split(names, split, models, split)
+    blocked = score_split(names, split, models)
     for name in names:
         assert_agree(name, blocked[name], whole[name])
 
@@ -89,13 +88,12 @@ def test_scoring_blocks_of_256_and_1024_rows_give_the_same_bits(monkeypatch):
     # the shipped default spec: its 1,200 test rows are 2 blocks of 1,024
     # rows or 5 of 256, and every score, RDE's and NUQ's too, keeps its bits
     data = generate(SynthSpec(seed=7))
-    models = {key: fitter.fit(data.splits[fitter.split]) for key, fitter in FITTERS.items()
-              if "multiclass" in fitter.tasks}
+    models = fit_models([key for key, fitter in FITTERS.items() if "multiclass" in fitter.tasks], data.splits)
     names = [name for name, m in METHODS.items() if "multiclass" in m.tasks]
     scored = {}
     for rows in (256, 1024):
         monkeypatch.setattr(core, "BLOCK_ROWS", rows)
-        scored[rows] = score_split(names, data.splits["test"], models, data.splits["validation"])
+        scored[rows] = score_split(names, data.splits["test"], models)
     for name in names:
         assert np.array_equal(scored[256][name], scored[1024][name]), name
 

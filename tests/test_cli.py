@@ -22,11 +22,11 @@ import scipy.spatial.distance
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import abstain
-from abstain import dataio, density, rejection, report
-from abstain.cli import FITTERS, METHODS, _load_fitted, main, resolve_methods, score_split
+from abstain import baselines, dataio, density, hybrid, rejection, report
+from abstain.cli import FITTERS, METHODS, _load_fitted, fit_models, main, resolve_methods, score_split
 from abstain.dataio import (FormatError, VersionError, load_manifest, load_models, load_splits,
                             parse_matrix, read_curves, read_scores, save_models, scores_container,
-                            sha256_file, write_curve_csv, write_matrix, write_scores)
+                            sha256_file, split_source, write_curve_csv, write_matrix, write_scores)
 from abstain.synth import SynthSpec, generate
 from oracles import EMPTY_LABEL, csv_read_scores
 
@@ -121,14 +121,59 @@ class TestGenSynth:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("field", ["spacing", "mc_noise"])
+    def test_float_field_given_an_int_too_large_for_a_float_is_data_error(self, field, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_train": 60, "n_validation": 30, "n_test": 40, field: int("1" * 400)}))
+        assert run("gen-synth", "--spec", spec, "--out", tmp_path / "ds") == 2
+        assert capsys.readouterr().err == (f"data error: spec field {field!r} must be a float, "
+                                           "not an int too large for one\n")
+        assert not (tmp_path / "ds").exists()
+
 
 class TestFit:
     def test_default_methods_follow_task(self, mc_dir, ml_dir):
-        assert set(load_models(mc_dir / "models.bin")) == {"md", "rde", "ddu", "nuq", "beta"}
+        hybrids = {f"{variant}-{novelty}" for variant in ("huq", "huq2") for novelty in ("md", "rde", "ddu")}
+        assert set(load_models(mc_dir / "models.bin")) == {"md", "rde", "ddu", "nuq", "beta"} | hybrids
         assert set(load_models(ml_dir / "models.bin")) == {"md", "rde", "ddu", "nuq"}
 
-    def test_help_names_exactly_the_fitters(self, capsys):
-        # the parser is built without the registry, so it spells the names out
+    def test_hybrid_without_its_novelty_model_is_usage_error(self, mc_dir, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        code = run("fit", "--manifest", mc_dir / "ds" / "manifest.json", "--methods", "beta,huq-md", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: huq-md is fitted on the scores of md; add md to --methods\n"
+        assert not out.exists()
+
+    def test_hybrid_is_fitted_after_its_novelty_model_and_saved_in_request_order(self, mc_dir, tmp_path):
+        """A hybrid listed before its novelty model is fitted after it, to the
+        config of the default fit, and the container keeps the requested order."""
+        out = tmp_path / "m.bin"
+        assert run("fit", "--manifest", mc_dir / "ds" / "manifest.json", "--methods", "huq2-ddu,ddu", "--out", out) == 0
+        got, want = load_models(out), load_models(mc_dir / "models.bin")
+        assert list(got) == ["huq2-ddu", "ddu"]
+        for key in got:
+            assert {k: v.tobytes() for k, v in got[key].items()} == {k: v.tobytes() for k, v in want[key].items()}
+
+    def test_hybrid_config_holds_the_objective_of_its_calibration(self, mc_dir):
+        """Each stored config holds the validation tables and the smallest
+        objective of its grid, found again from the fitted novelty model."""
+        manifest = load_manifest(mc_dir / "ds" / "manifest.json")
+        models = _load_fitted(mc_dir / "models.bin", manifest)
+        val = load_splits(manifest, mc_dir / "ds", {"validation": ("embeddings",)})["validation"]
+        for key, method in METHODS.items():
+            if method.hybrid:
+                variant, novelty = method.hybrid
+                u_a, u_e = score_split(["SR", novelty], val, models).values()
+                objectives, _ = hybrid._calibration_grid(val, u_a, u_e, variant)
+                config = models[method.model]
+                assert config.objective == objectives.min(), key
+                assert config.table_ambiguity.tobytes() == np.sort(u_a).tobytes(), key
+                assert config.table_novelty.tobytes() == np.sort(u_e).tobytes(), key
+
+    def test_help_names_exactly_the_fitters(self, capsys, monkeypatch):
+        # the parser is built without the registry, so it spells the names out;
+        # wide enough that argparse does not wrap the list at a hyphen
+        monkeypatch.setenv("COLUMNS", "200")
         with pytest.raises(SystemExit):
             main(["fit", "--help"])
         names = re.search(r"comma list from (\S+) ", " ".join(capsys.readouterr().out.split())).group(1)
@@ -255,7 +300,7 @@ def test_fit_and_score_read_method_lists_alike(command, mc_dir, ml_dir, tmp_path
         out = tmp_path / "out"
         argv = [command, "--manifest", root / "ds" / "manifest.json", "--out", out]
         if command == "score":
-            argv += ["--models", root / "models.bin", "--calibrate", "validation"]
+            argv += ["--models", root / "models.bin"]
         for methods, want in ((None, available), (" ALL ", available),
                               (f"{first.upper()}, ,{second},{first.lower()},", [first, second])):
             assert run(*argv, *(["--methods", methods] if methods else [])) == 0
@@ -357,12 +402,13 @@ def _copy_with_manifest_fields(src, tmp_path, **fields):
     return manifest
 
 
-@pytest.mark.parametrize("version", [1, 2, 5, 6])
+@pytest.mark.parametrize("version", [1, 2, 5, 6, 7])
 def test_stale_models_container_is_a_data_error(version, mc_dir, tmp_path, capsys):
     # version 1 held MD/RDE/DDU precisions where later ones hold whiteners;
     # version 2 RDE and NUQ models held fields their scorers never read;
     # version 5 Beta models lacked the betaln constants that score reads;
-    # version 6 carried no checksum of its index and fields
+    # version 6 carried no checksum of its index and fields;
+    # version 7 held no hybrid configs, which score then fitted itself
     stale = tmp_path / "models.bin"
     raw = bytearray((mc_dir / "models.bin").read_bytes())
     raw[8:12] = struct.pack("<I", version)
@@ -439,9 +485,8 @@ def test_split_with_bad_probabilities_is_refused(argv, row, named, mc_dir, evalu
 @pytest.mark.parametrize("argv, read", [
     ("score --models MODELS --methods SR", {"test_probs.bin", "test_labels.bin"}),
     ("score --models MODELS --methods SR,SMP", {"test_probs.bin", "test_labels.bin", "test_mc.bin"}),
-    ("score --models MODELS --methods MD,HUQ-DDU --calibrate validation",
-     {"test_probs.bin", "test_labels.bin", "test_embeddings.bin", "validation_probs.bin",
-      "validation_labels.bin", "validation_embeddings.bin"}),
+    ("score --models MODELS --methods MD,HUQ-DDU",
+     {"test_probs.bin", "test_labels.bin", "test_embeddings.bin"}),
     ("fit --methods md,beta",
      {"train_probs.bin", "train_labels.bin", "train_embeddings.bin", "validation_probs.bin",
       "validation_labels.bin", "validation_embeddings.bin"}),
@@ -478,7 +523,7 @@ def _spy_opens(monkeypatch) -> collections.Counter:
 
 @pytest.mark.parametrize("argv", [
     "fit",
-    "score --models MODELS --methods MD,HUQ-DDU --calibrate validation",
+    "score --models MODELS --methods MD,HUQ-DDU",
     "evaluate --scores SCORES",
     "score --models MODELS --methods MD,HUQ-DDU --split validation --calibrate validation",
 ], ids=["fit", "score-hybrid", "evaluate", "score-calibrating-on-the-scored-split"])
@@ -700,7 +745,7 @@ def test_models_round_trip_through_the_container_scores_the_same_bits(task, mc_d
     splits = load_splits(manifest, root / "ds", dict.fromkeys(("train", "validation", "test"),
                                                               ("embeddings", "mc")))
     keys = [key for key, fitter in FITTERS.items() if task in fitter.tasks]
-    fitted = {key: FITTERS[key].fit(splits[FITTERS[key].split]) for key in keys}
+    fitted = fit_models(keys, splits)
     for tag in ("a", "b"):
         save_models(tmp_path / f"{tag}.bin", {key: vars(model) for key, model in fitted.items()})
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -720,9 +765,8 @@ def test_models_round_trip_through_the_container_scores_the_same_bits(task, mc_d
             assert type(back) is (np.ndarray if dims else np.float64), (key, name)
             assert back.tobytes() == np.asarray(value, dtype=np.float64).tobytes(), (key, name)
     names = resolve_methods("all", task)
-    calib = splits["validation"] if task == "multiclass" else None
-    want = score_split(names, splits["test"], fitted, calib)
-    got = score_split(names, splits["test"], loaded, calib)
+    want = score_split(names, splits["test"], fitted)
+    got = score_split(names, splits["test"], loaded)
     assert list(got) == names
     for name in names:
         assert np.array_equal(got[name], want[name]), name
@@ -813,7 +857,7 @@ class TestScore:
                                 ",".join(methods)], check=True,
                                env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)})
                 columns.append(read_scores(out.with_suffix(".csv"), "instance", test.splits["test"].n,
-                                           test.n_classes))
+                                           test.n_classes, split_source(test, "test")))
             one, two = columns
             assert list(one) == list(two) == sorted(methods)
             for name in methods:
@@ -827,38 +871,48 @@ class TestScore:
     def test_all_methods_with_hybrids(self, mc_dir, tmp_path):
         out = tmp_path / "all.csv"
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
-                   "--models", mc_dir / "models.bin", "--methods", "all",
-                   "--calibrate", "validation", "--out", out) == 0
+                   "--models", mc_dir / "models.bin", "--methods", "all", "--out", out) == 0
         method = csv_read_scores(out)[2]
         methods = set(method)
         assert "HUQ2-MD" in methods and "HUQ-DDU" in methods and "Beta" in methods
         assert len(method) == len(methods) * 60
 
-    def test_each_density_score_computed_once_per_split(self, mc_dir, tmp_path, monkeypatch):
+    @staticmethod
+    def count_base_scores(monkeypatch):
         calls = {}
-        for name in ("score_md", "score_rde", "score_ddu"):
-            def counted(*args, _fn=getattr(density, name), _name=name):
+        for module, name in ((baselines, "score_sr"), (density, "score_md"), (density, "score_rde"),
+                             (density, "score_ddu")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args)
-            monkeypatch.setattr(density, name, counted)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_density_score_computed_once_per_split(self, mc_dir, tmp_path, monkeypatch):
+        calls = self.count_base_scores(monkeypatch)
         assert run("score", "--manifest", mc_dir / "ds" / "manifest.json",
-                   "--models", mc_dir / "models.bin", "--methods", "all",
-                   "--calibrate", "validation", "--out", tmp_path / "all.csv") == 0
-        # once on the target split, once on the calibration split
-        assert calls == {"score_md": 2, "score_rde": 2, "score_ddu": 2}
+                   "--models", mc_dir / "models.bin", "--methods", "all", "--out", tmp_path / "all.csv") == 0
+        # once, on the scored split: the hybrids were calibrated by fit
+        assert calls == {"score_sr": 1, "score_md": 1, "score_rde": 1, "score_ddu": 1}
+
+    def test_fit_scores_the_validation_split_once_for_all_six_hybrids(self, mc_dir, tmp_path, monkeypatch):
+        calls = self.count_base_scores(monkeypatch)
+        assert run("fit", "--manifest", mc_dir / "ds" / "manifest.json", "--out", tmp_path / "m.bin") == 0
+        assert calls == {"score_sr": 1, "score_md": 1, "score_rde": 1, "score_ddu": 1}
+        assert (tmp_path / "m.bin").read_bytes() == (mc_dir / "models.bin").read_bytes()
 
     @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
     def test_default_command_scores_every_method_of_the_task(self, task, mc_dir, ml_dir, tmp_path, monkeypatch):
         """`score --manifest M --models X --out S` scores every method of the
-        task.  Without --calibrate the six multiclass hybrids calibrate on the
-        validation split, to the bytes of --calibrate validation; a request
-        without hybrids, every multilabel one, loads no calibration split."""
+        task and loads the one split it scores: the hybrids' configs come
+        from fit.  --calibrate validation, kept for existing command lines,
+        changes no byte."""
         root = mc_dir if task == "multiclass" else ml_dir
         argv = ["score", "--manifest", root / "ds" / "manifest.json", "--models", root / "models.bin"]
         loaded, load_splits = [], dataio.load_splits
         monkeypatch.setattr(dataio, "load_splits", lambda *a: loaded.append(sorted(a[2])) or load_splits(*a))
         assert run(*argv, "--out", tmp_path / "default.csv") == 0
-        assert loaded == [["test", "validation"] if task == "multiclass" else ["test"]]
+        assert loaded == [["test"]]
         names = [name for name, method in METHODS.items() if task in method.tasks]
         assert list(dict.fromkeys(csv_read_scores(tmp_path / "default.csv")[2])) == names
         assert len([name for name in names if METHODS[name].hybrid]) == (6 if task == "multiclass" else 0)
@@ -866,18 +920,28 @@ class TestScore:
         for table in (Path, scores_container):
             assert table(tmp_path / "default.csv").read_bytes() == table(tmp_path / "explicit.csv").read_bytes()
 
-    def test_hybrid_without_calibrate_needs_a_validation_split(self, mc_dir, tmp_path, capsys):
+    def test_hybrids_score_without_a_validation_split(self, mc_dir, tmp_path):
+        """The six hybrids score on a copy of the dataset whose manifest lists
+        no validation split, to the bytes they score with the full manifest."""
         splits = json.loads((mc_dir / "ds" / "manifest.json").read_text())["splits"]
         del splits["validation"]
         manifest = _copy_with_manifest_fields(mc_dir / "ds", tmp_path, splits=splits)
-        out = tmp_path / "s.csv"
-        code = run("score", "--manifest", manifest, "--models", mc_dir / "models.bin", "--methods", "SR,HUQ-MD",
-                   "--out", out)
-        assert code == 2
-        assert capsys.readouterr().err == "data error [bad-format]: manifest has no split 'validation'\n"
-        assert not out.exists()
-        assert run("score", "--manifest", manifest, "--models", mc_dir / "models.bin", "--methods", "SR,MD",
-                   "--out", out) == 0   # no hybrid, so no calibration split
+        hybrids = ",".join(name for name, method in METHODS.items() if method.hybrid)
+        for table, source in (("copy.csv", manifest), ("full.csv", mc_dir / "ds" / "manifest.json")):
+            assert run("score", "--manifest", source, "--models", mc_dir / "models.bin", "--methods", hybrids,
+                       "--out", tmp_path / table) == 0
+        for table in (Path, scores_container):
+            assert table(tmp_path / "copy.csv").read_bytes() == table(tmp_path / "full.csv").read_bytes()
+
+    def test_hybrid_without_its_config_is_usage_error(self, mc_dir, tmp_path, capsys):
+        models = tmp_path / "m.bin"
+        assert run("fit", "--manifest", mc_dir / "ds" / "manifest.json", "--methods", "md", "--out", models) == 0
+        code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", models,
+                   "--methods", "SR,HUQ-MD", "--out", tmp_path / "s.csv")
+        assert code == 1
+        assert capsys.readouterr().err == ("usage error: method HUQ-MD needs a fitted 'huq-md' model; "
+                                           "rerun fit with --methods huq-md\n")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_method_is_usage_error(self, mc_dir, tmp_path, capsys):
         code = run("score", "--manifest", mc_dir / "ds" / "manifest.json",
@@ -887,15 +951,25 @@ class TestScore:
 
     @pytest.mark.parametrize("argv", [
         "--split nosuch --methods SR",
-        "--methods SR --calibrate nosuch",
-        "--methods HUQ-MD --calibrate nosuch",
-    ], ids=["split", "calibrate", "calibrate-hybrid"])
+    ], ids=["split"])
     def test_split_not_in_the_manifest_is_a_data_error(self, argv, mc_dir, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = run("score", "--manifest", mc_dir / "ds" / "manifest.json", "--models", mc_dir / "models.bin",
                    *argv.split(), "--out", out)
         assert code == 2
         assert capsys.readouterr().err == "data error [bad-format]: manifest has no split 'nosuch'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["test", "nosuch"])
+    def test_calibrate_other_than_validation_is_usage_error(self, value, tmp_path, capsys):
+        """--calibrate is kept only so that existing command lines run: it
+        takes validation alone, and any other value is refused before any
+        file is read (the manifest here does not exist)."""
+        out = tmp_path / "s.csv"
+        code = run("score", "--manifest", tmp_path / "missing.json", "--methods", "SR", "--calibrate", value,
+                   "--out", out)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("usage error: argument --calibrate: invalid choice") and value in err
         assert not out.exists()
 
     def test_density_without_models_is_usage_error(self, mc_dir, tmp_path, capsys):
@@ -930,6 +1004,12 @@ def evaluated(mc_dir, tmp_path_factory):
                "--manifest", mc_dir / "ds" / "manifest.json",
                "--out", metrics, root / "curves") == 0
     return root, scores, metrics
+
+
+def _stored_source(table):
+    """The source of the scores that the score container of ``table`` holds."""
+    raw = scores_container(table).read_bytes()
+    return json.loads(raw[52:52 + struct.unpack_from("<8sIQ", raw)[2]])["source"]
 
 
 def _flip_last_byte(path):
@@ -1023,19 +1103,20 @@ class TestEvaluateAndReport:
          "data error [checksum-mismatch]: {container}: checksum"),
         (lambda bad, _: scores_container(bad).write_bytes(scores_container(bad).read_bytes()[:100]),
          "data error [bad-format]: {container}: malformed score index"),
-        (lambda bad, _: scores_container(bad).write_bytes(b"UQSCORES" + struct.pack("<I", 2)
+        (lambda bad, _: scores_container(bad).write_bytes(b"UQSCORES" + struct.pack("<I", 1)
                                                           + scores_container(bad).read_bytes()[12:]),
-         "data error [bad-version]: {container}: unsupported version 2"),
-        (lambda bad, _: write_scores(bad, {"SR": np.zeros(60), "MD": np.zeros(61)}),
+         "data error [bad-version]: {container}: unsupported version 1"),
+        (lambda bad, _: write_scores(bad, {"SR": np.zeros(60), "MD": np.zeros(61)}, _stored_source(bad)),
          "data error [bad-format]: {container}: method MD: shape [61], not [60] or [60, 3]"),
-        (lambda bad, _: write_scores(bad, {"SR": np.r_[np.zeros(59), np.nan]}), "data error: NaN score"),
+        (lambda bad, _: write_scores(bad, {"SR": np.r_[np.zeros(59), np.nan]}, _stored_source(bad)),
+         "data error: NaN score"),
         (lambda bad, _: write_scores(bad, {"Entropy": np.zeros(60), "MD": np.ones(60),
-                                           "SR": np.r_[np.nan, np.zeros(59)]}),
+                                           "SR": np.r_[np.nan, np.zeros(59)]}, _stored_source(bad)),
          "data error: NaN score"),
         (lambda bad, monkeypatch: _fail_third_curve_build(bad.parent / "out" / "curves", monkeypatch),
          "data error [io]: no space left on device"),
     ], ids=["malformed-row", "missing-row", "missing-container", "flipped-container-byte",
-            "truncated-container", "container-version-2", "shape-not-of-the-manifest", "nan-score",
+            "truncated-container", "container-version-1", "shape-not-of-the-manifest", "nan-score",
             "nan-in-the-last-method", "curve-build-raises-mid-stream"])
     def test_refused_table_writes_nothing(self, edit, named, evaluated, mc_dir, tmp_path, capsys, monkeypatch):
         """A score table that evaluate refuses, or whose container it
@@ -1056,6 +1137,32 @@ class TestEvaluateAndReport:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith(named.format(table=bad, container=scores_container(bad))), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["other-seed", "other-split"])
+    def test_scores_of_another_dataset_or_split_write_nothing(self, case, tmp_path, capsys):
+        """Scores of seed 7's test split evaluated on seed 11's manifest, and
+        scores of the train split evaluated as the test split, both of the
+        same row count, are a data error naming both sources; nothing is written."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(SynthSpec(n_train=60, n_validation=30, n_test=60, n_classes=3, dim=4,
+                                  mc_passes=2).to_json())
+        for seed in (7, 11):
+            assert run("gen-synth", "--spec", spec, "--seed", seed, "--out", tmp_path / f"ds{seed}") == 0
+        manifest = tmp_path / "ds7" / "manifest.json"
+        scored, evaluated_on = ("test", tmp_path / "ds11" / "manifest.json") if case == "other-seed" else ("train", manifest)
+        scores = tmp_path / "s.csv"
+        assert run("score", "--manifest", manifest, "--methods", "SR", "--split", scored, "--out", scores) == 0
+        out = tmp_path / "out"
+        code = run("evaluate", "--scores", scores, "--manifest", evaluated_on, "--out", out / "metrics.json")
+        held, wanted = (split_source(load_manifest(m), role) for m, role in ((manifest, scored), (evaluated_on, "test")))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error [data-error]: {scores_container(scores)}: scores of the {scored!r} split with probs "
+            f"{held['probs'][:12]}.. and labels {held['labels'][:12]}.., not of the 'test' split with probs "
+            f"{wanted['probs'][:12]}.. and labels {wanted['labels'][:12]}.. of the manifest\n")
+        assert not out.exists()
+        assert run("evaluate", "--scores", scores, "--manifest", manifest, "--split", scored,
+                   "--out", out / "metrics.json") == 0
 
     def test_missing_metrics_directory_writes_nothing(self, evaluated, mc_dir, tmp_path, capsys):
         """A metrics path in a directory that does not exist, and that the
@@ -1223,10 +1330,11 @@ class TestMultilabelEvaluate:
         returns at the instance level and 0.05 MB at the label level.  The
         CSV reader it replaced peaked 1.8 and 2.3 MB above; hashing the
         table in 1 MiB chunks took 2.1 MB."""
+        source = _stored_source(pair_scores / "s.csv")
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            scores = read_scores(pair_scores / "s.csv", level, 5000, 20)
+            scores = read_scores(pair_scores / "s.csv", level, 5000, 20, source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1263,7 +1371,8 @@ class TestMultilabelEvaluate:
         scores = tmp_path / "scores.csv"
         assert run("score", "--manifest", ml_dir / "ds" / "manifest.json",
                    "--methods", "MP", "--out", scores) == 0
-        write_scores(scores, {"MP": read_scores(scores, "label", 60, 5)["MP"][:, :-1]})
+        source = _stored_source(scores)
+        write_scores(scores, {"MP": read_scores(scores, "label", 60, 5, source)["MP"][:, :-1]}, source)
         code = run("evaluate", "--scores", scores, "--manifest", ml_dir / "ds" / "manifest.json",
                    "--mode", "label", "--out", tmp_path / "m.json")
         assert code == 2
@@ -1276,7 +1385,7 @@ def built_curves(manifest, table, mode):
     builds from ``table`` on ``manifest``'s test split, built here by ``build_curve``."""
     loaded = load_manifest(manifest)
     split = load_splits(loaded, Path(manifest).parent, {"test": ()})["test"]
-    scores = read_scores(table, mode, len(split), split.probs.shape[1])
+    scores = read_scores(table, mode, len(split), split.probs.shape[1], split_source(loaded, "test"))
     evaluations = rejection.unit_data(split.probs, split.labels, loaded.task, mode)
     suffixes = {metric: "" if len(evaluations) == 1 else f".{metric}" for metric, _ in evaluations}
     return {name + suffixes[metric]: rejection.build_curve(values.reshape(-1), data, metric)
@@ -1456,7 +1565,7 @@ class TestImportHygiene:
             "gen-synth": ["--out", str(tmp_path / "ds")],
             "fit": ["--manifest", manifest, "--methods", "md", "--out", str(tmp_path / "m.bin")],
             "score": ["--manifest", manifest, "--models", str(mc_dir / "models.bin"), "--methods", "all",
-                      "--calibrate", "validation", "--out", str(tmp_path / "scores.csv")],
+                      "--out", str(tmp_path / "scores.csv")],
             "evaluate": ["--scores", str(scores), "--manifest", manifest,
                          "--out", str(tmp_path / "metrics.json"), str(tmp_path / "curves")],
             "report": ["--metrics", str(metrics), "--curves", str(root / "curves"),
@@ -1482,7 +1591,7 @@ class TestImportHygiene:
             ["gen-synth", "--out", str(tmp_path / "ds")],
             ["fit", "--manifest", manifest, "--methods", "md", "--out", str(tmp_path / "m.bin")],
             ["score", "--manifest", manifest, "--models", str(mc_dir / "models.bin"), "--methods", "all",
-             "--calibrate", "validation", "--out", str(tmp_path / "scores.csv")],
+             "--out", str(tmp_path / "scores.csv")],
             ["evaluate", "--scores", str(scores), "--manifest", manifest,
              "--out", str(tmp_path / "metrics.json"), str(tmp_path / "curves")],
             ["report", "--metrics", str(metrics), "--curves", str(root / "curves"),

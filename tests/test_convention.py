@@ -72,11 +72,8 @@ def test_density_scorers(train):
 def test_hybrid_scorers():
     table_a = np.linspace(0.1, 0.9, 40)
     table_e = np.linspace(1.0, 9.0, 40)
-    for variant in ("huq", "huq2"):
-        config = hybrid.HybridConfig(
-            variant=variant, alpha=0.5, delta_min=6.0, delta_max=0.5, c=2,
-            n_validation=40, table_ambiguity=table_a,
-            table_ambiguity_id=table_a[:30], table_novelty=table_e,
-        )
-        calm, shaky = hybrid.score_hybrid_batch([0.15, 0.85], [2.0, 8.5], config)
+    config = hybrid.HybridConfig(table_ambiguity=table_a, table_novelty=table_e, alpha=0.5, delta_min=6.0,
+                                 c=2.0, objective=0.0)
+    for variant in hybrid.VARIANTS:
+        calm, shaky = hybrid.score_hybrid_batch([0.15, 0.85], [2.0, 8.5], config, variant)
         assert shaky > calm, variant

@@ -40,6 +40,8 @@ from abstain.density import fit_md
 from abstain.synth import SynthSpec, generate
 from oracles import EMPTY_LABEL, csv_read_scores, csv_write_scores
 
+SOURCE = {"split": "test", "probs": "0" * 64, "labels": "1" * 64}   # where the scores of these tests come from
+
 
 def read_matrix(path):
     return parse_matrix(path.read_bytes(), path)
@@ -105,23 +107,23 @@ class TestScoreCsv:
         sr = np.array([0.25, 0.5])
         mp = np.array([[0.1, 0.4], [0.7, 0.2]])
         md = np.array([3.75e-2, 1.5])
-        write_scores(tmp_path / "s.csv", {"SR": sr, "MP": mp, "MD": md})
+        write_scores(tmp_path / "s.csv", {"SR": sr, "MP": mp, "MD": md}, SOURCE)
         instance, label, method, score = csv_read_scores(tmp_path / "s.csv")
         assert instance.tolist() == [0, 1, 0, 0, 1, 1, 0, 1]
         assert label.tolist() == [EMPTY_LABEL, EMPTY_LABEL, 0, 1, 0, 1, EMPTY_LABEL, EMPTY_LABEL]
         assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP", "MD", "MD"]
         assert score.tolist() == [0.25, 0.5, 0.1, 0.4, 0.7, 0.2, 3.75e-2, 1.5]
-        instances = read_scores(tmp_path / "s.csv", "instance", 2, 2)
+        instances = read_scores(tmp_path / "s.csv", "instance", 2, 2, SOURCE)
         assert list(instances) == ["MD", "SR"]
         assert instances["MD"].tolist() == md.tolist() and instances["SR"].tolist() == sr.tolist()
-        pairs = read_scores(tmp_path / "s.csv", "label", 2, 2)
+        pairs = read_scores(tmp_path / "s.csv", "label", 2, 2, SOURCE)
         assert list(pairs) == ["MP"] and pairs["MP"].tolist() == mp.tolist()
 
     def test_float_repr_roundtrips_exactly(self, tmp_path):
         val = 0.1 + 0.2  # not representable as a short decimal
-        write_scores(tmp_path / "s.csv", {"SR": np.array([val])})
+        write_scores(tmp_path / "s.csv", {"SR": np.array([val])}, SOURCE)
         assert csv_read_scores(tmp_path / "s.csv")[3][0] == val
-        assert read_scores(tmp_path / "s.csv", "instance", 1, 1)["SR"][0] == val
+        assert read_scores(tmp_path / "s.csv", "instance", 1, 1, SOURCE)["SR"][0] == val
 
     def test_mixed_table_bytes_are_pinned_and_read_back_exactly(self, tmp_path):
         # an instance-level method, then a pair-level one; the floats need
@@ -129,7 +131,7 @@ class TestScoreCsv:
         sr = np.array([0.25, np.inf])
         mp = np.array([[0.1 + 0.2, 5e-324], [0.0, 1.0]])
         path = tmp_path / "s.csv"
-        write_scores(path, {"SR": sr, "MP": mp})
+        write_scores(path, {"SR": sr, "MP": mp}, SOURCE)
         assert path.read_bytes() == (
             b"instance,label,method,score\r\n"
             b"0,,SR,0.25\r\n"
@@ -144,8 +146,8 @@ class TestScoreCsv:
         assert label.tolist() == [EMPTY_LABEL, EMPTY_LABEL, 0, 1, 0, 1]
         assert method.tolist() == ["SR", "SR", "MP", "MP", "MP", "MP"]
         assert np.array_equal(score.view(np.int64), np.concatenate([sr, mp.ravel()]).view(np.int64))
-        assert read_scores(path, "instance", 2, 2)["SR"].tobytes() == sr.tobytes()
-        assert read_scores(path, "label", 2, 2)["MP"].tobytes() == mp.tobytes()
+        assert read_scores(path, "instance", 2, 2, SOURCE)["SR"].tobytes() == sr.tobytes()
+        assert read_scores(path, "label", 2, 2, SOURCE)["MP"].tobytes() == mp.tobytes()
 
 
 def test_exported_table_parses_to_the_container_arrays_bit_for_bit(tmp_path):
@@ -159,10 +161,10 @@ def test_exported_table_parses_to_the_container_arrays_bit_for_bit(tmp_path):
     sr[:3] = np.inf, 0.1 + 0.2, 1 / 3
     mp[0, :2] = np.inf, 2 / 3
     path = tmp_path / "s.csv"
-    write_scores(path, {"SR": sr, "MP": mp, "MD": md})
+    write_scores(path, {"SR": sr, "MP": mp, "MD": md}, SOURCE)
     instance, label, method, score = csv_read_scores(path)
     assert len(repr(0.1 + 0.2)) == len("0.") + 17
-    got = {**read_scores(path, "instance", n, width), **read_scores(path, "label", n, width)}
+    got = {**read_scores(path, "instance", n, width, SOURCE), **read_scores(path, "label", n, width, SOURCE)}
     assert sorted(got) == ["MD", "MP", "SR"] and got["SR"][0] == np.inf
     for name, values in got.items():
         rows = method == name
@@ -192,14 +194,14 @@ def test_score_table_round_trip(tmp_path_factory, table):
     whatever the method names; a level that has no arrays is a DataError."""
     n, width, scores = table
     path = tmp_path_factory.mktemp("rt") / "s.csv"
-    write_scores(path, scores)
+    write_scores(path, scores, SOURCE)
     for level, ndim in (("instance", 1), ("label", 2)):
         expected = {name: scores[name] for name in sorted(scores) if scores[name].ndim == ndim}
         if not expected:
             with pytest.raises(DataError, match=f"score table holds no {level}-level rows"):
-                read_scores(path, level, n, width)
+                read_scores(path, level, n, width, SOURCE)
             continue
-        got = read_scores(path, level, n, width)
+        got = read_scores(path, level, n, width, SOURCE)
         assert list(got) == list(expected)
         for g, e in zip(got.values(), expected.values()):
             assert g.shape == e.shape and np.array_equal(g.view(np.int64), e.view(np.int64))
@@ -221,7 +223,7 @@ class TestScoreContainer:
     @pytest.fixture()
     def table(self, tmp_path):
         path = tmp_path / "s.csv"
-        write_scores(path, self.SCORES)
+        write_scores(path, self.SCORES, SOURCE)
         return path
 
     def test_lies_beside_the_table_bound_to_its_digest_and_reruns_byte_identical(self, table):
@@ -229,9 +231,10 @@ class TestScoreContainer:
         assert container == table.parent / "s.csv.bin" and container != table
         raw = container.read_bytes()
         magic, version, size, _ = struct.unpack_from("<8sIQ32s", raw)
-        assert (magic, version) == (b"UQSCORES", 1)
-        assert json.loads(raw[52:52 + size]) == {"table": sha256_file(table), "scores": {"SR": [3], "MP": [3, 2]}}
-        write_scores(table, self.SCORES)
+        assert (magic, version) == (b"UQSCORES", 2)
+        assert json.loads(raw[52:52 + size]) == {"table": sha256_file(table), "source": SOURCE,
+                                                 "scores": {"SR": [3], "MP": [3, 2]}}
+        write_scores(table, self.SCORES, SOURCE)
         assert container.read_bytes() == raw
 
     @pytest.mark.parametrize("level", ["instance", "label"])
@@ -241,48 +244,64 @@ class TestScoreContainer:
         # method name SR flipped to RR leaves an index that passes its checks
         rewrite(scores_container(table), lambda raw: flip(raw, raw.index(byte) + 1 if byte else -1))
         with pytest.raises(ChecksumError, match=re.escape(f"{scores_container(table)}: checksum")) as exc:
-            read_scores(table, level, 3, 2)
+            read_scores(table, level, 3, 2, SOURCE)
         assert exc.value.code == "checksum-mismatch"
 
     def test_a_flipped_byte_of_the_stored_table_digest_names_the_container(self, table):
         # the table is intact; the container's own SHA-256 is checked before the table's
         rewrite(scores_container(table), lambda raw: flip(raw, raw.index(b'"table": "') + 10))
         with pytest.raises(ChecksumError, match=re.escape(f"{scores_container(table)}: checksum")) as exc:
-            read_scores(table, "instance", 3, 2)
+            read_scores(table, "instance", 3, 2, SOURCE)
         assert exc.value.code == "checksum-mismatch"
+
+    @pytest.mark.parametrize("field, value", [("split", "train"), ("probs", "2" * 64), ("labels", "3" * 64)],
+                             ids=["split", "probs", "labels"])
+    def test_scores_of_another_source_are_a_data_error_naming_both(self, field, value, table):
+        other = {**SOURCE, field: value}
+        with pytest.raises(DataError) as exc:
+            read_scores(table, "instance", 3, 2, other)
+        assert type(exc.value) is DataError and str(exc.value) == (
+            f"{scores_container(table)}: scores of the 'test' split with probs 000000000000.. and labels "
+            f"111111111111.., not of the {other['split']!r} split with probs {other['probs'][:12]}.. and labels "
+            f"{other['labels'][:12]}.. of the manifest")
+
+    def test_an_edited_source_fails_the_checksum_before_it_is_compared(self, table):
+        rewrite(scores_container(table), lambda raw: raw.replace(b'"split": "test"', b'"split": "tesu"'))
+        with pytest.raises(ChecksumError, match=re.escape(f"{scores_container(table)}: checksum")):
+            read_scores(table, "instance", 3, 2, SOURCE)
 
     def test_a_changed_table_is_a_checksum_mismatch(self, table):
         rewrite(table, lambda raw: raw[:-3] + b"9" + raw[-2:])
         with pytest.raises(ChecksumError, match=re.escape(f"{table}: checksum")):
-            read_scores(table, "instance", 3, 2)
+            read_scores(table, "instance", 3, 2, SOURCE)
 
     def test_a_missing_container_is_a_data_error_naming_it(self, table):
         scores_container(table).unlink()
         with pytest.raises(DataError, match=re.escape(f"{scores_container(table)}: missing; `abstain score`")):
-            read_scores(table, "instance", 3, 2)
+            read_scores(table, "instance", 3, 2, SOURCE)
 
     @pytest.mark.parametrize("n, width", [(4, 2), (3, 3)])
     def test_an_array_that_does_not_fit_the_manifest_is_a_format_error(self, n, width, table):
         with pytest.raises(FormatError, match=r"method (SR|MP): shape \[3(, 2)?\], not "):
-            read_scores(table, "instance", n, width)
+            read_scores(table, "instance", n, width, SOURCE)
 
     @pytest.mark.parametrize("edit, error", [
         (lambda raw: b"UQMODELS" + raw[8:], MagicError),
-        (lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:], VersionError),
+        (lambda raw: raw[:8] + struct.pack("<I", 1) + raw[12:], VersionError),
         (lambda raw: raw[:40], FormatError),
         (lambda raw: raw[:-8], FormatError),
     ], ids=["magic", "version", "truncated-header", "truncated-field"])
     def test_a_faulty_header_or_size_is_refused(self, edit, error, table):
         rewrite(scores_container(table), edit)
         with pytest.raises(error):
-            read_scores(table, "label", 3, 2)
+            read_scores(table, "label", 3, 2, SOURCE)
 
     @pytest.mark.parametrize("level, built", [("instance", [[3]]), ("label", [[3, 2]])], ids=["instance", "label"])
     def test_builds_only_the_arrays_of_its_level(self, level, built, table, monkeypatch):
         shapes = []
         empty = np.empty
         monkeypatch.setattr(np, "empty", lambda shape, *a, **k: shapes.append(shape) or empty(shape, *a, **k))
-        read_scores(table, level, 3, 2)
+        read_scores(table, level, 3, 2, SOURCE)
         assert shapes == built
 
     def test_a_failed_write_leaves_no_container(self, table, monkeypatch):
@@ -305,7 +324,7 @@ class TestScoreContainer:
                 m.setattr(dataio, name, failing)
                 m.setattr(dataio, "WRITE_ROWS", 1)   # one row per span: two spans are written before the third fails
                 with pytest.raises(OSError, match="no space left on device"):
-                    write_scores(table, self.SCORES)
+                    write_scores(table, self.SCORES, SOURCE)
             assert not table.exists() and not scores_container(table).exists(), name
         assert len(spans) == 3
 
@@ -368,7 +387,7 @@ class TestForkedWriters:
         rng = np.random.default_rng(13)
         scores = {"naïve": rng.normal(size=30), "MP": rng.normal(size=(10, 3))}
         table = tmp_path / "s.csv"
-        write_scores(table, scores)
+        write_scores(table, scores, SOURCE)
         assert len(forks) == forked
         raw = scores_container(table).read_bytes()
         size = struct.unpack_from("<8sIQ32s", raw)[2]
